@@ -10,7 +10,7 @@ canonical line bundles and the monodromy modulus of the twisted setting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .lattice import lattice_coordinates, lattice_member
 from .root_data import (
@@ -22,6 +22,13 @@ from .root_data import (
 )
 
 
+def iota_coordinates(d: RootDatum) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """(k, coords): coords[b] holds the X-coordinates of iota(Y.basis[b]),
+    and k, the lcm of their denominators, is the commutator denominator."""
+    coords = [lattice_coordinates(iota(d.cartan_type, row), d.X) for row in d.Y.basis]
+    return lcm(*(c.denominator for row in coords for c in row)), coords
+
+
 def commutator_denominator(d: RootDatum) -> int:
     """Smallest k > 0 with k * iota(Y) contained in the character lattice.
 
@@ -30,11 +37,7 @@ def commutator_denominator(d: RootDatum) -> int:
     rational character space, and X is exactly the dual of Y under the
     pairing, so integrality of k * (., y) on Y means k * iota(y) lands in X.
     """
-    out = 1
-    for row in d.Y.basis:
-        for coord in lattice_coordinates(iota(d.cartan_type, row), d.X):
-            out = lcm(out, coord.denominator)
-    return out
+    return iota_coordinates(d)[0]
 
 
 def commutator_value(d: RootDatum, level: int, y1, y2) -> Fraction:
@@ -157,15 +160,9 @@ def monodromy_modulus(d: RootDatum, order: int) -> int:
     return 2 * h * order // k
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 1
-    return True
+def is_prime(p: int) -> bool:
+    """Primality by trial division up to the integer square root."""
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def char_assumption_ok(d: RootDatum, p: int, order: int) -> bool:
@@ -173,6 +170,6 @@ def char_assumption_ok(d: RootDatum, p: int, order: int) -> bool:
     i.e. p is zero or does not divide the monodromy modulus."""
     if p == 0:
         return True
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"characteristic must be zero or prime, got {p}")
     return monodromy_modulus(d, order) % p != 0

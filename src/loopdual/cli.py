@@ -149,10 +149,11 @@ def _datum_flag(args):
     isogeny = args.isogeny
     if isogeny.startswith("["):
         try:
-            rows = json.loads(isogeny)
+            isogeny = [tuple(Fraction(str(x)) for x in row) for row in json.loads(isogeny)]
         except json.JSONDecodeError as exc:
             raise UsageError(f"--isogeny JSON is malformed: {exc}") from None
-        isogeny = [tuple(Fraction(str(x)) for x in row) for row in rows]
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise UsageError("--isogeny rows must be lists of rationals") from None
     try:
         return build_datum(args.type, isogeny)
     except ValueError as exc:
@@ -239,10 +240,10 @@ def _cmd_symbol(args, out) -> int:
     try:
         f = parse_series(args.f, field)
         g = parse_series(args.g, field)
-        value = tame_symbol(f, g)
+        value = str(tame_symbol(f, g))  # may exceed the int-to-str digit limit
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--f/--g: {exc}") from None
-    result = {"field": field.name, "value": str(value)}
+    result = {"field": field.name, "value": value}
     print(_emit("symbol", {"field": args.field, "f": args.f, "g": args.g},
                 result, []), file=out)
     return 0
@@ -256,13 +257,13 @@ def _cmd_commutator(args, out) -> int:
         pair = json.loads(args.points)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--points JSON is malformed: {exc}") from None
-    if not isinstance(pair, list) or len(pair) != 2:
+    if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, list) for x in pair):
         raise UsageError("--points must be a JSON list of two torus points")
 
     def torus_point(entries):
         point = []
         for item in entries:
-            if not isinstance(item, list) or len(item) != 2:
+            if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], list)):
                 raise UsageError("--points entries must be "
                                  "[cocharacter, series] pairs")
             coweight, text = item
@@ -271,11 +272,11 @@ def _cmd_commutator(args, out) -> int:
         return point
 
     try:
-        value = torus_commutator(datum, level,
-                                 torus_point(pair[0]), torus_point(pair[1]))
+        value = str(torus_commutator(datum, level,
+                                     torus_point(pair[0]), torus_point(pair[1])))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--points/--m: {exc}") from None
-    result = {"field": field.name, "m": level, "value": str(value)}
+    result = {"field": field.name, "m": level, "value": value}
     print(_emit("commutator", {"type": args.type, "isogeny": args.isogeny,
                                "m": args.m, "points": args.points},
                 result, []), file=out)

@@ -10,7 +10,14 @@ back as B2, and the rank-three fork comes back as A3.
 from __future__ import annotations
 
 from .lattice import Lattice, lattice_index, lattice_member
-from .root_data import CartanType, cartan_matrix, fundamental_weight, root_lattice, weight_lattice
+from .root_data import (
+    CartanType,
+    cartan_matrix,
+    cartan_symmetrizer,
+    fundamental_weight,
+    root_lattice,
+    weight_lattice,
+)
 
 
 def _validate_generalized_cartan(mat) -> int:
@@ -29,32 +36,22 @@ def _validate_generalized_cartan(mat) -> int:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if (mat[i][j] == 0) != (mat[j][i] == 0):
                     raise ValueError("Cartan zeros must be symmetric")
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(rank):
-            if j not in seen and mat[i][j] != 0:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != rank:
+    if cartan_symmetrizer([[int(x) for x in row] for row in mat]) is None:
         raise ValueError("Cartan matrix is not irreducible")
     return rank
 
 
-def _row_profile(mat, i):
-    return sorted(mat[i][j] for j in range(len(mat)) if j != i and mat[i][j] != 0)
-
-
-def _col_profile(mat, j):
-    return sorted(mat[i][j] for i in range(len(mat)) if i != j and mat[i][j] != 0)
+def _profile(mat, i):
+    """Sorted nonzero off-diagonal entries of row i and of column i."""
+    return tuple(sorted(x for j, x in enumerate(line) if j != i and x != 0)
+                 for line in (mat[i], [row[i] for row in mat]))
 
 
 def _find_relabeling(mat, std):
     """Lexicographically smallest sigma with mat[i][j] == std[sigma_i][sigma_j]."""
     rank = len(mat)
-    profiles = [(_row_profile(mat, i), _col_profile(mat, i)) for i in range(rank)]
-    std_profiles = [(_row_profile(std, i), _col_profile(std, i)) for i in range(rank)]
+    profiles = [_profile(mat, i) for i in range(rank)]
+    std_profiles = [_profile(std, i) for i in range(rank)]
     sigma = [-1] * rank
     used = [False] * rank
 

@@ -5,18 +5,16 @@ is no floating point anywhere.  Lattices are full rank in their ambient
 rational vector space and are stored through a Hermite-normal-form basis, so
 two Lattice objects compare equal exactly when they contain the same vectors.
 
-Routines: smith_normal_form, hermite_rows, Lattice, lattice_member,
-lattice_coordinates, dual_lattice, quotient_invariants, congruence_kernel,
-lattice_index, plus the small exact matrix helpers they share.
+Routines: smith_normal_form and hermite_rows (sharing one 2x2 Bezout row
+transform), Lattice, lattice_member, lattice_coordinates, dual_lattice,
+quotient_invariants and lattice_index (sharing one coordinate-matrix
+helper), congruence_kernel, plus the small exact matrix helpers they share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-Vector = tuple[Fraction, ...]
-
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -96,6 +94,15 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
+def _bezout_rows(a: int, b: int, x, y):
+    """The row pair (x, y) under the unimodular 2x2 transform sending (a, b)
+    to (gcd(a, b), 0), which avoids the entry blowup of repeated remainders."""
+    g = gcd(a, b)
+    s, w = _bezout(a, b)
+    return ([s * p + w * q for p, q in zip(x, y)],
+            [(-b // g) * p + (a // g) * q for p, q in zip(x, y)])
+
+
 def smith_normal_form(mat):
     """Diagonalize an integer matrix by unimodular row and column operations.
 
@@ -139,30 +146,17 @@ def smith_normal_form(mat):
             row[i] += q * row[j]
 
     def gcd_rows(t, i):
-        # 2x2 unimodular transform on rows (t, i) placing gcd at the pivot
-        # and zero below it, without the entry blowup of repeated remainders.
+        # gcd lands at the pivot, zero below it
         a, b = d[t][t], d[i][t]
-        g = gcd(a, b)
-        s, w = _bezout(a, b)
-        rt, ri = d[t], d[i]
-        d[t] = [s * x + w * y for x, y in zip(rt, ri)]
-        d[i] = [(-b // g) * x + (a // g) * y for x, y in zip(rt, ri)]
-        ut, ui = u[t], u[i]
-        u[t] = [s * x + w * y for x, y in zip(ut, ui)]
-        u[i] = [(-b // g) * x + (a // g) * y for x, y in zip(ut, ui)]
+        for grid in (d, u):
+            grid[t], grid[i] = _bezout_rows(a, b, grid[t], grid[i])
 
     def gcd_cols(t, j):
         a, b = d[t][t], d[t][j]
-        g = gcd(a, b)
-        s, w = _bezout(a, b)
-        for row in d:
-            ct, cj = row[t], row[j]
-            row[t] = s * ct + w * cj
-            row[j] = (-b // g) * ct + (a // g) * cj
-        for row in v:
-            ct, cj = row[t], row[j]
-            row[t] = s * ct + w * cj
-            row[j] = (-b // g) * ct + (a // g) * cj
+        for grid in (d, v):
+            cols = _bezout_rows(a, b, [row[t] for row in grid], [row[j] for row in grid])
+            for row, x, y in zip(grid, *cols):
+                row[t], row[j] = x, y
 
     for t in range(min(m, n)):
         piv = None
@@ -214,9 +208,7 @@ def smith_normal_form(mat):
             low = a * b // g
             s, t = _bezout(a, b)
             # Embedded 2x2 transform sending diag(a, b) to diag(g, lcm).
-            ui, uj = u[i], u[j]
-            u[i] = [s * x + t * y for x, y in zip(ui, uj)]
-            u[j] = [(-b // g) * x + (a // g) * y for x, y in zip(ui, uj)]
+            u[i], u[j] = _bezout_rows(a, b, u[i], u[j])
             for row in v:
                 ci, cj = row[i], row[j]
                 row[i] = ci + cj
@@ -258,13 +250,8 @@ def hermite_rows(mat):
                 q = b // a
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
             else:
-                # One-shot gcd transform on the row pair: gcd lands at the
-                # pivot row, zero at row i, no repeated remainder swaps.
-                g = gcd(a, b)
-                s, w = _bezout(a, b)
-                hr, hi = h[r], h[i]
-                h[r] = [s * x + w * y for x, y in zip(hr, hi)]
-                h[i] = [(-b // g) * x + (a // g) * y for x, y in zip(hr, hi)]
+                # gcd lands at the pivot row, zero at row i
+                h[r], h[i] = _bezout_rows(a, b, h[r], h[i])
         if h[r][c] != 0:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
@@ -310,9 +297,6 @@ class Lattice:
     @classmethod
     def standard(cls, n: int) -> "Lattice":
         return cls(identity_matrix(n))
-
-    def contains(self, vector) -> bool:
-        return lattice_member(vector, self)
 
     def basis_matrix(self) -> list[list[Fraction]]:
         return [list(row) for row in self.basis]
@@ -367,6 +351,18 @@ def dual_lattice(lat: Lattice, pairing) -> Lattice:
     return Lattice(transpose(inv))
 
 
+def _coordinate_matrix(big: Lattice, small: Lattice) -> list[list[int]]:
+    """Integer coordinates of the basis rows of small in the basis of big;
+    ValueError if small is not contained in big."""
+    coeffs = []
+    for row in small.basis:
+        coords = lattice_coordinates(row, big)
+        if any(c.denominator != 1 for c in coords):
+            raise ValueError("small lattice is not contained in big lattice")
+        coeffs.append([int(c) for c in coords])
+    return coeffs
+
+
 def quotient_invariants(big: Lattice, small: Lattice) -> tuple[int, ...]:
     """Invariant factors of the finite group big/small.
 
@@ -377,12 +373,7 @@ def quotient_invariants(big: Lattice, small: Lattice) -> tuple[int, ...]:
     Raises:
         ValueError: if small is not contained in big.
     """
-    coeffs = []
-    for row in small.basis:
-        coords = lattice_coordinates(row, big)
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError("small lattice is not contained in big lattice")
-        coeffs.append([int(c) for c in coords])
+    coeffs = _coordinate_matrix(big, small)
     _, diag, _ = smith_normal_form(coeffs)
     factors = [diag[i][i] for i in range(len(coeffs))]
     if any(f == 0 for f in factors):
@@ -410,10 +401,4 @@ def congruence_kernel(mat, modulus: int) -> Lattice:
 
 def lattice_index(big: Lattice, small: Lattice) -> int:
     """Index [big : small], the order of big/small."""
-    coeffs = []
-    for row in small.basis:
-        coords = lattice_coordinates(row, big)
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError("small lattice is not contained in big lattice")
-        coeffs.append([int(c) for c in coords])
-    return abs(det_int(coeffs))
+    return abs(det_int(_coordinate_matrix(big, small)))

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .central_ext import commutator_value
+from .central_ext import commutator_value, is_prime
 from .root_data import RootDatum
 
 
@@ -66,7 +66,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
@@ -110,18 +110,22 @@ class PrimeField:
         return hash(("GF", self.p))
 
 
+def _power(one, mul, base, n: int):
+    """base**n for n >= 0 by repeated squaring."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        n >>= 1
+    return out
+
+
 def field_power(field, a, n: int):
     """a**n in the field, with negative exponents via inversion."""
     if n < 0:
         return field_power(field, field.inv(a), -n)
-    out = field.normalize(1)
-    base = a
-    while n:
-        if n & 1:
-            out = field.mul(out, base)
-        base = field.mul(base, base)
-        n >>= 1
-    return out
+    return _power(field.normalize(1), field.mul, a, n)
 
 
 @dataclass(frozen=True)
@@ -214,15 +218,9 @@ class LaurentSeries:
     def __pow__(self, n: int) -> "LaurentSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        out = LaurentSeries.unit(self.field, 0, 1,
+        one = LaurentSeries.unit(self.field, 0, 1,
                                  self.precision if self.coeffs else 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(one, LaurentSeries.__mul__, self, n)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._require_same_field(other)
@@ -368,6 +366,8 @@ def torus_commutator(datum: RootDatum, level: int, x1, x2):
     pairs2 = [(tuple(Fraction(v) for v in mu), g) for mu, g in x2]
     if not pairs1 or not pairs2:
         raise ValueError("empty torus point")
+    if any(len(v) != datum.rank for v, _ in pairs1 + pairs2):
+        raise ValueError(f"cocharacters must have length {datum.rank}")
     fld = None
     for _, series in pairs1 + pairs2:
         if series.is_zero():

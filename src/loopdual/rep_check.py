@@ -2,9 +2,9 @@
 
 A WeightSystem is a root system given concretely: simple roots as vectors
 in an ambient rational space, and one linear functional per simple coroot.
-That is general enough to cover both a root datum in its own coordinates
-and the rescaled-coroot systems arising on the dual side, without caring
-which side of a duality the vectors live on.
+That covers a root datum in its own coordinates and the rescaled-coroot
+systems of the dual side alike.  The integer Cartan matrix read off its
+pairings feeds root_data's cartan_symmetrizer and root_closure.
 
 Multiplicities come from Freudenthal's recursion over dominant weights,
 dimensions from the Weyl formula, and tensor products from multiplying
@@ -18,7 +18,14 @@ from itertools import product
 
 from .central_ext import monodromy_modulus
 from .lattice import mat_inv, mat_vec, transpose
-from .root_data import RootDatum, cartan_matrix, coroot_norms, dual_coxeter
+from .root_data import (
+    RootDatum,
+    cartan_matrix,
+    cartan_symmetrizer,
+    coroot_norms,
+    dual_coxeter,
+    root_closure,
+)
 from .twisted_dual import local_denominators
 
 
@@ -32,6 +39,8 @@ class WeightSystem:
         dim = len(self.simple_roots[0]) if self.simple_roots else 0
         if self.rank == 0 or self.rank != len(self.functionals) or dim != self.rank:
             raise ValueError("need as many independent simple roots as functionals")
+        # pairings[i][j] = F_i(root_j); its transpose is the Cartan matrix
+        pairings = [[0] * self.rank for _ in range(self.rank)]
         for i in range(self.rank):
             for j in range(self.rank):
                 val = self.pairing(i, self.simple_roots[j])
@@ -41,15 +50,21 @@ class WeightSystem:
                     raise ValueError("functional of a coroot on its root must be 2")
                 if i != j and val > 0:
                     raise ValueError("off-diagonal Cartan values must be <= 0")
+                pairings[i][j] = int(val)
         self._root_coords = mat_inv(transpose([list(r) for r in self.simple_roots]))
-        self._norms = self._solve_root_norms()
+        # half squared lengths making (root_i, root_j) = norms[j] * F_j(root_i)
+        # symmetric; fixed up to scale, which multiplicities never see.
+        self._norms = cartan_symmetrizer(pairings)
+        if self._norms is None:
+            raise ValueError("root system is not irreducible")
         for i in range(self.rank):
             for j in range(self.rank):
-                left = self._norms[j] * self.pairing(j, self.simple_roots[i])
-                right = self._norms[i] * self.pairing(i, self.simple_roots[j])
-                if left != right:
+                if self._norms[j] * pairings[j][i] != self._norms[i] * pairings[i][j]:
                     raise ArithmeticError("invariant form is not symmetric")
-        self.positive_roots = self._generate_positive_roots()
+        self.positive_roots = tuple(sorted(
+            tuple(sum(c * r[a] for c, r in zip(root, self.simple_roots))
+                  for a in range(self.rank))
+            for root, _ in root_closure(tuple(zip(*pairings))) if min(root) >= 0))
         self.rho = tuple(sum(col) / 2 for col in zip(*self.positive_roots))
         for i in range(self.rank):
             if self.pairing(i, self.rho) != 1:
@@ -70,27 +85,6 @@ class WeightSystem:
     def height(self, vec) -> Fraction:
         return sum(self.root_coordinates(vec))
 
-    def _solve_root_norms(self):
-        # half squared lengths making (root_i, root_j) = norms[j] * F_j(root_i)
-        # symmetric; fixed up to scale, which multiplicities never see.
-        ratios = [None] * self.rank
-        ratios[0] = Fraction(1)
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(self.rank):
-                if j == i or ratios[j] is not None:
-                    continue
-                down = self.pairing(j, self.simple_roots[i])
-                up = self.pairing(i, self.simple_roots[j])
-                if down:
-                    # symmetry of norms[j] * F_j(root_i) forces this ratio
-                    ratios[j] = ratios[i] * Fraction(up, down)
-                    stack.append(j)
-        if any(x is None for x in ratios):
-            raise ValueError("root system is not irreducible")
-        return tuple(ratios)
-
     def form(self, x, y) -> Fraction:
         """A Weyl-invariant symmetric form on the weight space."""
         cx = self.root_coordinates(x)
@@ -101,21 +95,6 @@ class WeightSystem:
                 gram = self._norms[j] * self.pairing(j, self.simple_roots[i])
                 total += cx[i] * cy[j] * gram
         return total
-
-    def _generate_positive_roots(self):
-        seen = set(self.simple_roots)
-        queue = list(self.simple_roots)
-        while queue:
-            vec = queue.pop()
-            for i in range(self.rank):
-                new = self.reflect(i, vec)
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-        positives = [v for v in seen if all(c >= 0 for c in self.root_coordinates(v))]
-        if 2 * len(positives) != len(seen):
-            raise ArithmeticError("root closure is not symmetric")
-        return tuple(sorted(positives))
 
     def is_dominant(self, vec) -> bool:
         return all(self.pairing(i, vec) >= 0 for i in range(self.rank))
@@ -131,14 +110,7 @@ class WeightSystem:
                 return out
 
     def antidominant_conjugate(self, vec) -> tuple[Fraction, ...]:
-        out = tuple(Fraction(x) for x in vec)
-        while True:
-            for i in range(self.rank):
-                if self.pairing(i, out) > 0:
-                    out = self.reflect(i, out)
-                    break
-            else:
-                return out
+        return tuple(-x for x in self.dominant_conjugate(-Fraction(x) for x in vec))
 
     def weyl_orbit(self, vec) -> frozenset:
         start = tuple(Fraction(x) for x in vec)
@@ -155,6 +127,8 @@ class WeightSystem:
 
     def _require_highest_weight(self, lam) -> tuple[Fraction, ...]:
         vec = tuple(Fraction(x) for x in lam)
+        if len(vec) != self.rank:
+            raise ValueError(f"highest weight has length {len(vec)}, expected {self.rank}")
         for i in range(self.rank):
             val = self.pairing(i, vec)
             if val < 0 or val.denominator != 1:

@@ -13,6 +13,8 @@ Conventions used across the package:
   so that short coroots have squared length 2; c_i = (coroot_i, coroot_i)/2
   takes values in {1, 2, 3} and the embedding iota of cocharacters into
   characters is iota(coroot_i) = c_i * root_i, i.e. coordinatewise scaling.
+* cartan_symmetrizer and root_closure take a bare integer Cartan matrix, so
+  dynkin and rep_check reuse them on matrices that have no CartanType yet.
 """
 
 from __future__ import annotations
@@ -97,22 +99,29 @@ def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-@lru_cache(maxsize=None)
-def coroot_norms(t: CartanType) -> tuple[int, ...]:
-    """c_i = (coroot_i, coroot_i)/2, normalized so the minimum is 1."""
-    a = cartan_matrix(t)
-    r = t.rank
+def cartan_symmetrizer(a) -> tuple[Fraction, ...] | None:
+    """Ratios d with d_i * a[i][j] == d_j * a[j][i] and d_0 == 1, forced along
+    a walk of the Dynkin graph of the integer matrix a from node 0 (callers
+    check the other edges); None when the graph is not connected."""
+    r = len(a)
     ratios: list[Fraction | None] = [None] * r
     ratios[0] = Fraction(1)
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(r):
-            if j != i and a[i][j] != 0 and ratios[j] is None:
-                # symmetry of the form forces c_i * A[i][j] == c_j * A[j][i]
+            if j != i and a[j][i] != 0 and ratios[j] is None:
                 ratios[j] = ratios[i] * Fraction(a[i][j], a[j][i])
                 stack.append(j)
-    if any(x is None for x in ratios):
+    return None if None in ratios else tuple(ratios)
+
+
+@lru_cache(maxsize=None)
+def coroot_norms(t: CartanType) -> tuple[int, ...]:
+    """c_i = (coroot_i, coroot_i)/2, normalized so the minimum is 1."""
+    # symmetry of the form forces c_i * A[i][j] == c_j * A[j][i]
+    ratios = cartan_symmetrizer(cartan_matrix(t))
+    if ratios is None:
         raise ArithmeticError("Dynkin graph is not connected")
     low = min(ratios)
     cs = tuple(x / low for x in ratios)
@@ -136,15 +145,15 @@ def iota(t: CartanType, yvec) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def root_system(t: CartanType) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All (root, coroot) pairs, generated by simple-reflection closure.
+def root_closure(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """All (root, coroot) pairs of the Cartan matrix a (integer row tuples),
+    generated by simple-reflection closure.
 
     Roots are integer vectors in simple-root coordinates, coroots in
     simple-coroot coordinates; reflecting both sides simultaneously keeps the
     pairs matched.  The result is sorted for determinism.
     """
-    a = cartan_matrix(t)
-    r = t.rank
+    r = len(a)
     start = [(tuple(int(i == k) for k in range(r)),) * 2 for i in range(r)]
     seen = set(start)
     queue = list(start)
@@ -161,12 +170,21 @@ def root_system(t: CartanType) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
             if pair not in seen:
                 seen.add(pair)
                 queue.append(pair)
+    positives = 0
     for root, _ in seen:
         pos = all(x >= 0 for x in root)
         neg = all(x <= 0 for x in root)
         if not (pos or neg):
             raise ArithmeticError("root with mixed signs generated")
+        positives += pos
+    if 2 * positives != len(seen):
+        raise ArithmeticError("root closure is not symmetric")
     return tuple(sorted(seen))
+
+
+def root_system(t: CartanType) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """All (root, coroot) pairs of the type; see root_closure."""
+    return root_closure(cartan_matrix(t))
 
 
 def positive_roots(t: CartanType) -> tuple[tuple[int, ...], ...]:
@@ -186,12 +204,17 @@ def weight_lattice(t: CartanType) -> Lattice:
     The stored basis is in Hermite form, so use fundamental_weight to get an
     actual fundamental weight rather than reading basis rows.
     """
-    return Lattice(mat_inv(cartan_matrix(t)))
+    return Lattice(_inverse_cartan(t))
+
+
+@lru_cache(maxsize=None)
+def _inverse_cartan(t: CartanType) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(row) for row in mat_inv(cartan_matrix(t)))
 
 
 def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
     """The weight pairing to 1 with coroot i and to 0 with the others."""
-    return tuple(mat_inv(cartan_matrix(t))[i])
+    return _inverse_cartan(t)[i]
 
 
 @dataclass(frozen=True)
@@ -227,10 +250,8 @@ class RootDatum:
     def rank(self) -> int:
         return self.cartan_type.rank
 
-    def simple_root(self, i: int) -> tuple[int, ...]:
-        return tuple(int(i == k) for k in range(self.rank))
-
     def simple_coroot(self, i: int) -> tuple[int, ...]:
+        """Unit vector e_i: coroot i, and equally root i on the character side."""
         return tuple(int(i == k) for k in range(self.rank))
 
     def pair(self, yvec, xvec) -> Fraction:
@@ -299,16 +320,16 @@ def _validate_datum(d: RootDatum) -> None:
     t = d.cartan_type
     r = d.rank
     a = cartan_matrix(t)
-    for i in range(r):
-        if not lattice_member(d.simple_root(i), d.X):
+    for i in range(r):  # simple_coroot(i) is also simple root i
+        if not lattice_member(d.simple_coroot(i), d.X):
             raise ArithmeticError("simple root escaped the character lattice")
         if not lattice_member(d.simple_coroot(i), d.Y):
             raise ArithmeticError("simple coroot escaped the cocharacter lattice")
-        if not lattice_member(d.simple_root(i), weight_lattice(t)):
+        if not lattice_member(d.simple_coroot(i), weight_lattice(t)):
             raise ArithmeticError("character lattice not inside the weight lattice")
     for i in range(r):
         for j in range(r):
-            if d.pair(d.simple_coroot(j), d.simple_root(i)) != a[i][j]:
+            if d.pair(d.simple_coroot(j), d.simple_coroot(i)) != a[i][j]:
                 raise ArithmeticError("pairing disagrees with the Cartan matrix")
 
 
@@ -342,20 +363,23 @@ def reflection_sum(t: CartanType, yvec) -> tuple[Fraction, ...]:
     return tuple(total)
 
 
-@lru_cache(maxsize=None)
-def _dual_coxeter_value(t: CartanType) -> int:
-    cs = coroot_norms(t)
-    h = None
-    for i in range(t.rank):
-        basis_vec = tuple(int(i == k) for k in range(t.rank))
-        total = reflection_sum(t, basis_vec)
-        target = iota(t, basis_vec)
+def _reflection_identity(t: CartanType, rows, h, where: str):
+    # sum_roots <y, root> * root == 2h * iota(y) on every row; a None h is solved first
+    for row in rows:
+        total = reflection_sum(t, row)
+        target = iota(t, row)
         if h is None:
-            h = total[i] / (2 * target[i])
+            h = total[0] / (2 * target[0])
         for x, y in zip(total, target):
             if x != 2 * h * y:
-                raise ArithmeticError("reflection-sum identity failed on coroots")
-    if h is None or h.denominator != 1 or h <= 0:
+                raise ArithmeticError(f"reflection-sum identity failed on {where}")
+    return h
+
+
+@lru_cache(maxsize=None)
+def _dual_coxeter_value(t: CartanType) -> int:
+    h = _reflection_identity(t, identity_matrix(t.rank), None, "coroots")
+    if h.denominator != 1 or h <= 0:
         raise ArithmeticError(f"invalid dual Coxeter number {h}")
     return int(h)
 
@@ -364,15 +388,8 @@ def dual_coxeter(d: RootDatum) -> int:
     """Dual Coxeter number, solved from the identity
     sum_roots <y, root> * root == 2 * h * iota(y) and re-verified on every
     basis vector of the cocharacter lattice of this datum."""
-    t = d.cartan_type
-    h = _dual_coxeter_value(t)
-    for row in d.Y.basis:
-        total = reflection_sum(t, row)
-        target = iota(t, row)
-        for x, y in zip(total, target):
-            if x != 2 * h * y:
-                raise ArithmeticError("reflection-sum identity failed on Y basis")
-    return h
+    return _reflection_identity(d.cartan_type, d.Y.basis,
+                                _dual_coxeter_value(d.cartan_type), "Y basis")
 
 
 def fundamental_group(d: RootDatum) -> tuple[int, ...]:
@@ -404,11 +421,8 @@ def _mod1(vec) -> tuple[Fraction, ...]:
                  for x in (Fraction(v) for v in vec))
 
 
-def weight_classes(t: CartanType) -> list[tuple[Fraction, ...]]:
-    """Coset representatives (in [0,1) coordinates) for weights mod roots."""
-    r = t.rank
-    zero = (Fraction(0),) * r
-    gens = [_mod1(row) for row in weight_lattice(t).basis]
+def _span_mod1(zero, gens) -> frozenset:
+    """The subgroup of (Q/Z)^r generated by gens, in [0,1) coordinates."""
     seen = {zero}
     frontier = [zero]
     while frontier:
@@ -418,7 +432,13 @@ def weight_classes(t: CartanType) -> list[tuple[Fraction, ...]]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
-    return sorted(seen)
+    return frozenset(seen)
+
+
+def weight_classes(t: CartanType) -> list[tuple[Fraction, ...]]:
+    """Coset representatives (in [0,1) coordinates) for weights mod roots."""
+    gens = [_mod1(row) for row in weight_lattice(t).basis]
+    return sorted(_span_mod1((Fraction(0),) * t.rank, gens))
 
 
 def all_isogenies(t: CartanType) -> list[tuple[str, list[tuple[Fraction, ...]]]]:
@@ -430,24 +450,10 @@ def all_isogenies(t: CartanType) -> list[tuple[str, list[tuple[Fraction, ...]]]]
     elements = weight_classes(t)
     zero = elements[0]
 
-    def span(seed):
-        group = {zero}
-        frontier = list(seed)
-        while frontier:
-            v = frontier.pop()
-            if v in group:
-                continue
-            group.add(v)
-            for w in list(group):
-                s = _mod1(tuple(a + b for a, b in zip(v, w)))
-                if s not in group:
-                    frontier.append(s)
-        return frozenset(group)
-
     subgroups = {frozenset({zero})}
     for e in elements[1:]:
         for existing in list(subgroups):
-            subgroups.add(span(set(existing) | {e}))
+            subgroups.add(_span_mod1(zero, existing | {e}))
     out = []
     counters: dict[int, int] = {}
     for group in sorted(subgroups, key=lambda g: (len(g), sorted(g))):

@@ -16,23 +16,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .central_ext import commutator_denominator
+from .central_ext import commutator_denominator, iota_coordinates
 from .dynkin import group_name, recognize_cartan_matrix
 from .lattice import (
     Lattice,
     congruence_kernel,
     det_int,
-    lattice_coordinates,
     lattice_index,
     lattice_member,
+    mat_mul,
+    transpose,
 )
 from .root_data import (
-    CartanType,
     RootDatum,
     build_datum,
     cartan_matrix,
     coroot_norms,
-    iota,
     root_lattice,
     weight_lattice,
 )
@@ -81,25 +80,15 @@ def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
     """
     if order < 1:
         raise ValueError(f"twisting order must be positive, got {order}")
-    k = commutator_denominator(d)
-    basis = d.Y.basis
+    k, iota_coords = iota_coordinates(d)
     columns = []
-    for row in basis:
-        coords = lattice_coordinates(iota(d.cartan_type, row), d.X)
+    for coords in iota_coords:
         scaled = [k * c for c in coords]
         if any(c.denominator != 1 for c in scaled):
             raise ArithmeticError("commutator denominator failed to clear iota(Y)")
         columns.append([int(c) for c in scaled])
-    mat = [[columns[j][i] for j in range(len(basis))] for i in range(d.rank)]
-    kernel = congruence_kernel(mat, order)
-    rows = []
-    for coeffs in kernel.basis:
-        vec = [Fraction(0)] * d.rank
-        for c, yrow in zip(coeffs, basis):
-            for i in range(d.rank):
-                vec[i] += c * yrow[i]
-        rows.append(vec)
-    return Lattice(rows, ambient_dim=d.rank)
+    kernel = congruence_kernel(transpose(columns), order)
+    return Lattice(mat_mul(kernel.basis, d.Y.basis), ambient_dim=d.rank)
 
 
 @dataclass(frozen=True)

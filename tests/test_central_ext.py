@@ -9,6 +9,7 @@ from loopdual.central_ext import (
     commutator_value,
     integral_level,
     integrality_witness,
+    is_prime,
     level_line_exponents,
     monodromy_modulus,
     quadratic_form_value,
@@ -186,3 +187,14 @@ def test_quadratic_form_polarization_and_parity():
         # the form is even on the coroot lattice
         for y in rows:
             assert form.value(y, y) % 2 == 0
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 500
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, limit):
+        if sieve[p]:
+            for multiple in range(p * p, limit, p):
+                sieve[multiple] = False
+    assert [p for p in range(-3, limit) if is_prime(p)] == \
+        [p for p in range(limit) if sieve[p]]

@@ -1,8 +1,13 @@
 """End-to-end tests of the command-line interface via run()."""
 
+import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from loopdual.cli import run
 from loopdual.root_data import build_datum
@@ -244,3 +249,60 @@ class TestHarness:
             second = invoke(*argv)
             assert first == second
             assert first[0] == 0
+
+
+# Malformed argv that once escaped run() as tracebacks.
+MALFORMED_ARGV = [
+    ("dual", "--type", "A1", "--isogeny", "[1]", "--N", "2"),
+    ("dual", "--type", "A1", "--isogeny", '["x"]', "--N", "2"),
+    ("extensions", "--type", "A1", "--isogeny", '[["1/0"]]'),
+    ("commutator", "--type", "A1", "--m", "1", "--points", '[[[1,"t"]],[[["1"],"t"]]]'),
+    ("mult", "--type", "A1", "--N", "2", "--highest", "1,2"),
+    ("symbol", "--f", "t^-100000000", "--g", "2"),
+    ("symbol", "--field", "F" + "9" * 400, "--f", "t", "--g", "t"),
+    ("commutator", "--type", "A1", "--m", "1", "--points", "[1, 2]"),
+    ("commutator", "--type", "A2", "--m", "1", "--points",
+     '[[[["1"], "t"]], [[["1"], "t"]]]'),
+    ("commutator", "--type", "A1", "--m", "10000", "--points",
+     '[[[["1"], "2*t"]], [[["1"], "t"]]]'),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV)
+def test_malformed_argv_is_a_usage_error(argv):
+    code, out, err = invoke(*argv)
+    assert code == 1 and out == "" and err.startswith("error:"), err
+
+
+def test_digit_limit_is_named():
+    code, _, err = invoke("symbol", "--f", "t^-20000", "--g", "2")
+    assert code == 1 and str(sys.get_int_max_str_digits()) in err
+
+
+SWEEP_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "sweep.json"
+
+
+def _cheap(argv) -> bool:
+    """Non-tensor queries on types of rank <= 3, and `table --Nmax 1`."""
+    if argv[0] == "tensor":
+        return False
+    if "--type" in argv:
+        return int(argv[argv.index("--type") + 1][1:]) <= 3
+    return argv[0] != "table" or argv[2] == "1"
+
+
+def test_cheap_sweep_goldens_replay():
+    """The benchmark's recorded [exit code, stdout sha256 prefix] still hold
+    for its cheap sweep queries, so a refactor cannot change stdout unseen."""
+    goldens = json.loads(SWEEP_GOLDENS.read_text())
+    checked, mismatched = 0, []
+    for key, expected in goldens.items():
+        argv = json.loads(key)
+        if not _cheap(argv):
+            continue
+        code, out, _ = invoke(*argv)
+        checked += 1
+        if [code, hashlib.sha256(out.encode()).hexdigest()[:24]] != expected:
+            mismatched.append(key)
+    assert checked > 0
+    assert mismatched == []

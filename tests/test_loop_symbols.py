@@ -196,3 +196,9 @@ def test_torus_commutator_input_validation():
         torus_commutator(sl2, 1, [((1,), t)], [((1,), LaurentSeries.zero(QQ))])
     with pytest.raises(ValueError):
         torus_commutator(sl2, 1, [((1,), t)], [((1,), parse_series("t", PrimeField(5)))])
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 101])
+def test_prime_field_rejects_prime_squares(q):
+    with pytest.raises(ValueError):
+        PrimeField(q * q)

@@ -19,8 +19,8 @@ from loopdual.rep_check import (
     tensor_multiplicity,
     weyl_dim,
 )
-from loopdual.root_data import build_datum, fundamental_weight
-from loopdual.twisted_dual import local_denominators
+from loopdual.root_data import build_datum, fundamental_weight, positive_roots
+from loopdual.twisted_dual import local_denominators, twisted_dual
 
 from oracles import kostant_multiplicity, weyl_group_with_signs
 
@@ -277,3 +277,20 @@ class TestOperationWrappers:
         assert tensor_multiplicity(d2, zero, fw("A2", 0), fw("A2", 1)) == 0
         with pytest.raises(ValueError):
             tensor_multiplicity(d2, zero, fw("A2", 0), (-1, 0))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_antidominant_conjugate_of_rho(name):
+    # the longest Weyl element sends rho to -rho
+    ws = source_system(name)
+    assert ws.antidominant_conjugate(ws.rho) == tuple(-x for x in ws.rho)
+
+
+@pytest.mark.parametrize("name,isogeny,order", [
+    ("A2", "adjoint", 3), ("B3", "sc", 2), ("C3", "sc", 2), ("G2", "sc", 3),
+    ("F4", "sc", 2)])
+def test_rescaled_system_has_dual_root_count(name, isogeny, order):
+    datum = build_datum(name, isogeny)
+    dual_type = twisted_dual(datum, order).dual.cartan_type
+    assert len(rescaled_coroot_system(datum, order).positive_roots) == \
+        len(positive_roots(dual_type))
