@@ -5,14 +5,15 @@ cocharacter lattice Y.  The smallest multiplier fixing that, computed by
 commutator_denominator, controls which levels of central extension have
 commutative restriction to Y, and enters the fixed-point exponents of the
 canonical line bundles and the monodromy modulus of the twisted setting.
+All of these read the Gram matrix of the form on the basis of Y.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
-from .lattice import lattice_coordinates, lattice_member
+from .lattice import lattice_member, mat_mul, transpose
 from .root_data import (
     RootDatum,
     canonical_form,
@@ -22,22 +23,23 @@ from .root_data import (
 )
 
 
-def iota_coordinates(d: RootDatum) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """(k, coords): coords[b] holds the X-coordinates of iota(Y.basis[b]),
-    and k, the lcm of their denominators, is the commutator denominator."""
-    coords = [lattice_coordinates(iota(d.cartan_type, row), d.X) for row in d.Y.basis]
-    return lcm(*(c.denominator for row in coords for c in row)), coords
+def cocharacter_gram(d: RootDatum) -> tuple[int, list[list[int]]]:
+    """The Gram matrix of the invariant form on the canonical basis of Y, as
+    (s, rows) with (Y.basis[a], Y.basis[b]) == rows[a][b] / s, s == Y.den ** 2."""
+    gram = mat_mul(mat_mul(d.Y.rows, canonical_form(d).gram), transpose(d.Y.rows))
+    return d.Y.den ** 2, gram
 
 
 def commutator_denominator(d: RootDatum) -> int:
-    """Smallest k > 0 with k * iota(Y) contained in the character lattice.
+    """Smallest k > 0 with k * (y1, y2) an integer for all y1, y2 in Y: the
+    lcm of the denominators of the Gram matrix of Y.
 
-    Equivalently, k * (y1, y2) is an integer for all y1, y2 in Y and no
-    smaller positive multiplier has that property: iota embeds Y into the
-    rational character space, and X is exactly the dual of Y under the
-    pairing, so integrality of k * (., y) on Y means k * iota(y) lands in X.
+    Equivalently k is the least multiplier with k * iota(Y) inside the
+    character lattice X, since <y1, iota(y2)> == (y1, y2) and X is exactly
+    the dual of Y under the pairing.
     """
-    return iota_coordinates(d)[0]
+    s, gram = cocharacter_gram(d)
+    return lcm(*(s // gcd(s, x) for row in gram for x in row))
 
 
 def commutator_value(d: RootDatum, level: int, y1, y2) -> Fraction:
@@ -48,11 +50,11 @@ def commutator_value(d: RootDatum, level: int, y1, y2) -> Fraction:
 def integrality_witness(d: RootDatum, level: int):
     """A pair of Y basis vectors on which level * (.,.) is not an integer,
     or None when the level is integral on all of Y."""
-    rows = d.Y.basis
-    for y1 in rows:
-        for y2 in rows:
-            if commutator_value(d, level, y1, y2).denominator != 1:
-                return (y1, y2)
+    s, gram = cocharacter_gram(d)
+    for a, row in enumerate(gram):
+        for b, x in enumerate(row):
+            if level * x % s:
+                return d.Y.basis[a], d.Y.basis[b]
     return None
 
 
@@ -161,7 +163,10 @@ def monodromy_modulus(d: RootDatum, order: int) -> int:
 
 
 def is_prime(p: int) -> bool:
-    """Primality by trial division up to the integer square root."""
+    """Primality by trial division up to the integer square root; p of
+    10^12 or more is refused with ValueError rather than tested."""
+    if p >= 10 ** 12:  # trial division stays well under a second below this
+        raise ValueError(f"primality is only tested below 10^12, got {p}")
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 

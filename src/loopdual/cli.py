@@ -149,10 +149,14 @@ def _datum_flag(args):
     isogeny = args.isogeny
     if isogeny.startswith("["):
         try:
-            isogeny = [tuple(Fraction(str(x)) for x in row) for row in json.loads(isogeny)]
+            rows = json.loads(isogeny)
         except json.JSONDecodeError as exc:
             raise UsageError(f"--isogeny JSON is malformed: {exc}") from None
-        except (TypeError, ValueError, ZeroDivisionError):
+        try:
+            if not all(isinstance(row, list) for row in rows):
+                raise ValueError("a row is not a JSON list")
+            isogeny = [tuple(Fraction(str(x)) for x in row) for row in rows]
+        except (ValueError, ZeroDivisionError):
             raise UsageError("--isogeny rows must be lists of rationals") from None
     try:
         return build_datum(args.type, isogeny)

@@ -1,14 +1,15 @@
 """Exact integer and rational lattice algebra.
 
 Everything in this module runs on Python ints and fractions.Fraction; there
-is no floating point anywhere.  Lattices are full rank in their ambient
-rational vector space and are stored through a Hermite-normal-form basis, so
-two Lattice objects compare equal exactly when they contain the same vectors.
+is no floating point anywhere.  A Lattice is full rank in its ambient
+rational vector space and is stored as integer Hermite-normal-form rows over
+one common denominator, so two Lattice objects compare equal exactly when
+they contain the same vectors, and membership is an integer triangular solve.
 
 Routines: smith_normal_form and hermite_rows (sharing one 2x2 Bezout row
-transform), Lattice, lattice_member, lattice_coordinates, dual_lattice,
-quotient_invariants and lattice_index (sharing one coordinate-matrix
-helper), congruence_kernel, plus the small exact matrix helpers they share.
+transform), Lattice, lattice_coordinates (read by lattice_member and by the
+coordinate-matrix helper of quotient_invariants and lattice_index),
+dual_lattice, congruence_kernel, plus the small exact matrix helpers.
 """
 
 from __future__ import annotations
@@ -268,73 +269,76 @@ class Lattice:
     """Full-rank sublattice of Q^n with a canonical basis.
 
     The constructor accepts any generating set (rows of rationals, possibly
-    more rows than the rank) and normalizes to the Hermite basis of the
-    scaled integer lattice, so equality and hashing see through the choice
-    of generators.
+    more rows than the rank).  den, the lcm of their denominators, is the
+    least d with d * L inside Z^n, and rows is the Hermite basis of den * L;
+    that pair sees through the choice of generators.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "den", "rows")
 
     def __init__(self, generators, ambient_dim: int | None = None):
-        rows = [tuple(Fraction(x) for x in row) for row in generators]
+        gens = [tuple(Fraction(x) for x in row) for row in generators]
         if ambient_dim is None:
-            if not rows:
+            if not gens:
                 raise ValueError("no generators and no ambient_dim")
-            ambient_dim = len(rows[0])
-        if any(len(row) != ambient_dim for row in rows):
+            ambient_dim = len(gens[0])
+        if any(len(row) != ambient_dim for row in gens):
             raise ValueError("generator length does not match ambient_dim")
-        den = 1
-        for row in rows:
-            for x in row:
-                den = lcm(den, x.denominator)
-        scaled = [[int(x * den) for x in row] for row in rows]
-        h = hermite_rows(scaled)
+        den = lcm(1, *(x.denominator for row in gens for x in row))
+        h = hermite_rows([[x.numerator * (den // x.denominator) for x in row]
+                          for row in gens])
         if len(h) != ambient_dim:
             raise ValueError("generators do not span a full-rank lattice")
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(Fraction(x, den) for x in row) for row in h)
+        self.den = den
+        self.rows = tuple(h)
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":
         return cls(identity_matrix(n))
 
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
+
     def basis_matrix(self) -> list[list[Fraction]]:
         return [list(row) for row in self.basis]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Lattice)
-                and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+        return isinstance(other, Lattice) and (self.den, self.rows) == (other.den, other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.den, self.rows))
 
     def __repr__(self) -> str:
         rows = ", ".join("(" + ", ".join(str(x) for x in row) + ")" for row in self.basis)
         return f"Lattice[{rows}]"
 
 
-def lattice_coordinates(vector, lat: Lattice):
-    """Coordinates of vector in the canonical basis of lat (always solvable:
-    the basis spans Q^n).  Returns a tuple of Fractions."""
-    v = [Fraction(x) for x in vector]
-    if len(v) != lat.ambient_dim:
+def lattice_coordinates(vector, lat: Lattice) -> tuple[int, ...] | None:
+    """Integer coordinates of vector (ints or Fractions) in the canonical
+    basis of lat, or None when vector is not in lat."""
+    if len(vector) != lat.ambient_dim:
         raise ValueError("vector length does not match ambient_dim")
-    n = lat.ambient_dim
-    b = lat.basis
-    coords = [Fraction(0)] * n
-    # The canonical basis is upper triangular, so solve column by column.
-    for j in range(n):
-        coords[j] = (v[j] - sum(coords[k] * b[k][j] for k in range(j))) / b[j][j]
-    for j in range(n):
-        if sum(coords[k] * b[k][j] for k in range(n)) != v[j]:
-            raise ArithmeticError("triangular solve failed")
+    b = lat.rows
+    coords = []
+    # Hermite rows are upper triangular: solve sum_k c[k] * b[k] == den * vector by columns.
+    for j, x in enumerate(vector):
+        partial = sum(c * b[k][j] for k, c in enumerate(coords))
+        c, rem = divmod(x.numerator * lat.den - x.denominator * partial,
+                        x.denominator * b[j][j])
+        if rem:
+            return None
+        coords.append(c)
+    if any(sum(c * row[j] for c, row in zip(coords, b)) * x.denominator
+           != x.numerator * lat.den for j, x in enumerate(vector)):
+        raise ArithmeticError("triangular solve failed")
     return tuple(coords)
 
 
 def lattice_member(vector, lat: Lattice) -> bool:
     """Exact test: is vector an integer combination of the basis of lat?"""
-    return all(c.denominator == 1 for c in lattice_coordinates(vector, lat))
+    return lattice_coordinates(vector, lat) is not None
 
 
 def dual_lattice(lat: Lattice, pairing) -> Lattice:
@@ -345,21 +349,17 @@ def dual_lattice(lat: Lattice, pairing) -> Lattice:
         pairing: square rational matrix P defining the perfect bilinear form
             pairing(x, y) = x^T P y.  Must be invertible.
     """
-    p = [[Fraction(x) for x in row] for row in pairing]
-    bp = mat_mul(lat.basis_matrix(), p)
-    inv = mat_inv(bp)  # raises on degenerate pairing
+    bp = mat_mul(lat.basis_matrix(), pairing)
+    inv = mat_inv(bp)  # exact over Q; raises on degenerate pairing
     return Lattice(transpose(inv))
 
 
-def _coordinate_matrix(big: Lattice, small: Lattice) -> list[list[int]]:
+def _coordinate_matrix(big: Lattice, small: Lattice) -> list[tuple[int, ...]]:
     """Integer coordinates of the basis rows of small in the basis of big;
     ValueError if small is not contained in big."""
-    coeffs = []
-    for row in small.basis:
-        coords = lattice_coordinates(row, big)
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError("small lattice is not contained in big lattice")
-        coeffs.append([int(c) for c in coords])
+    coeffs = [lattice_coordinates(row, big) for row in small.basis]
+    if None in coeffs:
+        raise ValueError("small lattice is not contained in big lattice")
     return coeffs
 
 

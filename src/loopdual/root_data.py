@@ -5,7 +5,8 @@ Conventions used across the package:
 * Simple roots and coroots are numbered as in Bourbaki.
 * Vectors on the cocharacter side live in the basis of simple coroots;
   vectors on the character side live in the basis of simple roots.  Both
-  sides are tuples of Fractions (ints where integrality is guaranteed).
+  sides are tuples of Fractions (ints where integrality is guaranteed); a
+  lattice of them is stored as integer Hermite rows over one denominator.
 * The Cartan matrix A of a type has A[i][j] = <coroot_j, root_i>, so the
   pairing of a cocharacter-side vector y with a character-side vector x is
   sum_j x[j] * (A @ y)[j].
@@ -13,6 +14,9 @@ Conventions used across the package:
   so that short coroots have squared length 2; c_i = (coroot_i, coroot_i)/2
   takes values in {1, 2, 3} and the embedding iota of cocharacters into
   characters is iota(coroot_i) = c_i * root_i, i.e. coordinatewise scaling.
+  So <y, iota(y')> == (y, y'): the Gram matrix of ( , ) on Y says where
+  iota(Y) lands in X, the dual of Y.  Invariants of a Cartan type, this
+  form and the dual Coxeter number among them, are built once and cached.
 * cartan_symmetrizer and root_closure take a bare integer Cartan matrix, so
   dynkin and rep_check reuse them on matrices that have no CartanType yet.
 """
@@ -221,17 +225,14 @@ def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
 class CanonicalForm:
     """The invariant symmetric form on the cocharacter side.
 
-    gram[i][j] = (coroot_i, coroot_j); iota_diag holds the scaling factors
-    c_i with iota(coroot_i) = c_i * root_i.
+    gram[i][j] = (coroot_i, coroot_j).
     """
 
     gram: tuple[tuple[int, ...], ...]
-    iota_diag: tuple[int, ...]
 
     def value(self, y1, y2) -> Fraction:
-        return Fraction(sum(self.gram[i][j] * y1[i] * y2[j]
-                            for i in range(len(self.iota_diag))
-                            for j in range(len(self.iota_diag))))
+        return Fraction(sum(g * a * b for row, a in zip(self.gram, y1)
+                            for g, b in zip(row, y2)))
 
 
 class RootDatum:
@@ -309,8 +310,7 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
                 raise ValueError(f"generator {g} is not in the weight lattice")
         x = Lattice(identity_matrix(r) + [list(g) for g in gens])
         label = "quotient:" + ";".join(",".join(str(v) for v in g) for g in gens)
-    a = [list(row) for row in cartan_matrix(t)]
-    y = dual_lattice(x, a)
+    y = dual_lattice(x, cartan_matrix(t))
     datum = RootDatum(t, label, x, y)
     _validate_datum(datum)
     return datum
@@ -325,7 +325,8 @@ def _validate_datum(d: RootDatum) -> None:
             raise ArithmeticError("simple root escaped the character lattice")
         if not lattice_member(d.simple_coroot(i), d.Y):
             raise ArithmeticError("simple coroot escaped the cocharacter lattice")
-        if not lattice_member(d.simple_coroot(i), weight_lattice(t)):
+    for row in d.X.basis:
+        if not lattice_member(row, weight_lattice(t)):
             raise ArithmeticError("character lattice not inside the weight lattice")
     for i in range(r):
         for j in range(r):
@@ -335,7 +336,11 @@ def _validate_datum(d: RootDatum) -> None:
 
 def canonical_form(d: RootDatum | CartanType) -> CanonicalForm:
     """The invariant form with short coroots of squared length 2."""
-    t = d if isinstance(d, CartanType) else d.cartan_type
+    return _canonical_form(d if isinstance(d, CartanType) else d.cartan_type)
+
+
+@lru_cache(maxsize=None)
+def _canonical_form(t: CartanType) -> CanonicalForm:
     a = cartan_matrix(t)
     cs = coroot_norms(t)
     r = t.rank
@@ -346,7 +351,7 @@ def canonical_form(d: RootDatum | CartanType) -> CanonicalForm:
                 raise ArithmeticError("invariant form is not symmetric")
         if gram[i][i] != 2 * cs[i]:
             raise ArithmeticError("diagonal of the invariant form is off")
-    return CanonicalForm(tuple(tuple(row) for row in gram), cs)
+    return CanonicalForm(tuple(tuple(row) for row in gram))
 
 
 def reflection_sum(t: CartanType, yvec) -> tuple[Fraction, ...]:
@@ -363,33 +368,24 @@ def reflection_sum(t: CartanType, yvec) -> tuple[Fraction, ...]:
     return tuple(total)
 
 
-def _reflection_identity(t: CartanType, rows, h, where: str):
-    # sum_roots <y, root> * root == 2h * iota(y) on every row; a None h is solved first
-    for row in rows:
-        total = reflection_sum(t, row)
-        target = iota(t, row)
-        if h is None:
-            h = total[0] / (2 * target[0])
-        for x, y in zip(total, target):
-            if x != 2 * h * y:
-                raise ArithmeticError(f"reflection-sum identity failed on {where}")
-    return h
-
-
 @lru_cache(maxsize=None)
 def _dual_coxeter_value(t: CartanType) -> int:
-    h = _reflection_identity(t, identity_matrix(t.rank), None, "coroots")
+    # sum_roots <y, root> * root == 2h * iota(y) is linear in y: coroots suffice
+    pairs = [(reflection_sum(t, row), iota(t, row)) for row in identity_matrix(t.rank)]
+    h = pairs[0][0][0] / (2 * pairs[0][1][0])  # solved on coroot 0
+    for total, target in pairs:
+        if any(x != 2 * h * y for x, y in zip(total, target)):
+            raise ArithmeticError("reflection-sum identity failed on coroots")
     if h.denominator != 1 or h <= 0:
         raise ArithmeticError(f"invalid dual Coxeter number {h}")
     return int(h)
 
 
 def dual_coxeter(d: RootDatum) -> int:
-    """Dual Coxeter number, solved from the identity
-    sum_roots <y, root> * root == 2 * h * iota(y) and re-verified on every
-    basis vector of the cocharacter lattice of this datum."""
-    return _reflection_identity(d.cartan_type, d.Y.basis,
-                                _dual_coxeter_value(d.cartan_type), "Y basis")
+    """Dual Coxeter number, solved once per Cartan type from the identity
+    sum_roots <y, root> * root == 2 * h * iota(y), checked on every simple
+    coroot and hence on all of Y."""
+    return _dual_coxeter_value(d.cartan_type)
 
 
 def fundamental_group(d: RootDatum) -> tuple[int, ...]:

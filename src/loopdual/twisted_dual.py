@@ -2,12 +2,14 @@
 
 Given a root datum and an order N, the construction rescales each coroot
 by a local denominator delta_i = N / gcd(N, k * c_i), where k is the
-commutator denominator and c_i the coroot norms, cuts the cocharacter
-lattice down to the vectors whose image under k * iota is divisible by N
-in the character lattice, and reads the result as the character lattice
-of a new root datum on the opposite side.  The new Cartan matrix is
-recognized and the resulting group named, so the output is a root datum
-in standard coordinates plus the bookkeeping of how it was reached.
+commutator denominator and c_i the coroot norms, and cuts the cocharacter
+lattice down to Y_{Q,N} = {y in Y : k * (y, y') in N*Z for every y' in Y},
+read off the Gram matrix of the invariant form on Y.  Since X is dual to Y,
+these are the cocharacters whose image under k * iota is divisible by N in
+the character lattice.  That sublattice becomes the character lattice of a
+new root datum on the opposite side.  The new Cartan matrix is recognized
+and the resulting group named, so the output is a root datum in standard
+coordinates plus the bookkeeping of how it was reached.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .central_ext import commutator_denominator, iota_coordinates
+from .central_ext import cocharacter_gram, commutator_denominator
 from .dynkin import group_name, recognize_cartan_matrix
 from .lattice import (
     Lattice,
@@ -25,7 +27,6 @@ from .lattice import (
     lattice_index,
     lattice_member,
     mat_mul,
-    transpose,
 )
 from .root_data import (
     RootDatum,
@@ -73,21 +74,18 @@ def dual_cartan_matrix(d: RootDatum, order: int) -> tuple[tuple[int, ...], ...]:
 
 
 def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
-    """Cocharacters whose image under k * iota is divisible by N in X.
+    """Y_{Q,N}: the cocharacters y with k * (y, y') in N*Z for all y' in Y.
 
     This sublattice of Y, still in simple-coroot coordinates of the
     source, becomes the character lattice of the dual datum.
     """
     if order < 1:
         raise ValueError(f"twisting order must be positive, got {order}")
-    k, iota_coords = iota_coordinates(d)
-    columns = []
-    for coords in iota_coords:
-        scaled = [k * c for c in coords]
-        if any(c.denominator != 1 for c in scaled):
-            raise ArithmeticError("commutator denominator failed to clear iota(Y)")
-        columns.append([int(c) for c in scaled])
-    kernel = congruence_kernel(transpose(columns), order)
+    k = commutator_denominator(d)
+    s, gram = cocharacter_gram(d)
+    if any(k * x % s for row in gram for x in row):
+        raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
+    kernel = congruence_kernel([[k * x // s for x in row] for row in gram], order)
     return Lattice(mat_mul(kernel.basis, d.Y.basis), ambient_dim=d.rank)
 
 
@@ -121,12 +119,8 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
         if not lattice_member(scaled_coroot, ylat):
             raise ArithmeticError(
                 f"rescaled coroot {scaled_coroot} escaped the dual character lattice")
-    new_rows = []
-    for row in ylat.basis:
-        vec = [Fraction(0)] * r
-        for i in range(r):
-            vec[sigma[i]] = Fraction(row[i], delta[i])
-        new_rows.append(vec)
+    source = sorted(range(r), key=sigma.__getitem__)  # the inverse of sigma
+    new_rows = [[Fraction(row[i], delta[i] * ylat.den) for i in source] for row in ylat.rows]
     dual = build_datum(dual_type, new_rows)
     name = group_name(dual_type, dual.X)
     dual.isogeny = name

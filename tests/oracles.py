@@ -2,11 +2,17 @@
 
 Weight multiplicities are recomputed here with Kostant's alternating sum
 over the Weyl group of partition-function counts, which shares no code
-with the Freudenthal recursion in the package.
+with the Freudenthal recursion in the package.  The dual character lattice
+is recomputed by enumerating cosets of Y/NY and testing (k/N) * iota(y) for
+membership in X, without the Gram matrix of Y that the package reads.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, product
+
+from loopdual.lattice import Lattice, lattice_member
+from loopdual.root_data import iota
 
 
 def weyl_group_with_signs(ws):
@@ -79,3 +85,22 @@ def kostant_multiplicity(ws, lam, mu) -> int:
             continue
         total += sign * counter(target)
     return total
+
+
+def dual_lattice_by_cosets(datum, order):
+    """Y_{Q,N} of a root datum by brute force over the order**rank cosets of
+    Y/NY: y is kept when (k/N) * iota(y) lies in the character lattice X,
+    where k is the least positive integer with k * iota(Y) inside X."""
+    t = datum.cartan_type
+    basis = datum.Y.basis
+    images = [iota(t, row) for row in basis]
+    k = next(k for k in count(1)
+             if all(lattice_member([k * x for x in image], datum.X) for image in images))
+    scale = Fraction(k, order)
+    kept = [[order * x for x in row] for row in basis]
+    for coeffs in product(range(order), repeat=len(basis)):
+        image = [sum(c * v[i] for c, v in zip(coeffs, images)) for i in range(t.rank)]
+        if lattice_member([scale * x for x in image], datum.X):
+            kept.append([sum(c * row[i] for c, row in zip(coeffs, basis))
+                         for i in range(t.rank)])
+    return Lattice(kept)

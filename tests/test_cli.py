@@ -265,6 +265,9 @@ MALFORMED_ARGV = [
      '[[[["1"], "t"]], [[["1"], "t"]]]'),
     ("commutator", "--type", "A1", "--m", "10000", "--points",
      '[[[["1"], "2*t"]], [[["1"], "t"]]]'),
+    ("dual", "--type", "A2", "--isogeny", '["12"]', "--N", "1"),
+    ("symbol", "--field", "F2305843009213693951", "--f", "t", "--g", "t"),
+    ("check-assumption", "--type", "A1", "--N", "1", "--p", "2305843009213693951"),
 ]
 
 
@@ -283,11 +286,11 @@ SWEEP_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / 
 
 
 def _cheap(argv) -> bool:
-    """Non-tensor queries on types of rank <= 3, and `table --Nmax 1`."""
+    """Non-tensor queries on types of rank <= 4, and `table --Nmax 1`."""
     if argv[0] == "tensor":
         return False
     if "--type" in argv:
-        return int(argv[argv.index("--type") + 1][1:]) <= 3
+        return int(argv[argv.index("--type") + 1][1:]) <= 4
     return argv[0] != "table" or argv[2] == "1"
 
 

@@ -271,3 +271,25 @@ def test_mat_inv_roundtrip():
                 break
         inv = mat_inv(rows)
         assert mat_mul(rows, inv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def test_coordinates_are_ints_on_the_lattice_and_none_off_it():
+    lat = Lattice([[2, 0], [1, 1]])  # Hermite rows (1, 1) and (0, 2)
+    coords = lattice_coordinates((3, 1), lat)
+    assert coords == (3, -1) and all(type(c) is int for c in coords)
+    assert lattice_coordinates((1, 0), lat) is None
+    assert lattice_coordinates((Fraction(1, 2), Fraction(1, 2)), lat) is None
+    fine = Lattice([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    assert lattice_coordinates((Fraction(3, 2), Fraction(-2, 3)), fine) == (3, -2)
+    assert lattice_coordinates((Fraction(1, 4), 0), fine) is None
+    assert lattice_coordinates((0, Fraction(1, 2)), fine) is None
+
+
+@pytest.mark.parametrize("gens, same, den", [
+    ([[Fraction(1, 2)], [Fraction(1, 3)]], [[Fraction(1, 6)]], 6),
+    ([[Fraction(2, 3)], [1]], [[Fraction(1, 3)]], 3),
+])
+def test_denominator_and_rows_are_canonical(gens, same, den):
+    a, b = Lattice(gens), Lattice(same)
+    assert a == b and hash(a) == hash(b)
+    assert (a.den, a.rows) == (b.den, b.rows) == (den, ((1,),))

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from loopdual import root_data
 from loopdual.lattice import Lattice, lattice_index, lattice_member, transpose, dual_lattice
 from loopdual.root_data import (
     CartanType,
+    RootDatum,
+    _validate_datum,
     all_isogenies,
     build_datum,
     canonical_form,
@@ -238,3 +241,21 @@ def test_all_isogenies_enumeration():
     assert len(lattices) == 5
     d5 = all_isogenies(CartanType.parse("D5"))
     assert [len(g) + 1 for _, g in d5] == [1, 2, 4]
+
+
+def test_validate_datum_rejects_characters_outside_the_weight_lattice():
+    # 1/4 is not in the A1 weight lattice (1/2)Z, although X still holds the root
+    bad = RootDatum(CartanType("A", 1), "bad", Lattice([[Fraction(1, 4)]]), Lattice([[1]]))
+    with pytest.raises(ArithmeticError, match="weight lattice"):
+        _validate_datum(bad)
+
+
+def test_dual_coxeter_sums_roots_once_per_type(monkeypatch):
+    calls = []
+    real = root_data.reflection_sum
+    monkeypatch.setattr(root_data, "reflection_sum",
+                        lambda t, y: calls.append(t) or real(t, y))
+    root_data._dual_coxeter_value.cache_clear()
+    for isogeny in ("sc", "adjoint", "sc"):
+        assert dual_coxeter(build_datum("C5", isogeny)) == 6
+    assert calls == [CartanType("C", 5)] * 5

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import dual_lattice_by_cosets
+
 from loopdual.central_ext import commutator_denominator
 from loopdual.lattice import Lattice, lattice_index, lattice_member
 from loopdual.root_data import (
     CartanType,
+    all_isogenies,
     build_datum,
     cartan_matrix,
     root_lattice,
@@ -149,3 +152,15 @@ def test_twisted_dual_rejects_bad_order():
         twisted_dual(sl2, 0)
     with pytest.raises(ValueError):
         twisted_dual(sl2, -1)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                  "C3", "C4", "D4", "F4", "G2"])
+def test_dual_character_lattice_matches_coset_oracle(name):
+    """Every isogeny class, half-spin D4 and SL4/mu2 included, against the
+    Y/NY enumeration of tests/oracles.py, for N <= 6."""
+    for label, generators in all_isogenies(CartanType.parse(name)):
+        datum = build_datum(name, label if label in ("sc", "adjoint") else generators)
+        for order in range(1, 7):
+            assert dual_character_lattice(datum, order) == \
+                dual_lattice_by_cosets(datum, order), (name, label, order)
