@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .lattice import lattice_member, mat_mul, transpose
+from .lattice import lattice_member, mat_mul, transpose, vector_text
 from .root_data import (
     RootDatum,
     canonical_form,
@@ -87,7 +87,7 @@ def quadratic_form_value(d: RootDatum, lam) -> int:
     lattice, normalized to 1 on short coroots."""
     vec = tuple(Fraction(v) for v in lam)
     if len(vec) != d.rank or any(x.denominator != 1 for x in vec):
-        raise ValueError(f"{vec} is not in the coroot lattice")
+        raise ValueError(f"{vector_text(vec)} is not in the coroot lattice")
     q = canonical_form(d).value(vec, vec) / 2
     if q.denominator != 1:
         raise ArithmeticError(f"quadratic form value {q} is not an integer")
@@ -99,7 +99,7 @@ def _require_cocharacter(d: RootDatum, lam) -> tuple[Fraction, ...]:
     if len(vec) != d.rank:
         raise ValueError(f"cocharacter has length {len(vec)}, expected {d.rank}")
     if not lattice_member(vec, d.Y):
-        raise ValueError(f"{vec} is not in the cocharacter lattice")
+        raise ValueError(f"{vector_text(vec)} is not in the cocharacter lattice")
     return vec
 
 

@@ -6,7 +6,8 @@ environment, no network.  JSON output wraps results in a fixed envelope
 rationals rendered as exact "p/q" strings, and lattices in Hermite
 normal form, so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 a requested check failed.
+Exit codes: 0 success, 1 usage error, 2 a requested check failed, 3 an
+internal self-check failed.
 
 Vectors are comma-separated rationals.  Cocharacters are given in the
 simple-coroot basis of the source group; highest weights for `mult` in
@@ -30,13 +31,13 @@ from .loop_symbols import QQ, PrimeField, parse_series, tame_symbol, torus_commu
 from .rep_check import (
     freudenthal_multiplicities,
     mv_vs_character_check,
+    rank_one_delta,
     rank_one_mv_multiplicities,
     weyl_dim,
 )
 from .root_data import build_datum, center_character_group, fundamental_group
 from .twisted_dual import (
     REFERENCE_FAMILIES,
-    local_denominators,
     reference_row,
     twisted_dual,
 )
@@ -316,15 +317,15 @@ def _cmd_mv_rank1(args, out) -> int:
     node = _int_flag(args.i, "--i")
     a = _int_flag(args.a, "--a")
     try:
+        delta = rank_one_delta(datum, order, node, a)
+        checks = []
+        if args.check:  # first, so that a refused character costs no orbit count
+            checks.append(("character-oracle", mv_vs_character_check(datum, order, node, a)))
         mults = rank_one_mv_multiplicities(datum, order, node, a)
     except ValueError as exc:
         raise UsageError(f"--i/--a: {exc}") from None
-    checks = []
-    if args.check:
-        checks.append(("character-oracle",
-                       mv_vs_character_check(datum, order, node, a)))
     result = {
-        "delta": local_denominators(datum, order)[node],
+        "delta": delta,
         "modulus": monodromy_modulus(datum, order),
         "multiplicities": [[b, m] for b, m in mults.items()],
     }
@@ -381,6 +382,9 @@ def run(argv, out=None, err=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=err)
         return 1
+    except ArithmeticError as exc:  # a library self-check, not the input
+        print(f"error: internal check failed: {exc}", file=err)
+        return 3
 
 
 def main() -> None:

@@ -20,7 +20,9 @@ from .root_data import (
 )
 
 
-def _validate_generalized_cartan(mat) -> int:
+def validate_cartan_matrix(mat) -> int:
+    """The rank of an irreducible generalized Cartan matrix (rational entries
+    allowed if integral); ValueError naming the first condition it breaks."""
     rank = len(mat)
     if rank == 0 or any(len(row) != rank for row in mat):
         raise ValueError("Cartan matrix must be square and nonempty")
@@ -82,7 +84,7 @@ def recognize_cartan_matrix(mat):
     node numbering of the package's standard matrix for that type:
     mat[i][j] == standard[sigma[i]][sigma[j]].
     """
-    rank = _validate_generalized_cartan(mat)
+    rank = validate_cartan_matrix(mat)
     for series in "ABCDEFG":
         try:
             t = CartanType(series, rank)

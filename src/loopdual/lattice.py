@@ -17,6 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+
+def vector_text(vec) -> str:
+    """A vector as comma-separated exact rationals, e.g. "1/3,0"."""
+    return ",".join(str(x) for x in vec)
+
+
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .central_ext import commutator_value, is_prime
+from .lattice import vector_text
 from .root_data import RootDatum
 
 
@@ -382,6 +383,7 @@ def torus_commutator(datum: RootDatum, level: int, x1, x2):
             exponent = commutator_value(datum, level, lam, mu)
             if exponent.denominator != 1:
                 raise ValueError(
-                    f"level {level} times ({lam}, {mu}) = {exponent} is not an integer")
+                    f"level {level} times ([{vector_text(lam)}], [{vector_text(mu)}]) = "
+                    f"{exponent} is not an integer")
             out = fld.mul(out, field_power(fld, tame_symbol(f, g), int(exponent)))
     return out

@@ -1,32 +1,156 @@
-"""Weight multiplicities and tensor decompositions for explicit root systems.
+"""Weight multiplicities and tensor decompositions on integer Dynkin labels.
 
-A WeightSystem is a root system given concretely: simple roots as vectors
-in an ambient rational space, and one linear functional per simple coroot.
-That covers a root datum in its own coordinates and the rescaled-coroot
-systems of the dual side alike.  The integer Cartan matrix read off its
-pairings feeds root_data's cartan_symmetrizer and root_closure.
-
-Multiplicities come from Freudenthal's recursion over dominant weights,
-dimensions from the Weyl formula, and tensor products from multiplying
-characters and repeatedly peeling the highest remaining weight.
+One engine per integer Cartan matrix (lru_cache) works on Dynkin labels.  With
+depths lam - mu = sum_j c_j alpha_j and the symmetrizer scaled to integers D_j,
+(x, beta) = sum_j b_j D_j x_j, so Freudenthal's recursion (denominator
+sum_j c_j D_j (lam_j + mu_j + 2)), the Weyl dimension and Brauer-Klimyk tensor
+products (Humphreys, Intro. to Lie Algebras, section 24) build no Fraction.
+A WeightSystem is the adapter in ambient coordinates (simple roots as rational
+vectors, one functional per simple coroot) for a datum and its rescaled duals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from math import lcm, prod
 
 from .central_ext import monodromy_modulus
-from .lattice import mat_inv, mat_vec, transpose
-from .root_data import (
-    RootDatum,
-    cartan_matrix,
-    cartan_symmetrizer,
-    coroot_norms,
-    dual_coxeter,
-    root_closure,
-)
+from .dynkin import validate_cartan_matrix
+from .lattice import mat_inv, mat_vec, transpose, vector_text
+from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_norms,
+                        dual_coxeter, root_closure)
 from .twisted_dual import local_denominators
+
+# Most dominant weights a highest weight may have before the weight work on
+# it is refused; every weight query of the benchmark stays under a tenth.
+MAX_WEIGHTS = 10_000
+
+
+class _Engine:
+    """Label data of one Cartan matrix, pairings[i][j] = F_i(root_j)."""
+
+    def __init__(self, pairings):
+        r = len(pairings)
+        norms = cartan_symmetrizer(pairings)  # not None: validate_cartan_matrix passed
+        d = self.norms = tuple(int(x * lcm(*(y.denominator for y in norms))) for x in norms)
+        if any(d[j] * pairings[j][i] != d[i] * pairings[i][j]
+               for i in range(r) for j in range(r)):
+            raise ArithmeticError("invariant form is not symmetric")
+        # (root coordinates b, labels, coef with (x, beta) = sum_j coef_j x_j)
+        self.roots = [(b, tuple(sum(p * x for p, x in zip(row, b)) for row in pairings),
+                       tuple(x * dj for x, dj in zip(b, d)))
+                      for b, _ in root_closure(tuple(zip(*pairings))) if min(b) >= 0]
+        if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
+            raise ArithmeticError("half-sum of positive roots is off")
+        self.columns = [[(j, row[i]) for j, row in enumerate(pairings) if row[i]]
+                        for i in range(r)]
+
+    def reflect(self, x, i):
+        """s_i(x) = x - x_i * alpha_i on labels."""
+        y = list(x)
+        for j, p in self.columns[i]:
+            y[j] -= x[i] * p
+        return tuple(y)
+
+    def conjugate(self, x):
+        """(the dominant W-conjugate of labels x, the root coordinates it lies
+        above x by, the sign of the Weyl element taking x there)."""
+        rise, sign = [0] * len(x), 1
+        while (i := next((i for i, xi in enumerate(x) if xi < 0), -1)) >= 0:
+            rise[i] -= x[i]
+            x, sign = self.reflect(x, i), -sign
+        return x, rise, sign
+
+    def dominant_weights(self, lam):
+        """(depth sum, depth, labels) of the dominant weights of L(lam), sorted.
+        Dominance among dominant weights is generated by positive roots
+        (Stembridge, "The partial order of dominant weights", 1998).  The
+        search stops with a ValueError once it passes MAX_WEIGHTS of them."""
+        found, queue = {lam: (0,) * len(lam)}, [lam]
+        while queue:
+            mu = queue.pop()
+            for b, lab, _ in self.roots:
+                nu = tuple(m - x for m, x in zip(mu, lab))
+                if min(nu) >= 0 and nu not in found:
+                    found[nu] = tuple(c + x for c, x in zip(found[mu], b))
+                    queue.append(nu)
+            if len(found) > MAX_WEIGHTS:
+                raise ValueError(f"more dominant weights than the bound {MAX_WEIGHTS} "
+                                 "(rep_check.MAX_WEIGHTS)")
+        return sorted((sum(depth), depth, mu) for mu, depth in found.items())
+
+    def table(self, lam):
+        """Freudenthal multiplicities: dominant labels -> (depth, multiplicity)."""
+        out, mults, tails = {lam: ((0,) * len(lam), 1)}, {}, {}
+        for _, depth, mu in self.dominant_weights(lam)[1:]:
+            total = 0
+            for index, (b, lab, coef) in enumerate(self.roots):
+                # tails[index, nu]: sum over k >= 0 of m(nu + k beta) (nu + k beta, beta)
+                tail, chain, nu = 0, [], mu
+                for _ in range(min(c // x for c, x in zip(depth, b) if x)):
+                    nu = tuple(m + x for m, x in zip(nu, lab))
+                    if (index, nu) in tails:
+                        tail = tails[index, nu]
+                        break
+                    chain.append(nu)
+                for nu in reversed(chain):
+                    if nu not in mults:
+                        mults[nu] = out.get(self.conjugate(nu)[0], (None, 0))[1]
+                    tail += mults[nu] * sum(c * x for c, x in zip(coef, nu))
+                    tails[index, nu] = tail
+                total += tail
+            denom = sum(c * d * (a + m + 2) for c, d, a, m in zip(depth, self.norms, lam, mu))
+            if denom <= 0:
+                raise ArithmeticError("Freudenthal denominator is not positive")
+            mult, rest = divmod(2 * total, denom)
+            if rest or mult <= 0:
+                raise ArithmeticError(f"multiplicity {2 * total}/{denom} of the weight with "
+                                      f"labels {vector_text(mu)} is not a positive integer")
+            out[mu] = (depth, mult)
+        return out
+
+    def character(self, table):
+        """Every weight of a Freudenthal table: labels -> (depth, multiplicity)."""
+        out = {}
+        for mu, (depth, mult) in table.items():
+            out[mu], queue = (depth, mult), [mu]
+            while queue:
+                x = queue.pop()
+                for i, xi in enumerate(x):  # s_i lowers x by x_i * alpha_i
+                    if xi and (y := self.reflect(x, i)) not in out:
+                        out[y] = (tuple(c + xi * (j == i) for j, c in enumerate(out[x][0])), mult)
+                        queue.append(y)
+        return out
+
+    def dimension(self, lam) -> int:
+        num = prod(sum(c * (x + 1) for c, x in zip(coef, lam)) for _, _, coef in self.roots)
+        den = prod(sum(coef) for _, _, coef in self.roots)
+        if num % den or num < den:
+            raise ArithmeticError(f"Weyl dimension {num}/{den} is not a positive integer")
+        return num // den
+
+    def tensor(self, lam, mu):
+        """L(lam) (x) L(mu) by Brauer-Klimyk: highest-weight labels -> (depth
+        below lam + mu, multiplicity)."""
+        small, big = sorted((lam, mu), key=self.dimension)
+        coeffs: dict[tuple, list] = {}
+        for nu, (depth, mult) in self.character(self.table(small)).items():
+            top, rise, sign = self.conjugate(tuple(a + b + 1 for a, b in zip(big, nu)))
+            if min(top) > 0:  # a weight on a wall cancels in the alternating sum
+                entry = coeffs.setdefault(tuple(x - 1 for x in top),
+                                          [tuple(c - u for c, u in zip(depth, rise)), 0])
+                entry[1] += sign * mult
+        out = {top: (depth, mult) for top, (depth, mult) in coeffs.items() if mult}
+        if any(mult < 0 for _, mult in out.values()):
+            raise ArithmeticError("Brauer-Klimyk decomposition has a negative multiplicity")
+        if self.dimension(lam) * self.dimension(mu) != sum(
+                mult * self.dimension(top) for top, (_, mult) in out.items()):
+            raise ArithmeticError("tensor decomposition does not preserve dimension")
+        return out
+
+
+_engine = lru_cache(maxsize=64)(_Engine)
 
 
 class WeightSystem:
@@ -35,41 +159,17 @@ class WeightSystem:
     def __init__(self, simple_roots, coroot_functionals):
         self.simple_roots = tuple(tuple(Fraction(x) for x in r) for r in simple_roots)
         self.functionals = tuple(tuple(Fraction(x) for x in f) for f in coroot_functionals)
-        self.rank = len(self.simple_roots)
-        dim = len(self.simple_roots[0]) if self.simple_roots else 0
-        if self.rank == 0 or self.rank != len(self.functionals) or dim != self.rank:
+        self.rank = r = len(self.simple_roots)
+        if r == 0 or r != len(self.functionals) or len(self.simple_roots[0]) != r:
             raise ValueError("need as many independent simple roots as functionals")
-        # pairings[i][j] = F_i(root_j); its transpose is the Cartan matrix
-        pairings = [[0] * self.rank for _ in range(self.rank)]
-        for i in range(self.rank):
-            for j in range(self.rank):
-                val = self.pairing(i, self.simple_roots[j])
-                if val.denominator != 1:
-                    raise ValueError("coroot functionals must be integral on roots")
-                if i == j and val != 2:
-                    raise ValueError("functional of a coroot on its root must be 2")
-                if i != j and val > 0:
-                    raise ValueError("off-diagonal Cartan values must be <= 0")
-                pairings[i][j] = int(val)
-        self._root_coords = mat_inv(transpose([list(r) for r in self.simple_roots]))
-        # half squared lengths making (root_i, root_j) = norms[j] * F_j(root_i)
-        # symmetric; fixed up to scale, which multiplicities never see.
-        self._norms = cartan_symmetrizer(pairings)
-        if self._norms is None:
-            raise ValueError("root system is not irreducible")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self._norms[j] * pairings[j][i] != self._norms[i] * pairings[i][j]:
-                    raise ArithmeticError("invariant form is not symmetric")
-        self.positive_roots = tuple(sorted(
-            tuple(sum(c * r[a] for c, r in zip(root, self.simple_roots))
-                  for a in range(self.rank))
-            for root, _ in root_closure(tuple(zip(*pairings))) if min(root) >= 0))
+        pairings = [[self.pairing(i, root) for root in self.simple_roots] for i in range(r)]
+        validate_cartan_matrix(pairings)
+        self._engine = _engine(tuple(tuple(map(int, row)) for row in pairings))
+        self._root_coords = mat_inv(transpose([list(x) for x in self.simple_roots]))
+        self.positive_roots = tuple(sorted(self._below((0,) * r, [-x for x in b])
+                                           for b, _, _ in self._engine.roots))
         self.rho = tuple(sum(col) / 2 for col in zip(*self.positive_roots))
-        for i in range(self.rank):
-            if self.pairing(i, self.rho) != 1:
-                raise ArithmeticError("half-sum of positive roots is off")
-        self._tables: dict[tuple, dict] = {}
+        self._table = lru_cache(maxsize=16)(self._engine.table)  # per instance
 
     def pairing(self, i: int, vec) -> Fraction:
         """Value of the i-th coroot functional on a weight vector."""
@@ -82,169 +182,58 @@ class WeightSystem:
     def root_coordinates(self, vec) -> tuple[Fraction, ...]:
         return tuple(mat_vec(self._root_coords, [Fraction(x) for x in vec]))
 
-    def height(self, vec) -> Fraction:
-        return sum(self.root_coordinates(vec))
-
-    def form(self, x, y) -> Fraction:
-        """A Weyl-invariant symmetric form on the weight space."""
-        cx = self.root_coordinates(x)
-        cy = self.root_coordinates(y)
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                gram = self._norms[j] * self.pairing(j, self.simple_roots[i])
-                total += cx[i] * cy[j] * gram
-        return total
-
-    def is_dominant(self, vec) -> bool:
-        return all(self.pairing(i, vec) >= 0 for i in range(self.rank))
-
     def dominant_conjugate(self, vec) -> tuple[Fraction, ...]:
-        out = tuple(Fraction(x) for x in vec)
-        while True:
-            for i in range(self.rank):
-                if self.pairing(i, out) < 0:
-                    out = self.reflect(i, out)
-                    break
-            else:
-                return out
+        return self._below(vec, [-x for x in self._engine.conjugate(self._labels(vec))[1]])
 
     def antidominant_conjugate(self, vec) -> tuple[Fraction, ...]:
-        return tuple(-x for x in self.dominant_conjugate(-Fraction(x) for x in vec))
+        return tuple(-x for x in self.dominant_conjugate(tuple(-Fraction(x) for x in vec)))
 
-    def weyl_orbit(self, vec) -> frozenset:
-        start = tuple(Fraction(x) for x in vec)
-        seen = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for i in range(self.rank):
-                new = self.reflect(i, v)
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-        return frozenset(seen)
+    def _below(self, top, depth) -> tuple[Fraction, ...]:
+        """top - sum_j depth_j * simple_root_j, in ambient coordinates."""
+        return tuple(Fraction(x) - sum(c * r[a] for c, r in zip(depth, self.simple_roots) if c)
+                     for a, x in enumerate(top))
 
-    def _require_highest_weight(self, lam) -> tuple[Fraction, ...]:
+    def _labels(self, vec):
+        """Dynkin labels of an ambient weight, as ints where they are integers."""
+        return tuple(int(x) if x.denominator == 1 else x
+                     for x in (self.pairing(i, vec) for i in range(self.rank)))
+
+    def _require_highest_weight(self, lam):
+        """(ambient vector, Dynkin labels) of a dominant integral weight."""
         vec = tuple(Fraction(x) for x in lam)
         if len(vec) != self.rank:
             raise ValueError(f"highest weight has length {len(vec)}, expected {self.rank}")
-        for i in range(self.rank):
-            val = self.pairing(i, vec)
-            if val < 0 or val.denominator != 1:
-                raise ValueError(f"{vec} is not a dominant integral weight")
-        return vec
+        labels = self._labels(vec)
+        if any(isinstance(x, Fraction) or x < 0 for x in labels):
+            raise ValueError(f"{vector_text(vec)} is not a dominant integral weight")
+        return vec, labels
 
     def dominant_weights(self, lam) -> list[tuple[Fraction, ...]]:
         """Dominant weights below lam, sorted by increasing distance from it."""
-        vec = self._require_highest_weight(lam)
-        drop = self.root_coordinates(
-            tuple(a - b for a, b in zip(vec, self.antidominant_conjugate(vec))))
-        bounds = []
-        for c in drop:
-            if c.denominator != 1 or c < 0:
-                raise ArithmeticError("distance to the antidominant conjugate "
-                                      "is not a nonnegative root sum")
-            bounds.append(int(c))
-        out = []
-        for combo in product(*(range(b + 1) for b in bounds)):
-            mu = tuple(x - sum(k * r[a] for k, r in zip(combo, self.simple_roots))
-                       for a, x in enumerate(vec))
-            if self.is_dominant(mu):
-                out.append((sum(combo), mu))
-        out.sort()
-        return [mu for _, mu in out]
-
-    def _character_table(self, lam) -> dict[tuple[Fraction, ...], int]:
-        """Freudenthal multiplicities of the dominant weights of L(lam)."""
-        vec = self._require_highest_weight(lam)
-        if vec in self._tables:
-            return self._tables[vec]
-        lam_rho = tuple(a + b for a, b in zip(vec, self.rho))
-        top_norm = self.form(lam_rho, lam_rho)
-        table: dict[tuple[Fraction, ...], int] = {}
-        for mu in self.dominant_weights(vec):
-            if mu == vec:
-                table[mu] = 1
-                continue
-            total = Fraction(0)
-            for alpha in self.positive_roots:
-                k = 1
-                while True:
-                    nu = tuple(a + k * b for a, b in zip(mu, alpha))
-                    if self.height(nu) > self.height(vec):
-                        break
-                    mult = table.get(self.dominant_conjugate(nu), 0)
-                    if mult:
-                        total += mult * self.form(nu, alpha)
-                    k += 1
-            mu_rho = tuple(a + b for a, b in zip(mu, self.rho))
-            denom = top_norm - self.form(mu_rho, mu_rho)
-            if denom <= 0:
-                raise ArithmeticError("Freudenthal denominator is not positive")
-            mult = 2 * total / denom
-            if mult.denominator != 1 or mult <= 0:
-                raise ArithmeticError(f"multiplicity {mult} of {mu} is not a "
-                                      "positive integer")
-            table[mu] = int(mult)
-        self._tables[vec] = table
-        return table
+        vec, labels = self._require_highest_weight(lam)
+        return [mu for _, mu in sorted((size, self._below(vec, depth))
+                                       for size, depth, _ in self._engine.dominant_weights(labels))]
 
     def weight_multiplicity(self, lam, mu) -> int:
-        table = self._character_table(lam)
-        conj = self.dominant_conjugate(tuple(Fraction(x) for x in mu))
-        return table.get(conj, 0)
+        table = self._table(self._require_highest_weight(lam)[1])
+        return table.get(self._engine.conjugate(self._labels(mu))[0], (None, 0))[1]
 
     def weyl_dimension(self, lam) -> int:
-        vec = self._require_highest_weight(lam)
-        lam_rho = tuple(a + b for a, b in zip(vec, self.rho))
-        out = Fraction(1)
-        for alpha in self.positive_roots:
-            out *= Fraction(self.form(lam_rho, alpha), self.form(self.rho, alpha))
-        if out.denominator != 1 or out < 1:
-            raise ArithmeticError(f"Weyl dimension {out} is not a positive integer")
-        return int(out)
+        return self._engine.dimension(self._require_highest_weight(lam)[1])
 
     def character(self, lam) -> dict[tuple[Fraction, ...], int]:
         """Full weight multiset of L(lam) as a weight -> multiplicity map."""
-        out: dict[tuple[Fraction, ...], int] = {}
-        for mu, mult in self._character_table(lam).items():
-            for nu in self.weyl_orbit(mu):
-                out[nu] = mult
-        return out
+        vec, labels = self._require_highest_weight(lam)
+        return {self._below(vec, depth): mult for depth, mult in
+                self._engine.character(self._table(labels)).values()}
 
     def tensor_decompose(self, lam1, lam2) -> dict[tuple[Fraction, ...], int]:
-        """Decompose L(lam1) (x) L(lam2) into highest weights.
-
-        Multiplies the two characters and repeatedly peels off the
-        character of the highest remaining weight; the running remainder
-        staying a nonnegative character is checked at every step.
-        """
-        left = self.character(lam1)
-        right = self.character(lam2)
-        prod: dict[tuple[Fraction, ...], int] = {}
-        for mu, m1 in left.items():
-            for nu, m2 in right.items():
-                key = tuple(a + b for a, b in zip(mu, nu))
-                prod[key] = prod.get(key, 0) + m1 * m2
-        out: dict[tuple[Fraction, ...], int] = {}
-        while True:
-            support = [v for v, m in prod.items() if m]
-            if not support:
-                break
-            top = max(support, key=lambda v: (self.height(v), v))
-            mult = prod[top]
-            if mult < 0 or not self.is_dominant(top):
-                raise ArithmeticError("character peeling produced a negative "
-                                      "or non-dominant leading term")
-            out[top] = mult
-            for nu, m in self.character(top).items():
-                prod[nu] = prod.get(nu, 0) - mult * m
-        lhs = self.weyl_dimension(lam1) * self.weyl_dimension(lam2)
-        rhs = sum(m * self.weyl_dimension(v) for v, m in out.items())
-        if lhs != rhs:
-            raise ArithmeticError("tensor decomposition does not preserve dimension")
-        return out
+        """Decompose L(lam1) (x) L(lam2) into highest weights; the result is
+        checked to be nonnegative and to preserve dimension."""
+        (vec1, labels1), (vec2, labels2) = map(self._require_highest_weight, (lam1, lam2))
+        top = tuple(a + b for a, b in zip(vec1, vec2))
+        return {self._below(top, depth): mult for depth, mult in
+                self._engine.tensor(labels1, labels2).values()}
 
 
 def datum_weight_system(datum: RootDatum) -> WeightSystem:
@@ -285,22 +274,35 @@ def tensor_multiplicity(datum: RootDatum, lam, mu, nu) -> int:
     """Multiplicity of the irreducible with highest weight nu inside the
     tensor product of those with highest weights lam and mu."""
     ws = datum_weight_system(datum)
-    target = ws._require_highest_weight(nu)
-    return ws.tensor_decompose(lam, mu).get(target, 0)
+    return ws.tensor_decompose(lam, mu).get(ws._require_highest_weight(nu)[0], 0)
 
 
 def rank_one_mv_multiplicities(datum: RootDatum, order: int, node: int,
                                a: int) -> dict[int, int]:
-    """Fixed-point multiplicities over a rank-one orbit closure.
+    """Fixed-point multiplicities over a rank-one orbit closure: for the
+    cocharacter a * coroot_node (a a multiple of the local denominator there),
+    the map b -> multiplicity over the weights b * coroot_node, b = a..-a.
+    The endpoints carry 1; an interior weight carries 1 exactly when its
+    monodromy exponent (a + b) * 2h * c_node vanishes modulo the monodromy
+    modulus, which works out to b being a multiple of the local denominator
+    too, and 0 otherwise."""
+    delta = rank_one_delta(datum, order, node, a)
+    h = dual_coxeter(datum)
+    c = coroot_norms(datum.cartan_type)[node]
+    modulus = monodromy_modulus(datum, order)
+    out = {}
+    for b in range(a, -a - 1, -1):
+        value = int(b in (a, -a) or (a + b) * 2 * h * c % modulus == 0)
+        if value != int(b % delta == 0):
+            raise ArithmeticError("monodromy vanishing disagrees with the "
+                                  "local denominator divisibility")
+        out[b] = value
+    return out
 
-    For the cocharacter a * coroot_node, whose coefficient a must be a
-    multiple of the local denominator at that node, this returns the map
-    b -> multiplicity over the weights b * coroot_node, b = a..-a.  The
-    endpoints always carry 1; an interior weight carries 1 exactly when
-    its monodromy exponent (a + b) * 2h * c_node vanishes modulo the
-    monodromy modulus, which works out to b being a multiple of the
-    local denominator too, and 0 otherwise.
-    """
+
+def rank_one_delta(datum: RootDatum, order: int, node: int, a: int) -> int:
+    """The local denominator at node, once a is checked to be a nonnegative
+    multiple of it, so that a * coroot_node spans a rank-one orbit."""
     if not 0 <= node < datum.rank:
         raise ValueError(f"node {node} out of range for rank {datum.rank}")
     if a < 0:
@@ -309,20 +311,7 @@ def rank_one_mv_multiplicities(datum: RootDatum, order: int, node: int,
     if a % delta:
         raise ValueError(f"coroot multiple {a} is not divisible by the "
                          f"local denominator {delta} at node {node}")
-    h = dual_coxeter(datum)
-    c = coroot_norms(datum.cartan_type)[node]
-    modulus = monodromy_modulus(datum, order)
-    out = {}
-    for b in range(a, -a - 1, -1):
-        if b in (a, -a):
-            value = 1
-        else:
-            value = 1 if ((a + b) * 2 * h * c) % modulus == 0 else 0
-        if value != (1 if b % delta == 0 else 0):
-            raise ArithmeticError("monodromy vanishing disagrees with the "
-                                  "local denominator divisibility")
-        out[b] = value
-    return out
+    return delta
 
 
 def rank_one_line_system(datum: RootDatum, order: int, node: int) -> WeightSystem:
@@ -333,13 +322,9 @@ def rank_one_line_system(datum: RootDatum, order: int, node: int) -> WeightSyste
 
 
 def mv_vs_character_check(datum: RootDatum, order: int, node: int, a: int) -> bool:
-    """Compare the rank-one fixed-point count against character theory.
-
-    The geometric multiplicity map over the coroot line must coincide
-    with the Freudenthal multiplicities of the rank-one system whose
-    simple root is the rescaled coroot, at highest weight a.
-    """
-    geometric = rank_one_mv_multiplicities(datum, order, node, a)
-    line = rank_one_line_system(datum, order, node)
-    return all(line.weight_multiplicity((a,), (b,)) == mult
-               for b, mult in geometric.items())
+    """Compare the rank-one fixed-point count against character theory: the
+    geometric multiplicities over the coroot line must be the Freudenthal
+    multiplicities of rank_one_line_system at highest weight a."""
+    character = rank_one_line_system(datum, order, node).character((a,))
+    return all(character.get((b,), 0) == mult
+               for b, mult in rank_one_mv_multiplicities(datum, order, node, a).items())

@@ -34,6 +34,7 @@ from .lattice import (
     lattice_member,
     mat_inv,
     quotient_invariants,
+    vector_text,
 )
 
 _RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
@@ -307,9 +308,9 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
         gens = [tuple(Fraction(v) for v in g) for g in isogeny]
         for g in gens:
             if not lattice_member(g, weights):
-                raise ValueError(f"generator {g} is not in the weight lattice")
+                raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
         x = Lattice(identity_matrix(r) + [list(g) for g in gens])
-        label = "quotient:" + ";".join(",".join(str(v) for v in g) for g in gens)
+        label = "quotient:" + ";".join(vector_text(g) for g in gens)
     y = dual_lattice(x, cartan_matrix(t))
     datum = RootDatum(t, label, x, y)
     _validate_datum(datum)
@@ -354,17 +355,19 @@ def _canonical_form(t: CartanType) -> CanonicalForm:
     return CanonicalForm(tuple(tuple(row) for row in gram))
 
 
-def reflection_sum(t: CartanType, yvec) -> tuple[Fraction, ...]:
-    """sum over all roots of <y, root> * root, on the character side."""
+def reflection_sum(t: CartanType, yvec) -> tuple:
+    """sum over all roots of <y, root> * root, on the character side; integer
+    entries for an integral y, so the per-type check builds no Fraction."""
     a = cartan_matrix(t)
     r = t.rank
-    ay = [sum(a[i][j] * Fraction(yvec[j]) for j in range(r)) for i in range(r)]
-    total = [Fraction(0)] * r
+    ay = [(i, v) for i in range(r) if (v := sum(a[i][j] * yvec[j] for j in range(r)))]
+    total = [0] * r
     for root, _ in root_system(t):
-        val = sum(root[i] * ay[i] for i in range(r))
+        val = sum(root[i] * v for i, v in ay)
         if val:
-            for i in range(r):
-                total[i] += val * root[i]
+            for i, x in enumerate(root):
+                if x:
+                    total[i] += val * x
     return tuple(total)
 
 

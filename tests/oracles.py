@@ -2,7 +2,9 @@
 
 Weight multiplicities are recomputed here with Kostant's alternating sum
 over the Weyl group of partition-function counts, which shares no code
-with the Freudenthal recursion in the package.  The dual character lattice
+with the Freudenthal recursion in the package; tensor products by
+multiplying those characters and peeling off highest weights, which shares
+none with the Brauer-Klimyk reflection in the package.  The dual character lattice
 is recomputed by enumerating cosets of Y/NY and testing (k/N) * iota(y) for
 membership in X, without the Gram matrix of Y that the package reads.
 """
@@ -104,3 +106,43 @@ def dual_lattice_by_cosets(datum, order):
             kept.append([sum(c * row[i] for c, row in zip(coeffs, basis))
                          for i in range(t.rank)])
     return Lattice(kept)
+
+
+def character_by_kostant(ws, lam):
+    """Weight -> multiplicity map of L(lam): Kostant multiplicities of the
+    dominant weights lam - sum_j c_j alpha_j, c inside the box of lam minus
+    its lowest weight (its W-image of least height), spread over W-orbits."""
+    lam = tuple(Fraction(x) for x in lam)
+    group = weyl_group_with_signs(ws)
+    lowest = min((apply_matrix(mat, lam) for mat in group),
+                 key=lambda v: sum(ws.root_coordinates(v)))
+    bounds = ws.root_coordinates(tuple(a - b for a, b in zip(lam, lowest)))
+    out = {}
+    for depth in product(*(range(int(b) + 1) for b in bounds)):
+        mu = tuple(x - sum(c * root[a] for c, root in zip(depth, ws.simple_roots))
+                   for a, x in enumerate(lam))
+        if any(ws.pairing(i, mu) < 0 for i in range(ws.rank)):
+            continue
+        mult = kostant_multiplicity(ws, lam, mu)
+        for mat in group if mult else ():
+            out[apply_matrix(mat, mu)] = mult
+    return out
+
+
+def tensor_by_peeling(ws, lam, mu):
+    """L(lam) (x) L(mu) as highest weight -> multiplicity: multiply the two
+    Kostant characters, then peel off the character of the highest remaining
+    weight until nothing is left."""
+    remainder = {}
+    for x, m1 in character_by_kostant(ws, lam).items():
+        for y, m2 in character_by_kostant(ws, mu).items():
+            key = tuple(a + b for a, b in zip(x, y))
+            remainder[key] = remainder.get(key, 0) + m1 * m2
+    out = {}
+    while any(remainder.values()):
+        top = max((v for v, m in remainder.items() if m),
+                  key=lambda v: sum(ws.root_coordinates(v)))
+        out[top] = remainder[top]
+        for nu, m in character_by_kostant(ws, top).items():
+            remainder[nu] = remainder.get(nu, 0) - out[top] * m
+    return out

@@ -4,11 +4,13 @@ import hashlib
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from loopdual import rep_check
 from loopdual.cli import run
 from loopdual.root_data import build_datum
 from loopdual.twisted_dual import twisted_dual
@@ -282,7 +284,66 @@ def test_digit_limit_is_named():
     assert code == 1 and str(sys.get_int_max_str_digits()) in err
 
 
-SWEEP_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "sweep.json"
+def test_rationals_in_messages_read_as_fractions():
+    code, out, err = invoke("mult", "--type", "A1", "--N", "1", "--highest", "1/3")
+    assert (code, out) == (1, "")
+    assert err == "error: --highest: 1/3 is not a dominant integral weight\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mult", "--type", "A1", "--N", "1", "--highest", "100000000"),
+    ("mv-rank1", "--type", "A1", "--N", "1", "--i", "0", "--a", "100000000", "--check")])
+def test_unbounded_weight_work_is_refused_up_front(argv):
+    start = time.perf_counter()
+    code, out, err = invoke(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert f"bound {rep_check.MAX_WEIGHTS}" in err, err
+
+
+def test_weight_bound_counts_dominant_weights_exactly(monkeypatch):
+    # A2 at labels (50, 50): about 1,300 dominant weights in a depth box of 101^2
+    lam = (Fraction(50), Fraction(50))
+    count = len(rep_check.datum_weight_system(build_datum("A2", "sc")).dominant_weights(lam))
+    assert count < 2000
+    argv = ("mult", "--type", "A2", "--N", "1", "--highest", "50,50")
+    monkeypatch.setattr(rep_check, "MAX_WEIGHTS", count - 1)
+    assert invoke(*argv)[:2] == (1, "")
+    # a * coroot on the A1 line has a + 1 dominant weights
+    argv = ("mv-rank1", "--type", "A1", "--N", "1", "--i", "0", "--a")
+    monkeypatch.setattr(rep_check, "MAX_WEIGHTS", 100)
+    assert invoke(*argv, "99", "--check")[0] == 0
+    assert invoke(*argv, "100", "--check")[:2] == (1, "")
+    assert invoke(*argv, "100")[0] == 0  # no character work asked
+
+
+def test_failed_self_check_is_exit_code_3(monkeypatch):
+    # a wrong monodromy modulus breaks the divisibility check of mv-rank1
+    monkeypatch.setattr(rep_check, "monodromy_modulus", lambda datum, order: 1)
+    code, out, err = invoke("mv-rank1", "--type", "A1", "--N", "2", "--i", "0", "--a", "2")
+    assert (code, out) == (3, "")
+    assert err == ("error: internal check failed: monodromy vanishing disagrees with "
+                   "the local denominator divisibility\n")
+
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+
+
+def _replay(workload, keep):
+    """(queries replayed, keys whose [exit code, stdout sha256 prefix] moved)
+    over the goldens of perfbench/goldens/<workload>.json that keep(argv)
+    selects, each run through run()."""
+    goldens = json.loads((GOLDENS / f"{workload}.json").read_text())
+    checked, mismatched = 0, []
+    for key, expected in goldens.items():
+        argv = json.loads(key)
+        if not keep(argv):
+            continue
+        code, out, _ = invoke(*argv)
+        checked += 1
+        if [code, hashlib.sha256(out.encode()).hexdigest()[:24]] != expected:
+            mismatched.append(key)
+    return checked, mismatched
 
 
 def _cheap(argv) -> bool:
@@ -297,15 +358,14 @@ def _cheap(argv) -> bool:
 def test_cheap_sweep_goldens_replay():
     """The benchmark's recorded [exit code, stdout sha256 prefix] still hold
     for its cheap sweep queries, so a refactor cannot change stdout unseen."""
-    goldens = json.loads(SWEEP_GOLDENS.read_text())
-    checked, mismatched = 0, []
-    for key, expected in goldens.items():
-        argv = json.loads(key)
-        if not _cheap(argv):
-            continue
-        code, out, _ = invoke(*argv)
-        checked += 1
-        if [code, hashlib.sha256(out.encode()).hexdigest()[:24]] != expected:
-            mismatched.append(key)
+    checked, mismatched = _replay("sweep", _cheap)
     assert checked > 0
+    assert mismatched == []
+
+
+def test_weight_goldens_replay():
+    """The benchmark's mult and mv-rank1 goldens still hold, so the weight
+    engine keeps stdout and MAX_WEIGHTS admits every query."""
+    checked, mismatched = _replay("weights", lambda argv: argv[0] in ("mult", "mv-rank1"))
+    assert checked > 200
     assert mismatched == []

@@ -1,11 +1,14 @@
 """Weight multiplicities, dimensions, and tensor products.
 
 Expected values are classical dimension and multiplicity facts for small
-groups, plus the Kostant partition-function oracle from oracles.py, which
-recomputes multiplicities along a route disjoint from Freudenthal's.
+groups, plus the oracles from oracles.py: Kostant's partition-function
+formula, which recomputes multiplicities along a route disjoint from
+Freudenthal's, and character peeling on Kostant characters, which recomputes
+tensor products without the Brauer-Klimyk reflection.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -14,6 +17,7 @@ from loopdual.rep_check import (
     WeightSystem,
     datum_weight_system,
     mv_vs_character_check,
+    rank_one_line_system,
     rank_one_mv_multiplicities,
     rescaled_coroot_system,
     tensor_multiplicity,
@@ -22,7 +26,7 @@ from loopdual.rep_check import (
 from loopdual.root_data import build_datum, fundamental_weight, positive_roots
 from loopdual.twisted_dual import local_denominators, twisted_dual
 
-from oracles import kostant_multiplicity, weyl_group_with_signs
+from oracles import kostant_multiplicity, tensor_by_peeling, weyl_group_with_signs
 
 
 def source_system(name):
@@ -294,3 +298,72 @@ def test_rescaled_system_has_dual_root_count(name, isogeny, order):
     dual_type = twisted_dual(datum, order).dual.cartan_type
     assert len(rescaled_coroot_system(datum, order).positive_roots) == \
         len(positive_roots(dual_type))
+
+
+def weight(name, coeffs):
+    """sum_i coeffs[i] * omega_i of the simply connected group of a type."""
+    out = (0,) * len(coeffs)
+    for i, c in enumerate(coeffs):
+        out = add(out, tuple(c * x for x in fw(name, i)))
+    return out
+
+
+def assert_freudenthal_matches_kostant(ws, lam):
+    for mu in ws.dominant_weights(lam):
+        assert ws.weight_multiplicity(lam, mu) == kostant_multiplicity(ws, lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("name,coeffs", [
+    ("A3", (1, 0, 1)), ("A3", (0, 2, 0)), ("B3", (1, 0, 1)), ("C3", (1, 1, 0))])
+def test_freudenthal_matches_kostant_in_rank_three(name, coeffs):
+    assert_freudenthal_matches_kostant(source_system(name), weight(name, coeffs))
+
+
+@pytest.mark.parametrize("name,isogeny,order", [
+    ("C2", "sc", 2), ("A2", "sc", 2), ("G2", "sc", 3), ("B3", "sc", 2)])
+def test_freudenthal_matches_kostant_on_rescaled_systems(name, isogeny, order):
+    datum = build_datum(name, isogeny)
+    assert max(local_denominators(datum, order)) > 1
+    ws = rescaled_coroot_system(datum, order)
+    highest_root = max(ws.positive_roots, key=lambda v: sum(ws.root_coordinates(v)))
+    for lam in (ws.rho, highest_root, add(ws.rho, highest_root)):
+        assert_freudenthal_matches_kostant(ws, lam)
+
+
+@pytest.mark.parametrize("name,order,node", [("A1", 2, 0), ("C2", 2, 1), ("G2", 3, 1)])
+def test_freudenthal_matches_kostant_on_rank_one_lines(name, order, node):
+    line = rank_one_line_system(build_datum(name, "sc"), order, node)
+    delta = int(line.simple_roots[0][0])
+    assert delta > 1
+    for a in (delta, 2 * delta, 5 * delta):
+        for b in range(a, -a - 1, -1):
+            assert line.weight_multiplicity((a,), (b,)) == \
+                kostant_multiplicity(line, (a,), (b,)), (a, b)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_brauer_klimyk_matches_peeling_oracle(name):
+    ws = source_system(name)
+    for lam, mu in combinations_with_replacement([(1, 0), (0, 1), (1, 1)], 2):
+        lam, mu = weight(name, lam), weight(name, mu)
+        assert ws.tensor_decompose(lam, mu) == tensor_by_peeling(ws, lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("name,coeffs", [
+    ("A2", (2, 1)), ("B2", (1, 2)), ("G2", (2, 1)), ("A3", (1, 0, 2)), ("B3", (1, 1, 1)),
+    ("C3", (0, 2, 1)), ("D4", (1, 0, 1, 1)), ("F4", (1, 0, 0, 1))])
+def test_dominant_weights_fill_the_depth_box(name, coeffs):
+    # every dominant weight of the box below lam - w0(lam), in the same order
+    ws = source_system(name)
+    lam = weight(name, coeffs)
+    top = tuple(-x for x in lam)
+    while (i := next((i for i in range(ws.rank) if ws.pairing(i, top) < 0), None)) is not None:
+        top = ws.reflect(i, top)  # ends at -w0(lam)
+    bounds = ws.root_coordinates(add(lam, top))
+    box = []
+    for depth in product(*(range(int(b) + 1) for b in bounds)):
+        mu = tuple(x - c for x, c in zip(lam, depth))
+        if all(ws.pairing(i, mu) >= 0 for i in range(ws.rank)):
+            box.append((sum(depth), mu))
+    assert ws.dominant_weights(lam) == [mu for _, mu in sorted(box)]
+

@@ -21,6 +21,7 @@ from loopdual.root_data import (
     iota,
     pairing,
     positive_roots,
+    reflection_sum,
     root_lattice,
     root_system,
     two_rho,
@@ -259,3 +260,11 @@ def test_dual_coxeter_sums_roots_once_per_type(monkeypatch):
     for isogeny in ("sc", "adjoint", "sc"):
         assert dual_coxeter(build_datum("C5", isogeny)) == 6
     assert calls == [CartanType("C", 5)] * 5
+
+
+def test_reflection_sum_of_a_coroot_is_integral():
+    # the once-per-type Coxeter check sums integers, not Fractions
+    t = CartanType("B", 4)
+    for i in range(t.rank):
+        total = reflection_sum(t, tuple(int(i == j) for j in range(t.rank)))
+        assert all(type(x) is int for x in total), total
