@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .central_ext import (
     char_assumption_ok,
@@ -52,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=1)  # parse_args keeps no state, so one parser serves every run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="loopdual", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -6,10 +6,11 @@ rational vector space and is stored as integer Hermite-normal-form rows over
 one common denominator, so two Lattice objects compare equal exactly when
 they contain the same vectors, and membership is an integer triangular solve.
 
-Routines: smith_normal_form and hermite_rows (sharing one 2x2 Bezout row
-transform), Lattice, lattice_coordinates (read by lattice_member and by the
-coordinate-matrix helper of quotient_invariants and lattice_index),
-dual_lattice, congruence_kernel, plus the small exact matrix helpers.
+Routines: smith_normal_form, the one elimination (mat_inv, dual_lattice,
+congruence_kernel and quotient_invariants read it, so its checks cover all
+four), and hermite_rows, sharing one 2x2 Bezout row transform; Lattice,
+lattice_coordinates (read by lattice_member and by the coordinate-matrix
+helper of quotient_invariants and lattice_index), small matrix helpers.
 """
 
 from __future__ import annotations
@@ -41,27 +42,26 @@ def mat_vec(mat, vec):
     return [sum(x * y for x, y in zip(row, vec)) for row in mat]
 
 
+def _cleared(mat) -> tuple[int, list[list[int]]]:
+    """(den, den * mat) with den the least positive int making den * mat integral."""
+    den = lcm(1, *(x.denominator for row in mat for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+
+
 def mat_inv(mat):
-    """Inverse of a square rational matrix by Gauss-Jordan elimination.
+    """Inverse of a square rational matrix as Fractions: den * V D^-1 U from
+    the Smith form U (den * mat) V = D.
 
     Raises:
         ValueError: if the matrix is singular.
     """
-    n = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[n:] for row in work]
+    den, m = _cleared(mat)
+    u, d, v = smith_normal_form(m)
+    last = d[-1][-1]  # each diagonal entry divides the next, so a 0 sits last
+    if last == 0:
+        raise ValueError("matrix is singular")
+    scaled = [[x * (last // d[k][k]) for k, x in enumerate(row)] for row in v]
+    return [[Fraction(den * x, last) for x in row] for row in mat_mul(scaled, u)]
 
 
 def det_int(mat) -> int:
@@ -282,17 +282,15 @@ class Lattice:
 
     __slots__ = ("ambient_dim", "den", "rows")
 
-    def __init__(self, generators, ambient_dim: int | None = None):
+    def __init__(self, generators):
         gens = [tuple(Fraction(x) for x in row) for row in generators]
-        if ambient_dim is None:
-            if not gens:
-                raise ValueError("no generators and no ambient_dim")
-            ambient_dim = len(gens[0])
+        if not gens:
+            raise ValueError("a lattice needs at least one generator")
+        ambient_dim = len(gens[0])
         if any(len(row) != ambient_dim for row in gens):
-            raise ValueError("generator length does not match ambient_dim")
-        den = lcm(1, *(x.denominator for row in gens for x in row))
-        h = hermite_rows([[x.numerator * (den // x.denominator) for x in row]
-                          for row in gens])
+            raise ValueError("generators differ in length")
+        den, ints = _cleared(gens)
+        h = hermite_rows(ints)
         if len(h) != ambient_dim:
             raise ValueError("generators do not span a full-rank lattice")
         self.ambient_dim = ambient_dim
@@ -306,9 +304,6 @@ class Lattice:
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
-
-    def basis_matrix(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.basis]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and (self.den, self.rows) == (other.den, other.rows)
@@ -350,14 +345,21 @@ def lattice_member(vector, lat: Lattice) -> bool:
 def dual_lattice(lat: Lattice, pairing) -> Lattice:
     """Dual lattice {y : x^T P y integer for every x in lat}.
 
+    With M = c * lat.basis @ P integral, y is in it when M y is in c * Z^n,
+    that is, with U M V = D the Smith form, when y = V z with D_ii z_i in c * Z;
+    so the columns of V scaled by c / D_ii generate it.
+
     Args:
         lat: full-rank lattice.
         pairing: square rational matrix P defining the perfect bilinear form
-            pairing(x, y) = x^T P y.  Must be invertible.
+            pairing(x, y) = x^T P y.  Must be invertible (ValueError otherwise).
     """
-    bp = mat_mul(lat.basis_matrix(), pairing)
-    inv = mat_inv(bp)  # exact over Q; raises on degenerate pairing
-    return Lattice(transpose(inv))
+    pden, m = _cleared(mat_mul(lat.rows, pairing))
+    _, d, v = smith_normal_form(m)
+    if d[-1][-1] == 0:  # each diagonal entry divides the next, so a 0 sits last
+        raise ValueError("pairing is degenerate")
+    scales = [Fraction(lat.den * pden, d[i][i]) for i in range(len(v))]
+    return Lattice([s * x for x in col] for s, col in zip(scales, zip(*v)))
 
 
 def _coordinate_matrix(big: Lattice, small: Lattice) -> list[tuple[int, ...]]:
@@ -394,15 +396,9 @@ def congruence_kernel(mat, modulus: int) -> Lattice:
     """
     if modulus < 1:
         raise ValueError("modulus must be a positive integer")
-    m = len(mat)
-    n = len(mat[0])
     _, diag, v = smith_normal_form(mat)
-    rows = []
-    for i in range(n):
-        d = diag[i][i] if i < min(m, n) else 0
-        mult = modulus // gcd(d, modulus)
-        rows.append(tuple(mult * v[k][i] for k in range(n)))
-    return Lattice(rows)
+    scales = [modulus // gcd(diag[i][i] if i < len(mat) else 0, modulus) for i in range(len(v))]
+    return Lattice([s * x for x in col] for s, col in zip(scales, zip(*v)))
 
 
 def lattice_index(big: Lattice, small: Lattice) -> int:

@@ -12,7 +12,7 @@ vectors, one functional per simple coroot) for a datum and its rescaled duals.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm, prod
 
 from .central_ext import monodromy_modulus
@@ -23,7 +23,8 @@ from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_nor
 from .twisted_dual import local_denominators
 
 # Most dominant weights a highest weight may have before the weight work on
-# it is refused; every weight query of the benchmark stays under a tenth.
+# it is refused, and the largest coroot multiple of a rank-one orbit; every
+# weight query of the benchmark stays under a tenth.
 MAX_WEIGHTS = 10_000
 
 
@@ -165,7 +166,6 @@ class WeightSystem:
         pairings = [[self.pairing(i, root) for root in self.simple_roots] for i in range(r)]
         validate_cartan_matrix(pairings)
         self._engine = _engine(tuple(tuple(map(int, row)) for row in pairings))
-        self._root_coords = mat_inv(transpose([list(x) for x in self.simple_roots]))
         self.positive_roots = tuple(sorted(self._below((0,) * r, [-x for x in b])
                                            for b, _, _ in self._engine.roots))
         self.rho = tuple(sum(col) / 2 for col in zip(*self.positive_roots))
@@ -178,6 +178,10 @@ class WeightSystem:
     def reflect(self, i: int, vec) -> tuple[Fraction, ...]:
         c = self.pairing(i, vec)
         return tuple(Fraction(x) - c * r for x, r in zip(vec, self.simple_roots[i]))
+
+    @cached_property
+    def _root_coords(self):
+        return mat_inv(transpose(self.simple_roots))
 
     def root_coordinates(self, vec) -> tuple[Fraction, ...]:
         return tuple(mat_vec(self._root_coords, [Fraction(x) for x in vec]))
@@ -302,11 +306,15 @@ def rank_one_mv_multiplicities(datum: RootDatum, order: int, node: int,
 
 def rank_one_delta(datum: RootDatum, order: int, node: int, a: int) -> int:
     """The local denominator at node, once a is checked to be a nonnegative
-    multiple of it, so that a * coroot_node spans a rank-one orbit."""
+    multiple of it, so that a * coroot_node spans a rank-one orbit, and at
+    most MAX_WEIGHTS, which bounds the 2a + 1 multiples the orbit walks."""
     if not 0 <= node < datum.rank:
         raise ValueError(f"node {node} out of range for rank {datum.rank}")
     if a < 0:
         raise ValueError("the coroot multiple must be nonnegative")
+    if a > MAX_WEIGHTS:
+        raise ValueError(f"coroot multiple {a} is over the bound {MAX_WEIGHTS} "
+                         "(rep_check.MAX_WEIGHTS)")
     delta = local_denominators(datum, order)[node]
     if a % delta:
         raise ValueError(f"coroot multiple {a} is not divisible by the "

@@ -86,7 +86,7 @@ def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
     if any(k * x % s for row in gram for x in row):
         raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
     kernel = congruence_kernel([[k * x // s for x in row] for row in gram], order)
-    return Lattice(mat_mul(kernel.basis, d.Y.basis), ambient_dim=d.rank)
+    return Lattice([Fraction(x, d.Y.den) for x in row] for row in mat_mul(kernel.rows, d.Y.rows))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loopdual import rep_check
+from loopdual import cli, rep_check
 from loopdual.cli import run
 from loopdual.root_data import build_datum
 from loopdual.twisted_dual import twisted_dual
@@ -270,6 +270,7 @@ MALFORMED_ARGV = [
     ("dual", "--type", "A2", "--isogeny", '["12"]', "--N", "1"),
     ("symbol", "--field", "F2305843009213693951", "--f", "t", "--g", "t"),
     ("check-assumption", "--type", "A1", "--N", "1", "--p", "2305843009213693951"),
+    ("mv-rank1", "--type", "A1", "--N", "1", "--i", "0", "--a", "100000000"),
 ]
 
 
@@ -315,6 +316,15 @@ def test_weight_bound_counts_dominant_weights_exactly(monkeypatch):
     assert invoke(*argv, "99", "--check")[0] == 0
     assert invoke(*argv, "100", "--check")[:2] == (1, "")
     assert invoke(*argv, "100")[0] == 0  # no character work asked
+
+
+def test_one_parser_carries_no_state_between_runs():
+    assert cli._build_parser() is cli._build_parser()
+    argv = ("mv-rank1", "--type", "A1", "--N", "1", "--i", "0", "--a", "2")
+    code, out, _ = invoke(*argv, "--check")
+    assert code == 0 and payload(out)["checks"] != []
+    code, out, _ = invoke(*argv)
+    assert code == 0 and payload(out)["checks"] == []
 
 
 def test_failed_self_check_is_exit_code_3(monkeypatch):
@@ -368,4 +378,12 @@ def test_weight_goldens_replay():
     engine keeps stdout and MAX_WEIGHTS admits every query."""
     checked, mismatched = _replay("weights", lambda argv: argv[0] in ("mult", "mv-rank1"))
     assert checked > 200
+    assert mismatched == []
+
+
+def test_large_rank_goldens_replay():
+    """The benchmark's rank 8-11 goldens still hold, so the Smith-form inverse
+    and dual lattice keep stdout on the largest matrices the CLI sees."""
+    checked, mismatched = _replay("large-rank", lambda argv: argv[0] != "tensor")
+    assert checked > 150
     assert mismatched == []

@@ -103,7 +103,7 @@ def test_lattice_rejects_deficient_rank():
     with pytest.raises(ValueError):
         Lattice([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
-        Lattice([], ambient_dim=2)
+        Lattice([])
 
 
 def test_membership_two_by_two():
@@ -162,8 +162,20 @@ def test_dual_pairing_integrality_and_double_dual():
             for y in dual.basis:
                 val = sum(x[i] * pairing[i][j] * y[j] for i in range(n) for j in range(n))
                 assert Fraction(val).denominator == 1
+        # covolumes: det(basis) * det(P) * det(dual basis) is a unit
+        assert abs(det_int(lat.rows) * det_int(dual.rows) * det_int(pairing)) \
+            == lat.den ** n * dual.den ** n
         pairing_t = transpose(pairing)
         assert dual_lattice(dual, pairing_t) == lat
+
+
+def test_dual_under_a_rational_pairing():
+    # y pairs integrally with Z^2 under diag(1/2, 1/3) exactly on 2Z x 3Z
+    pairing = [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
+    assert dual_lattice(Lattice.standard(2), pairing) == Lattice([[2, 0], [0, 3]])
+    # the checkerboard lattice under I/2: twice its dual under I
+    half = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    assert dual_lattice(Lattice([[1, 1], [1, -1]]), half) == Lattice([[2, 0], [1, 1]])
 
 
 def test_dual_rejects_degenerate_pairing():
@@ -197,7 +209,7 @@ def test_quotient_invariants_against_transform_diagonal():
             if det_int(change) != 0:
                 break
         big = Lattice(big_rows)
-        small = Lattice(mat_mul(change, big.basis_matrix()))
+        small = Lattice(mat_mul(change, big.basis))
         got = quotient_invariants(big, small)
         _, d, _ = smith_normal_form(change)
         expected = tuple(d[i][i] for i in range(n) if d[i][i] > 1)
@@ -257,7 +269,7 @@ def test_lattice_index_examples():
     assert lattice_index(std, sub) == 2
     # Index equals the product of all Smith diagonal entries.
     assert lattice_index(std, sub) == 2
-    det_ratio = Fraction(abs(det_int(sub.basis_matrix()))) / abs(det_int(std.basis_matrix()))
+    det_ratio = Fraction(abs(det_int(sub.basis))) / abs(det_int(std.basis))
     assert det_ratio == 2
 
 
@@ -271,6 +283,18 @@ def test_mat_inv_roundtrip():
                 break
         inv = mat_inv(rows)
         assert mat_mul(rows, inv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        while True:
+            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+                    for _ in range(n)]
+            if det_int([[x * 720 for x in row] for row in rows]) != 0:
+                break
+        inv = mat_inv(rows)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        assert mat_mul(inv, rows) == identity_matrix(n)
+    with pytest.raises(ValueError):
+        mat_inv([[1, 2, 3], [4, 5, 6], [Fraction(5, 2), Fraction(7, 2), Fraction(9, 2)]])
 
 
 def test_coordinates_are_ints_on_the_lattice_and_none_off_it():
