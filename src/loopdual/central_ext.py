@@ -5,7 +5,8 @@ cocharacter lattice Y.  The smallest multiplier fixing that, computed by
 commutator_denominator, controls which levels of central extension have
 commutative restriction to Y, and enters the fixed-point exponents of the
 canonical line bundles and the monodromy modulus of the twisted setting.
-All of these read the Gram matrix of the form on the basis of Y.
+All of these read the Gram matrix of the form on the basis of Y, which
+the datum builds once (RootDatum.gram).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .lattice import lattice_member, mat_mul, transpose, vector_text
+from .lattice import lattice_member, vector_text
 from .root_data import (
     RootDatum,
     canonical_form,
@@ -21,13 +22,6 @@ from .root_data import (
     fundamental_group,
     iota,
 )
-
-
-def cocharacter_gram(d: RootDatum) -> tuple[int, list[list[int]]]:
-    """The Gram matrix of the invariant form on the canonical basis of Y, as
-    (s, rows) with (Y.basis[a], Y.basis[b]) == rows[a][b] / s, s == Y.den ** 2."""
-    gram = mat_mul(mat_mul(d.Y.rows, canonical_form(d).gram), transpose(d.Y.rows))
-    return d.Y.den ** 2, gram
 
 
 def commutator_denominator(d: RootDatum) -> int:
@@ -38,7 +32,7 @@ def commutator_denominator(d: RootDatum) -> int:
     character lattice X, since <y1, iota(y2)> == (y1, y2) and X is exactly
     the dual of Y under the pairing.
     """
-    s, gram = cocharacter_gram(d)
+    s, gram = d.gram
     return lcm(*(s // gcd(s, x) for row in gram for x in row))
 
 
@@ -50,7 +44,7 @@ def commutator_value(d: RootDatum, level: int, y1, y2) -> Fraction:
 def integrality_witness(d: RootDatum, level: int):
     """A pair of Y basis vectors on which level * (.,.) is not an integer,
     or None when the level is integral on all of Y."""
-    s, gram = cocharacter_gram(d)
+    s, gram = d.gram
     for a, row in enumerate(gram):
         for b, x in enumerate(row):
             if level * x % s:

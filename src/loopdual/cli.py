@@ -36,7 +36,7 @@ from .rep_check import (
     rank_one_mv_multiplicities,
     weyl_dim,
 )
-from .root_data import build_datum, center_character_group, fundamental_group
+from .root_data import build_datum
 from .twisted_dual import (
     REFERENCE_FAMILIES,
     reference_row,
@@ -208,8 +208,8 @@ def _cmd_dual(args, out) -> int:
         "dual_type": str(data.dual.cartan_type),
         "dual_lattice": _lattice_rows(data.dual.X),
         "relabeling": list(data.relabeling),
-        "center": list(center_character_group(data.dual)),
-        "pi1": list(fundamental_group(data.dual)),
+        "center": list(data.center),
+        "pi1": list(data.pi1),
         "name": data.name,
     }
     print(_emit("dual", {"type": args.type, "isogeny": args.isogeny,
@@ -230,8 +230,9 @@ def _cmd_table(args, out) -> int:
     lines = ["group\tisogeny\tN\tdual\texpected\tverdict"]
     all_ok = True
     for family, type_name, isogeny in REFERENCE_FAMILIES:
+        datum = build_datum(type_name, isogeny)
         for order in range(1, nmax + 1):
-            name, expected, ok = reference_row(family, type_name, isogeny, order)
+            name, expected, ok = reference_row(family, datum, order)
             all_ok = all_ok and ok
             verdict = "pass" if ok else "fail"
             lines.append(f"{family}\t{isogeny}\t{order}\t{name}\t{expected}"

@@ -122,8 +122,21 @@ def _power(one, mul, base, n: int):
     return out
 
 
+# Most bits, |n| * log2 max(|num|, den), of a rational power a**n before it
+# is refused; every power that the default int-to-str limit of 4300 digits
+# (about 14,300 bits) lets the CLI print stays under it.
+MAX_POWER_BITS = 1 << 16
+
+
 def field_power(field, a, n: int):
-    """a**n in the field, with negative exponents via inversion."""
+    """a**n in the field, with negative exponents via inversion.  Over the
+    rationals a power of more than MAX_POWER_BITS bits is refused with a
+    ValueError before it is computed; prime fields need no bound."""
+    if field == QQ:
+        q = Fraction(a)
+        if abs(n) * (max(abs(q.numerator), q.denominator) - 1).bit_length() > MAX_POWER_BITS:
+            raise ValueError(f"({q})^{n} has more bits than the bound {MAX_POWER_BITS} "
+                             "(loop_symbols.MAX_POWER_BITS)")
     if n < 0:
         return field_power(field, field.inv(a), -n)
     return _power(field.normalize(1), field.mul, a, n)

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 from .central_ext import monodromy_modulus
 from .dynkin import validate_cartan_matrix
-from .lattice import mat_inv, mat_vec, transpose, vector_text
+from .lattice import det_int, mat_inv, mat_vec, transpose, vector_text
 from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_norms,
                         dual_coxeter, root_closure)
 from .twisted_dual import local_denominators
 
 # Most dominant weights a highest weight may have before the weight work on
-# it is refused, and the largest coroot multiple of a rank-one orbit; every
-# weight query of the benchmark stays under a tenth.
+# it is refused, most weights in all that `mult` may list, and the largest
+# coroot multiple of a rank-one orbit; every weight query of the benchmark
+# stays under a tenth.
 MAX_WEIGHTS = 10_000
 
 
@@ -32,6 +33,7 @@ class _Engine:
     """Label data of one Cartan matrix, pairings[i][j] = F_i(root_j)."""
 
     def __init__(self, pairings):
+        self.pairings, self.orders = pairings, {}
         r = len(pairings)
         norms = cartan_symmetrizer(pairings)  # not None: validate_cartan_matrix passed
         d = self.norms = tuple(int(x * lcm(*(y.denominator for y in norms))) for x in norms)
@@ -80,6 +82,31 @@ class _Engine:
                 raise ValueError(f"more dominant weights than the bound {MAX_WEIGHTS} "
                                  "(rep_check.MAX_WEIGHTS)")
         return sorted((sum(depth), depth, mu) for mu, depth in found.items())
+
+    def weyl_order(self, nodes) -> int:
+        """|W_J| for the nodes J: per component, r! times the product of the
+        highest root's coefficients times det A (Bourbaki, Lie VI, section 2)."""
+        if nodes not in self.orders:
+            order, left = 1, set(nodes)
+            while left:
+                comp, stack = [], [left.pop()]
+                while stack:
+                    comp.append(i := stack.pop())
+                    near = {j for j, _ in self.columns[i]} & left
+                    left -= near
+                    stack.extend(near)
+                sub = tuple(tuple(self.pairings[i][j] for j in comp) for i in comp)
+                top = max((b for b, _ in root_closure(sub)), key=sum)
+                order *= factorial(len(comp)) * prod(top) * det_int(sub)
+            self.orders[nodes] = order
+        return self.orders[nodes]
+
+    def weight_count(self, lam) -> int:
+        """The number of weights of L(lam): each dominant mu adds its orbit,
+        |W| / |W_J| with J the nodes where mu's label is 0."""
+        whole = self.weyl_order(tuple(range(len(lam))))
+        return sum(whole // self.weyl_order(tuple(i for i, x in enumerate(mu) if x == 0))
+                   for _, _, mu in self.dominant_weights(lam))
 
     def table(self, lam):
         """Freudenthal multiplicities: dominant labels -> (depth, multiplicity)."""
@@ -222,6 +249,9 @@ class WeightSystem:
         table = self._table(self._require_highest_weight(lam)[1])
         return table.get(self._engine.conjugate(self._labels(mu))[0], (None, 0))[1]
 
+    def weight_count(self, lam) -> int:
+        return self._engine.weight_count(self._require_highest_weight(lam)[1])
+
     def weyl_dimension(self, lam) -> int:
         return self._engine.dimension(self._require_highest_weight(lam)[1])
 
@@ -270,8 +300,18 @@ def weyl_dim(datum: RootDatum, lam) -> int:
 
 def freudenthal_multiplicities(datum: RootDatum, lam) -> dict:
     """Full weight multiset of the irreducible with highest weight lam,
-    as a map from weight vectors to positive multiplicities."""
-    return datum_weight_system(datum).character(lam)
+    as a map from weight vectors to positive multiplicities.  Refused with a
+    ValueError, before any multiplicity is computed, when it has more than
+    MAX_WEIGHTS weights, counted as orbit sizes."""
+    ws = datum_weight_system(datum)
+    count = ws.weight_count(lam)
+    if count > MAX_WEIGHTS:
+        raise ValueError(f"the representation has {count} weights, more than the "
+                         f"bound {MAX_WEIGHTS} (rep_check.MAX_WEIGHTS)")
+    weights = ws.character(lam)
+    if len(weights) != count:
+        raise ArithmeticError(f"{len(weights)} weights listed, {count} counted by orbit sizes")
+    return weights
 
 
 def tensor_multiplicity(datum: RootDatum, lam, mu, nu) -> int:

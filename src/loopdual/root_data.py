@@ -17,23 +17,27 @@ Conventions used across the package:
   So <y, iota(y')> == (y, y'): the Gram matrix of ( , ) on Y says where
   iota(Y) lands in X, the dual of Y.  Invariants of a Cartan type, this
   form and the dual Coxeter number among them, are built once and cached.
+* A RootDatum is immutable and validated once by a perfect-pairing check.
 * cartan_symmetrizer and root_closure take a bare integer Cartan matrix, so
   dynkin and rep_check reuse them on matrices that have no CartanType yet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lattice import (
     Lattice,
+    det_int,
     dual_lattice,
     identity_matrix,
     lattice_member,
     mat_inv,
+    mat_mul,
     quotient_invariants,
+    transpose,
     vector_text,
 )
 
@@ -236,17 +240,16 @@ class CanonicalForm:
                             for g, b in zip(row, y2)))
 
 
+@dataclass(frozen=True)
 class RootDatum:
     """A root datum: Cartan type plus a character lattice between root and
-    weight lattices, with the cocharacter lattice forced by duality."""
+    weight lattices, with the cocharacter lattice forced by duality.
+    Immutable; equality and hash read only (cartan_type, X), which fix Y."""
 
-    __slots__ = ("cartan_type", "isogeny", "X", "Y")
-
-    def __init__(self, cartan_type: CartanType, isogeny: str, X: Lattice, Y: Lattice):
-        self.cartan_type = cartan_type
-        self.isogeny = isogeny
-        self.X = X
-        self.Y = Y
+    cartan_type: CartanType
+    isogeny: str = field(compare=False)
+    X: Lattice = field(repr=False)
+    Y: Lattice = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -259,16 +262,13 @@ class RootDatum:
     def pair(self, yvec, xvec) -> Fraction:
         return pairing(self.cartan_type, yvec, xvec)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RootDatum)
-                and self.cartan_type == other.cartan_type
-                and self.X == other.X)
-
-    def __hash__(self) -> int:
-        return hash((self.cartan_type, self.X))
-
-    def __repr__(self) -> str:
-        return f"RootDatum({self.cartan_type}, {self.isogeny})"
+    @cached_property
+    def gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """G_Y, the Gram matrix of the invariant form on the canonical basis of
+        Y, as (s, rows) with (Y.basis[a], Y.basis[b]) == rows[a][b] / s and
+        s == Y.den ** 2; built on first use, once per datum."""
+        rows = mat_mul(mat_mul(self.Y.rows, canonical_form(self).gram), transpose(self.Y.rows))
+        return self.Y.den ** 2, tuple(map(tuple, rows))
 
 
 def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
@@ -318,21 +318,19 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
 
 
 def _validate_datum(d: RootDatum) -> None:
-    t = d.cartan_type
-    r = d.rank
-    a = cartan_matrix(t)
-    for i in range(r):  # simple_coroot(i) is also simple root i
-        if not lattice_member(d.simple_coroot(i), d.X):
-            raise ArithmeticError("simple root escaped the character lattice")
-        if not lattice_member(d.simple_coroot(i), d.Y):
-            raise ArithmeticError("simple coroot escaped the cocharacter lattice")
-    for row in d.X.basis:
-        if not lattice_member(row, weight_lattice(t)):
-            raise ArithmeticError("character lattice not inside the weight lattice")
-    for i in range(r):
-        for j in range(r):
-            if d.pair(d.simple_coroot(j), d.simple_coroot(i)) != a[i][j]:
-                raise ArithmeticError("pairing disagrees with the Cartan matrix")
+    """Q <= X <= P and Y == X^v, from X <= P, Y <= P^v and a perfect pairing."""
+    a = cartan_matrix(d.cartan_type)
+    x, y = d.X, d.Y
+    xa = mat_mul(x.rows, a)
+    if any(v % x.den for row in xa for v in row):
+        raise ArithmeticError("character lattice not inside the weight lattice")
+    if any(v % y.den for row in mat_mul(y.rows, transpose(a)) for v in row):
+        raise ArithmeticError("cocharacter lattice not inside the coweight lattice")
+    pairs = mat_mul(xa, transpose(y.rows))
+    den = x.den * y.den
+    if any(v % den for row in pairs for v in row) or \
+            abs(det_int([[v // den for v in row] for row in pairs])) != 1:
+        raise ArithmeticError("pairing of the character and cocharacter lattices is not perfect")
 
 
 def canonical_form(d: RootDatum | CartanType) -> CanonicalForm:

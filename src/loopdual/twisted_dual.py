@@ -9,22 +9,24 @@ these are the cocharacters whose image under k * iota is divisible by N in
 the character lattice.  That sublattice becomes the character lattice of a
 new root datum on the opposite side.  The new Cartan matrix is recognized
 and the resulting group named, so the output is a root datum in standard
-coordinates plus the bookkeeping of how it was reached.
+coordinates plus the bookkeeping of how it was reached.  Data are immutable
+and validated once, so the dual is renamed by dataclasses.replace, and its
+center and fundamental group are computed once and checked against the
+Cartan determinant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .central_ext import cocharacter_gram, commutator_denominator
+from .central_ext import commutator_denominator
 from .dynkin import group_name, recognize_cartan_matrix
 from .lattice import (
     Lattice,
     congruence_kernel,
     det_int,
-    lattice_index,
     lattice_member,
     mat_mul,
 )
@@ -32,9 +34,9 @@ from .root_data import (
     RootDatum,
     build_datum,
     cartan_matrix,
+    center_character_group,
     coroot_norms,
-    root_lattice,
-    weight_lattice,
+    fundamental_group,
 )
 
 
@@ -82,7 +84,7 @@ def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
     if order < 1:
         raise ValueError(f"twisting order must be positive, got {order}")
     k = commutator_denominator(d)
-    s, gram = cocharacter_gram(d)
+    s, gram = d.gram
     if any(k * x % s for row in gram for x in row):
         raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
     kernel = congruence_kernel([[k * x // s for x in row] for row in gram], order)
@@ -94,7 +96,8 @@ class TwistedDualData:
     """The dual datum plus the bookkeeping of the construction.
 
     relabeling maps source node i to the node of the recognized standard
-    numbering that the rescaled coroot delta_i * coroot_i became.
+    numbering that the rescaled coroot delta_i * coroot_i became; center
+    and pi1 are the invariant factors of X/Q and Y/Q^v of the dual.
     """
 
     source: RootDatum
@@ -105,6 +108,8 @@ class TwistedDualData:
     relabeling: tuple[int, ...]
     dual: RootDatum
     name: str
+    center: tuple[int, ...]
+    pi1: tuple[int, ...]
 
 
 def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
@@ -123,16 +128,15 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     new_rows = [[Fraction(row[i], delta[i] * ylat.den) for i in source] for row in ylat.rows]
     dual = build_datum(dual_type, new_rows)
     name = group_name(dual_type, dual.X)
-    dual.isogeny = name
     std = cartan_matrix(dual_type)
     for i in range(r):
         for j in range(r):
             if aprime[i][j] != std[sigma[i]][sigma[j]]:
                 raise ArithmeticError("relabeling does not carry the rescaled "
                                       "Cartan matrix to the standard one")
-    above = lattice_index(weight_lattice(dual_type), dual.X)
-    below = lattice_index(dual.X, root_lattice(dual_type))
-    if above * below != det_int([list(row) for row in std]):
+    # [X:Q] * [Y:Q^v] == [P:Q] holds exactly when Y is the dual of X
+    center, pi1 = center_character_group(dual), fundamental_group(dual)
+    if prod(center) * prod(pi1) != det_int(std):
         raise ArithmeticError("center times fundamental group does not match "
                               "the Cartan determinant")
     return TwistedDualData(
@@ -142,8 +146,10 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
         local_denominators=delta,
         dual_cartan=aprime,
         relabeling=sigma,
-        dual=dual,
+        dual=replace(dual, isogeny=name),
         name=name,
+        center=center,
+        pi1=pi1,
     )
 
 
@@ -204,8 +210,9 @@ def expected_dual_name(family: str, order: int) -> str:
     raise KeyError(f"no reference rule for family {family}")
 
 
-def reference_row(family: str, type_name: str, isogeny: str, order: int):
-    """One verification row: (computed name, expected name, verdict)."""
-    result = twisted_dual(build_datum(type_name, isogeny), order)
+def reference_row(family: str, datum: RootDatum, order: int):
+    """One verification row for the family's datum: (computed name,
+    expected name, verdict)."""
+    result = twisted_dual(datum, order)
     expected = expected_dual_name(family, order)
     return result.name, expected, same_group(result.name, expected)

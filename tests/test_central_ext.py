@@ -1,6 +1,10 @@
+import io
+from functools import cached_property
 from fractions import Fraction
 
 import pytest
+
+from loopdual.cli import run
 
 from loopdual.central_ext import (
     char_assumption_ok,
@@ -16,7 +20,9 @@ from loopdual.central_ext import (
     twisting_line_exponents,
 )
 from loopdual.lattice import lattice_member
-from loopdual.root_data import CartanType, build_datum, canonical_form, dual_coxeter, iota
+from loopdual.root_data import (CartanType, RootDatum, build_datum, canonical_form,
+                                dual_coxeter, iota)
+from loopdual.twisted_dual import twisted_dual
 
 # Denominators computed by the package and spot-verified by hand for the
 # rank-one and rank-two cases; frozen here to catch regressions.
@@ -198,3 +204,26 @@ def test_is_prime_matches_a_sieve():
                 sieve[multiple] = False
     assert [p for p in range(-3, limit) if is_prime(p)] == \
         [p for p in range(limit) if sieve[p]]
+
+
+@pytest.fixture
+def gram_builds(monkeypatch):
+    """The data whose Gram matrix G_Y is built, one entry per build."""
+    built = []
+    build = RootDatum.gram.func
+    counted = cached_property(lambda d: built.append(d) or build(d))
+    counted.__set_name__(RootDatum, "gram")
+    monkeypatch.setattr(RootDatum, "gram", counted)
+    return built
+
+
+def test_twisted_dual_builds_the_gram_matrix_once(gram_builds):
+    d = build_datum("D4", "adjoint")
+    twisted_dual(d, 4)
+    assert gram_builds == [d]
+
+
+def test_check_assumption_builds_the_gram_matrix_once(gram_builds):
+    argv = ["check-assumption", "--type", "D4", "--isogeny", "adjoint", "--N", "4", "--p", "3"]
+    assert run(argv, io.StringIO(), io.StringIO()) == 0
+    assert len(gram_builds) == 1

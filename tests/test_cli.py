@@ -271,6 +271,9 @@ MALFORMED_ARGV = [
     ("symbol", "--field", "F2305843009213693951", "--f", "t", "--g", "t"),
     ("check-assumption", "--type", "A1", "--N", "1", "--p", "2305843009213693951"),
     ("mv-rank1", "--type", "A1", "--N", "1", "--i", "0", "--a", "100000000"),
+    ("symbol", "--f", "2*t^100000000", "--g", "3*t"),
+    ("commutator", "--type", "A1", "--isogeny", "sc", "--m", "100000000", "--points",
+     '[[[[1], "2*t"]], [[[1], "3"]]]'),
 ]
 
 
@@ -300,6 +303,45 @@ def test_unbounded_weight_work_is_refused_up_front(argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert f"bound {rep_check.MAX_WEIGHTS}" in err, err
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV[-2:])
+def test_rational_powers_are_refused_up_front(argv):
+    start = time.perf_counter()
+    code, out, err = invoke(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert "loop_symbols.MAX_POWER_BITS" in err, err
+
+
+def test_mult_refuses_more_weights_than_the_bound():
+    # E8 at three times the highest root: 131,041 weights in 10 orbits
+    start = time.perf_counter()
+    code, out, err = invoke("mult", "--type", "E8", "--N", "1", "--highest", "6,9,12,18,15,12,9,6")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert f"131041 weights, more than the bound {rep_check.MAX_WEIGHTS}" in err, err
+
+
+def test_mult_weight_count_matches_every_golden():
+    """Orbit sizes |W| / |W_J| summed over the dominant weights predict the
+    number of weights that mult prints, on every mult golden."""
+    goldens = json.loads((GOLDENS / "weights.json").read_text())
+    checked = 0
+    for key in goldens:
+        argv = json.loads(key)
+        if argv[0] != "mult":
+            continue
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        code, out, _ = invoke(*argv)
+        assert code == 0, key
+        dual = twisted_dual(build_datum(flags["--type"], flags["--isogeny"]),
+                            int(flags["--N"])).dual
+        ws = rep_check.datum_weight_system(dual)
+        highest = tuple(Fraction(x) for x in flags["--highest"].split(","))
+        assert ws.weight_count(highest) == len(payload(out)["result"]["weights"]), key
+        checked += 1
+    assert checked > 150
 
 
 def test_weight_bound_counts_dominant_weights_exactly(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from loopdual.loop_symbols import (
+    MAX_POWER_BITS,
     QQ,
     LaurentSeries,
     PrimeField,
@@ -13,6 +14,16 @@ from loopdual.loop_symbols import (
     torus_commutator,
 )
 from loopdual.root_data import build_datum
+
+
+def test_rational_powers_are_bounded_before_they_are_computed():
+    assert field_power(QQ, Fraction(-1), -10 ** 100) == 1  # units cost nothing
+    assert field_power(PrimeField(7), 3, 10 ** 100) == pow(3, 10 ** 100, 7)
+    assert field_power(QQ, Fraction(1, 2), -MAX_POWER_BITS) == 2 ** MAX_POWER_BITS
+    with pytest.raises(ValueError, match="MAX_POWER_BITS"):
+        field_power(QQ, Fraction(1, 2), MAX_POWER_BITS + 1)
+    with pytest.raises(ValueError, match="MAX_POWER_BITS"):
+        field_power(QQ, Fraction(3), MAX_POWER_BITS // 2 + 1)  # 3 needs two bits
 
 
 def test_prime_field_arithmetic():

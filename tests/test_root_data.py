@@ -251,6 +251,28 @@ def test_validate_datum_rejects_characters_outside_the_weight_lattice():
         _validate_datum(bad)
 
 
+def test_validate_datum_rejects_cocharacters_outside_the_coweight_lattice():
+    # X = 2Z holds the root and pairs perfectly with Y = (1/4)Z, but 1/4 is
+    # not a coweight of A1
+    bad = RootDatum(CartanType("A", 1), "bad", Lattice([[2]]), Lattice([[Fraction(1, 4)]]))
+    with pytest.raises(ArithmeticError, match="coweight lattice"):
+        _validate_datum(bad)
+
+
+def test_validate_datum_rejects_a_pairing_that_is_not_perfect():
+    # Q <= X <= P and Q^v <= Y <= P^v hold, but Z^3 is not the dual of Q in A3
+    bad = RootDatum(CartanType("A", 3), "bad", Lattice.standard(3), Lattice.standard(3))
+    with pytest.raises(ArithmeticError, match="not perfect"):
+        _validate_datum(bad)
+
+
+def test_root_datum_is_immutable():
+    d = build_datum("A2", "adjoint")
+    with pytest.raises(AttributeError):
+        d.isogeny = "sc"
+    assert d.isogeny == "adjoint"
+
+
 def test_dual_coxeter_sums_roots_once_per_type(monkeypatch):
     calls = []
     real = root_data.reflection_sum

@@ -99,8 +99,9 @@ def test_twisted_dual_sp4_bookkeeping():
 
 def test_twisted_dual_reference_table():
     for family, type_name, isogeny in REFERENCE_FAMILIES:
+        datum = build_datum(type_name, isogeny)
         for n in range(1, 7):
-            got, want, ok = reference_row(family, type_name, isogeny, n)
+            got, want, ok = reference_row(family, datum, n)
             assert ok, f"{family} at order {n}: computed {got}, expected {want}"
 
 
