@@ -44,6 +44,11 @@ from .twisted_dual import (
 )
 
 
+# Largest --Nmax of `table`; each order costs about 20 ms over the twelve
+# reference families.
+MAX_TABLE_ORDER = 256
+
+
 class UsageError(Exception):
     pass
 
@@ -227,6 +232,9 @@ def _cmd_extensions(args, out) -> int:
 
 def _cmd_table(args, out) -> int:
     nmax = _positive_flag(args.Nmax, "--Nmax")
+    if nmax > MAX_TABLE_ORDER:
+        raise UsageError(f"--Nmax {nmax} is over the bound {MAX_TABLE_ORDER} "
+                         "(cli.MAX_TABLE_ORDER)")
     lines = ["group\tisogeny\tN\tdual\texpected\tverdict"]
     all_ok = True
     for family, type_name, isogeny in REFERENCE_FAMILIES:

@@ -315,12 +315,19 @@ def _parse_terms(text: str, field) -> dict[int, object]:
     return terms
 
 
+# Widest exponent span hi - lo of the nonzero terms of a parsed series; its
+# window holds hi - lo + 1 coefficients.  Every benchmark series spans at
+# most 7.
+MAX_SPAN = 10_000
+
+
 def parse_series(text: str, field=QQ, precision: int = 8) -> LaurentSeries:
     """Parse expressions like "t^-2*(3 + 1/2*t + t^3)" or "2*t + t^4 - 1".
 
     The result's window of known coefficients starts at its valuation and
     has length at least the requested precision (longer when the expression
-    itself reaches further).
+    itself reaches further).  A span of exponents over MAX_SPAN is refused
+    with a ValueError before the window is built.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
@@ -343,6 +350,9 @@ def parse_series(text: str, field=QQ, precision: int = 8) -> LaurentSeries:
         return LaurentSeries.zero(field)
     lo = min(live)
     hi = max(live)
+    if hi - lo > MAX_SPAN:
+        raise ValueError(f"exponents span {hi - lo}, over the bound {MAX_SPAN} "
+                         "(loop_symbols.MAX_SPAN)")
     width = max(precision, hi - lo + 1)
     window = [terms.get(lo + i, field.normalize(0)) for i in range(width)]
     return LaurentSeries(field, lo + shift, tuple(window))

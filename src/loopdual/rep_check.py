@@ -19,7 +19,7 @@ from .central_ext import monodromy_modulus
 from .dynkin import validate_cartan_matrix
 from .lattice import det_int, mat_inv, mat_vec, transpose, vector_text
 from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_norms,
-                        dual_coxeter, root_closure)
+                        dual_coxeter, positive_root_system)
 from .twisted_dual import local_denominators
 
 # Most dominant weights a highest weight may have before the weight work on
@@ -43,7 +43,7 @@ class _Engine:
         # (root coordinates b, labels, coef with (x, beta) = sum_j coef_j x_j)
         self.roots = [(b, tuple(sum(p * x for p, x in zip(row, b)) for row in pairings),
                        tuple(x * dj for x, dj in zip(b, d)))
-                      for b, _ in root_closure(tuple(zip(*pairings))) if min(b) >= 0]
+                      for b, _ in positive_root_system(tuple(zip(*pairings)))]
         if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
             raise ArithmeticError("half-sum of positive roots is off")
         self.columns = [[(j, row[i]) for j, row in enumerate(pairings) if row[i]]
@@ -96,7 +96,7 @@ class _Engine:
                     left -= near
                     stack.extend(near)
                 sub = tuple(tuple(self.pairings[i][j] for j in comp) for i in comp)
-                top = max((b for b, _ in root_closure(sub)), key=sum)
+                top = max((b for b, _ in positive_root_system(sub)), key=sum)
                 order *= factorial(len(comp)) * prod(top) * det_int(sub)
             self.orders[nodes] = order
         return self.orders[nodes]

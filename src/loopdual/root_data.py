@@ -18,8 +18,9 @@ Conventions used across the package:
   iota(Y) lands in X, the dual of Y.  Invariants of a Cartan type, this
   form and the dual Coxeter number among them, are built once and cached.
 * A RootDatum is immutable and validated once by a perfect-pairing check.
-* cartan_symmetrizer and root_closure take a bare integer Cartan matrix, so
-  dynkin and rep_check reuse them on matrices that have no CartanType yet.
+* cartan_symmetrizer and positive_root_system take a bare integer Cartan
+  matrix, for dynkin and rep_check too.  Positive roots grow by height under
+  simple reflections, once per matrix; the negative ones are their negations.
 """
 
 from __future__ import annotations
@@ -154,51 +155,48 @@ def iota(t: CartanType, yvec) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def root_closure(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All (root, coroot) pairs of the Cartan matrix a (integer row tuples),
-    generated by simple-reflection closure.
-
-    Roots are integer vectors in simple-root coordinates, coroots in
-    simple-coroot coordinates; reflecting both sides simultaneously keeps the
-    pairs matched.  The result is sorted for determinism.
-    """
-    r = len(a)
-    start = [(tuple(int(i == k) for k in range(r)),) * 2 for i in range(r)]
-    seen = set(start)
-    queue = list(start)
-    while queue:
-        root, coroot = queue.pop()
-        for i in range(r):
-            ri = sum(a[j][i] * root[j] for j in range(r))
-            new_root = list(root)
-            new_root[i] -= ri
-            ci = sum(a[i][j] * coroot[j] for j in range(r))
-            new_coroot = list(coroot)
-            new_coroot[i] -= ci
-            pair = (tuple(new_root), tuple(new_coroot))
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    positives = 0
-    for root, _ in seen:
-        pos = all(x >= 0 for x in root)
-        neg = all(x <= 0 for x in root)
-        if not (pos or neg):
-            raise ArithmeticError("root with mixed signs generated")
-        positives += pos
-    if 2 * positives != len(seen):
-        raise ArithmeticError("root closure is not symmetric")
-    return tuple(sorted(seen))
+def positive_root_system(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The positive (root, coroot) pairs of the Cartan matrix a (integer row
+    tuples), sorted.  From the simple pairs, each g with c = <coroot_i, g> < 0
+    gives s_i(g) = g - c * root_i, a root higher by -c, with coroot
+    s_i(g^v) = g^v - <g^v, root_i> * coroot_i; every positive root arises so
+    (Humphreys, Intro. to Lie Algebras, 10.2).  Roots only grow, so each has
+    one sign; each s_i must map the other pairs of a layer to lower positive
+    pairs, so that with their negations they are closed under reflections."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]  # nonzero <coroot_j, root_i>
+    simple = [tuple(int(i == k) for k in range(len(a))) for i in range(len(a))]
+    found = {root: (root, rows[i]) for i, root in enumerate(simple)}  # root: (coroot, labels)
+    layers, height = {1: simple}, 0
+    while layers:
+        height += 1
+        for root in layers.pop(height, ()):
+            coroot, labels = found[root]
+            for i, c in labels.items():
+                if c > 0 and height == 1:
+                    continue  # s_i(root_i) = -root_i
+                ci = sum(x * coroot[j] for j, x in rows[i].items())
+                image = (root[:i] + (root[i] - c,) + root[i + 1:],
+                         coroot[:i] + (coroot[i] - ci,) + coroot[i + 1:])
+                if c < 0 and image[0] not in found:
+                    found[image[0]] = (image[1], {
+                        j: x for j in labels.keys() | rows[i].keys()
+                        if (x := labels.get(j, 0) - c * rows[i].get(j, 0))})
+                    layers.setdefault(height - c, []).append(image[0])
+                elif found.get(image[0], (None,))[0] != image[1]:
+                    raise ArithmeticError("simple reflections do not preserve the "
+                                          "positive (root, coroot) pairs")
+    return tuple(sorted((root, coroot) for root, (coroot, _) in found.items()))
 
 
 def root_system(t: CartanType) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All (root, coroot) pairs of the type; see root_closure."""
-    return root_closure(cartan_matrix(t))
+    """All (root, coroot) pairs of the type, sorted: the positive ones and negations."""
+    pos = positive_root_system(cartan_matrix(t))
+    return tuple(sorted(pos + tuple((tuple(-x for x in root), tuple(-x for x in coroot))
+                                    for root, coroot in pos)))
 
 
 def positive_roots(t: CartanType) -> tuple[tuple[int, ...], ...]:
-    return tuple(root for root, _ in root_system(t)
-                 if all(x >= 0 for x in root) and any(x > 0 for x in root))
+    return tuple(root for root, _ in positive_root_system(cartan_matrix(t)))
 
 
 @lru_cache(maxsize=None)
@@ -354,14 +352,15 @@ def _canonical_form(t: CartanType) -> CanonicalForm:
 
 
 def reflection_sum(t: CartanType, yvec) -> tuple:
-    """sum over all roots of <y, root> * root, on the character side; integer
-    entries for an integral y, so the per-type check builds no Fraction."""
+    """sum over all roots of <y, root> * root, on the character side: twice
+    the sum over the positive roots.  Integer entries for an integral y, so
+    the per-type check builds no Fraction."""
     a = cartan_matrix(t)
     r = t.rank
     ay = [(i, v) for i in range(r) if (v := sum(a[i][j] * yvec[j] for j in range(r)))]
     total = [0] * r
-    for root, _ in root_system(t):
-        val = sum(root[i] * v for i, v in ay)
+    for root, _ in positive_root_system(a):
+        val = 2 * sum(root[i] * v for i, v in ay)
         if val:
             for i, x in enumerate(root):
                 if x:

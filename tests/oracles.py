@@ -7,6 +7,9 @@ multiplying those characters and peeling off highest weights, which shares
 none with the Brauer-Klimyk reflection in the package.  The dual character lattice
 is recomputed by enumerating cosets of Y/NY and testing (k/N) * iota(y) for
 membership in X, without the Gram matrix of Y that the package reads.
+Root systems are regenerated by the dense closure of the simple (root,
+coroot) pairs under every simple reflection, where the package grows only
+the positive roots by height.
 """
 
 from fractions import Fraction
@@ -15,6 +18,44 @@ from itertools import count, product
 
 from loopdual.lattice import Lattice, lattice_member
 from loopdual.root_data import iota
+
+
+@lru_cache(maxsize=None)
+def root_closure(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """All (root, coroot) pairs of the Cartan matrix a (integer row tuples),
+    generated by simple-reflection closure.
+
+    Roots are integer vectors in simple-root coordinates, coroots in
+    simple-coroot coordinates; reflecting both sides simultaneously keeps the
+    pairs matched.  The result is sorted for determinism.
+    """
+    r = len(a)
+    start = [(tuple(int(i == k) for k in range(r)),) * 2 for i in range(r)]
+    seen = set(start)
+    queue = list(start)
+    while queue:
+        root, coroot = queue.pop()
+        for i in range(r):
+            ri = sum(a[j][i] * root[j] for j in range(r))
+            new_root = list(root)
+            new_root[i] -= ri
+            ci = sum(a[i][j] * coroot[j] for j in range(r))
+            new_coroot = list(coroot)
+            new_coroot[i] -= ci
+            pair = (tuple(new_root), tuple(new_coroot))
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    positives = 0
+    for root, _ in seen:
+        pos = all(x >= 0 for x in root)
+        neg = all(x <= 0 for x in root)
+        if not (pos or neg):
+            raise ArithmeticError("root with mixed signs generated")
+        positives += pos
+    if 2 * positives != len(seen):
+        raise ArithmeticError("root closure is not symmetric")
+    return tuple(sorted(seen))
 
 
 def weyl_group_with_signs(ws):

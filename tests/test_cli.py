@@ -271,6 +271,8 @@ MALFORMED_ARGV = [
     ("symbol", "--field", "F2305843009213693951", "--f", "t", "--g", "t"),
     ("check-assumption", "--type", "A1", "--N", "1", "--p", "2305843009213693951"),
     ("mv-rank1", "--type", "A1", "--N", "1", "--i", "0", "--a", "100000000"),
+    ("symbol", "--f", "t^-1000000 + 1", "--g", "t"),
+    ("table", "--Nmax", "100000"),
     ("symbol", "--f", "2*t^100000000", "--g", "3*t"),
     ("commutator", "--type", "A1", "--isogeny", "sc", "--m", "100000000", "--points",
      '[[[[1], "2*t"]], [[[1], "3"]]]'),
@@ -312,6 +314,17 @@ def test_rational_powers_are_refused_up_front(argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert "loop_symbols.MAX_POWER_BITS" in err, err
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (MALFORMED_ARGV[-4], "loop_symbols.MAX_SPAN"),
+    (MALFORMED_ARGV[-3], "cli.MAX_TABLE_ORDER")])
+def test_wide_series_and_long_tables_are_refused_up_front(argv, bound):
+    start = time.perf_counter()
+    code, out, err = invoke(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert bound in err, err
 
 
 def test_mult_refuses_more_weights_than_the_bound():

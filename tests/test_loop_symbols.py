@@ -5,6 +5,7 @@ import pytest
 
 from loopdual.loop_symbols import (
     MAX_POWER_BITS,
+    MAX_SPAN,
     QQ,
     LaurentSeries,
     PrimeField,
@@ -65,6 +66,14 @@ def test_parse_flat_form():
     # spread beyond the requested precision keeps every given term
     wide = parse_series("1 + t^11", precision=4)
     assert wide.precision == 12 and wide.coeffs[11] == 1
+
+
+def test_parse_refuses_a_span_over_the_bound():
+    assert parse_series(f"t^-{MAX_SPAN} + 1").precision == MAX_SPAN + 1
+    with pytest.raises(ValueError, match="MAX_SPAN"):
+        parse_series(f"t^-{MAX_SPAN + 1} + 1")
+    # only nonzero terms count
+    assert parse_series(f"t^{10 * MAX_SPAN} + 1 - 1").valuation == 10 * MAX_SPAN
 
 
 def test_parse_zero_and_cancellation():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -20,6 +21,7 @@ from loopdual.root_data import (
     fundamental_weight,
     iota,
     pairing,
+    positive_root_system,
     positive_roots,
     reflection_sum,
     root_lattice,
@@ -27,6 +29,7 @@ from loopdual.root_data import (
     two_rho,
     weight_lattice,
 )
+from oracles import root_closure
 
 ALL_TYPES = (
     [CartanType("A", n) for n in range(1, 9)]
@@ -97,6 +100,46 @@ def test_root_system_counts_and_pairing(t):
         neg = (tuple(-x for x in root), tuple(-x for x in coroot))
         assert neg in pairs
     assert len(positive_roots(t)) * 2 == len(pairs)
+
+
+ORACLE_TYPES = (
+    [CartanType(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+     for n in range(lo, 13)]
+    + [CartanType("E", n) for n in (6, 7, 8)]
+    + [CartanType("F", 4), CartanType("G", 2)]
+)
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES, ids=str)
+def test_root_system_matches_the_dense_closure(t):
+    assert root_system(t) == root_closure(cartan_matrix(t))
+
+
+def _with_negatives(pairs):
+    return tuple(sorted(pairs + tuple((tuple(-x for x in r), tuple(-x for x in c))
+                                      for r, c in pairs)))
+
+
+def test_positive_roots_of_small_matrices_match_the_dense_closure():
+    # rep_check feeds transposed Cartan matrices, in any numbering of the nodes
+    for t in (t for t in ORACLE_TYPES if t.rank <= 3):
+        a = cartan_matrix(t)
+        for order in permutations(range(t.rank)):
+            for m in (a, tuple(zip(*a))):
+                m = tuple(tuple(m[i][j] for j in order) for i in order)
+                assert _with_negatives(positive_root_system(m)) == root_closure(m)
+
+
+def test_positive_root_counts_at_rank_forty():
+    # too slow for the dense closure: |Phi+| = n(n+1)/2 for A_n, n(n-1) for D_n
+    assert len(positive_roots(CartanType("A", 40))) == 40 * 41 // 2
+    assert len(positive_roots(CartanType("D", 40))) == 40 * 39
+
+
+def test_positive_root_generation_rejects_a_non_cartan_matrix():
+    # off-diagonal entries of both signs: reflecting down leaves the positive roots
+    with pytest.raises(ArithmeticError):
+        positive_root_system(((2, -1), (1, 2)))
 
 
 def test_coroot_norms_examples():
