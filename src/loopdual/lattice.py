@@ -8,9 +8,10 @@ they contain the same vectors, and membership is an integer triangular solve.
 
 Routines: smith_normal_form, the one elimination (mat_inv, dual_lattice,
 congruence_kernel and quotient_invariants read it, so its checks cover all
-four), and hermite_rows, sharing one 2x2 Bezout row transform; Lattice,
-lattice_coordinates (read by lattice_member and by the coordinate-matrix
-helper of quotient_invariants and lattice_index), small matrix helpers.
+four), and hermite_rows, sharing one 2x2 Bezout row transform; Lattice, built
+on one path from integer rows over a denominator (Lattice.from_int_rows);
+lattice_coordinates; small matrix helpers.  Most entries here are 0, so
+mat_mul, det_int's Bareiss steps and lattice_coordinates skip the zeros.
 """
 
 from __future__ import annotations
@@ -33,9 +34,16 @@ def transpose(mat):
 
 
 def mat_mul(a, b):
-    """Exact matrix product; entries may be ints or Fractions."""
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """Exact matrix product; entries may be ints or Fractions.  Row by row over
+    the nonzero (j, y) of each row of b, indexed once, skipping every zero of a."""
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = [[0] * len(b[0]) if b else [] for _ in a]
+    for row, acc in zip(a, out):
+        for x, pairs in zip(row, nonzero):
+            if x:
+                for j, y in pairs:
+                    acc[j] += x * y
+    return out
 
 
 def mat_vec(mat, vec):
@@ -64,14 +72,24 @@ def mat_inv(mat):
     return [[Fraction(den * x, last) for x in row] for row in mat_mul(scaled, u)]
 
 
+def _int_rows(mat) -> list[list[int]]:
+    """mat as lists of ints; ValueError naming an entry that is not an integer."""
+    rows = [[int(x) for x in row] for row in mat]
+    bad = [x for row, ints in zip(mat, rows) if list(row) != ints
+           for x, i in zip(row, ints) if x != i]
+    if bad:
+        raise ValueError(f"matrix entry {bad[0]} is not an integer")
+    return rows
+
+
 def det_int(mat) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Determinant of a square integer matrix (fraction-free Bareiss, 1968); a row
+    with a zero in the pivot column is only rescaled by p // prev, if p != prev."""
     n = len(mat)
     if n == 0:
         return 1
-    m = [[int(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
+    m = _int_rows(mat)
+    sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
@@ -79,10 +97,13 @@ def det_int(mat) -> int:
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+        p, pivot = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            if c := row[k]:
+                row[k + 1:] = [(x * p - c * y) // prev for x, y in zip(row[k + 1:], pivot)]
+            elif p != prev:
+                row[k + 1:] = [x * p // prev for x in row[k + 1:]]
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
@@ -124,7 +145,7 @@ def smith_normal_form(mat):
     """
     m = len(mat)
     n = len(mat[0])
-    d = [[int(x) for x in row] for row in mat]
+    d = _int_rows(mat)
     if any(len(row) != n for row in d):
         raise ValueError("ragged matrix")
     u = identity_matrix(m)
@@ -238,7 +259,7 @@ def hermite_rows(mat):
     """
     if not mat:
         return []
-    h = [[int(x) for x in row] for row in mat]
+    h = _int_rows(mat)
     m = len(h)
     n = len(h[0])
     r = 0
@@ -275,31 +296,39 @@ class Lattice:
     """Full-rank sublattice of Q^n with a canonical basis.
 
     The constructor accepts any generating set (rows of rationals, possibly
-    more rows than the rank).  den, the lcm of their denominators, is the
-    least d with d * L inside Z^n, and rows is the Hermite basis of den * L;
-    that pair sees through the choice of generators.
+    more rows than the rank); from_int_rows takes integer rows over one
+    denominator.  den is the least d with d * L inside Z^n, and rows is the
+    Hermite basis of den * L; that pair sees through the choice of generators.
     """
 
     __slots__ = ("ambient_dim", "den", "rows")
 
     def __init__(self, generators):
-        gens = [tuple(Fraction(x) for x in row) for row in generators]
-        if not gens:
+        self._set(*_cleared([[Fraction(x) for x in row] for row in generators]))
+
+    @classmethod
+    def from_int_rows(cls, den: int, rows) -> "Lattice":
+        """The lattice generated by the integer rows divided by den."""
+        (lat := cls.__new__(cls))._set(den, list(rows))
+        return lat
+
+    def _set(self, den: int, ints: list[list[int]]) -> None:
+        if not ints:
             raise ValueError("a lattice needs at least one generator")
-        ambient_dim = len(gens[0])
-        if any(len(row) != ambient_dim for row in gens):
+        ambient_dim = len(ints[0])
+        if any(len(row) != ambient_dim for row in ints):
             raise ValueError("generators differ in length")
-        den, ints = _cleared(gens)
         h = hermite_rows(ints)
         if len(h) != ambient_dim:
             raise ValueError("generators do not span a full-rank lattice")
+        g = gcd(den, *(x for row in h for x in row))  # so den is the least one
         self.ambient_dim = ambient_dim
-        self.den = den
-        self.rows = tuple(h)
+        self.den = den // g
+        self.rows = tuple(tuple(x // g for x in row) for row in h) if g > 1 else tuple(h)
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":
-        return cls(identity_matrix(n))
+        return cls.from_int_rows(1, identity_matrix(n))
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -321,17 +350,18 @@ def lattice_coordinates(vector, lat: Lattice) -> tuple[int, ...] | None:
     basis of lat, or None when vector is not in lat."""
     if len(vector) != lat.ambient_dim:
         raise ValueError("vector length does not match ambient_dim")
-    b = lat.rows
     coords = []
+    used = []  # (c, row) for the nonzero coordinates so far
     # Hermite rows are upper triangular: solve sum_k c[k] * b[k] == den * vector by columns.
-    for j, x in enumerate(vector):
-        partial = sum(c * b[k][j] for k, c in enumerate(coords))
-        c, rem = divmod(x.numerator * lat.den - x.denominator * partial,
-                        x.denominator * b[j][j])
+    for j, (row, x) in enumerate(zip(lat.rows, vector)):
+        partial = sum(c * b[j] for c, b in used)
+        c, rem = divmod(x.numerator * lat.den - x.denominator * partial, x.denominator * row[j])
         if rem:
             return None
         coords.append(c)
-    if any(sum(c * row[j] for c, row in zip(coords, b)) * x.denominator
+        if c:
+            used.append((c, row))
+    if any(sum(c * b[j] for c, b in used) * x.denominator
            != x.numerator * lat.den for j, x in enumerate(vector)):
         raise ArithmeticError("triangular solve failed")
     return tuple(coords)
@@ -347,7 +377,7 @@ def dual_lattice(lat: Lattice, pairing) -> Lattice:
 
     With M = c * lat.basis @ P integral, y is in it when M y is in c * Z^n,
     that is, with U M V = D the Smith form, when y = V z with D_ii z_i in c * Z;
-    so the columns of V scaled by c / D_ii generate it.
+    so the columns of V times c * (D_last // D_ii), over D_last, generate it.
 
     Args:
         lat: full-rank lattice.
@@ -356,10 +386,10 @@ def dual_lattice(lat: Lattice, pairing) -> Lattice:
     """
     pden, m = _cleared(mat_mul(lat.rows, pairing))
     _, d, v = smith_normal_form(m)
-    if d[-1][-1] == 0:  # each diagonal entry divides the next, so a 0 sits last
+    if (last := d[-1][-1]) == 0:  # each diagonal entry divides the next, so a 0 sits last
         raise ValueError("pairing is degenerate")
-    scales = [Fraction(lat.den * pden, d[i][i]) for i in range(len(v))]
-    return Lattice([s * x for x in col] for s, col in zip(scales, zip(*v)))
+    scales = [lat.den * pden * (last // d[i][i]) for i in range(len(v))]
+    return Lattice.from_int_rows(last, ([s * x for x in col] for s, col in zip(scales, zip(*v))))
 
 
 def _coordinate_matrix(big: Lattice, small: Lattice) -> list[tuple[int, ...]]:
@@ -398,7 +428,7 @@ def congruence_kernel(mat, modulus: int) -> Lattice:
         raise ValueError("modulus must be a positive integer")
     _, diag, v = smith_normal_form(mat)
     scales = [modulus // gcd(diag[i][i] if i < len(mat) else 0, modulus) for i in range(len(v))]
-    return Lattice([s * x for x in col] for s, col in zip(scales, zip(*v)))
+    return Lattice.from_int_rows(1, ([s * x for x in col] for s, col in zip(scales, zip(*v))))
 
 
 def lattice_index(big: Lattice, small: Lattice) -> int:

@@ -396,70 +396,3 @@ def fundamental_group(d: RootDatum) -> tuple[int, ...]:
 def center_character_group(d: RootDatum) -> tuple[int, ...]:
     """Invariant factors of characters modulo the root lattice."""
     return quotient_invariants(d.X, root_lattice(d.cartan_type))
-
-
-def two_rho(d: RootDatum) -> tuple[int, ...]:
-    """Sum of the positive roots; pairs to 2 against every simple coroot."""
-    t = d.cartan_type
-    total = [0] * d.rank
-    for root in positive_roots(t):
-        for i in range(d.rank):
-            total[i] += root[i]
-    out = tuple(total)
-    for i in range(d.rank):
-        if d.pair(d.simple_coroot(i), out) != 2:
-            raise ArithmeticError("2-rho pairing check failed")
-    return out
-
-
-def _mod1(vec) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x.numerator % x.denominator, x.denominator)
-                 for x in (Fraction(v) for v in vec))
-
-
-def _span_mod1(zero, gens) -> frozenset:
-    """The subgroup of (Q/Z)^r generated by gens, in [0,1) coordinates."""
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = _mod1(tuple(a + b for a, b in zip(v, g)))
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
-
-
-def weight_classes(t: CartanType) -> list[tuple[Fraction, ...]]:
-    """Coset representatives (in [0,1) coordinates) for weights mod roots."""
-    gens = [_mod1(row) for row in weight_lattice(t).basis]
-    return sorted(_span_mod1((Fraction(0),) * t.rank, gens))
-
-
-def all_isogenies(t: CartanType) -> list[tuple[str, list[tuple[Fraction, ...]]]]:
-    """Every subgroup of weights-mod-roots, as (label, generator list).
-
-    Labels are "sc" and "adjoint" for the extremes and "order<k>:<j>" for
-    intermediate subgroups, numbered deterministically.
-    """
-    elements = weight_classes(t)
-    zero = elements[0]
-
-    subgroups = {frozenset({zero})}
-    for e in elements[1:]:
-        for existing in list(subgroups):
-            subgroups.add(_span_mod1(zero, existing | {e}))
-    out = []
-    counters: dict[int, int] = {}
-    for group in sorted(subgroups, key=lambda g: (len(g), sorted(g))):
-        members = sorted(group)
-        if len(group) == 1:
-            label = "adjoint"
-        elif len(group) == len(elements):
-            label = "sc"
-        else:
-            counters[len(group)] = counters.get(len(group), 0) + 1
-            label = f"order{len(group)}:{counters[len(group)]}"
-        out.append((label, [m for m in members if m != zero]))
-    return out

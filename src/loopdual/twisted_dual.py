@@ -88,7 +88,7 @@ def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
     if any(k * x % s for row in gram for x in row):
         raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
     kernel = congruence_kernel([[k * x // s for x in row] for row in gram], order)
-    return Lattice([Fraction(x, d.Y.den) for x in row] for row in mat_mul(kernel.rows, d.Y.rows))
+    return Lattice.from_int_rows(d.Y.den, mat_mul(kernel.rows, d.Y.rows))
 
 
 @dataclass(frozen=True)

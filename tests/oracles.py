@@ -9,7 +9,9 @@ is recomputed by enumerating cosets of Y/NY and testing (k/N) * iota(y) for
 membership in X, without the Gram matrix of Y that the package reads.
 Root systems are regenerated by the dense closure of the simple (root,
 coroot) pairs under every simple reflection, where the package grows only
-the positive roots by height.
+the positive roots by height.  Matrix products and determinants are the
+dense loops over every entry, where the package skips zeros.  The helpers
+that enumerate weight classes and isogenies (and 2-rho) serve only tests.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from functools import lru_cache
 from itertools import count, product
 
 from loopdual.lattice import Lattice, lattice_member
-from loopdual.root_data import iota
+from loopdual.root_data import CartanType, RootDatum, iota, positive_roots, weight_lattice
 
 
 @lru_cache(maxsize=None)
@@ -186,4 +188,99 @@ def tensor_by_peeling(ws, lam, mu):
         out[top] = remainder[top]
         for nu, m in character_by_kostant(ws, top).items():
             remainder[nu] = remainder.get(nu, 0) - out[top] * m
+    return out
+
+
+def dense_mat_mul(a, b):
+    """Exact matrix product; entries may be ints or Fractions."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def dense_det_int(mat) -> int:
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    m = [[int(x) for x in row] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def two_rho(d: RootDatum) -> tuple[int, ...]:
+    """Sum of the positive roots; pairs to 2 against every simple coroot."""
+    t = d.cartan_type
+    total = [0] * d.rank
+    for root in positive_roots(t):
+        for i in range(d.rank):
+            total[i] += root[i]
+    out = tuple(total)
+    for i in range(d.rank):
+        if d.pair(d.simple_coroot(i), out) != 2:
+            raise ArithmeticError("2-rho pairing check failed")
+    return out
+
+
+def _mod1(vec) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x.numerator % x.denominator, x.denominator)
+                 for x in (Fraction(v) for v in vec))
+
+
+def _span_mod1(zero, gens) -> frozenset:
+    """The subgroup of (Q/Z)^r generated by gens, in [0,1) coordinates."""
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = _mod1(tuple(a + b for a, b in zip(v, g)))
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
+
+
+def weight_classes(t: CartanType) -> list[tuple[Fraction, ...]]:
+    """Coset representatives (in [0,1) coordinates) for weights mod roots."""
+    gens = [_mod1(row) for row in weight_lattice(t).basis]
+    return sorted(_span_mod1((Fraction(0),) * t.rank, gens))
+
+
+def all_isogenies(t: CartanType) -> list[tuple[str, list[tuple[Fraction, ...]]]]:
+    """Every subgroup of weights-mod-roots, as (label, generator list).
+
+    Labels are "sc" and "adjoint" for the extremes and "order<k>:<j>" for
+    intermediate subgroups, numbered deterministically.
+    """
+    elements = weight_classes(t)
+    zero = elements[0]
+
+    subgroups = {frozenset({zero})}
+    for e in elements[1:]:
+        for existing in list(subgroups):
+            subgroups.add(_span_mod1(zero, existing | {e}))
+    out = []
+    counters: dict[int, int] = {}
+    for group in sorted(subgroups, key=lambda g: (len(g), sorted(g))):
+        members = sorted(group)
+        if len(group) == 1:
+            label = "adjoint"
+        elif len(group) == len(elements):
+            label = "sc"
+        else:
+            counters[len(group)] = counters.get(len(group), 0) + 1
+            label = f"order{len(group)}:{counters[len(group)]}"
+        out.append((label, [m for m in members if m != zero]))
     return out

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from oracles import kostant_multiplicity
+from oracles import all_isogenies, kostant_multiplicity
 from loopdual.central_ext import (
     commutator_denominator,
     commutator_value,
@@ -41,7 +41,6 @@ from loopdual.rep_check import (
     weyl_dim,
 )
 from loopdual.root_data import (
-    all_isogenies,
     build_datum,
     dual_coxeter,
     fundamental_weight,

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from oracles import dense_det_int, dense_mat_mul
+from loopdual import lattice
 from loopdual.lattice import (
     Lattice,
     congruence_kernel,
@@ -317,3 +319,124 @@ def test_denominator_and_rows_are_canonical(gens, same, den):
     a, b = Lattice(gens), Lattice(same)
     assert a == b and hash(a) == hash(b)
     assert (a.den, a.rows) == (b.den, b.rows) == (den, ((1,),))
+
+
+def _sparse_matrix(rng, m, n, zero_frac, rational=False):
+    """An m x n matrix whose entries are 0 with probability zero_frac; the
+    others are small nonzero ints, or Fractions when rational is set."""
+    def entry():
+        if rng.random() < zero_frac:
+            return 0
+        x = rng.choice([-1, 1]) * rng.randint(1, 9)
+        return Fraction(x, rng.randint(1, 6)) if rational else x
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
+def _zero_row_and_column(rng, mat):
+    mat[rng.randrange(len(mat))] = [0] * len(mat[0])
+    col = rng.randrange(len(mat[0]))
+    for row in mat:
+        row[col] = 0
+
+
+@pytest.mark.parametrize("zero_frac", [0.0, 0.3, 0.6, 0.9])
+def test_mat_mul_matches_the_dense_product(zero_frac):
+    rng = random.Random(int(zero_frac * 10))
+    for trial in range(60):
+        m, k, n = (rng.randint(1, 7) for _ in range(3))
+        a = _sparse_matrix(rng, m, k, zero_frac, rational=trial % 4 in (1, 3))
+        b = _sparse_matrix(rng, k, n, zero_frac, rational=trial % 4 in (2, 3))
+        if trial % 4 == 0:
+            _zero_row_and_column(rng, a)
+            _zero_row_and_column(rng, b)
+        assert mat_mul(a, b) == dense_mat_mul(a, b)
+    assert mat_mul([[], []], []) == dense_mat_mul([[], []], []) == [[], []]
+    assert mat_mul([], [[1, 2]]) == dense_mat_mul([], [[1, 2]]) == []
+
+
+@pytest.mark.parametrize("zero_frac", [0.0, 0.3, 0.6, 0.9])
+def test_det_int_matches_dense_bareiss(zero_frac):
+    rng = random.Random(100 + int(zero_frac * 10))
+    zero_pivots = singular = 0
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        mat = _sparse_matrix(rng, n, n, zero_frac)
+        if trial % 3 == 0:
+            mat[0][0] = 0
+        if trial % 5 == 0 and n > 1:  # one row a multiple of another (maybe 0)
+            i, j = rng.sample(range(n), 2)
+            mat[i] = [rng.randint(-2, 2) * x for x in mat[j]]
+        if trial % 7 == 0:
+            mat = [[Fraction(x) for x in row] for row in mat]  # integral Fractions
+        expected = dense_det_int(mat)
+        assert det_int(mat) == expected
+        zero_pivots += mat[0][0] == 0
+        singular += expected == 0
+    assert det_int([]) == dense_det_int([]) == 1
+    assert zero_pivots > 40 and singular > 10
+
+
+@pytest.mark.parametrize("zero_frac", [0.0, 0.5, 0.8])
+def test_integer_and_fraction_constructors_agree(zero_frac):
+    rng = random.Random(200 + int(zero_frac * 10))
+    checked = 0
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        den = rng.choice([1, 2, 3, 4, 6, 12, 30])
+        content = rng.choice([1, 1, 2, 3, 6])
+        rows = [[content * x for x in row]
+                for row in _sparse_matrix(rng, n + rng.randint(0, 2), n, zero_frac)]
+        if len(hermite_rows(rows)) != n:
+            continue
+        from_ints = Lattice.from_int_rows(den, (tuple(row) for row in rows))
+        from_fractions = Lattice([[Fraction(x, den) for x in row] for row in rows])
+        assert (from_ints.den, from_ints.rows) == (from_fractions.den, from_fractions.rows)
+        assert from_ints == from_fractions
+        # den is the least one: the lcm of the reduced generator denominators
+        assert from_ints.den == lcm(*(Fraction(x, den).denominator for row in rows for x in row))
+        assert gcd(from_ints.den, *(x for row in from_ints.rows for x in row)) == 1
+        checked += 1
+    assert checked > 50
+
+
+def _start_u_at(monkeypatch, start):
+    """Make smith_normal_form start its row transform U at start, not at I."""
+    real, calls = lattice.identity_matrix, []
+
+    def seeded(n):
+        calls.append(n)
+        return [list(row) for row in start] if len(calls) == 1 else real(n)
+    monkeypatch.setattr(lattice, "identity_matrix", seeded)
+
+
+def test_snf_product_check_fires(monkeypatch):
+    # no operation on M touches U, so a unimodular start other than I breaks U M V == D
+    _start_u_at(monkeypatch, [[1, 0], [1, 1]])
+    with pytest.raises(ArithmeticError, match="normal form verification failed"):
+        smith_normal_form([[1, 0], [0, 0]])
+
+
+def test_snf_unimodularity_check_fires(monkeypatch):
+    # U = diag(1, 2) keeps U M V == D on this M, but det U == 2
+    _start_u_at(monkeypatch, [[1, 0], [0, 2]])
+    with pytest.raises(ArithmeticError, match="transform matrices are not unimodular"):
+        smith_normal_form([[1, 0], [0, 0]])
+
+
+def test_triangular_solve_check_fires():
+    lat = Lattice.standard(2)
+    lat.rows = ((1, 0), (1, 1))  # lower triangular: the solve by columns misses row 1
+    with pytest.raises(ArithmeticError, match="triangular solve failed"):
+        lattice_coordinates((0, 1), lat)
+
+
+def test_integer_kernels_refuse_non_integral_entries():
+    for kernel in (det_int, smith_normal_form, hermite_rows):
+        with pytest.raises(ValueError, match="entry 1/2 is not an integer"):
+            kernel([[Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="entry 3/2 is not an integer"):
+        det_int([[Fraction(3, 2), 0], [0, 2]])
+    with pytest.raises(ValueError, match="entry 1/3 is not an integer"):
+        Lattice.from_int_rows(1, [[1, Fraction(1, 3)], [0, 1]])
+    assert det_int([[Fraction(3), 0], [0, 2]]) == 6
+    assert smith_normal_form([[Fraction(4)]])[1] == [[4]]

@@ -10,7 +10,6 @@ from loopdual.root_data import (
     CartanType,
     RootDatum,
     _validate_datum,
-    all_isogenies,
     build_datum,
     canonical_form,
     cartan_matrix,
@@ -26,10 +25,9 @@ from loopdual.root_data import (
     reflection_sum,
     root_lattice,
     root_system,
-    two_rho,
     weight_lattice,
 )
-from oracles import root_closure
+from oracles import all_isogenies, root_closure, two_rho
 
 ALL_TYPES = (
     [CartanType("A", n) for n in range(1, 9)]

@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dual_lattice_by_cosets
+from oracles import all_isogenies, dual_lattice_by_cosets
 
 from loopdual.central_ext import commutator_denominator
 from loopdual.lattice import Lattice, lattice_index, lattice_member
 from loopdual.root_data import (
     CartanType,
-    all_isogenies,
     build_datum,
     cartan_matrix,
     root_lattice,
