@@ -12,7 +12,7 @@ the datum builds once (RootDatum.gram).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 from .lattice import lattice_member, vector_text
 from .root_data import (
@@ -30,10 +30,9 @@ def commutator_denominator(d: RootDatum) -> int:
 
     Equivalently k is the least multiplier with k * iota(Y) inside the
     character lattice X, since <y1, iota(y2)> == (y1, y2) and X is exactly
-    the dual of Y under the pairing.
+    the dual of Y under the pairing.  Cached on the record (RootDatum.k).
     """
-    s, gram = d.gram
-    return lcm(*(s // gcd(s, x) for row in gram for x in row))
+    return d.k
 
 
 def commutator_value(d: RootDatum, level: int, y1, y2) -> Fraction:

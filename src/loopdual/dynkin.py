@@ -9,7 +9,7 @@ back as B2, and the rank-three fork comes back as A3.
 
 from __future__ import annotations
 
-from .lattice import Lattice, lattice_index, lattice_member
+from .lattice import Lattice, lattice_contains, lattice_index, lattice_member
 from .root_data import (
     CartanType,
     cartan_matrix,
@@ -105,9 +105,9 @@ def group_name(t: CartanType, char_lattice: Lattice) -> str:
     """
     weights = weight_lattice(t)
     roots = root_lattice(t)
-    if not all(lattice_member(row, weights) for row in char_lattice.basis):
+    if not lattice_contains(weights, char_lattice):
         raise ValueError("character lattice is not inside the weight lattice")
-    if not all(lattice_member(row, char_lattice) for row in roots.basis):
+    if not lattice_contains(char_lattice, roots):
         raise ValueError("character lattice does not contain the roots")
     top = char_lattice == weights
     bottom = char_lattice == roots

@@ -10,8 +10,9 @@ Routines: smith_normal_form, the one elimination (mat_inv, dual_lattice,
 congruence_kernel and quotient_invariants read it, so its checks cover all
 four), and hermite_rows, sharing one 2x2 Bezout row transform; Lattice, built
 on one path from integer rows over a denominator (Lattice.from_int_rows);
-lattice_coordinates; small matrix helpers.  Most entries here are 0, so
-mat_mul, det_int's Bareiss steps and lattice_coordinates skip the zeros.
+one integer triangular solve, on numerators over one denominator, for
+lattice_coordinates, lattice_contains and coordinate matrices; small matrix
+helpers.  Most entries are 0, so mat_mul, det_int and the solve skip zeros.
 """
 
 from __future__ import annotations
@@ -345,31 +346,41 @@ class Lattice:
         return f"Lattice[{rows}]"
 
 
-def lattice_coordinates(vector, lat: Lattice) -> tuple[int, ...] | None:
-    """Integer coordinates of vector (ints or Fractions) in the canonical
-    basis of lat, or None when vector is not in lat."""
-    if len(vector) != lat.ambient_dim:
+def _solve(nums, den: int, lat: Lattice) -> tuple[int, ...] | None:
+    """Integer coordinates of nums / den (nums integers) in the basis of lat, or None."""
+    if len(nums) != lat.ambient_dim:
         raise ValueError("vector length does not match ambient_dim")
     coords = []
     used = []  # (c, row) for the nonzero coordinates so far
-    # Hermite rows are upper triangular: solve sum_k c[k] * b[k] == den * vector by columns.
-    for j, (row, x) in enumerate(zip(lat.rows, vector)):
+    # Hermite rows are upper triangular: solve sum_k c[k] * b[k] / lat.den == nums / den by columns.
+    for j, (row, x) in enumerate(zip(lat.rows, nums)):
         partial = sum(c * b[j] for c, b in used)
-        c, rem = divmod(x.numerator * lat.den - x.denominator * partial, x.denominator * row[j])
+        c, rem = divmod(x * lat.den - den * partial, den * row[j])
         if rem:
             return None
         coords.append(c)
         if c:
             used.append((c, row))
-    if any(sum(c * b[j] for c, b in used) * x.denominator
-           != x.numerator * lat.den for j, x in enumerate(vector)):
+    if any(sum(c * b[j] for c, b in used) * den != x * lat.den for j, x in enumerate(nums)):
         raise ArithmeticError("triangular solve failed")
     return tuple(coords)
+
+
+def lattice_coordinates(vector, lat: Lattice) -> tuple[int, ...] | None:
+    """Integer coordinates of vector (ints or Fractions) in the canonical
+    basis of lat, or None when vector is not in lat."""
+    den = lcm(1, *(x.denominator for x in vector))
+    return _solve([x.numerator * (den // x.denominator) for x in vector], den, lat)
 
 
 def lattice_member(vector, lat: Lattice) -> bool:
     """Exact test: is vector an integer combination of the basis of lat?"""
     return lattice_coordinates(vector, lat) is not None
+
+
+def lattice_contains(big: Lattice, small: Lattice) -> bool:
+    """Exact test: is small inside big?  One integer solve per row of small."""
+    return all(_solve(row, small.den, big) is not None for row in small.rows)
 
 
 def dual_lattice(lat: Lattice, pairing) -> Lattice:
@@ -395,7 +406,7 @@ def dual_lattice(lat: Lattice, pairing) -> Lattice:
 def _coordinate_matrix(big: Lattice, small: Lattice) -> list[tuple[int, ...]]:
     """Integer coordinates of the basis rows of small in the basis of big;
     ValueError if small is not contained in big."""
-    coeffs = [lattice_coordinates(row, big) for row in small.basis]
+    coeffs = [_solve(row, small.den, big) for row in small.rows]
     if None in coeffs:
         raise ValueError("small lattice is not contained in big lattice")
     return coeffs

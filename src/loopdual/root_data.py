@@ -17,7 +17,8 @@ Conventions used across the package:
   So <y, iota(y')> == (y, y'): the Gram matrix of ( , ) on Y says where
   iota(Y) lands in X, the dual of Y.  Invariants of a Cartan type, this
   form and the dual Coxeter number among them, are built once and cached.
-* A RootDatum is immutable and validated once by a perfect-pairing check.
+* A RootDatum is immutable, made by root_datum once per (type, label, X) and
+  validated then by a perfect-pairing check; it caches G_Y, k, center and pi1.
 * cartan_symmetrizer and positive_root_system take a bare integer Cartan
   matrix, for dynkin and rep_check too.  Positive roots grow by height under
   simple reflections, once per matrix; the negative ones are their negations.
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .lattice import (
     Lattice,
@@ -268,6 +270,20 @@ class RootDatum:
         rows = mat_mul(mat_mul(self.Y.rows, canonical_form(self).gram), transpose(self.Y.rows))
         return self.Y.den ** 2, tuple(map(tuple, rows))
 
+    @cached_property
+    def k(self) -> int:
+        """The commutator denominator: the lcm of the denominators of G_Y."""
+        s, gram = self.gram
+        return lcm(*(s // gcd(s, x) for row in gram for x in row))
+
+    @cached_property
+    def center(self) -> tuple[int, ...]:  # invariant factors of X/Q
+        return quotient_invariants(self.X, root_lattice(self.cartan_type))
+
+    @cached_property
+    def pi1(self) -> tuple[int, ...]:  # invariant factors of Y/Q^v
+        return quotient_invariants(self.Y, root_lattice(self.cartan_type))
+
 
 def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
     """Construct a root datum of the given type and isogeny class.
@@ -309,8 +325,14 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
                 raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
         x = Lattice(identity_matrix(r) + [list(g) for g in gens])
         label = "quotient:" + ";".join(vector_text(g) for g in gens)
-    y = dual_lattice(x, cartan_matrix(t))
-    datum = RootDatum(t, label, x, y)
+    return root_datum(t, label, x)
+
+
+@lru_cache(maxsize=256)  # the sweep benchmark, 79 data of rank <= 8 and their duals, makes 150
+def root_datum(t: CartanType, label: str, x: Lattice) -> RootDatum:
+    """The record of type t with character lattice x, printed as label, dualised
+    and validated on a miss; equal X may carry different labels, so both key it."""
+    datum = RootDatum(t, label, x, dual_lattice(x, cartan_matrix(t)))
     _validate_datum(datum)
     return datum
 
@@ -351,30 +373,33 @@ def _canonical_form(t: CartanType) -> CanonicalForm:
     return CanonicalForm(tuple(tuple(row) for row in gram))
 
 
-def reflection_sum(t: CartanType, yvec) -> tuple:
-    """sum over all roots of <y, root> * root, on the character side: twice
-    the sum over the positive roots.  Integer entries for an integral y, so
-    the per-type check builds no Fraction."""
+def reflection_sum(t: CartanType) -> tuple[tuple[int, ...], ...]:
+    """Row j: the integer sum over all roots b of <coroot_j, b> * b, in one pass
+    over the positive roots b, whose labels <coroot_j, b> come from rows of A."""
     a = cartan_matrix(t)
-    r = t.rank
-    ay = [(i, v) for i in range(r) if (v := sum(a[i][j] * yvec[j] for j in range(r)))]
-    total = [0] * r
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    total = [[0] * t.rank for _ in a]
     for root, _ in positive_root_system(a):
-        val = 2 * sum(root[i] * v for i, v in ay)
-        if val:
-            for i, x in enumerate(root):
-                if x:
-                    total[i] += val * x
-    return tuple(total)
+        support = [(i, b) for i, b in enumerate(root) if b]
+        labels = {}
+        for i, b in support:
+            for j, x in rows[i]:
+                labels[j] = labels.get(j, 0) + b * x
+        for j, c in labels.items():
+            if c:  # most labels of a long root are 0
+                for i, b in support:
+                    total[j][i] += 2 * c * b
+    return tuple(map(tuple, total))
 
 
 @lru_cache(maxsize=None)
 def _dual_coxeter_value(t: CartanType) -> int:
     # sum_roots <y, root> * root == 2h * iota(y) is linear in y: coroots suffice
-    pairs = [(reflection_sum(t, row), iota(t, row)) for row in identity_matrix(t.rank)]
-    h = pairs[0][0][0] / (2 * pairs[0][1][0])  # solved on coroot 0
-    for total, target in pairs:
-        if any(x != 2 * h * y for x, y in zip(total, target)):
+    cs = coroot_norms(t)
+    sums = reflection_sum(t)
+    h = Fraction(sums[0][0], 2 * cs[0])  # solved on coroot 0
+    for j, total in enumerate(sums):
+        if any(x != (2 * h * cs[j] if i == j else 0) for i, x in enumerate(total)):
             raise ArithmeticError("reflection-sum identity failed on coroots")
     if h.denominator != 1 or h <= 0:
         raise ArithmeticError(f"invalid dual Coxeter number {h}")
@@ -390,9 +415,9 @@ def dual_coxeter(d: RootDatum) -> int:
 
 def fundamental_group(d: RootDatum) -> tuple[int, ...]:
     """Invariant factors of cocharacters modulo the coroot lattice."""
-    return quotient_invariants(d.Y, root_lattice(d.cartan_type))
+    return d.pi1
 
 
 def center_character_group(d: RootDatum) -> tuple[int, ...]:
     """Invariant factors of characters modulo the root lattice."""
-    return quotient_invariants(d.X, root_lattice(d.cartan_type))
+    return d.center

@@ -9,17 +9,16 @@ these are the cocharacters whose image under k * iota is divisible by N in
 the character lattice.  That sublattice becomes the character lattice of a
 new root datum on the opposite side.  The new Cartan matrix is recognized
 and the resulting group named, so the output is a root datum in standard
-coordinates plus the bookkeeping of how it was reached.  Data are immutable
-and validated once, so the dual is renamed by dataclasses.replace, and its
-center and fundamental group are computed once and checked against the
-Cartan determinant.
+coordinates plus the bookkeeping of how it was reached.  The dual's
+character lattice is built from integer rows and named first, so its record
+is fetched from root_datum already named; its center and fundamental group,
+cached on the record, are checked against the Cartan determinant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import gcd, prod
+from dataclasses import dataclass
+from math import gcd, lcm, prod
 
 from .central_ext import commutator_denominator
 from .dynkin import group_name, recognize_cartan_matrix
@@ -32,11 +31,9 @@ from .lattice import (
 )
 from .root_data import (
     RootDatum,
-    build_datum,
     cartan_matrix,
-    center_character_group,
     coroot_norms,
-    fundamental_group,
+    root_datum,
 )
 
 
@@ -124,10 +121,14 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
         if not lattice_member(scaled_coroot, ylat):
             raise ArithmeticError(
                 f"rescaled coroot {scaled_coroot} escaped the dual character lattice")
+    # coordinate i of Y_{Q,N} over delta_i, in the standard numbering; the roots
+    # are in it, as the rescaled coroots are in Y_{Q,N}
     source = sorted(range(r), key=sigma.__getitem__)  # the inverse of sigma
-    new_rows = [[Fraction(row[i], delta[i] * ylat.den) for i in source] for row in ylat.rows]
-    dual = build_datum(dual_type, new_rows)
-    name = group_name(dual_type, dual.X)
+    big = lcm(*delta)
+    xlat = Lattice.from_int_rows(ylat.den * big, [[row[i] * (big // delta[i]) for i in source]
+                                                 for row in ylat.rows])
+    name = group_name(dual_type, xlat)
+    dual = root_datum(dual_type, name, xlat)
     std = cartan_matrix(dual_type)
     for i in range(r):
         for j in range(r):
@@ -135,8 +136,7 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
                 raise ArithmeticError("relabeling does not carry the rescaled "
                                       "Cartan matrix to the standard one")
     # [X:Q] * [Y:Q^v] == [P:Q] holds exactly when Y is the dual of X
-    center, pi1 = center_character_group(dual), fundamental_group(dual)
-    if prod(center) * prod(pi1) != det_int(std):
+    if prod(dual.center) * prod(dual.pi1) != det_int(std):
         raise ArithmeticError("center times fundamental group does not match "
                               "the Cartan determinant")
     return TwistedDualData(
@@ -146,10 +146,10 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
         local_denominators=delta,
         dual_cartan=aprime,
         relabeling=sigma,
-        dual=replace(dual, isogeny=name),
+        dual=dual,
         name=name,
-        center=center,
-        pi1=pi1,
+        center=dual.center,
+        pi1=dual.pi1,
     )
 
 

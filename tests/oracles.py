@@ -10,16 +10,23 @@ membership in X, without the Gram matrix of Y that the package reads.
 Root systems are regenerated by the dense closure of the simple (root,
 coroot) pairs under every simple reflection, where the package grows only
 the positive roots by height.  Matrix products and determinants are the
-dense loops over every entry, where the package skips zeros.  The helpers
-that enumerate weight classes and isogenies (and 2-rho) serve only tests.
+dense loops over every entry, where the package skips zeros.  Reflection
+sums run over that dense closure, one vector at a time, where the package
+sums every simple coroot in one pass over the positive roots.  Lattice
+coordinates are solved by Fraction Gauss-Jordan on the basis, and invariant
+factors read off gcds of minors, where the package runs an integer
+triangular solve and a Smith form.  The helpers that enumerate weight
+classes and isogenies (and 2-rho) serve only tests.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product
+from itertools import combinations, count, product
+from math import gcd
 
 from loopdual.lattice import Lattice, lattice_member
-from loopdual.root_data import CartanType, RootDatum, iota, positive_roots, weight_lattice
+from loopdual.root_data import (CartanType, RootDatum, cartan_matrix, iota, positive_roots,
+                                weight_lattice)
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +65,20 @@ def root_closure(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     if 2 * positives != len(seen):
         raise ArithmeticError("root closure is not symmetric")
     return tuple(sorted(seen))
+
+
+def reflection_sum(t: CartanType, yvec) -> tuple:
+    """sum over all roots of <y, root> * root, on the character side, over
+    the dense closure of the simple roots."""
+    a = cartan_matrix(t)
+    r = t.rank
+    ay = [sum(a[i][j] * yvec[j] for j in range(r)) for i in range(r)]
+    total = [0] * r
+    for root, _ in root_closure(a):
+        val = sum(x * v for x, v in zip(root, ay))
+        for i in range(r):
+            total[i] += val * root[i]
+    return tuple(total)
 
 
 def weyl_group_with_signs(ws):
@@ -217,6 +238,42 @@ def dense_det_int(mat) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def basis_coordinates(vector, lat: Lattice) -> tuple[int, ...] | None:
+    """Coordinates of vector in lat.basis by Fraction Gauss-Jordan on the
+    system sum_k c_k * basis[k] == vector, or None when one is not an integer."""
+    n = lat.ambient_dim
+    m = [[row[j] for row in lat.basis] + [Fraction(vector[j])] for j in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if m[i][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[col])]
+    coords = [row[n] for row in m]
+    return None if any(c.denominator != 1 for c in coords) else tuple(int(c) for c in coords)
+
+
+def basis_coordinate_matrix(big: Lattice, small: Lattice) -> list[tuple[int, ...]]:
+    """Coordinates of the basis rows of small in the basis of big."""
+    coeffs = [basis_coordinates(row, big) for row in small.basis]
+    if None in coeffs:
+        raise ValueError("small lattice is not contained in big lattice")
+    return coeffs
+
+
+def invariant_factors_by_minors(mat) -> tuple[int, ...]:
+    """Invariant factors of a square nonsingular integer matrix, units
+    dropped: d_k / d_(k-1), with d_k the gcd of the k x k minors."""
+    n = len(mat)
+    divisors = [1]
+    for k in range(1, n + 1):
+        divisors.append(gcd(*(dense_det_int([[mat[i][j] for j in cols] for i in rows])
+                              for rows in combinations(range(n), k)
+                              for cols in combinations(range(n), k))))
+    return tuple(f for a, b in zip(divisors, divisors[1:]) if (f := b // a) > 1)
 
 
 def two_rho(d: RootDatum) -> tuple[int, ...]:

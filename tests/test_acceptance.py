@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from oracles import all_isogenies, kostant_multiplicity
+from oracles import all_isogenies, kostant_multiplicity, reflection_sum
 from loopdual.central_ext import (
     commutator_denominator,
     commutator_value,
@@ -46,7 +46,6 @@ from loopdual.root_data import (
     fundamental_weight,
     iota,
     pairing,
-    reflection_sum,
 )
 from loopdual.twisted_dual import (
     REFERENCE_FAMILIES,

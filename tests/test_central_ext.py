@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopdual import root_data
 from loopdual.cli import run
 
 from loopdual.central_ext import (
@@ -208,7 +209,9 @@ def test_is_prime_matches_a_sieve():
 
 @pytest.fixture
 def gram_builds(monkeypatch):
-    """The data whose Gram matrix G_Y is built, one entry per build."""
+    """The data whose Gram matrix G_Y is built, one entry per build, counted
+    from an empty record cache."""
+    root_data.root_datum.cache_clear()
     built = []
     build = RootDatum.gram.func
     counted = cached_property(lambda d: built.append(d) or build(d))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loopdual import cli, rep_check
+from loopdual import cli, rep_check, root_data
 from loopdual.cli import run
 from loopdual.root_data import build_datum
 from loopdual.twisted_dual import twisted_dual
@@ -380,6 +380,26 @@ def test_one_parser_carries_no_state_between_runs():
     assert code == 0 and payload(out)["checks"] != []
     code, out, _ = invoke(*argv)
     assert code == 0 and payload(out)["checks"] == []
+
+
+D5_VECTOR = '[[1, 1, 1, "1/2", "1/2"]]'  # the vector weight of D5, spanning the X of "so"
+LABELS = {"so": "so", "adjoint": "adjoint", D5_VECTOR: "quotient:1,1,1,1/2,1/2"}
+
+
+@pytest.mark.parametrize("type_name, first, second", [
+    ("B3", "so", "adjoint"), ("B3", "adjoint", "so"),
+    ("D5", "so", D5_VECTOR), ("D5", D5_VECTOR, "so")])
+def test_records_with_one_character_lattice_print_their_own_isogeny(type_name, first, second):
+    # the records are cached per (type, label, X), so equal X keep apart
+    root_data.root_datum.cache_clear()
+    sources = []
+    for isogeny in (first, second, first):
+        code, out, _ = invoke("dual", "--type", type_name, "--isogeny", isogeny, "--N", "2")
+        assert code == 0
+        sources.append(payload(out)["result"]["source"])
+    assert sources[0]["lattice"] == sources[1]["lattice"]
+    assert [source["isogeny"] for source in sources] == \
+        [LABELS[first], LABELS[second], LABELS[first]]
 
 
 def test_failed_self_check_is_exit_code_3(monkeypatch):

@@ -120,3 +120,11 @@ def test_group_name_rejects_bad_lattices():
     b2 = CartanType("B", 2)
     with pytest.raises(ValueError):
         group_name(b2, Lattice([[2, 0], [0, 1]]))
+
+
+def test_group_name_names_both_refusals():
+    a2 = CartanType("A", 2)
+    with pytest.raises(ValueError, match="character lattice is not inside the weight lattice"):
+        group_name(a2, Lattice([[Fraction(1, 2), 0], [0, 1]]))
+    with pytest.raises(ValueError, match="character lattice does not contain the roots"):
+        group_name(a2, Lattice([[2, 0], [1, 1]]))

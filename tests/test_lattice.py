@@ -6,7 +6,8 @@ from math import gcd, lcm
 
 import pytest
 
-from oracles import dense_det_int, dense_mat_mul
+from oracles import (basis_coordinate_matrix, basis_coordinates, dense_det_int, dense_mat_mul,
+                     invariant_factors_by_minors)
 from loopdual import lattice
 from loopdual.lattice import (
     Lattice,
@@ -17,6 +18,7 @@ from loopdual.lattice import (
     identity_matrix,
     lattice_coordinates,
     lattice_index,
+    lattice_contains,
     lattice_member,
     mat_inv,
     mat_mul,
@@ -24,6 +26,7 @@ from loopdual.lattice import (
     smith_normal_form,
     transpose,
 )
+from loopdual.lattice import _coordinate_matrix
 
 
 def _rand_int_matrix(rng, m, n, lo=-50, hi=50):
@@ -440,3 +443,58 @@ def test_integer_kernels_refuse_non_integral_entries():
         Lattice.from_int_rows(1, [[1, Fraction(1, 3)], [0, 1]])
     assert det_int([[Fraction(3), 0], [0, 2]]) == 6
     assert smith_normal_form([[Fraction(4)]])[1] == [[4]]
+
+
+def _fraction_lattice(rng, n):
+    """A seeded full-rank lattice whose generators have denominators 2 to 6."""
+    while True:
+        gens = [[Fraction(rng.randint(-6, 6), rng.randint(2, 6)) for _ in range(n)]
+                for _ in range(n + 1)]
+        try:
+            return Lattice(gens)
+        except ValueError:  # deficient rank
+            continue
+
+
+def _nested_pairs(seed, count):
+    """(big, small) with small a seeded sublattice of big, den > 1 on both sides."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        big = _fraction_lattice(rng, n)
+        mix = _rand_int_matrix(rng, n, n, -4, 4)
+        if det_int(mix) == 0:
+            continue
+        small = Lattice(mat_mul(mix, big.basis))
+        if big.den > 1 and small.den > 1:
+            out.append((big, small))
+    return out
+
+
+def test_integer_solve_matches_the_fraction_basis_oracle():
+    for big, small in _nested_pairs(41, 40):
+        coeffs = _coordinate_matrix(big, small)
+        assert coeffs == basis_coordinate_matrix(big, small)
+        assert all(type(x) is int for row in coeffs for x in row)
+        assert lattice_index(big, small) == abs(dense_det_int(coeffs))
+        assert quotient_invariants(big, small) == invariant_factors_by_minors(coeffs)
+        assert lattice_contains(big, small)
+        for row in big.basis:
+            assert lattice_coordinates(row, small) == basis_coordinates(row, small)
+
+
+def test_integer_solve_refuses_what_the_oracle_refuses():
+    refused = 0
+    for big, small in _nested_pairs(43, 30):
+        if lattice_index(big, small) == 1:
+            continue
+        refused += 1
+        with pytest.raises(ValueError, match="small lattice is not contained") as oracle:
+            basis_coordinate_matrix(small, big)
+        for call in (_coordinate_matrix, quotient_invariants, lattice_index):
+            with pytest.raises(ValueError) as err:
+                call(small, big)
+            assert str(err.value) == str(oracle.value)
+        assert not lattice_contains(small, big)
+    assert refused >= 20

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from loopdual import root_data
+from loopdual.central_ext import commutator_denominator
 from loopdual.lattice import Lattice, lattice_index, lattice_member, transpose, dual_lattice
 from loopdual.root_data import (
     CartanType,
@@ -28,6 +29,7 @@ from loopdual.root_data import (
     weight_lattice,
 )
 from oracles import all_isogenies, root_closure, two_rho
+from oracles import reflection_sum as dense_reflection_sum
 
 ALL_TYPES = (
     [CartanType("A", n) for n in range(1, 9)]
@@ -315,19 +317,50 @@ def test_root_datum_is_immutable():
 
 
 def test_dual_coxeter_sums_roots_once_per_type(monkeypatch):
+    # one pass over the positive roots serves every simple coroot
     calls = []
     real = root_data.reflection_sum
-    monkeypatch.setattr(root_data, "reflection_sum",
-                        lambda t, y: calls.append(t) or real(t, y))
+    monkeypatch.setattr(root_data, "reflection_sum", lambda t: calls.append(t) or real(t))
     root_data._dual_coxeter_value.cache_clear()
     for isogeny in ("sc", "adjoint", "sc"):
         assert dual_coxeter(build_datum("C5", isogeny)) == 6
-    assert calls == [CartanType("C", 5)] * 5
+    assert calls == [CartanType("C", 5)]
 
 
 def test_reflection_sum_of_a_coroot_is_integral():
     # the once-per-type Coxeter check sums integers, not Fractions
     t = CartanType("B", 4)
-    for i in range(t.rank):
-        total = reflection_sum(t, tuple(int(i == j) for j in range(t.rank)))
+    for total in reflection_sum(t):
         assert all(type(x) is int for x in total), total
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
+def test_one_pass_reflection_sums_match_the_dense_closure(t):
+    unit = [tuple(int(i == j) for j in range(t.rank)) for i in range(t.rank)]
+    assert reflection_sum(t) == tuple(dense_reflection_sum(t, y) for y in unit)
+
+
+def test_repeated_build_returns_the_identical_record():
+    assert build_datum("D5", "so") is build_datum("D5", "so")
+    assert build_datum("A3", [(Fraction(1, 2), 1, Fraction(1, 2))]) is \
+        build_datum(CartanType("A", 3), [(Fraction(1, 2), 1, Fraction(1, 2))])
+
+
+def test_a_refused_datum_leaves_no_cache_entry():
+    t = CartanType("A", 1)
+    x = Lattice([[Fraction(1, 4)]])  # not inside the weight lattice (1/2)Z
+    before = root_data.root_datum.cache_info().currsize
+    with pytest.raises(ArithmeticError, match="not inside the weight lattice"):
+        root_data.root_datum(t, "bad", x)
+    with pytest.raises(ValueError, match="not in the weight lattice"):
+        build_datum(t, [(Fraction(1, 4),)])
+    assert root_data.root_datum.cache_info().currsize == before
+    with pytest.raises(ArithmeticError, match="not inside the weight lattice"):
+        root_data.root_datum(t, "bad", x)  # refused again: the check ran again
+
+
+def test_record_invariants_are_cached_on_the_record():
+    d = build_datum("D6", [fundamental_weight(CartanType("D", 6), 0)])
+    assert (commutator_denominator(d), center_character_group(d), fundamental_group(d)) == \
+        (d.k, d.center, d.pi1)
+    assert {"k", "center", "pi1"} <= vars(d).keys()
