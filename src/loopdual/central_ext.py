@@ -19,7 +19,6 @@ from .root_data import (
     RootDatum,
     canonical_form,
     dual_coxeter,
-    fundamental_group,
     iota,
 )
 
@@ -71,7 +70,7 @@ def classify_extensions(d: RootDatum) -> dict:
     return {
         "d": k,
         "levels": f"{k}·Z",
-        "aut": list(fundamental_group(d)),
+        "aut": list(d.pi1),
     }
 
 

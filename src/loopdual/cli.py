@@ -28,6 +28,7 @@ from .central_ext import (
     commutator_denominator,
     monodromy_modulus,
 )
+from .lattice import vector_text
 from .loop_symbols import QQ, PrimeField, parse_series, tame_symbol, torus_commutator
 from .rep_check import (
     freudenthal_multiplicities,
@@ -153,21 +154,36 @@ def _field_flag(text: str, flag: str):
     raise UsageError(f"{flag} must be Q or Fp for a prime p, got {text!r}")
 
 
-def _datum_flag(args):
-    isogeny = args.isogeny
-    if isogeny.startswith("["):
-        try:
-            rows = json.loads(isogeny)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--isogeny JSON is malformed: {exc}") from None
-        try:
-            if not all(isinstance(row, list) for row in rows):
-                raise ValueError("a row is not a JSON list")
-            isogeny = [tuple(Fraction(str(x)) for x in row) for row in rows]
-        except (ValueError, ZeroDivisionError):
-            raise UsageError("--isogeny rows must be lists of rationals") from None
+def _json_flag(text: str, flag: str):
     try:
-        return build_datum(args.type, isogeny)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # integer digit limit and deep nesting too
+        raise UsageError(f"{flag} JSON is malformed: {exc}") from None
+
+
+def _isogeny_flag(text: str):
+    """--isogeny as build_datum takes it: a name, or generator rows of rationals."""
+    if not text.startswith("["):
+        return text
+    rows = _json_flag(text, "--isogeny")
+    try:
+        if not all(isinstance(row, list) for row in rows):
+            raise ValueError("a row is not a JSON list")
+        return [tuple(Fraction(str(x)) for x in row) for row in rows]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("--isogeny rows must be lists of rationals") from None
+
+
+def _isogeny_label(text: str) -> str:
+    """How dual prints --isogeny: the name, or quotient:<generator rows>."""
+    isogeny = _isogeny_flag(text)
+    return isogeny if isinstance(isogeny, str) else \
+        "quotient:" + ";".join(vector_text(row) for row in isogeny)
+
+
+def _datum_flag(args):
+    try:
+        return build_datum(args.type, _isogeny_flag(args.isogeny))
     except ValueError as exc:
         raise UsageError(f"--type/--isogeny: {exc}") from None
 
@@ -204,7 +220,7 @@ def _cmd_dual(args, out) -> int:
     result = {
         "source": {
             "type": str(datum.cartan_type),
-            "isogeny": datum.isogeny,
+            "isogeny": _isogeny_label(args.isogeny),
             "lattice": _lattice_rows(datum.X),
         },
         "N": order,
@@ -213,8 +229,8 @@ def _cmd_dual(args, out) -> int:
         "dual_type": str(data.dual.cartan_type),
         "dual_lattice": _lattice_rows(data.dual.X),
         "relabeling": list(data.relabeling),
-        "center": list(data.center),
-        "pi1": list(data.pi1),
+        "center": list(data.dual.center),
+        "pi1": list(data.dual.pi1),
         "name": data.name,
     }
     print(_emit("dual", {"type": args.type, "isogeny": args.isogeny,
@@ -269,10 +285,7 @@ def _cmd_commutator(args, out) -> int:
     level = _int_flag(args.m, "--m")
     field = _field_flag(args.field, "--field")
     datum = _datum_flag(args)
-    try:
-        pair = json.loads(args.points)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--points JSON is malformed: {exc}") from None
+    pair = _json_flag(args.points, "--points")
     if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, list) for x in pair):
         raise UsageError("--points must be a JSON list of two torus points")
 

@@ -4,14 +4,18 @@ recognize_cartan_matrix identifies an integer matrix as the Cartan matrix
 of an irreducible finite type up to simultaneous row/column permutation.
 Types with coinciding diagrams are canonicalized by trying series in the
 order A, B, C, D, E, F, G: a rank-two matrix of symplectic shape comes
-back as B2, and the rank-three fork comes back as A3.
+back as B2, and the rank-three fork comes back as A3.  group_name names
+a validated root-datum record, so it proves no containment again.
 """
 
 from __future__ import annotations
 
-from .lattice import Lattice, lattice_contains, lattice_index, lattice_member
+from math import prod
+
+from .lattice import lattice_member
 from .root_data import (
     CartanType,
+    RootDatum,
     cartan_matrix,
     cartan_symmetrizer,
     fundamental_weight,
@@ -96,30 +100,26 @@ def recognize_cartan_matrix(mat):
     raise ValueError("not the Cartan matrix of an irreducible finite type")
 
 
-def group_name(t: CartanType, char_lattice: Lattice) -> str:
-    """Conventional name of the group with the given character lattice.
+def group_name(d: RootDatum) -> str:
+    """Conventional name of the group of a validated root datum.
 
-    The lattice must sit between the root and weight lattices of t, in
-    simple-root coordinates.  Half-spin forms of even orthogonal groups
+    Q <= X <= P holds for every record (root_data._validate_datum), so only
+    where X sits is read: whether it is P or Q, for type A the index
+    [P:X] = (r + 1) / |X/Q| from the cached center, and for type D which
+    fundamental weight it holds.  Half-spin forms of even orthogonal groups
     are named HSpin<2n>+ / HSpin<2n>- by which spin weight they contain.
     """
-    weights = weight_lattice(t)
-    roots = root_lattice(t)
-    if not lattice_contains(weights, char_lattice):
-        raise ValueError("character lattice is not inside the weight lattice")
-    if not lattice_contains(char_lattice, roots):
-        raise ValueError("character lattice does not contain the roots")
-    top = char_lattice == weights
-    bottom = char_lattice == roots
+    t, x = d.cartan_type, d.X
     r = t.rank
     if t.series == "A":
-        quotient = lattice_index(weights, char_lattice)
+        quotient = (r + 1) // prod(d.center)
         if quotient == 1:
             return f"SL{r + 1}"
         if quotient == r + 1:
             # traditional rank-one name; PGL2 stays available as an alias
             return "PSL2" if r == 1 else f"PGL{r + 1}"
         return f"SL{r + 1}/mu{quotient}"
+    top = x == weight_lattice(t)
     if t.series == "B":
         return f"Spin{2 * r + 1}" if top else f"SO{2 * r + 1}"
     if t.series == "C":
@@ -127,15 +127,15 @@ def group_name(t: CartanType, char_lattice: Lattice) -> str:
     if t.series == "D":
         if top:
             return f"Spin{2 * r}"
-        if bottom:
+        if x == root_lattice(t):
             return f"PSO{2 * r}"
-        if lattice_member(fundamental_weight(t, 0), char_lattice):
+        if lattice_member(fundamental_weight(t, 0), x):
             return f"SO{2 * r}"
-        if lattice_member(fundamental_weight(t, r - 1), char_lattice):
+        if lattice_member(fundamental_weight(t, r - 1), x):
             return f"HSpin{2 * r}+"
-        if lattice_member(fundamental_weight(t, r - 2), char_lattice):
+        if lattice_member(fundamental_weight(t, r - 2), x):
             return f"HSpin{2 * r}-"
-        raise ValueError("unrecognized intermediate orthogonal form")
+        raise ArithmeticError("unrecognized intermediate orthogonal form")
     if t.series == "E" and r in (6, 7):
         return f"E{r}_sc" if top else f"E{r}_ad"
     # E8, F4, G2 have a unique lattice

@@ -11,8 +11,8 @@ congruence_kernel and quotient_invariants read it, so its checks cover all
 four), and hermite_rows, sharing one 2x2 Bezout row transform; Lattice, built
 on one path from integer rows over a denominator (Lattice.from_int_rows);
 one integer triangular solve, on numerators over one denominator, for
-lattice_coordinates, lattice_contains and coordinate matrices; small matrix
-helpers.  Most entries are 0, so mat_mul, det_int and the solve skip zeros.
+lattice_coordinates and coordinate matrices; small matrix helpers.  Most
+entries are 0, so mat_mul, det_int and the solve skip zeros.
 """
 
 from __future__ import annotations
@@ -376,11 +376,6 @@ def lattice_coordinates(vector, lat: Lattice) -> tuple[int, ...] | None:
 def lattice_member(vector, lat: Lattice) -> bool:
     """Exact test: is vector an integer combination of the basis of lat?"""
     return lattice_coordinates(vector, lat) is not None
-
-
-def lattice_contains(big: Lattice, small: Lattice) -> bool:
-    """Exact test: is small inside big?  One integer solve per row of small."""
-    return all(_solve(row, small.den, big) is not None for row in small.rows)
 
 
 def dual_lattice(lat: Lattice, pairing) -> Lattice:

@@ -17,8 +17,10 @@ Conventions used across the package:
   So <y, iota(y')> == (y, y'): the Gram matrix of ( , ) on Y says where
   iota(Y) lands in X, the dual of Y.  Invariants of a Cartan type, this
   form and the dual Coxeter number among them, are built once and cached.
-* A RootDatum is immutable, made by root_datum once per (type, label, X) and
-  validated then by a perfect-pairing check; it caches G_Y, k, center and pi1.
+* A RootDatum is immutable, the triple (type, X, Y), made by root_datum once
+  per (type, X) and validated then by a perfect-pairing check; it caches G_Y,
+  k, center and pi1.  How the caller named X (an isogeny label) is not part
+  of it, so B3 "so" and "adjoint" share one record.
 * cartan_symmetrizer and positive_root_system take a bare integer Cartan
   matrix, for dynkin and rep_check too.  Positive roots grow by height under
   simple reflections, once per matrix; the negative ones are their negations.
@@ -44,8 +46,10 @@ from .lattice import (
     vector_text,
 )
 
-_RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
-                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+# Largest rank of series A-D; `dual --type A128 --N 6` takes about 2 s.
+MAX_RANK = 128
+_RANK_BOUNDS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK),
+                "D": (3, MAX_RANK), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
 @dataclass(frozen=True)
@@ -60,15 +64,18 @@ class CartanType:
         if lo_hi is None:
             raise ValueError(f"unknown series {self.series!r}")
         lo, hi = lo_hi
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if self.rank > hi == MAX_RANK:
+            raise ValueError(f"rank {self.rank} is over the bound {hi} (root_data.MAX_RANK)")
+        if not lo <= self.rank <= hi:
             raise ValueError(f"rank {self.rank} out of range for series {self.series}")
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
         text = text.strip()
-        if len(text) < 2 or text[0] not in _RANK_BOUNDS or not text[1:].isdigit():
+        digits = text[1:]
+        if text[:1] not in _RANK_BOUNDS or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse Cartan type {text!r}")
-        return cls(text[0], int(text[1:]))
+        return cls(text[0], int(digits))
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -247,7 +254,6 @@ class RootDatum:
     Immutable; equality and hash read only (cartan_type, X), which fix Y."""
 
     cartan_type: CartanType
-    isogeny: str = field(compare=False)
     X: Lattice = field(repr=False)
     Y: Lattice = field(compare=False, repr=False)
 
@@ -317,22 +323,19 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
                 raise ValueError(f"isogeny 'so' is not defined for series {t.series}")
         else:
             raise ValueError(f"unknown isogeny {isogeny!r}")
-        label = isogeny
     else:
         gens = [tuple(Fraction(v) for v in g) for g in isogeny]
         for g in gens:
             if not lattice_member(g, weights):
                 raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
         x = Lattice(identity_matrix(r) + [list(g) for g in gens])
-        label = "quotient:" + ";".join(vector_text(g) for g in gens)
-    return root_datum(t, label, x)
+    return root_datum(t, x)
 
 
 @lru_cache(maxsize=256)  # the sweep benchmark, 79 data of rank <= 8 and their duals, makes 150
-def root_datum(t: CartanType, label: str, x: Lattice) -> RootDatum:
-    """The record of type t with character lattice x, printed as label, dualised
-    and validated on a miss; equal X may carry different labels, so both key it."""
-    datum = RootDatum(t, label, x, dual_lattice(x, cartan_matrix(t)))
+def root_datum(t: CartanType, x: Lattice) -> RootDatum:
+    """The record of type t with character lattice x, dualised and validated on a miss."""
+    datum = RootDatum(t, x, dual_lattice(x, cartan_matrix(t)))
     _validate_datum(datum)
     return datum
 
@@ -411,13 +414,3 @@ def dual_coxeter(d: RootDatum) -> int:
     sum_roots <y, root> * root == 2 * h * iota(y), checked on every simple
     coroot and hence on all of Y."""
     return _dual_coxeter_value(d.cartan_type)
-
-
-def fundamental_group(d: RootDatum) -> tuple[int, ...]:
-    """Invariant factors of cocharacters modulo the coroot lattice."""
-    return d.pi1
-
-
-def center_character_group(d: RootDatum) -> tuple[int, ...]:
-    """Invariant factors of characters modulo the root lattice."""
-    return d.center

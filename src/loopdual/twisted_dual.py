@@ -10,9 +10,10 @@ the character lattice.  That sublattice becomes the character lattice of a
 new root datum on the opposite side.  The new Cartan matrix is recognized
 and the resulting group named, so the output is a root datum in standard
 coordinates plus the bookkeeping of how it was reached.  The dual's
-character lattice is built from integer rows and named first, so its record
-is fetched from root_datum already named; its center and fundamental group,
-cached on the record, are checked against the Cartan determinant.
+character lattice is built from integer rows and its record fetched from
+root_datum, which validates it; its center and fundamental group, cached on
+the record, are checked against the Cartan determinant, and the record is
+named last, from its own invariants.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class TwistedDualData:
     """The dual datum plus the bookkeeping of the construction.
 
     relabeling maps source node i to the node of the recognized standard
-    numbering that the rescaled coroot delta_i * coroot_i became; center
-    and pi1 are the invariant factors of X/Q and Y/Q^v of the dual.
+    numbering that the rescaled coroot delta_i * coroot_i became; the
+    dual's center and pi1 are cached on its record.
     """
 
     source: RootDatum
@@ -105,8 +106,6 @@ class TwistedDualData:
     relabeling: tuple[int, ...]
     dual: RootDatum
     name: str
-    center: tuple[int, ...]
-    pi1: tuple[int, ...]
 
 
 def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
@@ -127,8 +126,7 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     big = lcm(*delta)
     xlat = Lattice.from_int_rows(ylat.den * big, [[row[i] * (big // delta[i]) for i in source]
                                                  for row in ylat.rows])
-    name = group_name(dual_type, xlat)
-    dual = root_datum(dual_type, name, xlat)
+    dual = root_datum(dual_type, xlat)
     std = cartan_matrix(dual_type)
     for i in range(r):
         for j in range(r):
@@ -147,9 +145,7 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
         dual_cartan=aprime,
         relabeling=sigma,
         dual=dual,
-        name=name,
-        center=dual.center,
-        pi1=dual.pi1,
+        name=group_name(dual),
     )
 
 

@@ -271,6 +271,10 @@ MALFORMED_ARGV = [
     ("symbol", "--field", "F2305843009213693951", "--f", "t", "--g", "t"),
     ("check-assumption", "--type", "A1", "--N", "1", "--p", "2305843009213693951"),
     ("mv-rank1", "--type", "A1", "--N", "1", "--i", "0", "--a", "100000000"),
+    ("commutator", "--type", "A1", "--m", "1", "--points", "1" + "0" * 5000),
+    ("dual", "--type", "A1", "--isogeny", "[" * 100000 + "]" * 100000, "--N", "2"),
+    ("dual", "--type", "A\u0661\u0662", "--N", "2"),  # Arabic-Indic digits, not a rank
+    ("dual", "--type", "A129", "--N", "6"),
     ("symbol", "--f", "t^-1000000 + 1", "--g", "t"),
     ("table", "--Nmax", "100000"),
     ("symbol", "--f", "2*t^100000000", "--g", "3*t"),
@@ -318,7 +322,8 @@ def test_rational_powers_are_refused_up_front(argv):
 
 @pytest.mark.parametrize("argv,bound", [
     (MALFORMED_ARGV[-4], "loop_symbols.MAX_SPAN"),
-    (MALFORMED_ARGV[-3], "cli.MAX_TABLE_ORDER")])
+    (MALFORMED_ARGV[-3], "cli.MAX_TABLE_ORDER"),
+    (MALFORMED_ARGV[-5], "over the bound 128 (root_data.MAX_RANK)")])
 def test_wide_series_and_long_tables_are_refused_up_front(argv, bound):
     start = time.perf_counter()
     code, out, err = invoke(*argv)
@@ -390,7 +395,7 @@ LABELS = {"so": "so", "adjoint": "adjoint", D5_VECTOR: "quotient:1,1,1,1/2,1/2"}
     ("B3", "so", "adjoint"), ("B3", "adjoint", "so"),
     ("D5", "so", D5_VECTOR), ("D5", D5_VECTOR, "so")])
 def test_records_with_one_character_lattice_print_their_own_isogeny(type_name, first, second):
-    # the records are cached per (type, label, X), so equal X keep apart
+    # equal X share one record, and dual prints the label it was given
     root_data.root_datum.cache_clear()
     sources = []
     for isogeny in (first, second, first):

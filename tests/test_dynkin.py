@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopdual import lattice
 from loopdual.dynkin import group_name, recognize_cartan_matrix
 from loopdual.lattice import Lattice, identity_matrix
 from loopdual.root_data import (
@@ -10,6 +11,7 @@ from loopdual.root_data import (
     build_datum,
     cartan_matrix,
     fundamental_weight,
+    root_datum,
     root_lattice,
     weight_lattice,
 )
@@ -77,54 +79,73 @@ def test_recognize_rejects_non_cartan(bad):
 
 def test_group_names_classical():
     a1 = CartanType("A", 1)
-    assert group_name(a1, weight_lattice(a1)) == "SL2"
-    assert group_name(a1, root_lattice(a1)) == "PSL2"
+    assert group_name(root_datum(a1, weight_lattice(a1))) == "SL2"
+    assert group_name(root_datum(a1, root_lattice(a1))) == "PSL2"
     a3 = CartanType("A", 3)
     middle = Lattice(identity_matrix(3) + [list(fundamental_weight(a3, 1))])
-    assert group_name(a3, middle) == "SL4/mu2"
-    assert group_name(a3, root_lattice(a3)) == "PGL4"
+    assert group_name(root_datum(a3, middle)) == "SL4/mu2"
+    assert group_name(root_datum(a3, root_lattice(a3))) == "PGL4"
     b3 = CartanType("B", 3)
-    assert group_name(b3, weight_lattice(b3)) == "Spin7"
-    assert group_name(b3, root_lattice(b3)) == "SO7"
+    assert group_name(root_datum(b3, weight_lattice(b3))) == "Spin7"
+    assert group_name(root_datum(b3, root_lattice(b3))) == "SO7"
     c2 = CartanType("C", 2)
-    assert group_name(c2, weight_lattice(c2)) == "Sp4"
-    assert group_name(c2, root_lattice(c2)) == "PSp4"
+    assert group_name(root_datum(c2, weight_lattice(c2))) == "Sp4"
+    assert group_name(root_datum(c2, root_lattice(c2))) == "PSp4"
     for name in ("E8", "F4", "G2"):
         t = CartanType.parse(name)
-        assert group_name(t, weight_lattice(t)) == name
+        assert group_name(root_datum(t, weight_lattice(t))) == name
     e6 = CartanType("E", 6)
-    assert group_name(e6, weight_lattice(e6)) == "E6_sc"
-    assert group_name(e6, root_lattice(e6)) == "E6_ad"
+    assert group_name(root_datum(e6, weight_lattice(e6))) == "E6_sc"
+    assert group_name(root_datum(e6, root_lattice(e6))) == "E6_ad"
 
 
 def test_group_names_orthogonal_forms():
     d4 = CartanType("D", 4)
-    assert group_name(d4, weight_lattice(d4)) == "Spin8"
-    assert group_name(d4, root_lattice(d4)) == "PSO8"
+    assert group_name(root_datum(d4, weight_lattice(d4))) == "Spin8"
+    assert group_name(root_datum(d4, root_lattice(d4))) == "PSO8"
 
     def with_class(t, idx):
         return Lattice(identity_matrix(t.rank) + [list(fundamental_weight(t, idx))])
 
-    assert group_name(d4, with_class(d4, 0)) == "SO8"
-    assert group_name(d4, with_class(d4, 3)) == "HSpin8+"
-    assert group_name(d4, with_class(d4, 2)) == "HSpin8-"
+    assert group_name(root_datum(d4, with_class(d4, 0))) == "SO8"
+    assert group_name(root_datum(d4, with_class(d4, 3))) == "HSpin8+"
+    assert group_name(root_datum(d4, with_class(d4, 2))) == "HSpin8-"
     d5 = CartanType("D", 5)
-    assert group_name(d5, with_class(d5, 0)) == "SO10"
-    assert group_name(d5, build_datum("D5", "so").X) == "SO10"
+    assert group_name(root_datum(d5, with_class(d5, 0))) == "SO10"
+    assert group_name(build_datum("D5", "so")) == "SO10"
 
 
 def test_group_name_rejects_bad_lattices():
+    # group_name takes a validated record; these lattices never become one
     a1 = CartanType("A", 1)
-    with pytest.raises(ValueError):
-        group_name(a1, Lattice([[Fraction(1, 3)]]))
+    with pytest.raises(ArithmeticError, match="character lattice not inside the weight lattice"):
+        root_datum(a1, Lattice([[Fraction(1, 3)]]))
     b2 = CartanType("B", 2)
-    with pytest.raises(ValueError):
-        group_name(b2, Lattice([[2, 0], [0, 1]]))
+    with pytest.raises(ArithmeticError,
+                       match="cocharacter lattice not inside the coweight lattice"):
+        root_datum(b2, Lattice([[2, 0], [0, 1]]))
 
 
 def test_group_name_names_both_refusals():
     a2 = CartanType("A", 2)
-    with pytest.raises(ValueError, match="character lattice is not inside the weight lattice"):
-        group_name(a2, Lattice([[Fraction(1, 2), 0], [0, 1]]))
-    with pytest.raises(ValueError, match="character lattice does not contain the roots"):
-        group_name(a2, Lattice([[2, 0], [1, 1]]))
+    with pytest.raises(ArithmeticError, match="character lattice not inside the weight lattice"):
+        root_datum(a2, Lattice([[Fraction(1, 2), 0], [0, 1]]))
+    # without the roots in X, its dual Y escapes the coweight lattice
+    with pytest.raises(ArithmeticError,
+                       match="cocharacter lattice not inside the coweight lattice"):
+        root_datum(a2, Lattice([[2, 0], [1, 1]]))
+
+
+def test_group_name_of_a_record_solves_nothing(monkeypatch):
+    # A reads [P:X] from the cached center, and B, C and E compare X with P
+    records = [build_datum("A3", [fundamental_weight(CartanType("A", 3), 1)]),
+               build_datum("A5", "adjoint"), build_datum("B3", "sc"),
+               build_datum("C4", "adjoint"), build_datum("E6", "sc"), build_datum("E7", "adjoint")]
+    for d in records:
+        assert d.center is d.center  # computed once per record, before naming
+    calls = []
+    real = lattice._solve
+    monkeypatch.setattr(lattice, "_solve", lambda *args: calls.append(args) or real(*args))
+    assert [group_name(d) for d in records] == \
+        ["SL4/mu2", "PGL6", "Spin7", "PSp8", "E6_sc", "E7_ad"]
+    assert calls == []

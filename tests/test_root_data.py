@@ -14,10 +14,8 @@ from loopdual.root_data import (
     build_datum,
     canonical_form,
     cartan_matrix,
-    center_character_group,
     coroot_norms,
     dual_coxeter,
-    fundamental_group,
     fundamental_weight,
     iota,
     pairing,
@@ -215,20 +213,20 @@ def test_weight_root_index():
 def test_build_datum_named_isogenies():
     sl2 = build_datum("A1", "sc")
     assert lattice_member((Fraction(1, 2),), sl2.X)
-    assert fundamental_group(sl2) == ()
-    assert center_character_group(sl2) == (2,)
+    assert sl2.pi1 == ()
+    assert sl2.center == (2,)
 
     psl2 = build_datum("A1", "adjoint")
     assert psl2.X == Lattice.standard(1)
-    assert fundamental_group(psl2) == (2,)
-    assert center_character_group(psl2) == ()
+    assert psl2.pi1 == (2,)
+    assert psl2.center == ()
 
     so7 = build_datum("B3", "so")
     assert so7.X == build_datum("B3", "adjoint").X
 
     so10 = build_datum("D5", "so")
-    assert center_character_group(so10) == (2,)
-    assert fundamental_group(so10) == (2,)
+    assert so10.center == (2,)
+    assert so10.pi1 == (2,)
     assert lattice_index(weight_lattice(so10.cartan_type), so10.X) == 2
 
 
@@ -246,11 +244,11 @@ def test_build_datum_rejects_bad_isogenies():
 def test_build_datum_explicit_generators():
     t = CartanType.parse("D4")
     so8 = build_datum(t, [fundamental_weight(t, 0)])
-    assert center_character_group(so8) == (2,)
-    assert fundamental_group(so8) == (2,)
+    assert so8.center == (2,)
+    assert so8.pi1 == (2,)
     gl_style = build_datum("A3", [fundamental_weight(CartanType.parse("A3"), 1)])
     # the second fundamental weight of A3 generates an index-two subgroup
-    assert center_character_group(gl_style) == (2,)
+    assert gl_style.center == (2,)
 
 
 @pytest.mark.parametrize("name,isogeny", [
@@ -267,8 +265,8 @@ def test_fundamental_groups_adjoint_table():
     expected = {"A4": (5,), "B4": (2,), "C4": (2,), "D4": (2, 2), "D5": (4,),
                 "E6": (3,), "E7": (2,), "E8": (), "F4": (), "G2": ()}
     for name, invs in expected.items():
-        assert fundamental_group(build_datum(name, "adjoint")) == invs
-        assert center_character_group(build_datum(name, "sc")) == invs
+        assert build_datum(name, "adjoint").pi1 == invs
+        assert build_datum(name, "sc").center == invs
 
 
 def test_all_isogenies_enumeration():
@@ -289,7 +287,7 @@ def test_all_isogenies_enumeration():
 
 def test_validate_datum_rejects_characters_outside_the_weight_lattice():
     # 1/4 is not in the A1 weight lattice (1/2)Z, although X still holds the root
-    bad = RootDatum(CartanType("A", 1), "bad", Lattice([[Fraction(1, 4)]]), Lattice([[1]]))
+    bad = RootDatum(CartanType("A", 1), Lattice([[Fraction(1, 4)]]), Lattice([[1]]))
     with pytest.raises(ArithmeticError, match="weight lattice"):
         _validate_datum(bad)
 
@@ -297,14 +295,14 @@ def test_validate_datum_rejects_characters_outside_the_weight_lattice():
 def test_validate_datum_rejects_cocharacters_outside_the_coweight_lattice():
     # X = 2Z holds the root and pairs perfectly with Y = (1/4)Z, but 1/4 is
     # not a coweight of A1
-    bad = RootDatum(CartanType("A", 1), "bad", Lattice([[2]]), Lattice([[Fraction(1, 4)]]))
+    bad = RootDatum(CartanType("A", 1), Lattice([[2]]), Lattice([[Fraction(1, 4)]]))
     with pytest.raises(ArithmeticError, match="coweight lattice"):
         _validate_datum(bad)
 
 
 def test_validate_datum_rejects_a_pairing_that_is_not_perfect():
     # Q <= X <= P and Q^v <= Y <= P^v hold, but Z^3 is not the dual of Q in A3
-    bad = RootDatum(CartanType("A", 3), "bad", Lattice.standard(3), Lattice.standard(3))
+    bad = RootDatum(CartanType("A", 3), Lattice.standard(3), Lattice.standard(3))
     with pytest.raises(ArithmeticError, match="not perfect"):
         _validate_datum(bad)
 
@@ -312,8 +310,8 @@ def test_validate_datum_rejects_a_pairing_that_is_not_perfect():
 def test_root_datum_is_immutable():
     d = build_datum("A2", "adjoint")
     with pytest.raises(AttributeError):
-        d.isogeny = "sc"
-    assert d.isogeny == "adjoint"
+        d.X = weight_lattice(d.cartan_type)
+    assert d.X == root_lattice(d.cartan_type)
 
 
 def test_dual_coxeter_sums_roots_once_per_type(monkeypatch):
@@ -346,21 +344,38 @@ def test_repeated_build_returns_the_identical_record():
         build_datum(CartanType("A", 3), [(Fraction(1, 2), 1, Fraction(1, 2))])
 
 
+def test_one_record_per_type_and_character_lattice():
+    # the isogeny label is not part of the record; B3 "so" and "adjoint" share X
+    assert build_datum("B3", "so") is build_datum("B3", "adjoint")
+    assert build_datum("D5", "so") is \
+        build_datum("D5", [fundamental_weight(CartanType("D", 5), 0)])
+
+
+def test_ranks_over_the_bound_are_refused():
+    assert CartanType("D", root_data.MAX_RANK).rank == 128
+    bound = r"rank 129 is over the bound 128 \(root_data\.MAX_RANK\)"
+    with pytest.raises(ValueError, match=bound):
+        CartanType("D", 129)
+    with pytest.raises(ValueError, match="rank 129 is over the bound"):
+        CartanType.parse("A129")
+    with pytest.raises(ValueError, match="out of range for series E"):
+        CartanType("E", 129)
+
+
 def test_a_refused_datum_leaves_no_cache_entry():
     t = CartanType("A", 1)
     x = Lattice([[Fraction(1, 4)]])  # not inside the weight lattice (1/2)Z
     before = root_data.root_datum.cache_info().currsize
     with pytest.raises(ArithmeticError, match="not inside the weight lattice"):
-        root_data.root_datum(t, "bad", x)
+        root_data.root_datum(t, x)
     with pytest.raises(ValueError, match="not in the weight lattice"):
         build_datum(t, [(Fraction(1, 4),)])
     assert root_data.root_datum.cache_info().currsize == before
     with pytest.raises(ArithmeticError, match="not inside the weight lattice"):
-        root_data.root_datum(t, "bad", x)  # refused again: the check ran again
+        root_data.root_datum(t, x)  # refused again: the check ran again
 
 
 def test_record_invariants_are_cached_on_the_record():
     d = build_datum("D6", [fundamental_weight(CartanType("D", 6), 0)])
-    assert (commutator_denominator(d), center_character_group(d), fundamental_group(d)) == \
-        (d.k, d.center, d.pi1)
+    assert (commutator_denominator(d), d.center, d.pi1) == (d.k, (2,), (2,))
     assert {"k", "center", "pi1"} <= vars(d).keys()

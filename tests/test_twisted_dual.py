@@ -83,6 +83,11 @@ def test_twisted_dual_rank_one_names():
     assert out.denominator == 1
 
 
+def test_a_dual_with_the_source_lattice_is_the_source_record():
+    # records are keyed on (type, X) alone, so SL2 at N = 2 comes back as itself
+    assert twisted_dual(build_datum("A1", "sc"), 2).dual is build_datum("A1", "sc")
+
+
 def test_twisted_dual_sp4_bookkeeping():
     sp4 = build_datum("C2", "sc")
     out = twisted_dual(sp4, 2)
