@@ -5,6 +5,8 @@ environment, no network.  JSON output wraps results in a fixed envelope
 (schema_version, command, input_echo, result, checks) with sorted keys,
 rationals rendered as exact "p/q" strings, and lattices in Hermite
 normal form, so identical invocations produce byte-identical output.
+Weights and lattice rows come as integer numerators over one denominator, and
+one formatter (_rationals) writes them, so every result is built JSON-native.
 
 Exit codes: 0 success, 1 usage error, 2 a requested check failed, 3 an
 internal self-check failed.
@@ -21,6 +23,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .central_ext import (
     char_assumption_ok,
@@ -188,26 +191,23 @@ def _datum_flag(args):
         raise UsageError(f"--type/--isogeny: {exc}") from None
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
+def _rationals(nums, den: int) -> list[str]:
+    """Each integer of nums over den, as str(Fraction) writes it: "p" or "p/q"
+    in lowest terms."""
+    return [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+            for x in nums]
 
 
 def _lattice_rows(lat):
-    return [[str(x) for x in row] for row in lat.basis]
+    return [_rationals(row, lat.den) for row in lat.rows]
 
 
 def _emit(command: str, echo: dict, result: dict, checks: list) -> str:
     envelope = {
         "schema_version": "1",
         "command": command,
-        "input_echo": _jsonable(echo),
-        "result": _jsonable(result),
+        "input_echo": echo,
+        "result": result,
         "checks": [{"name": name, "pass": ok} for name, ok in checks],
     }
     return json.dumps(envelope, sort_keys=True, indent=2, ensure_ascii=False)
@@ -318,16 +318,16 @@ def _cmd_mult(args, out) -> int:
     highest = _vector_flag(args.highest, "--highest")
     dual = twisted_dual(datum, order).dual
     try:
-        weights = freudenthal_multiplicities(dual, highest)
+        den, weights = freudenthal_multiplicities(dual, highest)
         dim = weyl_dim(dual, highest)
     except ValueError as exc:
         raise UsageError(f"--highest: {exc}") from None
-    table = sorted(weights.items(), reverse=True)
     result = {
         "dual_type": str(dual.cartan_type),
-        "highest": list(highest),
+        "highest": [str(x) for x in highest],
         "dim": dim,
-        "weights": [[list(vec), mult] for vec, mult in table],
+        "weights": [[_rationals(vec, den), mult]
+                    for vec, mult in sorted(weights.items(), reverse=True)],
     }
     print(_emit("mult", {"type": args.type, "isogeny": args.isogeny,
                          "N": args.N, "highest": args.highest}, result, []),

@@ -5,19 +5,21 @@ depths lam - mu = sum_j c_j alpha_j and the symmetrizer scaled to integers D_j,
 (x, beta) = sum_j b_j D_j x_j, so Freudenthal's recursion (denominator
 sum_j c_j D_j (lam_j + mu_j + 2)), the Weyl dimension and Brauer-Klimyk tensor
 products (Humphreys, Intro. to Lie Algebras, section 24) build no Fraction.
-A WeightSystem is the adapter in ambient coordinates (simple roots as rational
-vectors, one functional per simple coroot) for a datum and its rescaled duals.
+A WeightSystem is the adapter in ambient coordinates, one per Cartan type for
+a datum.  Its simple roots are delta_i * e_i (integers delta_i > 0), so the
+weight at depth c below lam is lam - delta * c, and WeightSystem.weights hands
+out integer numerators over the lcm of lam's denominators: no Fraction per weight.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial, lcm, prod
 
 from .central_ext import monodromy_modulus
 from .dynkin import validate_cartan_matrix
-from .lattice import det_int, mat_inv, mat_vec, transpose, vector_text
+from .lattice import det_int, identity_matrix, transpose, vector_text
 from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_norms,
                         dual_coxeter, positive_root_system)
 from .twisted_dual import local_denominators
@@ -182,7 +184,8 @@ _engine = lru_cache(maxsize=64)(_Engine)
 
 
 class WeightSystem:
-    """A root system acting on an ambient rational weight space."""
+    """A root system acting on an ambient rational weight space, with simple
+    roots delta_i * e_i for positive integers delta_i."""
 
     def __init__(self, simple_roots, coroot_functionals):
         self.simple_roots = tuple(tuple(Fraction(x) for x in r) for r in simple_roots)
@@ -190,13 +193,16 @@ class WeightSystem:
         self.rank = r = len(self.simple_roots)
         if r == 0 or r != len(self.functionals) or len(self.simple_roots[0]) != r:
             raise ValueError("need as many independent simple roots as functionals")
+        self.delta = tuple(int(sum(root)) for root in self.simple_roots)
+        if min(self.delta) <= 0 or self.simple_roots != tuple(
+                tuple(d * (i == j) for j in range(r)) for i, d in enumerate(self.delta)):
+            raise ValueError("simple roots must be delta_i * e_i with integers delta_i > 0")
         pairings = [[self.pairing(i, root) for root in self.simple_roots] for i in range(r)]
         validate_cartan_matrix(pairings)
         self._engine = _engine(tuple(tuple(map(int, row)) for row in pairings))
-        self.positive_roots = tuple(sorted(self._below((0,) * r, [-x for x in b])
+        self.positive_roots = tuple(sorted(self._below((Fraction(0),) * r, [-x for x in b])
                                            for b, _, _ in self._engine.roots))
         self.rho = tuple(sum(col) / 2 for col in zip(*self.positive_roots))
-        self._table = lru_cache(maxsize=16)(self._engine.table)  # per instance
 
     def pairing(self, i: int, vec) -> Fraction:
         """Value of the i-th coroot functional on a weight vector."""
@@ -206,23 +212,20 @@ class WeightSystem:
         c = self.pairing(i, vec)
         return tuple(Fraction(x) - c * r for x, r in zip(vec, self.simple_roots[i]))
 
-    @cached_property
-    def _root_coords(self):
-        return mat_inv(transpose(self.simple_roots))
-
     def root_coordinates(self, vec) -> tuple[Fraction, ...]:
-        return tuple(mat_vec(self._root_coords, [Fraction(x) for x in vec]))
+        return tuple(Fraction(x) / d for x, d in zip(vec, self.delta))
 
     def dominant_conjugate(self, vec) -> tuple[Fraction, ...]:
+        vec = tuple(Fraction(x) for x in vec)
         return self._below(vec, [-x for x in self._engine.conjugate(self._labels(vec))[1]])
 
     def antidominant_conjugate(self, vec) -> tuple[Fraction, ...]:
         return tuple(-x for x in self.dominant_conjugate(tuple(-Fraction(x) for x in vec)))
 
-    def _below(self, top, depth) -> tuple[Fraction, ...]:
-        """top - sum_j depth_j * simple_root_j, in ambient coordinates."""
-        return tuple(Fraction(x) - sum(c * r[a] for c, r in zip(depth, self.simple_roots) if c)
-                     for a, x in enumerate(top))
+    def _below(self, top, depth, den=1):
+        """top - delta * depth entry by entry: top is a weight, or with den
+        given its integer numerators over den."""
+        return tuple(x - den * d * c for x, d, c in zip(top, self.delta, depth))
 
     def _labels(self, vec):
         """Dynkin labels of an ambient weight, as ints where they are integers."""
@@ -246,7 +249,7 @@ class WeightSystem:
                                        for size, depth, _ in self._engine.dominant_weights(labels))]
 
     def weight_multiplicity(self, lam, mu) -> int:
-        table = self._table(self._require_highest_weight(lam)[1])
+        table = self._engine.table(self._require_highest_weight(lam)[1])
         return table.get(self._engine.conjugate(self._labels(mu))[0], (None, 0))[1]
 
     def weight_count(self, lam) -> int:
@@ -255,11 +258,16 @@ class WeightSystem:
     def weyl_dimension(self, lam) -> int:
         return self._engine.dimension(self._require_highest_weight(lam)[1])
 
-    def character(self, lam) -> dict[tuple[Fraction, ...], int]:
-        """Full weight multiset of L(lam) as a weight -> multiplicity map."""
+    def weights(self, lam) -> tuple[int, dict[tuple[int, ...], int]]:
+        """Full weight multiset of L(lam) as (den, {numerators: multiplicity}):
+        each weight is its integer numerators over den, the lcm of the
+        denominators of lam, which is common and positive, so the numerator
+        tuples sort as the weights do."""
         vec, labels = self._require_highest_weight(lam)
-        return {self._below(vec, depth): mult for depth, mult in
-                self._engine.character(self._table(labels)).values()}
+        den = lcm(*(x.denominator for x in vec))
+        top = tuple(x.numerator * (den // x.denominator) for x in vec)
+        return den, {self._below(top, depth, den): mult for depth, mult in
+                     self._engine.character(self._engine.table(labels)).values()}
 
     def tensor_decompose(self, lam1, lam2) -> dict[tuple[Fraction, ...], int]:
         """Decompose L(lam1) (x) L(lam2) into highest weights; the result is
@@ -272,24 +280,14 @@ class WeightSystem:
 
 def datum_weight_system(datum: RootDatum) -> WeightSystem:
     """The character-side weight system of a root datum: simple roots are
-    the coordinate vectors and the functionals are the simple coroots."""
-    a = cartan_matrix(datum.cartan_type)
-    r = datum.rank
-    roots = [[int(i == j) for j in range(r)] for i in range(r)]
-    functionals = [[a[j][i] for j in range(r)] for i in range(r)]
-    return WeightSystem(roots, functionals)
+    the coordinate vectors and the functionals are the simple coroots.  It
+    depends on the Cartan type alone, so there is one per type."""
+    return _type_weight_system(datum.cartan_type)
 
 
-def rescaled_coroot_system(datum: RootDatum, order: int) -> WeightSystem:
-    """The dual-side weight system in source coordinates: simple roots are
-    the rescaled coroots delta_i * coroot_i acting on the cocharacter
-    space, with functionals scaled down accordingly."""
-    a = cartan_matrix(datum.cartan_type)
-    delta = local_denominators(datum, order)
-    r = datum.rank
-    roots = [[delta[i] * int(i == j) for j in range(r)] for i in range(r)]
-    functionals = [[Fraction(a[i][j], delta[i]) for j in range(r)] for i in range(r)]
-    return WeightSystem(roots, functionals)
+@lru_cache(maxsize=64)
+def _type_weight_system(t) -> WeightSystem:
+    return WeightSystem(identity_matrix(t.rank), transpose(cartan_matrix(t)))
 
 
 def weyl_dim(datum: RootDatum, lam) -> int:
@@ -298,9 +296,9 @@ def weyl_dim(datum: RootDatum, lam) -> int:
     return datum_weight_system(datum).weyl_dimension(lam)
 
 
-def freudenthal_multiplicities(datum: RootDatum, lam) -> dict:
-    """Full weight multiset of the irreducible with highest weight lam,
-    as a map from weight vectors to positive multiplicities.  Refused with a
+def freudenthal_multiplicities(datum: RootDatum, lam) -> tuple[int, dict]:
+    """Full weight multiset of the irreducible with highest weight lam, as
+    (den, {numerators: multiplicity}) (WeightSystem.weights).  Refused with a
     ValueError, before any multiplicity is computed, when it has more than
     MAX_WEIGHTS weights, counted as orbit sizes."""
     ws = datum_weight_system(datum)
@@ -308,10 +306,10 @@ def freudenthal_multiplicities(datum: RootDatum, lam) -> dict:
     if count > MAX_WEIGHTS:
         raise ValueError(f"the representation has {count} weights, more than the "
                          f"bound {MAX_WEIGHTS} (rep_check.MAX_WEIGHTS)")
-    weights = ws.character(lam)
+    den, weights = ws.weights(lam)
     if len(weights) != count:
         raise ArithmeticError(f"{len(weights)} weights listed, {count} counted by orbit sizes")
-    return weights
+    return den, weights
 
 
 def tensor_multiplicity(datum: RootDatum, lam, mu, nu) -> int:
@@ -373,6 +371,6 @@ def mv_vs_character_check(datum: RootDatum, order: int, node: int, a: int) -> bo
     """Compare the rank-one fixed-point count against character theory: the
     geometric multiplicities over the coroot line must be the Freudenthal
     multiplicities of rank_one_line_system at highest weight a."""
-    character = rank_one_line_system(datum, order, node).character((a,))
+    _, character = rank_one_line_system(datum, order, node).weights((a,))
     return all(character.get((b,), 0) == mult
                for b, mult in rank_one_mv_multiplicities(datum, order, node, a).items())

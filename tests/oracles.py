@@ -15,8 +15,11 @@ sums run over that dense closure, one vector at a time, where the package
 sums every simple coroot in one pass over the positive roots.  Lattice
 coordinates are solved by Fraction Gauss-Jordan on the basis, and invariant
 factors read off gcds of minors, where the package runs an integer
-triangular solve and a Smith form.  The helpers that enumerate weight
-classes and isogenies (and 2-rho) serve only tests.
+triangular solve and a Smith form.  A weight below a highest weight is
+recomputed as top - sum_j depth_j * root_j over every simple root in Fractions,
+where the package subtracts delta * depth from integer numerators.  The helpers
+that enumerate weight classes and isogenies (and 2-rho), and the rescaled
+coroot system of a datum, serve only tests.
 """
 
 from fractions import Fraction
@@ -25,8 +28,10 @@ from itertools import combinations, count, product
 from math import gcd
 
 from loopdual.lattice import Lattice, lattice_member
+from loopdual.rep_check import WeightSystem
 from loopdual.root_data import (CartanType, RootDatum, cartan_matrix, iota, positive_roots,
                                 weight_lattice)
+from loopdual.twisted_dual import local_denominators
 
 
 @lru_cache(maxsize=None)
@@ -79,6 +84,25 @@ def reflection_sum(t: CartanType, yvec) -> tuple:
         for i in range(r):
             total[i] += val * root[i]
     return tuple(total)
+
+
+def rescaled_coroot_system(datum: RootDatum, order: int) -> WeightSystem:
+    """The dual-side weight system in source coordinates: simple roots are
+    the rescaled coroots delta_i * coroot_i acting on the cocharacter
+    space, with functionals scaled down accordingly."""
+    a = cartan_matrix(datum.cartan_type)
+    delta = local_denominators(datum, order)
+    r = datum.rank
+    roots = [[delta[i] * int(i == j) for j in range(r)] for i in range(r)]
+    functionals = [[Fraction(a[i][j], delta[i]) for j in range(r)] for i in range(r)]
+    return WeightSystem(roots, functionals)
+
+
+def below(ws, top, depth) -> tuple[Fraction, ...]:
+    """top - sum_j depth_j * simple_root_j of a WeightSystem, in ambient
+    coordinates, summed over every simple root in Fractions."""
+    return tuple(Fraction(x) - sum(c * r[a] for c, r in zip(depth, ws.simple_roots) if c)
+                 for a, x in enumerate(top))
 
 
 def weyl_group_with_signs(ws):

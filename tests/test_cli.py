@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface via run()."""
 
+import cProfile
 import hashlib
 import io
 import json
+import pstats
 import sys
 import time
 from fractions import Fraction
@@ -339,6 +341,44 @@ def test_mult_refuses_more_weights_than_the_bound():
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert f"131041 weights, more than the bound {rep_check.MAX_WEIGHTS}" in err, err
+
+
+def test_mult_e8_at_twice_the_highest_root():
+    # 9,361 weights, 1.6 MB of stdout, recorded before weights became integer numerators
+    start = time.perf_counter()
+    code, out, _ = invoke("mult", "--type", "E8", "--N", "1", "--highest", "4,6,8,12,10,8,6,4")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "aec4bfc8f0d15d01f399386b5fabd0f1e743695f1a0bd86aadd3303a8ae4555d"
+    assert elapsed < 2.0
+
+
+def _fractions_built(argv) -> int:
+    """Fraction constructions while run(argv) answers, counted by cProfile as
+    calls of Fraction.__new__ (and of _from_coprime_ints, which builds the
+    results of Fraction arithmetic from Python 3.12 on)."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        code, _, _ = invoke(*argv)
+    finally:
+        profile.disable()
+    assert code == 0, argv
+    return sum(calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if path.endswith("fractions.py") and name in ("__new__", "_from_coprime_ints"))
+
+
+@pytest.mark.parametrize("argv,small,big", [
+    (("mult", "--type", "A1", "--N", "1", "--highest"), "50", "100"),
+    (("mult", "--type", "A2", "--N", "1", "--highest"), "1,1", "5,5"),
+    (("mult", "--type", "B2", "--isogeny", "adjoint", "--N", "1", "--highest"), "1/2,1", "5/2,5"),
+    (("mv-rank1", "--type", "C2", "--N", "2", "--i", "1", "--check", "--a"), "40", "80")])
+def test_no_fraction_per_weight(argv, small, big):
+    """mult and mv-rank1 --check build as many Fractions for a large highest
+    weight as for a small one: none per weight they list."""
+    invoke(*argv, small)  # fills the per-datum and per-type caches
+    assert _fractions_built(argv + (big,)) == _fractions_built(argv + (small,))
 
 
 def test_mult_weight_count_matches_every_golden():

@@ -8,10 +8,12 @@ tensor products without the Brauer-Klimyk reflection.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, product
+from math import lcm
 
 import pytest
 
+from loopdual.lattice import lattice_member
 from loopdual.rep_check import (
     freudenthal_multiplicities,
     WeightSystem,
@@ -19,14 +21,14 @@ from loopdual.rep_check import (
     mv_vs_character_check,
     rank_one_line_system,
     rank_one_mv_multiplicities,
-    rescaled_coroot_system,
     tensor_multiplicity,
     weyl_dim,
 )
 from loopdual.root_data import build_datum, fundamental_weight, positive_roots
 from loopdual.twisted_dual import local_denominators, twisted_dual
 
-from oracles import kostant_multiplicity, tensor_by_peeling, weyl_group_with_signs
+from oracles import (below, character_by_kostant, kostant_multiplicity, rescaled_coroot_system,
+                     tensor_by_peeling, weyl_group_with_signs)
 
 
 def source_system(name):
@@ -49,6 +51,14 @@ class TestWeightSystemBasics:
             WeightSystem([(1, 0), (0, 1)], [(2, 1), (1, 2)])  # positive off-diag
         with pytest.raises(ValueError):
             WeightSystem([(1, 0), (0, 1)], [(2, 0), (0, 2)])  # reducible
+
+    def test_rejects_simple_roots_off_the_coordinate_axes(self):
+        for roots in ([(1, 1), (0, 1)],  # not diagonal
+                      [(Fraction(1, 2), 0), (0, 1)],  # delta_i not an integer
+                      [(-1, 0), (0, 1)],  # delta_i not positive
+                      [(1, 0), (1,)]):  # ragged
+            with pytest.raises(ValueError, match="delta_i"):
+                WeightSystem(roots, [(2, -1), (-1, 2)])
 
     def test_rank_one_weights(self):
         ws = WeightSystem([(2,)], [(1,)])
@@ -82,7 +92,7 @@ class TestDimensionsAndMultiplicities:
         for m in range(6):
             lam = tuple(m * x for x in fw("A1", 0))
             assert ws.weyl_dimension(lam) == m + 1
-            assert sum(ws.character(lam).values()) == m + 1
+            assert sum(ws.weights(lam)[1].values()) == m + 1
 
     def test_classical_dimensions(self):
         cases = [
@@ -100,7 +110,7 @@ class TestDimensionsAndMultiplicities:
         for name, lam, dim in cases:
             ws = source_system(name)
             assert ws.weyl_dimension(lam) == dim
-            assert sum(ws.character(lam).values()) == dim
+            assert sum(ws.weights(lam)[1].values()) == dim
 
     def test_zero_weight_multiplicities(self):
         cases = [
@@ -267,7 +277,7 @@ class TestOperationWrappers:
 
     def test_freudenthal_multiplicities_support(self):
         out = freudenthal_multiplicities(build_datum("A1", "sc"), (1,))
-        assert out == {(Fraction(1),): 1, (Fraction(0),): 1, (Fraction(-1),): 1}
+        assert out == (1, {(1,): 1, (0,): 1, (-1,): 1})
 
     def test_tensor_multiplicity_values(self):
         d = build_datum("A1", "sc")
@@ -367,3 +377,51 @@ def test_dominant_weights_fill_the_depth_box(name, coeffs):
             box.append((sum(depth), mu))
     assert ws.dominant_weights(lam) == [mu for _, mu in sorted(box)]
 
+
+RANK_AT_MOST_4 = ([f"A{r}" for r in range(1, 5)] + [f"B{r}" for r in range(2, 5)]
+                  + [f"C{r}" for r in range(2, 5)] + ["D3", "D4", "F4", "G2"])
+
+
+def least_multiples_of_fundamental_weights(dual, max_dim):
+    """k * omega_i for each node, k the least with k * omega_i in the
+    character lattice, kept when its dimension is at most max_dim."""
+    t = dual.cartan_type
+    for i in range(t.rank):
+        omega = fundamental_weight(t, i)
+        lam = next(lam for k in count(1)
+                   if lattice_member(lam := tuple(k * x for x in omega), dual.X))
+        if weyl_dim(dual, lam) <= max_dim:
+            yield lam
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_4)
+def test_integer_weights_match_the_fraction_oracle(name):
+    """freudenthal_multiplicities hands out numerators over the lcm of the
+    highest weight's denominators.  As Fractions they are the weights the
+    general sum top - sum_j depth_j * root_j gives at the engine's depths,
+    their Dynkin labels are the engine's, they sort as the weights do, and
+    on small rank-two cases they are Kostant's character."""
+    denominators = set()
+    for isogeny in ("sc", "adjoint"):
+        for order in (1, 2, 3):
+            dual = twisted_dual(build_datum(name, isogeny), order).dual
+            ws = datum_weight_system(dual)
+            for lam in least_multiples_of_fundamental_weights(dual, 120):
+                den, weights = freudenthal_multiplicities(dual, lam)
+                assert den == lcm(*(x.denominator for x in lam))
+                denominators.add(den)
+                got = {tuple(Fraction(x, den) for x in mu): m for mu, m in weights.items()}
+                # the engine's (labels -> depth, multiplicity), read past the adapter
+                labels = ws._require_highest_weight(lam)[1]
+                expected = {}
+                for key, (depth, mult) in ws._engine.character(ws._engine.table(labels)).items():
+                    mu = below(ws, lam, depth)
+                    assert tuple(ws.pairing(i, mu) for i in range(ws.rank)) == key
+                    expected[mu] = mult
+                assert got == expected, (name, isogeny, order, lam)
+                assert [tuple(Fraction(x, den) for x in mu) for mu in sorted(weights)] == \
+                    sorted(got)
+                if ws.rank <= 2 and len(got) <= 20:
+                    assert got == character_by_kostant(ws, lam), (name, isogeny, order, lam)
+    if name[0] in "ABCD":
+        assert max(denominators) > 1  # some highest weight off the root lattice
