@@ -23,6 +23,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring
 from math import gcd
 
 from .central_ext import (
@@ -210,7 +211,27 @@ def _emit(command: str, echo: dict, result: dict, checks: list) -> str:
         "result": result,
         "checks": [{"name": name, "pass": ok} for name, ok in checks],
     }
-    return json.dumps(envelope, sort_keys=True, indent=2, ensure_ascii=False)
+    return _json(envelope)
+
+
+def _json(value, pad="\n") -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+    writes it, for the str, int, bool, list and str-keyed dict results are built
+    from, with strings escaped by json's C escaper."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, int):
+        return ("true" if value else "false") if isinstance(value, bool) else int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, list):  # str and int items inline: a big result is mostly those
+        ends, items = "[]", [encode_basestring(x) if type(x) is str else int.__repr__(x)
+                             if type(x) is int else _json(x, inner) for x in value]
+    elif isinstance(value, dict):
+        ends, items = "{}", [f"{encode_basestring(k)}: {_json(value[k], inner)}"
+                             for k in sorted(value)]
+    else:
+        raise TypeError(f"{type(value).__name__} is not a JSON result type")
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
 
 def _cmd_dual(args, out) -> int:

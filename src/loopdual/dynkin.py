@@ -10,6 +10,7 @@ a validated root-datum record, so it proves no containment again.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 
 from .lattice import lattice_member
@@ -86,8 +87,13 @@ def recognize_cartan_matrix(mat):
 
     Returns (cartan_type, sigma) where sigma maps input indices to the
     node numbering of the package's standard matrix for that type:
-    mat[i][j] == standard[sigma[i]][sigma[j]].
+    mat[i][j] == standard[sigma[i]][sigma[j]]; searched once per row tuple.
     """
+    return _recognize(tuple(map(tuple, mat)))
+
+
+@lru_cache(maxsize=256)
+def _recognize(mat):
     rank = validate_cartan_matrix(mat)
     for series in "ABCDEFG":
         try:

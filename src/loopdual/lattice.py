@@ -7,8 +7,9 @@ one common denominator, so two Lattice objects compare equal exactly when
 they contain the same vectors, and membership is an integer triangular solve.
 
 Routines: smith_normal_form, the one elimination (mat_inv, dual_lattice,
-congruence_kernel and quotient_invariants read it, so its checks cover all
-four), and hermite_rows, sharing one 2x2 Bezout row transform; Lattice, built
+quotient_invariants and root_data's Smith form of k * G_Y, from which every
+Y_{Q,N} is read, all call it, so its checks cover all four), and
+hermite_rows, sharing one 2x2 Bezout row transform; Lattice, built
 on one path from integer rows over a denominator (Lattice.from_int_rows);
 one integer triangular solve, on numerators over one denominator, for
 lattice_coordinates and coordinate matrices; small matrix helpers.  Most
@@ -423,18 +424,6 @@ def quotient_invariants(big: Lattice, small: Lattice) -> tuple[int, ...]:
     if any(f == 0 for f in factors):
         raise ArithmeticError("quotient is not finite")
     return tuple(f for f in factors if f > 1)
-
-
-def congruence_kernel(mat, modulus: int) -> Lattice:
-    """The full-rank lattice {x in Z^n : mat @ x ≡ 0 mod modulus}.
-
-    mat is an integer matrix with n columns acting on column vectors.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be a positive integer")
-    _, diag, v = smith_normal_form(mat)
-    scales = [modulus // gcd(diag[i][i] if i < len(mat) else 0, modulus) for i in range(len(v))]
-    return Lattice.from_int_rows(1, ([s * x for x in col] for s, col in zip(scales, zip(*v))))
 
 
 def lattice_index(big: Lattice, small: Lattice) -> int:

@@ -160,6 +160,7 @@ class _Engine:
             raise ArithmeticError(f"Weyl dimension {num}/{den} is not a positive integer")
         return num // den
 
+    @lru_cache(maxsize=1)  # the last one: the candidates of a tensor query share it
     def tensor(self, lam, mu):
         """L(lam) (x) L(mu) by Brauer-Klimyk: highest-weight labels -> (depth
         below lam + mu, multiplicity)."""

@@ -19,8 +19,8 @@ Conventions used across the package:
   form and the dual Coxeter number among them, are built once and cached.
 * A RootDatum is immutable, the triple (type, X, Y), made by root_datum once
   per (type, X) and validated then by a perfect-pairing check; it caches G_Y,
-  k, center and pi1.  How the caller named X (an isogeny label) is not part
-  of it, so B3 "so" and "adjoint" share one record.
+  k, the Smith form of k * G_Y, center and pi1.  How the caller named X (an
+  isogeny label) is not part of it, so B3 "so" and "adjoint" share one record.
 * cartan_symmetrizer and positive_root_system take a bare integer Cartan
   matrix, for dynkin and rep_check too.  Positive roots grow by height under
   simple reflections, once per matrix; the negative ones are their negations.
@@ -42,6 +42,7 @@ from .lattice import (
     mat_inv,
     mat_mul,
     quotient_invariants,
+    smith_normal_form,
     transpose,
     vector_text,
 )
@@ -228,6 +229,12 @@ def _inverse_cartan(t: CartanType) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in mat_inv(cartan_matrix(t)))
 
 
+@lru_cache(maxsize=None)
+def _coweight_lattice(t: CartanType) -> Lattice:
+    """P^v in simple-coroot coordinates, spanned by the columns of A^-1."""
+    return Lattice(transpose(_inverse_cartan(t)))
+
+
 def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
     """The weight pairing to 1 with coroot i and to 0 with the others."""
     return _inverse_cartan(t)[i]
@@ -283,6 +290,17 @@ class RootDatum:
         return lcm(*(s // gcd(s, x) for row in gram for x in row))
 
     @cached_property
+    def smith_form(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(d, W) with U B V = diag(d) the Smith form of B = k * G_Y and W = V^T Y.rows:
+        Y_{Q,N} is spanned by the rows (N // gcd(N, d_i)) * W_i over Y.den."""
+        (s, gram), k = self.gram, self.k
+        if any(k * x % s for row in gram for x in row):
+            raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
+        _, diag, v = smith_normal_form([[k * x // s for x in row] for row in gram])
+        return (tuple(diag[i][i] for i in range(self.rank)),
+                tuple(map(tuple, mat_mul(transpose(v), self.Y.rows))))
+
+    @cached_property
     def center(self) -> tuple[int, ...]:  # invariant factors of X/Q
         return quotient_invariants(self.X, root_lattice(self.cartan_type))
 
@@ -334,8 +352,11 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
 
 @lru_cache(maxsize=256)  # the sweep benchmark, 79 data of rank <= 8 and their duals, makes 150
 def root_datum(t: CartanType, x: Lattice) -> RootDatum:
-    """The record of type t with character lattice x, dualised and validated on a miss."""
-    datum = RootDatum(t, x, dual_lattice(x, cartan_matrix(t)))
+    """The record of type t with character lattice x, dualised and validated on a
+    miss: Y is Q^v = Z^r when x is P, P^v when x is Q, and the dual of x otherwise."""
+    y = (Lattice.standard(t.rank) if x == weight_lattice(t) else _coweight_lattice(t)
+         if x == root_lattice(t) else dual_lattice(x, cartan_matrix(t)))
+    datum = RootDatum(t, x, y)
     _validate_datum(datum)
     return datum
 

@@ -9,11 +9,12 @@ these are the cocharacters whose image under k * iota is divisible by N in
 the character lattice.  That sublattice becomes the character lattice of a
 new root datum on the opposite side.  The new Cartan matrix is recognized
 and the resulting group named, so the output is a root datum in standard
-coordinates plus the bookkeeping of how it was reached.  The dual's
-character lattice is built from integer rows and its record fetched from
-root_datum, which validates it; its center and fundamental group, cached on
-the record, are checked against the Cartan determinant, and the record is
-named last, from its own invariants.
+coordinates plus the bookkeeping of how it was reached.  Y_{Q,N} is read
+off the Smith form of k * G_Y that the source record computes once, so an
+order costs one Hermite form; the new Cartan matrix is recognized once per
+distinct matrix.  The relabeling, the rescaled coroots, and the center times
+pi1 of the dual record (fetched from root_datum, which validates it) against
+the Cartan determinant are checked on every call; the record is named last.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from math import gcd, lcm, prod
 
 from .central_ext import commutator_denominator
 from .dynkin import group_name, recognize_cartan_matrix
-from .lattice import (
-    Lattice,
-    congruence_kernel,
-    det_int,
-    lattice_member,
-    mat_mul,
-)
+from .lattice import Lattice, det_int, lattice_member
 from .root_data import (
     RootDatum,
     cartan_matrix,
@@ -77,16 +72,14 @@ def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
     """Y_{Q,N}: the cocharacters y with k * (y, y') in N*Z for all y' in Y.
 
     This sublattice of Y, still in simple-coroot coordinates of the
-    source, becomes the character lattice of the dual datum.
+    source, becomes the character lattice of the dual datum: one Hermite
+    form per order on the record's Smith form of k * G_Y (RootDatum.smith_form).
     """
     if order < 1:
         raise ValueError(f"twisting order must be positive, got {order}")
-    k = commutator_denominator(d)
-    s, gram = d.gram
-    if any(k * x % s for row in gram for x in row):
-        raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
-    kernel = congruence_kernel([[k * x // s for x in row] for row in gram], order)
-    return Lattice.from_int_rows(d.Y.den, mat_mul(kernel.rows, d.Y.rows))
+    diag, w = d.smith_form
+    return Lattice.from_int_rows(d.Y.den, ([order // gcd(order, x) * v for v in row]
+                                           for x, row in zip(diag, w)))
 
 
 @dataclass(frozen=True)
@@ -112,9 +105,13 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     """Compute the dual root datum of the order-N twisted setting."""
     delta = local_denominators(d, order)
     aprime = dual_cartan_matrix(d, order)
-    dual_type, sigma = recognize_cartan_matrix([list(row) for row in aprime])
-    ylat = dual_character_lattice(d, order)
+    dual_type, sigma = recognize_cartan_matrix(aprime)
+    std = cartan_matrix(dual_type)
     r = d.rank
+    if any(aprime[i][j] != std[sigma[i]][sigma[j]] for i in range(r) for j in range(r)):
+        raise ArithmeticError("relabeling does not carry the rescaled "
+                              "Cartan matrix to the standard one")
+    ylat = dual_character_lattice(d, order)
     for i in range(r):
         scaled_coroot = tuple(delta[i] * x for x in d.simple_coroot(i))
         if not lattice_member(scaled_coroot, ylat):
@@ -127,12 +124,6 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     xlat = Lattice.from_int_rows(ylat.den * big, [[row[i] * (big // delta[i]) for i in source]
                                                  for row in ylat.rows])
     dual = root_datum(dual_type, xlat)
-    std = cartan_matrix(dual_type)
-    for i in range(r):
-        for j in range(r):
-            if aprime[i][j] != std[sigma[i]][sigma[j]]:
-                raise ArithmeticError("relabeling does not carry the rescaled "
-                                      "Cartan matrix to the standard one")
     # [X:Q] * [Y:Q^v] == [P:Q] holds exactly when Y is the dual of X
     if prod(dual.center) * prod(dual.pi1) != det_int(std):
         raise ArithmeticError("center times fundamental group does not match "

@@ -6,7 +6,10 @@ with the Freudenthal recursion in the package; tensor products by
 multiplying those characters and peeling off highest weights, which shares
 none with the Brauer-Klimyk reflection in the package.  The dual character lattice
 is recomputed by enumerating cosets of Y/NY and testing (k/N) * iota(y) for
-membership in X, without the Gram matrix of Y that the package reads.
+membership in X, without the Gram matrix of Y that the package reads, and
+again as the congruence kernel of k * G_Y modulo N from a fresh Smith form
+per order, where the package reads one Smith form cached on the record.  The
+pairing <y, x> is recomputed as x^T A y on integer numerators.
 Root systems are regenerated by the dense closure of the simple (root,
 coroot) pairs under every simple reflection, where the package grows only
 the positive roots by height.  Matrix products and determinants are the
@@ -25,12 +28,12 @@ coroot system of a datum, serve only tests.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
-from math import gcd
+from math import gcd, lcm
 
-from loopdual.lattice import Lattice, lattice_member
+from loopdual.lattice import Lattice, lattice_member, smith_normal_form, transpose
 from loopdual.rep_check import WeightSystem
-from loopdual.root_data import (CartanType, RootDatum, cartan_matrix, iota, positive_roots,
-                                weight_lattice)
+from loopdual.root_data import (CartanType, RootDatum, canonical_form, cartan_matrix, iota,
+                                positive_roots, weight_lattice)
 from loopdual.twisted_dual import local_denominators
 
 
@@ -234,6 +237,37 @@ def tensor_by_peeling(ws, lam, mu):
         for nu, m in character_by_kostant(ws, top).items():
             remainder[nu] = remainder.get(nu, 0) - out[top] * m
     return out
+
+
+def congruence_kernel(mat, modulus: int) -> Lattice:
+    """The full-rank lattice {x in Z^n : mat @ x ≡ 0 mod modulus}, from the
+    columns of V in a fresh Smith form U mat V = D.
+
+    mat is an integer matrix with n columns acting on column vectors.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be a positive integer")
+    _, diag, v = smith_normal_form(mat)
+    scales = [modulus // gcd(diag[i][i] if i < len(mat) else 0, modulus) for i in range(len(v))]
+    return Lattice.from_int_rows(1, ([s * x for x in col] for s, col in zip(scales, zip(*v))))
+
+
+def dual_character_lattice_by_kernel(datum: RootDatum, order: int) -> Lattice:
+    """Y_{Q,N} as the congruence kernel of k * G_Y modulo N, in the coordinates
+    of Y's basis, with G_Y and k recomputed by dense products."""
+    y = datum.Y
+    gram = dense_mat_mul(dense_mat_mul(y.rows, canonical_form(datum).gram), transpose(y.rows))
+    s = y.den ** 2
+    k = lcm(*(s // gcd(s, x) for row in gram for x in row))
+    kernel = congruence_kernel([[k * x // s for x in row] for row in gram], order)
+    return Lattice.from_int_rows(y.den, dense_mat_mul(kernel.rows, y.rows))
+
+
+def pairing_numerator(a, ynums, xnums) -> int:
+    """x^T A y for integer numerator vectors y (cocharacter side) and x
+    (character side): the pairing <y, x> times both denominators."""
+    ay = [sum(aij * yj for aij, yj in zip(row, ynums)) for row in a]
+    return sum(x * v for x, v in zip(xnums, ay))
 
 
 def dense_mat_mul(a, b):

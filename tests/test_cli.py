@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import pstats
+import random
 import sys
 import time
 from fractions import Fraction
@@ -507,3 +508,45 @@ def test_large_rank_goldens_replay():
     checked, mismatched = _replay("large-rank", lambda argv: argv[0] != "tensor")
     assert checked > 150
     assert mismatched == []
+
+
+_TEXT = 'aZ09 :,[]{}"\\/\x00\x01\x1f\x7f\n\t\r\b\féß·—漢 \U0001f600'
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+
+
+def _random_value(rng, depth=0):
+    """A nested value of the types results are built from: str, int, bool,
+    list and str-keyed dict, empty containers and 5,000-digit ints included."""
+    kind = rng.randrange(6 if depth < 4 else 3)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice([True, False])
+    if kind == 2:
+        return rng.choice([0, -1, rng.randint(-10 ** 9, 10 ** 9),
+                           rng.choice([1, -1]) * rng.randrange(10 ** 4999, 10 ** 5000)])
+    if kind < 5:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return {_random_text(rng): _random_value(rng, depth + 1) for _ in range(rng.randrange(5))}
+
+
+def test_result_writer_matches_json_dumps():
+    rng = random.Random(4099)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for _ in range(400):
+            value = _random_value(rng)
+            assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2,
+                                                  ensure_ascii=False), value
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # under the default digit limit both refuse a 5,000-digit int alike
+    for writer in (cli._json, json.dumps):
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            writer([10 ** 4999])
+    with pytest.raises(TypeError):
+        cli._json([Fraction(1, 2)])

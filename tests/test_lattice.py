@@ -6,12 +6,11 @@ from math import gcd, lcm
 
 import pytest
 
-from oracles import (basis_coordinate_matrix, basis_coordinates, dense_det_int, dense_mat_mul,
-                     invariant_factors_by_minors)
+from oracles import (basis_coordinate_matrix, basis_coordinates, congruence_kernel,
+                     dense_det_int, dense_mat_mul, invariant_factors_by_minors)
 from loopdual import lattice
 from loopdual.lattice import (
     Lattice,
-    congruence_kernel,
     det_int,
     dual_lattice,
     hermite_rows,

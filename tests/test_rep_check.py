@@ -15,6 +15,7 @@ import pytest
 
 from loopdual.lattice import lattice_member
 from loopdual.rep_check import (
+    _Engine,
     freudenthal_multiplicities,
     WeightSystem,
     datum_weight_system,
@@ -425,3 +426,19 @@ def test_integer_weights_match_the_fraction_oracle(name):
                     assert got == character_by_kostant(ws, lam), (name, isogeny, order, lam)
     if name[0] in "ABCD":
         assert max(denominators) > 1  # some highest weight off the root lattice
+
+
+def test_tensor_candidates_share_one_decomposition():
+    """A tensor query asks once per candidate nu; Brauer-Klimyk, with its
+    dimension and sign checks, runs once per (lam, mu)."""
+    datum = build_datum("G2", "sc")
+    ws = datum_weight_system(datum)
+    _Engine.tensor.cache_clear()
+    lam, mu = weight("G2", (1, 1)), weight("G2", (0, 1))
+    expected = tensor_by_peeling(ws, lam, mu)
+    candidates = ws.dominant_weights(add(lam, mu))
+    assert [tensor_multiplicity(datum, lam, mu, nu) for nu in candidates] == \
+        [expected.get(nu, 0) for nu in candidates]
+    assert _Engine.tensor.cache_info().misses == 1
+    tensor_multiplicity(datum, mu, lam, lam)  # a new pair is decomposed afresh
+    assert _Engine.tensor.cache_info().misses == 2

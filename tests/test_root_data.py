@@ -379,3 +379,19 @@ def test_record_invariants_are_cached_on_the_record():
     d = build_datum("D6", [fundamental_weight(CartanType("D", 6), 0)])
     assert (commutator_denominator(d), d.center, d.pi1) == (d.k, (2,), (2,))
     assert {"k", "center", "pi1"} <= vars(d).keys()
+
+
+@pytest.mark.parametrize("t", ALL_TYPES + [CartanType(s, r) for s in "ABCD" for r in (20, 40)],
+                         ids=str)
+def test_closed_form_cocharacters_match_the_dual_lattice(t):
+    """Y is Q^v = Z^r for sc and P^v for adjoint, as the Smith-form dual says."""
+    a = cartan_matrix(t)
+    assert build_datum(t, "sc").Y == dual_lattice(weight_lattice(t), a) == Lattice.standard(t.rank)
+    assert build_datum(t, "adjoint").Y == dual_lattice(root_lattice(t), a)
+
+
+def test_sc_and_adjoint_records_take_no_dual_lattice(monkeypatch):
+    monkeypatch.setattr(root_data, "dual_lattice", None)  # any call would fail
+    for t in (CartanType("D", 9), CartanType("E", 7)):
+        for isogeny in ("sc", "adjoint"):  # a fresh record, validated on the way
+            root_data.root_datum.__wrapped__(t, build_datum(t, isogeny).X)

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import all_isogenies, dual_lattice_by_cosets
+from oracles import all_isogenies, dual_character_lattice_by_kernel, dual_lattice_by_cosets
 
+from loopdual import dynkin, root_data
 from loopdual.central_ext import commutator_denominator
 from loopdual.lattice import Lattice, lattice_index, lattice_member
 from loopdual.root_data import (
     CartanType,
+    RootDatum,
     build_datum,
     cartan_matrix,
     root_lattice,
@@ -169,3 +171,87 @@ def test_dual_character_lattice_matches_coset_oracle(name):
         for order in range(1, 7):
             assert dual_character_lattice(datum, order) == \
                 dual_lattice_by_cosets(datum, order), (name, label, order)
+
+
+def _isogenies(t):
+    """sc and adjoint, and so where it is defined."""
+    return ["sc", "adjoint"] + (["so"] if t.series == "B" or
+                                (t.series == "D" and t.rank % 2) else [])
+
+
+RANK_8_TYPES = ([CartanType("A", r) for r in range(1, 9)] + [CartanType("B", r) for r in range(2, 9)]
+                + [CartanType("C", r) for r in range(2, 9)] + [CartanType("D", r) for r in range(3, 9)]
+                + [CartanType("E", r) for r in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)])
+
+
+@pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
+def test_dual_character_lattice_matches_the_congruence_kernel(t):
+    """Y_{Q,N} from the record's one Smith form equals a fresh congruence
+    kernel of k * G_Y modulo N, for N = 1..12."""
+    for isogeny in _isogenies(t):
+        datum = build_datum(t, isogeny)
+        for order in range(1, 13):
+            assert dual_character_lattice(datum, order) == \
+                dual_character_lattice_by_kernel(datum, order), (t, isogeny, order)
+
+
+def _fresh_record(name, isogeny):
+    """A new record equal to the cached one, with none of its invariants built."""
+    d = build_datum(name, isogeny)
+    return RootDatum(d.cartan_type, d.X, d.Y)
+
+
+def test_one_smith_form_per_record(monkeypatch):
+    calls = []
+    real = root_data.smith_normal_form
+    monkeypatch.setattr(root_data, "smith_normal_form",
+                        lambda mat: calls.append(mat) or real(mat))
+    d = _fresh_record("C4", "adjoint")
+    lattices = [dual_character_lattice(d, order) for order in range(1, 13)]
+    assert len(calls) == 1  # its U M V == D and unimodularity checks ran on the miss
+    assert lattices == [dual_character_lattice_by_kernel(d, order) for order in range(1, 13)]
+
+
+def test_recognition_searches_once_per_distinct_dual_matrix(monkeypatch):
+    searched = []
+    real = dynkin._find_relabeling
+    monkeypatch.setattr(dynkin, "_find_relabeling",
+                        lambda mat, std: searched.append(mat) or real(mat, std))
+    dynkin._recognize.cache_clear()
+    data = [build_datum(name, isogeny) for name in ("B3", "C4", "F4", "G2")
+            for isogeny in ("sc", "adjoint")]
+    matrices = {dual_cartan_matrix(d, order) for d in data for order in range(1, 13)}
+    for _ in range(2):
+        for d in data:
+            for order in range(1, 13):
+                twisted_dual(d, order)
+    assert set(searched) == matrices
+    # one search per matrix: the series tried for a matrix come in one run
+    runs = [m for i, m in enumerate(searched) if i == 0 or searched[i - 1] != m]
+    assert len(runs) == len(matrices)
+    assert dynkin._recognize.cache_info().misses == len(matrices)
+
+
+def test_wrong_relabeling_is_caught_on_a_warm_cache(monkeypatch):
+    d = build_datum("B3", "sc")
+    out = twisted_dual(d, 2)  # warm: the record, its Smith form and the recognition
+    wrong = (out.relabeling[2], out.relabeling[1], out.relabeling[0])
+    monkeypatch.setattr(dynkin, "_recognize", lambda mat: (out.dual.cartan_type, wrong))
+    with pytest.raises(ArithmeticError, match="relabeling does not carry"):
+        twisted_dual(d, 2)
+
+
+def test_corrupted_dual_lattice_is_caught_on_a_warm_record():
+    d = _fresh_record("C3", "sc")
+    twisted_dual(d, 4)
+    diag, w = d.smith_form
+    d.__dict__["smith_form"] = (diag, tuple(tuple(2 * x for x in row) for row in w))
+    with pytest.raises(ArithmeticError, match="escaped the dual character lattice"):
+        twisted_dual(d, 4)
+
+
+def test_uncleared_gram_matrix_is_caught_on_a_record_miss():
+    d = _fresh_record("A1", "adjoint")  # G_Y = (1/2), so k = 2
+    d.__dict__["k"] = 1
+    with pytest.raises(ArithmeticError, match="failed to clear the Gram matrix"):
+        dual_character_lattice(d, 2)
