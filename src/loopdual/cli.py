@@ -39,7 +39,6 @@ from .rep_check import (
     mv_vs_character_check,
     rank_one_delta,
     rank_one_mv_multiplicities,
-    weyl_dim,
 )
 from .root_data import build_datum
 from .twisted_dual import (
@@ -52,6 +51,8 @@ from .twisted_dual import (
 # Largest --Nmax of `table`; each order costs about 20 ms over the twelve
 # reference families.
 MAX_TABLE_ORDER = 256
+# How _rows writes str and int items; a bool is a KeyError there, as json writes it apart.
+_SCALARS = {str: encode_basestring, int: int.__repr__}
 
 
 class UsageError(Exception):
@@ -195,6 +196,8 @@ def _datum_flag(args):
 def _rationals(nums, den: int) -> list[str]:
     """Each integer of nums over den, as str(Fraction) writes it: "p" or "p/q"
     in lowest terms."""
+    if den == 1:
+        return list(map(str, nums))
     return [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
             for x in nums]
 
@@ -223,15 +226,34 @@ def _json(value, pad="\n") -> str:
     if isinstance(value, int):
         return ("true" if value else "false") if isinstance(value, bool) else int.__repr__(value)
     inner = pad + "  "
-    if isinstance(value, list):  # str and int items inline: a big result is mostly those
-        ends, items = "[]", [encode_basestring(x) if type(x) is str else int.__repr__(x)
-                             if type(x) is int else _json(x, inner) for x in value]
+    if isinstance(value, list):
+        try:
+            ends, items = "[]", _rows(value, inner)
+        except KeyError:  # an item of another shape
+            ends, items = "[]", [_json(x, inner) for x in value]
     elif isinstance(value, dict):
         ends, items = "{}", [f"{encode_basestring(k)}: {_json(value[k], inner)}"
                              for k in sorted(value)]
     else:
         raise TypeError(f"{type(value).__name__} is not a JSON result type")
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+
+
+def _rows(rows, pad) -> list[str]:
+    """The items of a list as _json writes them at pad, with no recursion,
+    when each is a str or int or a list of those and of lists of those, as
+    weight rows, [b, m] pairs and lattice rows are; a KeyError otherwise."""
+    deep, deeper = pad + "  ", pad + "    "
+    out, step, sub = [], "," + deep, "," + deeper
+    for row in rows:
+        if type(row) is not list:
+            out.append(_SCALARS[type(row)](row))
+            continue
+        items = [_SCALARS[type(x)](x) if type(x) is not list else
+                 f"[{deeper}{sub.join([_SCALARS[type(y)](y) for y in x])}{deep}]" if x else "[]"
+                 for x in row]
+        out.append(f"[{deep}{step.join(items)}{pad}]" if items else "[]")
+    return out
 
 
 def _cmd_dual(args, out) -> int:
@@ -340,13 +362,12 @@ def _cmd_mult(args, out) -> int:
     dual = twisted_dual(datum, order).dual
     try:
         den, weights = freudenthal_multiplicities(dual, highest)
-        dim = weyl_dim(dual, highest)
     except ValueError as exc:
         raise UsageError(f"--highest: {exc}") from None
     result = {
         "dual_type": str(dual.cartan_type),
         "highest": [str(x) for x in highest],
-        "dim": dim,
+        "dim": sum(weights.values()),  # checked against the Weyl dimension
         "weights": [[_rationals(vec, den), mult]
                     for vec, mult in sorted(weights.items(), reverse=True)],
     }

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
+from operator import add, mul, sub
 
 from .central_ext import monodromy_modulus
 from .dynkin import validate_cartan_matrix
@@ -68,17 +69,17 @@ class _Engine:
         return x, rise, sign
 
     def dominant_weights(self, lam):
-        """(depth sum, depth, labels) of the dominant weights of L(lam), sorted.
-        Dominance among dominant weights is generated by positive roots
-        (Stembridge, "The partial order of dominant weights", 1998).  The
+        """(depth sum, depth, labels) of the dominant weights of L(lam), sorted,
+        so lam first.  Dominance among dominant weights is generated by positive
+        roots (Stembridge, "The partial order of dominant weights", 1998).  The
         search stops with a ValueError once it passes MAX_WEIGHTS of them."""
         found, queue = {lam: (0,) * len(lam)}, [lam]
         while queue:
             mu = queue.pop()
             for b, lab, _ in self.roots:
-                nu = tuple(m - x for m, x in zip(mu, lab))
+                nu = tuple(map(sub, mu, lab))
                 if min(nu) >= 0 and nu not in found:
-                    found[nu] = tuple(c + x for c, x in zip(found[mu], b))
+                    found[nu] = tuple(map(add, found[mu], b))
                     queue.append(nu)
             if len(found) > MAX_WEIGHTS:
                 raise ValueError(f"more dominant weights than the bound {MAX_WEIGHTS} "
@@ -103,23 +104,24 @@ class _Engine:
             self.orders[nodes] = order
         return self.orders[nodes]
 
-    def weight_count(self, lam) -> int:
-        """The number of weights of L(lam): each dominant mu adds its orbit,
-        |W| / |W_J| with J the nodes where mu's label is 0."""
-        whole = self.weyl_order(tuple(range(len(lam))))
+    def weight_count(self, dominant) -> int:
+        """The number of weights of L(lam) from its dominant weights: each adds
+        its orbit, |W| / |W_J| with J the nodes where its label is 0."""
+        whole = self.weyl_order(tuple(range(len(self.pairings))))
         return sum(whole // self.weyl_order(tuple(i for i, x in enumerate(mu) if x == 0))
-                   for _, _, mu in self.dominant_weights(lam))
+                   for _, _, mu in dominant)
 
-    def table(self, lam):
-        """Freudenthal multiplicities: dominant labels -> (depth, multiplicity)."""
-        out, mults, tails = {lam: ((0,) * len(lam), 1)}, {}, {}
-        for _, depth, mu in self.dominant_weights(lam)[1:]:
+    def table(self, dominant):
+        """Freudenthal multiplicities of dominant_weights(lam): labels -> (depth, multiplicity)."""
+        _, depth, lam = dominant[0]
+        out, mults, tails = {lam: (depth, 1)}, {}, {}
+        for _, depth, mu in dominant[1:]:
             total = 0
             for index, (b, lab, coef) in enumerate(self.roots):
                 # tails[index, nu]: sum over k >= 0 of m(nu + k beta) (nu + k beta, beta)
                 tail, chain, nu = 0, [], mu
                 for _ in range(min(c // x for c, x in zip(depth, b) if x)):
-                    nu = tuple(m + x for m, x in zip(nu, lab))
+                    nu = tuple(map(add, nu, lab))
                     if (index, nu) in tails:
                         tail = tails[index, nu]
                         break
@@ -127,7 +129,7 @@ class _Engine:
                 for nu in reversed(chain):
                     if nu not in mults:
                         mults[nu] = out.get(self.conjugate(nu)[0], (None, 0))[1]
-                    tail += mults[nu] * sum(c * x for c, x in zip(coef, nu))
+                    tail += mults[nu] * sum(map(mul, coef, nu))
                     tails[index, nu] = tail
                 total += tail
             denom = sum(c * d * (a + m + 2) for c, d, a, m in zip(depth, self.norms, lam, mu))
@@ -140,16 +142,17 @@ class _Engine:
             out[mu] = (depth, mult)
         return out
 
-    def character(self, table):
-        """Every weight of a Freudenthal table: labels -> (depth, multiplicity)."""
+    def character(self, table, top, step):
+        """Every weight of a Freudenthal table: labels -> (top + step * depth,
+        multiplicity).  Lowering by s_i where x_i > 0 reaches all of x's orbit."""
         out = {}
         for mu, (depth, mult) in table.items():
-            out[mu], queue = (depth, mult), [mu]
+            out[mu], queue = (tuple(t + s * c for t, s, c in zip(top, step, depth)), mult), [mu]
             while queue:
-                x = queue.pop()
-                for i, xi in enumerate(x):  # s_i lowers x by x_i * alpha_i
-                    if xi and (y := self.reflect(x, i)) not in out:
-                        out[y] = (tuple(c + xi * (j == i) for j, c in enumerate(out[x][0])), mult)
+                vec = out[x := queue.pop()][0]
+                for i, xi in enumerate(x):  # s_i moves coordinate i by xi * step[i]
+                    if xi > 0 and (y := self.reflect(x, i)) not in out:
+                        out[y] = (vec[:i] + (vec[i] + xi * step[i],) + vec[i + 1:], mult)
                         queue.append(y)
         return out
 
@@ -166,7 +169,8 @@ class _Engine:
         below lam + mu, multiplicity)."""
         small, big = sorted((lam, mu), key=self.dimension)
         coeffs: dict[tuple, list] = {}
-        for nu, (depth, mult) in self.character(self.table(small)).items():
+        for nu, (depth, mult) in self.character(self.table(self.dominant_weights(small)),
+                                                (0,) * len(lam), (1,) * len(lam)).items():
             top, rise, sign = self.conjugate(tuple(a + b + 1 for a, b in zip(big, nu)))
             if min(top) > 0:  # a weight on a wall cancels in the alternating sum
                 entry = coeffs.setdefault(tuple(x - 1 for x in top),
@@ -201,6 +205,8 @@ class WeightSystem:
         pairings = [[self.pairing(i, root) for root in self.simple_roots] for i in range(r)]
         validate_cartan_matrix(pairings)
         self._engine = _engine(tuple(tuple(map(int, row)) for row in pairings))
+        self._scale = lcm(*(x.denominator for f in self.functionals for x in f))
+        self._rows = tuple(tuple(int(x * self._scale) for x in f) for f in self.functionals)
         self.positive_roots = tuple(sorted(self._below((Fraction(0),) * r, [-x for x in b])
                                            for b, _, _ in self._engine.roots))
         self.rho = tuple(sum(col) / 2 for col in zip(*self.positive_roots))
@@ -218,65 +224,66 @@ class WeightSystem:
 
     def dominant_conjugate(self, vec) -> tuple[Fraction, ...]:
         vec = tuple(Fraction(x) for x in vec)
-        return self._below(vec, [-x for x in self._engine.conjugate(self._labels(vec))[1]])
+        return self._below(vec, [-x for x in self._engine.conjugate(self._labels(vec)[2])[1]])
 
     def antidominant_conjugate(self, vec) -> tuple[Fraction, ...]:
         return tuple(-x for x in self.dominant_conjugate(tuple(-Fraction(x) for x in vec)))
 
-    def _below(self, top, depth, den=1):
-        """top - delta * depth entry by entry: top is a weight, or with den
-        given its integer numerators over den."""
-        return tuple(x - den * d * c for x, d, c in zip(top, self.delta, depth))
+    def _below(self, top, depth):
+        """top - delta * depth entry by entry."""
+        return tuple(x - d * c for x, d, c in zip(top, self.delta, depth))
 
     def _labels(self, vec):
-        """Dynkin labels of an ambient weight, as ints where they are integers."""
-        return tuple(int(x) if x.denominator == 1 else x
-                     for x in (self.pairing(i, vec) for i in range(self.rank)))
+        """(den, numerators, Dynkin labels) of a weight: den is the lcm of its
+        denominators, and a label is an int where it is an integer."""
+        den = lcm(*(x.denominator for x in vec))
+        top = tuple(x.numerator * (den // x.denominator) for x in vec)
+        scale, labels = self._scale * den, (sum(map(mul, row, top)) for row in self._rows)
+        return den, top, tuple(x // scale if x % scale == 0 else Fraction(x, scale) for x in labels)
 
-    def _require_highest_weight(self, lam):
-        """(ambient vector, Dynkin labels) of a dominant integral weight."""
-        vec = tuple(Fraction(x) for x in lam)
-        if len(vec) != self.rank:
-            raise ValueError(f"highest weight has length {len(vec)}, expected {self.rank}")
-        labels = self._labels(vec)
-        if any(isinstance(x, Fraction) or x < 0 for x in labels):
-            raise ValueError(f"{vector_text(vec)} is not a dominant integral weight")
-        return vec, labels
+    def _read(self, lam):
+        """_labels of a dominant integral weight, read with no Fraction."""
+        if len(lam) != self.rank:
+            raise ValueError(f"highest weight has length {len(lam)}, expected {self.rank}")
+        den, top, labels = self._labels(lam)
+        if any(type(x) is not int or x < 0 for x in labels):
+            raise ValueError(f"{vector_text(lam)} is not a dominant integral weight")
+        return den, top, labels
 
     def dominant_weights(self, lam) -> list[tuple[Fraction, ...]]:
         """Dominant weights below lam, sorted by increasing distance from it."""
-        vec, labels = self._require_highest_weight(lam)
+        vec, labels = tuple(Fraction(x) for x in lam), self._read(lam)[2]
         return [mu for _, mu in sorted((size, self._below(vec, depth))
                                        for size, depth, _ in self._engine.dominant_weights(labels))]
 
     def weight_multiplicity(self, lam, mu) -> int:
-        table = self._engine.table(self._require_highest_weight(lam)[1])
-        return table.get(self._engine.conjugate(self._labels(mu))[0], (None, 0))[1]
+        table = self._engine.table(self._engine.dominant_weights(self._read(lam)[2]))
+        return table.get(self._engine.conjugate(self._labels(mu)[2])[0], (None, 0))[1]
 
     def weight_count(self, lam) -> int:
-        return self._engine.weight_count(self._require_highest_weight(lam)[1])
+        return self._engine.weight_count(self._engine.dominant_weights(self._read(lam)[2]))
 
     def weyl_dimension(self, lam) -> int:
-        return self._engine.dimension(self._require_highest_weight(lam)[1])
+        return self._engine.dimension(self._read(lam)[2])
 
     def weights(self, lam) -> tuple[int, dict[tuple[int, ...], int]]:
         """Full weight multiset of L(lam) as (den, {numerators: multiplicity}):
-        each weight is its integer numerators over den, the lcm of the
-        denominators of lam, which is common and positive, so the numerator
-        tuples sort as the weights do."""
-        vec, labels = self._require_highest_weight(lam)
-        den = lcm(*(x.denominator for x in vec))
-        top = tuple(x.numerator * (den // x.denominator) for x in vec)
-        return den, {self._below(top, depth, den): mult for depth, mult in
-                     self._engine.character(self._engine.table(labels)).values()}
+        each weight is its integer numerators over den, the lcm of lam's
+        denominators, which is common and positive, so they sort as the weights do."""
+        den, top, labels = self._read(lam)
+        return den, self._weights(den, top, self._engine.dominant_weights(labels))
+
+    def _weights(self, den, top, dominant):
+        """weights(lam)[1] from lam's numerators over den and its dominant weights."""
+        return dict(self._engine.character(self._engine.table(dominant), top,
+                                           tuple(-den * d for d in self.delta)).values())
 
     def tensor_decompose(self, lam1, lam2) -> dict[tuple[Fraction, ...], int]:
         """Decompose L(lam1) (x) L(lam2) into highest weights; the result is
         checked to be nonnegative and to preserve dimension."""
-        (vec1, labels1), (vec2, labels2) = map(self._require_highest_weight, (lam1, lam2))
-        top = tuple(a + b for a, b in zip(vec1, vec2))
+        top = tuple(Fraction(a) + b for a, b in zip(lam1, lam2))
         return {self._below(top, depth): mult for depth, mult in
-                self._engine.tensor(labels1, labels2).values()}
+                self._engine.tensor(self._read(lam1)[2], self._read(lam2)[2]).values()}
 
 
 def datum_weight_system(datum: RootDatum) -> WeightSystem:
@@ -299,17 +306,22 @@ def weyl_dim(datum: RootDatum, lam) -> int:
 
 def freudenthal_multiplicities(datum: RootDatum, lam) -> tuple[int, dict]:
     """Full weight multiset of the irreducible with highest weight lam, as
-    (den, {numerators: multiplicity}) (WeightSystem.weights).  Refused with a
-    ValueError, before any multiplicity is computed, when it has more than
-    MAX_WEIGHTS weights, counted as orbit sizes."""
+    (den, {numerators: multiplicity}) (WeightSystem.weights).  One read of lam
+    and one search of its dominant weights serve the orbit count (a ValueError
+    before any multiplicity when it passes MAX_WEIGHTS), the table and the
+    Weyl dimension, which the multiplicities must add up to."""
     ws = datum_weight_system(datum)
-    count = ws.weight_count(lam)
+    den, top, labels = ws._read(lam)
+    dominant = ws._engine.dominant_weights(labels)
+    count = ws._engine.weight_count(dominant)
     if count > MAX_WEIGHTS:
         raise ValueError(f"the representation has {count} weights, more than the "
                          f"bound {MAX_WEIGHTS} (rep_check.MAX_WEIGHTS)")
-    den, weights = ws.weights(lam)
+    weights = ws._weights(den, top, dominant)
     if len(weights) != count:
         raise ArithmeticError(f"{len(weights)} weights listed, {count} counted by orbit sizes")
+    if (total := sum(weights.values())) != (dim := ws._engine.dimension(labels)):
+        raise ArithmeticError(f"multiplicities add up to {total}, the Weyl dimension is {dim}")
     return den, weights
 
 
@@ -317,7 +329,8 @@ def tensor_multiplicity(datum: RootDatum, lam, mu, nu) -> int:
     """Multiplicity of the irreducible with highest weight nu inside the
     tensor product of those with highest weights lam and mu."""
     ws = datum_weight_system(datum)
-    return ws.tensor_decompose(lam, mu).get(ws._require_highest_weight(nu)[0], 0)
+    ws._read(nu)  # nu must be a dominant integral weight too
+    return ws.tensor_decompose(lam, mu).get(tuple(nu), 0)
 
 
 def rank_one_mv_multiplicities(datum: RootDatum, order: int, node: int,

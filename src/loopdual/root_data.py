@@ -119,6 +119,11 @@ def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
+@lru_cache(maxsize=None)
+def cartan_determinant(t: CartanType) -> int:
+    return det_int(cartan_matrix(t))
+
+
 def cartan_symmetrizer(a) -> tuple[Fraction, ...] | None:
     """Ratios d with d_i * a[i][j] == d_j * a[j][i] and d_0 == 1, forced along
     a walk of the Dynkin graph of the integer matrix a from node 0 (callers

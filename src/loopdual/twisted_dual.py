@@ -24,9 +24,10 @@ from math import gcd, lcm, prod
 
 from .central_ext import commutator_denominator
 from .dynkin import group_name, recognize_cartan_matrix
-from .lattice import Lattice, det_int, lattice_member
+from .lattice import Lattice, lattice_member
 from .root_data import (
     RootDatum,
+    cartan_determinant,
     cartan_matrix,
     coroot_norms,
     root_datum,
@@ -125,7 +126,7 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
                                                  for row in ylat.rows])
     dual = root_datum(dual_type, xlat)
     # [X:Q] * [Y:Q^v] == [P:Q] holds exactly when Y is the dual of X
-    if prod(dual.center) * prod(dual.pi1) != det_int(std):
+    if prod(dual.center) * prod(dual.pi1) != cartan_determinant(dual_type):
         raise ArithmeticError("center times fundamental group does not match "
                               "the Cartan determinant")
     return TwistedDualData(

@@ -4,6 +4,7 @@ import cProfile
 import hashlib
 import io
 import json
+import math
 import pstats
 import random
 import sys
@@ -382,6 +383,68 @@ def test_no_fraction_per_weight(argv, small, big):
     assert _fractions_built(argv + (big,)) == _fractions_built(argv + (small,))
 
 
+@pytest.mark.parametrize("argv", [
+    ("mult", "--type", "A1", "--N", "1", "--highest", "7"),
+    ("mult", "--type", "B2", "--isogeny", "adjoint", "--N", "1", "--highest", "5/2,5"),
+    ("mult", "--type", "G2", "--N", "1", "--highest", "2,1")])
+def test_one_dominant_weight_search_per_mult_query(argv):
+    """A warm mult query searches the dominant weights of its highest weight
+    once, for the orbit count and the table alike, and reads its labels with
+    no Fraction: the only ones built are those parsed from --highest."""
+    invoke(*argv)  # fills the per-datum and per-type caches
+    search = rep_check._Engine.dominant_weights.__code__
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        assert invoke(*argv)[0] == 0
+    finally:
+        profile.disable()
+    assert sum(calls for (path, line, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if (path, line, name) == (search.co_filename, search.co_firstlineno,
+                                         search.co_name)) == 1
+    assert _fractions_built(argv) == len(argv[-1].split(","))
+
+
+def _weight_count_plus_one(monkeypatch):
+    count = rep_check._Engine.weight_count
+    monkeypatch.setattr(rep_check._Engine, "weight_count",
+                        lambda self, dominant: count(self, dominant) + 1)
+
+
+def _scaled_norms(factor):
+    def patch(monkeypatch):
+        engine = rep_check.datum_weight_system(build_datum("A1", "sc"))._engine
+        monkeypatch.setattr(engine, "norms", tuple(factor * d for d in engine.norms))
+    return patch
+
+
+def _products_plus_one(monkeypatch):
+    monkeypatch.setattr(rep_check, "prod", lambda values: math.prod(values) + 1)
+
+
+def _dimension_plus_one(monkeypatch):
+    dimension = rep_check._Engine.dimension
+    monkeypatch.setattr(rep_check._Engine, "dimension", lambda self, lam: dimension(self, lam) + 1)
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_weight_count_plus_one, "4 weights listed, 5 counted by orbit sizes"),
+    (_scaled_norms(-1), "Freudenthal denominator is not positive"),
+    (_scaled_norms(2), "multiplicity 6/12 of the weight with labels 1 is not a positive integer"),
+    (_products_plus_one, "Weyl dimension 5/2 is not a positive integer"),
+    (_dimension_plus_one, "multiplicities add up to 4, the Weyl dimension is 5")],
+    ids=["count", "denominator", "multiplicity", "weyl-dimension", "dimension-sum"])
+def test_mult_self_checks_are_exit_code_3(monkeypatch, fault, message):
+    """Each self-check of the one pass over a highest weight still stops mult
+    with exit code 3 and its own message.  --highest 3/2 in simple-root
+    coordinates has label 3: its weights have labels 3, 1, -1, -3,
+    Freudenthal gives m(1) = 6/6, and Weyl's formula 4/1."""
+    argv = ("mult", "--type", "A1", "--N", "1", "--highest", "3/2")
+    assert invoke(*argv)[0] == 0  # warm: the Weyl group orders are cached
+    fault(monkeypatch)
+    assert invoke(*argv) == (3, "", f"error: internal check failed: {message}\n")
+
+
 def test_mult_weight_count_matches_every_golden():
     """Orbit sizes |W| / |W_J| summed over the dominant weights predict the
     number of weights that mult prints, on every mult golden."""
@@ -550,3 +613,59 @@ def test_result_writer_matches_json_dumps():
             writer([10 ** 4999])
     with pytest.raises(TypeError):
         cli._json([Fraction(1, 2)])
+    # the shapes the row writer takes: weight rows of rank 1-8 (empty ones and
+    # negative and p/q entries too), [b, m] pairs, lattices, and near misses
+    for _ in range(300):
+        rank = rng.randint(1, 8)
+        weights = [[[_rational_text(rng) for _ in range(rng.choice([0, rank, rank]))],
+                    rng.randint(1, 40)] for _ in range(rng.randrange(6))]
+        pairs = [[rng.randint(-160, 160), rng.randint(0, 1)] for _ in range(rng.randrange(5))]
+        lattice = [[_rational_text(rng) for _ in range(rank)] for _ in range(rng.randrange(4))]
+        rows = [weights, pairs, lattice]
+        misses = [_near_miss(rng, value) for value in rows if value]
+        rows += [_ragged(rng, value) for value in rows if value]
+        for value in rows + misses + [{"weights": weights, "multiplicities": pairs}]:
+            assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2,
+                                                  ensure_ascii=False), value
+        for value in rows:  # written by the row writer itself
+            cli._rows(value, "\n  ")
+        for value in misses:
+            with pytest.raises(KeyError):
+                cli._rows(value, "\n  ")
+
+
+def _rational_text(rng) -> str:
+    return str(Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3, 4, 7])))
+
+
+def _near_miss(rng, rows):
+    """rows with one item that the row writer refuses: a bool for an int or a
+    string, a dict in a row, or a list one level deeper than a row holds."""
+    rows = [[list(x) if isinstance(x, list) else x for x in row] for row in rows]
+    row = rng.choice(rows)
+    item = rng.choice([True, False, {"b": 1}, [[1, "2"]], [["1/2"]]])
+    spot = rng.randrange(len(row) + 1)
+    if isinstance(item, bool) and spot < len(row) and isinstance(row[spot], list) \
+            and row[spot]:
+        row[spot][rng.randrange(len(row[spot]))] = item  # inside a weight vector
+    else:
+        row[spot:spot + rng.randint(0, 1)] = [item]
+    return rows
+
+
+def _ragged(rng, rows):
+    """rows with one row made longer or shorter, which the row writer takes."""
+    rows = [list(row) for row in rows]
+    row = rng.choice(rows)
+    if row and rng.random() < 0.5:
+        row.pop()
+    else:
+        row.append(rng.choice([7, "-3/2"]))
+    return rows
+
+
+def test_rationals_match_fraction_text():
+    rng = random.Random(2203)
+    for den in [1] * 20 + [rng.randint(2, 60) for _ in range(200)]:
+        nums = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randrange(9))]
+        assert cli._rationals(nums, den) == [str(Fraction(x, den)) for x in nums]
