@@ -123,6 +123,7 @@ def _build_parser() -> _Parser:
     group_flags(p)
     p.add_argument("--N", required=True, help="twisting order")
     p.add_argument("--p", required=True, help="field characteristic, 0 or a prime")
+    parser.commands = sub.choices  # name -> subparser, for run to call directly
     return parser
 
 
@@ -179,16 +180,9 @@ def _isogeny_flag(text: str):
         raise UsageError("--isogeny rows must be lists of rationals") from None
 
 
-def _isogeny_label(text: str) -> str:
-    """How dual prints --isogeny: the name, or quotient:<generator rows>."""
-    isogeny = _isogeny_flag(text)
-    return isogeny if isinstance(isogeny, str) else \
-        "quotient:" + ";".join(vector_text(row) for row in isogeny)
-
-
-def _datum_flag(args):
+def _datum_flag(args, isogeny=None):  # isogeny: --isogeny already parsed, if given
     try:
-        return build_datum(args.type, _isogeny_flag(args.isogeny))
+        return build_datum(args.type, _isogeny_flag(args.isogeny) if isogeny is None else isogeny)
     except ValueError as exc:
         raise UsageError(f"--type/--isogeny: {exc}") from None
 
@@ -258,12 +252,15 @@ def _rows(rows, pad) -> list[str]:
 
 def _cmd_dual(args, out) -> int:
     order = _positive_flag(args.N, "--N")
-    datum = _datum_flag(args)
+    isogeny = _isogeny_flag(args.isogeny)
+    datum = _datum_flag(args, isogeny)
     data = twisted_dual(datum, order)
+    label = isogeny if isinstance(isogeny, str) else \
+        "quotient:" + ";".join(vector_text(row) for row in isogeny)  # the name or generator rows
     result = {
         "source": {
             "type": str(datum.cartan_type),
-            "isogeny": _isogeny_label(args.isogeny),
+            "isogeny": label,
             "lattice": _lattice_rows(datum.X),
         },
         "N": order,
@@ -384,10 +381,10 @@ def _cmd_mv_rank1(args, out) -> int:
     a = _int_flag(args.a, "--a")
     try:
         delta = rank_one_delta(datum, order, node, a)
-        checks = []
+        checks, mults = [], {}
         if args.check:  # first, so that a refused character costs no orbit count
-            checks.append(("character-oracle", mv_vs_character_check(datum, order, node, a)))
-        mults = rank_one_mv_multiplicities(datum, order, node, a)
+            checks.append(("character-oracle", mv_vs_character_check(datum, order, node, a, mults)))
+        mults = mults or rank_one_mv_multiplicities(datum, order, node, a)
     except ValueError as exc:
         raise UsageError(f"--i/--a: {exc}") from None
     result = {
@@ -440,7 +437,10 @@ def run(argv, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in parser.commands:  # straight to its subparser, as parser would go
+            args = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required "
                              f"(one of: {', '.join(_COMMANDS)})")

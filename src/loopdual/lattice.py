@@ -12,7 +12,8 @@ Y_{Q,N} is read, all call it, so its checks cover all four), and
 hermite_rows, sharing one 2x2 Bezout row transform; Lattice, built
 on one path from integer rows over a denominator (Lattice.from_int_rows);
 one integer triangular solve, on numerators over one denominator, for
-lattice_coordinates and coordinate matrices; small matrix helpers.  Most
+lattice_coordinates, numerators_member and coordinate matrices, checked by
+its residual ending at zero; small matrix helpers.  Most
 entries are 0, so mat_mul, det_int and the solve skip zeros.
 """
 
@@ -351,18 +352,20 @@ def _solve(nums, den: int, lat: Lattice) -> tuple[int, ...] | None:
     """Integer coordinates of nums / den (nums integers) in the basis of lat, or None."""
     if len(nums) != lat.ambient_dim:
         raise ValueError("vector length does not match ambient_dim")
+    # Hermite rows are upper triangular: settle sum_k c[k] * b[k] / lat.den == nums / den column
+    # by column on the residual nums * lat.den - den * sum_k c[k] * b[k], which must end at zero.
+    rest = [x * lat.den for x in nums]
     coords = []
-    used = []  # (c, row) for the nonzero coordinates so far
-    # Hermite rows are upper triangular: solve sum_k c[k] * b[k] / lat.den == nums / den by columns.
-    for j, (row, x) in enumerate(zip(lat.rows, nums)):
-        partial = sum(c * b[j] for c, b in used)
-        c, rem = divmod(x * lat.den - den * partial, den * row[j])
+    for j, row in enumerate(lat.rows):
+        c, rem = divmod(rest[j], den * row[j])
         if rem:
             return None
         coords.append(c)
         if c:
-            used.append((c, row))
-    if any(sum(c * b[j] for c, b in used) * den != x * lat.den for j, x in enumerate(nums)):
+            for k, b in enumerate(row):
+                if b:
+                    rest[k] -= c * den * b
+    if any(rest):
         raise ArithmeticError("triangular solve failed")
     return tuple(coords)
 
@@ -377,6 +380,11 @@ def lattice_coordinates(vector, lat: Lattice) -> tuple[int, ...] | None:
 def lattice_member(vector, lat: Lattice) -> bool:
     """Exact test: is vector an integer combination of the basis of lat?"""
     return lattice_coordinates(vector, lat) is not None
+
+
+def numerators_member(nums, den: int, lat: Lattice) -> bool:
+    """lattice_member of nums / den, for integers nums: no denominator to clear."""
+    return _solve(nums, den, lat) is not None
 
 
 def dual_lattice(lat: Lattice, pairing) -> Lattice:

@@ -377,14 +377,20 @@ def rank_one_delta(datum: RootDatum, order: int, node: int, a: int) -> int:
 def rank_one_line_system(datum: RootDatum, order: int, node: int) -> WeightSystem:
     """The rank-one weight system spanned by the rescaled coroot at one
     node, living on the line of multiples of that coroot."""
-    delta = local_denominators(datum, order)[node]
+    return _line_system(local_denominators(datum, order)[node])
+
+
+@lru_cache(maxsize=64)  # it depends on the local denominator alone
+def _line_system(delta: int) -> WeightSystem:
     return WeightSystem([(delta,)], [(Fraction(2, delta),)])
 
 
-def mv_vs_character_check(datum: RootDatum, order: int, node: int, a: int) -> bool:
+def mv_vs_character_check(datum: RootDatum, order: int, node: int, a: int, mults=None) -> bool:
     """Compare the rank-one fixed-point count against character theory: the
     geometric multiplicities over the coroot line must be the Freudenthal
-    multiplicities of rank_one_line_system at highest weight a."""
+    multiplicities of rank_one_line_system at highest weight a, computed
+    first.  mults, an empty dict if given, receives the geometric ones."""
     _, character = rank_one_line_system(datum, order, node).weights((a,))
-    return all(character.get((b,), 0) == mult
-               for b, mult in rank_one_mv_multiplicities(datum, order, node, a).items())
+    mults = {} if mults is None else mults
+    mults.update(rank_one_mv_multiplicities(datum, order, node, a))
+    return all(character.get((b,), 0) == mult for b, mult in mults.items())

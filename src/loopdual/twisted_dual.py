@@ -24,7 +24,7 @@ from math import gcd, lcm, prod
 
 from .central_ext import commutator_denominator
 from .dynkin import group_name, recognize_cartan_matrix
-from .lattice import Lattice, lattice_member
+from .lattice import Lattice, numerators_member
 from .root_data import (
     RootDatum,
     cartan_determinant,
@@ -46,14 +46,14 @@ def local_denominators(d: RootDatum, order: int) -> tuple[int, ...]:
     return tuple(order // gcd(order, k * c) for c in coroot_norms(d.cartan_type))
 
 
-def dual_cartan_matrix(d: RootDatum, order: int) -> tuple[tuple[int, ...], ...]:
+def dual_cartan_matrix(d: RootDatum, order: int, delta=None) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of the rescaled coroots, in the source numbering.
 
     Entry (i, j) is delta_i / delta_j times the transposed source entry;
     integrality of the result is forced by how the deltas vary along the
-    Dynkin diagram, and is checked.
+    Dynkin diagram, and is checked.  delta, if given, is local_denominators(d, order).
     """
-    delta = local_denominators(d, order)
+    delta = local_denominators(d, order) if delta is None else delta
     a = cartan_matrix(d.cartan_type)
     r = d.rank
     out = []
@@ -105,7 +105,7 @@ class TwistedDualData:
 def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     """Compute the dual root datum of the order-N twisted setting."""
     delta = local_denominators(d, order)
-    aprime = dual_cartan_matrix(d, order)
+    aprime = dual_cartan_matrix(d, order, delta)
     dual_type, sigma = recognize_cartan_matrix(aprime)
     std = cartan_matrix(dual_type)
     r = d.rank
@@ -113,11 +113,12 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
         raise ArithmeticError("relabeling does not carry the rescaled "
                               "Cartan matrix to the standard one")
     ylat = dual_character_lattice(d, order)
-    for i in range(r):
-        scaled_coroot = tuple(delta[i] * x for x in d.simple_coroot(i))
-        if not lattice_member(scaled_coroot, ylat):
+    for i, di in enumerate(delta):
+        scaled_coroot = [0] * r  # delta_i * e_i, over denominator 1
+        scaled_coroot[i] = di
+        if not numerators_member(scaled_coroot, 1, ylat):
             raise ArithmeticError(
-                f"rescaled coroot {scaled_coroot} escaped the dual character lattice")
+                f"rescaled coroot {tuple(scaled_coroot)} escaped the dual character lattice")
     # coordinate i of Y_{Q,N} over delta_i, in the standard numbering; the roots
     # are in it, as the rescaled coroots are in Y_{Q,N}
     source = sorted(range(r), key=sigma.__getitem__)  # the inverse of sigma

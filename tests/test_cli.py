@@ -2,6 +2,7 @@
 
 import cProfile
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from loopdual import cli, rep_check, root_data
 from loopdual.cli import run
 from loopdual.root_data import build_datum
 from loopdual.twisted_dual import twisted_dual
+from test_argv_fuzz import cases
 
 
 def invoke(*argv):
@@ -405,6 +407,34 @@ def test_one_dominant_weight_search_per_mult_query(argv):
     assert _fractions_built(argv) == len(argv[-1].split(","))
 
 
+def _calls(fn, argv) -> int:
+    """Calls of fn while run(argv) answers, counted by cProfile."""
+    code = fn.__code__
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        invoke(*argv)
+    finally:
+        profile.disable()
+    return sum(calls for (path, line, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if (path, line, name) == (code.co_filename, code.co_firstlineno, code.co_name))
+
+
+@pytest.mark.parametrize("argv", [
+    ("mv-rank1", "--type", "C2", "--N", "2", "--i", "1", "--a", "80", "--check"),
+    ("mv-rank1", "--type", "A1", "--N", "1", "--i", "0", "--a", "3", "--check"),
+    ("mv-rank1", "--type", "G2", "--N", "3", "--i", "1", "--a", "6")])
+def test_one_orbit_count_per_mv_rank1_query(argv):
+    """mv-rank1 counts the rank-one orbit once, with --check or without; the
+    check still runs through mv_vs_character_check, and prints the same."""
+    for _ in range(2):  # cold, then warm
+        assert _calls(rep_check.rank_one_mv_multiplicities, argv) == 1
+        assert _calls(rep_check.mv_vs_character_check, argv) == int("--check" in argv)
+    code, out, _ = invoke(*argv)
+    assert code == 0 and payload(out)["checks"] == (
+        [{"name": "character-oracle", "pass": True}] if "--check" in argv else [])
+
+
 def _weight_count_plus_one(monkeypatch):
     count = rep_check._Engine.weight_count
     monkeypatch.setattr(rep_check._Engine, "weight_count",
@@ -489,6 +519,56 @@ def test_one_parser_carries_no_state_between_runs():
     assert code == 0 and payload(out)["checks"] != []
     code, out, _ = invoke(*argv)
     assert code == 0 and payload(out)["checks"] == []
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its path."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of run(argv); -h and --help print through
+    sys.stdout and end in SystemExit, and any other escape is recorded too."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        code = run(list(argv), out=out, err=err)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    except Exception as exc:  # an escaped exception must escape the same way
+        code = (type(exc).__name__, str(exc))
+    captured = capsys.readouterr()
+    return code, out.getvalue() + captured.out, err.getvalue() + captured.err
+
+
+def test_direct_dispatch_matches_the_full_parser(monkeypatch, capsys):
+    """run hands argv[1:] straight to the subparser that argv[0] names; every
+    argv gives the same exit code, stdout and stderr as through the top-level
+    parser, which run still uses for any other argv and which is the oracle here."""
+    workloads = _workloads()
+    argvs = [list(argv) for argv in workloads.USAGE_ERRORS]
+    argvs += [list(argv) for argv, _ in workloads.KNOWN_CRASHES]
+    argvs += cases(2024, 500)
+    argvs += [[], ["bogus"], ["dual", "-h"], ["-h"], ["--help"], ["--type", "A1", "dual"],
+              ["dual", "--h"], ["dual", "--type", "A1", "--N", "2", "extra"],
+              ["dual", "--type", "A1", "--N", "2", "--", "x"], ["dual", "--ty", "C2", "--N=2"],
+              ["mv-rank1", "--type", "A1", "--N", "2", "--i", "0", "--a", "2", "--ch"],
+              ["table", "--Nmax", "1", "--paper-check", "--paper-check"], ["DUAL"], ["dua"]]
+    parser = cli._build_parser()
+    top, real = [], parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", lambda *a: top.append(a) or real(*a))
+    direct = [_outcome(argv, capsys) for argv in argvs]
+    through_top = len(top)
+    assert through_top == sum(not argv or argv[0] not in cli._COMMANDS for argv in argvs) > 5
+    monkeypatch.setattr(parser, "commands", {})  # every argv through the top-level parser
+    full = [_outcome(argv, capsys) for argv in argvs]
+    assert len(top) == through_top + len(argvs)
+    mismatched = [(argv, a, b) for argv, a, b in zip(argvs, direct, full) if a != b]
+    assert mismatched == []
+    assert {code for code, _, _ in direct} >= {0, 1, ("SystemExit", 0)}
 
 
 D5_VECTOR = '[[1, 1, 1, "1/2", "1/2"]]'  # the vector weight of D5, spanning the X of "so"

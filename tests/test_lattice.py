@@ -20,6 +20,7 @@ from loopdual.lattice import (
     lattice_member,
     mat_inv,
     mat_mul,
+    numerators_member,
     quotient_invariants,
     smith_normal_form,
     transpose,
@@ -429,6 +430,39 @@ def test_triangular_solve_check_fires():
     lat.rows = ((1, 0), (1, 1))  # lower triangular: the solve by columns misses row 1
     with pytest.raises(ArithmeticError, match="triangular solve failed"):
         lattice_coordinates((0, 1), lat)
+
+
+def test_triangular_solve_residual_catches_an_entry_below_a_later_pivot():
+    lat = Lattice.standard(3)
+    lat.rows = ((1, 0, 0), (0, 1, 0), (0, 2, 1))  # row 2 has a 2 below the pivot of row 1
+    with pytest.raises(ArithmeticError, match="triangular solve failed"):
+        lattice_coordinates((0, 0, 1), lat)
+    assert lattice_coordinates((0, 1, 0), lat) == (0, 1, 0)  # row 2 unused: nothing to catch
+
+
+def test_solve_matches_the_fraction_basis_oracle_on_members_and_non_members():
+    """_solve on numerators over den against Fraction Gauss-Jordan on the basis,
+    over seeded Hermite lattices of rank 1 to 8, lat.den and den > 1 included."""
+    rng = random.Random(47)
+    seen = {"member": 0, "non-member": 0, "lat.den > 1": 0, "den > 1": 0}
+    for n in [1, 2, 3, 4, 5, 6, 7, 8] * 6:
+        lat = _fraction_lattice(rng, n)
+        seen["lat.den > 1"] += lat.den > 1
+        for _ in range(6):
+            coords = [rng.randint(-5, 5) for _ in range(n)]
+            vec = [sum(c * b[j] for c, b in zip(coords, lat.basis)) for j in range(n)]
+            if rng.random() < 0.5:  # nudge one entry: mostly off the lattice
+                vec[rng.randrange(n)] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 3),
+                                                  rng.randint(1, 7))
+            den = lcm(1, *(x.denominator for x in vec)) * rng.choice((1, 1, 3))
+            nums = [int(x * den) for x in vec]
+            expected = basis_coordinates(vec, lat)
+            assert lattice._solve(nums, den, lat) == expected
+            assert numerators_member(nums, den, lat) == (expected is not None)
+            assert lattice_coordinates(vec, lat) == expected
+            seen["member" if expected is not None else "non-member"] += 1
+            seen["den > 1"] += den > 1
+    assert min(seen.values()) > 40, seen
 
 
 def test_integer_kernels_refuse_non_integral_entries():

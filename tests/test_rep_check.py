@@ -352,6 +352,19 @@ def test_freudenthal_matches_kostant_on_rank_one_lines(name, order, node):
                 kostant_multiplicity(line, (a,), (b,)), (a, b)
 
 
+def test_one_line_system_per_local_denominator():
+    """rank_one_line_system depends on delta alone, so data and nodes with one
+    delta share one WeightSystem; each query's character is still computed."""
+    c2, a1 = build_datum("C2", "sc"), build_datum("A1", "sc")
+    line = rank_one_line_system(c2, 2, 1)  # delta = 2
+    assert rank_one_line_system(a1, 2, 0) is line
+    assert rank_one_line_system(c2, 4, 0) is line
+    assert rank_one_line_system(c2, 2, 0) is not line  # delta = 1
+    assert rank_one_line_system(c2, 2, 0).delta == (1,) and line.delta == (2,)
+    assert line.weights((4,)) == (1, {(4,): 1, (2,): 1, (0,): 1, (-2,): 1, (-4,): 1})
+    assert line.weights((4,)) is not line.weights((4,))
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_brauer_klimyk_matches_peeling_oracle(name):
     ws = source_system(name)
