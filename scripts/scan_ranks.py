@@ -1,0 +1,96 @@
+"""Time `dual` and `extensions` on every A-D root datum up to MAX_RANK, one fresh
+process per call.
+
+For each type A1..A128, B2..B128, C2..C128 and D3..D128 (root_data.MAX_RANK) and
+each isogeny that build_datum names for it (sc, adjoint, and so for series B and
+for series D of odd rank), plus the mu2 quotient of every A_(2m-1) (one generator
+row 1/2, 0, 1/2, ..., 1/2), it runs `dual --N n` for n in 1, 2, 3, 4, 6 and
+`extensions`.  Every call is a new Python process, so nothing is cached between
+calls, and is killed after BOUND_S seconds.  Calls run one at a time, so none
+slows another.  The wall time includes interpreter start and import.  It prints
+the SLOWEST (10) slowest calls and every call that failed or went over the bound,
+and exits 1 if there was one.
+
+    python3 scripts/scan_ranks.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from loopdual.root_data import MAX_RANK  # noqa: E402
+
+ORDERS = (1, 2, 3, 4, 6)
+BOUND_S = 3.0
+SLOWEST = 10
+LOWEST = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+
+def mu2_row(rank: int) -> str:
+    """The generator row of SL(rank + 1)/mu2 for odd rank, in simple-root coordinates."""
+    return json.dumps([["1/2" if i % 2 == 0 else "0" for i in range(rank)]])
+
+
+def data():
+    """(type, isogeny) for every datum of the scan."""
+    for series, lowest in LOWEST.items():
+        for rank in range(lowest, MAX_RANK + 1):
+            t = f"{series}{rank}"
+            yield t, "sc"
+            yield t, "adjoint"
+            if series == "B" or (series == "D" and rank % 2):
+                yield t, "so"
+            if series == "A" and rank % 2:
+                yield t, mu2_row(rank)
+
+
+def calls():
+    for t, isogeny in data():
+        for n in ORDERS:
+            yield ["dual", "--type", t, "--isogeny", isogeny, "--N", str(n)]
+        yield ["extensions", "--type", t, "--isogeny", isogeny]
+
+
+def timed(argv):
+    """(wall seconds, exit code or None if killed at the bound, argv)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run([sys.executable, "-c", "from loopdual.cli import main; main()",
+                               *argv], capture_output=True, timeout=BOUND_S, env=env)
+        code = proc.returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return time.perf_counter() - start, code, argv
+
+
+def label(argv) -> str:
+    """argv with a generator row shortened to its name."""
+    return " ".join("mu2-row" if arg.startswith("[") else arg for arg in argv)
+
+
+def main() -> None:
+    start = time.perf_counter()
+    results = [timed(argv) for argv in calls()]
+    bad = [r for r in results if r[1] != 0]
+    print(f"{len(results)} calls, max rank {MAX_RANK}, bound {BOUND_S} s, "
+          f"{time.perf_counter() - start:.0f} s in all")
+    print(f"slowest {SLOWEST}:")
+    for seconds, code, argv in sorted(results, key=lambda r: r[0], reverse=True)[:SLOWEST]:
+        print(f"  {seconds:6.2f} s  exit {code}  {label(argv)}")
+    print(f"failed or over the bound: {len(bad)}")
+    for seconds, code, argv in bad:
+        print(f"  {seconds:6.2f} s  {'killed' if code is None else f'exit {code}'}  {label(argv)}")
+    sys.exit(1 if bad else 0)
+
+
+if __name__ == "__main__":
+    main()

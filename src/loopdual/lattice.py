@@ -6,21 +6,21 @@ rational vector space and is stored as integer Hermite-normal-form rows over
 one common denominator, so two Lattice objects compare equal exactly when
 they contain the same vectors, and membership is an integer triangular solve.
 
-Routines: smith_normal_form, the one elimination (mat_inv, dual_lattice,
-quotient_invariants and root_data's Smith form of k * G_Y, from which every
-Y_{Q,N} is read, all call it, so its checks cover all four), and
-hermite_rows, sharing one 2x2 Bezout row transform; Lattice, built
-on one path from integer rows over a denominator (Lattice.from_int_rows);
-one integer triangular solve, on numerators over one denominator, for
-lattice_coordinates, numerators_member and coordinate matrices, checked by
-its residual ending at zero; small matrix helpers.  Most
-entries are 0, so mat_mul, det_int and the solve skip zeros.
+Routines: hermite_rows, and hermite_mod, the one elimination with a known
+modulus m (kernel_mod, dual_lattice and smith_normal_form, the invariant factors
+with no transforms, all call it, so its proof covers all three); both share
+one 2x2 Bezout row transform.  Lattice is built from integer rows over a
+denominator (Lattice.from_int_rows), or from a proven modular form as it is;
+one integer triangular solve on numerators serves membership, coordinates and
+those proofs, checked by its residual ending at zero.  Most entries are 0, so
+mat_mul, det_int, mat_inv and the solve skip zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain, compress
+from math import gcd, lcm, prod
 
 
 def vector_text(vec) -> str:
@@ -60,19 +60,29 @@ def _cleared(mat) -> tuple[int, list[list[int]]]:
 
 
 def mat_inv(mat):
-    """Inverse of a square rational matrix as Fractions: den * V D^-1 U from
-    the Smith form U (den * mat) V = D.
+    """Inverse of a square rational matrix as Fractions (ValueError if singular), by
+    integer elimination on [den * mat | I] below each pivot, then above each pivot
+    from the last: row i becomes (p * row_i - f * row_c) / gcd(p, f), for f its
+    entry under or over the pivot p of row c."""
+    n = len(mat)
+    den, a = _cleared(mat)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
 
-    Raises:
-        ValueError: if the matrix is singular.
-    """
-    den, m = _cleared(mat)
-    u, d, v = smith_normal_form(m)
-    last = d[-1][-1]  # each diagonal entry divides the next, so a 0 sits last
-    if last == 0:
-        raise ValueError("matrix is singular")
-    scaled = [[x * (last // d[k][k]) for k, x in enumerate(row)] for row in v]
-    return [[Fraction(den * x, last) for x in row] for row in mat_mul(scaled, u)]
+    def clear(c, rows):
+        for i in rows:
+            if f := a[i][c]:
+                g = gcd(f, a[c][c])
+                x, y = a[c][c] // g, f // g
+                a[i] = [x * u - y * v for u, v in zip(a[i], a[c])]
+
+    for c in range(n):
+        if (p := next((i for i in range(c, n) if a[i][c]), None)) is None:
+            raise ValueError("matrix is singular")
+        a[c], a[p] = a[p], a[c]
+        clear(c, range(c + 1, n))
+    for c in reversed(range(n)):
+        clear(c, range(c))
+    return [[Fraction(den * x, row[i]) for x in row[n:]] for i, row in enumerate(a)]
 
 
 def _int_rows(mat) -> list[list[int]]:
@@ -86,171 +96,44 @@ def _int_rows(mat) -> list[list[int]]:
 
 
 def det_int(mat) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss, 1968); a row
-    with a zero in the pivot column is only rescaled by p // prev, if p != prev."""
+    """Determinant of a square integer matrix (fraction-free Bareiss, 1968).  A row
+    with a zero in the pivot column would only be rescaled by p // prev, so it is
+    kept as it was when last updated, at base[i], the prev of then, and scaled
+    by prev // base[i] only when it is next used."""
     n = len(mat)
     if n == 0:
         return 1
     m = _int_rows(mat)
-    sign, prev = 1, 1
+    sign, prev, base = 1, 1, [1] * n
     for k in range(n - 1):
         if m[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if swap is None:
                 return 0
-            m[k], m[swap] = m[swap], m[k]
+            m[k], m[swap], base[k], base[swap] = m[swap], m[k], base[swap], base[k]
             sign = -sign
+        if base[k] != prev:
+            m[k][k:] = [x * prev // base[k] for x in m[k][k:]]
         p, pivot = m[k][k], m[k][k + 1:]
-        for row in m[k + 1:]:
-            if c := row[k]:
-                row[k + 1:] = [(x * p - c * y) // prev for x, y in zip(row[k + 1:], pivot)]
-            elif p != prev:
-                row[k + 1:] = [x * p // prev for x in row[k + 1:]]
+        for i in range(k + 1, n):
+            if c := m[i][k]:
+                row, f = m[i][k + 1:], base[i]
+                if f != prev:
+                    row, c = [x * prev // f for x in row], c * prev // f
+                m[i][k + 1:] = [(x * p - c * y) // prev for x, y in zip(row, pivot)]
+                base[i] = p
         prev = p
-    return sign * m[n - 1][n - 1]
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """Return (s, t) with s*a + t*b == gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
+    return sign * (m[n - 1][n - 1] * prev // base[n - 1])
 
 
 def _bezout_rows(a: int, b: int, x, y):
-    """The row pair (x, y) under the unimodular 2x2 transform sending (a, b)
+    """The row pair (x, y) under the unimodular 2x2 transform sending (a, b), b != 0,
     to (gcd(a, b), 0), which avoids the entry blowup of repeated remainders."""
     g = gcd(a, b)
-    s, w = _bezout(a, b)
+    s = pow(a // g, -1, abs(b // g))  # s * a = g mod b, so w below is exact
+    w = (g - s * a) // b
     return ([s * p + w * q for p, q in zip(x, y)],
             [(-b // g) * p + (a // g) * q for p, q in zip(x, y)])
-
-
-def smith_normal_form(mat):
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Args:
-        mat: rectangular list of int rows (m x n, m and n at least 1).
-
-    Returns:
-        (U, D, V): integer matrices with U (m x m) and V (n x n) unimodular
-        and D == U @ mat @ V diagonal, diagonal entries nonnegative with each
-        entry dividing the next.  The product identity is re-verified before
-        returning.
-    """
-    m = len(mat)
-    n = len(mat[0])
-    d = _int_rows(mat)
-    if any(len(row) != n for row in d):
-        raise ValueError("ragged matrix")
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, q):
-        # col_i += q * col_j
-        for row in d:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    def gcd_rows(t, i):
-        # gcd lands at the pivot, zero below it
-        a, b = d[t][t], d[i][t]
-        for grid in (d, u):
-            grid[t], grid[i] = _bezout_rows(a, b, grid[t], grid[i])
-
-    def gcd_cols(t, j):
-        a, b = d[t][t], d[t][j]
-        for grid in (d, v):
-            cols = _bezout_rows(a, b, [row[t] for row in grid], [row[j] for row in grid])
-            for row, x, y in zip(grid, *cols):
-                row[t], row[j] = x, y
-
-    for t in range(min(m, n)):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # Shrink the pivot to the gcd of its row and column; every transform
-        # strictly divides the pivot, so this settles quickly.
-        while True:
-            changed = False
-            for i in range(t + 1, m):
-                if d[i][t] % d[t][t] != 0:
-                    gcd_rows(t, i)
-                    changed = True
-            for j in range(t + 1, n):
-                if d[t][j] % d[t][t] != 0:
-                    gcd_cols(t, j)
-                    changed = True
-            if not changed:
-                break
-        # The pivot now divides its whole row and column, so plain
-        # subtractions clear both without re-dirtying either.
-        for i in range(t + 1, m):
-            if d[i][t] != 0:
-                add_row(i, t, -(d[i][t] // d[t][t]))
-        for j in range(t + 1, n):
-            if d[t][j] != 0:
-                add_col(j, t, -(d[t][j] // d[t][t]))
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-
-    k = min(m, n)
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = d[i][i], d[j][j]
-            if a == 0 and b != 0:
-                swap_rows(i, j)
-                swap_cols(i, j)
-                a, b = b, 0
-            if a == 0 or b == 0 or b % a == 0:
-                continue
-            g = gcd(a, b)
-            low = a * b // g
-            s, t = _bezout(a, b)
-            # Embedded 2x2 transform sending diag(a, b) to diag(g, lcm).
-            u[i], u[j] = _bezout_rows(a, b, u[i], u[j])
-            for row in v:
-                ci, cj = row[i], row[j]
-                row[i] = ci + cj
-                row[j] = (-t * b // g) * ci + (s * a // g) * cj
-            d[i][i], d[j][j] = g, low
-
-    if mat_mul(mat_mul(u, [list(r) for r in mat]), v) != d:
-        raise ArithmeticError("normal form verification failed")
-    if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
-        raise ArithmeticError("transform matrices are not unimodular")
-    return u, d, v
 
 
 def hermite_rows(mat):
@@ -362,9 +245,8 @@ def _solve(nums, den: int, lat: Lattice) -> tuple[int, ...] | None:
             return None
         coords.append(c)
         if c:
-            for k, b in enumerate(row):
-                if b:
-                    rest[k] -= c * den * b
+            for k in compress(range(len(row)), row):  # the nonzero entries of row
+                rest[k] -= c * den * row[k]
     if any(rest):
         raise ArithmeticError("triangular solve failed")
     return tuple(coords)
@@ -387,24 +269,78 @@ def numerators_member(nums, den: int, lat: Lattice) -> bool:
     return _solve(nums, den, lat) is not None
 
 
-def dual_lattice(lat: Lattice, pairing) -> Lattice:
-    """Dual lattice {y : x^T P y integer for every x in lat}.
+def hermite_mod(gens, m: int, det: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite rows of L = span(gens) + m * Z^w, w = len(gens[0]), every entry below m.
 
-    With M = c * lat.basis @ P integral, y is in it when M y is in c * Z^n,
-    that is, with U M V = D the Smith form, when y = V z with D_ii z_i in c * Z;
-    so the columns of V times c * (D_last // D_ii), over D_last, generate it.
-
-    Args:
-        lat: full-rank lattice.
-        pairing: square rational matrix P defining the perfect bilinear form
-            pairing(x, y) = x^T P y.  Must be invertible (ValueError otherwise).
+    Elimination modulo m (Domich, Kannan and Trotter, 1987; Cohen, GTM 138,
+    2.4.2): each m * e_j lies in L, so entries are reduced mod m throughout, and
+    column c folds m * e_c and every nonzero entry into one pivot row by 2x2
+    Bezout transforms.  Rows are then reduced above the pivots from the last one
+    up, over the nonzero entries of the rows below, which are reduced already.
+    The output is proved, not trusted: every generator of L (each row of gens and
+    each m * e_j) must lie in it, by the solve below, and the product of its
+    pivots must equal det, which the caller knows to be det L.
     """
-    pden, m = _cleared(mat_mul(lat.rows, pairing))
-    _, d, v = smith_normal_form(m)
-    if (last := d[-1][-1]) == 0:  # each diagonal entry divides the next, so a 0 sits last
+    w = len(gens[0])
+    rest = reduced = [row for row in ([x % m for x in g] for g in _int_rows(gens)) if any(row)]
+    h = []
+    for c in range(w):  # each row is zero before column c, so it folds from c on
+        piv, keep = [m] + [0] * (w - c - 1), []
+        for row in rest:
+            if b := row[c]:
+                if b % piv[0]:
+                    piv, tail = _bezout_rows(piv[0], b, piv, row[c:])
+                    piv[1:] = [x % m for x in piv[1:]]
+                else:  # a multiple of the pivot, which stays as it is
+                    tail = [x - b // piv[0] * y for x, y in zip(row[c:], piv)]
+                if not any(tail := [x % m for x in tail]):
+                    continue
+                row = [0] * c + tail
+            keep.append(row)
+        h.append([0] * c + piv)
+        rest = keep
+    nonzero = [()] * w
+    for i in reversed(range(w)):
+        row = h[i]
+        for j in range(i + 1, w):
+            if q := row[j] // h[j][j]:
+                for k, y in nonzero[j]:
+                    row[k] = (row[k] - q * y) % m
+        nonzero[i] = [(k, y) for k, y in enumerate(row) if y]
+    lat = Lattice.__new__(Lattice)  # h is already a Hermite form over denominator 1
+    lat.ambient_dim, lat.den, lat.rows = w, 1, tuple(map(tuple, h))
+    # m * e_i = (m / p_i) * row_i - tail_i with tail_i zero up to column i, so by
+    # induction from the last row m * Z^w lies in lat, and with it each generator,
+    # when every p_i divides m and each generator mod m and each tail solves into
+    # lat, or the tail is 0 mod m (in m * Z^w) as p_i divides the rest of row_i
+    pivots = [row[i] for i, row in enumerate(lat.rows)]
+    tails = ([0] * (i + 1) + [m // p * x for x in row[i + 1:]] for i, (row, p)
+             in enumerate(zip(lat.rows, pivots)) if p > 1 and any(x % p for x in row[i + 1:]))
+    if any(m % p for p in pivots) or any(_solve(v, 1, lat) is None for v in chain(reduced, tails)):
+        raise ArithmeticError("a generator escaped the modular Hermite form")
+    if prod(pivots) != det:
+        raise ArithmeticError("modular Hermite form has the wrong determinant")
+    return lat.rows
+
+
+def kernel_mod(mat, m: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite rows of {x in Z^n : mat @ x = 0 mod m}, for mat with n columns: the
+    rows of the modular Hermite form of span((column j of mat, e_j)) + m * Z^(r+n),
+    of determinant m^r for r = len(mat), whose pivots lie past column r, cut there."""
+    r, n = len(mat), len(mat[0])
+    gens = [list(col) + [int(i == j) for i in range(n)] for j, col in enumerate(zip(*mat))]
+    return tuple(row[r:] for row in hermite_mod(gens, m, m ** r)[r:])
+
+
+def dual_lattice(lat: Lattice, pairing, den: int) -> Lattice:
+    """Dual lattice {y : x^T P y integer for every x in lat} under an invertible
+    rational P (ValueError otherwise), given den, a multiple of the least d with
+    d * dual inside Z^n.  With P = p / pden cleared, y = z / den is in it when
+    (lat.rows @ p) z = 0 mod lat.den * pden * den: a congruence kernel."""
+    pden, p = _cleared(pairing)
+    if det_int(p) == 0:
         raise ValueError("pairing is degenerate")
-    scales = [lat.den * pden * (last // d[i][i]) for i in range(len(v))]
-    return Lattice.from_int_rows(last, ([s * x for x in col] for s, col in zip(scales, zip(*v))))
+    return Lattice.from_int_rows(den, kernel_mod(mat_mul(lat.rows, p), lat.den * pden * den))
 
 
 def _coordinate_matrix(big: Lattice, small: Lattice) -> list[tuple[int, ...]]:
@@ -416,22 +352,30 @@ def _coordinate_matrix(big: Lattice, small: Lattice) -> list[tuple[int, ...]]:
     return coeffs
 
 
+def smith_normal_form(mat) -> tuple[int, ...]:
+    """The Smith diagonal d_1 | d_2 | ... of a square integer matrix (ValueError if
+    singular), with no transforms: row Hermite forms modulo D = |det mat| of the
+    matrix and of its transpose alternate until it is diagonal, and a gcd/lcm
+    pass orders the diagonal, whose product must be D."""
+    a = _int_rows(mat)
+    if (d := abs(det_int(a))) == 0:
+        raise ValueError("matrix is singular")
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = transpose(hermite_mod(a, d, d))
+    diag = [abs(row[i]) for i, row in enumerate(a)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    if prod(diag) != d:
+        raise ArithmeticError("invariant factors do not multiply to the determinant")
+    return tuple(diag)
+
+
 def quotient_invariants(big: Lattice, small: Lattice) -> tuple[int, ...]:
-    """Invariant factors of the finite group big/small.
-
-    Returns the diagonal of the Smith form of the coordinate matrix of the
-    small basis in the big basis, with unit entries dropped; the remaining
-    entries each divide the next.
-
-    Raises:
-        ValueError: if small is not contained in big.
-    """
-    coeffs = _coordinate_matrix(big, small)
-    _, diag, _ = smith_normal_form(coeffs)
-    factors = [diag[i][i] for i in range(len(coeffs))]
-    if any(f == 0 for f in factors):
-        raise ArithmeticError("quotient is not finite")
-    return tuple(f for f in factors if f > 1)
+    """Invariant factors of the finite group big/small, units dropped: the Smith
+    diagonal of the coordinates of the small basis in the big basis (ValueError
+    if small is not contained in big)."""
+    return tuple(f for f in smith_normal_form(_coordinate_matrix(big, small)) if f > 1)
 
 
 def lattice_index(big: Lattice, small: Lattice) -> int:

@@ -19,8 +19,9 @@ Conventions used across the package:
   form and the dual Coxeter number among them, are built once and cached.
 * A RootDatum is immutable, the triple (type, X, Y), made by root_datum once
   per (type, X) and validated then by a perfect-pairing check; it caches G_Y,
-  k, the Smith form of k * G_Y, center and pi1.  How the caller named X (an
-  isogeny label) is not part of it, so B3 "so" and "adjoint" share one record.
+  k, B = k * G_Y and det B, the kernels of B asked for, center and pi1.  How the
+  caller named X (an isogeny label) is not part of it, so B3 "so" and "adjoint"
+  share one record; explicit generator rows are keyed to their X.
 * cartan_symmetrizer and positive_root_system take a bare integer Cartan
   matrix, for dynkin and rep_check too.  Positive roots grow by height under
   simple reflections, once per matrix; the negative ones are their negations.
@@ -31,23 +32,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .lattice import (
     Lattice,
     det_int,
     dual_lattice,
     identity_matrix,
+    kernel_mod,
     lattice_member,
     mat_inv,
     mat_mul,
+    numerators_member,
     quotient_invariants,
-    smith_normal_form,
     transpose,
     vector_text,
 )
 
-# Largest rank of series A-D; `dual --type A128 --N 6` takes about 2 s.
+# Largest rank of series A-D; scripts/scan_ranks.py times every A-D datum up to it.
 MAX_RANK = 128
 _RANK_BOUNDS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK),
                 "D": (3, MAX_RANK), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -262,12 +264,13 @@ class CanonicalForm:
 @dataclass(frozen=True)
 class RootDatum:
     """A root datum: Cartan type plus a character lattice between root and
-    weight lattices, with the cocharacter lattice forced by duality.
-    Immutable; equality and hash read only (cartan_type, X), which fix Y."""
+    weight lattices, with the cocharacter lattice forced by duality.  Immutable
+    but for caches; equality and hash read only (cartan_type, X), which fix Y."""
 
     cartan_type: CartanType
     X: Lattice = field(repr=False)
     Y: Lattice = field(compare=False, repr=False)
+    _kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -295,15 +298,26 @@ class RootDatum:
         return lcm(*(s // gcd(s, x) for row in gram for x in row))
 
     @cached_property
-    def smith_form(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(d, W) with U B V = diag(d) the Smith form of B = k * G_Y and W = V^T Y.rows:
-        Y_{Q,N} is spanned by the rows (N // gcd(N, d_i)) * W_i over Y.den."""
-        (s, gram), k = self.gram, self.k
+    def level_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(det B, B) for B = k * G_Y, the Gram matrix of level k on Y, integral; det B
+        (Bareiss) must equal k^r det(Y.basis)^2 det(A) prod(cs), as G_Y is Y.basis @
+        (A^T diag(cs)) @ Y.basis^T, so twisted_dual's gcd(N, det B) is not misread."""
+        (s, gram), k, t = self.gram, self.k, self.cartan_type
         if any(k * x % s for row in gram for x in row):
             raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
-        _, diag, v = smith_normal_form([[k * x // s for x in row] for row in gram])
-        return (tuple(diag[i][i] for i in range(self.rank)),
-                tuple(map(tuple, mat_mul(transpose(v), self.Y.rows))))
+        b = tuple(tuple(k * x // s for x in row) for row in gram)
+        det, pivots = det_int(b), prod(row[i] for i, row in enumerate(self.Y.rows))
+        if det * s ** self.rank != (k ** self.rank * pivots ** 2 * cartan_determinant(t)
+                                    * prod(coroot_norms(t))):
+            raise ArithmeticError("det(k * G_Y) disagrees with the Cartan determinant")
+        return det, b
+
+    def kernel(self, g: int) -> Lattice:
+        """K_g = {y in Y : k * (y, Y) in g*Z}, the kernel of B modulo g, kept per g."""
+        if g not in self._kernels:
+            rows = kernel_mod(self.level_gram[1], g)
+            self._kernels[g] = Lattice.from_int_rows(self.Y.den, mat_mul(rows, self.Y.rows))
+        return self._kernels[g]
 
     @cached_property
     def center(self) -> tuple[int, ...]:  # invariant factors of X/Q
@@ -324,43 +338,47 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
     the roots.
     """
     t = CartanType.parse(cartan_type) if isinstance(cartan_type, str) else cartan_type
-    r = t.rank
-    roots = root_lattice(t)
-    weights = weight_lattice(t)
-    if isinstance(isogeny, str):
-        if isogeny == "sc":
-            x = weights
-        elif isogeny == "adjoint":
-            x = roots
-        elif isogeny == "so":
-            if t.series == "B":
-                x = roots
-            elif t.series == "D" and t.rank % 2 == 1:
-                vec_weight = fundamental_weight(t, 0)  # class of the vector representation
-                x = Lattice(identity_matrix(r) + [list(vec_weight)])
-            elif t.series == "D":
-                raise ValueError(
-                    "series D of even rank has three index-two forms; "
-                    "pass explicit generators instead of 'so'")
-            else:
-                raise ValueError(f"isogeny 'so' is not defined for series {t.series}")
-        else:
-            raise ValueError(f"unknown isogeny {isogeny!r}")
+    if not isinstance(isogeny, str):
+        x = _quotient_lattice(t, tuple(tuple(Fraction(v) for v in g) for g in isogeny))
+    elif isogeny == "sc":
+        x = weight_lattice(t)
+    elif isogeny == "adjoint" or (isogeny == "so" and t.series == "B"):
+        x = root_lattice(t)
+    elif isogeny == "so" and t.series == "D" and t.rank % 2 == 1:
+        x = _quotient_lattice(t, (fundamental_weight(t, 0),))  # the vector representation
+    elif isogeny == "so" and t.series == "D":
+        raise ValueError("series D of even rank has three index-two forms; "
+                         "pass explicit generators instead of 'so'")
+    elif isogeny == "so":
+        raise ValueError(f"isogeny 'so' is not defined for series {t.series}")
     else:
-        gens = [tuple(Fraction(v) for v in g) for g in isogeny]
-        for g in gens:
-            if not lattice_member(g, weights):
-                raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
-        x = Lattice(identity_matrix(r) + [list(g) for g in gens])
+        raise ValueError(f"unknown isogeny {isogeny!r}")
     return root_datum(t, x)
+
+
+@lru_cache(maxsize=256)
+def _quotient_lattice(t: CartanType, gens: tuple) -> Lattice:
+    """Q + span(gens) for weight-lattice rows gens, built once per (type, rows)."""
+    weights = weight_lattice(t)
+    for g in gens:
+        if not lattice_member(g, weights):
+            raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
+    return Lattice(identity_matrix(t.rank) + [list(g) for g in gens])
 
 
 @lru_cache(maxsize=256)  # the sweep benchmark, 79 data of rank <= 8 and their duals, makes 150
 def root_datum(t: CartanType, x: Lattice) -> RootDatum:
     """The record of type t with character lattice x, dualised and validated on a
-    miss: Y is Q^v = Z^r when x is P, P^v when x is Q, and the dual of x otherwise."""
-    y = (Lattice.standard(t.rank) if x == weight_lattice(t) else _coweight_lattice(t)
-         if x == root_lattice(t) else dual_lattice(x, cartan_matrix(t)))
+    miss: Y is Q^v = Z^r when x is P, P^v when x is Q, and the dual of x otherwise,
+    whose denominator divides det A once x contains Q = Z^r."""
+    if x == weight_lattice(t):
+        y = Lattice.standard(t.rank)
+    elif x == root_lattice(t):
+        y = _coweight_lattice(t)
+    elif all(numerators_member(e, 1, x) for e in identity_matrix(t.rank)):
+        y = dual_lattice(x, cartan_matrix(t), cartan_determinant(t))
+    else:  # Q <= X fails exactly when X^v <= Q^v = P^v does
+        raise ArithmeticError("cocharacter lattice not inside the coweight lattice")
     datum = RootDatum(t, x, y)
     _validate_datum(datum)
     return datum

@@ -9,12 +9,12 @@ these are the cocharacters whose image under k * iota is divisible by N in
 the character lattice.  That sublattice becomes the character lattice of a
 new root datum on the opposite side.  The new Cartan matrix is recognized
 and the resulting group named, so the output is a root datum in standard
-coordinates plus the bookkeeping of how it was reached.  Y_{Q,N} is read
-off the Smith form of k * G_Y that the source record computes once, so an
-order costs one Hermite form; the new Cartan matrix is recognized once per
-distinct matrix.  The relabeling, the rescaled coroots, and the center times
-pi1 of the dual record (fetched from root_datum, which validates it) against
-the Cartan determinant are checked on every call; the record is named last.
+coordinates plus the bookkeeping of how it was reached.  Y_{Q,N} is a multiple
+of the source record's kernel of k * G_Y modulo gcd(N, det(k * G_Y)), so an order
+costs one Hermite form; the new Cartan matrix is recognized once per matrix.
+The relabeling, the rescaled coroots, and the center times pi1 of the dual
+record (fetched from root_datum, which validates it) against the Cartan
+determinant are checked on every call; the record is named last.
 """
 
 from __future__ import annotations
@@ -70,17 +70,14 @@ def dual_cartan_matrix(d: RootDatum, order: int, delta=None) -> tuple[tuple[int,
 
 
 def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
-    """Y_{Q,N}: the cocharacters y with k * (y, y') in N*Z for all y' in Y.
-
-    This sublattice of Y, still in simple-coroot coordinates of the
-    source, becomes the character lattice of the dual datum: one Hermite
-    form per order on the record's Smith form of k * G_Y (RootDatum.smith_form).
-    """
+    """Y_{Q,N} = {y in Y : k * (y, Y) in N*Z}, the dual's character lattice in the
+    source's coordinates: (N/g) * K_g for K_g = RootDatum.kernel(g), g = gcd(N, det B),
+    B = k * G_Y, as each invariant factor of B divides det B."""
     if order < 1:
         raise ValueError(f"twisting order must be positive, got {order}")
-    diag, w = d.smith_form
-    return Lattice.from_int_rows(d.Y.den, ([order // gcd(order, x) * v for v in row]
-                                           for x, row in zip(diag, w)))
+    g = gcd(order, d.level_gram[0])
+    kernel = d.kernel(g)
+    return Lattice.from_int_rows(kernel.den, ([order // g * x for x in row] for row in kernel.rows))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,13 @@ multiplying those characters and peeling off highest weights, which shares
 none with the Brauer-Klimyk reflection in the package.  The dual character lattice
 is recomputed by enumerating cosets of Y/NY and testing (k/N) * iota(y) for
 membership in X, without the Gram matrix of Y that the package reads, and
-again as the congruence kernel of k * G_Y modulo N from a fresh Smith form
-per order, where the package reads one Smith form cached on the record.  The
-pairing <y, x> is recomputed as x^T A y on integer numerators.
+again as the congruence kernel of k * G_Y modulo N from a Smith form with
+both transforms per order, where the package keeps one modular Hermite
+kernel per record and gcd(N, det(k * G_Y)).  That Smith form, with its
+U M V == D and unimodularity checks, is the oracle for the package's modular
+Hermite forms: congruence kernels, dual lattices, invariant factors and, by
+the inverse read off it, mat_inv.  The pairing <y, x> is recomputed as
+x^T A y on integer numerators.
 Root systems are regenerated by the dense closure of the simple (root,
 coroot) pairs under every simple reflection, where the package grows only
 the positive roots by height.  Matrix products and determinants are the
@@ -18,9 +22,10 @@ sums run over that dense closure, one vector at a time, where the package
 sums every simple coroot in one pass over the positive roots.  Lattice
 coordinates are solved by Fraction Gauss-Jordan on the basis, and invariant
 factors read off gcds of minors, where the package runs an integer
-triangular solve and a Smith form.  A weight below a highest weight is
-recomputed as top - sum_j depth_j * root_j over every simple root in Fractions,
-where the package subtracts delta * depth from integer numerators.  The helpers
+triangular solve and alternating modular Hermite forms.  A weight below a
+highest weight is recomputed as top - sum_j depth_j * root_j over every
+simple root in Fractions, where the package subtracts delta * depth from
+integer numerators.  The helpers
 that enumerate weight classes and isogenies (and 2-rho), and the rescaled
 coroot system of a datum, serve only tests.
 """
@@ -30,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations, count, product
 from math import gcd, lcm
 
-from loopdual.lattice import Lattice, lattice_member, smith_normal_form, transpose
+from loopdual.lattice import Lattice, lattice_member, transpose
 from loopdual.rep_check import WeightSystem
 from loopdual.root_data import (CartanType, RootDatum, canonical_form, cartan_matrix, iota,
                                 positive_roots, weight_lattice)
@@ -237,6 +242,173 @@ def tensor_by_peeling(ws, lam, mu):
         for nu, m in character_by_kostant(ws, top).items():
             remainder[nu] = remainder.get(nu, 0) - out[top] * m
     return out
+
+
+def identity_matrix(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int]:
+    """(s, t) with s*a + t*b == gcd(a, b), by the extended Euclidean algorithm."""
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return (-old_s, -old_t) if old_r < 0 else (old_s, old_t)
+
+
+def _gcd_rows(a: int, b: int, x, y):
+    """The row pair (x, y) under the unimodular 2x2 transform sending (a, b)
+    to (gcd(a, b), 0)."""
+    g = gcd(a, b)
+    s, w = _ext_gcd(a, b)
+    return ([s * p + w * q for p, q in zip(x, y)],
+            [(-b // g) * p + (a // g) * q for p, q in zip(x, y)])
+
+
+def smith_normal_form(mat):
+    """Diagonalize an integer matrix by unimodular row and column operations,
+    tracking both transforms.
+
+    Args:
+        mat: rectangular list of int rows (m x n, m and n at least 1).
+
+    Returns:
+        (U, D, V): integer matrices with U (m x m) and V (n x n) unimodular
+        and D == U @ mat @ V diagonal, diagonal entries nonnegative with each
+        entry dividing the next.  The product identity and the unimodularity of
+        U and V are re-verified, by dense products and determinants, before
+        returning.
+    """
+    m = len(mat)
+    n = len(mat[0])
+    d = [[int(x) for x in row] for row in mat]
+    if any(len(row) != n for row in d):
+        raise ValueError("ragged matrix")
+    u = identity_matrix(m)
+    v = identity_matrix(n)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, q):
+        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, q):
+        for row in d:
+            row[i] += q * row[j]
+        for row in v:
+            row[i] += q * row[j]
+
+    def gcd_rows(t, i):
+        a, b = d[t][t], d[i][t]
+        for grid in (d, u):
+            grid[t], grid[i] = _gcd_rows(a, b, grid[t], grid[i])
+
+    def gcd_cols(t, j):
+        a, b = d[t][t], d[t][j]
+        for grid in (d, v):
+            cols = _gcd_rows(a, b, [row[t] for row in grid], [row[j] for row in grid])
+            for row, x, y in zip(grid, *cols):
+                row[t], row[j] = x, y
+
+    for t in range(min(m, n)):
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] != 0 and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:  # shrink the pivot to the gcd of its row and column
+            changed = False
+            for i in range(t + 1, m):
+                if d[i][t] % d[t][t] != 0:
+                    gcd_rows(t, i)
+                    changed = True
+            for j in range(t + 1, n):
+                if d[t][j] % d[t][t] != 0:
+                    gcd_cols(t, j)
+                    changed = True
+            if not changed:
+                break
+        for i in range(t + 1, m):
+            if d[i][t] != 0:
+                add_row(i, t, -(d[i][t] // d[t][t]))
+        for j in range(t + 1, n):
+            if d[t][j] != 0:
+                add_col(j, t, -(d[t][j] // d[t][t]))
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+
+    k = min(m, n)
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = d[i][i], d[j][j]
+            if a == 0 and b != 0:
+                swap_rows(i, j)
+                swap_cols(i, j)
+                a, b = b, 0
+            if a == 0 or b == 0 or b % a == 0:
+                continue
+            g = gcd(a, b)
+            s, t = _ext_gcd(a, b)
+            # embedded 2x2 transform sending diag(a, b) to diag(g, lcm)
+            u[i], u[j] = _gcd_rows(a, b, u[i], u[j])
+            for row in v:
+                ci, cj = row[i], row[j]
+                row[i] = ci + cj
+                row[j] = (-t * b // g) * ci + (s * a // g) * cj
+            d[i][i], d[j][j] = g, a * b // g
+
+    if dense_mat_mul(dense_mat_mul(u, [list(r) for r in mat]), v) != d:
+        raise ArithmeticError("normal form verification failed")
+    if abs(dense_det_int(u)) != 1 or abs(dense_det_int(v)) != 1:
+        raise ArithmeticError("transform matrices are not unimodular")
+    return u, d, v
+
+
+def mat_inv(mat):
+    """Inverse of a square rational matrix as Fractions: den * V D^-1 U from
+    the Smith form U (den * mat) V = D.
+
+    Raises:
+        ValueError: if the matrix is singular.
+    """
+    den = lcm(1, *(Fraction(x).denominator for row in mat for x in row))
+    u, d, v = smith_normal_form([[int(Fraction(x) * den) for x in row] for row in mat])
+    last = d[-1][-1]  # each diagonal entry divides the next, so a 0 sits last
+    if last == 0:
+        raise ValueError("matrix is singular")
+    scaled = [[x * (last // d[k][k]) for k, x in enumerate(row)] for row in v]
+    return [[Fraction(den * x, last) for x in row] for row in dense_mat_mul(scaled, u)]
+
+
+def dual_lattice_by_smith(lat: Lattice, pairing) -> Lattice:
+    """Dual lattice {y : x^T P y integer for every x in lat}: with M = c * basis @ P
+    integral, y = V z with D_ii z_i in c * Z for the Smith form U M V = D, so the
+    columns of V times c * (D_last // D_ii), over D_last, generate it."""
+    pairing = [[Fraction(x) for x in row] for row in pairing]
+    prods = dense_mat_mul([list(row) for row in lat.rows], pairing)
+    pden = lcm(1, *(x.denominator for row in prods for x in row))
+    _, d, v = smith_normal_form([[int(x * pden) for x in row] for row in prods])
+    if (last := d[-1][-1]) == 0:
+        raise ValueError("pairing is degenerate")
+    scales = [lat.den * pden * (last // d[i][i]) for i in range(len(v))]
+    return Lattice.from_int_rows(last, ([s * x for x in col] for s, col in zip(scales, zip(*v))))
 
 
 def congruence_kernel(mat, modulus: int) -> Lattice:

@@ -646,8 +646,8 @@ def test_weight_goldens_replay():
 
 
 def test_large_rank_goldens_replay():
-    """The benchmark's rank 8-11 goldens still hold, so the Smith-form inverse
-    and dual lattice keep stdout on the largest matrices the CLI sees."""
+    """The benchmark's rank 8-11 goldens still hold, so the Cartan inverse and
+    the modular dual lattice keep stdout on the largest matrices the CLI sees."""
     checked, mismatched = _replay("large-rank", lambda argv: argv[0] != "tensor")
     assert checked > 150
     assert mismatched == []

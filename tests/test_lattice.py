@@ -1,20 +1,26 @@
 """Tests for the exact lattice algebra layer."""
 
+import io
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
+import oracles
 from oracles import (basis_coordinate_matrix, basis_coordinates, congruence_kernel,
-                     dense_det_int, dense_mat_mul, invariant_factors_by_minors)
+                     dense_det_int, dense_mat_mul, dual_lattice_by_smith,
+                     invariant_factors_by_minors, smith_normal_form)
 from loopdual import lattice
+from loopdual.cli import run
 from loopdual.lattice import (
     Lattice,
     det_int,
     dual_lattice,
+    hermite_mod,
     hermite_rows,
     identity_matrix,
+    kernel_mod,
     lattice_coordinates,
     lattice_index,
     lattice_member,
@@ -22,10 +28,10 @@ from loopdual.lattice import (
     mat_mul,
     numerators_member,
     quotient_invariants,
-    smith_normal_form,
     transpose,
 )
 from loopdual.lattice import _coordinate_matrix
+from loopdual.root_data import build_datum
 
 
 def _rand_int_matrix(rng, m, n, lo=-50, hi=50):
@@ -136,16 +142,24 @@ def test_membership_matches_coordinates():
         assert rebuilt == [Fraction(x) for x in v]
 
 
+def _dual(lat, pairing):
+    """dual_lattice with the general denominator bound |det(lat.rows @ p)|, for
+    the pairing P = p / pden cleared to integers."""
+    pden = lcm(1, *(Fraction(x).denominator for row in pairing for x in row))
+    p = [[int(Fraction(x) * pden) for x in row] for row in pairing]
+    return dual_lattice(lat, pairing, abs(det_int(mat_mul(lat.rows, p))))
+
+
 def test_dual_standard_pairing():
     std = Lattice.standard(2)
-    assert dual_lattice(std, identity_matrix(2)) == std
+    assert _dual(std, identity_matrix(2)) == std
     doubled = Lattice([[2, 0], [0, 2]])
     halves = Lattice([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
-    assert dual_lattice(doubled, identity_matrix(2)) == halves
+    assert _dual(doubled, identity_matrix(2)) == halves
     # Checkerboard lattice {x + y even}: dual picks up the glue vector (1/2, 1/2).
     even = Lattice([[1, 1], [1, -1]])
     expected = Lattice([[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
-    assert dual_lattice(even, identity_matrix(2)) == expected
+    assert _dual(even, identity_matrix(2)) == expected
 
 
 def test_dual_pairing_integrality_and_double_dual():
@@ -161,7 +175,8 @@ def test_dual_pairing_integrality_and_double_dual():
             if det_int(pairing) != 0:
                 break
         lat = Lattice(rows)
-        dual = dual_lattice(lat, pairing)
+        dual = _dual(lat, pairing)
+        assert dual == dual_lattice_by_smith(lat, pairing)
         for x in lat.basis:
             for y in dual.basis:
                 val = sum(x[i] * pairing[i][j] * y[j] for i in range(n) for j in range(n))
@@ -170,21 +185,24 @@ def test_dual_pairing_integrality_and_double_dual():
         assert abs(det_int(lat.rows) * det_int(dual.rows) * det_int(pairing)) \
             == lat.den ** n * dual.den ** n
         pairing_t = transpose(pairing)
-        assert dual_lattice(dual, pairing_t) == lat
+        assert _dual(dual, pairing_t) == lat
 
 
 def test_dual_under_a_rational_pairing():
     # y pairs integrally with Z^2 under diag(1/2, 1/3) exactly on 2Z x 3Z
     pairing = [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
-    assert dual_lattice(Lattice.standard(2), pairing) == Lattice([[2, 0], [0, 3]])
+    assert _dual(Lattice.standard(2), pairing) == Lattice([[2, 0], [0, 3]])
     # the checkerboard lattice under I/2: twice its dual under I
     half = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
-    assert dual_lattice(Lattice([[1, 1], [1, -1]]), half) == Lattice([[2, 0], [1, 1]])
+    assert _dual(Lattice([[1, 1], [1, -1]]), half) == Lattice([[2, 0], [1, 1]])
 
 
 def test_dual_rejects_degenerate_pairing():
+    for den in (1, 2, 6):
+        with pytest.raises(ValueError, match="pairing is degenerate"):
+            dual_lattice(Lattice.standard(2), [[1, 1], [1, 1]], den)
     with pytest.raises(ValueError):
-        dual_lattice(Lattice.standard(2), [[1, 1], [1, 1]])
+        dual_lattice_by_smith(Lattice.standard(2), [[1, 1], [1, 1]])
 
 
 def test_quotient_invariants_examples():
@@ -287,6 +305,7 @@ def test_mat_inv_roundtrip():
                 break
         inv = mat_inv(rows)
         assert mat_mul(rows, inv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert inv == oracles.mat_inv(rows)
     for _ in range(20):
         n = rng.randint(1, 4)
         while True:
@@ -295,6 +314,7 @@ def test_mat_inv_roundtrip():
             if det_int([[x * 720 for x in row] for row in rows]) != 0:
                 break
         inv = mat_inv(rows)
+        assert inv == oracles.mat_inv(rows)
         assert all(type(x) is Fraction for row in inv for x in row)
         assert mat_mul(inv, rows) == identity_matrix(n)
     with pytest.raises(ValueError):
@@ -378,6 +398,20 @@ def test_det_int_matches_dense_bareiss(zero_frac):
     assert zero_pivots > 40 and singular > 10
 
 
+def test_det_int_matches_dense_bareiss_on_banded_matrices():
+    """Tridiagonal and banded matrices, like Cartan and level Gram matrices: most
+    rows have a zero in the pivot column, so their rescale is deferred, and a zero
+    first pivot moves a deferred row by a swap."""
+    rng = random.Random(300)
+    for trial in range(200):
+        n, band = rng.randint(2, 16), rng.randint(1, 3)
+        mat = [[rng.randint(-3, 3) if abs(i - j) <= band else 0 for j in range(n)]
+               for i in range(n)]
+        if trial % 4 == 0:
+            mat[0][0] = 0
+        assert det_int(mat) == dense_det_int(mat), mat
+
+
 @pytest.mark.parametrize("zero_frac", [0.0, 0.5, 0.8])
 def test_integer_and_fraction_constructors_agree(zero_frac):
     rng = random.Random(200 + int(zero_frac * 10))
@@ -402,13 +436,13 @@ def test_integer_and_fraction_constructors_agree(zero_frac):
 
 
 def _start_u_at(monkeypatch, start):
-    """Make smith_normal_form start its row transform U at start, not at I."""
-    real, calls = lattice.identity_matrix, []
+    """Make the oracle smith_normal_form start its row transform U at start, not at I."""
+    real, calls = oracles.identity_matrix, []
 
     def seeded(n):
         calls.append(n)
         return [list(row) for row in start] if len(calls) == 1 else real(n)
-    monkeypatch.setattr(lattice, "identity_matrix", seeded)
+    monkeypatch.setattr(oracles, "identity_matrix", seeded)
 
 
 def test_snf_product_check_fires(monkeypatch):
@@ -466,7 +500,8 @@ def test_solve_matches_the_fraction_basis_oracle_on_members_and_non_members():
 
 
 def test_integer_kernels_refuse_non_integral_entries():
-    for kernel in (det_int, smith_normal_form, hermite_rows):
+    for kernel in (det_int, lattice.smith_normal_form, hermite_rows,
+                   lambda mat: hermite_mod(mat, 2, 1), lambda mat: kernel_mod(mat, 2)):
         with pytest.raises(ValueError, match="entry 1/2 is not an integer"):
             kernel([[Fraction(1, 2)]])
     with pytest.raises(ValueError, match="entry 3/2 is not an integer"):
@@ -474,7 +509,8 @@ def test_integer_kernels_refuse_non_integral_entries():
     with pytest.raises(ValueError, match="entry 1/3 is not an integer"):
         Lattice.from_int_rows(1, [[1, Fraction(1, 3)], [0, 1]])
     assert det_int([[Fraction(3), 0], [0, 2]]) == 6
-    assert smith_normal_form([[Fraction(4)]])[1] == [[4]]
+    assert lattice.smith_normal_form([[Fraction(4)]]) == (4,)
+    assert hermite_mod([[Fraction(4)]], 8, 4) == ((4,),)
 
 
 def _fraction_lattice(rng, n):
@@ -528,3 +564,97 @@ def test_integer_solve_refuses_what_the_oracle_refuses():
                 call(small, big)
             assert str(err.value) == str(oracle.value)
     assert refused >= 20
+
+
+def test_hermite_mod_matches_hermite_rows_with_the_modulus_rows():
+    """span(gens) + m Z^w by elimination modulo m against hermite_rows of the
+    generators stacked on m * I, with every entry below m and each pivot dividing m."""
+    rng = random.Random(1987)
+    for trial in range(300):
+        w = rng.randint(1, 6)
+        m = rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 30, 64, 97])
+        gens = _sparse_matrix(rng, rng.randint(1, 7), w, rng.choice([0.0, 0.5, 0.8]))
+        expected = hermite_rows(gens + [[m * (i == j) for j in range(w)] for i in range(w)])
+        h = hermite_mod(gens, m, prod(row[i] for i, row in enumerate(expected)))
+        assert list(h) == expected, (gens, m)
+        assert all(0 <= x < m or (i == j and x == m) for i, row in enumerate(h)
+                   for j, x in enumerate(row))
+        assert all(m % row[i] == 0 for i, row in enumerate(h))
+
+
+def test_kernel_mod_matches_the_smith_oracle():
+    rng = random.Random(2024)
+    for trial in range(300):
+        rows, n = rng.randint(1, 6), rng.randint(1, 6)
+        modulus = rng.choice([1, 2, 3, 4, 5, 6, 8, 12, 16, 27, 60, 128, 210])
+        mat = _sparse_matrix(rng, rows, n, rng.choice([0.0, 0.4, 0.8]))
+        got = Lattice.from_int_rows(1, kernel_mod(mat, modulus))
+        assert got == congruence_kernel(mat, modulus), (mat, modulus)
+
+
+def test_smith_diagonal_matches_the_transform_oracle():
+    """The transform-free Smith diagonal against the diagonal of the oracle's
+    U M V == D, and against gcds of minors on the small ones."""
+    rng = random.Random(1973)
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        mat = _sparse_matrix(rng, n, n, rng.choice([0.0, 0.3, 0.6]))
+        if trial % 3 == 0:  # large common factors: long divisibility chains
+            mat = [[x * rng.choice([1, 2, 4, 6]) for x in row] for row in mat]
+        if dense_det_int(mat) == 0:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                lattice.smith_normal_form(mat)
+            continue
+        _, d, _ = smith_normal_form(mat)
+        assert lattice.smith_normal_form(mat) == tuple(d[i][i] for i in range(n)), mat
+        if n <= 4:
+            expected = invariant_factors_by_minors(mat)
+            assert tuple(f for f in lattice.smith_normal_form(mat) if f > 1) == expected
+
+
+def _fresh_kernels(type_name):
+    """The record of type_name, with the kernels it has cached dropped."""
+    d = build_datum(type_name)
+    d._kernels.clear()
+    return d
+
+
+def test_hermite_mod_generator_proof_fires(monkeypatch):
+    _fresh_kernels("A3")  # built before the fault, so only the kernel sees it
+    # a Bezout step that loses the second row of its pair: the form spans too little
+    real = lattice._bezout_rows
+    monkeypatch.setattr(lattice, "_bezout_rows",
+                        lambda a, b, x, y: (real(a, b, x, y)[0], [0] * len(y)))
+    with pytest.raises(ArithmeticError, match="a generator escaped the modular Hermite form"):
+        hermite_mod([[2, 1], [1, 2]], 6, 3)
+    err = io.StringIO()
+    assert run(["dual", "--type", "A3", "--N", "4"], out=io.StringIO(), err=err) == 3
+    assert "internal check failed: a generator escaped the modular Hermite form" in err.getvalue()
+
+
+def test_hermite_mod_determinant_proof_fires(monkeypatch):
+    # a determinant that the true form does not have
+    with pytest.raises(ArithmeticError, match="modular Hermite form has the wrong determinant"):
+        hermite_mod([[2, 1], [1, 2]], 6, 6)
+    assert hermite_mod([[2, 1], [1, 2]], 6, 3) == ((1, 2), (0, 3))
+    _fresh_kernels("A3")
+    real = lattice.hermite_mod
+    monkeypatch.setattr(lattice, "hermite_mod", lambda gens, m, det: real(gens, m, 2 * det))
+    err = io.StringIO()
+    assert run(["dual", "--type", "A3", "--N", "4"], out=io.StringIO(), err=err) == 3
+    assert "internal check failed: modular Hermite form has the wrong determinant" \
+        in err.getvalue()
+
+
+def test_invariant_factor_product_check_fires(monkeypatch):
+    d = build_datum("A3", "adjoint")  # pi1 = P^v / Q^v = Z/4, built afresh below
+    d.__dict__.pop("pi1", None)
+    # a gcd/lcm pass that loses the lcm: the factors no longer multiply to |det|
+    monkeypatch.setattr(lattice, "lcm", lambda *args: 1)
+    with pytest.raises(ArithmeticError, match="invariant factors do not multiply"):
+        lattice.smith_normal_form([[2, 0], [0, 3]])
+    err = io.StringIO()
+    assert run(["extensions", "--type", "A3", "--isogeny", "adjoint"],
+               out=io.StringIO(), err=err) == 3
+    assert "internal check failed: invariant factors do not multiply to the determinant" \
+        in err.getvalue()

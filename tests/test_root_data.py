@@ -13,6 +13,7 @@ from loopdual.root_data import (
     _validate_datum,
     build_datum,
     canonical_form,
+    cartan_determinant,
     cartan_matrix,
     coroot_norms,
     dual_coxeter,
@@ -26,7 +27,7 @@ from loopdual.root_data import (
     root_system,
     weight_lattice,
 )
-from oracles import all_isogenies, root_closure, two_rho
+from oracles import all_isogenies, dual_lattice_by_smith, mat_inv, root_closure, two_rho
 from oracles import reflection_sum as dense_reflection_sum
 
 ALL_TYPES = (
@@ -257,8 +258,9 @@ def test_build_datum_explicit_generators():
 def test_datum_duality_round_trip(name, isogeny):
     d = build_datum(name, isogeny)
     a = [list(row) for row in cartan_matrix(d.cartan_type)]
-    assert dual_lattice(d.Y, transpose(a)) == d.X
-    assert dual_lattice(d.X, a) == d.Y
+    det = cartan_determinant(d.cartan_type)  # X and Y contain Q and Q^v
+    assert dual_lattice(d.Y, transpose(a), det) == d.X == dual_lattice_by_smith(d.Y, transpose(a))
+    assert dual_lattice(d.X, a, det) == d.Y == dual_lattice_by_smith(d.X, a)
 
 
 def test_fundamental_groups_adjoint_table():
@@ -384,10 +386,13 @@ def test_record_invariants_are_cached_on_the_record():
 @pytest.mark.parametrize("t", ALL_TYPES + [CartanType(s, r) for s in "ABCD" for r in (20, 40)],
                          ids=str)
 def test_closed_form_cocharacters_match_the_dual_lattice(t):
-    """Y is Q^v = Z^r for sc and P^v for adjoint, as the Smith-form dual says."""
-    a = cartan_matrix(t)
-    assert build_datum(t, "sc").Y == dual_lattice(weight_lattice(t), a) == Lattice.standard(t.rank)
-    assert build_datum(t, "adjoint").Y == dual_lattice(root_lattice(t), a)
+    """Y is Q^v = Z^r for sc and P^v for adjoint, as the Smith-form dual of the
+    oracle and the modular dual under the bound det A both say."""
+    a, det = cartan_matrix(t), cartan_determinant(t)
+    assert build_datum(t, "sc").Y == dual_lattice_by_smith(weight_lattice(t), a) == \
+        dual_lattice(weight_lattice(t), a, det) == Lattice.standard(t.rank)
+    assert build_datum(t, "adjoint").Y == dual_lattice_by_smith(root_lattice(t), a) == \
+        dual_lattice(root_lattice(t), a, det)
 
 
 def test_sc_and_adjoint_records_take_no_dual_lattice(monkeypatch):
@@ -395,3 +400,54 @@ def test_sc_and_adjoint_records_take_no_dual_lattice(monkeypatch):
     for t in (CartanType("D", 9), CartanType("E", 7)):
         for isogeny in ("sc", "adjoint"):  # a fresh record, validated on the way
             root_data.root_datum.__wrapped__(t, build_datum(t, isogeny).X)
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "A5", "A7", "B2", "B4", "C3", "C4", "D4", "D5",
+                                  "D6", "E6", "E7", "G2", "F4"])
+def test_every_isogeny_takes_the_smith_dual_under_the_bound_det_a(name):
+    """X contains Q, so its dual lies in (1/det A) Z^r: the modular dual with that
+    bound equals the Smith-form dual of the oracle on every isogeny class."""
+    t = CartanType.parse(name)
+    a, det = cartan_matrix(t), cartan_determinant(t)
+    for label, generators in all_isogenies(t):
+        d = build_datum(t, label if label in ("sc", "adjoint") else generators)
+        assert dual_lattice(d.X, a, det) == dual_lattice_by_smith(d.X, a) == d.Y, (name, label)
+
+
+def test_a_character_lattice_without_the_roots_is_refused_before_dualising():
+    b2 = CartanType("B", 2)  # (2Z + Z) misses root 0; its dual has denominator 4 > det A
+    with pytest.raises(ArithmeticError, match="cocharacter lattice not inside the coweight"):
+        root_data.root_datum(b2, Lattice([[2, 0], [0, 1]]))
+    assert dual_lattice_by_smith(Lattice([[2, 0], [0, 1]]), cartan_matrix(b2)).den == 4
+
+
+@pytest.mark.parametrize("t", ALL_TYPES + [CartanType(s, r) for s in "ABCD" for r in (20, 40)],
+                         ids=str)
+def test_inverse_cartan_matches_the_smith_oracle(t):
+    a = cartan_matrix(t)
+    inv = [list(row) for row in root_data._inverse_cartan(t)]
+    assert inv == mat_inv(a)
+    assert [list(fundamental_weight(t, i)) for i in range(t.rank)] == inv
+
+
+def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatch):
+    t = CartanType("A", 5)
+    rows = [(Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2))]
+    d = build_datum(t, rows)
+    tests = []
+    real = root_data.lattice_member
+    monkeypatch.setattr(root_data, "lattice_member", lambda v, lat: tests.append(v) or real(v, lat))
+    monkeypatch.setattr(root_data, "Lattice", None)  # a rebuild of X would fail
+    assert build_datum(t, rows) is d
+    assert build_datum("A5", [[Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2)]]) is d
+    assert tests == []
+
+
+def test_cartan_determinant_of_every_admitted_type():
+    """det A against its closed form for every type build_datum admits: det_int on
+    tridiagonal matrices up to MAX_RANK, which the level Gram check relies on."""
+    closed = {"A": lambda r: r + 1, "B": lambda r: 2, "C": lambda r: 2, "D": lambda r: 4,
+              "E": lambda r: 9 - r, "F": lambda r: 1, "G": lambda r: 1}
+    for series, (low, high) in root_data._RANK_BOUNDS.items():
+        for rank in range(low, high + 1):
+            assert cartan_determinant(CartanType(series, rank)) == closed[series](rank)

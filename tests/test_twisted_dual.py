@@ -1,4 +1,11 @@
+import io
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +13,7 @@ from oracles import all_isogenies, dual_character_lattice_by_kernel, dual_lattic
 
 from loopdual import dynkin, root_data
 from loopdual.central_ext import commutator_denominator
+from loopdual.cli import run
 from loopdual.lattice import Lattice, lattice_index, lattice_member
 from loopdual.root_data import (
     CartanType,
@@ -186,8 +194,9 @@ RANK_8_TYPES = ([CartanType("A", r) for r in range(1, 9)] + [CartanType("B", r) 
 
 @pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
 def test_dual_character_lattice_matches_the_congruence_kernel(t):
-    """Y_{Q,N} from the record's one Smith form equals a fresh congruence
-    kernel of k * G_Y modulo N, for N = 1..12."""
+    """Y_{Q,N} from the record's modular kernels, one per gcd(N, det), equals the
+    oracle's congruence kernel of k * G_Y modulo N from a Smith form with
+    transforms, for N = 1..12."""
     for isogeny in _isogenies(t):
         datum = build_datum(t, isogeny)
         for order in range(1, 13):
@@ -201,14 +210,20 @@ def _fresh_record(name, isogeny):
     return RootDatum(d.cartan_type, d.X, d.Y)
 
 
-def test_one_smith_form_per_record(monkeypatch):
-    calls = []
-    real = root_data.smith_normal_form
-    monkeypatch.setattr(root_data, "smith_normal_form",
-                        lambda mat: calls.append(mat) or real(mat))
+def test_one_kernel_per_record_and_gcd(monkeypatch):
+    """det(k * G_Y) once per record, and one modular kernel per record and distinct
+    g = gcd(N, det): the twelve orders of C4 adjoint, det 4, reach three kernels."""
+    kernels, dets = [], []
+    real_kernel, real_det = root_data.kernel_mod, root_data.det_int
+    monkeypatch.setattr(root_data, "kernel_mod",
+                        lambda mat, m: kernels.append(m) or real_kernel(mat, m))
+    monkeypatch.setattr(root_data, "det_int", lambda mat: dets.append(mat) or real_det(mat))
     d = _fresh_record("C4", "adjoint")
     lattices = [dual_character_lattice(d, order) for order in range(1, 13)]
-    assert len(calls) == 1  # its U M V == D and unimodularity checks ran on the miss
+    det, b = d.level_gram
+    assert dets.count(b) == 1 and det == 4
+    assert kernels == [1, 2, 4] == sorted({gcd(order, det) for order in range(1, 13)})
+    assert sorted(d._kernels) == kernels
     assert lattices == [dual_character_lattice_by_kernel(d, order) for order in range(1, 13)]
 
 
@@ -234,7 +249,7 @@ def test_recognition_searches_once_per_distinct_dual_matrix(monkeypatch):
 
 def test_wrong_relabeling_is_caught_on_a_warm_cache(monkeypatch):
     d = build_datum("B3", "sc")
-    out = twisted_dual(d, 2)  # warm: the record, its Smith form and the recognition
+    out = twisted_dual(d, 2)  # warm: the record, its kernel and the recognition
     wrong = (out.relabeling[2], out.relabeling[1], out.relabeling[0])
     monkeypatch.setattr(dynkin, "_recognize", lambda mat: (out.dual.cartan_type, wrong))
     with pytest.raises(ArithmeticError, match="relabeling does not carry"):
@@ -244,10 +259,27 @@ def test_wrong_relabeling_is_caught_on_a_warm_cache(monkeypatch):
 def test_corrupted_dual_lattice_is_caught_on_a_warm_record():
     d = _fresh_record("C3", "sc")
     twisted_dual(d, 4)
-    diag, w = d.smith_form
-    d.__dict__["smith_form"] = (diag, tuple(tuple(2 * x for x in row) for row in w))
+    (g, kernel), = d._kernels.items()
+    d._kernels[g] = Lattice.from_int_rows(kernel.den, [[2 * x for x in row] for row in kernel.rows])
     with pytest.raises(ArithmeticError, match="escaped the dual character lattice"):
         twisted_dual(d, 4)
+
+
+def test_wrong_level_determinant_is_caught_on_a_record_miss(monkeypatch):
+    """A det(k * G_Y) missing a prime factor would make gcd(N, det) and so Y_{Q,N}
+    too small; the check against the Cartan determinant stops it, also in the CLI."""
+    d = build_datum("C4", "adjoint")  # det(k * G_Y) = 4, so N = 4 needs all of it
+    _, b = d.level_gram
+    real = root_data.det_int
+    monkeypatch.setattr(root_data, "det_int", lambda mat: real(mat) // 2 if mat == b else real(mat))
+    with pytest.raises(ArithmeticError, match="disagrees with the Cartan determinant"):
+        dual_character_lattice(_fresh_record("C4", "adjoint"), 4)
+    d.__dict__.pop("level_gram")
+    d._kernels.clear()
+    err = io.StringIO()
+    assert run(["dual", "--type", "C4", "--isogeny", "adjoint", "--N", "4"],
+               out=io.StringIO(), err=err) == 3
+    assert "internal check failed: det(k * G_Y) disagrees" in err.getvalue()
 
 
 def test_uncleared_gram_matrix_is_caught_on_a_record_miss():
@@ -255,3 +287,23 @@ def test_uncleared_gram_matrix_is_caught_on_a_record_miss():
     d.__dict__["k"] = 1
     with pytest.raises(ArithmeticError, match="failed to clear the Gram matrix"):
         dual_character_lattice(d, 2)
+
+
+MU2_A127 = json.dumps([["1/2" if i % 2 == 0 else "0" for i in range(127)]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "--type", "C79", "--isogeny", "adjoint", "--N", "1"],
+    ["dual", "--type", "A127", "--isogeny", MU2_A127, "--N", "4"],
+    ["extensions", "--type", "A127", "--isogeny", MU2_A127],
+], ids=["C79-adjoint-dual", "A127-mu2-dual", "A127-mu2-extensions"])
+def test_former_hangs_answer_in_a_fresh_process(argv):
+    """These ran past 20 s while k * G_Y and the dual of X took Smith forms with
+    transforms; each now answers in a few seconds (the bound leaves room for a
+    slow machine)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", "from loopdual.cli import main; main()", *argv],
+                          capture_output=True, text=True, timeout=15,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]
