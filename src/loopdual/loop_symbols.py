@@ -10,7 +10,7 @@ matter how short the window is.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .central_ext import commutator_value, is_prime
@@ -142,23 +142,21 @@ def field_power(field, a, n: int):
     return _power(field.normalize(1), field.mul, a, n)
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(namedtuple("LaurentSeries", "field valuation coeffs")):
     """sum(coeffs[i] * t**(valuation+i)) + O(t**(valuation+len(coeffs))).
 
     A nonzero series has coeffs[0] != 0; the zero series is the exact zero
     with an empty coefficient window and valuation 0 by convention.
     """
 
-    field: object
-    valuation: int
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coeffs and self.field.is_zero(self.coeffs[0]):
+    def __new__(cls, field, valuation: int, coeffs: tuple):
+        if coeffs and field.is_zero(coeffs[0]):
             raise ValueError("leading coefficient must be nonzero")
-        if not self.coeffs and self.valuation != 0:
+        if not coeffs and valuation != 0:
             raise ValueError("the zero series has valuation 0 by convention")
+        return super().__new__(cls, field, valuation, coeffs)
 
     @classmethod
     def zero(cls, field) -> "LaurentSeries":

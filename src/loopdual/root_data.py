@@ -22,14 +22,14 @@ Conventions used across the package:
   k, B = k * G_Y and det B, the kernels of B asked for, center and pi1.  How the
   caller named X (an isogeny label) is not part of it, so B3 "so" and "adjoint"
   share one record; explicit generator rows are keyed to their X.
-* cartan_symmetrizer and positive_root_system take a bare integer Cartan
-  matrix, for dynkin and rep_check too.  Positive roots grow by height under
+* cartan_symmetrizer, positive_root_system and positive_root_labels take a bare integer
+  Cartan matrix, for dynkin and rep_check too.  Positive roots grow by height under
   simple reflections, once per matrix; the negative ones are their negations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
@@ -55,22 +55,21 @@ _RANK_BOUNDS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK),
                 "D": (3, MAX_RANK), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-@dataclass(frozen=True)
-class CartanType:
+class CartanType(namedtuple("CartanType", "series rank")):
     """An irreducible finite Cartan type such as A1, C3 or E8."""
 
-    series: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo_hi = _RANK_BOUNDS.get(self.series)
+    def __new__(cls, series: str, rank: int):
+        lo_hi = _RANK_BOUNDS.get(series)
         if lo_hi is None:
-            raise ValueError(f"unknown series {self.series!r}")
+            raise ValueError(f"unknown series {series!r}")
         lo, hi = lo_hi
-        if self.rank > hi == MAX_RANK:
-            raise ValueError(f"rank {self.rank} is over the bound {hi} (root_data.MAX_RANK)")
-        if not lo <= self.rank <= hi:
-            raise ValueError(f"rank {self.rank} out of range for series {self.series}")
+        if rank > hi == MAX_RANK:
+            raise ValueError(f"rank {rank} is over the bound {hi} (root_data.MAX_RANK)")
+        if not lo <= rank <= hi:
+            raise ValueError(f"rank {rank} out of range for series {series}")
+        return super().__new__(cls, series, rank)
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
@@ -174,12 +173,19 @@ def iota(t: CartanType, yvec) -> tuple[Fraction, ...]:
 @lru_cache(maxsize=None)
 def positive_root_system(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The positive (root, coroot) pairs of the Cartan matrix a (integer row
-    tuples), sorted.  From the simple pairs, each g with c = <coroot_i, g> < 0
-    gives s_i(g) = g - c * root_i, a root higher by -c, with coroot
-    s_i(g^v) = g^v - <g^v, root_i> * coroot_i; every positive root arises so
-    (Humphreys, Intro. to Lie Algebras, 10.2).  Roots only grow, so each has
-    one sign; each s_i must map the other pairs of a layer to lower positive
-    pairs, so that with their negations they are closed under reflections."""
+    tuples), sorted."""
+    return tuple(sorted((root, coroot) for root, (coroot, _) in positive_root_labels(a).items()))
+
+
+@lru_cache(maxsize=None)
+def positive_root_labels(a) -> dict:
+    """root: (coroot, labels) for each positive root of a, with labels the nonzero
+    <coroot_j, root> by j; one dict, shared by every caller.  From the simple pairs,
+    each g with c = <coroot_i, g> < 0 gives s_i(g) = g - c * root_i, a root higher by
+    -c, with coroot s_i(g^v) = g^v - <g^v, root_i> * coroot_i; every positive root
+    arises so (Humphreys, Intro. to Lie Algebras, 10.2).  Roots only grow, so each has
+    one sign; each s_i must map the other pairs of a layer to lower positive pairs,
+    so that with their negations they are closed under reflections."""
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]  # nonzero <coroot_j, root_i>
     simple = [tuple(int(i == k) for k in range(len(a))) for i in range(len(a))]
     found = {root: (root, rows[i]) for i, root in enumerate(simple)}  # root: (coroot, labels)
@@ -202,7 +208,7 @@ def positive_root_system(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ..
                 elif found.get(image[0], (None,))[0] != image[1]:
                     raise ArithmeticError("simple reflections do not preserve the "
                                           "positive (root, coroot) pairs")
-    return tuple(sorted((root, coroot) for root, (coroot, _) in found.items()))
+    return found
 
 
 def root_system(t: CartanType) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -247,30 +253,40 @@ def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
     return _inverse_cartan(t)[i]
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(namedtuple("CanonicalForm", "gram")):
     """The invariant symmetric form on the cocharacter side.
 
     gram[i][j] = (coroot_i, coroot_j).
     """
 
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def value(self, y1, y2) -> Fraction:
         return Fraction(sum(g * a * b for row, a in zip(self.gram, y1)
                             for g, b in zip(row, y2)))
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """A root datum: Cartan type plus a character lattice between root and
     weight lattices, with the cocharacter lattice forced by duality.  Immutable
     but for caches; equality and hash read only (cartan_type, X), which fix Y."""
 
-    cartan_type: CartanType
-    X: Lattice = field(repr=False)
-    Y: Lattice = field(compare=False, repr=False)
-    _kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, cartan_type: CartanType, X: Lattice, Y: Lattice):
+        self.__dict__.update(cartan_type=cartan_type, X=X, Y=Y, _key=(cartan_type, X), _kernels={})
+
+    def __setattr__(self, name, *value):  # *value: __delattr__ is this method too
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable RootDatum")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is RootDatum else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"RootDatum(cartan_type={self.cartan_type!r})"
 
     @property
     def rank(self) -> int:
@@ -422,20 +438,15 @@ def _canonical_form(t: CartanType) -> CanonicalForm:
 
 def reflection_sum(t: CartanType) -> tuple[tuple[int, ...], ...]:
     """Row j: the integer sum over all roots b of <coroot_j, b> * b, in one pass
-    over the positive roots b, whose labels <coroot_j, b> come from rows of A."""
-    a = cartan_matrix(t)
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    total = [[0] * t.rank for _ in a]
-    for root, _ in positive_root_system(a):
-        support = [(i, b) for i, b in enumerate(root) if b]
-        labels = {}
-        for i, b in support:
-            for j, x in rows[i]:
-                labels[j] = labels.get(j, 0) + b * x
+    over the positive roots b, with the nonzero labels <coroot_j, b> that the
+    pass building them kept."""
+    total = [[0] * t.rank for _ in range(t.rank)]
+    for root, (_, labels) in positive_root_labels(cartan_matrix(t)).items():
+        support = [(i, 2 * b) for i, b in enumerate(root) if b]
         for j, c in labels.items():
-            if c:  # most labels of a long root are 0
-                for i, b in support:
-                    total[j][i] += 2 * c * b
+            row = total[j]
+            for i, b in support:
+                row[i] += c * b
     return tuple(map(tuple, total))
 
 

@@ -19,7 +19,7 @@ determinant are checked on every call; the record is named last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm, prod
 
 from .central_ext import commutator_denominator
@@ -80,8 +80,8 @@ def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
     return Lattice.from_int_rows(kernel.den, ([order // g * x for x in row] for row in kernel.rows))
 
 
-@dataclass(frozen=True)
-class TwistedDualData:
+class TwistedDualData(namedtuple("TwistedDualData", "source order denominator local_denominators "
+                                 "dual_cartan relabeling dual name")):
     """The dual datum plus the bookkeeping of the construction.
 
     relabeling maps source node i to the node of the recognized standard
@@ -89,14 +89,7 @@ class TwistedDualData:
     dual's center and pi1 are cached on its record.
     """
 
-    source: RootDatum
-    order: int
-    denominator: int
-    local_denominators: tuple[int, ...]
-    dual_cartan: tuple[tuple[int, ...], ...]
-    relabeling: tuple[int, ...]
-    dual: RootDatum
-    name: str
+    __slots__ = ()
 
 
 def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:

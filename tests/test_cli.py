@@ -6,8 +6,10 @@ import importlib.util
 import io
 import json
 import math
+import os
 import pstats
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -651,6 +653,53 @@ def test_large_rank_goldens_replay():
     checked, mismatched = _replay("large-rank", lambda argv: argv[0] != "tensor")
     assert checked > 150
     assert mismatched == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args):
+    """A fresh interpreter with src/ on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("module", ["loopdual", "loopdual.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    """`python -m loopdual` and `python -m loopdual.cli` give README's example
+    and its exit codes."""
+    proc = _python("-m", module, "dual", "--type", "A1", "--isogeny", "sc", "--N", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "checks": [], "command": "dual", "schema_version": "1",
+        "input_echo": {"N": "3", "isogeny": "sc", "type": "A1"},
+        "result": {"N": 3, "center": [], "d": 1, "delta": [3], "dual_lattice": [["1"]],
+                   "dual_type": "A1", "name": "PSL2", "pi1": [2], "relabeling": [0],
+                   "source": {"isogeny": "sc", "lattice": [["1/2"]], "type": "A1"}},
+    }
+    proc = _python("-m", module, "dual", "--type", "A1", "--N", "0")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:")
+
+
+def test_cold_cli_import_loads_only_what_dual_runs():
+    """A fresh process pays for no dataclasses, inspect or rep_check before its
+    first answer, and `dual` does not load rep_check."""
+    probe = (
+        "import io, json, sys\n"
+        "bare = set(sys.modules)\n"
+        "import loopdual.cli as cli\n"
+        "loaded = set(sys.modules) - bare\n"
+        "code = cli.run(['dual', '--type', 'A1', '--N', '1'], io.StringIO(), io.StringIO())\n"
+        "print(json.dumps([sorted(loaded), code, 'loopdual.rep_check' in sys.modules]))\n"
+    )
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    loaded, code, rep_check_after_dual = json.loads(proc.stdout)
+    assert "loopdual.cli" in loaded
+    assert {"dataclasses", "inspect", "loopdual.rep_check"}.isdisjoint(loaded)
+    assert code == 0 and not rep_check_after_dual
 
 
 _TEXT = 'aZ09 :,[]{}"\\/\x00\x01\x1f\x7f\n\t\r\b\féß·—漢 \U0001f600'

@@ -27,6 +27,20 @@ def test_rational_powers_are_bounded_before_they_are_computed():
         field_power(QQ, Fraction(3), MAX_POWER_BITS // 2 + 1)  # 3 needs two bits
 
 
+def test_laurent_series_is_an_immutable_value():
+    f = LaurentSeries(PrimeField(7), -1, (3, 1))
+    with pytest.raises(AttributeError):
+        f.valuation = 0
+    twin = LaurentSeries.from_coeffs(PrimeField(7), -2, [7, 3, 8])
+    assert f == twin and hash(f) == hash(twin)
+    assert f != LaurentSeries(QQ, -1, (Fraction(3), Fraction(1)))
+    assert repr(f) == "LaurentSeries(field=GF(7), valuation=-1, coeffs=(3, 1))"
+    with pytest.raises(ValueError, match="leading coefficient"):
+        LaurentSeries(PrimeField(7), 0, (7, 1))
+    with pytest.raises(ValueError, match="valuation 0"):
+        LaurentSeries(QQ, 2, ())
+
+
 def test_prime_field_arithmetic():
     f7 = PrimeField(7)
     assert f7.normalize(10) == 3

@@ -20,6 +20,7 @@ from loopdual.root_data import (
     fundamental_weight,
     iota,
     pairing,
+    positive_root_labels,
     positive_root_system,
     positive_roots,
     reflection_sum,
@@ -314,6 +315,40 @@ def test_root_datum_is_immutable():
     with pytest.raises(AttributeError):
         d.X = weight_lattice(d.cartan_type)
     assert d.X == root_lattice(d.cartan_type)
+    with pytest.raises(AttributeError):
+        del d.Y
+
+
+def test_root_datum_equality_reads_type_and_character_lattice_only():
+    t = CartanType("A", 1)
+    d = RootDatum(t, Lattice([[1]]), Lattice([[2]]))
+    twin = RootDatum(CartanType("A", 1), Lattice([[1]]), Lattice([[Fraction(1, 2)]]))
+    assert d == twin and hash(d) == hash(twin)  # Y is fixed by X, so not compared
+    assert d != RootDatum(t, weight_lattice(t), Lattice([[2]]))
+    assert d != (t, Lattice([[1]]))
+    assert repr(d) == "RootDatum(cartan_type=CartanType(series='A', rank=1))"
+
+
+def test_cartan_type_is_an_immutable_value():
+    t = CartanType("C", 3)
+    with pytest.raises(AttributeError):
+        t.rank = 4
+    assert t == CartanType.parse("C3") and hash(t) == hash(CartanType("C", 3))
+    assert t != CartanType("B", 3) and str(t) == "C3"
+    assert repr(t) == "CartanType(series='C', rank=3)"
+    for series, rank in (("A", 0), ("E", 9), ("H", 3), ("A", root_data.MAX_RANK + 1)):
+        with pytest.raises(ValueError):
+            CartanType(series, rank)
+
+
+def test_canonical_form_is_an_immutable_value():
+    form = canonical_form(CartanType("B", 2))
+    with pytest.raises(AttributeError):
+        form.gram = ((2,),)
+    twin = type(form)(tuple(map(tuple, form.gram)))
+    assert form == twin and hash(form) == hash(twin)
+    assert form == canonical_form(build_datum("B2", "adjoint"))
+    assert form.value((1, 0), (0, 1)) == form.gram[0][1]
 
 
 def test_dual_coxeter_sums_roots_once_per_type(monkeypatch):
@@ -338,6 +373,17 @@ def test_reflection_sum_of_a_coroot_is_integral():
 def test_one_pass_reflection_sums_match_the_dense_closure(t):
     unit = [tuple(int(i == j) for j in range(t.rank)) for i in range(t.rank)]
     assert reflection_sum(t) == tuple(dense_reflection_sum(t, y) for y in unit)
+
+
+@pytest.mark.parametrize("t", [CartanType("B", 4), CartanType("E", 6), CartanType("G", 2)])
+def test_positive_root_labels_are_the_pairings_with_the_simple_coroots(t):
+    a = cartan_matrix(t)
+    table = positive_root_labels(a)
+    assert tuple(sorted((root, coroot) for root, (coroot, _) in table.items())) == \
+        positive_root_system(a)
+    for root, (_, labels) in table.items():
+        pairings = {j: sum(b * a[i][j] for i, b in enumerate(root)) for j in range(t.rank)}
+        assert labels == {j: x for j, x in pairings.items() if x}
 
 
 def test_repeated_build_returns_the_identical_record():

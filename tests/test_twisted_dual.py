@@ -93,6 +93,17 @@ def test_twisted_dual_rank_one_names():
     assert out.denominator == 1
 
 
+def test_twisted_dual_data_is_an_immutable_value():
+    out = twisted_dual(build_datum("C2", "sc"), 4)
+    with pytest.raises(AttributeError):
+        out.name = "Sp4"
+    twin = twisted_dual(build_datum("C2", "sc"), 4)
+    assert out is not twin
+    assert out == twin and hash(out) == hash(twin)
+    assert out != twisted_dual(build_datum("C2", "sc"), 3)
+    assert repr(out).startswith("TwistedDualData(source=RootDatum(cartan_type=")
+
+
 def test_a_dual_with_the_source_lattice_is_the_source_record():
     # records are keyed on (type, X) alone, so SL2 at N = 2 comes back as itself
     assert twisted_dual(build_datum("A1", "sc"), 2).dual is build_datum("A1", "sc")
