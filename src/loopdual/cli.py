@@ -42,8 +42,8 @@ from .twisted_dual import (
 )
 
 
-# Largest --Nmax of `table`; each order costs about 1 ms over the twelve reference
-# families (--Nmax 256: 0.25 s in-process on a cold cache, 2-vCPU machine).
+# Largest --Nmax of `table`; an order whose class twisted_dual has built costs about
+# 5 us per reference family (--Nmax 256: 0.04 s in-process on a cold cache, 2-vCPU machine).
 MAX_TABLE_ORDER = 256
 # How _rows writes str and int items; a bool is a KeyError there, as json writes it apart.
 _SCALARS = {str: encode_basestring, int: int.__repr__}
@@ -202,7 +202,10 @@ def _emit(command: str, echo: dict, result: dict, checks: list) -> str:
         "result": result,
         "checks": [{"name": name, "pass": ok} for name, ok in checks],
     }
-    return _json(envelope)
+    try:
+        return _json(envelope)
+    except ValueError as exc:  # an int past the int-to-str digit limit
+        raise UsageError(f"the result is too large to print: {exc}") from None
 
 
 def _json(value, pad="\n") -> str:

@@ -19,7 +19,7 @@ from math import factorial, lcm, prod
 from operator import add, mul, sub
 
 from .central_ext import monodromy_modulus
-from .dynkin import validate_cartan_matrix
+from .dynkin import recognize_cartan_matrix
 from .lattice import det_int, identity_matrix, transpose, vector_text
 from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_norms,
                         dual_coxeter, positive_root_system)
@@ -38,7 +38,7 @@ class _Engine:
     def __init__(self, pairings):
         self.pairings, self.orders = pairings, {}
         r = len(pairings)
-        norms = cartan_symmetrizer(pairings)  # not None: validate_cartan_matrix passed
+        norms = cartan_symmetrizer(pairings)  # not None: recognize_cartan_matrix passed
         d = self.norms = tuple(int(x * lcm(*(y.denominator for y in norms))) for x in norms)
         if any(d[j] * pairings[j][i] != d[i] * pairings[i][j]
                for i in range(r) for j in range(r)):
@@ -203,7 +203,7 @@ class WeightSystem:
                 tuple(d * (i == j) for j in range(r)) for i, d in enumerate(self.delta)):
             raise ValueError("simple roots must be delta_i * e_i with integers delta_i > 0")
         pairings = [[self.pairing(i, root) for root in self.simple_roots] for i in range(r)]
-        validate_cartan_matrix(pairings)
+        recognize_cartan_matrix(pairings)  # refuses affine and indefinite ones up front
         self._engine = _engine(tuple(tuple(map(int, row)) for row in pairings))
         self._scale = lcm(*(x.denominator for f in self.functionals for x in f))
         self._rows = tuple(tuple(int(x * self._scale) for x in f) for f in self.functionals)

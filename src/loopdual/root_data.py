@@ -19,9 +19,10 @@ Conventions used across the package:
   form and the dual Coxeter number among them, are built once and cached.
 * A RootDatum is immutable, the triple (type, X, Y), made by root_datum once
   per (type, X) and validated then by a perfect-pairing check; it caches G_Y,
-  k, B = k * G_Y and det B, the kernels of B asked for, center and pi1.  How the
-  caller named X (an isogeny label) is not part of it, so B3 "so" and "adjoint"
-  share one record; explicit generator rows are keyed to their X.
+  k, B = k * G_Y and det B, the kernels of B asked for, center and pi1, and
+  twisted_dual's duals by class.  How the caller named X (an isogeny label) is
+  not part of it, so B3 "so" and "adjoint" share one record; explicit
+  generator rows are keyed to their X.
 * cartan_symmetrizer, positive_root_system and positive_root_labels take a bare integer
   Cartan matrix, for dynkin and rep_check too.  Positive roots grow by height under
   simple reflections, once per matrix; the negative ones are their negations.
@@ -272,7 +273,8 @@ class RootDatum:
     but for caches; equality and hash read only (cartan_type, X), which fix Y."""
 
     def __init__(self, cartan_type: CartanType, X: Lattice, Y: Lattice):
-        self.__dict__.update(cartan_type=cartan_type, X=X, Y=Y, _key=(cartan_type, X), _kernels={})
+        self.__dict__.update(cartan_type=cartan_type, X=X, Y=Y, _key=(cartan_type, X),
+                             _kernels={}, _duals={})
 
     def __setattr__(self, name, *value):  # *value: __delattr__ is this method too
         raise AttributeError(f"cannot assign to field {name!r} of an immutable RootDatum")

@@ -9,12 +9,16 @@ these are the cocharacters whose image under k * iota is divisible by N in
 the character lattice.  That sublattice becomes the character lattice of a
 new root datum on the opposite side.  The new Cartan matrix is recognized
 and the resulting group named, so the output is a root datum in standard
-coordinates plus the bookkeeping of how it was reached.  Y_{Q,N} is a multiple
-of the source record's kernel of k * G_Y modulo gcd(N, det(k * G_Y)), so an order
-costs one Hermite form; the new Cartan matrix is recognized once per matrix.
-The relabeling, the rescaled coroots, and the center times pi1 of the dual
-record (fetched from root_datum, which validates it) against the Cartan
-determinant are checked on every call; the record is named last.
+coordinates plus the bookkeeping of how it was reached.  Y_{Q,N} is (N/g) times
+the source record's kernel K_g of k * G_Y modulo g = gcd(N, det(k * G_Y)), and with
+e_i = gcd(N, k * c_i) = N / delta_i the dual depends on N only through the class
+(g, e): its Cartan matrix is e_j * a_ji / e_i, and in its own coordinates
+x_i = y_i / delta_i its character lattice is K_g with coordinate i scaled by e_i / g.
+So the record keeps one dual per class, built on a miss, where the relabeling, the
+rescaled coroots (delta_i * coroot_i is in Y_{Q,N} exactly when (g / e_i) * coroot_i
+is in K_g), and the center times pi1 of the dual record (fetched from root_datum,
+which validates it) against the Cartan determinant are checked; each check reads
+only the class, so it holds for one N of a class exactly when it holds for all.
 """
 
 from __future__ import annotations
@@ -95,6 +99,15 @@ class TwistedDualData(namedtuple("TwistedDualData", "source order denominator lo
 def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     """Compute the dual root datum of the order-N twisted setting."""
     delta = local_denominators(d, order)
+    key = gcd(order, d.level_gram[0]), tuple(order // x for x in delta)  # the class (g, e)
+    if key not in d._duals:
+        d._duals[key] = _class_dual(d, order, delta)
+    return TwistedDualData(d, order, commutator_denominator(d), delta, *d._duals[key])
+
+
+def _class_dual(d: RootDatum, order: int, delta) -> tuple:
+    """(dual Cartan matrix, relabeling, dual record, its name) for the class of
+    order, built from order and checked."""
     aprime = dual_cartan_matrix(d, order, delta)
     dual_type, sigma = recognize_cartan_matrix(aprime)
     std = cartan_matrix(dual_type)
@@ -120,16 +133,7 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     if prod(dual.center) * prod(dual.pi1) != cartan_determinant(dual_type):
         raise ArithmeticError("center times fundamental group does not match "
                               "the Cartan determinant")
-    return TwistedDualData(
-        source=d,
-        order=order,
-        denominator=commutator_denominator(d),
-        local_denominators=delta,
-        dual_cartan=aprime,
-        relabeling=sigma,
-        dual=dual,
-        name=group_name(dual),
-    )
+    return aprime, sigma, dual, group_name(dual)
 
 
 # Known duals for the standard families, used by the verification table.

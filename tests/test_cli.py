@@ -302,6 +302,16 @@ def test_digit_limit_is_named():
     assert code == 1 and str(sys.get_int_max_str_digits()) in err
 
 
+@pytest.mark.parametrize("command", [("check-assumption", "--p", "7"),
+                                     ("mv-rank1", "--i", "0", "--a", "0")], ids=lambda c: c[0])
+def test_result_past_the_digit_limit_is_named(command):
+    """An --N just under the int-to-str digit limit, whose modulus 2hN/k is over it."""
+    digits = sys.get_int_max_str_digits()
+    code, out, err = invoke(command[0], "--type", "E8", "--N", "9" * (digits - 1), *command[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the result is too large to print") and str(digits) in err, err
+
+
 def test_rationals_in_messages_read_as_fractions():
     code, out, err = invoke("mult", "--type", "A1", "--N", "1", "--highest", "1/3")
     assert (code, out) == (1, "")
@@ -605,13 +615,17 @@ def test_failed_self_check_is_exit_code_3(monkeypatch):
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 
 
-def _replay(workload, keep):
+def _replay(workload, keep, seed=None):
     """(queries replayed, keys whose [exit code, stdout sha256 prefix] moved)
     over the goldens of perfbench/goldens/<workload>.json that keep(argv)
-    selects, each run through run()."""
-    goldens = json.loads((GOLDENS / f"{workload}.json").read_text())
+    selects, each run through run(): in file order, or shuffled by seed and
+    on fresh records."""
+    goldens = list(json.loads((GOLDENS / f"{workload}.json").read_text()).items())
+    if seed is not None:
+        random.Random(seed).shuffle(goldens)
+        root_data.root_datum.cache_clear()
     checked, mismatched = 0, []
-    for key, expected in goldens.items():
+    for key, expected in goldens:
         argv = json.loads(key)
         if not keep(argv):
             continue
@@ -637,6 +651,15 @@ def test_cheap_sweep_goldens_replay():
     checked, mismatched = _replay("sweep", _cheap)
     assert checked > 0
     assert mismatched == []
+
+
+def test_sweep_goldens_replay_in_any_order():
+    """Every non-tensor sweep golden, in two shuffled orders, each on fresh records:
+    a record keeps one dual per class of orders, so whichever order of a class
+    comes first builds it, and the answer must not depend on which."""
+    for seed in (19, 1019):
+        checked, mismatched = _replay("sweep", lambda argv: argv[0] != "tensor", seed)
+        assert checked > 2000 and mismatched == [], seed
 
 
 def test_weight_goldens_replay():

@@ -613,9 +613,11 @@ def test_smith_diagonal_matches_the_transform_oracle():
 
 
 def _fresh_kernels(type_name):
-    """The record of type_name, with the kernels it has cached dropped."""
+    """The record of type_name, with the kernels and the duals it has cached
+    dropped, so that the next dual builds its kernel again."""
     d = build_datum(type_name)
     d._kernels.clear()
+    d._duals.clear()
     return d
 
 

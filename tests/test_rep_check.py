@@ -7,9 +7,13 @@ Freudenthal's, and character peeling on Kostant characters, which recomputes
 tensor products without the Brauer-Klimyk reflection.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, product
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,22 @@ class TestWeightSystemBasics:
             WeightSystem([(1, 0), (0, 1)], [(2, 1), (1, 2)])  # positive off-diag
         with pytest.raises(ValueError):
             WeightSystem([(1, 0), (0, 1)], [(2, 0), (0, 2)])  # reducible
+
+    @pytest.mark.parametrize("functionals", [[(2, -2), (-2, 2)], [(2, -3), (-3, 2)]],
+                             ids=["affine", "hyperbolic"])
+    def test_refuses_an_infinite_root_system_up_front(self, functionals):
+        """These pass validate_cartan_matrix, but their root systems are infinite;
+        a fresh process with a time bound, so that a hang fails rather than stalls."""
+        code = ("from loopdual.rep_check import WeightSystem\n"
+                "try:\n"
+                f"    WeightSystem([(1, 0), (0, 1)], {functionals!r})\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=20, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "not the Cartan matrix of an irreducible finite type\n"
 
     def test_rejects_simple_roots_off_the_coordinate_axes(self):
         for roots in ([(1, 1), (0, 1)],  # not diagonal

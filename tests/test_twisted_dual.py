@@ -11,7 +11,8 @@ import pytest
 
 from oracles import all_isogenies, dual_character_lattice_by_kernel, dual_lattice_by_cosets
 
-from loopdual import dynkin, root_data
+from loopdual import dynkin, lattice, root_data
+from loopdual import twisted_dual as td
 from loopdual.central_ext import commutator_denominator
 from loopdual.cli import run
 from loopdual.lattice import Lattice, lattice_index, lattice_member
@@ -20,6 +21,7 @@ from loopdual.root_data import (
     RootDatum,
     build_datum,
     cartan_matrix,
+    coroot_norms,
     root_lattice,
     weight_lattice,
 )
@@ -238,13 +240,52 @@ def test_one_kernel_per_record_and_gcd(monkeypatch):
     assert lattices == [dual_character_lattice_by_kernel(d, order) for order in range(1, 13)]
 
 
+@pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
+def test_one_dual_per_class_equals_a_fresh_build(t):
+    """A record's dual for N is the one a record with nothing cached builds, on
+    every isogeny at N = 1..36, and the record keeps one per class (g, e):
+    g = gcd(N, det(k * G_Y)) and e_i = gcd(N, k * c_i)."""
+    for label, gens in all_isogenies(t):
+        d = _fresh_record(t, gens)
+        classes = set()
+        for order in range(1, 37):
+            fresh = RootDatum(d.cartan_type, d.X, d.Y)
+            assert twisted_dual(d, order) == twisted_dual(fresh, order), (t, label, order)
+            classes.add((gcd(order, d.level_gram[0]),
+                         tuple(gcd(order, d.k * c) for c in coroot_norms(t))))
+        assert set(d._duals) == classes, (t, label)
+
+
+def test_an_order_in_a_built_class_does_no_lattice_work(monkeypatch):
+    """N = 5 falls in the class of N = 3 on C4 adjoint (g = 1, e = (1, 1, 1, 1)):
+    it reads the dual that N = 3 built, with no kernel, Hermite form, recognition
+    or membership test, and keeps its own local denominators."""
+    d = _fresh_record("C4", "adjoint")
+    first = twisted_dual(d, 3)
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
+
+    for module, name in [(root_data, "kernel_mod"), (lattice, "hermite_rows"),
+                         (dynkin, "_recognize"), (lattice, "numerators_member"),
+                         (root_data, "numerators_member"), (td, "numerators_member")]:
+        count(module, name)
+    second = twisted_dual(d, 5)
+    assert calls == [] and len(d._duals) == 1
+    assert (second.order, second.local_denominators) == (5, (5, 5, 5, 5))
+    assert second[4:] == first[4:]  # dual Cartan matrix, relabeling, dual and name
+    assert second == twisted_dual(_fresh_record("C4", "adjoint"), 5)
+
+
 def test_recognition_searches_once_per_distinct_dual_matrix(monkeypatch):
     searched = []
     real = dynkin._find_relabeling
     monkeypatch.setattr(dynkin, "_find_relabeling",
                         lambda mat, std: searched.append(mat) or real(mat, std))
     dynkin._recognize.cache_clear()
-    data = [build_datum(name, isogeny) for name in ("B3", "C4", "F4", "G2")
+    data = [_fresh_record(name, isogeny) for name in ("B3", "C4", "F4", "G2")
             for isogeny in ("sc", "adjoint")]
     matrices = {dual_cartan_matrix(d, order) for d in data for order in range(1, 13)}
     for _ in range(2):
@@ -259,21 +300,27 @@ def test_recognition_searches_once_per_distinct_dual_matrix(monkeypatch):
 
 
 def test_wrong_relabeling_is_caught_on_a_warm_cache(monkeypatch):
-    d = build_datum("B3", "sc")
-    out = twisted_dual(d, 2)  # warm: the record, its kernel and the recognition
+    """N = 4 is a new class (g = 4, not 2) of B3 sc with the dual Cartan matrix
+    of N = 2, so its miss reads the recognition that N = 2 left warm."""
+    d = _fresh_record("B3", "sc")
+    out = twisted_dual(d, 2)  # warm: the record and the recognition
+    assert dual_cartan_matrix(d, 4) == out.dual_cartan and 4 not in {g for g, _ in d._duals}
     wrong = (out.relabeling[2], out.relabeling[1], out.relabeling[0])
     monkeypatch.setattr(dynkin, "_recognize", lambda mat: (out.dual.cartan_type, wrong))
     with pytest.raises(ArithmeticError, match="relabeling does not carry"):
-        twisted_dual(d, 2)
+        twisted_dual(d, 4)
 
 
 def test_corrupted_dual_lattice_is_caught_on_a_warm_record():
-    d = _fresh_record("C3", "sc")
-    twisted_dual(d, 4)
+    """N = 1 and N = 2 of B3 adjoint are two classes, e = (1, 1, 1) and (1, 1, 2),
+    that read one kernel, g = 1: the miss for N = 2 reads the corrupted one."""
+    d = _fresh_record("B3", "adjoint")
+    twisted_dual(d, 1)
     (g, kernel), = d._kernels.items()
     d._kernels[g] = Lattice.from_int_rows(kernel.den, [[2 * x for x in row] for row in kernel.rows])
     with pytest.raises(ArithmeticError, match="escaped the dual character lattice"):
-        twisted_dual(d, 4)
+        twisted_dual(d, 2)
+    assert list(d._kernels) == [g]
 
 
 def test_wrong_level_determinant_is_caught_on_a_record_miss(monkeypatch):
