@@ -33,7 +33,7 @@ from .central_ext import (
     monodromy_modulus,
 )
 from .lattice import vector_text
-from .loop_symbols import QQ, PrimeField, parse_series, tame_symbol, torus_commutator
+from .loop_symbols import MAX_PAIRS, QQ, PrimeField, parse_series, tame_symbol, torus_commutator
 from .root_data import build_datum
 from .twisted_dual import (
     REFERENCE_FAMILIES,
@@ -323,6 +323,9 @@ def _cmd_commutator(args, out) -> int:
     pair = _json_flag(args.points, "--points")
     if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, list) for x in pair):
         raise UsageError("--points must be a JSON list of two torus points")
+    if len(pair[0]) * len(pair[1]) > MAX_PAIRS:  # before a series is parsed
+        raise UsageError(f"--points: {len(pair[0])} x {len(pair[1])} pairs of points, over "
+                         f"the bound {MAX_PAIRS} (loop_symbols.MAX_PAIRS)")
 
     def torus_point(entries):
         point = []
@@ -378,10 +381,10 @@ def _cmd_mv_rank1(args, out) -> int:
     a = _int_flag(args.a, "--a")
     try:
         delta = rank_one_delta(datum, order, node, a)
-        checks, mults = [], {}
-        if args.check:  # first, so that a refused character costs no orbit count
+        mults = rank_one_mv_multiplicities(datum, order, node, a)
+        checks = []
+        if args.check:
             checks.append(("character-oracle", mv_vs_character_check(datum, order, node, a, mults)))
-        mults = mults or rank_one_mv_multiplicities(datum, order, node, a)
     except ValueError as exc:
         raise UsageError(f"--i/--a: {exc}") from None
     result = {

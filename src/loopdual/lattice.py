@@ -376,8 +376,3 @@ def quotient_invariants(big: Lattice, small: Lattice) -> tuple[int, ...]:
     diagonal of the coordinates of the small basis in the big basis (ValueError
     if small is not contained in big)."""
     return tuple(f for f in smith_normal_form(_coordinate_matrix(big, small)) if f > 1)
-
-
-def lattice_index(big: Lattice, small: Lattice) -> int:
-    """Index [big : small], the order of big/small."""
-    return abs(det_int(_coordinate_matrix(big, small)))

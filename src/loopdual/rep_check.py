@@ -215,20 +215,6 @@ class WeightSystem:
         """Value of the i-th coroot functional on a weight vector."""
         return sum(f * Fraction(x) for f, x in zip(self.functionals[i], vec))
 
-    def reflect(self, i: int, vec) -> tuple[Fraction, ...]:
-        c = self.pairing(i, vec)
-        return tuple(Fraction(x) - c * r for x, r in zip(vec, self.simple_roots[i]))
-
-    def root_coordinates(self, vec) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x) / d for x, d in zip(vec, self.delta))
-
-    def dominant_conjugate(self, vec) -> tuple[Fraction, ...]:
-        vec = tuple(Fraction(x) for x in vec)
-        return self._below(vec, [-x for x in self._engine.conjugate(self._labels(vec)[2])[1]])
-
-    def antidominant_conjugate(self, vec) -> tuple[Fraction, ...]:
-        return tuple(-x for x in self.dominant_conjugate(tuple(-Fraction(x) for x in vec)))
-
     def _below(self, top, depth):
         """top - delta * depth entry by entry."""
         return tuple(x - d * c for x, d, c in zip(top, self.delta, depth))
@@ -255,13 +241,6 @@ class WeightSystem:
         vec, labels = tuple(Fraction(x) for x in lam), self._read(lam)[2]
         return [mu for _, mu in sorted((size, self._below(vec, depth))
                                        for size, depth, _ in self._engine.dominant_weights(labels))]
-
-    def weight_multiplicity(self, lam, mu) -> int:
-        table = self._engine.table(self._engine.dominant_weights(self._read(lam)[2]))
-        return table.get(self._engine.conjugate(self._labels(mu)[2])[0], (None, 0))[1]
-
-    def weight_count(self, lam) -> int:
-        return self._engine.weight_count(self._engine.dominant_weights(self._read(lam)[2]))
 
     def weyl_dimension(self, lam) -> int:
         return self._engine.dimension(self._read(lam)[2])
@@ -385,12 +364,10 @@ def _line_system(delta: int) -> WeightSystem:
     return WeightSystem([(delta,)], [(Fraction(2, delta),)])
 
 
-def mv_vs_character_check(datum: RootDatum, order: int, node: int, a: int, mults=None) -> bool:
+def mv_vs_character_check(datum: RootDatum, order: int, node: int, a: int, mults) -> bool:
     """Compare the rank-one fixed-point count against character theory: the
-    geometric multiplicities over the coroot line must be the Freudenthal
-    multiplicities of rank_one_line_system at highest weight a, computed
-    first.  mults, an empty dict if given, receives the geometric ones."""
+    geometric multiplicities mults, rank_one_mv_multiplicities(datum, order,
+    node, a), must be the Freudenthal multiplicities of rank_one_line_system
+    at highest weight a."""
     _, character = rank_one_line_system(datum, order, node).weights((a,))
-    mults = {} if mults is None else mults
-    mults.update(rank_one_mv_multiplicities(datum, order, node, a))
     return all(character.get((b,), 0) == mult for b, mult in mults.items())

@@ -157,20 +157,6 @@ def coroot_norms(t: CartanType) -> tuple[int, ...]:
     return tuple(int(x) for x in cs)
 
 
-def pairing(t: CartanType, yvec, xvec) -> Fraction:
-    """<y, x> for y on the cocharacter side and x on the character side."""
-    a = cartan_matrix(t)
-    r = t.rank
-    return Fraction(sum(xvec[i] * sum(a[i][j] * yvec[j] for j in range(r))
-                        for i in range(r)))
-
-
-def iota(t: CartanType, yvec) -> tuple[Fraction, ...]:
-    """The invariant-form embedding of the cocharacter side into characters."""
-    cs = coroot_norms(t)
-    return tuple(Fraction(c * y) for c, y in zip(cs, yvec))
-
-
 @lru_cache(maxsize=None)
 def positive_root_system(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The positive (root, coroot) pairs of the Cartan matrix a (integer row
@@ -210,17 +196,6 @@ def positive_root_labels(a) -> dict:
                     raise ArithmeticError("simple reflections do not preserve the "
                                           "positive (root, coroot) pairs")
     return found
-
-
-def root_system(t: CartanType) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All (root, coroot) pairs of the type, sorted: the positive ones and negations."""
-    pos = positive_root_system(cartan_matrix(t))
-    return tuple(sorted(pos + tuple((tuple(-x for x in root), tuple(-x for x in coroot))
-                                    for root, coroot in pos)))
-
-
-def positive_roots(t: CartanType) -> tuple[tuple[int, ...], ...]:
-    return tuple(root for root, _ in positive_root_system(cartan_matrix(t)))
 
 
 @lru_cache(maxsize=None)
@@ -293,13 +268,6 @@ class RootDatum:
     @property
     def rank(self) -> int:
         return self.cartan_type.rank
-
-    def simple_coroot(self, i: int) -> tuple[int, ...]:
-        """Unit vector e_i: coroot i, and equally root i on the character side."""
-        return tuple(int(i == k) for k in range(self.rank))
-
-    def pair(self, yvec, xvec) -> Fraction:
-        return pairing(self.cartan_type, yvec, xvec)
 
     @cached_property
     def gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:

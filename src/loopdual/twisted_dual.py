@@ -50,14 +50,14 @@ def local_denominators(d: RootDatum, order: int) -> tuple[int, ...]:
     return tuple(order // gcd(order, k * c) for c in coroot_norms(d.cartan_type))
 
 
-def dual_cartan_matrix(d: RootDatum, order: int, delta=None) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of the rescaled coroots, in the source numbering.
+def dual_cartan_matrix(d: RootDatum, delta) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix of the rescaled coroots, in the source numbering, for
+    delta = local_denominators(d, order).
 
     Entry (i, j) is delta_i / delta_j times the transposed source entry;
     integrality of the result is forced by how the deltas vary along the
-    Dynkin diagram, and is checked.  delta, if given, is local_denominators(d, order).
+    Dynkin diagram, and is checked.
     """
-    delta = local_denominators(d, order) if delta is None else delta
     a = cartan_matrix(d.cartan_type)
     r = d.rank
     out = []
@@ -108,7 +108,7 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
 def _class_dual(d: RootDatum, order: int, delta) -> tuple:
     """(dual Cartan matrix, relabeling, dual record, its name) for the class of
     order, built from order and checked."""
-    aprime = dual_cartan_matrix(d, order, delta)
+    aprime = dual_cartan_matrix(d, delta)
     dual_type, sigma = recognize_cartan_matrix(aprime)
     std = cartan_matrix(dual_type)
     r = d.rank

@@ -25,7 +25,10 @@ factors read off gcds of minors, where the package runs an integer
 triangular solve and alternating modular Hermite forms.  A weight below a
 highest weight is recomputed as top - sum_j depth_j * root_j over every
 simple root in Fractions, where the package subtracts delta * depth from
-integer numerators.  The helpers
+integer numerators.  Laurent series arithmetic lives only here: the constant
+term of (-1)**(a*b) * g**a / f**b rechecks the tame symbol, which reads only
+valuations and leading coefficients.  Reflections, root coordinates, iota and
+dominant conjugates are recomputed from simple roots and pairings.  The helpers
 that enumerate weight classes and isogenies (and 2-rho), and the rescaled
 coroot system of a datum, serve only tests.
 """
@@ -35,11 +38,100 @@ from functools import lru_cache
 from itertools import combinations, count, product
 from math import gcd, lcm
 
+from loopdual.central_ext import commutator_value
 from loopdual.lattice import Lattice, lattice_member, transpose
+from loopdual.loop_symbols import LaurentSeries
 from loopdual.rep_check import WeightSystem
-from loopdual.root_data import (CartanType, RootDatum, canonical_form, cartan_matrix, iota,
-                                positive_roots, weight_lattice)
+from loopdual.root_data import (CartanType, RootDatum, canonical_form, cartan_matrix,
+                                coroot_norms, weight_lattice)
 from loopdual.twisted_dual import local_denominators
+
+
+def series_mul(f, g) -> LaurentSeries:
+    """f * g of two nonzero series, known to the shorter relative precision."""
+    fld, n = f.field, min(len(f.coeffs), len(g.coeffs))
+    out = [fld.normalize(0)] * n
+    for i, a in enumerate(f.coeffs[:n]):
+        for j, b in enumerate(g.coeffs[:n - i]):
+            out[i + j] = fld.add(out[i + j], fld.mul(a, b))
+    return LaurentSeries(fld, f.valuation + g.valuation, tuple(out))
+
+
+def series_inverse(f) -> LaurentSeries:
+    """1 / f of a nonzero series, coefficient by coefficient."""
+    fld, n = f.field, len(f.coeffs)
+    lead = fld.normalize(Fraction(1, f.coeffs[0]))
+    out = [lead] + [fld.normalize(0)] * (n - 1)
+    for k in range(1, n):
+        acc = fld.normalize(0)
+        for i in range(1, k + 1):
+            acc = fld.add(acc, fld.mul(f.coeffs[i], out[k - i]))
+        out[k] = fld.neg(fld.mul(lead, acc))
+    return LaurentSeries(fld, -f.valuation, tuple(out))
+
+
+def series_power(f, n: int) -> LaurentSeries:
+    """f ** n by |n| products, through the inverse when n < 0."""
+    if n < 0:
+        return series_power(series_inverse(f), -n)
+    fld = f.field
+    out = LaurentSeries(fld, 0, (fld.normalize(1),) + (fld.normalize(0),) * (len(f.coeffs) - 1))
+    for _ in range(n):
+        out = series_mul(out, f)
+    return out
+
+
+def series_neg(f) -> LaurentSeries:
+    return LaurentSeries(f.field, f.valuation, tuple(f.field.neg(c) for c in f.coeffs))
+
+
+def series_sub(f, g) -> LaurentSeries:
+    """f - g on the overlap of the two windows, with leading zeros stripped."""
+    fld, lo = f.field, min(f.valuation, g.valuation)
+    out = [fld.normalize(0)] * (min(f.valuation + len(f.coeffs), g.valuation + len(g.coeffs)) - lo)
+    for series in (f, series_neg(g)):
+        for i, c in enumerate(series.coeffs):
+            if (k := series.valuation + i - lo) < len(out):
+                out[k] = fld.add(out[k], c)
+    while out and fld.is_zero(out[0]):
+        del out[0]
+        lo += 1
+    return LaurentSeries(fld, lo if out else 0, tuple(out))
+
+
+def iota(t: CartanType, yvec) -> tuple[Fraction, ...]:
+    """The invariant-form embedding of cocharacters into characters, c_i * y_i."""
+    return tuple(Fraction(c * y) for c, y in zip(coroot_norms(t), yvec))
+
+
+def reflect(ws, i: int, vec) -> tuple[Fraction, ...]:
+    """s_i(vec) = vec - <coroot_i, vec> * root_i of a WeightSystem."""
+    c = ws.pairing(i, vec)
+    return tuple(Fraction(x) - c * r for x, r in zip(vec, ws.simple_roots[i]))
+
+
+def root_coordinates(ws, vec) -> tuple[Fraction, ...]:
+    """vec in the basis of the simple roots delta_i * e_i of a WeightSystem."""
+    return tuple(Fraction(x) / root[i] for i, (x, root) in enumerate(zip(vec, ws.simple_roots)))
+
+
+def dominant_conjugate(ws, vec) -> tuple[Fraction, ...]:
+    """The dominant weight of vec's Weyl orbit, by simple reflections."""
+    vec = tuple(Fraction(x) for x in vec)
+    while (i := next((i for i in range(ws.rank) if ws.pairing(i, vec) < 0), None)) is not None:
+        vec = reflect(ws, i, vec)
+    return vec
+
+
+def nonintegral_pair(d: RootDatum, level: int):
+    """Two Y basis vectors on which level * (.,.) is not an integer, or None."""
+    return next(((y1, y2) for y1 in d.Y.basis for y2 in d.Y.basis
+                 if commutator_value(d, level, y1, y2).denominator > 1), None)
+
+
+def lattice_index_by_gauss(big: Lattice, small: Lattice) -> int:
+    """[big : small], |det| of the Fraction Gauss-Jordan coordinates of small in big."""
+    return abs(dense_det_int(basis_coordinate_matrix(big, small)))
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +219,7 @@ def weyl_group_with_signs(ws):
         mat = queue.pop()
         sign = elements[mat]
         for i in range(n):
-            new = tuple(ws.reflect(i, row) for row in mat)
+            new = tuple(reflect(ws, i, row) for row in mat)
             if new not in elements:
                 elements[new] = -sign
                 queue.append(new)
@@ -178,7 +270,7 @@ def kostant_multiplicity(ws, lam, mu) -> int:
     total = 0
     for mat, sign in weyl_group_with_signs(ws).items():
         target = tuple(a - b for a, b in zip(apply_matrix(mat, lam_rho), mu_rho))
-        coords = ws.root_coordinates(target)
+        coords = root_coordinates(ws, target)
         if any(c.denominator != 1 or c < 0 for c in coords):
             continue
         total += sign * counter(target)
@@ -211,8 +303,8 @@ def character_by_kostant(ws, lam):
     lam = tuple(Fraction(x) for x in lam)
     group = weyl_group_with_signs(ws)
     lowest = min((apply_matrix(mat, lam) for mat in group),
-                 key=lambda v: sum(ws.root_coordinates(v)))
-    bounds = ws.root_coordinates(tuple(a - b for a, b in zip(lam, lowest)))
+                 key=lambda v: sum(root_coordinates(ws, v)))
+    bounds = root_coordinates(ws, tuple(a - b for a, b in zip(lam, lowest)))
     out = {}
     for depth in product(*(range(int(b) + 1) for b in bounds)):
         mu = tuple(x - sum(c * root[a] for c, root in zip(depth, ws.simple_roots))
@@ -237,7 +329,7 @@ def tensor_by_peeling(ws, lam, mu):
     out = {}
     while any(remainder.values()):
         top = max((v for v, m in remainder.items() if m),
-                  key=lambda v: sum(ws.root_coordinates(v)))
+                  key=lambda v: sum(root_coordinates(ws, v)))
         out[top] = remainder[top]
         for nu, m in character_by_kostant(ws, top).items():
             remainder[nu] = remainder.get(nu, 0) - out[top] * m
@@ -508,14 +600,10 @@ def invariant_factors_by_minors(mat) -> tuple[int, ...]:
 
 def two_rho(d: RootDatum) -> tuple[int, ...]:
     """Sum of the positive roots; pairs to 2 against every simple coroot."""
-    t = d.cartan_type
-    total = [0] * d.rank
-    for root in positive_roots(t):
-        for i in range(d.rank):
-            total[i] += root[i]
-    out = tuple(total)
+    a = cartan_matrix(d.cartan_type)
+    out = tuple(map(sum, zip(*(root for root, _ in root_closure(a) if min(root) >= 0))))
     for i in range(d.rank):
-        if d.pair(d.simple_coroot(i), out) != 2:
+        if pairing_numerator(a, [int(i == j) for j in range(d.rank)], out) != 2:
             raise ArithmeticError("2-rho pairing check failed")
     return out
 

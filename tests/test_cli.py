@@ -350,6 +350,51 @@ def test_wide_series_and_long_tables_are_refused_up_front(argv, bound):
     assert bound in err, err
 
 
+def _points(n1, n2, s1, s2):
+    """--points: n1 copies of [[1], s1] against n2 copies of [[1], s2]."""
+    return json.dumps([[[[1], s1]] * n1, [[[1], s2]] * n2])
+
+
+@pytest.mark.parametrize("m,points,bound", [
+    ("16000", _points(15, 15, "t", "3"), "15 x 15 pairs of points, over the bound 16 "
+                                         "(loop_symbols.MAX_PAIRS)"),
+    ("2", _points(600, 600, "t", "t"), "600 x 600 pairs of points, over the bound 16 "
+                                       "(loop_symbols.MAX_PAIRS)"),
+    ("8000", json.dumps([[[[1], "t"]], [[[1], "3"], [[1], "5"], [[1], "7"]]]),
+     "running product has more bits than the bound 65536 (loop_symbols.MAX_POWER_BITS)")],
+    ids=["15x15", "600x600", "running-product"])
+def test_commutator_cost_is_refused_up_front(m, points, bound):
+    """Before the bounds the first two took 27 s (then a digit-limit error) and 19.5 s
+    in-process on a 2-vCPU machine; a fresh process with a time bound, so a hang fails."""
+    proc = _python("-m", "loopdual", "commutator", "--type", "A1", "--m", m, "--points", points)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: --points") and bound in proc.stderr, proc.stderr
+
+
+def _chain(links, bits, seed):
+    """--points: t against n_i / n_(i+1) on coroot 1 and n_(i+1) / n_i on coroot -1 in turn,
+    n_i random: at --m 2 each power is (n_i / n_(i+1))^4, the product (n_0 / n_(i+1))^4."""
+    rng = random.Random(seed)
+    nums = [rng.getrandbits(bits) | 1 for _ in range(links + 1)]
+    return json.dumps([[[[1], "t"]], [[[(-1) ** i], f"{nums[i + i % 2]}/{nums[i + 1 - i % 2]}"]
+                                      for i in range(links)]])
+
+
+@pytest.mark.parametrize("m,points,code,value", [
+    ("9" * 4299, json.dumps([[[["9" * 4299], "t"]] * 4] * 2), 0, '"value": "1"'),
+    ("2", _chain(16, 14000, 16), 1, "Exceeds the limit (4300 digits)"),
+    ("16384", json.dumps([[[[1], "t"], [[-1], "t"]] * 2, [[[1], "3"]] * 4]), 0, '"value": "1"')],
+    ids=["unit-symbols-at-43000-bit-exponents", "16-powers-of-56000-bits", "3^131072-cancels"])
+def test_the_costliest_admitted_commutators_are_quick(m, points, code, value):
+    """At MAX_PAIRS pairs, the exponent and the operand sizes the bounds admit; the
+    second prints nothing only because the product has more digits than str allows.
+    The third is answered as equal tame symbols' exponents are summed before a power."""
+    start = time.perf_counter()
+    result = invoke("commutator", "--type", "A1", "--m", m, "--points", points)
+    assert time.perf_counter() - start < 2.0
+    assert result[0] == code and value in result[1] + result[2], result[2]
+
+
 def test_mult_refuses_more_weights_than_the_bound():
     # E8 at three times the highest root: 131,041 weights in 10 orbits
     start = time.perf_counter()
@@ -503,7 +548,8 @@ def test_mult_weight_count_matches_every_golden():
                             int(flags["--N"])).dual
         ws = rep_check.datum_weight_system(dual)
         highest = tuple(Fraction(x) for x in flags["--highest"].split(","))
-        assert ws.weight_count(highest) == len(payload(out)["result"]["weights"]), key
+        dominant = ws._engine.dominant_weights(ws._read(highest)[2])
+        assert ws._engine.weight_count(dominant) == len(payload(out)["result"]["weights"]), key
         checked += 1
     assert checked > 150
 

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from oracles import (basis_coordinate_matrix, basis_coordinates, congruence_kernel,
                      dense_det_int, dense_mat_mul, dual_lattice_by_smith,
-                     invariant_factors_by_minors, smith_normal_form)
+                     invariant_factors_by_minors, lattice_index_by_gauss, smith_normal_form)
 from loopdual import lattice
 from loopdual.cli import run
 from loopdual.lattice import (
@@ -22,7 +22,6 @@ from loopdual.lattice import (
     identity_matrix,
     kernel_mod,
     lattice_coordinates,
-    lattice_index,
     lattice_member,
     mat_inv,
     mat_mul,
@@ -236,7 +235,7 @@ def test_quotient_invariants_against_transform_diagonal():
         _, d, _ = smith_normal_form(change)
         expected = tuple(d[i][i] for i in range(n) if d[i][i] > 1)
         assert got == expected
-        assert lattice_index(big, small) == abs(det_int(change))
+        assert prod(got) == abs(det_int(change))
 
 
 def _brute_kernel_residues(mat, modulus):
@@ -274,25 +273,13 @@ def test_congruence_kernel_against_residue_scan():
         residues = _brute_kernel_residues(mat, modulus)
         # The kernel contains modulus * Z^n, so its index in Z^n counts
         # exactly the residues that satisfy the congruence.
-        assert lattice_index(Lattice.standard(n), ker) * len(residues) == modulus ** n
+        assert lattice_index_by_gauss(Lattice.standard(n), ker) * len(residues) == modulus ** n
         for r in residues:
             assert lattice_member(r, ker)
         for row in ker.basis:
             assert all(x.denominator == 1 for x in row)
             assert all(sum(mat[i][j] * row[j] for j in range(n)) % modulus == 0
                        for i in range(m))
-
-
-def test_lattice_index_examples():
-    std = Lattice.standard(2)
-    assert lattice_index(std, Lattice([[2, 0], [0, 2]])) == 4
-    assert lattice_index(std, std) == 1
-    sub = Lattice([[1, 1], [1, -1]])
-    assert lattice_index(std, sub) == 2
-    # Index equals the product of all Smith diagonal entries.
-    assert lattice_index(std, sub) == 2
-    det_ratio = Fraction(abs(det_int(sub.basis))) / abs(det_int(std.basis))
-    assert det_ratio == 2
 
 
 def test_mat_inv_roundtrip():
@@ -545,7 +532,6 @@ def test_integer_solve_matches_the_fraction_basis_oracle():
         coeffs = _coordinate_matrix(big, small)
         assert coeffs == basis_coordinate_matrix(big, small)
         assert all(type(x) is int for row in coeffs for x in row)
-        assert lattice_index(big, small) == abs(dense_det_int(coeffs))
         assert quotient_invariants(big, small) == invariant_factors_by_minors(coeffs)
         for row in big.basis:
             assert lattice_coordinates(row, small) == basis_coordinates(row, small)
@@ -554,12 +540,12 @@ def test_integer_solve_matches_the_fraction_basis_oracle():
 def test_integer_solve_refuses_what_the_oracle_refuses():
     refused = 0
     for big, small in _nested_pairs(43, 30):
-        if lattice_index(big, small) == 1:
+        if lattice_index_by_gauss(big, small) == 1:
             continue
         refused += 1
         with pytest.raises(ValueError, match="small lattice is not contained") as oracle:
             basis_coordinate_matrix(small, big)
-        for call in (_coordinate_matrix, quotient_invariants, lattice_index):
+        for call in (_coordinate_matrix, quotient_invariants):
             with pytest.raises(ValueError) as err:
                 call(small, big)
             assert str(err.value) == str(oracle.value)

@@ -15,6 +15,7 @@ from loopdual.loop_symbols import (
     torus_commutator,
 )
 from loopdual.root_data import build_datum
+from oracles import series_inverse, series_mul, series_power
 
 
 def test_rational_powers_are_bounded_before_they_are_computed():
@@ -31,7 +32,7 @@ def test_laurent_series_is_an_immutable_value():
     f = LaurentSeries(PrimeField(7), -1, (3, 1))
     with pytest.raises(AttributeError):
         f.valuation = 0
-    twin = LaurentSeries.from_coeffs(PrimeField(7), -2, [7, 3, 8])
+    twin = parse_series("7*t^-2 + 3*t^-1 + 8", PrimeField(7), precision=2)
     assert f == twin and hash(f) == hash(twin)
     assert f != LaurentSeries(QQ, -1, (Fraction(3), Fraction(1)))
     assert repr(f) == "LaurentSeries(field=GF(7), valuation=-1, coeffs=(3, 1))"
@@ -46,13 +47,9 @@ def test_prime_field_arithmetic():
     assert f7.normalize(10) == 3
     assert f7.normalize(Fraction(1, 2)) == 4
     assert f7.mul(4, 2) == 1
-    assert f7.inv(3) == 5
     assert field_power(f7, 3, -1) == 5
-    assert f7.format(-1) == "6"
     with pytest.raises(ValueError):
         PrimeField(6)
-    with pytest.raises(ZeroDivisionError):
-        f7.inv(0)
     with pytest.raises(ZeroDivisionError):
         PrimeField(3).normalize(Fraction(7, 3))
     assert PrimeField(7) == PrimeField(7)
@@ -64,7 +61,6 @@ def test_parse_bracket_form():
     s = parse_series("t^-2*(3 + 1/2*t + t^3)")
     assert s.valuation == -2
     assert s.coeffs == (3, Fraction(1, 2), 0, 1, 0, 0, 0, 0)
-    assert s.precision == 8
 
 
 def test_parse_flat_form():
@@ -76,14 +72,14 @@ def test_parse_flat_form():
     assert parse_series("3").coeffs[0] == 3
     assert parse_series("t*(1 + t)").valuation == 1
     assert parse_series("(5)").coeffs[0] == 5
-    assert parse_series("1", precision=3).precision == 3
+    assert len(parse_series("1", precision=3).coeffs) == 3
     # spread beyond the requested precision keeps every given term
     wide = parse_series("1 + t^11", precision=4)
-    assert wide.precision == 12 and wide.coeffs[11] == 1
+    assert len(wide.coeffs) == 12 and wide.coeffs[11] == 1
 
 
 def test_parse_refuses_a_span_over_the_bound():
-    assert parse_series(f"t^-{MAX_SPAN} + 1").precision == MAX_SPAN + 1
+    assert len(parse_series(f"t^-{MAX_SPAN} + 1").coeffs) == MAX_SPAN + 1
     with pytest.raises(ValueError, match="MAX_SPAN"):
         parse_series(f"t^-{MAX_SPAN + 1} + 1")
     # only nonzero terms count
@@ -110,37 +106,18 @@ def test_parse_rejects_garbage(bad):
 
 
 def test_series_multiplication_and_inverse():
+    """The oracle's series arithmetic, on hand-worked products."""
     one_plus = parse_series("1 + t")
     one_minus = parse_series("1 - t")
-    prod = one_plus * one_minus
+    prod = series_mul(one_plus, one_minus)
     assert prod.valuation == 0
     assert prod.coeffs == (1, 0, -1, 0, 0, 0, 0, 0)
-    geom = one_minus.inverse()
+    geom = series_inverse(one_minus)
     assert geom.coeffs == (1,) * 8
-    check = one_minus * geom
+    check = series_mul(one_minus, geom)
     assert check.coeffs == (1, 0, 0, 0, 0, 0, 0, 0)
-    assert (one_plus ** 2).coeffs[:3] == (1, 2, 1)
-    assert (one_plus ** -1 * one_plus).coeffs[0] == 1
-    with pytest.raises(ZeroDivisionError):
-        LaurentSeries.zero(QQ).inverse()
-
-
-def test_series_addition_alignment():
-    f = parse_series("t^-1")
-    g = parse_series("t")
-    s = f + g
-    assert s.valuation == -1
-    assert s.coeffs[:3] == (1, 0, 1)
-    assert (f - f).is_zero()
-    assert (parse_series("1 + t") - parse_series("1")).valuation == 1
-    with pytest.raises(ValueError):
-        parse_series("t") + parse_series("t", PrimeField(5))
-
-
-def test_series_str():
-    assert str(parse_series("t^-2*(3 + 1/2*t + t^3)", precision=4)) \
-        == "3*t^-2 + 1/2*t^-1 + t + O(t^2)"
-    assert str(LaurentSeries.zero(QQ)) == "0"
+    assert series_power(one_plus, 2).coeffs[:3] == (1, 2, 1)
+    assert series_mul(series_power(one_plus, -1), one_plus).coeffs[0] == 1
 
 
 def test_tame_symbol_basic_values():
@@ -153,13 +130,13 @@ def test_tame_symbol_basic_values():
     assert tame_symbol(t, parse_series("1 - t")) == 1
     assert tame_symbol(parse_series("t^-1"), parse_series("1 - t^-1")) == 1
     with pytest.raises(ValueError):
-        tame_symbol(t, LaurentSeries.zero(QQ))
+        tame_symbol(t, parse_series("0"))
 
 
 def _random_series(rng, field, min_val=-3, max_val=3):
     val = rng.randrange(min_val, max_val + 1)
     coeffs = [rng.randrange(1, 5)] + [rng.randrange(-3, 4) for _ in range(5)]
-    return LaurentSeries.from_coeffs(field, val, coeffs)
+    return LaurentSeries(field, val, tuple(map(field.normalize, coeffs)))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
@@ -169,7 +146,7 @@ def test_tame_symbol_against_series_expansion(field):
         f = _random_series(rng, field)
         g = _random_series(rng, field)
         a, b = f.valuation, g.valuation
-        h = (g ** a) * (f ** -b)
+        h = series_mul(series_power(g, a), series_power(f, -b))
         assert h.valuation == 0
         expected = h.leading_coefficient()
         if (a * b) % 2:
@@ -183,7 +160,7 @@ def test_tame_symbol_bimultiplicative_and_reciprocal():
         f1 = _random_series(rng, QQ)
         f2 = _random_series(rng, QQ)
         g = _random_series(rng, QQ)
-        assert tame_symbol(f1 * f2, g) == tame_symbol(f1, g) * tame_symbol(f2, g)
+        assert tame_symbol(series_mul(f1, f2), g) == tame_symbol(f1, g) * tame_symbol(f2, g)
         assert tame_symbol(f1, g) * tame_symbol(g, f1) == 1
 
 
@@ -227,7 +204,7 @@ def test_torus_commutator_input_validation():
     with pytest.raises(ValueError):
         torus_commutator(sl2, 1, [], [((1,), t)])
     with pytest.raises(ValueError):
-        torus_commutator(sl2, 1, [((1,), t)], [((1,), LaurentSeries.zero(QQ))])
+        torus_commutator(sl2, 1, [((1,), t)], [((1,), parse_series("0"))])
     with pytest.raises(ValueError):
         torus_commutator(sl2, 1, [((1,), t)], [((1,), parse_series("t", PrimeField(5)))])
 

@@ -29,11 +29,12 @@ from loopdual.rep_check import (
     tensor_multiplicity,
     weyl_dim,
 )
-from loopdual.root_data import build_datum, fundamental_weight, positive_roots
+from loopdual.root_data import build_datum, cartan_matrix, fundamental_weight
 from loopdual.twisted_dual import local_denominators, twisted_dual
 
-from oracles import (below, character_by_kostant, kostant_multiplicity, rescaled_coroot_system,
-                     tensor_by_peeling, weyl_group_with_signs)
+from oracles import (below, character_by_kostant, dominant_conjugate, kostant_multiplicity,
+                     rescaled_coroot_system, root_closure, root_coordinates, tensor_by_peeling,
+                     weyl_group_with_signs)
 
 
 def source_system(name):
@@ -46,6 +47,13 @@ def fw(name, i):
 
 def add(x, y):
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(x, y))
+
+
+def multiplicity(ws, lam, mu) -> int:
+    """The multiplicity of mu in L(lam), read off the weights `mult` prints."""
+    den, weights = ws.weights(lam)
+    nums = [Fraction(x) * den for x in mu]
+    return weights.get(tuple(map(int, nums)), 0) if all(x.denominator == 1 for x in nums) else 0
 
 
 class TestWeightSystemBasics:
@@ -86,7 +94,7 @@ class TestWeightSystemBasics:
         assert ws.positive_roots == ((Fraction(2),),)
         assert ws.rho == (Fraction(1),)
         assert ws.weyl_dimension((4,)) == 5
-        assert [ws.weight_multiplicity((4,), (b,)) for b in range(4, -5, -1)] == [
+        assert [multiplicity(ws, (4,), (b,)) for b in range(4, -5, -1)] == [
             1, 0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_positive_root_counts(self):
@@ -101,7 +109,7 @@ class TestWeightSystemBasics:
             ws.weyl_dimension((Fraction(1, 2), 0))
 
     def test_weyl_group_orders(self):
-        # sanity for the oracle helper as well as for reflect()
+        # sanity for the oracle helper and its reflections
         assert len(weyl_group_with_signs(source_system("A2"))) == 6
         assert len(weyl_group_with_signs(source_system("B2"))) == 8
         assert len(weyl_group_with_signs(source_system("G2"))) == 12
@@ -145,13 +153,13 @@ class TestDimensionsAndMultiplicities:
         for name, lam, mult in cases:
             ws = source_system(name)
             rank = len(lam)
-            assert ws.weight_multiplicity(lam, (0,) * rank) == mult
+            assert multiplicity(ws, lam, (0,) * rank) == mult
 
     def test_adjoint_highest_weight_is_a_root(self):
         ws = source_system("A2")
         lam = add(fw("A2", 0), fw("A2", 1))
         assert lam in set(ws.positive_roots)
-        assert ws.weight_multiplicity(lam, lam) == 1
+        assert multiplicity(ws, lam, lam) == 1
 
     def test_dominant_weight_enumeration(self):
         ws = source_system("A2")
@@ -173,14 +181,14 @@ class TestKostantOracle:
         ws = source_system(name)
         lam = tuple(Fraction(x) for x in lam)
         for mu in ws.dominant_weights(lam):
-            assert ws.weight_multiplicity(lam, mu) == kostant_multiplicity(ws, lam, mu)
+            assert multiplicity(ws, lam, mu) == kostant_multiplicity(ws, lam, mu)
 
     def test_kostant_sees_zero_outside_the_cone(self):
         ws = source_system("A2")
         lam = (Fraction(2), Fraction(1))
         outside = add(lam, (1, 0))
         assert kostant_multiplicity(ws, lam, outside) == 0
-        assert ws.weight_multiplicity(lam, outside) == 0
+        assert multiplicity(ws, lam, outside) == 0
 
 
 class TestTensorProducts:
@@ -224,8 +232,8 @@ class TestRescaledCorootSystems:
         ws = rescaled_coroot_system(build_datum("A1", "sc"), 2)
         assert ws.simple_roots == ((Fraction(2),),)
         assert ws.weyl_dimension((2,)) == 3  # the string 2, 0, -2
-        assert ws.weight_multiplicity((2,), (0,)) == 1
-        assert ws.weight_multiplicity((2,), (1,)) == 0
+        assert multiplicity(ws, (2,), (0,)) == 1
+        assert multiplicity(ws, (2,), (1,)) == 0
 
     def test_sp4_order_two(self):
         ws = rescaled_coroot_system(build_datum("C2", "sc"), 2)
@@ -284,10 +292,10 @@ class TestRankOneMultiplicities:
             out = rank_one_mv_multiplicities(d, order, node, a)
             line = WeightSystem([(delta,)], [(Fraction(2, delta),)])
             for b in range(a, -a - 1, -1):
-                assert out[b] == line.weight_multiplicity((a,), (b,)), (
+                assert out[b] == multiplicity(line, (a,), (b,)), (
                     name, isogeny, order, node, b)
             assert sum(out.values()) == 2 * a // delta + 1
-            assert mv_vs_character_check(d, order, node, a)
+            assert mv_vs_character_check(d, order, node, a, out)
 
 
 class TestOperationWrappers:
@@ -314,21 +322,14 @@ class TestOperationWrappers:
             tensor_multiplicity(d2, zero, fw("A2", 0), (-1, 0))
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
-def test_antidominant_conjugate_of_rho(name):
-    # the longest Weyl element sends rho to -rho
-    ws = source_system(name)
-    assert ws.antidominant_conjugate(ws.rho) == tuple(-x for x in ws.rho)
-
-
 @pytest.mark.parametrize("name,isogeny,order", [
     ("A2", "adjoint", 3), ("B3", "sc", 2), ("C3", "sc", 2), ("G2", "sc", 3),
     ("F4", "sc", 2)])
 def test_rescaled_system_has_dual_root_count(name, isogeny, order):
     datum = build_datum(name, isogeny)
     dual_type = twisted_dual(datum, order).dual.cartan_type
-    assert len(rescaled_coroot_system(datum, order).positive_roots) == \
-        len(positive_roots(dual_type))
+    assert 2 * len(rescaled_coroot_system(datum, order).positive_roots) == \
+        len(root_closure(cartan_matrix(dual_type)))
 
 
 def weight(name, coeffs):
@@ -341,7 +342,7 @@ def weight(name, coeffs):
 
 def assert_freudenthal_matches_kostant(ws, lam):
     for mu in ws.dominant_weights(lam):
-        assert ws.weight_multiplicity(lam, mu) == kostant_multiplicity(ws, lam, mu), (lam, mu)
+        assert multiplicity(ws, lam, mu) == kostant_multiplicity(ws, lam, mu), (lam, mu)
 
 
 @pytest.mark.parametrize("name,coeffs", [
@@ -356,7 +357,7 @@ def test_freudenthal_matches_kostant_on_rescaled_systems(name, isogeny, order):
     datum = build_datum(name, isogeny)
     assert max(local_denominators(datum, order)) > 1
     ws = rescaled_coroot_system(datum, order)
-    highest_root = max(ws.positive_roots, key=lambda v: sum(ws.root_coordinates(v)))
+    highest_root = max(ws.positive_roots, key=lambda v: sum(root_coordinates(ws, v)))
     for lam in (ws.rho, highest_root, add(ws.rho, highest_root)):
         assert_freudenthal_matches_kostant(ws, lam)
 
@@ -368,7 +369,7 @@ def test_freudenthal_matches_kostant_on_rank_one_lines(name, order, node):
     assert delta > 1
     for a in (delta, 2 * delta, 5 * delta):
         for b in range(a, -a - 1, -1):
-            assert line.weight_multiplicity((a,), (b,)) == \
+            assert multiplicity(line, (a,), (b,)) == \
                 kostant_multiplicity(line, (a,), (b,)), (a, b)
 
 
@@ -400,10 +401,8 @@ def test_dominant_weights_fill_the_depth_box(name, coeffs):
     # every dominant weight of the box below lam - w0(lam), in the same order
     ws = source_system(name)
     lam = weight(name, coeffs)
-    top = tuple(-x for x in lam)
-    while (i := next((i for i in range(ws.rank) if ws.pairing(i, top) < 0), None)) is not None:
-        top = ws.reflect(i, top)  # ends at -w0(lam)
-    bounds = ws.root_coordinates(add(lam, top))
+    top = dominant_conjugate(ws, tuple(-x for x in lam))  # -w0(lam)
+    bounds = root_coordinates(ws, add(lam, top))
     box = []
     for depth in product(*(range(int(b) + 1) for b in bounds)):
         mu = tuple(x - c for x, c in zip(lam, depth))

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import all_isogenies, dual_character_lattice_by_kernel, dual_lattice_by_cosets
+from oracles import (all_isogenies, dual_character_lattice_by_kernel, dual_lattice_by_cosets,
+                     lattice_index_by_gauss, pairing_numerator)
 
 from loopdual import dynkin, lattice, root_data
 from loopdual import twisted_dual as td
 from loopdual.central_ext import commutator_denominator
 from loopdual.cli import run
-from loopdual.lattice import Lattice, lattice_index, lattice_member
+from loopdual.lattice import Lattice, lattice_member
 from loopdual.root_data import (
     CartanType,
     RootDatum,
@@ -77,10 +78,11 @@ def test_dual_character_lattice_rank_one():
 
 def test_dual_cartan_matrix_rescaling():
     sp4 = build_datum("C2", "sc")
-    assert dual_cartan_matrix(sp4, 2) == ((2, -1), (-2, 2))
-    assert dual_cartan_matrix(sp4, 1) == ((2, -2), (-1, 2))
+    assert dual_cartan_matrix(sp4, local_denominators(sp4, 2)) == ((2, -1), (-2, 2))
+    assert dual_cartan_matrix(sp4, local_denominators(sp4, 1)) == ((2, -2), (-1, 2))
     spin7 = build_datum("B3", "sc")
-    assert dual_cartan_matrix(spin7, 2) == cartan_matrix(CartanType.parse("B3"))
+    assert dual_cartan_matrix(spin7, local_denominators(spin7, 2)) == \
+        cartan_matrix(CartanType.parse("B3"))
 
 
 def test_twisted_dual_rank_one_names():
@@ -145,13 +147,11 @@ def test_twisted_dual_structural_invariants():
             for i in range(src.rank):
                 image = [Fraction(0)] * src.rank
                 image[out.relabeling[i]] = Fraction(1)
-                scaled = tuple(out.local_denominators[i] * c
-                               for c in src.simple_coroot(i))
+                scaled = tuple(out.local_denominators[i] * int(i == j) for j in range(src.rank))
                 assert lattice_member(scaled, dual_character_lattice(src, n))
-                assert out.dual.pair(out.dual.simple_coroot(out.relabeling[i]),
-                                     tuple(image)) == 2
-            assert lattice_index(weight_lattice(t2), out.dual.X) * \
-                lattice_index(out.dual.X, root_lattice(t2)) > 0
+                assert pairing_numerator(cartan_matrix(t2), image, image) == 2
+            assert lattice_index_by_gauss(weight_lattice(t2), out.dual.X) * \
+                lattice_index_by_gauss(out.dual.X, root_lattice(t2)) > 0
 
 
 def test_expected_dual_name_rules():
@@ -287,7 +287,8 @@ def test_recognition_searches_once_per_distinct_dual_matrix(monkeypatch):
     dynkin._recognize.cache_clear()
     data = [_fresh_record(name, isogeny) for name in ("B3", "C4", "F4", "G2")
             for isogeny in ("sc", "adjoint")]
-    matrices = {dual_cartan_matrix(d, order) for d in data for order in range(1, 13)}
+    matrices = {dual_cartan_matrix(d, local_denominators(d, order))
+                for d in data for order in range(1, 13)}
     for _ in range(2):
         for d in data:
             for order in range(1, 13):
@@ -304,7 +305,8 @@ def test_wrong_relabeling_is_caught_on_a_warm_cache(monkeypatch):
     of N = 2, so its miss reads the recognition that N = 2 left warm."""
     d = _fresh_record("B3", "sc")
     out = twisted_dual(d, 2)  # warm: the record and the recognition
-    assert dual_cartan_matrix(d, 4) == out.dual_cartan and 4 not in {g for g, _ in d._duals}
+    assert dual_cartan_matrix(d, local_denominators(d, 4)) == out.dual_cartan and \
+        4 not in {g for g, _ in d._duals}
     wrong = (out.relabeling[2], out.relabeling[1], out.relabeling[0])
     monkeypatch.setattr(dynkin, "_recognize", lambda mat: (out.dual.cartan_type, wrong))
     with pytest.raises(ArithmeticError, match="relabeling does not carry"):
