@@ -6,7 +6,8 @@ environment, no network.  JSON output wraps results in a fixed envelope
 rationals rendered as exact "p/q" strings, and lattices in Hermite
 normal form, so identical invocations produce byte-identical output.
 Weights and lattice rows come as integer numerators over one denominator, and
-one formatter (_rationals) writes them, so every result is built JSON-native.
+one formatter (_rationals) writes them; a result holds a lattice as its Lattice
+value, whose text the one JSON writer keeps per (lattice, indent).
 
 Exit codes: 0 success, 1 usage error, 2 a requested check failed, 3 an
 internal self-check failed.
@@ -32,7 +33,7 @@ from .central_ext import (
     commutator_denominator,
     monodromy_modulus,
 )
-from .lattice import vector_text
+from .lattice import Lattice, vector_text
 from .loop_symbols import MAX_PAIRS, QQ, PrimeField, parse_series, tame_symbol, torus_commutator
 from .root_data import build_datum
 from .twisted_dual import (
@@ -190,10 +191,6 @@ def _rationals(nums, den: int) -> list[str]:
             for x in nums]
 
 
-def _lattice_rows(lat):
-    return [_rationals(row, lat.den) for row in lat.rows]
-
-
 def _emit(command: str, echo: dict, result: dict, checks: list) -> str:
     envelope = {
         "schema_version": "1",
@@ -211,7 +208,8 @@ def _emit(command: str, echo: dict, result: dict, checks: list) -> str:
 def _json(value, pad="\n") -> str:
     """value as json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
     writes it, for the str, int, bool, list and str-keyed dict results are built
-    from, with strings escaped by json's C escaper."""
+    from, with strings escaped by json's C escaper; a Lattice is written as its
+    rows of _rationals over its denominator, through _lattice_json."""
     if isinstance(value, str):
         return encode_basestring(value)
     if isinstance(value, int):
@@ -225,9 +223,21 @@ def _json(value, pad="\n") -> str:
     elif isinstance(value, dict):
         ends, items = "{}", [f"{encode_basestring(k)}: {_json(value[k], inner)}"
                              for k in sorted(value)]
+    elif isinstance(value, Lattice):  # above rank 16 a text is large and seldom asked twice
+        return (_lattice_json if len(value.rows) <= 16 else _lattice_json.__wrapped__)(value, pad)
     else:
         raise TypeError(f"{type(value).__name__} is not a JSON result type")
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+
+
+@lru_cache(maxsize=256)  # root_datum's bound; the sweep plan writes 88 (lattice, pad) pairs
+def _lattice_json(lat: Lattice, pad: str) -> str:
+    """_json of lat's rows as _rationals over lat.den at pad, kept per (lattice, pad):
+    a warm `dual` writes the same X and dual X again.  Keyed by the lattice's value,
+    so a fresh record with an equal lattice reads the same text.  _json keeps only
+    lattices of rank <= 16, whose `dual` texts measure at most 4.3 KB on A-D, so the cache
+    holds about 1.1 MB at most; a rank-128 text is about 230 KB."""
+    return _json([_rationals(row, lat.den) for row in lat.rows], pad)
 
 
 def _rows(rows, pad) -> list[str]:
@@ -258,13 +268,13 @@ def _cmd_dual(args, out) -> int:
         "source": {
             "type": str(datum.cartan_type),
             "isogeny": label,
-            "lattice": _lattice_rows(datum.X),
+            "lattice": datum.X,
         },
         "N": order,
         "d": data.denominator,
         "delta": list(data.local_denominators),
         "dual_type": str(data.dual.cartan_type),
-        "dual_lattice": _lattice_rows(data.dual.X),
+        "dual_lattice": data.dual.X,
         "relabeling": list(data.relabeling),
         "center": list(data.dual.center),
         "pi1": list(data.dual.pi1),

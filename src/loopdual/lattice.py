@@ -59,14 +59,17 @@ def _cleared(mat) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
-def mat_inv(mat):
-    """Inverse of a square rational matrix as Fractions (ValueError if singular), by
-    integer elimination on [den * mat | I] below each pivot, then above each pivot
-    from the last: row i becomes (p * row_i - f * row_c) / gcd(p, f), for f its
-    entry under or over the pivot p of row c."""
+def mat_inv(mat) -> tuple[int, list[list[int]]]:
+    """(D, rows) for a square integer matrix, with D = |det mat| and rows / D its
+    inverse, so rows is the adjugate up to sign (ValueError if singular or not
+    integral).  Integer elimination on [mat | I] below each pivot, then above each
+    pivot from the last: row i becomes (p * row_i - f * row_c) / gcd(p, f), for f
+    its entry under or over the pivot p of row c.  Row i then ends as (p_i e_i | R_i)
+    with R_i / p_i row i of the inverse, and D * R_i / p_i must divide exactly."""
     n = len(mat)
-    den, a = _cleared(mat)
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    if (d := abs(det_int(mat))) == 0:
+        raise ValueError("matrix is singular")
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(_int_rows(mat))]
 
     def clear(c, rows):
         for i in rows:
@@ -76,13 +79,14 @@ def mat_inv(mat):
                 a[i] = [x * u - y * v for u, v in zip(a[i], a[c])]
 
     for c in range(n):
-        if (p := next((i for i in range(c, n) if a[i][c]), None)) is None:
-            raise ValueError("matrix is singular")
+        p = next(i for i in range(c, n) if a[i][c])  # there is one, as det != 0
         a[c], a[p] = a[p], a[c]
         clear(c, range(c + 1, n))
     for c in reversed(range(n)):
         clear(c, range(c))
-    return [[Fraction(den * x, row[i]) for x in row[n:]] for i, row in enumerate(a)]
+    if any(d * x % row[i] for i, row in enumerate(a) for x in row[n:]):
+        raise ArithmeticError("|det| times the inverse is not integral")
+    return d, [[d * x // row[i] for x in row[n:]] for i, row in enumerate(a)]
 
 
 def _int_rows(mat) -> list[list[int]]:

@@ -262,8 +262,9 @@ def torus_commutator(datum: RootDatum, level: int, x1, x2):
     prod tame(f_i, g_j) ** (level * (lam_i, mu_j)); every exponent must be
     an integer, otherwise the level is not integral on these points and a
     ValueError is raised.  The exponents of equal tame symbols are summed
-    first, and over the rationals a running product past MAX_POWER_BITS bits
-    is refused with a ValueError.
+    first, over the rationals those of s and 1/s under one key, the one with
+    |numerator| >= denominator, so that a symbol cancels against its inverse;
+    then a running product past MAX_POWER_BITS bits is refused with a ValueError.
     """
     pairs1 = [(tuple(Fraction(v) for v in lam), f) for lam, f in x1]
     pairs2 = [(tuple(Fraction(v) for v in mu), g) for mu, g in x2]
@@ -287,8 +288,10 @@ def torus_commutator(datum: RootDatum, level: int, x1, x2):
                 raise ValueError(
                     f"level {level} times ([{vector_text(lam)}], [{vector_text(mu)}]) = "
                     f"{exponent} is not an integer")
-            symbol = tame_symbol(f, g)
-            exponents[symbol] = exponents.get(symbol, 0) + int(exponent)
+            symbol, exponent = tame_symbol(f, g), int(exponent)
+            if fld == QQ and abs(symbol.numerator) < symbol.denominator:
+                symbol, exponent = 1 / symbol, -exponent  # s^e as (1/s)^-e
+            exponents[symbol] = exponents.get(symbol, 0) + exponent
     out = fld.normalize(1)
     for symbol, exponent in exponents.items():
         out = fld.mul(out, field_power(fld, symbol, exponent))

@@ -19,8 +19,8 @@ from math import factorial, lcm, prod
 from operator import add, mul, sub
 
 from .central_ext import monodromy_modulus
-from .dynkin import recognize_cartan_matrix
-from .lattice import det_int, identity_matrix, transpose, vector_text
+from .dynkin import group_name, recognize_cartan_matrix
+from .lattice import det_int, identity_matrix, numerators_member, transpose, vector_text
 from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_norms,
                         dual_coxeter, positive_root_system)
 from .twisted_dual import local_denominators
@@ -285,12 +285,16 @@ def weyl_dim(datum: RootDatum, lam) -> int:
 
 def freudenthal_multiplicities(datum: RootDatum, lam) -> tuple[int, dict]:
     """Full weight multiset of the irreducible with highest weight lam, as
-    (den, {numerators: multiplicity}) (WeightSystem.weights).  One read of lam
-    and one search of its dominant weights serve the orbit count (a ValueError
-    before any multiplicity when it passes MAX_WEIGHTS), the table and the
-    Weyl dimension, which the multiplicities must add up to."""
+    (den, {numerators: multiplicity}) (WeightSystem.weights).  lam must be a
+    character of the group, in datum.X, or a ValueError names its character
+    lattice.  One read of lam and one search of its dominant weights serve the
+    orbit count (a ValueError before any multiplicity when it passes MAX_WEIGHTS),
+    the table and the Weyl dimension, which the multiplicities must add up to."""
     ws = datum_weight_system(datum)
     den, top, labels = ws._read(lam)
+    if not numerators_member(top, den, datum.X):
+        raise ValueError(f"{vector_text(lam)} is not a character of {group_name(datum)}: "
+                         "it is outside the character lattice X of that group")
     dominant = ws._engine.dominant_weights(labels)
     count = ws._engine.weight_count(dominant)
     if count > MAX_WEIGHTS:

@@ -210,23 +210,27 @@ def weight_lattice(t: CartanType) -> Lattice:
     The stored basis is in Hermite form, so use fundamental_weight to get an
     actual fundamental weight rather than reading basis rows.
     """
-    return Lattice(_inverse_cartan(t))
+    return Lattice.from_int_rows(*_inverse_cartan(t))
 
 
 @lru_cache(maxsize=None)
-def _inverse_cartan(t: CartanType) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in mat_inv(cartan_matrix(t)))
+def _inverse_cartan(t: CartanType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, rows) with D = |det A| and rows / D = A^-1, in integers (lattice.mat_inv)."""
+    d, rows = mat_inv(cartan_matrix(t))
+    return d, tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
 def _coweight_lattice(t: CartanType) -> Lattice:
     """P^v in simple-coroot coordinates, spanned by the columns of A^-1."""
-    return Lattice(transpose(_inverse_cartan(t)))
+    d, rows = _inverse_cartan(t)
+    return Lattice.from_int_rows(d, transpose(rows))
 
 
 def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
     """The weight pairing to 1 with coroot i and to 0 with the others."""
-    return _inverse_cartan(t)[i]
+    d, rows = _inverse_cartan(t)
+    return tuple(Fraction(x, d) for x in rows[i])
 
 
 class CanonicalForm(namedtuple("CanonicalForm", "gram")):

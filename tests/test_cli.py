@@ -17,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from loopdual import cli, rep_check, root_data
 from loopdual.cli import run
+from loopdual.lattice import Lattice
 from loopdual.root_data import build_datum
 from loopdual.twisted_dual import twisted_dual
 from test_argv_fuzz import cases
@@ -184,6 +186,19 @@ class TestMultCommand:
         assert result["weights"][0] == [["2"], 1]
         assert len(result["weights"]) == 5
 
+    def test_refuses_a_weight_that_is_not_a_character_of_the_dual(self):
+        """At N = 1 the dual of SL2 is PSL2, whose characters are the roots; at
+        N = 2 it is SL2 again, and 1/2 is the weight of its standard representation."""
+        for highest in ("1/2", "3/2"):
+            assert invoke("mult", "--type", "A1", "--N", "1", "--highest", highest) == (
+                1, "", f"error: --highest: {highest} is not a character of PSL2: it is "
+                       "outside the character lattice X of that group\n")
+        code, out, _ = invoke("mult", "--type", "A1", "--N", "2", "--highest", "1/2")
+        assert code == 0 and payload(out)["result"]["weights"] == [[["1/2"], 1], [["-1/2"], 1]]
+        code, _, err = invoke("mult", "--type", "D4", "--isogeny", "sc", "--N", "1",
+                              "--highest", "1,1,1/2,1/2")
+        assert code == 1 and "not a character of PSO8" in err, err
+
     def test_rejects_non_dominant(self):
         code, _, err = invoke("mult", "--type", "A2", "--isogeny", "sc",
                               "--N", "1", "--highest", "-1,0")
@@ -254,7 +269,8 @@ class TestHarness:
             ("check-assumption", "--type", "G2", "--isogeny", "sc",
              "--N", "5", "--p", "7"),
         ]
-        for argv in commands:
+        for argv in commands:  # with no lattice text kept, then with the texts of the first
+            cli._lattice_json.cache_clear()
             first = invoke(*argv)
             second = invoke(*argv)
             assert first == second
@@ -383,12 +399,17 @@ def _chain(links, bits, seed):
 @pytest.mark.parametrize("m,points,code,value", [
     ("9" * 4299, json.dumps([[[["9" * 4299], "t"]] * 4] * 2), 0, '"value": "1"'),
     ("2", _chain(16, 14000, 16), 1, "Exceeds the limit (4300 digits)"),
-    ("16384", json.dumps([[[[1], "t"], [[-1], "t"]] * 2, [[[1], "3"]] * 4]), 0, '"value": "1"')],
-    ids=["unit-symbols-at-43000-bit-exponents", "16-powers-of-56000-bits", "3^131072-cancels"])
+    ("16384", json.dumps([[[[1], "t"], [[-1], "t"]] * 2, [[[1], "3"]] * 4]), 0, '"value": "1"'),
+    ("1", json.dumps([[[[1], "t"]], [[[8192], "9"], [[5000], "5"], [[8192], "1/9"],
+                                     [[5000], "1/5"]]]), 0, '"value": "1"')],
+    ids=["unit-symbols-at-43000-bit-exponents", "16-powers-of-56000-bits", "3^131072-cancels",
+         "symbols-cancel-their-inverses"])
 def test_the_costliest_admitted_commutators_are_quick(m, points, code, value):
     """At MAX_PAIRS pairs, the exponent and the operand sizes the bounds admit; the
     second prints nothing only because the product has more digits than str allows.
-    The third is answered as equal tame symbols' exponents are summed before a power."""
+    The third is answered as equal tame symbols' exponents are summed before a power,
+    the fourth as 9 and 1/9, and 5 and 1/5, share a key: in the order given, the
+    running product would pass 9^16384 * 5^10000, about 75,000 bits."""
     start = time.perf_counter()
     result = invoke("commutator", "--type", "A1", "--m", m, "--points", points)
     assert time.perf_counter() - start < 2.0
@@ -523,10 +544,11 @@ def _dimension_plus_one(monkeypatch):
     ids=["count", "denominator", "multiplicity", "weyl-dimension", "dimension-sum"])
 def test_mult_self_checks_are_exit_code_3(monkeypatch, fault, message):
     """Each self-check of the one pass over a highest weight still stops mult
-    with exit code 3 and its own message.  --highest 3/2 in simple-root
-    coordinates has label 3: its weights have labels 3, 1, -1, -3,
-    Freudenthal gives m(1) = 6/6, and Weyl's formula 4/1."""
-    argv = ("mult", "--type", "A1", "--N", "1", "--highest", "3/2")
+    with exit code 3 and its own message.  At --N 2 the dual of SL2 is SL2,
+    where --highest 3/2 in simple-root coordinates is a character of label 3:
+    its weights have labels 3, 1, -1, -3, Freudenthal gives m(1) = 6/6, and
+    Weyl's formula 4/1."""
+    argv = ("mult", "--type", "A1", "--N", "2", "--highest", "3/2")
     assert invoke(*argv)[0] == 0  # warm: the Weyl group orders are cached
     fault(monkeypatch)
     assert invoke(*argv) == (3, "", f"error: internal check failed: {message}\n")
@@ -830,6 +852,44 @@ def test_result_writer_matches_json_dumps():
         for value in misses:
             with pytest.raises(KeyError):
                 cli._rows(value, "\n  ")
+    # a Lattice at depth 1-3 is written as its rows of str(Fraction(x, den)), and a
+    # cache hit (the second write) as a miss (the first)
+    cli._lattice_json.cache_clear()
+    for _ in range(200):
+        lat = _random_lattice(rng)
+        rows = [[str(Fraction(x, lat.den)) for x in row] for row in lat.rows]
+        value, twin = lat, rows
+        for _ in range(rng.randint(1, 3)):
+            key = _random_text(rng)
+            value, twin = ({key: value}, {key: twin}) if rng.random() < 0.5 else \
+                ([7, value], [7, twin])
+        expected = json.dumps(twin, sort_keys=True, indent=2, ensure_ascii=False)
+        assert cli._json(value) == expected, twin
+        assert cli._json(value) == expected, twin
+    assert cli._lattice_json.cache_info().hits >= 200
+
+
+def test_the_lattice_text_cache_is_bounded():
+    """At most root_datum's bound of (lattice, indent) texts are kept, each of a
+    lattice of rank at most 16; a larger one is written as well but not kept."""
+    assert cli._lattice_json.cache_info().maxsize == \
+        root_data.root_datum.cache_info().maxsize == 256
+    cli._lattice_json.cache_clear()
+    for rank, kept in [(16, 1), (17, 1)]:  # the rank-16 text only
+        lat = Lattice.from_int_rows(2, [[2 * (i == j) + (j == 0) for j in range(rank)]
+                                        for i in range(rank)])
+        rows = [[str(Fraction(x, lat.den)) for x in row] for row in lat.rows]
+        assert cli._json([lat]) == json.dumps([rows], indent=2)
+        assert cli._lattice_json.cache_info().currsize == kept
+
+
+def _random_lattice(rng):
+    """A full-rank lattice of rank 1-6 over a random denominator, negative entries too."""
+    rank = rng.randint(1, 6)
+    while True:
+        rows = [[rng.randint(-9, 9) for _ in range(rank)] for _ in range(rank)]
+        if oracles.dense_det_int(rows):
+            return Lattice.from_int_rows(rng.choice([1, 2, 3, 4, 6, 12]), rows)
 
 
 def _rational_text(rng) -> str:

@@ -11,7 +11,7 @@ import oracles
 from oracles import (basis_coordinate_matrix, basis_coordinates, congruence_kernel,
                      dense_det_int, dense_mat_mul, dual_lattice_by_smith,
                      invariant_factors_by_minors, lattice_index_by_gauss, smith_normal_form)
-from loopdual import lattice
+from loopdual import lattice, root_data
 from loopdual.cli import run
 from loopdual.lattice import (
     Lattice,
@@ -283,29 +283,25 @@ def test_congruence_kernel_against_residue_scan():
 
 
 def test_mat_inv_roundtrip():
+    """mat_inv gives D = |det| and integer rows with mat @ rows == rows @ mat == D * I,
+    rows / D being the Smith-form inverse of the oracle."""
     rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(1, 5)
+    for n_max, bound in [(5, 6)] * 20 + [(4, 60)] * 20:
+        n = rng.randint(1, n_max)
         while True:
-            rows = _rand_int_matrix(rng, n, n, -6, 6)
+            rows = _rand_int_matrix(rng, n, n, -bound, bound)
             if det_int(rows) != 0:
                 break
-        inv = mat_inv(rows)
-        assert mat_mul(rows, inv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        assert inv == oracles.mat_inv(rows)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        while True:
-            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
-                    for _ in range(n)]
-            if det_int([[x * 720 for x in row] for row in rows]) != 0:
-                break
-        inv = mat_inv(rows)
-        assert inv == oracles.mat_inv(rows)
-        assert all(type(x) is Fraction for row in inv for x in row)
-        assert mat_mul(inv, rows) == identity_matrix(n)
-    with pytest.raises(ValueError):
-        mat_inv([[1, 2, 3], [4, 5, 6], [Fraction(5, 2), Fraction(7, 2), Fraction(9, 2)]])
+        d, inv = mat_inv(rows)
+        assert d == abs(dense_det_int(rows))
+        assert all(type(x) is int for row in inv for x in row)
+        scaled = [[d * int(i == j) for j in range(n)] for i in range(n)]
+        assert mat_mul(rows, inv) == mat_mul(inv, rows) == scaled
+        assert [[Fraction(x, d) for x in row] for row in inv] == oracles.mat_inv(rows)
+    with pytest.raises(ValueError, match="singular"):
+        mat_inv([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
+    with pytest.raises(ValueError, match="entry 5/2 is not an integer"):
+        mat_inv([[1, 2, 3], [4, 5, 6], [Fraction(5, 2), Fraction(7, 2), 4]])
 
 
 def test_coordinates_are_ints_on_the_lattice_and_none_off_it():
@@ -646,3 +642,17 @@ def test_invariant_factor_product_check_fires(monkeypatch):
                out=io.StringIO(), err=err) == 3
     assert "internal check failed: invariant factors do not multiply to the determinant" \
         in err.getvalue()
+
+
+def test_mat_inv_exactness_check_fires(monkeypatch):
+    # a determinant one too large: |det| times the inverse is no longer integral
+    real = lattice.det_int
+    monkeypatch.setattr(lattice, "det_int", lambda mat: abs(real(mat)) + 1)
+    with pytest.raises(ArithmeticError, match="times the inverse is not integral"):
+        mat_inv([[2, 1], [1, 2]])
+    for cache in (root_data.root_datum, root_data.weight_lattice, root_data._coweight_lattice,
+                  root_data._inverse_cartan):  # so that the query inverts A3 afresh
+        cache.cache_clear()
+    err = io.StringIO()
+    assert run(["dual", "--type", "A3", "--N", "2"], out=io.StringIO(), err=err) == 3
+    assert "internal check failed: |det| times the inverse is not integral" in err.getvalue()

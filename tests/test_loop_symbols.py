@@ -179,6 +179,27 @@ def test_torus_commutator_rank_one():
         torus_commutator(psl2, 1, [(half, t)], [(half, t)])
 
 
+def test_torus_commutator_cancels_a_symbol_against_its_inverse():
+    """Over Q a tame symbol s and 1/s share one key: on SL2, where (a, b) = 2ab,
+    random points whose symbols come with their inverses, signs and -1 included,
+    give the product of tame_symbol ** (2 * m * a * b) taken in order."""
+    rng = random.Random(8191)
+    sl2 = build_datum("A1", "sc")
+    for _ in range(200):
+        level = rng.randint(1, 3)
+        x1 = [((rng.randint(-2, 2),), parse_series(rng.choice(["t", "t^2", "-t", "1/2*t"])))
+              for _ in range(rng.randint(1, 2))]
+        values = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in range(rng.randint(1, 3))]
+        x2 = [((rng.randint(-3, 3),), parse_series(str(v if rng.random() < 0.5 else 1 / v)))
+              for v in values for _ in range(rng.randint(1, 2))]
+        expected = Fraction(1)
+        for (a,), f in x1:
+            for (b,), g in x2:
+                expected *= tame_symbol(f, g) ** (2 * level * a * b)
+        assert torus_commutator(sl2, level, x1, x2) == expected
+
+
 def test_torus_commutator_prime_field_and_laws():
     psl2 = build_datum("A1", "adjoint")
     f7 = PrimeField(7)

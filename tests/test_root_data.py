@@ -24,8 +24,8 @@ from loopdual.root_data import (
     root_lattice,
     weight_lattice,
 )
-from oracles import (all_isogenies, dual_lattice_by_smith, iota, lattice_index_by_gauss, mat_inv,
-                     pairing_numerator, root_closure, two_rho)
+from oracles import (all_isogenies, dense_det_int, dual_lattice_by_smith, iota,
+                     lattice_index_by_gauss, mat_inv, pairing_numerator, root_closure, two_rho)
 from oracles import reflection_sum as dense_reflection_sum
 
 ALL_TYPES = (
@@ -468,9 +468,13 @@ def test_a_character_lattice_without_the_roots_is_refused_before_dualising():
                          ids=str)
 def test_inverse_cartan_matches_the_smith_oracle(t):
     a = cartan_matrix(t)
-    inv = [list(row) for row in root_data._inverse_cartan(t)]
+    d, rows = root_data._inverse_cartan(t)
+    inv = [[Fraction(x, d) for x in row] for row in rows]
+    assert d == abs(dense_det_int(a))
     assert inv == mat_inv(a)
     assert [list(fundamental_weight(t, i)) for i in range(t.rank)] == inv
+    assert weight_lattice(t) == Lattice(inv)
+    assert root_data._coweight_lattice(t) == Lattice(transpose(inv))
 
 
 def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatch):
