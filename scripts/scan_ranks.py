@@ -1,15 +1,16 @@
-"""Time `dual` and `extensions` on every A-D root datum up to MAX_RANK, one fresh
-process per call.
+"""Time `dual`, `extensions` and `mult` on every A-D root datum up to MAX_RANK, one
+fresh process per call.
 
 For each type A1..A128, B2..B128, C2..C128 and D3..D128 (root_data.MAX_RANK) and
 each isogeny that build_datum names for it (sc, adjoint, and so for series B and
 for series D of odd rank), plus the mu2 quotient of every A_(2m-1) (one generator
 row 1/2, 0, 1/2, ..., 1/2), it runs `dual --N n` for n in 1, 2, 3, 4, 6 and
-`extensions`.  Every call is a new Python process, so nothing is cached between
-calls, and is killed after BOUND_S seconds.  Calls run one at a time, so none
-slows another.  The wall time includes interpreter start and import.  It prints
-the SLOWEST (10) slowest calls and every call that failed or went over the bound,
-and exits 1 if there was one.
+`extensions`, and `mult --N 1` on omega_1 of the dual group when the `dual --N 1`
+call shows omega_1 to be a character of it, in its lattice X.  Every call is a
+new Python process, so nothing is cached between calls, and is killed after
+BOUND_S seconds.  Calls run one at a time, so none slows another.  The wall time
+includes interpreter start and import.  It prints the SLOWEST (10) slowest calls
+and every call that failed or went over the bound, and exits 1 if there was one.
 
     python3 scripts/scan_ranks.py
 """
@@ -26,7 +27,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from loopdual.root_data import MAX_RANK  # noqa: E402
+from loopdual.lattice import Lattice, lattice_member  # noqa: E402
+from loopdual.root_data import MAX_RANK, CartanType, fundamental_weight  # noqa: E402
 
 ORDERS = (1, 2, 3, 4, 6)
 BOUND_S = 3.0
@@ -52,34 +54,50 @@ def data():
                 yield t, mu2_row(rank)
 
 
-def calls():
+def dual_omega1(stdout: bytes) -> str | None:
+    """omega_1 of the dual group that a `dual` call printed, as a --highest value,
+    or None when it is not in that group's character lattice."""
+    result = json.loads(stdout)["result"]
+    omega = fundamental_weight(CartanType.parse(result["dual_type"]), 0)
+    return ",".join(map(str, omega)) if lattice_member(omega, Lattice(result["dual_lattice"])) \
+        else None
+
+
+def scan():
+    """(wall seconds, exit code or None, argv) of every call, in order."""
     for t, isogeny in data():
         for n in ORDERS:
-            yield ["dual", "--type", t, "--isogeny", isogeny, "--N", str(n)]
-        yield ["extensions", "--type", t, "--isogeny", isogeny]
+            seconds, code, argv, out = timed(["dual", "--type", t, "--isogeny", isogeny,
+                                              "--N", str(n)])
+            yield seconds, code, argv
+            if n == 1 and code == 0 and (omega := dual_omega1(out)):
+                yield timed(["mult", "--type", t, "--isogeny", isogeny, "--N", "1",
+                             "--highest", omega])[:3]
+        yield timed(["extensions", "--type", t, "--isogeny", isogeny])[:3]
 
 
 def timed(argv):
-    """(wall seconds, exit code or None if killed at the bound, argv)."""
+    """(wall seconds, exit code or None if killed at the bound, argv, stdout)."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     start = time.perf_counter()
     try:
         proc = subprocess.run([sys.executable, "-c", "from loopdual.cli import main; main()",
                                *argv], capture_output=True, timeout=BOUND_S, env=env)
-        code = proc.returncode
+        code, out = proc.returncode, proc.stdout
     except subprocess.TimeoutExpired:
-        code = None
-    return time.perf_counter() - start, code, argv
+        code, out = None, b""
+    return time.perf_counter() - start, code, argv, out
 
 
 def label(argv) -> str:
-    """argv with a generator row shortened to its name."""
-    return " ".join("mu2-row" if arg.startswith("[") else arg for arg in argv)
+    """argv with a generator row shortened to its name and a highest weight to omega1."""
+    return " ".join("mu2-row" if arg.startswith("[") else "omega1" if prev == "--highest"
+                    else arg for prev, arg in zip([None, *argv], argv))
 
 
 def main() -> None:
     start = time.perf_counter()
-    results = [timed(argv) for argv in calls()]
+    results = list(scan())
     bad = [r for r in results if r[1] != 0]
     print(f"{len(results)} calls, max rank {MAX_RANK}, bound {BOUND_S} s, "
           f"{time.perf_counter() - start:.0f} s in all")

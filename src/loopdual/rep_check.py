@@ -22,7 +22,7 @@ from .central_ext import monodromy_modulus
 from .dynkin import group_name, recognize_cartan_matrix
 from .lattice import det_int, identity_matrix, numerators_member, transpose, vector_text
 from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_norms,
-                        dual_coxeter, positive_root_system)
+                        dual_coxeter, positive_root_labels)
 from .twisted_dual import local_denominators
 
 # Most dominant weights a highest weight may have before the weight work on
@@ -43,10 +43,11 @@ class _Engine:
         if any(d[j] * pairings[j][i] != d[i] * pairings[i][j]
                for i in range(r) for j in range(r)):
             raise ArithmeticError("invariant form is not symmetric")
-        # (root coordinates b, labels, coef with (x, beta) = sum_j coef_j x_j)
-        self.roots = [(b, tuple(sum(p * x for p, x in zip(row, b)) for row in pairings),
+        # (root coordinates b, labels, coef with (x, beta) = sum_j coef_j x_j), from the
+        # one pass per Cartan matrix that root_data.reflection_sum reads too
+        self.roots = [(b, tuple(labels.get(j, 0) for j in range(r)),
                        tuple(x * dj for x, dj in zip(b, d)))
-                      for b, _ in positive_root_system(tuple(zip(*pairings)))]
+                      for b, (_, labels) in positive_root_labels(tuple(zip(*pairings))).items()]
         if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
             raise ArithmeticError("half-sum of positive roots is off")
         self.columns = [[(j, row[i]) for j, row in enumerate(pairings) if row[i]]
@@ -99,7 +100,7 @@ class _Engine:
                     left -= near
                     stack.extend(near)
                 sub = tuple(tuple(self.pairings[i][j] for j in comp) for i in comp)
-                top = max((b for b, _ in positive_root_system(sub)), key=sum)
+                top = max(positive_root_labels(sub), key=sum)
                 order *= factorial(len(comp)) * prod(top) * det_int(sub)
             self.orders[nodes] = order
         return self.orders[nodes]
@@ -188,32 +189,34 @@ class _Engine:
 _engine = lru_cache(maxsize=64)(_Engine)
 
 
+def _exact(num: int, den: int):
+    """num / den, an int where it is an integer and a Fraction otherwise."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 class WeightSystem:
     """A root system acting on an ambient rational weight space, with simple
-    roots delta_i * e_i for positive integers delta_i."""
+    roots delta_i * e_i for positive integers delta_i.  It keeps integers only:
+    delta, the coroot functionals as integer rows over one scale, and the
+    engine of its Cartan matrix."""
 
     def __init__(self, simple_roots, coroot_functionals):
-        self.simple_roots = tuple(tuple(Fraction(x) for x in r) for r in simple_roots)
-        self.functionals = tuple(tuple(Fraction(x) for x in f) for f in coroot_functionals)
-        self.rank = r = len(self.simple_roots)
-        if r == 0 or r != len(self.functionals) or len(self.simple_roots[0]) != r:
+        roots = tuple(tuple(Fraction(x) for x in root) for root in simple_roots)
+        functionals = tuple(tuple(Fraction(x) for x in f) for f in coroot_functionals)
+        self.rank = r = len(roots)
+        if r == 0 or r != len(functionals) or len(roots[0]) != r:
             raise ValueError("need as many independent simple roots as functionals")
-        self.delta = tuple(int(sum(root)) for root in self.simple_roots)
-        if min(self.delta) <= 0 or self.simple_roots != tuple(
+        self.delta = tuple(int(sum(root)) for root in roots)
+        if min(self.delta) <= 0 or roots != tuple(
                 tuple(d * (i == j) for j in range(r)) for i, d in enumerate(self.delta)):
             raise ValueError("simple roots must be delta_i * e_i with integers delta_i > 0")
-        pairings = [[self.pairing(i, root) for root in self.simple_roots] for i in range(r)]
+        # the functionals as integer rows over one scale; F_i(delta_j * e_j) from them
+        self._scale = lcm(*(x.denominator for f in functionals for x in f))
+        self._rows = tuple(tuple(int(x * self._scale) for x in f) for f in functionals)
+        pairings = tuple(tuple(_exact(x * d, self._scale) for x, d in zip(row, self.delta))
+                         for row in self._rows)
         recognize_cartan_matrix(pairings)  # refuses affine and indefinite ones up front
-        self._engine = _engine(tuple(tuple(map(int, row)) for row in pairings))
-        self._scale = lcm(*(x.denominator for f in self.functionals for x in f))
-        self._rows = tuple(tuple(int(x * self._scale) for x in f) for f in self.functionals)
-        self.positive_roots = tuple(sorted(self._below((Fraction(0),) * r, [-x for x in b])
-                                           for b, _, _ in self._engine.roots))
-        self.rho = tuple(sum(col) / 2 for col in zip(*self.positive_roots))
-
-    def pairing(self, i: int, vec) -> Fraction:
-        """Value of the i-th coroot functional on a weight vector."""
-        return sum(f * Fraction(x) for f, x in zip(self.functionals[i], vec))
+        self._engine = _engine(pairings)
 
     def _below(self, top, depth):
         """top - delta * depth entry by entry."""
@@ -224,8 +227,8 @@ class WeightSystem:
         denominators, and a label is an int where it is an integer."""
         den = lcm(*(x.denominator for x in vec))
         top = tuple(x.numerator * (den // x.denominator) for x in vec)
-        scale, labels = self._scale * den, (sum(map(mul, row, top)) for row in self._rows)
-        return den, top, tuple(x // scale if x % scale == 0 else Fraction(x, scale) for x in labels)
+        scale = self._scale * den
+        return den, top, tuple(_exact(sum(map(mul, row, top)), scale) for row in self._rows)
 
     def _read(self, lam):
         """_labels of a dominant integral weight, read with no Fraction."""

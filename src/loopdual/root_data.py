@@ -23,9 +23,10 @@ Conventions used across the package:
   twisted_dual's duals by class.  How the caller named X (an isogeny label) is
   not part of it, so B3 "so" and "adjoint" share one record; explicit
   generator rows are keyed to their X.
-* cartan_symmetrizer, positive_root_system and positive_root_labels take a bare integer
-  Cartan matrix, for dynkin and rep_check too.  Positive roots grow by height under
-  simple reflections, once per matrix; the negative ones are their negations.
+* cartan_symmetrizer and positive_root_labels take a bare integer Cartan matrix, for
+  dynkin and rep_check too.  Positive roots grow by height under simple reflections,
+  in one pass per matrix that reflection_sum and rep_check's engine both read; the
+  negative ones are their negations.
 """
 
 from __future__ import annotations
@@ -155,13 +156,6 @@ def coroot_norms(t: CartanType) -> tuple[int, ...]:
     if any(x.denominator != 1 or int(x) not in (1, 2, 3) for x in cs):
         raise ArithmeticError("coroot norms must be 1, 2 or 3")
     return tuple(int(x) for x in cs)
-
-
-@lru_cache(maxsize=None)
-def positive_root_system(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The positive (root, coroot) pairs of the Cartan matrix a (integer row
-    tuples), sorted."""
-    return tuple(sorted((root, coroot) for root, (coroot, _) in positive_root_labels(a).items()))
 
 
 @lru_cache(maxsize=None)

@@ -28,11 +28,15 @@ simple root in Fractions, where the package subtracts delta * depth from
 integer numerators.  Laurent series arithmetic lives only here: the constant
 term of (-1)**(a*b) * g**a / f**b rechecks the tame symbol, which reads only
 valuations and leading coefficients.  Reflections, root coordinates, iota and
-dominant conjugates are recomputed from simple roots and pairings.  The helpers
-that enumerate weight classes and isogenies (and 2-rho), and the rescaled
-coroot system of a datum, serve only tests.
+dominant conjugates are recomputed from simple roots and pairings.  A weight
+system's simple roots, positive roots, rho and coroot pairings are rebuilt from
+its delta and functionals, the roots by root_closure of its Cartan matrix, so
+Kostant's partition function shares no root list with the package's engine.
+The helpers that enumerate weight classes and isogenies (and 2-rho), and the
+rescaled coroot system of a datum, serve only tests.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
@@ -104,21 +108,55 @@ def iota(t: CartanType, yvec) -> tuple[Fraction, ...]:
     return tuple(Fraction(c * y) for c, y in zip(coroot_norms(t), yvec))
 
 
+class RootSystem(namedtuple("RootSystem", "simple_roots functionals positive_roots rho")):
+    """The roots of a WeightSystem rebuilt from its definition alone: simple roots
+    delta_i * e_i and the coroot functionals in Fraction, the positive roots from
+    root_closure of its Cartan matrix scaled by delta, and rho their half-sum."""
+
+    __slots__ = ()
+
+    def pairing(self, i: int, vec) -> Fraction:
+        """<coroot_i, vec>, the i-th functional on an ambient vector."""
+        return sum(f * Fraction(x) for f, x in zip(self.functionals[i], vec))
+
+
+@lru_cache(maxsize=None)
+def root_system(ws) -> RootSystem:
+    """The RootSystem of a WeightSystem, from its delta and its functional rows
+    over their common scale, never from the engine's root list."""
+    r = ws.rank
+    functionals = tuple(tuple(Fraction(x, ws._scale) for x in row) for row in ws._rows)
+    simple = tuple(tuple(Fraction(d * (i == j)) for j in range(r)) for i, d in enumerate(ws.delta))
+    # a[i][j] = <coroot_j, root_i>, as root_closure reads a Cartan matrix
+    a = [[sum(f * x for f, x in zip(functionals[j], simple[i])) for j in range(r)]
+         for i in range(r)]
+    if any(x.denominator != 1 for row in a for x in row):
+        raise ArithmeticError("the functionals do not pair integrally with the simple roots")
+    a = tuple(tuple(int(x) for x in row) for row in a)
+    positive = tuple(sorted(tuple(Fraction(d * b) for d, b in zip(ws.delta, root))
+                            for root, _ in root_closure(a) if min(root) >= 0))
+    rho = tuple(sum(col) / 2 for col in zip(*positive))
+    return RootSystem(simple, functionals, positive, rho)
+
+
 def reflect(ws, i: int, vec) -> tuple[Fraction, ...]:
     """s_i(vec) = vec - <coroot_i, vec> * root_i of a WeightSystem."""
-    c = ws.pairing(i, vec)
-    return tuple(Fraction(x) - c * r for x, r in zip(vec, ws.simple_roots[i]))
+    system = root_system(ws)
+    c = system.pairing(i, vec)
+    return tuple(Fraction(x) - c * r for x, r in zip(vec, system.simple_roots[i]))
 
 
 def root_coordinates(ws, vec) -> tuple[Fraction, ...]:
     """vec in the basis of the simple roots delta_i * e_i of a WeightSystem."""
-    return tuple(Fraction(x) / root[i] for i, (x, root) in enumerate(zip(vec, ws.simple_roots)))
+    return tuple(Fraction(x) / root[i]
+                 for i, (x, root) in enumerate(zip(vec, root_system(ws).simple_roots)))
 
 
 def dominant_conjugate(ws, vec) -> tuple[Fraction, ...]:
     """The dominant weight of vec's Weyl orbit, by simple reflections."""
+    pairing = root_system(ws).pairing
     vec = tuple(Fraction(x) for x in vec)
-    while (i := next((i for i in range(ws.rank) if ws.pairing(i, vec) < 0), None)) is not None:
+    while (i := next((i for i in range(ws.rank) if pairing(i, vec) < 0), None)) is not None:
         vec = reflect(ws, i, vec)
     return vec
 
@@ -201,7 +239,8 @@ def rescaled_coroot_system(datum: RootDatum, order: int) -> WeightSystem:
 def below(ws, top, depth) -> tuple[Fraction, ...]:
     """top - sum_j depth_j * simple_root_j of a WeightSystem, in ambient
     coordinates, summed over every simple root in Fractions."""
-    return tuple(Fraction(x) - sum(c * r[a] for c, r in zip(depth, ws.simple_roots) if c)
+    simple = root_system(ws).simple_roots
+    return tuple(Fraction(x) - sum(c * r[a] for c, r in zip(depth, simple) if c)
                  for a, x in enumerate(top))
 
 
@@ -264,9 +303,10 @@ def partition_counter(positive_roots):
 
 def kostant_multiplicity(ws, lam, mu) -> int:
     """Multiplicity of mu in L(lam) by the Kostant alternating sum."""
-    lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, ws.rho))
-    mu_rho = tuple(Fraction(a) + b for a, b in zip(mu, ws.rho))
-    counter = partition_counter(ws.positive_roots)
+    system = root_system(ws)
+    lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, system.rho))
+    mu_rho = tuple(Fraction(a) + b for a, b in zip(mu, system.rho))
+    counter = partition_counter(system.positive_roots)
     total = 0
     for mat, sign in weyl_group_with_signs(ws).items():
         target = tuple(a - b for a, b in zip(apply_matrix(mat, lam_rho), mu_rho))
@@ -300,16 +340,16 @@ def character_by_kostant(ws, lam):
     """Weight -> multiplicity map of L(lam): Kostant multiplicities of the
     dominant weights lam - sum_j c_j alpha_j, c inside the box of lam minus
     its lowest weight (its W-image of least height), spread over W-orbits."""
-    lam = tuple(Fraction(x) for x in lam)
+    lam, system = tuple(Fraction(x) for x in lam), root_system(ws)
     group = weyl_group_with_signs(ws)
     lowest = min((apply_matrix(mat, lam) for mat in group),
                  key=lambda v: sum(root_coordinates(ws, v)))
     bounds = root_coordinates(ws, tuple(a - b for a, b in zip(lam, lowest)))
     out = {}
     for depth in product(*(range(int(b) + 1) for b in bounds)):
-        mu = tuple(x - sum(c * root[a] for c, root in zip(depth, ws.simple_roots))
+        mu = tuple(x - sum(c * root[a] for c, root in zip(depth, system.simple_roots))
                    for a, x in enumerate(lam))
-        if any(ws.pairing(i, mu) < 0 for i in range(ws.rank)):
+        if any(system.pairing(i, mu) < 0 for i in range(ws.rank)):
             continue
         mult = kostant_multiplicity(ws, lam, mu)
         for mat in group if mult else ():

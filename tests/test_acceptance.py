@@ -16,8 +16,8 @@ import pytest
 
 import conftest
 from oracles import (all_isogenies, dominant_conjugate, iota, kostant_multiplicity,
-                     nonintegral_pair, pairing_numerator, reflection_sum, series_mul, series_neg,
-                     series_sub)
+                     nonintegral_pair, pairing_numerator, reflection_sum, root_system, series_mul,
+                     series_neg, series_sub)
 from loopdual.central_ext import commutator_denominator, commutator_value
 from loopdual.cli import run
 from loopdual.lattice import lattice_member
@@ -281,7 +281,7 @@ def test_criterion_08_multiplicity_one():
                     for i, x in enumerate(row):
                         vec[i] += c * x
                 lam = dominant_conjugate(ws, vec)
-                if all(ws.pairing(i, lam) <= cap for i in range(dual.rank)):
+                if all(root_system(ws).pairing(i, lam) <= cap for i in range(dual.rank)):
                     return lam
 
         for _ in range(10):

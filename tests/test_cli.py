@@ -199,6 +199,23 @@ class TestMultCommand:
                               "--highest", "1,1,1/2,1/2")
         assert code == 1 and "not a character of PSO8" in err, err
 
+    def test_standard_representation_at_rank_64(self):
+        """The dual of PGL65 at N = 1 is SL65, and omega_1 is its standard
+        representation: the 65 weights omega_1 - (alpha_1 + ... + alpha_k) for
+        k = 0..64, each once, built here from fractions."""
+        omega = [Fraction(64 - j, 65) for j in range(64)]
+        expected = {tuple(x - (j < k) for j, x in enumerate(omega)): 1 for k in range(65)}
+        start = time.perf_counter()
+        code, out, _ = invoke("mult", "--type", "A64", "--isogeny", "adjoint", "--N", "1",
+                              "--highest", ",".join(map(str, omega)))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        result = payload(out)["result"]
+        assert result["dual_type"] == "A64" and result["dim"] == 65
+        assert len(result["weights"]) == 65
+        assert {tuple(map(Fraction, vec)): mult for vec, mult in result["weights"]} == expected
+        assert elapsed < 2.0
+
     def test_rejects_non_dominant(self):
         code, _, err = invoke("mult", "--type", "A2", "--isogeny", "sc",
                               "--N", "1", "--highest", "-1,0")

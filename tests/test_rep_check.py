@@ -33,8 +33,8 @@ from loopdual.root_data import build_datum, cartan_matrix, fundamental_weight
 from loopdual.twisted_dual import local_denominators, twisted_dual
 
 from oracles import (below, character_by_kostant, dominant_conjugate, kostant_multiplicity,
-                     rescaled_coroot_system, root_closure, root_coordinates, tensor_by_peeling,
-                     weyl_group_with_signs)
+                     rescaled_coroot_system, root_closure, root_coordinates, root_system,
+                     tensor_by_peeling, weyl_group_with_signs)
 
 
 def source_system(name):
@@ -91,15 +91,17 @@ class TestWeightSystemBasics:
 
     def test_rank_one_weights(self):
         ws = WeightSystem([(2,)], [(1,)])
-        assert ws.positive_roots == ((Fraction(2),),)
-        assert ws.rho == (Fraction(1),)
+        assert root_system(ws).positive_roots == ((Fraction(2),),)
+        assert root_system(ws).rho == (Fraction(1),)
+        assert ws._engine.roots == [((1,), (2,), (1,))]  # root, label, coefficient
         assert ws.weyl_dimension((4,)) == 5
         assert [multiplicity(ws, (4,), (b,)) for b in range(4, -5, -1)] == [
             1, 0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_positive_root_counts(self):
         for name, count in [("A2", 3), ("B2", 4), ("G2", 6), ("A3", 6)]:
-            assert len(source_system(name).positive_roots) == count
+            assert len(root_system(source_system(name)).positive_roots) == count
+            assert len(source_system(name)._engine.roots) == count
 
     def test_rejects_bad_highest_weights(self):
         ws = source_system("A2")
@@ -158,7 +160,7 @@ class TestDimensionsAndMultiplicities:
     def test_adjoint_highest_weight_is_a_root(self):
         ws = source_system("A2")
         lam = add(fw("A2", 0), fw("A2", 1))
-        assert lam in set(ws.positive_roots)
+        assert lam in set(root_system(ws).positive_roots)
         assert multiplicity(ws, lam, lam) == 1
 
     def test_dominant_weight_enumeration(self):
@@ -230,17 +232,19 @@ class TestTensorProducts:
 class TestRescaledCorootSystems:
     def test_sl2_order_two(self):
         ws = rescaled_coroot_system(build_datum("A1", "sc"), 2)
-        assert ws.simple_roots == ((Fraction(2),),)
+        assert ws.delta == (2,) and root_system(ws).simple_roots == ((Fraction(2),),)
         assert ws.weyl_dimension((2,)) == 3  # the string 2, 0, -2
         assert multiplicity(ws, (2,), (0,)) == 1
         assert multiplicity(ws, (2,), (1,)) == 0
 
     def test_sp4_order_two(self):
         ws = rescaled_coroot_system(build_datum("C2", "sc"), 2)
-        assert ws.simple_roots == ((Fraction(1), Fraction(0)),
-                                   (Fraction(0), Fraction(2)))
-        for i, root in enumerate(ws.simple_roots):
-            assert ws.pairing(i, root) == 2
+        system = root_system(ws)
+        assert ws.delta == (1, 2)
+        assert system.simple_roots == ((Fraction(1), Fraction(0)),
+                                       (Fraction(0), Fraction(2)))
+        for i, root in enumerate(system.simple_roots):
+            assert system.pairing(i, root) == 2
 
     def test_weyl_dimension_counts_rescaled_string(self):
         ws = rescaled_coroot_system(build_datum("A1", "adjoint"), 3)
@@ -328,8 +332,9 @@ class TestOperationWrappers:
 def test_rescaled_system_has_dual_root_count(name, isogeny, order):
     datum = build_datum(name, isogeny)
     dual_type = twisted_dual(datum, order).dual.cartan_type
-    assert 2 * len(rescaled_coroot_system(datum, order).positive_roots) == \
-        len(root_closure(cartan_matrix(dual_type)))
+    ws = rescaled_coroot_system(datum, order)
+    count = len(root_closure(cartan_matrix(dual_type)))
+    assert 2 * len(root_system(ws).positive_roots) == 2 * len(ws._engine.roots) == count
 
 
 def weight(name, coeffs):
@@ -357,15 +362,16 @@ def test_freudenthal_matches_kostant_on_rescaled_systems(name, isogeny, order):
     datum = build_datum(name, isogeny)
     assert max(local_denominators(datum, order)) > 1
     ws = rescaled_coroot_system(datum, order)
-    highest_root = max(ws.positive_roots, key=lambda v: sum(root_coordinates(ws, v)))
-    for lam in (ws.rho, highest_root, add(ws.rho, highest_root)):
+    system = root_system(ws)
+    highest_root = max(system.positive_roots, key=lambda v: sum(root_coordinates(ws, v)))
+    for lam in (system.rho, highest_root, add(system.rho, highest_root)):
         assert_freudenthal_matches_kostant(ws, lam)
 
 
 @pytest.mark.parametrize("name,order,node", [("A1", 2, 0), ("C2", 2, 1), ("G2", 3, 1)])
 def test_freudenthal_matches_kostant_on_rank_one_lines(name, order, node):
     line = rank_one_line_system(build_datum(name, "sc"), order, node)
-    delta = int(line.simple_roots[0][0])
+    delta = int(root_system(line).simple_roots[0][0])
     assert delta > 1
     for a in (delta, 2 * delta, 5 * delta):
         for b in range(a, -a - 1, -1):
@@ -406,7 +412,7 @@ def test_dominant_weights_fill_the_depth_box(name, coeffs):
     box = []
     for depth in product(*(range(int(b) + 1) for b in bounds)):
         mu = tuple(x - c for x, c in zip(lam, depth))
-        if all(ws.pairing(i, mu) >= 0 for i in range(ws.rank)):
+        if all(root_system(ws).pairing(i, mu) >= 0 for i in range(ws.rank)):
             box.append((sum(depth), mu))
     assert ws.dominant_weights(lam) == [mu for _, mu in sorted(box)]
 
@@ -451,7 +457,7 @@ def test_integer_weights_match_the_fraction_oracle(name):
                 for key, (depth, mult) in engine.character(table, (0,) * ws.rank,
                                                            (1,) * ws.rank).items():
                     mu = below(ws, lam, depth)
-                    assert tuple(ws.pairing(i, mu) for i in range(ws.rank)) == key
+                    assert tuple(root_system(ws).pairing(i, mu) for i in range(ws.rank)) == key
                     expected[mu] = mult
                 assert got == expected, (name, isogeny, order, lam)
                 assert [tuple(Fraction(x, den) for x in mu) for mu in sorted(weights)] == \
