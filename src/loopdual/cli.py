@@ -31,10 +31,11 @@ from .central_ext import (
     char_assumption_ok,
     classify_extensions,
     commutator_denominator,
+    is_prime,
     monodromy_modulus,
 )
 from .lattice import Lattice, vector_text
-from .loop_symbols import MAX_PAIRS, QQ, PrimeField, parse_series, tame_symbol, torus_commutator
+from .loop_symbols import MAX_PAIRS, field_name, parse_series, tame_symbol, torus_commutator
 from .root_data import build_datum
 from .twisted_dual import (
     REFERENCE_FAMILIES,
@@ -144,14 +145,18 @@ def _vector_flag(text: str, flag: str) -> tuple[Fraction, ...]:
                          f"got {text!r}") from None
 
 
-def _field_flag(text: str, flag: str):
+def _field_flag(text: str, flag: str) -> int:
+    """The characteristic of the field Q or Fp: 0, or the prime p."""
     if text == "Q":
-        return QQ
+        return 0
     if text.startswith("F") and text[1:].isdigit():
         try:
-            return PrimeField(int(text[1:]))
+            p = int(text[1:])
+            if is_prime(p):
+                return p
         except ValueError as exc:
             raise UsageError(f"{flag}: {exc}") from None
+        raise UsageError(f"{flag}: {p} is not prime")
     raise UsageError(f"{flag} must be Q or Fp for a prime p, got {text!r}")
 
 
@@ -313,14 +318,14 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_symbol(args, out) -> int:
-    field = _field_flag(args.field, "--field")
+    p = _field_flag(args.field, "--field")
     try:
-        f = parse_series(args.f, field)
-        g = parse_series(args.g, field)
+        f = parse_series(args.f, p)
+        g = parse_series(args.g, p)
         value = str(tame_symbol(f, g))  # may exceed the int-to-str digit limit
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--f/--g: {exc}") from None
-    result = {"field": field.name, "value": value}
+    result = {"field": field_name(p), "value": value}
     print(_emit("symbol", {"field": args.field, "f": args.f, "g": args.g},
                 result, []), file=out)
     return 0
@@ -328,7 +333,7 @@ def _cmd_symbol(args, out) -> int:
 
 def _cmd_commutator(args, out) -> int:
     level = _int_flag(args.m, "--m")
-    field = _field_flag(args.field, "--field")
+    p = _field_flag(args.field, "--field")
     datum = _datum_flag(args)
     pair = _json_flag(args.points, "--points")
     if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, list) for x in pair):
@@ -345,7 +350,7 @@ def _cmd_commutator(args, out) -> int:
                                  "[cocharacter, series] pairs")
             coweight, text = item
             point.append((tuple(Fraction(str(x)) for x in coweight),
-                          parse_series(str(text), field)))
+                          parse_series(str(text), p)))
         return point
 
     try:
@@ -353,7 +358,7 @@ def _cmd_commutator(args, out) -> int:
                                      torus_point(pair[0]), torus_point(pair[1])))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--points/--m: {exc}") from None
-    result = {"field": field.name, "m": level, "value": value}
+    result = {"field": field_name(p), "m": level, "value": value}
     print(_emit("commutator", {"type": args.type, "isogeny": args.isogeny,
                                "m": args.m, "points": args.points},
                 result, []), file=out)

@@ -1,13 +1,13 @@
 """Parsed Laurent series, tame symbols, and loop-torus commutators.
 
-Series are exact: coefficients live in the rationals or in a prime field,
-and every series carries an explicit window of known coefficients, so
-truncation is tracked rather than silently ignored.  The tame symbol needs
-only valuations and leading coefficients and therefore stays exact no
-matter how short the window is.  A series here is a validated value and no
-more; the series arithmetic (products, inverses, powers) lives in
-tests/oracles.py, where the constant term of (-1)**(a*b) * g**a / f**b
-checks tame_symbol.
+Series are exact: coefficients live in the field of characteristic p, the
+rationals for p = 0 and the integers modulo a prime p otherwise.  The tame
+symbol reads only valuations and leading coefficients, so a parsed series is
+just those two: parse_series sums the terms of an expression exponent by
+exponent and keeps the lowest exponent whose sum is nonzero, with its
+coefficient, however far apart the exponents are.  The series arithmetic
+(products, inverses, powers) lives in tests/oracles.py, where the constant
+term of (-1)**(a*b) * g**a / f**b checks tame_symbol.
 """
 
 from __future__ import annotations
@@ -16,86 +16,25 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .central_ext import commutator_value, is_prime
+from .central_ext import commutator_value
 from .lattice import vector_text
 from .root_data import RootDatum
 
 
-class RationalField:
-    """Field tag for rational coefficients (elements are Fractions)."""
-
-    __slots__ = ()
-
-    name = "QQ"
-
-    def normalize(self, x) -> Fraction:
-        return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def __repr__(self) -> str:
-        return "QQ"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("QQ")
+def field_name(p: int) -> str:
+    """The name of the coefficient field of characteristic p: QQ or GF(p)."""
+    return f"GF({p})" if p else "QQ"
 
 
-QQ = RationalField()
-
-
-class PrimeField:
-    """Field tag for integers modulo a prime (elements are ints in [0, p))."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def name(self) -> str:
-        return f"GF({self.p})"
-
-    def normalize(self, x) -> int:
-        frac = Fraction(x)
-        if frac.denominator % self.p == 0:
-            raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-        return frac.numerator * pow(frac.denominator, -1, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def __repr__(self) -> str:
-        return self.name
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(("GF", self.p))
+def field_element(p: int, x):
+    """x in the field of characteristic p: a Fraction for p = 0, else an int in
+    [0, p); a denominator divisible by p raises ZeroDivisionError."""
+    q = Fraction(x)
+    if not p:
+        return q
+    if q.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+    return q.numerator * pow(q.denominator, -1, p) % p
 
 
 # Most bits, |n| * log2 max(|num|, den), of a rational power a**n before it
@@ -109,47 +48,23 @@ def _bits(q: Fraction) -> int:
     return (max(abs(q.numerator), q.denominator) - 1).bit_length()
 
 
-def field_power(field, a, n: int):
-    """a**n of a nonzero a in the field, by Python's built-in power, so an
-    exponent of any size costs its bit length in squarings.  Over the
-    rationals a power of more than MAX_POWER_BITS bits is refused with a
+def field_power(p: int, a, n: int):
+    """a**n of a nonzero a in the field of characteristic p, by Python's built-in
+    power, so an exponent of any size costs its bit length in squarings.  Over
+    the rationals a power of more than MAX_POWER_BITS bits is refused with a
     ValueError before it is computed; prime fields need no bound."""
-    if field == QQ:
-        q = Fraction(a)
-        if abs(n) * _bits(q) > MAX_POWER_BITS:
-            raise ValueError(f"({q})^{n} has more bits than the bound {MAX_POWER_BITS} "
-                             "(loop_symbols.MAX_POWER_BITS)")
-        return q ** n
-    return pow(a, n, field.p)
+    if p:
+        return pow(a, n, p)
+    q = Fraction(a)
+    if abs(n) * _bits(q) > MAX_POWER_BITS:
+        raise ValueError(f"({q})^{n} has more bits than the bound {MAX_POWER_BITS} "
+                         "(loop_symbols.MAX_POWER_BITS)")
+    return q ** n
 
 
-class LaurentSeries(namedtuple("LaurentSeries", "field valuation coeffs")):
-    """sum(coeffs[i] * t**(valuation+i)) + O(t**(valuation+len(coeffs))).
-
-    A nonzero series has coeffs[0] != 0; the zero series is the exact zero
-    with an empty coefficient window and valuation 0 by convention.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, field, valuation: int, coeffs: tuple):
-        if coeffs and field.is_zero(coeffs[0]):
-            raise ValueError("leading coefficient must be nonzero")
-        if not coeffs and valuation != 0:
-            raise ValueError("the zero series has valuation 0 by convention")
-        return super().__new__(cls, field, valuation, coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading_coefficient(self):
-        if not self.coeffs:
-            raise ValueError("the zero series has no leading coefficient")
-        return self.coeffs[0]
-
-    def _require_same_field(self, other: "LaurentSeries"):
-        if self.field != other.field:
-            raise ValueError(f"mixed coefficient fields {self.field} and {other.field}")
+# A parsed series over the field of characteristic p: its valuation and its leading
+# coefficient, with lead 0 and valuation 0 for the zero series.
+Series = namedtuple("Series", "p valuation lead")
 
 
 _TERM = re.compile(r"""
@@ -163,7 +78,8 @@ _TERM = re.compile(r"""
 _PREFIX = re.compile(r"^(?:(?P<t>t(?:\^(?P<exp>-?\d+))?)\*)?\((?P<body>.*)\)$")
 
 
-def _parse_terms(text: str, field) -> dict[int, object]:
+def _parse_terms(text: str, p: int) -> dict[int, object]:
+    """exponent: summed coefficient, each term reduced into the field as it is read."""
     terms: dict[int, object] = {}
     pos = 0
     while pos < len(text):
@@ -180,28 +96,14 @@ def _parse_terms(text: str, field) -> dict[int, object]:
             exponent = int(exp_text) if exp_text else 1
         else:
             exponent = 0
-        prev = terms.get(exponent, field.normalize(0))
-        terms[exponent] = field.add(prev, field.normalize(coeff))
+        terms[exponent] = field_element(p, terms.get(exponent, 0) + field_element(p, coeff))
         pos = m.end()
     return terms
 
 
-# Widest exponent span hi - lo of the nonzero terms of a parsed series; its
-# window holds hi - lo + 1 coefficients.  Every benchmark series spans at
-# most 7.
-MAX_SPAN = 10_000
-
-
-def parse_series(text: str, field=QQ, precision: int = 8) -> LaurentSeries:
-    """Parse expressions like "t^-2*(3 + 1/2*t + t^3)" or "2*t + t^4 - 1".
-
-    The result's window of known coefficients starts at its valuation and
-    has length at least the requested precision (longer when the expression
-    itself reaches further).  A span of exponents over MAX_SPAN is refused
-    with a ValueError before the window is built.
-    """
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
+def parse_series(text: str, p: int = 0) -> Series:
+    """Parse expressions like "t^-2*(3 + 1/2*t + t^3)" or "2*t + t^4 - 1" over
+    the field of characteristic p into their valuation and leading coefficient."""
     compact = re.sub(r"\s*([-+*()])\s*", r"\1", text.strip())
     if not compact:
         raise ValueError("empty series expression")
@@ -215,37 +117,27 @@ def parse_series(text: str, field=QQ, precision: int = 8) -> LaurentSeries:
         compact = m.group("body")
         if not compact:
             raise ValueError("empty series expression")
-    terms = _parse_terms(compact, field)
-    live = {e: c for e, c in terms.items() if not field.is_zero(c)}
+    live = {e: c for e, c in _parse_terms(compact, p).items() if c}
     if not live:
-        return LaurentSeries(field, 0, ())
+        return Series(p, 0, 0)
     lo = min(live)
-    hi = max(live)
-    if hi - lo > MAX_SPAN:
-        raise ValueError(f"exponents span {hi - lo}, over the bound {MAX_SPAN} "
-                         "(loop_symbols.MAX_SPAN)")
-    width = max(precision, hi - lo + 1)
-    window = [terms.get(lo + i, field.normalize(0)) for i in range(width)]
-    return LaurentSeries(field, lo + shift, tuple(window))
+    return Series(p, lo + shift, live[lo])
 
 
-def tame_symbol(f: LaurentSeries, g: LaurentSeries):
+def tame_symbol(f: Series, g: Series):
     """The tame symbol of two nonzero series, an element of the field.
 
     With a = val(f) and b = val(g) this is
     (-1)**(a*b) * lead(g)**a * lead(f)**(-b), the constant term of
     (-1)**(a*b) * g**a / f**b.
     """
-    if f.is_zero() or g.is_zero():
+    if not (f.lead and g.lead):
         raise ValueError("tame symbol needs invertible series")
-    f._require_same_field(g)
-    fld = f.field
-    a, b = f.valuation, g.valuation
-    out = field_power(fld, g.leading_coefficient(), a)
-    out = fld.mul(out, field_power(fld, f.leading_coefficient(), -b))
-    if (a * b) % 2:
-        out = fld.neg(out)
-    return out
+    if f.p != g.p:
+        raise ValueError(f"mixed coefficient fields {field_name(f.p)} and {field_name(g.p)}")
+    p, a, b = f.p, f.valuation, g.valuation
+    out = field_power(p, g.lead, a) * field_power(p, f.lead, -b) * (-1) ** (a * b % 2)
+    return out % p if p else out
 
 
 # Most (f_i, g_j) pairs of a torus commutator that the CLI takes, refused before
@@ -272,14 +164,11 @@ def torus_commutator(datum: RootDatum, level: int, x1, x2):
         raise ValueError("empty torus point")
     if any(len(v) != datum.rank for v, _ in pairs1 + pairs2):
         raise ValueError(f"cocharacters must have length {datum.rank}")
-    fld = None
-    for _, series in pairs1 + pairs2:
-        if series.is_zero():
-            raise ValueError("torus points need invertible series")
-        if fld is None:
-            fld = series.field
-        elif fld != series.field:
-            raise ValueError("mixed coefficient fields in torus points")
+    if not all(series.lead for _, series in pairs1 + pairs2):
+        raise ValueError("torus points need invertible series")
+    if len({series.p for _, series in pairs1 + pairs2}) > 1:
+        raise ValueError("mixed coefficient fields in torus points")
+    p = pairs1[0][1].p
     exponents = {}  # tame symbol: summed exponent, so opposite powers of a symbol cancel
     for lam, f in pairs1:
         for mu, g in pairs2:
@@ -289,13 +178,15 @@ def torus_commutator(datum: RootDatum, level: int, x1, x2):
                     f"level {level} times ([{vector_text(lam)}], [{vector_text(mu)}]) = "
                     f"{exponent} is not an integer")
             symbol, exponent = tame_symbol(f, g), int(exponent)
-            if fld == QQ and abs(symbol.numerator) < symbol.denominator:
+            if not p and abs(symbol.numerator) < symbol.denominator:
                 symbol, exponent = 1 / symbol, -exponent  # s^e as (1/s)^-e
             exponents[symbol] = exponents.get(symbol, 0) + exponent
-    out = fld.normalize(1)
+    out = field_element(p, 1)
     for symbol, exponent in exponents.items():
-        out = fld.mul(out, field_power(fld, symbol, exponent))
-        if fld == QQ and _bits(out) > MAX_POWER_BITS:
+        out *= field_power(p, symbol, exponent)
+        if p:
+            out %= p
+        elif _bits(out) > MAX_POWER_BITS:
             raise ValueError(f"the running product has more bits than the bound "
                              f"{MAX_POWER_BITS} (loop_symbols.MAX_POWER_BITS)")
     return out

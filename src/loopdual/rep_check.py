@@ -20,7 +20,7 @@ from operator import add, mul, sub
 
 from .central_ext import monodromy_modulus
 from .dynkin import group_name, recognize_cartan_matrix
-from .lattice import det_int, identity_matrix, numerators_member, transpose, vector_text
+from .lattice import identity_matrix, numerators_member, transpose, vector_text
 from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_norms,
                         dual_coxeter, positive_root_labels)
 from .twisted_dual import local_denominators
@@ -30,6 +30,18 @@ from .twisted_dual import local_denominators
 # coroot multiple of a rank-one orbit; every weight query of the benchmark
 # stays under a tenth.
 MAX_WEIGHTS = 10_000
+
+
+def _weyl_group_order(t) -> int:
+    """|W| of an irreducible Cartan type (Bourbaki, Lie VI, section 4, tables)."""
+    n = t.rank
+    if t.series == "A":
+        return factorial(n + 1)
+    if t.series in "BC":
+        return 2 ** n * factorial(n)
+    if t.series == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return {"E6": 51_840, "E7": 2_903_040, "E8": 696_729_600, "F4": 1_152, "G2": 12}[str(t)]
 
 
 class _Engine:
@@ -88,8 +100,8 @@ class _Engine:
         return sorted((sum(depth), depth, mu) for mu, depth in found.items())
 
     def weyl_order(self, nodes) -> int:
-        """|W_J| for the nodes J: per component, r! times the product of the
-        highest root's coefficients times det A (Bourbaki, Lie VI, section 2)."""
+        """|W_J| for the nodes J: the product of |W| over the components of J,
+        each of the type that recognize_cartan_matrix gives it."""
         if nodes not in self.orders:
             order, left = 1, set(nodes)
             while left:
@@ -99,9 +111,9 @@ class _Engine:
                     near = {j for j, _ in self.columns[i]} & left
                     left -= near
                     stack.extend(near)
-                sub = tuple(tuple(self.pairings[i][j] for j in comp) for i in comp)
-                top = max(positive_root_labels(sub), key=sum)
-                order *= factorial(len(comp)) * prod(top) * det_int(sub)
+                comp.sort()  # the relabeling search is quick on nodes in standard order
+                order *= _weyl_group_order(recognize_cartan_matrix(
+                    [[self.pairings[i][j] for j in comp] for i in comp])[0])
             self.orders[nodes] = order
         return self.orders[nodes]
 

@@ -25,9 +25,10 @@ factors read off gcds of minors, where the package runs an integer
 triangular solve and alternating modular Hermite forms.  A weight below a
 highest weight is recomputed as top - sum_j depth_j * root_j over every
 simple root in Fractions, where the package subtracts delta * depth from
-integer numerators.  Laurent series arithmetic lives only here: the constant
-term of (-1)**(a*b) * g**a / f**b rechecks the tame symbol, which reads only
-valuations and leading coefficients.  Reflections, root coordinates, iota and
+integer numerators.  Laurent series live only here, as windows of coefficients
+with their own text parser and arithmetic: the constant term of
+(-1)**(a*b) * g**a / f**b rechecks the tame symbol, which the package reads off
+valuations and leading coefficients alone.  Reflections, root coordinates, iota and
 dominant conjugates are recomputed from simple roots and pairings.  A weight
 system's simple roots, positive roots, rho and coroot pairings are rebuilt from
 its delta and functionals, the roots by root_closure of its Cartan matrix, so
@@ -36,71 +37,112 @@ The helpers that enumerate weight classes and isogenies (and 2-rho), and the
 rescaled coroot system of a datum, serve only tests.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from loopdual.central_ext import commutator_value
 from loopdual.lattice import Lattice, lattice_member, transpose
-from loopdual.loop_symbols import LaurentSeries
+from loopdual.loop_symbols import Series
 from loopdual.rep_check import WeightSystem
 from loopdual.root_data import (CartanType, RootDatum, canonical_form, cartan_matrix,
                                 coroot_norms, weight_lattice)
 from loopdual.twisted_dual import local_denominators
 
 
-def series_mul(f, g) -> LaurentSeries:
+def element(p: int, x):
+    """x in the field of characteristic p: a Fraction for p = 0, else its residue
+    mod p, the denominator inverted by Fermat's little theorem."""
+    x = Fraction(x)
+    return x if not p else x.numerator * pow(x.denominator, p - 2, p) % p
+
+
+class Window(namedtuple("Window", "p valuation coeffs")):
+    """sum(coeffs[i] * t**(valuation+i)) + O(t**(valuation+len(coeffs))) over the
+    field of characteristic p (0 for Q), coefficients reduced by element."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def record(self) -> Series:
+        """The package's (p, valuation, lead) of a window whose first entry is nonzero."""
+        return Series(self.p, self.valuation, self.coeffs[0])
+
+
+def parse_window(text: str, p: int = 0, width: int = 8) -> Window:
+    """The window of a series text, from its lowest written exponent to at least
+    width entries: terms c, c*t, c*t^e, t and t^e with c an integer or a/b, joined
+    by + and -, perhaps all inside t^k*( ... ).  Each exponent's coefficients are
+    summed over Q, then reduced mod p."""
+    body, shift = text.replace(" ", ""), 0
+    if body.endswith(")"):
+        head, _, body = body[:-1].partition("(")
+        shift = int(head[2:-1] or 1) if head else 0  # "t^k*" or "t*"
+    terms = {}
+    for term in re.split(r"(?<!\^)(?=[+-])", body):
+        if term:
+            coeff, t, power = term.partition("t")
+            coeff = {"": "1", "+": "1", "-": "-1"}.get(coeff, coeff.rstrip("*"))
+            exponent = (int(power[1:]) if power else 1) if t else 0
+            terms[exponent] = terms.get(exponent, 0) + Fraction(coeff)
+    lo, hi = min(terms), max(terms)
+    coeffs = [element(p, terms.get(lo + i, 0)) for i in range(max(width, hi - lo + 1))]
+    return Window(p, lo + shift, tuple(coeffs))
+
+
+def strip(f) -> Window:
+    """f with its leading zero entries dropped; the zero window keeps valuation 0."""
+    k = next((i for i, c in enumerate(f.coeffs) if c), len(f.coeffs))
+    return Window(f.p, f.valuation + k if k < len(f.coeffs) else 0, f.coeffs[k:])
+
+
+def series_mul(f, g) -> Window:
     """f * g of two nonzero series, known to the shorter relative precision."""
-    fld, n = f.field, min(len(f.coeffs), len(g.coeffs))
-    out = [fld.normalize(0)] * n
+    p, n = f.p, min(len(f.coeffs), len(g.coeffs))
+    out = [0] * n
     for i, a in enumerate(f.coeffs[:n]):
         for j, b in enumerate(g.coeffs[:n - i]):
-            out[i + j] = fld.add(out[i + j], fld.mul(a, b))
-    return LaurentSeries(fld, f.valuation + g.valuation, tuple(out))
+            out[i + j] += a * b
+    return Window(p, f.valuation + g.valuation, tuple(element(p, c) for c in out))
 
 
-def series_inverse(f) -> LaurentSeries:
-    """1 / f of a nonzero series, coefficient by coefficient."""
-    fld, n = f.field, len(f.coeffs)
-    lead = fld.normalize(Fraction(1, f.coeffs[0]))
-    out = [lead] + [fld.normalize(0)] * (n - 1)
+def series_inverse(f) -> Window:
+    """1 / f of a series with a nonzero first entry, coefficient by coefficient."""
+    p, n = f.p, len(f.coeffs)
+    out = [element(p, Fraction(1, f.coeffs[0]))]
     for k in range(1, n):
-        acc = fld.normalize(0)
-        for i in range(1, k + 1):
-            acc = fld.add(acc, fld.mul(f.coeffs[i], out[k - i]))
-        out[k] = fld.neg(fld.mul(lead, acc))
-    return LaurentSeries(fld, -f.valuation, tuple(out))
+        out.append(element(p, -out[0] * sum(f.coeffs[i] * out[k - i] for i in range(1, k + 1))))
+    return Window(p, -f.valuation, tuple(out))
 
 
-def series_power(f, n: int) -> LaurentSeries:
+def series_power(f, n: int) -> Window:
     """f ** n by |n| products, through the inverse when n < 0."""
     if n < 0:
         return series_power(series_inverse(f), -n)
-    fld = f.field
-    out = LaurentSeries(fld, 0, (fld.normalize(1),) + (fld.normalize(0),) * (len(f.coeffs) - 1))
+    out = Window(f.p, 0, (element(f.p, 1),) + (element(f.p, 0),) * (len(f.coeffs) - 1))
     for _ in range(n):
         out = series_mul(out, f)
     return out
 
 
-def series_neg(f) -> LaurentSeries:
-    return LaurentSeries(f.field, f.valuation, tuple(f.field.neg(c) for c in f.coeffs))
+def series_neg(f) -> Window:
+    return Window(f.p, f.valuation, tuple(element(f.p, -c) for c in f.coeffs))
 
 
-def series_sub(f, g) -> LaurentSeries:
+def series_sub(f, g) -> Window:
     """f - g on the overlap of the two windows, with leading zeros stripped."""
-    fld, lo = f.field, min(f.valuation, g.valuation)
-    out = [fld.normalize(0)] * (min(f.valuation + len(f.coeffs), g.valuation + len(g.coeffs)) - lo)
+    lo = min(f.valuation, g.valuation)
+    out = [0] * (min(f.valuation + len(f.coeffs), g.valuation + len(g.coeffs)) - lo)
     for series in (f, series_neg(g)):
         for i, c in enumerate(series.coeffs):
             if (k := series.valuation + i - lo) < len(out):
-                out[k] = fld.add(out[k], c)
-    while out and fld.is_zero(out[0]):
-        del out[0]
-        lo += 1
-    return LaurentSeries(fld, lo if out else 0, tuple(out))
+                out[k] += c
+    return strip(Window(f.p, lo, tuple(element(f.p, c) for c in out)))
 
 
 def iota(t: CartanType, yvec) -> tuple[Fraction, ...]:
@@ -242,6 +284,24 @@ def below(ws, top, depth) -> tuple[Fraction, ...]:
     simple = root_system(ws).simple_roots
     return tuple(Fraction(x) - sum(c * r[a] for c, r in zip(depth, simple) if c)
                  for a, x in enumerate(top))
+
+
+def weyl_order_by_highest_root(a, nodes) -> int:
+    """|W_J| of the nodes J of a Cartan matrix a: over the components of J, found by
+    a dense scan of a, the product of r! * (product of the highest root's
+    coefficients) * det of the component's matrix (Bourbaki, Lie VI, 2.4, with the
+    index of the root lattice in the weight lattice read off the determinant)."""
+    order, left = 1, set(nodes)
+    while left:
+        comp, grow = set(), {min(left)}
+        while grow:
+            comp |= grow
+            grow = {j for i in grow for j in left - comp if a[i][j]}
+        left -= comp
+        sub = tuple(tuple(a[i][j] for j in sorted(comp)) for i in sorted(comp))
+        top = max((root for root, _ in root_closure(sub)), key=sum)
+        order *= factorial(len(comp)) * prod(top) * dense_det_int(sub)
+    return order
 
 
 def weyl_group_with_signs(ws):

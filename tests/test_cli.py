@@ -316,7 +316,7 @@ MALFORMED_ARGV = [
     ("dual", "--type", "A1", "--isogeny", "[" * 100000 + "]" * 100000, "--N", "2"),
     ("dual", "--type", "A\u0661\u0662", "--N", "2"),  # Arabic-Indic digits, not a rank
     ("dual", "--type", "A129", "--N", "6"),
-    ("symbol", "--f", "t^-1000000 + 1", "--g", "t"),
+    ("symbol", "--f", "t^-1000000 + 1", "--g", "2*t"),  # a power of 2 past MAX_POWER_BITS
     ("table", "--Nmax", "100000"),
     ("symbol", "--f", "2*t^100000000", "--g", "3*t"),
     ("commutator", "--type", "A1", "--isogeny", "sc", "--m", "100000000", "--points",
@@ -362,7 +362,10 @@ def test_unbounded_weight_work_is_refused_up_front(argv):
     assert f"bound {rep_check.MAX_WEIGHTS}" in err, err
 
 
-@pytest.mark.parametrize("argv", MALFORMED_ARGV[-2:])
+@pytest.mark.parametrize("argv", [
+    ("symbol", "--f", "2*t^100000000", "--g", "3*t"),
+    ("commutator", "--type", "A1", "--isogeny", "sc", "--m", "100000000", "--points",
+     '[[[[1], "2*t"]], [[[1], "3"]]]')])
 def test_rational_powers_are_refused_up_front(argv):
     start = time.perf_counter()
     code, out, err = invoke(*argv)
@@ -372,15 +375,39 @@ def test_rational_powers_are_refused_up_front(argv):
 
 
 @pytest.mark.parametrize("argv,bound", [
-    (MALFORMED_ARGV[-4], "loop_symbols.MAX_SPAN"),
-    (MALFORMED_ARGV[-3], "cli.MAX_TABLE_ORDER"),
-    (MALFORMED_ARGV[-5], "over the bound 128 (root_data.MAX_RANK)")])
+    (("symbol", "--f", "t^-1000000 + 1", "--g", "2*t"), "MAX_POWER_BITS"),
+    (("table", "--Nmax", "100000"), "cli.MAX_TABLE_ORDER"),
+    (("dual", "--type", "A129", "--N", "6"), "over the bound 128 (root_data.MAX_RANK)")])
 def test_wide_series_and_long_tables_are_refused_up_front(argv, bound):
+    """A wide series is refused only where its symbol is a power past the bound:
+    2^-1000000 here, where against t it is answered (test_a_wide_series_is_answered)."""
     start = time.perf_counter()
     code, out, err = invoke(*argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert bound in err, err
+
+
+def test_a_wide_series_is_answered():
+    """A series is its valuation and leading coefficient, so a span of a million
+    exponents costs no more than one term."""
+    start = time.perf_counter()
+    code, out, err = invoke("symbol", "--f", "t^-1000000 + 1", "--g", "t")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert payload(out)["result"] == {"field": "QQ", "value": "1"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--field", "F7", "--f", "1/7*t - 1/7*t + 1"),
+     "--f/--g: denominator of 1/7 vanishes mod 7"),  # each term is reduced as it is read
+    (("--field", "F8", "--f", "t"), "--field: 8 is not prime"),
+    (("--field", "F1000000000039", "--f", "t"),
+     "--field: primality is only tested below 10^12, got 1000000000039"),
+    (("--f", "t - t"), "--f/--g: tame symbol needs invertible series")],
+    ids=["term-denominator", "not-prime", "primality-bound", "zero-series"])
+def test_symbol_usage_errors_are_named(argv, message):
+    assert invoke("symbol", *argv, "--g", "t") == (1, "", f"error: {message}\n")
 
 
 def _points(n1, n2, s1, s2):

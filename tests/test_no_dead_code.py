@@ -20,11 +20,9 @@ ALLOWED = {
     "rep_check.WeightSystem.weyl_dimension": "the body of weyl_dim",
     "lattice.Lattice.basis": "Lattice.__repr__ reads it",
     "root_data.RootDatum.__setattr__": "a record is immutable",
-    **dict.fromkeys(["lattice.Lattice.__repr__", "loop_symbols.RationalField.__repr__",
-                     "loop_symbols.PrimeField.__repr__", "root_data.RootDatum.__repr__"],
+    **dict.fromkeys(["lattice.Lattice.__repr__", "root_data.RootDatum.__repr__"],
                     "repr of a value type"),
-    **dict.fromkeys(["loop_symbols.RationalField.__hash__", "loop_symbols.PrimeField.__hash__",
-                     "root_data.RootDatum.__eq__", "root_data.RootDatum.__hash__"],
+    **dict.fromkeys(["root_data.RootDatum.__eq__", "root_data.RootDatum.__hash__"],
                     "a value type compares and hashes by its fields"),
 }
 
