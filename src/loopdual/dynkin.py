@@ -55,31 +55,45 @@ def _profile(mat, i):
 
 
 def _find_relabeling(mat, std):
-    """Lexicographically smallest sigma with mat[i][j] == std[sigma_i][sigma_j]."""
+    """Lexicographically smallest sigma with mat[i][j] == std[sigma_i][sigma_j].
+
+    Nodes are placed in breadth-first order of mat's diagram, each beside the image
+    of its placed parent, so after the first node each has at most three targets;
+    every sigma found (one per automorphism of the diagram, at most 6) is compared.
+    """
     rank = len(mat)
+    near = [[j for j in range(rank) if j != i and mat[i][j]] for i in range(rank)]
+    std_near = [[j for j in range(rank) if j != i and std[i][j]] for i in range(rank)]
     profiles = [_profile(mat, i) for i in range(rank)]
     std_profiles = [_profile(std, i) for i in range(rank)]
-    sigma = [-1] * rank
-    used = [False] * rank
+    order, parent = [0], {0: None}
+    for i in order:
+        for j in near[i]:
+            if j not in parent:
+                parent[j] = i
+                order.append(j)
+    sigma, owner, found = [-1] * rank, [-1] * rank, []
 
-    def place(i):
-        if i == rank:
-            return True
-        for target in range(rank):
-            if used[target] or profiles[i] != std_profiles[target]:
+    def place(k):
+        if k == rank:
+            found.append(tuple(sigma))
+            return
+        i = order[k]
+        placed = [j for j in near[i] if sigma[j] >= 0]
+        for target in range(rank) if parent[i] is None else std_near[sigma[parent[i]]]:
+            # the placed neighbours of i go to placed neighbours of target, with
+            # equal entries, and as many: so no placed pair gains or loses an edge
+            if (owner[target] >= 0 or profiles[i] != std_profiles[target]
+                    or len(placed) != sum(owner[u] >= 0 for u in std_near[target])
+                    or any(mat[i][j] != std[target][sigma[j]] or mat[j][i] != std[sigma[j]][target]
+                           for j in placed)):
                 continue
-            if any(mat[i][j] != std[target][sigma[j]] or mat[j][i] != std[sigma[j]][target]
-                   for j in range(i)):
-                continue
-            sigma[i] = target
-            used[target] = True
-            if place(i + 1):
-                return True
-            used[target] = False
-            sigma[i] = -1
-        return False
+            sigma[i], owner[target] = target, i
+            place(k + 1)
+            sigma[i], owner[target] = -1, -1
 
-    return tuple(sigma) if place(0) else None
+    place(0)
+    return min(found, default=None)
 
 
 def recognize_cartan_matrix(mat):

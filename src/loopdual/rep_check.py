@@ -21,8 +21,8 @@ from operator import add, mul, sub
 from .central_ext import monodromy_modulus
 from .dynkin import group_name, recognize_cartan_matrix
 from .lattice import identity_matrix, numerators_member, transpose, vector_text
-from .root_data import (RootDatum, cartan_matrix, cartan_symmetrizer, coroot_norms,
-                        dual_coxeter, positive_root_labels)
+from .root_data import (RootDatum, _positive_roots, cartan_matrix, cartan_symmetrizer,
+                        coroot_norms, dual_coxeter)
 from .twisted_dual import local_denominators
 
 # Most dominant weights a highest weight may have before the weight work on
@@ -56,10 +56,10 @@ class _Engine:
                for i in range(r) for j in range(r)):
             raise ArithmeticError("invariant form is not symmetric")
         # (root coordinates b, labels, coef with (x, beta) = sum_j coef_j x_j), from the
-        # one pass per Cartan matrix that root_data.reflection_sum reads too
+        # root pass that root_data.reflection_sum streams too; _engine keeps the list
         self.roots = [(b, tuple(labels.get(j, 0) for j in range(r)),
                        tuple(x * dj for x, dj in zip(b, d)))
-                      for b, (_, labels) in positive_root_labels(tuple(zip(*pairings))).items()]
+                      for b, _, labels in _positive_roots(tuple(zip(*pairings)))]
         if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
             raise ArithmeticError("half-sum of positive roots is off")
         self.columns = [[(j, row[i]) for j, row in enumerate(pairings) if row[i]]

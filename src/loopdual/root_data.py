@@ -16,17 +16,19 @@ Conventions used across the package:
   characters is iota(coroot_i) = c_i * root_i, i.e. coordinatewise scaling.
   So <y, iota(y')> == (y, y'): the Gram matrix of ( , ) on Y says where
   iota(Y) lands in X, the dual of Y.  Invariants of a Cartan type, this
-  form and the dual Coxeter number among them, are built once and cached.
+  form and the dual Coxeter number among them, are built once and cached, 256
+  types at most, like the records.
 * A RootDatum is immutable, the triple (type, X, Y), made by root_datum once
   per (type, X) and validated then by a perfect-pairing check; it caches G_Y,
   k, B = k * G_Y and det B, the kernels of B asked for, center and pi1, and
   twisted_dual's duals by class.  How the caller named X (an isogeny label) is
   not part of it, so B3 "so" and "adjoint" share one record; explicit
   generator rows are keyed to their X.
-* cartan_symmetrizer and positive_root_labels take a bare integer Cartan matrix, for
-  dynkin and rep_check too.  Positive roots grow by height under simple reflections,
-  in one pass per matrix that reflection_sum and rep_check's engine both read; the
-  negative ones are their negations.
+* cartan_symmetrizer and the root pass take a bare integer Cartan matrix, for
+  dynkin and rep_check too.  Positive roots grow by height under simple reflections
+  and stream past, a few layers at a time, with nothing cached: reflection_sum sums
+  them as they go, and rep_check's engine, which its own cache keeps, lists them;
+  the negative ones are their negations.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class CartanType(namedtuple("CartanType", "series rank")):
         return f"{self.series}{self.rank}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix in the convention A[i][j] = <coroot_j, root_i>."""
     r = t.rank
@@ -122,7 +124,7 @@ def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cartan_determinant(t: CartanType) -> int:
     return det_int(cartan_matrix(t))
 
@@ -144,7 +146,7 @@ def cartan_symmetrizer(a) -> tuple[Fraction, ...] | None:
     return None if None in ratios else tuple(ratios)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def coroot_norms(t: CartanType) -> tuple[int, ...]:
     """c_i = (coroot_i, coroot_i)/2, normalized so the minimum is 1."""
     # symmetry of the form forces c_i * A[i][j] == c_j * A[j][i]
@@ -158,46 +160,51 @@ def coroot_norms(t: CartanType) -> tuple[int, ...]:
     return tuple(int(x) for x in cs)
 
 
-@lru_cache(maxsize=None)
-def positive_root_labels(a) -> dict:
-    """root: (coroot, labels) for each positive root of a, with labels the nonzero
-    <coroot_j, root> by j; one dict, shared by every caller.  From the simple pairs,
-    each g with c = <coroot_i, g> < 0 gives s_i(g) = g - c * root_i, a root higher by
-    -c, with coroot s_i(g^v) = g^v - <g^v, root_i> * coroot_i; every positive root
-    arises so (Humphreys, Intro. to Lie Algebras, 10.2).  Roots only grow, so each has
-    one sign; each s_i must map the other pairs of a layer to lower positive pairs,
-    so that with their negations they are closed under reflections."""
+# Images under a simple reflection sit at most 3 heights below a root: c = <coroot_i, g>
+# has |c| <= 3.  The root pass keeps these layers below the one it reflects.
+_LAYERS_BELOW = 3
+
+
+def _positive_roots(a):
+    """Yield (root, coroot, labels) for each positive root of a, by height, with labels
+    the nonzero <coroot_j, root> by j.  From the simple pairs, each g with
+    c = <coroot_i, g> < 0 gives s_i(g) = g - c * root_i, a root higher by -c, with
+    coroot s_i(g^v) = g^v - <g^v, root_i> * coroot_i; every positive root arises so
+    (Humphreys, Intro. to Lie Algebras, 10.2).  Roots only grow, so each has one sign;
+    each s_i must map the other pairs of a layer to lower positive pairs, so that with
+    their negations they are closed under reflections.  Only the layers that check can
+    still read are kept: _LAYERS_BELOW under the current height, and those above it."""
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]  # nonzero <coroot_j, root_i>
     simple = [tuple(int(i == k) for k in range(len(a))) for i in range(len(a))]
-    found = {root: (root, rows[i]) for i, root in enumerate(simple)}  # root: (coroot, labels)
-    layers, height = {1: simple}, 0
-    while layers:
+    # height: {root: (coroot, labels)}
+    layers, height = {1: {root: (root, rows[i]) for i, root in enumerate(simple)}}, 0
+    while height < max(layers):
         height += 1
-        for root in layers.pop(height, ()):
-            coroot, labels = found[root]
+        layers.pop(height - _LAYERS_BELOW - 1, None)
+        for root, (coroot, labels) in layers.get(height, {}).items():
             for i, c in labels.items():
                 if c > 0 and height == 1:
                     continue  # s_i(root_i) = -root_i
                 ci = sum(x * coroot[j] for j, x in rows[i].items())
                 image = (root[:i] + (root[i] - c,) + root[i + 1:],
                          coroot[:i] + (coroot[i] - ci,) + coroot[i + 1:])
+                found = layers.setdefault(height - c, {})
                 if c < 0 and image[0] not in found:
                     found[image[0]] = (image[1], {
                         j: x for j in labels.keys() | rows[i].keys()
                         if (x := labels.get(j, 0) - c * rows[i].get(j, 0))})
-                    layers.setdefault(height - c, []).append(image[0])
                 elif found.get(image[0], (None,))[0] != image[1]:
                     raise ArithmeticError("simple reflections do not preserve the "
                                           "positive (root, coroot) pairs")
-    return found
+            yield root, coroot, labels
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def root_lattice(t: CartanType) -> Lattice:
     return Lattice.standard(t.rank)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def weight_lattice(t: CartanType) -> Lattice:
     """Character-side weight lattice, generated by the fundamental weights.
 
@@ -207,14 +214,14 @@ def weight_lattice(t: CartanType) -> Lattice:
     return Lattice.from_int_rows(*_inverse_cartan(t))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _inverse_cartan(t: CartanType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, rows) with D = |det A| and rows / D = A^-1, in integers (lattice.mat_inv)."""
     d, rows = mat_inv(cartan_matrix(t))
     return d, tuple(map(tuple, rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _coweight_lattice(t: CartanType) -> Lattice:
     """P^v in simple-coroot coordinates, spanned by the columns of A^-1."""
     d, rows = _inverse_cartan(t)
@@ -389,7 +396,7 @@ def canonical_form(d: RootDatum | CartanType) -> CanonicalForm:
     return _canonical_form(d if isinstance(d, CartanType) else d.cartan_type)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _canonical_form(t: CartanType) -> CanonicalForm:
     a = cartan_matrix(t)
     cs = coroot_norms(t)
@@ -405,11 +412,10 @@ def _canonical_form(t: CartanType) -> CanonicalForm:
 
 
 def reflection_sum(t: CartanType) -> tuple[tuple[int, ...], ...]:
-    """Row j: the integer sum over all roots b of <coroot_j, b> * b, in one pass
-    over the positive roots b, with the nonzero labels <coroot_j, b> that the
-    pass building them kept."""
+    """Row j: the integer sum over all roots b of <coroot_j, b> * b, summed as the
+    positive roots b stream past with the nonzero labels <coroot_j, b>; no root is kept."""
     total = [[0] * t.rank for _ in range(t.rank)]
-    for root, (_, labels) in positive_root_labels(cartan_matrix(t)).items():
+    for root, _, labels in _positive_roots(cartan_matrix(t)):
         support = [(i, 2 * b) for i, b in enumerate(root) if b]
         for j, c in labels.items():
             row = total[j]
@@ -418,7 +424,7 @@ def reflection_sum(t: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, total))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _dual_coxeter_value(t: CartanType) -> int:
     # sum_roots <y, root> * root == 2h * iota(y) is linear in y: coroots suffice
     cs = coroot_norms(t)

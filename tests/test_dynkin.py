@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,38 @@ def test_recognize_under_relabeling(t):
         for i in range(t.rank):
             for j in range(t.rank):
                 assert mat[i][j] == std[sigma[i]][sigma[j]]
+
+
+def _automorphisms(t):
+    """The node permutations of t's diagram, by hand from the Bourbaki numbering."""
+    r, ident = t.rank, tuple(range(t.rank))
+    if t.series == "A":
+        return [ident, ident[::-1]]
+    if t.series == "D":
+        return [ident, ident[:-2] + (r - 1, r - 2)]
+    if str(t) == "E6":
+        return [ident, (5, 1, 4, 3, 2, 0)]
+    return [ident]
+
+
+def test_large_relabelings_come_back_quickly_as_the_smallest_sigma():
+    # a backtracking search by input index took seconds from A20 on
+    rng = random.Random("relabel-large")
+    types = [CartanType(series, 60) for series in "ABCD"] + [
+        CartanType("E", n) for n in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)]
+    start = time.perf_counter()
+    for t in types:
+        std = cartan_matrix(t)
+        autos = _automorphisms(t)
+        assert all(std[g[i]][g[j]] == std[i][j] for g in autos
+                   for i in range(t.rank) for j in range(t.rank))
+        for _ in range(3):
+            perm = list(range(t.rank))
+            rng.shuffle(perm)
+            mat = [[std[perm[i]][perm[j]] for j in range(t.rank)] for i in range(t.rank)]
+            assert recognize_cartan_matrix(mat) == (t, min(tuple(g[p] for p in perm)
+                                                           for g in autos))
+    assert time.perf_counter() - start < 2
 
 
 def test_diagram_coincidences_are_canonicalized():

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from loopdual.lattice import Lattice, lattice_member, transpose, dual_lattice
 from loopdual.root_data import (
     CartanType,
     RootDatum,
+    _positive_roots,
     _validate_datum,
     build_datum,
     canonical_form,
@@ -18,7 +23,6 @@ from loopdual.root_data import (
     coroot_norms,
     dual_coxeter,
     fundamental_weight,
-    positive_root_labels,
     reflection_sum,
     root_lattice,
     weight_lattice,
@@ -86,8 +90,8 @@ def test_cartan_matrix_spot_checks():
 
 
 def positive_pairs(a):
-    """The positive (root, coroot) pairs of positive_root_labels(a), sorted."""
-    return tuple(sorted((root, coroot) for root, (coroot, _) in positive_root_labels(a).items()))
+    """The positive (root, coroot) pairs of the root pass over a, sorted."""
+    return tuple(sorted((root, coroot) for root, coroot, _ in _positive_roots(a)))
 
 
 def _with_negatives(pairs):
@@ -379,11 +383,59 @@ def test_one_pass_reflection_sums_match_the_dense_closure(t):
 @pytest.mark.parametrize("t", [CartanType("B", 4), CartanType("E", 6), CartanType("G", 2)])
 def test_positive_root_labels_are_the_pairings_with_the_simple_coroots(t):
     a = cartan_matrix(t)
-    table = positive_root_labels(a)
     assert positive_pairs(a) == tuple(pair for pair in root_closure(a) if min(pair[0]) >= 0)
-    for root, (_, labels) in table.items():
+    for root, _, labels in _positive_roots(a):
         pairings = {j: sum(b * a[i][j] for i, b in enumerate(root)) for j in range(t.rank)}
         assert labels == {j: x for j, x in pairings.items() if x}
+
+
+SMALL_TYPES = (
+    [CartanType("A", n) for n in range(1, 13)]
+    + [CartanType(series, n) for series in "BC" for n in range(2, 13)]
+    + [CartanType("D", n) for n in range(3, 13)]
+    + [CartanType("E", n) for n in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)]
+)
+
+
+@pytest.mark.parametrize("t", SMALL_TYPES, ids=str)
+def test_streamed_root_pass_matches_the_root_closure(t):
+    a = cartan_matrix(t)
+    streamed = list(_positive_roots(a))
+    heights = [sum(root) for root, _, _ in streamed]
+    assert heights == sorted(heights)
+    expected = [(root, coroot, {j: x for j in range(t.rank)
+                                if (x := sum(b * a[i][j] for i, b in enumerate(root)))})
+                for root, coroot in root_closure(a) if min(root) >= 0]
+    assert sorted(streamed) == sorted(expected, key=lambda entry: entry[:2])
+
+
+def test_the_root_pass_keeps_three_layers_below_and_no_fewer(monkeypatch):
+    # in G2 an image sits three heights below its root, so a window of two loses it
+    a = cartan_matrix(CartanType("G", 2))
+    assert len(list(_positive_roots(a))) == 6
+    monkeypatch.setattr(root_data, "_LAYERS_BELOW", 2)
+    with pytest.raises(ArithmeticError, match="simple reflections do not preserve the "
+                                              "positive \\(root, coroot\\) pairs"):
+        list(_positive_roots(a))
+
+
+def test_a_cold_large_extensions_call_retains_little(tmp_path):
+    """The root pass streams its layers and keeps no cache: what a cold C32 call leaves
+    behind is its per-type invariants and its record, not its 1,024 positive roots.
+    An A1 call first builds the parser and the lazy imports, which are not C32's."""
+    code = ("import gc, io, tracemalloc\n"
+            "from loopdual import cli\n"
+            "cli.run(['extensions', '--type', 'A1', '--isogeny', 'adjoint'], out=io.StringIO())\n"
+            "tracemalloc.start()\n"
+            "assert cli.run(['extensions', '--type', 'C32', '--isogeny', 'adjoint'],"
+            " out=io.StringIO()) == 0\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200_000
 
 
 def test_repeated_build_returns_the_identical_record():
