@@ -7,13 +7,15 @@ one common denominator, so two Lattice objects compare equal exactly when
 they contain the same vectors, and membership is an integer triangular solve.
 
 Routines: hermite_rows, and hermite_mod, the one elimination with a known
-modulus m (kernel_mod, dual_lattice and smith_normal_form, the invariant factors
-with no transforms, all call it, so its proof covers all three); both share
-one 2x2 Bezout row transform.  Lattice is built from integer rows over a
-denominator (Lattice.from_int_rows), or from a proven modular form as it is;
-one integer triangular solve on numerators serves membership, coordinates and
-those proofs, checked by its residual ending at zero.  Most entries are 0, so
-mat_mul, det_int, mat_inv and the solve skip zeros.
+modulus m (kernel_mod and smith_normal_form, the invariant factors with no
+transforms, both call it, so its proof covers both); both share one 2x2 Bezout
+row transform.  There is no general dual lattice: root_data and twisted_dual
+build each record's cocharacters from how its characters were built, through
+standard_plus, Z^n plus rows over a denominator.  Lattice is built from
+integer rows over a denominator (Lattice.from_int_rows), or from a proven
+modular form as it is; one integer triangular solve on numerators serves
+membership, coordinates and those proofs, checked by its residual ending at
+zero.  Most entries are 0, so mat_mul, det_int, mat_inv and the solve skip zeros.
 """
 
 from __future__ import annotations
@@ -235,6 +237,25 @@ class Lattice:
         return f"Lattice[{rows}]"
 
 
+def standard_plus(den: int, rows) -> Lattice:
+    """Z^n + span(rows) / den, for integer rows of length n: one Hermite form of den * Z^n
+    and those rows that, reduced mod den, enlarge the group the kept ones span mod den.
+    That group is L / Z^n, listed as it grows, so the cost follows [L : Z^n], not the
+    number of rows: a caller keeps it small (in root_data and twisted_dual it divides the
+    determinant of a Cartan matrix, at most MAX_RANK + 1)."""
+    n = len(rows[0])
+    group, keep = {(0,) * n}, []
+    for row in rows:
+        if (v := tuple(x % den for x in row)) not in group:
+            keep.append(v)
+            cosets, step = set(group), v
+            while step not in group:  # group + c * v for c = 1, 2, ... up to v's order
+                cosets.update(tuple((x + y) % den for x, y in zip(w, step)) for w in group)
+                step = tuple((x + y) % den for x, y in zip(step, v))
+            group = cosets
+    return Lattice.from_int_rows(den, [[den * x for x in row] for row in identity_matrix(n)] + keep)
+
+
 def _solve(nums, den: int, lat: Lattice) -> tuple[int, ...] | None:
     """Integer coordinates of nums / den (nums integers) in the basis of lat, or None."""
     if len(nums) != lat.ambient_dim:
@@ -334,17 +355,6 @@ def kernel_mod(mat, m: int) -> tuple[tuple[int, ...], ...]:
     r, n = len(mat), len(mat[0])
     gens = [list(col) + [int(i == j) for i in range(n)] for j, col in enumerate(zip(*mat))]
     return tuple(row[r:] for row in hermite_mod(gens, m, m ** r)[r:])
-
-
-def dual_lattice(lat: Lattice, pairing, den: int) -> Lattice:
-    """Dual lattice {y : x^T P y integer for every x in lat} under an invertible
-    rational P (ValueError otherwise), given den, a multiple of the least d with
-    d * dual inside Z^n.  With P = p / pden cleared, y = z / den is in it when
-    (lat.rows @ p) z = 0 mod lat.den * pden * den: a congruence kernel."""
-    pden, p = _cleared(pairing)
-    if det_int(p) == 0:
-        raise ValueError("pairing is degenerate")
-    return Lattice.from_int_rows(den, kernel_mod(mat_mul(lat.rows, p), lat.den * pden * den))
 
 
 def _coordinate_matrix(big: Lattice, small: Lattice) -> list[tuple[int, ...]]:

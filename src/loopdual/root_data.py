@@ -18,12 +18,16 @@ Conventions used across the package:
   iota(Y) lands in X, the dual of Y.  Invariants of a Cartan type, this
   form and the dual Coxeter number among them, are built once and cached, 256
   types at most, like the records.
-* A RootDatum is immutable, the triple (type, X, Y), made by root_datum once
-  per (type, X) and validated then by a perfect-pairing check; it caches G_Y,
-  k, B = k * G_Y and det B, the kernels of B asked for, center and pi1, and
-  twisted_dual's duals by class.  How the caller named X (an isogeny label) is
-  not part of it, so B3 "so" and "adjoint" share one record; explicit
-  generator rows are keyed to their X.
+* A RootDatum is immutable, the triple (type, X, Y), made by root_datum from an
+  X and a Y built together by its caller, and validated then by a perfect-pairing
+  check, which proves Y == X^v; no lattice is ever dualised.  Y is Q^v for "sc",
+  P^v for "adjoint", A^-1 of a congruence on the generators for explicit rows and
+  D-odd "so" (_quotient_lattices), and X + (k/N) * iota(Y) of the source for a
+  dual record (twisted_dual).  As Y is fixed by X there is one record per (type,
+  X); it caches G_Y, k, B = k * G_Y and det B, the kernels of B asked for, center
+  and pi1, and twisted_dual's duals by class.  How the caller named X (an isogeny
+  label) is not part of it, so B3 "so" and "adjoint" share one record; explicit
+  generator rows are keyed to their (X, Y).
 * cartan_symmetrizer and the root pass take a bare integer Cartan matrix, for
   dynkin and rep_check too.  Positive roots grow by height under simple reflections
   and stream past, a few layers at a time, with nothing cached: reflection_sum sums
@@ -41,14 +45,12 @@ from math import gcd, lcm, prod
 from .lattice import (
     Lattice,
     det_int,
-    dual_lattice,
     identity_matrix,
     kernel_mod,
-    lattice_member,
     mat_inv,
     mat_mul,
-    numerators_member,
     quotient_invariants,
+    standard_plus,
     transpose,
     vector_text,
 )
@@ -330,13 +332,13 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
     """
     t = CartanType.parse(cartan_type) if isinstance(cartan_type, str) else cartan_type
     if not isinstance(isogeny, str):
-        x = _quotient_lattice(t, tuple(tuple(Fraction(v) for v in g) for g in isogeny))
+        x, y = _quotient_lattices(t, tuple(tuple(Fraction(v) for v in g) for g in isogeny))
     elif isogeny == "sc":
-        x = weight_lattice(t)
+        x, y = weight_lattice(t), root_lattice(t)  # Q^v = Z^r, as Q is
     elif isogeny == "adjoint" or (isogeny == "so" and t.series == "B"):
-        x = root_lattice(t)
+        x, y = root_lattice(t), _coweight_lattice(t)
     elif isogeny == "so" and t.series == "D" and t.rank % 2 == 1:
-        x = _quotient_lattice(t, (fundamental_weight(t, 0),))  # the vector representation
+        x, y = _quotient_lattices(t, (fundamental_weight(t, 0),))  # the vector representation
     elif isogeny == "so" and t.series == "D":
         raise ValueError("series D of even rank has three index-two forms; "
                          "pass explicit generators instead of 'so'")
@@ -344,32 +346,31 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
         raise ValueError(f"isogeny 'so' is not defined for series {t.series}")
     else:
         raise ValueError(f"unknown isogeny {isogeny!r}")
-    return root_datum(t, x)
+    return root_datum(t, x, y)
 
 
 @lru_cache(maxsize=256)
-def _quotient_lattice(t: CartanType, gens: tuple) -> Lattice:
-    """Q + span(gens) for weight-lattice rows gens, built once per (type, rows)."""
-    weights = weight_lattice(t)
-    for g in gens:
-        if not lattice_member(g, weights):
+def _quotient_lattices(t: CartanType, gens: tuple) -> tuple[Lattice, Lattice]:
+    """(X, Y) for X = Q + span(gens), weight-lattice rows gens, built once per (type, rows).
+    As <g, A^-1 z> = g . z, Y = A^-1 K for K = {z in Z^r : g . z in Z for each g}, the
+    kernel of e * G modulo e, e the common denominator of gens, mapped by the integer
+    adjugate; Y holds Q^v = Z^r, and [Y : Q^v] divides |det A|."""
+    a, r = cartan_matrix(t), t.rank
+    e = lcm(1, *(v.denominator for g in gens for v in g))
+    rows = [[int(v * e) for v in g] for g in gens]  # e * G
+    for g, row in zip(gens, rows):  # a weight: each <coroot_j, g> = (g @ A)[j] is an integer
+        if any(x % e for x in mat_mul([row], a)[0]):
             raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
-    return Lattice(identity_matrix(t.rank) + [list(g) for g in gens])
+    kernel = kernel_mod(rows, e) if e > 1 else identity_matrix(r)
+    d, adj = _inverse_cartan(t)
+    return (Lattice(identity_matrix(r) + [list(g) for g in gens]),
+            standard_plus(d, mat_mul(kernel, transpose(adj))))
 
 
 @lru_cache(maxsize=256)  # the sweep benchmark, 79 data of rank <= 8 and their duals, makes 150
-def root_datum(t: CartanType, x: Lattice) -> RootDatum:
-    """The record of type t with character lattice x, dualised and validated on a
-    miss: Y is Q^v = Z^r when x is P, P^v when x is Q, and the dual of x otherwise,
-    whose denominator divides det A once x contains Q = Z^r."""
-    if x == weight_lattice(t):
-        y = Lattice.standard(t.rank)
-    elif x == root_lattice(t):
-        y = _coweight_lattice(t)
-    elif all(numerators_member(e, 1, x) for e in identity_matrix(t.rank)):
-        y = dual_lattice(x, cartan_matrix(t), cartan_determinant(t))
-    else:  # Q <= X fails exactly when X^v <= Q^v = P^v does
-        raise ArithmeticError("cocharacter lattice not inside the coweight lattice")
+def root_datum(t: CartanType, x: Lattice, y: Lattice) -> RootDatum:
+    """The record of type t with character lattice x and cocharacter lattice y, which
+    the caller constructs, validated on a miss: the perfect pairing proves y == x^v."""
     datum = RootDatum(t, x, y)
     _validate_datum(datum)
     return datum

@@ -14,10 +14,15 @@ the source record's kernel K_g of k * G_Y modulo g = gcd(N, det(k * G_Y)), and w
 e_i = gcd(N, k * c_i) = N / delta_i the dual depends on N only through the class
 (g, e): its Cartan matrix is e_j * a_ji / e_i, and in its own coordinates
 x_i = y_i / delta_i its character lattice is K_g with coordinate i scaled by e_i / g.
-So the record keeps one dual per class, built on a miss, where the relabeling, the
-rescaled coroots (delta_i * coroot_i is in Y_{Q,N} exactly when (g / e_i) * coroot_i
-is in K_g), and the center times pi1 of the dual record (fetched from root_datum,
-which validates it) against the Cartan determinant are checked; each check reads
+The dual's cocharacter lattice is the dual of Y_{Q,N} = Y & (N/k) * iota^-1(X), the sum
+X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), with coordinate sigma(i) =
+delta_i * x_i; it depends on N only through the class too, as k * c_i * delta_i / N =
+k * c_i / e_i.  When the dual's X is P or Q, read off its index over the roots, its Y
+is Q^v = Z^r or P^v, kept per type, as for "sc" and "adjoint".  So the record keeps
+one dual per class, built on a miss, where the relabeling, the rescaled coroots
+(delta_i * coroot_i is in Y_{Q,N} exactly when (g / e_i) * coroot_i is in K_g), and
+the center times pi1 of the dual record (fetched from root_datum, which proves its Y
+by the perfect pairing) against the Cartan determinant are checked; each check reads
 only the class, so it holds for one N of a class exactly when it holds for all.
 """
 
@@ -28,13 +33,15 @@ from math import gcd, lcm, prod
 
 from .central_ext import commutator_denominator
 from .dynkin import group_name, recognize_cartan_matrix
-from .lattice import Lattice, numerators_member
+from .lattice import Lattice, numerators_member, standard_plus
 from .root_data import (
     RootDatum,
+    _coweight_lattice,
     cartan_determinant,
     cartan_matrix,
     coroot_norms,
     root_datum,
+    root_lattice,
 )
 
 
@@ -128,12 +135,36 @@ def _class_dual(d: RootDatum, order: int, delta) -> tuple:
     big = lcm(*delta)
     xlat = Lattice.from_int_rows(ylat.den * big, [[row[i] * (big // delta[i]) for i in source]
                                                  for row in ylat.rows])
-    dual = root_datum(dual_type, xlat)
+    # it holds the dual roots Z^r, so [X' : Q] = den^r / prod(pivots): |det A'| when X' is
+    # P, with Y' = Q^v = Z^r, and 1 when X' is Q, with Y' = P^v, both kept per type
+    index = xlat.den ** r // prod(row[i] for i, row in enumerate(xlat.rows))
+    if index == cartan_determinant(dual_type):
+        cochars = root_lattice(dual_type)
+    elif index == 1:
+        cochars = _coweight_lattice(dual_type)
+    else:
+        cochars = _dual_cocharacters(d, order, delta, source)
+    dual = root_datum(dual_type, xlat, cochars)
     # [X:Q] * [Y:Q^v] == [P:Q] holds exactly when Y is the dual of X
     if prod(dual.center) * prod(dual.pi1) != cartan_determinant(dual_type):
         raise ArithmeticError("center times fundamental group does not match "
                               "the Cartan determinant")
     return aprime, sigma, dual, group_name(dual)
+
+
+def _dual_cocharacters(d: RootDatum, order: int, delta, source) -> Lattice:
+    """The dual of Y_{Q,N} = Y & (N/k) * iota^-1(X), the sum of the duals X + (k/N) * iota(Y),
+    with coordinate sigma(i) = delta_i * x_i: from a row of X, delta_i times its entry, and
+    from a row y of Y, k * c_i * delta_i / N = k * c_i / e_i times y_i.  It holds the dual's
+    coroots Z^r, with [Y' : Z^r] = |pi1| dividing the dual's Cartan determinant, so one
+    Hermite form of Z^r and the 2r rows over their common denominator does it
+    (lattice.standard_plus); source is the inverse of sigma."""
+    x, y, k, cs = d.X, d.Y, d.k, coroot_norms(d.cartan_type)
+    den = lcm(x.den, y.den)
+    from_x = [delta[i] * (den // x.den) for i in source]
+    from_y = [k * cs[i] // (order // delta[i]) * (den // y.den) for i in source]
+    return standard_plus(den, [[row[i] * s for i, s in zip(source, scales)]
+                               for lat, scales in ((x, from_x), (y, from_y)) for row in lat.rows])
 
 
 # Known duals for the standard families, used by the verification table.

@@ -45,7 +45,7 @@ from itertools import combinations, count, product
 from math import factorial, gcd, lcm, prod
 
 from loopdual.central_ext import commutator_value
-from loopdual.lattice import Lattice, lattice_member, transpose
+from loopdual.lattice import Lattice, det_int, kernel_mod, lattice_member, mat_mul, transpose
 from loopdual.loop_symbols import Series
 from loopdual.rep_check import WeightSystem
 from loopdual.root_data import (CartanType, RootDatum, canonical_form, cartan_matrix,
@@ -602,6 +602,21 @@ def dual_lattice_by_smith(lat: Lattice, pairing) -> Lattice:
     scales = [lat.den * pden * (last // d[i][i]) for i in range(len(v))]
     return Lattice.from_int_rows(last, ([s * x for x in col] for s, col in zip(scales, zip(*v))))
 
+
+
+def modular_dual_lattice(lat: Lattice, pairing, den: int) -> Lattice:
+    """Dual lattice {y : x^T P y integer for every x in lat} under an invertible
+    rational P (ValueError otherwise), given den, a multiple of the least d with
+    d * dual inside Z^n.  With P = p / pden cleared, y = z / den is in it when
+    (lat.rows @ p) z = 0 mod lat.den * pden * den: a congruence kernel of the
+    package's kernel_mod, so comparing it with dual_lattice_by_smith checks
+    kernel_mod under rational pairings and wide moduli.  No record's Y comes from
+    it: the package builds each Y from how its X was built."""
+    pden = lcm(1, *(Fraction(x).denominator for row in pairing for x in row))
+    p = [[int(Fraction(x) * pden) for x in row] for row in pairing]
+    if det_int(p) == 0:
+        raise ValueError("pairing is degenerate")
+    return Lattice.from_int_rows(den, kernel_mod(mat_mul(lat.rows, p), lat.den * pden * den))
 
 def congruence_kernel(mat, modulus: int) -> Lattice:
     """The full-rank lattice {x in Z^n : mat @ x ≡ 0 mod modulus}, from the

@@ -1,0 +1,106 @@
+"""Every record's cocharacter lattice Y against an oracle outside its construction.
+
+The package never dualises a lattice: `sc` and `adjoint` take Q^v = Z^r and P^v,
+explicit generator rows (and D-odd `so`) take A^-1 of a congruence on the generators,
+and a dual record takes X + (k/N) * iota(Y) of its source.  Here each Y is compared
+with the Smith-form dual of its X (tests/oracles.py), and at rank 127-128, where a
+Smith form with transforms takes minutes, with a closed form worked out by hand.
+"""
+
+import io
+import json
+from fractions import Fraction
+
+import pytest
+
+from loopdual import root_data
+from loopdual import twisted_dual as td
+from loopdual.cli import run
+from loopdual.lattice import Lattice, identity_matrix
+from loopdual.root_data import CartanType, build_datum, cartan_matrix
+from oracles import all_isogenies, dual_lattice_by_smith
+
+ALL_TYPES = (
+    [CartanType("A", n) for n in range(1, 9)] + [CartanType("B", n) for n in range(2, 9)]
+    + [CartanType("C", n) for n in range(2, 9)] + [CartanType("D", n) for n in range(3, 9)]
+    + [CartanType("E", n) for n in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)]
+)
+
+
+def _sources(t):
+    """The records of type t: sc, adjoint, so where it is defined, and every
+    generator set of the isogeny enumeration (the empty one included)."""
+    out = [build_datum(t, "sc"), build_datum(t, "adjoint")]
+    if t.series == "B" or (t.series == "D" and t.rank % 2):
+        out.append(build_datum(t, "so"))
+    return out + [build_datum(t, generators) for _, generators in all_isogenies(t)]
+
+
+def test_every_record_of_rank_at_most_8_has_the_smith_dual_of_its_characters():
+    smith = {}
+    for t in ALL_TYPES:
+        for source in _sources(t):
+            for d in [source] + [td.twisted_dual(source, order).dual for order in range(1, 13)]:
+                key = d.cartan_type, d.X
+                if key not in smith:
+                    smith[key] = dual_lattice_by_smith(d.X, cartan_matrix(d.cartan_type))
+                assert d.Y == smith[key], (str(t), str(d.cartan_type), d.X)
+    assert len(smith) > 80  # the sources and their duals reach this many (type, X)
+
+
+def test_each_of_two_generators_imposes_its_congruence():
+    """The isogeny enumeration lists every member of a subgroup, so dropping one
+    generator seldom changes its span; two fundamental weights often need both."""
+    smith = {}
+    for t in ALL_TYPES:
+        weights = [root_data.fundamental_weight(t, i) for i in range(t.rank)]
+        for i in range(t.rank):
+            for j in range(i + 1, t.rank):
+                d = build_datum(t, [weights[i], weights[j]])
+                if (t, d.X) not in smith:
+                    smith[t, d.X] = dual_lattice_by_smith(d.X, cartan_matrix(t))
+                assert d.Y == smith[t, d.X], (str(t), i, j)
+
+
+def _coroots_plus(generator):
+    """Q^v + Z * generator, in simple-coroot coordinates."""
+    return Lattice(identity_matrix(len(generator)) + [list(generator)])
+
+
+def test_rank_127_and_128_cocharacters_match_closed_forms():
+    """For A_(n-1), P^v / Q^v is cyclic of order n on omega_1^v = ((n - i) / n)_i, so the
+    Y with [Y : Q^v] = n / m is Q^v + Z * m * omega_1^v.  For D_r of odd rank it is cyclic
+    of order 4, and its subgroup of order 2 is spanned by omega_1^v = (1, ..., 1, 1/2, 1/2)."""
+    mu2 = [[Fraction(1, 2) if i % 2 == 0 else 0 for i in range(127)]]
+    source = build_datum("A127", mu2)  # the generator has order 2 in P / Q: [X : Q] = 2
+    assert source.Y == _coroots_plus([Fraction(2 * (128 - i), 128) for i in range(1, 128)])
+    # the dual of SL129 at N = 6 is SL129 / mu43: its center is Z / gcd(129, 6)
+    dual = td.twisted_dual(build_datum("A128", "sc"), 6).dual
+    assert (str(dual.cartan_type), dual.center) == ("A128", (3,))
+    assert dual.Y == _coroots_plus([Fraction(3 * (129 - i), 129) for i in range(1, 129)])
+    so = build_datum("D127", "so")  # X = Q + Z * omega_1, so [Y : Q^v] = 4 / 2
+    assert so.Y == _coroots_plus([1] * 125 + [Fraction(1, 2)] * 2)
+
+
+def _doubled(lat):
+    return Lattice.from_int_rows(lat.den, [[2 * x for x in row] for row in lat.rows])
+
+
+@pytest.mark.parametrize("construction", ["congruence", "closed-form dual"])
+def test_a_doubled_cocharacter_lattice_is_refused_by_the_cli(monkeypatch, construction):
+    """2 * Y still lies in P^v and pairs integrally with X, so only the perfect-pairing
+    check of root_datum's validation can refuse it."""
+    if construction == "congruence":
+        real = root_data._quotient_lattices.__wrapped__  # uncached, so nothing stays doubled
+        monkeypatch.setattr(root_data, "_quotient_lattices",
+                            lambda t, gens: (lambda x, y: (x, _doubled(y)))(*real(t, gens)))
+        argv = ["dual", "--type", "A3", "--isogeny", json.dumps([["1/2", "0", "1/2"]]), "--N", "1"]
+    else:
+        real = td._dual_cocharacters
+        monkeypatch.setattr(td, "_dual_cocharacters", lambda *args: _doubled(real(*args)))
+        root_data.root_datum.cache_clear()  # so the source record has no dual yet
+        argv = ["dual", "--type", "A3", "--N", "2"]  # SL4/mu2: its X is neither P nor Q
+    err = io.StringIO()
+    assert run(argv, out=io.StringIO(), err=err) == 3
+    assert "internal check failed: pairing of the character and cocharacter lattices " \
+        "is not perfect" in err.getvalue()

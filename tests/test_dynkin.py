@@ -16,6 +16,13 @@ from loopdual.root_data import (
     root_lattice,
     weight_lattice,
 )
+from oracles import dual_lattice_by_smith
+
+
+def _record(t, x):
+    """The record of type t with character lattice x, its Y the oracle's Smith-form dual."""
+    return root_datum(t, x, dual_lattice_by_smith(x, cartan_matrix(t)))
+
 
 # C2 and D3 are left out: their matrices are relabelings of B2 and A3 and
 # come back canonicalized, which test_diagram_coincidences covers.
@@ -112,39 +119,39 @@ def test_recognize_rejects_non_cartan(bad):
 
 def test_group_names_classical():
     a1 = CartanType("A", 1)
-    assert group_name(root_datum(a1, weight_lattice(a1))) == "SL2"
-    assert group_name(root_datum(a1, root_lattice(a1))) == "PSL2"
+    assert group_name(_record(a1, weight_lattice(a1))) == "SL2"
+    assert group_name(_record(a1, root_lattice(a1))) == "PSL2"
     a3 = CartanType("A", 3)
     middle = Lattice(identity_matrix(3) + [list(fundamental_weight(a3, 1))])
-    assert group_name(root_datum(a3, middle)) == "SL4/mu2"
-    assert group_name(root_datum(a3, root_lattice(a3))) == "PGL4"
+    assert group_name(_record(a3, middle)) == "SL4/mu2"
+    assert group_name(_record(a3, root_lattice(a3))) == "PGL4"
     b3 = CartanType("B", 3)
-    assert group_name(root_datum(b3, weight_lattice(b3))) == "Spin7"
-    assert group_name(root_datum(b3, root_lattice(b3))) == "SO7"
+    assert group_name(_record(b3, weight_lattice(b3))) == "Spin7"
+    assert group_name(_record(b3, root_lattice(b3))) == "SO7"
     c2 = CartanType("C", 2)
-    assert group_name(root_datum(c2, weight_lattice(c2))) == "Sp4"
-    assert group_name(root_datum(c2, root_lattice(c2))) == "PSp4"
+    assert group_name(_record(c2, weight_lattice(c2))) == "Sp4"
+    assert group_name(_record(c2, root_lattice(c2))) == "PSp4"
     for name in ("E8", "F4", "G2"):
         t = CartanType.parse(name)
-        assert group_name(root_datum(t, weight_lattice(t))) == name
+        assert group_name(_record(t, weight_lattice(t))) == name
     e6 = CartanType("E", 6)
-    assert group_name(root_datum(e6, weight_lattice(e6))) == "E6_sc"
-    assert group_name(root_datum(e6, root_lattice(e6))) == "E6_ad"
+    assert group_name(_record(e6, weight_lattice(e6))) == "E6_sc"
+    assert group_name(_record(e6, root_lattice(e6))) == "E6_ad"
 
 
 def test_group_names_orthogonal_forms():
     d4 = CartanType("D", 4)
-    assert group_name(root_datum(d4, weight_lattice(d4))) == "Spin8"
-    assert group_name(root_datum(d4, root_lattice(d4))) == "PSO8"
+    assert group_name(_record(d4, weight_lattice(d4))) == "Spin8"
+    assert group_name(_record(d4, root_lattice(d4))) == "PSO8"
 
     def with_class(t, idx):
         return Lattice(identity_matrix(t.rank) + [list(fundamental_weight(t, idx))])
 
-    assert group_name(root_datum(d4, with_class(d4, 0))) == "SO8"
-    assert group_name(root_datum(d4, with_class(d4, 3))) == "HSpin8+"
-    assert group_name(root_datum(d4, with_class(d4, 2))) == "HSpin8-"
+    assert group_name(_record(d4, with_class(d4, 0))) == "SO8"
+    assert group_name(_record(d4, with_class(d4, 3))) == "HSpin8+"
+    assert group_name(_record(d4, with_class(d4, 2))) == "HSpin8-"
     d5 = CartanType("D", 5)
-    assert group_name(root_datum(d5, with_class(d5, 0))) == "SO10"
+    assert group_name(_record(d5, with_class(d5, 0))) == "SO10"
     assert group_name(build_datum("D5", "so")) == "SO10"
 
 
@@ -152,21 +159,21 @@ def test_group_name_rejects_bad_lattices():
     # group_name takes a validated record; these lattices never become one
     a1 = CartanType("A", 1)
     with pytest.raises(ArithmeticError, match="character lattice not inside the weight lattice"):
-        root_datum(a1, Lattice([[Fraction(1, 3)]]))
+        _record(a1, Lattice([[Fraction(1, 3)]]))
     b2 = CartanType("B", 2)
     with pytest.raises(ArithmeticError,
                        match="cocharacter lattice not inside the coweight lattice"):
-        root_datum(b2, Lattice([[2, 0], [0, 1]]))
+        _record(b2, Lattice([[2, 0], [0, 1]]))
 
 
 def test_group_name_names_both_refusals():
     a2 = CartanType("A", 2)
     with pytest.raises(ArithmeticError, match="character lattice not inside the weight lattice"):
-        root_datum(a2, Lattice([[Fraction(1, 2), 0], [0, 1]]))
+        _record(a2, Lattice([[Fraction(1, 2), 0], [0, 1]]))
     # without the roots in X, its dual Y escapes the coweight lattice
     with pytest.raises(ArithmeticError,
                        match="cocharacter lattice not inside the coweight lattice"):
-        root_datum(a2, Lattice([[2, 0], [1, 1]]))
+        _record(a2, Lattice([[2, 0], [1, 1]]))
 
 
 def test_group_name_of_a_record_solves_nothing(monkeypatch):

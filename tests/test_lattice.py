@@ -10,13 +10,13 @@ import pytest
 import oracles
 from oracles import (basis_coordinate_matrix, basis_coordinates, congruence_kernel,
                      dense_det_int, dense_mat_mul, dual_lattice_by_smith,
-                     invariant_factors_by_minors, lattice_index_by_gauss, smith_normal_form)
+                     invariant_factors_by_minors, lattice_index_by_gauss, modular_dual_lattice,
+                     smith_normal_form)
 from loopdual import lattice, root_data
 from loopdual.cli import run
 from loopdual.lattice import (
     Lattice,
     det_int,
-    dual_lattice,
     hermite_mod,
     hermite_rows,
     identity_matrix,
@@ -27,6 +27,7 @@ from loopdual.lattice import (
     mat_mul,
     numerators_member,
     quotient_invariants,
+    standard_plus,
     transpose,
 )
 from loopdual.lattice import _coordinate_matrix
@@ -142,11 +143,11 @@ def test_membership_matches_coordinates():
 
 
 def _dual(lat, pairing):
-    """dual_lattice with the general denominator bound |det(lat.rows @ p)|, for
+    """modular_dual_lattice with the general denominator bound |det(lat.rows @ p)|, for
     the pairing P = p / pden cleared to integers."""
     pden = lcm(1, *(Fraction(x).denominator for row in pairing for x in row))
     p = [[int(Fraction(x) * pden) for x in row] for row in pairing]
-    return dual_lattice(lat, pairing, abs(det_int(mat_mul(lat.rows, p))))
+    return modular_dual_lattice(lat, pairing, abs(det_int(mat_mul(lat.rows, p))))
 
 
 def test_dual_standard_pairing():
@@ -199,7 +200,7 @@ def test_dual_under_a_rational_pairing():
 def test_dual_rejects_degenerate_pairing():
     for den in (1, 2, 6):
         with pytest.raises(ValueError, match="pairing is degenerate"):
-            dual_lattice(Lattice.standard(2), [[1, 1], [1, 1]], den)
+            modular_dual_lattice(Lattice.standard(2), [[1, 1], [1, 1]], den)
     with pytest.raises(ValueError):
         dual_lattice_by_smith(Lattice.standard(2), [[1, 1], [1, 1]])
 
@@ -572,6 +573,20 @@ def test_kernel_mod_matches_the_smith_oracle():
         mat = _sparse_matrix(rng, rows, n, rng.choice([0.0, 0.4, 0.8]))
         got = Lattice.from_int_rows(1, kernel_mod(mat, modulus))
         assert got == congruence_kernel(mat, modulus), (mat, modulus)
+
+
+def test_standard_plus_matches_the_fraction_constructor():
+    """Z^n + span(rows) / den, kept rows or not, is the lattice the Fraction
+    generators give, also when a row repeats or is a multiple of den.  It lists
+    L / Z^n, of order up to den^n, so den^n stays small here, as |det A| bounds
+    it for the package's callers."""
+    rng = random.Random(2028)
+    for _ in range(300):
+        n, den = rng.randint(1, 4), rng.choice([1, 2, 3, 4, 6])
+        rows = _rand_int_matrix(rng, rng.randint(1, 6), n, -2 * den, 2 * den)
+        rows += rng.sample(rows, 1) + [[den * rng.randint(-2, 2) for _ in range(n)]]
+        want = Lattice(identity_matrix(n) + [[Fraction(x, den) for x in row] for row in rows])
+        assert standard_plus(den, rows) == want, (den, rows)
 
 
 def test_smith_diagonal_matches_the_transform_oracle():

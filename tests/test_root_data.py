@@ -10,7 +10,7 @@ import pytest
 
 from loopdual import root_data
 from loopdual.central_ext import commutator_denominator
-from loopdual.lattice import Lattice, lattice_member, transpose, dual_lattice
+from loopdual.lattice import Lattice, lattice_member, transpose
 from loopdual.root_data import (
     CartanType,
     RootDatum,
@@ -28,7 +28,8 @@ from loopdual.root_data import (
     weight_lattice,
 )
 from oracles import (all_isogenies, dense_det_int, dual_lattice_by_smith, iota,
-                     lattice_index_by_gauss, mat_inv, pairing_numerator, root_closure, two_rho)
+                     lattice_index_by_gauss, mat_inv, modular_dual_lattice, pairing_numerator,
+                     root_closure, two_rho)
 from oracles import reflection_sum as dense_reflection_sum
 
 ALL_TYPES = (
@@ -265,8 +266,9 @@ def test_datum_duality_round_trip(name, isogeny):
     d = build_datum(name, isogeny)
     a = [list(row) for row in cartan_matrix(d.cartan_type)]
     det = cartan_determinant(d.cartan_type)  # X and Y contain Q and Q^v
-    assert dual_lattice(d.Y, transpose(a), det) == d.X == dual_lattice_by_smith(d.Y, transpose(a))
-    assert dual_lattice(d.X, a, det) == d.Y == dual_lattice_by_smith(d.X, a)
+    assert modular_dual_lattice(d.Y, transpose(a), det) == d.X == \
+        dual_lattice_by_smith(d.Y, transpose(a))
+    assert modular_dual_lattice(d.X, a, det) == d.Y == dual_lattice_by_smith(d.X, a)
 
 
 def test_fundamental_groups_adjoint_table():
@@ -465,14 +467,15 @@ def test_ranks_over_the_bound_are_refused():
 def test_a_refused_datum_leaves_no_cache_entry():
     t = CartanType("A", 1)
     x = Lattice([[Fraction(1, 4)]])  # not inside the weight lattice (1/2)Z
+    y = dual_lattice_by_smith(x, cartan_matrix(t))
     before = root_data.root_datum.cache_info().currsize
     with pytest.raises(ArithmeticError, match="not inside the weight lattice"):
-        root_data.root_datum(t, x)
+        root_data.root_datum(t, x, y)
     with pytest.raises(ValueError, match="not in the weight lattice"):
         build_datum(t, [(Fraction(1, 4),)])
     assert root_data.root_datum.cache_info().currsize == before
     with pytest.raises(ArithmeticError, match="not inside the weight lattice"):
-        root_data.root_datum(t, x)  # refused again: the check ran again
+        root_data.root_datum(t, x, y)  # refused again: the check ran again
 
 
 def test_record_invariants_are_cached_on_the_record():
@@ -488,16 +491,19 @@ def test_closed_form_cocharacters_match_the_dual_lattice(t):
     oracle and the modular dual under the bound det A both say."""
     a, det = cartan_matrix(t), cartan_determinant(t)
     assert build_datum(t, "sc").Y == dual_lattice_by_smith(weight_lattice(t), a) == \
-        dual_lattice(weight_lattice(t), a, det) == Lattice.standard(t.rank)
+        modular_dual_lattice(weight_lattice(t), a, det) == Lattice.standard(t.rank)
     assert build_datum(t, "adjoint").Y == dual_lattice_by_smith(root_lattice(t), a) == \
-        dual_lattice(root_lattice(t), a, det)
+        modular_dual_lattice(root_lattice(t), a, det)
 
 
 def test_sc_and_adjoint_records_take_no_dual_lattice(monkeypatch):
-    monkeypatch.setattr(root_data, "dual_lattice", None)  # any call would fail
+    monkeypatch.setattr(root_data, "kernel_mod", None)  # any congruence kernel would fail
+    for cache in (root_data.root_datum, root_data._coweight_lattice, root_data._inverse_cartan):
+        cache.cache_clear()
     for t in (CartanType("D", 9), CartanType("E", 7)):
         for isogeny in ("sc", "adjoint"):  # a fresh record, validated on the way
-            root_data.root_datum.__wrapped__(t, build_datum(t, isogeny).X)
+            d = build_datum(t, isogeny)
+            assert d.Y == dual_lattice_by_smith(d.X, cartan_matrix(t))
 
 
 @pytest.mark.parametrize("name", ["A1", "A3", "A5", "A7", "B2", "B4", "C3", "C4", "D4", "D5",
@@ -509,14 +515,16 @@ def test_every_isogeny_takes_the_smith_dual_under_the_bound_det_a(name):
     a, det = cartan_matrix(t), cartan_determinant(t)
     for label, generators in all_isogenies(t):
         d = build_datum(t, label if label in ("sc", "adjoint") else generators)
-        assert dual_lattice(d.X, a, det) == dual_lattice_by_smith(d.X, a) == d.Y, (name, label)
+        assert modular_dual_lattice(d.X, a, det) == dual_lattice_by_smith(d.X, a) == d.Y, \
+            (name, label)
 
 
 def test_a_character_lattice_without_the_roots_is_refused_before_dualising():
     b2 = CartanType("B", 2)  # (2Z + Z) misses root 0; its dual has denominator 4 > det A
+    x = Lattice([[2, 0], [0, 1]])
     with pytest.raises(ArithmeticError, match="cocharacter lattice not inside the coweight"):
-        root_data.root_datum(b2, Lattice([[2, 0], [0, 1]]))
-    assert dual_lattice_by_smith(Lattice([[2, 0], [0, 1]]), cartan_matrix(b2)).den == 4
+        root_data.root_datum(b2, x, dual_lattice_by_smith(x, cartan_matrix(b2)))
+    assert dual_lattice_by_smith(x, cartan_matrix(b2)).den == 4
 
 
 @pytest.mark.parametrize("t", ALL_TYPES + [CartanType(s, r) for s in "ABCD" for r in (20, 40)],
@@ -536,10 +544,11 @@ def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatc
     t = CartanType("A", 5)
     rows = [(Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2))]
     d = build_datum(t, rows)
-    tests = []
-    real = root_data.lattice_member
-    monkeypatch.setattr(root_data, "lattice_member", lambda v, lat: tests.append(v) or real(v, lat))
+    tests = []  # the weight test of each generator, and Y's adjugate map, multiply matrices
+    real = root_data.mat_mul
+    monkeypatch.setattr(root_data, "mat_mul", lambda a, b: tests.append(a) or real(a, b))
     monkeypatch.setattr(root_data, "Lattice", None)  # a rebuild of X would fail
+    monkeypatch.setattr(root_data, "standard_plus", None)  # and one of Y
     assert build_datum(t, rows) is d
     assert build_datum("A5", [[Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2)]]) is d
     assert tests == []

@@ -270,7 +270,8 @@ def test_an_order_in_a_built_class_does_no_lattice_work(monkeypatch):
 
     for module, name in [(root_data, "kernel_mod"), (lattice, "hermite_rows"),
                          (dynkin, "_recognize"), (lattice, "numerators_member"),
-                         (root_data, "numerators_member"), (td, "numerators_member")]:
+                         (root_data, "mat_mul"), (td, "numerators_member"),
+                         (td, "standard_plus")]:
         count(module, name)
     second = twisted_dual(d, 5)
     assert calls == [] and len(d._duals) == 1
