@@ -359,7 +359,7 @@ def _quotient_lattices(t: CartanType, gens: tuple) -> tuple[Lattice, Lattice]:
     e = lcm(1, *(v.denominator for g in gens for v in g))
     rows = [[int(v * e) for v in g] for g in gens]  # e * G
     for g, row in zip(gens, rows):  # a weight: each <coroot_j, g> = (g @ A)[j] is an integer
-        if any(x % e for x in mat_mul([row], a)[0]):
+        if len(row) != r or any(x % e for x in mat_mul([row], a)[0]):
             raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
     kernel = kernel_mod(rows, e) if e > 1 else identity_matrix(r)
     d, adj = _inverse_cartan(t)

@@ -17,9 +17,8 @@ x_i = y_i / delta_i its character lattice is K_g with coordinate i scaled by e_i
 The dual's cocharacter lattice is the dual of Y_{Q,N} = Y & (N/k) * iota^-1(X), the sum
 X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), with coordinate sigma(i) =
 delta_i * x_i; it depends on N only through the class too, as k * c_i * delta_i / N =
-k * c_i / e_i.  When the dual's X is P or Q, read off its index over the roots, its Y
-is Q^v = Z^r or P^v, kept per type, as for "sc" and "adjoint".  So the record keeps
-one dual per class, built on a miss, where the relabeling, the rescaled coroots
+k * c_i / e_i, and it is built so for every dual, X = P and X = Q included.  So the
+record keeps one dual per class, built on a miss, where the relabeling, the rescaled coroots
 (delta_i * coroot_i is in Y_{Q,N} exactly when (g / e_i) * coroot_i is in K_g), and
 the center times pi1 of the dual record (fetched from root_datum, which proves its Y
 by the perfect pairing) against the Cartan determinant are checked; each check reads
@@ -36,12 +35,10 @@ from .dynkin import group_name, recognize_cartan_matrix
 from .lattice import Lattice, numerators_member, standard_plus
 from .root_data import (
     RootDatum,
-    _coweight_lattice,
     cartan_determinant,
     cartan_matrix,
     coroot_norms,
     root_datum,
-    root_lattice,
 )
 
 
@@ -135,16 +132,7 @@ def _class_dual(d: RootDatum, order: int, delta) -> tuple:
     big = lcm(*delta)
     xlat = Lattice.from_int_rows(ylat.den * big, [[row[i] * (big // delta[i]) for i in source]
                                                  for row in ylat.rows])
-    # it holds the dual roots Z^r, so [X' : Q] = den^r / prod(pivots): |det A'| when X' is
-    # P, with Y' = Q^v = Z^r, and 1 when X' is Q, with Y' = P^v, both kept per type
-    index = xlat.den ** r // prod(row[i] for i, row in enumerate(xlat.rows))
-    if index == cartan_determinant(dual_type):
-        cochars = root_lattice(dual_type)
-    elif index == 1:
-        cochars = _coweight_lattice(dual_type)
-    else:
-        cochars = _dual_cocharacters(d, order, delta, source)
-    dual = root_datum(dual_type, xlat, cochars)
+    dual = root_datum(dual_type, xlat, _dual_cocharacters(d, order, delta, source))
     # [X:Q] * [Y:Q^v] == [P:Q] holds exactly when Y is the dual of X
     if prod(dual.center) * prod(dual.pi1) != cartan_determinant(dual_type):
         raise ArithmeticError("center times fundamental group does not match "

@@ -330,6 +330,16 @@ def test_malformed_argv_is_a_usage_error(argv):
     assert code == 1 and out == "" and err.startswith("error:"), err
 
 
+@pytest.mark.parametrize("type_name, rows, text", [("A3", '[["1"]]', "1"),
+                                                   ("A1", '[["1/2", "5"]]', "1/2,5")],
+                         ids=["too-short", "too-long"])
+def test_a_generator_row_of_the_wrong_length_is_not_a_weight(type_name, rows, text):
+    """A row whose length is not the rank is refused by the weight test itself."""
+    code, out, err = invoke("dual", "--type", type_name, "--isogeny", rows, "--N", "4")
+    assert (code, out) == (1, "")
+    assert err == f"error: --type/--isogeny: generator {text} is not in the weight lattice\n", err
+
+
 def test_digit_limit_is_named():
     code, _, err = invoke("symbol", "--f", "t^-20000", "--g", "2")
     assert code == 1 and str(sys.get_int_max_str_digits()) in err
