@@ -6,8 +6,10 @@ each isogeny that build_datum names for it (sc, adjoint, and so for series B and
 for series D of odd rank), plus the mu2 quotient of every A_(2m-1) (one generator
 row 1/2, 0, 1/2, ..., 1/2), it runs `dual --N n` for n in 1, 2, 3, 4, 6 and
 `extensions`, and `mult --N 1` on omega_1 of the dual group when the `dual --N 1`
-call shows omega_1 to be a character of it, in its lattice X.  Every call is a
-new Python process, so nothing is cached between calls, and is killed after
+call shows omega_1 to be a character of it, in its lattice X.  The center that
+`dual` prints for SL(n) (A_(n-1) sc) must be Z/gcd(n, N), and for PGL(n)
+(A_(n-1) adjoint) Z/(n/gcd(n, N)); a call that prints another fails.  Every call
+is a new Python process, so nothing is cached between calls, and is killed after
 BOUND_S seconds.  Calls run one at a time, so none slows another.  The wall time
 includes interpreter start and import.  It prints the SLOWEST (10) slowest calls
 and every call that failed or went over the bound, and exits 1 if there was one.
@@ -22,6 +24,7 @@ import os
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -63,12 +66,26 @@ def dual_omega1(stdout: bytes) -> str | None:
         else None
 
 
+def expected_center(t: str, isogeny: str, order: int) -> list[int] | None:
+    """The center of the dual of SL(n) or PGL(n), n = rank + 1, at the order, as `dual`
+    prints it: Z/gcd(n, N) and Z/(n/gcd(n, N)); None for any other datum."""
+    if t[0] != "A" or isogeny not in ("sc", "adjoint"):
+        return None
+    n = int(t[1:]) + 1
+    size = gcd(n, order) if isogeny == "sc" else n // gcd(n, order)
+    return [size] if size > 1 else []
+
+
 def scan():
-    """(wall seconds, exit code or None, argv) of every call, in order."""
+    """(wall seconds, exit code, None if killed or a message if the output is wrong,
+    argv) of every call, in order."""
     for t, isogeny in data():
         for n in ORDERS:
             seconds, code, argv, out = timed(["dual", "--type", t, "--isogeny", isogeny,
                                               "--N", str(n)])
+            want = expected_center(t, isogeny, n) if code == 0 else None
+            if want is not None and (got := json.loads(out)["result"]["center"]) != want:
+                code = f"center {got}, expected {want}"
             yield seconds, code, argv
             if n == 1 and code == 0 and (omega := dual_omega1(out)):
                 yield timed(["mult", "--type", t, "--isogeny", isogeny, "--N", "1",
@@ -95,6 +112,11 @@ def label(argv) -> str:
                     else arg for prev, arg in zip([None, *argv], argv))
 
 
+def status(code) -> str:
+    """A call's outcome as printed: killed, a wrong output's message, or the exit code."""
+    return "killed" if code is None else code if isinstance(code, str) else f"exit {code}"
+
+
 def main() -> None:
     start = time.perf_counter()
     results = list(scan())
@@ -103,10 +125,10 @@ def main() -> None:
           f"{time.perf_counter() - start:.0f} s in all")
     print(f"slowest {SLOWEST}:")
     for seconds, code, argv in sorted(results, key=lambda r: r[0], reverse=True)[:SLOWEST]:
-        print(f"  {seconds:6.2f} s  exit {code}  {label(argv)}")
+        print(f"  {seconds:6.2f} s  {status(code)}  {label(argv)}")
     print(f"failed or over the bound: {len(bad)}")
     for seconds, code, argv in bad:
-        print(f"  {seconds:6.2f} s  {'killed' if code is None else f'exit {code}'}  {label(argv)}")
+        print(f"  {seconds:6.2f} s  {status(code)}  {label(argv)}")
     sys.exit(1 if bad else 0)
 
 

@@ -7,15 +7,16 @@ one common denominator, so two Lattice objects compare equal exactly when
 they contain the same vectors, and membership is an integer triangular solve.
 
 Routines: hermite_rows, and hermite_mod, the one elimination with a known
-modulus m (kernel_mod and smith_normal_form, the invariant factors with no
-transforms, both call it, so its proof covers both); both share one 2x2 Bezout
-row transform.  There is no general dual lattice: root_data and twisted_dual
-build each record's cocharacters from how its characters were built, through
-standard_plus, Z^n plus rows over a denominator.  Lattice is built from
-integer rows over a denominator (Lattice.from_int_rows), or from a proven
-modular form as it is; one integer triangular solve on numerators serves
-membership, coordinates and those proofs, checked by its residual ending at
-zero.  Most entries are 0, so mat_mul, det_int, mat_inv and the solve skip zeros.
+modulus m (kernel_mod calls it, and so does smith_normal_form, the invariant
+factors with no transforms, which no answer needs: root_data reads a record's
+center and pi1 off its Hermite pivots); both share one 2x2 Bezout row
+transform.  There is no general dual lattice: root_data and twisted_dual build
+each record's lattices from their construction, through standard_plus, Z^n plus
+rows over a denominator.  Lattice is built from integer rows over a denominator
+(Lattice.from_int_rows), or from a proven modular form as it is; one integer
+triangular solve on numerators serves membership, coordinates and those proofs,
+checked by its residual ending at zero.  Most entries are 0, so mat_mul,
+det_int, mat_inv and the solve skip zeros.
 """
 
 from __future__ import annotations
@@ -53,12 +54,6 @@ def mat_mul(a, b):
 
 def mat_vec(mat, vec):
     return [sum(x * y for x, y in zip(row, vec)) for row in mat]
-
-
-def _cleared(mat) -> tuple[int, list[list[int]]]:
-    """(den, den * mat) with den the least positive int making den * mat integral."""
-    den = lcm(1, *(x.denominator for row in mat for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
 def mat_inv(mat) -> tuple[int, list[list[int]]]:
@@ -196,7 +191,9 @@ class Lattice:
     __slots__ = ("ambient_dim", "den", "rows")
 
     def __init__(self, generators):
-        self._set(*_cleared([[Fraction(x) for x in row] for row in generators]))
+        rows = [[Fraction(x) for x in row] for row in generators]
+        den = lcm(1, *(x.denominator for row in rows for x in row))  # the least that clears them
+        self._set(den, [[x.numerator * (den // x.denominator) for x in row] for row in rows])
 
     @classmethod
     def from_int_rows(cls, den: int, rows) -> "Lattice":
@@ -357,15 +354,6 @@ def kernel_mod(mat, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(row[r:] for row in hermite_mod(gens, m, m ** r)[r:])
 
 
-def _coordinate_matrix(big: Lattice, small: Lattice) -> list[tuple[int, ...]]:
-    """Integer coordinates of the basis rows of small in the basis of big;
-    ValueError if small is not contained in big."""
-    coeffs = [_solve(row, small.den, big) for row in small.rows]
-    if None in coeffs:
-        raise ValueError("small lattice is not contained in big lattice")
-    return coeffs
-
-
 def smith_normal_form(mat) -> tuple[int, ...]:
     """The Smith diagonal d_1 | d_2 | ... of a square integer matrix (ValueError if
     singular), with no transforms: row Hermite forms modulo D = |det mat| of the
@@ -383,10 +371,3 @@ def smith_normal_form(mat) -> tuple[int, ...]:
     if prod(diag) != d:
         raise ArithmeticError("invariant factors do not multiply to the determinant")
     return tuple(diag)
-
-
-def quotient_invariants(big: Lattice, small: Lattice) -> tuple[int, ...]:
-    """Invariant factors of the finite group big/small, units dropped: the Smith
-    diagonal of the coordinates of the small basis in the big basis (ValueError
-    if small is not contained in big)."""
-    return tuple(f for f in smith_normal_form(_coordinate_matrix(big, small)) if f > 1)

@@ -25,9 +25,11 @@ Conventions used across the package:
   D-odd "so" (_quotient_lattices), and X + (k/N) * iota(Y) of the source for a
   dual record (twisted_dual).  As Y is fixed by X there is one record per (type,
   X); it caches G_Y, k, B = k * G_Y and det B, the kernels of B asked for, center
-  and pi1, and twisted_dual's duals by class.  How the caller named X (an isogeny
-  label) is not part of it, so B3 "so" and "adjoint" share one record; explicit
-  generator rows are keyed to their (X, Y).
+  and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two invariant
+  factors at most), and twisted_dual's duals by class.  How the caller named X (an
+  isogeny label) is not part of it, so B3 "so" and "adjoint" share one record;
+  explicit generator rows are keyed to their (X, Y).  P, P^v and both lattices of
+  explicit rows are Z^r plus rows over a denominator (lattice.standard_plus).
 * cartan_symmetrizer and the root pass take a bare integer Cartan matrix, for
   dynkin and rep_check too.  Positive roots grow by height under simple reflections
   and stream past, a few layers at a time, with nothing cached: reflection_sum sums
@@ -49,7 +51,6 @@ from .lattice import (
     kernel_mod,
     mat_inv,
     mat_mul,
-    quotient_invariants,
     standard_plus,
     transpose,
     vector_text,
@@ -176,25 +177,35 @@ def _positive_roots(a):
     each s_i must map the other pairs of a layer to lower positive pairs, so that with
     their negations they are closed under reflections.  Only the layers that check can
     still read are kept: _LAYERS_BELOW under the current height, and those above it."""
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]  # nonzero <coroot_j, root_i>
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]  # nonzero <coroot_j, root_i>
     simple = [tuple(int(i == k) for k in range(len(a))) for i in range(len(a))]
     # height: {root: (coroot, labels)}
-    layers, height = {1: {root: (root, rows[i]) for i, root in enumerate(simple)}}, 0
-    while height < max(layers):
+    layers = {1: {root: (root, dict(rows[i])) for i, root in enumerate(simple)}}
+    height, top = 0, 1
+    while height < top:
         height += 1
         layers.pop(height - _LAYERS_BELOW - 1, None)
         for root, (coroot, labels) in layers.get(height, {}).items():
             for i, c in labels.items():
                 if c > 0 and height == 1:
                     continue  # s_i(root_i) = -root_i
-                ci = sum(x * coroot[j] for j, x in rows[i].items())
-                image = (root[:i] + (root[i] - c,) + root[i + 1:],
-                         coroot[:i] + (coroot[i] - ci,) + coroot[i + 1:])
+                ci = 0
+                for j, x in rows[i]:
+                    ci += x * coroot[j]
+                b, bv = list(root), list(coroot)
+                b[i] -= c
+                bv[i] -= ci
+                image = tuple(b), tuple(bv)
                 found = layers.setdefault(height - c, {})
                 if c < 0 and image[0] not in found:
-                    found[image[0]] = (image[1], {
-                        j: x for j in labels.keys() | rows[i].keys()
-                        if (x := labels.get(j, 0) - c * rows[i].get(j, 0))})
+                    new = labels.copy()  # labels - c * (row i of a), at its nonzero entries
+                    for j, x in rows[i]:
+                        if y := new.get(j, 0) - c * x:
+                            new[j] = y
+                        else:
+                            del new[j]
+                    found[image[0]] = (image[1], new)
+                    top = max(top, height - c)
                 elif found.get(image[0], (None,))[0] != image[1]:
                     raise ArithmeticError("simple reflections do not preserve the "
                                           "positive (root, coroot) pairs")
@@ -213,7 +224,7 @@ def weight_lattice(t: CartanType) -> Lattice:
     The stored basis is in Hermite form, so use fundamental_weight to get an
     actual fundamental weight rather than reading basis rows.
     """
-    return Lattice.from_int_rows(*_inverse_cartan(t))
+    return standard_plus(*_inverse_cartan(t))
 
 
 @lru_cache(maxsize=256)
@@ -227,7 +238,7 @@ def _inverse_cartan(t: CartanType) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def _coweight_lattice(t: CartanType) -> Lattice:
     """P^v in simple-coroot coordinates, spanned by the columns of A^-1."""
     d, rows = _inverse_cartan(t)
-    return Lattice.from_int_rows(d, transpose(rows))
+    return standard_plus(d, transpose(rows))
 
 
 def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
@@ -314,11 +325,24 @@ class RootDatum:
 
     @cached_property
     def center(self) -> tuple[int, ...]:  # invariant factors of X/Q
-        return quotient_invariants(self.X, root_lattice(self.cartan_type))
+        return _invariants_over_z(self.X, self.cartan_type)
 
     @cached_property
     def pi1(self) -> tuple[int, ...]:  # invariant factors of Y/Q^v
-        return quotient_invariants(self.Y, root_lattice(self.cartan_type))
+        return _invariants_over_z(self.Y, self.cartan_type)
+
+
+def _invariants_over_z(lat: Lattice, t: CartanType) -> tuple[int, ...]:
+    """Invariant factors of lat/Z^r, units dropped, for lat = X or Y of a record.  lat/Z^r
+    lies in P/Q or P^v/Q^v, cyclic or (Z/2)^2, so it has two at most: its exponent lat.den,
+    the least d with d * lat inside Z^r, and m / lat.den, m = lat.den^r / prod(pivots)."""
+    den = lat.den
+    m, rest = divmod(den ** t.rank, prod(row[i] for i, row in enumerate(lat.rows)))
+    if rest or m % den or den % (m // den):
+        raise ArithmeticError("Hermite pivots give no quotient of two invariant factors")
+    if cartan_determinant(t) % m:
+        raise ArithmeticError("index over the roots does not divide the Cartan determinant")
+    return tuple(f for f in (m // den, den) if f > 1)
 
 
 def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
@@ -363,7 +387,7 @@ def _quotient_lattices(t: CartanType, gens: tuple) -> tuple[Lattice, Lattice]:
             raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
     kernel = kernel_mod(rows, e) if e > 1 else identity_matrix(r)
     d, adj = _inverse_cartan(t)
-    return (Lattice(identity_matrix(r) + [list(g) for g in gens]),
+    return (standard_plus(e, rows or [[0] * r]),  # Q for no rows
             standard_plus(d, mat_mul(kernel, transpose(adj))))
 
 

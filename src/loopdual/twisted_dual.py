@@ -20,9 +20,10 @@ delta_i * x_i; it depends on N only through the class too, as k * c_i * delta_i 
 k * c_i / e_i, and it is built so for every dual, X = P and X = Q included.  So the
 record keeps one dual per class, built on a miss, where the relabeling, the rescaled coroots
 (delta_i * coroot_i is in Y_{Q,N} exactly when (g / e_i) * coroot_i is in K_g), and
-the center times pi1 of the dual record (fetched from root_datum, which proves its Y
-by the perfect pairing) against the Cartan determinant are checked; each check reads
-only the class, so it holds for one N of a class exactly when it holds for all.
+the orders of the dual record's center and pi1, [X : Q] * [Y : Q^v] from its Hermite
+pivots (the record is fetched from root_datum, which proves its Y by the perfect
+pairing), against the Cartan determinant are checked; each check reads only the
+class, so it holds for one N of a class exactly when it holds for all.
 """
 
 from __future__ import annotations

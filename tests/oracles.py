@@ -680,8 +680,8 @@ def dense_det_int(mat) -> int:
 def basis_coordinates(vector, lat: Lattice) -> tuple[int, ...] | None:
     """Coordinates of vector in lat.basis by Fraction Gauss-Jordan on the
     system sum_k c_k * basis[k] == vector, or None when one is not an integer."""
-    n = lat.ambient_dim
-    m = [[row[j] for row in lat.basis] + [Fraction(vector[j])] for j in range(n)]
+    n, basis = lat.ambient_dim, lat.basis
+    m = [[row[j] for row in basis] + [Fraction(vector[j])] for j in range(n)]
     for col in range(n):
         piv = next(i for i in range(col, n) if m[i][col] != 0)
         m[col], m[piv] = m[piv], m[col]

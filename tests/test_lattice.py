@@ -26,11 +26,9 @@ from loopdual.lattice import (
     mat_inv,
     mat_mul,
     numerators_member,
-    quotient_invariants,
     standard_plus,
     transpose,
 )
-from loopdual.lattice import _coordinate_matrix
 from loopdual.root_data import build_datum
 
 
@@ -203,40 +201,6 @@ def test_dual_rejects_degenerate_pairing():
             modular_dual_lattice(Lattice.standard(2), [[1, 1], [1, 1]], den)
     with pytest.raises(ValueError):
         dual_lattice_by_smith(Lattice.standard(2), [[1, 1], [1, 1]])
-
-
-def test_quotient_invariants_examples():
-    std = Lattice.standard(2)
-    doubled = Lattice([[2, 0], [0, 2]])
-    assert quotient_invariants(std, doubled) == (2, 2)
-    assert quotient_invariants(std, std) == ()
-    # Weight over root lattice in the rank-one chain: index-two quotient.
-    weight = Lattice([[Fraction(1, 2)]])
-    root = Lattice([[1]])
-    assert quotient_invariants(weight, root) == (2,)
-    with pytest.raises(ValueError):
-        quotient_invariants(doubled, std)
-
-
-def test_quotient_invariants_against_transform_diagonal():
-    rng = random.Random(99)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        while True:
-            big_rows = _rand_int_matrix(rng, n, n, -4, 4)
-            if det_int(big_rows) != 0:
-                break
-        while True:
-            change = _rand_int_matrix(rng, n, n, -3, 3)
-            if det_int(change) != 0:
-                break
-        big = Lattice(big_rows)
-        small = Lattice(mat_mul(change, big.basis))
-        got = quotient_invariants(big, small)
-        _, d, _ = smith_normal_form(change)
-        expected = tuple(d[i][i] for i in range(n) if d[i][i] > 1)
-        assert got == expected
-        assert prod(got) == abs(det_int(change))
 
 
 def _brute_kernel_residues(mat, modulus):
@@ -526,10 +490,11 @@ def _nested_pairs(seed, count):
 
 def test_integer_solve_matches_the_fraction_basis_oracle():
     for big, small in _nested_pairs(41, 40):
-        coeffs = _coordinate_matrix(big, small)
+        coeffs = [lattice._solve(row, small.den, big) for row in small.rows]
         assert coeffs == basis_coordinate_matrix(big, small)
         assert all(type(x) is int for row in coeffs for x in row)
-        assert quotient_invariants(big, small) == invariant_factors_by_minors(coeffs)
+        assert tuple(f for f in lattice.smith_normal_form(coeffs) if f > 1) == \
+            invariant_factors_by_minors(coeffs)
         for row in big.basis:
             assert lattice_coordinates(row, small) == basis_coordinates(row, small)
 
@@ -542,10 +507,7 @@ def test_integer_solve_refuses_what_the_oracle_refuses():
         refused += 1
         with pytest.raises(ValueError, match="small lattice is not contained") as oracle:
             basis_coordinate_matrix(small, big)
-        for call in (_coordinate_matrix, quotient_invariants):
-            with pytest.raises(ValueError) as err:
-                call(small, big)
-            assert str(err.value) == str(oracle.value)
+        assert None in [lattice._solve(row, big.den, small) for row in big.rows], oracle.value
     assert refused >= 20
 
 
@@ -646,17 +608,29 @@ def test_hermite_mod_determinant_proof_fires(monkeypatch):
 
 
 def test_invariant_factor_product_check_fires(monkeypatch):
-    d = build_datum("A3", "adjoint")  # pi1 = P^v / Q^v = Z/4, built afresh below
-    d.__dict__.pop("pi1", None)
     # a gcd/lcm pass that loses the lcm: the factors no longer multiply to |det|
     monkeypatch.setattr(lattice, "lcm", lambda *args: 1)
     with pytest.raises(ArithmeticError, match="invariant factors do not multiply"):
         lattice.smith_normal_form([[2, 0], [0, 3]])
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    # pivots that multiply to twice their product: [Y : Z^3] = 4^3 / 32 = 2, not a
+    # multiple of the exponent 4
+    ("prod", lambda real: lambda rows: 2 * real(rows),
+     "Hermite pivots give no quotient of two invariant factors"),
+    # a Cartan determinant of 5 for A3, which the true index 4 does not divide
+    ("cartan_determinant", lambda real: lambda t: real(t) + 1,
+     "index over the roots does not divide the Cartan determinant"),
+])
+def test_center_and_pi1_index_checks_fire(monkeypatch, name, fault, message):
+    d = build_datum("A3", "adjoint")  # pi1 = P^v / Q^v = Z/4, built afresh below
+    d.__dict__.pop("pi1", None)
+    monkeypatch.setattr(root_data, name, fault(getattr(root_data, name)))
     err = io.StringIO()
     assert run(["extensions", "--type", "A3", "--isogeny", "adjoint"],
                out=io.StringIO(), err=err) == 3
-    assert "internal check failed: invariant factors do not multiply to the determinant" \
-        in err.getvalue()
+    assert f"internal check failed: {message}" in err.getvalue()
 
 
 def test_mat_inv_exactness_check_fires(monkeypatch):

@@ -16,6 +16,8 @@ PACKAGE = ROOT / "src" / "loopdual"
 ALLOWED = {
     "cli.main": "the console-script entry point; the replay calls cli.run",
     "lattice.mat_vec": "BENCHMARK.json names lattice.mat_vec.calls",
+    "lattice.smith_normal_form": "BENCHMARK.json names lattice.smith_normal_form.calls",
+    "lattice.Lattice.__init__": "the constructor from rational rows, for scripts and tests",
     "rep_check.weyl_dim": "BENCHMARK.json names rep_check.weyl_dim.calls",
     "rep_check.WeightSystem.weyl_dimension": "the body of weyl_dim",
     "lattice.Lattice.basis": "Lattice.__repr__ reads it",

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -27,9 +28,10 @@ from loopdual.root_data import (
     root_lattice,
     weight_lattice,
 )
-from oracles import (all_isogenies, dense_det_int, dual_lattice_by_smith, iota,
-                     lattice_index_by_gauss, mat_inv, modular_dual_lattice, pairing_numerator,
-                     root_closure, two_rho)
+from loopdual.twisted_dual import twisted_dual
+from oracles import (all_isogenies, basis_coordinate_matrix, dense_det_int, dual_lattice_by_smith,
+                     iota, lattice_index_by_gauss, mat_inv, modular_dual_lattice,
+                     pairing_numerator, root_closure, smith_normal_form, two_rho)
 from oracles import reflection_sum as dense_reflection_sum
 
 ALL_TYPES = (
@@ -277,6 +279,42 @@ def test_fundamental_groups_adjoint_table():
     for name, invs in expected.items():
         assert build_datum(name, "adjoint").pi1 == invs
         assert build_datum(name, "sc").center == invs
+
+
+def _smith_invariants(lat):
+    """Invariant factors of lat / Z^r, units dropped, from the transform oracle."""
+    _, d, _ = smith_normal_form(basis_coordinate_matrix(lat, Lattice.standard(lat.ambient_dim)))
+    return tuple(f for i in range(len(d)) if (f := d[i][i]) > 1)
+
+
+def test_center_and_pi1_match_the_smith_oracle():
+    """Every type of rank <= 12, every isogeny of it (oracles.all_isogenies, and "sc" and
+    "adjoint" by name), and the duals of each at N = 1..12."""
+    types = ([CartanType(s, n) for s, lo in zip("ABCD", (1, 2, 2, 3)) for n in range(lo, 13)]
+             + [CartanType("E", n) for n in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)])
+    records = []
+    for t in types:
+        for source in [build_datum(t, gens) for _, gens in all_isogenies(t)] + \
+                [build_datum(t, "sc"), build_datum(t, "adjoint")]:
+            records += [source] + [twisted_dual(source, n).dual for n in range(1, 13)]
+    assert (len(types), len(records)) == (49, 2925)
+    for d in set(records):
+        assert (d.center, d.pi1) == (_smith_invariants(d.X), _smith_invariants(d.Y)), d
+    assert {d.center for d in records} >= {(), (2,), (3,), (4,), (2, 2), (12,)}
+
+
+def test_dual_centers_follow_the_closed_forms():
+    """The dual of SL_n at N has center Z/gcd(n, N), that of PGL_n Z/(n/gcd(n, N)); n runs
+    over three periods of the lcm 12 of the orders, and the last three below the rank bound
+    (scripts/scan_ranks.py checks every one)."""
+    for n in [*range(2, 38), 127, 128, 129]:
+        sl, pgl = build_datum(f"A{n - 1}", "sc"), build_datum(f"A{n - 1}", "adjoint")
+        for order in (1, 2, 3, 4, 6):
+            g = gcd(n, order)
+            assert twisted_dual(sl, order).dual.center == ((g,) if g > 1 else ()), (n, order)
+            assert twisted_dual(pgl, order).dual.center == \
+                ((n // g,) if n > g else ()), (n, order)
+    assert build_datum("D128", "sc").center == (2, 2)  # Spin256
 
 
 def test_all_isogenies_enumeration():
