@@ -8,7 +8,9 @@ row 1/2, 0, 1/2, ..., 1/2), it runs `dual --N n` for n in 1, 2, 3, 4, 6 and
 `extensions`, and `mult --N 1` on omega_1 of the dual group when the `dual --N 1`
 call shows omega_1 to be a character of it, in its lattice X.  The center that
 `dual` prints for SL(n) (A_(n-1) sc) must be Z/gcd(n, N), and for PGL(n)
-(A_(n-1) adjoint) Z/(n/gcd(n, N)); a call that prints another fails.  Every call
+(A_(n-1) adjoint) Z/(n/gcd(n, N)); the name it prints for Spin(2r+1) (B_r sc) and
+Sp(2r) (C_r sc) must be the group that twisted_dual.expected_dual_name gives (up to
+twisted_dual.same_group); a call that prints another fails.  Every call
 is a new Python process, so nothing is cached between calls, and is killed after
 BOUND_S seconds.  Calls run one at a time, so none slows another.  The wall time
 includes interpreter start and import.  It prints the SLOWEST (10) slowest calls
@@ -32,6 +34,7 @@ sys.path.insert(0, str(SRC))
 
 from loopdual.lattice import Lattice, lattice_member  # noqa: E402
 from loopdual.root_data import MAX_RANK, CartanType, fundamental_weight  # noqa: E402
+from loopdual.twisted_dual import expected_dual_name, same_group  # noqa: E402
 
 ORDERS = (1, 2, 3, 4, 6)
 BOUND_S = 3.0
@@ -76,6 +79,25 @@ def expected_center(t: str, isogeny: str, order: int) -> list[int] | None:
     return [size] if size > 1 else []
 
 
+def expected_name(t: str, isogeny: str, order: int) -> str | None:
+    """The name of the dual of Spin(2r+1) (B_r sc) or Sp(2r) (C_r sc) at the order, by
+    expected_dual_name; None for any other datum."""
+    if t[0] not in "BC" or isogeny != "sc":
+        return None
+    r = int(t[1:])
+    return expected_dual_name(f"Spin{2 * r + 1}" if t[0] == "B" else f"Sp{2 * r}", order)
+
+
+def mismatch(t: str, isogeny: str, order: int, result: dict) -> str | None:
+    """What a `dual` result gets wrong about its center or name, or None."""
+    center, name = expected_center(t, isogeny, order), expected_name(t, isogeny, order)
+    if center is not None and result["center"] != center:
+        return f"center {result['center']}, expected {center}"
+    if name is not None and not same_group(result["name"], name):
+        return f"name {result['name']}, expected {name}"
+    return None
+
+
 def scan():
     """(wall seconds, exit code, None if killed or a message if the output is wrong,
     argv) of every call, in order."""
@@ -83,9 +105,8 @@ def scan():
         for n in ORDERS:
             seconds, code, argv, out = timed(["dual", "--type", t, "--isogeny", isogeny,
                                               "--N", str(n)])
-            want = expected_center(t, isogeny, n) if code == 0 else None
-            if want is not None and (got := json.loads(out)["result"]["center"]) != want:
-                code = f"center {got}, expected {want}"
+            if code == 0 and (wrong := mismatch(t, isogeny, n, json.loads(out)["result"])):
+                code = wrong
             yield seconds, code, argv
             if n == 1 and code == 0 and (omega := dual_omega1(out)):
                 yield timed(["mult", "--type", t, "--isogeny", isogeny, "--N", "1",

@@ -6,17 +6,17 @@ rational vector space and is stored as integer Hermite-normal-form rows over
 one common denominator, so two Lattice objects compare equal exactly when
 they contain the same vectors, and membership is an integer triangular solve.
 
-Routines: hermite_rows, and hermite_mod, the one elimination with a known
-modulus m (kernel_mod calls it, and so does smith_normal_form, the invariant
-factors with no transforms, which no answer needs: root_data reads a record's
-center and pi1 off its Hermite pivots); both share one 2x2 Bezout row
-transform.  There is no general dual lattice: root_data and twisted_dual build
-each record's lattices from their construction, through standard_plus, Z^n plus
-rows over a denominator.  Lattice is built from integer rows over a denominator
-(Lattice.from_int_rows), or from a proven modular form as it is; one integer
-triangular solve on numerators serves membership, coordinates and those proofs,
-checked by its residual ending at zero.  Most entries are 0, so mat_mul,
-det_int, mat_inv and the solve skip zeros.
+Routines: hermite_rows, and hermite_mod, the one elimination with a known modulus m,
+which only smith_normal_form calls (the invariant factors with no transforms, which no
+answer needs: root_data reads a record's center and pi1 off its Hermite pivots; the test
+oracles use both); both share one 2x2 Bezout row transform.  There is no general dual
+lattice and no congruence kernel: each record's lattices are Z^n plus rows over a
+denominator (standard_plus), whose group L / Z^n span_mod lists, and root_data builds
+the second lattice of a record from the rows standard_plus kept for the first.  Lattice
+is built from integer rows over a denominator (Lattice.from_int_rows), or from a proven
+modular form as it is; one integer triangular solve on numerators serves membership,
+coordinates and those proofs, checked by its residual ending at zero.  Most entries are
+0, so mat_mul, det_int, mat_inv and the solve skip zeros.
 """
 
 from __future__ import annotations
@@ -234,23 +234,32 @@ class Lattice:
         return f"Lattice[{rows}]"
 
 
-def standard_plus(den: int, rows) -> Lattice:
-    """Z^n + span(rows) / den, for integer rows of length n: one Hermite form of den * Z^n
-    and those rows that, reduced mod den, enlarge the group the kept ones span mod den.
-    That group is L / Z^n, listed as it grows, so the cost follows [L : Z^n], not the
-    number of rows: a caller keeps it small (in root_data and twisted_dual it divides the
-    determinant of a Cartan matrix, at most MAX_RANK + 1)."""
-    n = len(rows[0])
-    group, keep = {(0,) * n}, []
+def span_mod(den: int, rows) -> tuple[set, list]:
+    """(group, kept): group is L / Z^n, L = Z^n + span(rows) / den for integer rows of length
+    n, as residues mod den listed as it grows, and kept are the rows that enlarged it, which
+    generate it.  The cost follows [L : Z^n], not the number of rows: root_data keeps it a
+    divisor of the determinant of a Cartan matrix, at most MAX_RANK + 1."""
+    group, kept = {(0,) * len(rows[0])}, []
     for row in rows:
         if (v := tuple(x % den for x in row)) not in group:
-            keep.append(v)
+            kept.append(v)
             cosets, step = set(group), v
             while step not in group:  # group + c * v for c = 1, 2, ... up to v's order
                 cosets.update(tuple((x + y) % den for x, y in zip(w, step)) for w in group)
                 step = tuple((x + y) % den for x, y in zip(step, v))
             group = cosets
-    return Lattice.from_int_rows(den, [[den * x for x in row] for row in identity_matrix(n)] + keep)
+    return group, kept
+
+
+def standard_plus(den: int, rows) -> tuple[Lattice, list]:
+    """(L, gens) for L = Z^n + span(rows) / den, integer rows of length n: one Hermite form
+    of den * Z^n and the rows span_mod keeps, which come back as gens, over L.den, so
+    L = Z^n + span(gens) / L.den and gens generate L / Z^n."""
+    _, kept = span_mod(den, rows)
+    scaled = [[den * x for x in row] for row in identity_matrix(len(rows[0]))]
+    lat = Lattice.from_int_rows(den, scaled + kept)
+    g = den // lat.den  # divides every kept row, as lat.den * L lies in Z^n
+    return lat, [tuple(x // g for x in v) for v in kept]
 
 
 def _solve(nums, den: int, lat: Lattice) -> tuple[int, ...] | None:
@@ -343,15 +352,6 @@ def hermite_mod(gens, m: int, det: int) -> tuple[tuple[int, ...], ...]:
     if prod(pivots) != det:
         raise ArithmeticError("modular Hermite form has the wrong determinant")
     return lat.rows
-
-
-def kernel_mod(mat, m: int) -> tuple[tuple[int, ...], ...]:
-    """Hermite rows of {x in Z^n : mat @ x = 0 mod m}, for mat with n columns: the
-    rows of the modular Hermite form of span((column j of mat, e_j)) + m * Z^(r+n),
-    of determinant m^r for r = len(mat), whose pivots lie past column r, cut there."""
-    r, n = len(mat), len(mat[0])
-    gens = [list(col) + [int(i == j) for i in range(n)] for j, col in enumerate(zip(*mat))]
-    return tuple(row[r:] for row in hermite_mod(gens, m, m ** r)[r:])
 
 
 def smith_normal_form(mat) -> tuple[int, ...]:

@@ -20,16 +20,16 @@ Conventions used across the package:
   types at most, like the records.
 * A RootDatum is immutable, the triple (type, X, Y), made by root_datum from an
   X and a Y built together by its caller, and validated then by a perfect-pairing
-  check, which proves Y == X^v; no lattice is ever dualised.  Y is Q^v for "sc",
-  P^v for "adjoint", A^-1 of a congruence on the generators for explicit rows and
-  D-odd "so" (_quotient_lattices), and X + (k/N) * iota(Y) of the source for a
-  dual record (twisted_dual).  As Y is fixed by X there is one record per (type,
-  X); it caches G_Y, k, B = k * G_Y and det B, the kernels of B asked for, center
-  and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two invariant
-  factors at most), and twisted_dual's duals by class.  How the caller named X (an
-  isogeny label) is not part of it, so B3 "so" and "adjoint" share one record;
-  explicit generator rows are keyed to their (X, Y).  P, P^v and both lattices of
-  explicit rows are Z^r plus rows over a denominator (lattice.standard_plus).
+  check, which proves Y == X^v; no lattice is ever dualised.  Y is Q^v for "sc" and P^v
+  for "adjoint".  Otherwise one lattice is Z^r plus the rows standard_plus keeps, and
+  the other Z^r plus the elements of P/Q (P^v/Q^v) that pair integrally with them
+  (annihilator_plus): Y from X for explicit rows and D-odd "so" (_quotient_lattices), X
+  from Y = X + (k/N) * iota(Y) of the source for a dual (twisted_dual).  As Y is fixed by
+  X there is one record per (type, X); it caches G_Y, k, B = k * G_Y and det B, center
+  and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two invariant factors
+  at most), and twisted_dual's duals by class.  How the caller named X (an isogeny label)
+  is not part of it, so B3 "so" and "adjoint" share one record; explicit generator rows
+  are keyed to their (X, Y).  P and P^v are Z^r plus rows over a denominator too.
 * cartan_symmetrizer and the root pass take a bare integer Cartan matrix, for
   dynkin and rep_check too.  Positive roots grow by height under simple reflections
   and stream past, a few layers at a time, with nothing cached: reflection_sum sums
@@ -47,10 +47,9 @@ from math import gcd, lcm, prod
 from .lattice import (
     Lattice,
     det_int,
-    identity_matrix,
-    kernel_mod,
     mat_inv,
     mat_mul,
+    span_mod,
     standard_plus,
     transpose,
     vector_text,
@@ -224,7 +223,7 @@ def weight_lattice(t: CartanType) -> Lattice:
     The stored basis is in Hermite form, so use fundamental_weight to get an
     actual fundamental weight rather than reading basis rows.
     """
-    return standard_plus(*_inverse_cartan(t))
+    return standard_plus(*_inverse_cartan(t))[0]
 
 
 @lru_cache(maxsize=256)
@@ -238,7 +237,7 @@ def _inverse_cartan(t: CartanType) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def _coweight_lattice(t: CartanType) -> Lattice:
     """P^v in simple-coroot coordinates, spanned by the columns of A^-1."""
     d, rows = _inverse_cartan(t)
-    return standard_plus(d, transpose(rows))
+    return standard_plus(d, transpose(rows))[0]
 
 
 def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
@@ -266,8 +265,7 @@ class RootDatum:
     but for caches; equality and hash read only (cartan_type, X), which fix Y."""
 
     def __init__(self, cartan_type: CartanType, X: Lattice, Y: Lattice):
-        self.__dict__.update(cartan_type=cartan_type, X=X, Y=Y, _key=(cartan_type, X),
-                             _kernels={}, _duals={})
+        self.__dict__.update(cartan_type=cartan_type, X=X, Y=Y, _key=(cartan_type, X), _duals={})
 
     def __setattr__(self, name, *value):  # *value: __delattr__ is this method too
         raise AttributeError(f"cannot assign to field {name!r} of an immutable RootDatum")
@@ -310,18 +308,11 @@ class RootDatum:
         if any(k * x % s for row in gram for x in row):
             raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
         b = tuple(tuple(k * x // s for x in row) for row in gram)
-        det, pivots = det_int(b), prod(row[i] for i, row in enumerate(self.Y.rows))
-        if det * s ** self.rank != (k ** self.rank * pivots ** 2 * cartan_determinant(t)
+        det = det_int(b)
+        if det * s ** self.rank != (k ** self.rank * _pivots(self.Y) ** 2 * cartan_determinant(t)
                                     * prod(coroot_norms(t))):
             raise ArithmeticError("det(k * G_Y) disagrees with the Cartan determinant")
         return det, b
-
-    def kernel(self, g: int) -> Lattice:
-        """K_g = {y in Y : k * (y, Y) in g*Z}, the kernel of B modulo g, kept per g."""
-        if g not in self._kernels:
-            rows = kernel_mod(self.level_gram[1], g)
-            self._kernels[g] = Lattice.from_int_rows(self.Y.den, mat_mul(rows, self.Y.rows))
-        return self._kernels[g]
 
     @cached_property
     def center(self) -> tuple[int, ...]:  # invariant factors of X/Q
@@ -332,12 +323,17 @@ class RootDatum:
         return _invariants_over_z(self.Y, self.cartan_type)
 
 
+def _pivots(lat: Lattice) -> int:
+    """The product of the Hermite pivots of lat: det(lat.basis) * lat.den^r."""
+    return prod(row[i] for i, row in enumerate(lat.rows))
+
+
 def _invariants_over_z(lat: Lattice, t: CartanType) -> tuple[int, ...]:
     """Invariant factors of lat/Z^r, units dropped, for lat = X or Y of a record.  lat/Z^r
     lies in P/Q or P^v/Q^v, cyclic or (Z/2)^2, so it has two at most: its exponent lat.den,
     the least d with d * lat inside Z^r, and m / lat.den, m = lat.den^r / prod(pivots)."""
     den = lat.den
-    m, rest = divmod(den ** t.rank, prod(row[i] for i, row in enumerate(lat.rows)))
+    m, rest = divmod(den ** t.rank, _pivots(lat))
     if rest or m % den or den % (m // den):
         raise ArithmeticError("Hermite pivots give no quotient of two invariant factors")
     if cartan_determinant(t) % m:
@@ -375,20 +371,29 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
 
 @lru_cache(maxsize=256)
 def _quotient_lattices(t: CartanType, gens: tuple) -> tuple[Lattice, Lattice]:
-    """(X, Y) for X = Q + span(gens), weight-lattice rows gens, built once per (type, rows).
-    As <g, A^-1 z> = g . z, Y = A^-1 K for K = {z in Z^r : g . z in Z for each g}, the
-    kernel of e * G modulo e, e the common denominator of gens, mapped by the integer
-    adjugate; Y holds Q^v = Z^r, and [Y : Q^v] divides |det A|."""
+    """(X, Y) for X = Q + span(gens), weight-lattice rows gens, built once per (type, rows);
+    Y is the annihilator of the generators of X / Q that standard_plus keeps."""
     a, r = cartan_matrix(t), t.rank
     e = lcm(1, *(v.denominator for g in gens for v in g))
     rows = [[int(v * e) for v in g] for g in gens]  # e * G
     for g, row in zip(gens, rows):  # a weight: each <coroot_j, g> = (g @ A)[j] is an integer
         if len(row) != r or any(x % e for x in mat_mul([row], a)[0]):
             raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
-    kernel = kernel_mod(rows, e) if e > 1 else identity_matrix(r)
-    d, adj = _inverse_cartan(t)
-    return (standard_plus(e, rows or [[0] * r]),  # Q for no rows
-            standard_plus(d, mat_mul(kernel, transpose(adj))))
+    x, kept = standard_plus(e, rows or [[0] * r])  # Q for no rows
+    return x, annihilator_plus(t, x.den, kept, cocharacters=True)[0]
+
+
+def annihilator_plus(t: CartanType, den: int, gens, cocharacters: bool) -> tuple[Lattice, list]:
+    """standard_plus of Z^r and the elements of P/Q (P^v/Q^v if cocharacters) of type t that
+    pair integrally with each row v / den of gens: the dual of Z^r + span(gens) / den, a
+    lattice between the coroots and the coweights (roots and weights).  With a = A (A^T),
+    P is Z^r plus the rows w / D of D * a^-1, D = |det A|, so it has at most D cosets,
+    and the pairing of w / D with v / den is w . (a v) / (D * den)."""
+    cartan, (d, inv) = cartan_matrix(t), _inverse_cartan(t)
+    images = mat_mul(gens, cartan if cocharacters else transpose(cartan))  # row i is a v_i
+    group, _ = span_mod(d, transpose(inv) if cocharacters else inv)
+    return standard_plus(d, [w for w in group if all(
+        sum(x * y for x, y in zip(w, u)) % (d * den) == 0 for u in images)])
 
 
 @lru_cache(maxsize=256)  # the sweep benchmark, 79 data of rank <= 8 and their duals, makes 150
@@ -401,7 +406,8 @@ def root_datum(t: CartanType, x: Lattice, y: Lattice) -> RootDatum:
 
 
 def _validate_datum(d: RootDatum) -> None:
-    """Q <= X <= P and Y == X^v, from X <= P, Y <= P^v and a perfect pairing."""
+    """Q <= X <= P and Y == X^v, from X <= P, Y <= P^v and a perfect pairing: the pairing
+    matrix is integral, and its determinant, read off the Hermite pivots, is +-1."""
     a = cartan_matrix(d.cartan_type)
     x, y = d.X, d.Y
     xa = mat_mul(x.rows, a)
@@ -409,10 +415,10 @@ def _validate_datum(d: RootDatum) -> None:
         raise ArithmeticError("character lattice not inside the weight lattice")
     if any(v % y.den for row in mat_mul(y.rows, transpose(a)) for v in row):
         raise ArithmeticError("cocharacter lattice not inside the coweight lattice")
-    pairs = mat_mul(xa, transpose(y.rows))
+    pairs = mat_mul(xa, transpose(y.rows))  # X.rows @ A @ Y.rows^T, of |det| below
     den = x.den * y.den
     if any(v % den for row in pairs for v in row) or \
-            abs(det_int([[v // den for v in row] for row in pairs])) != 1:
+            _pivots(x) * _pivots(y) * cartan_determinant(d.cartan_type) != den ** d.rank:
         raise ArithmeticError("pairing of the character and cocharacter lattices is not perfect")
 
 

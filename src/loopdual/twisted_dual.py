@@ -1,41 +1,36 @@
 """The dual root datum attached to a root datum and a twisting order.
 
-Given a root datum and an order N, the construction rescales each coroot
-by a local denominator delta_i = N / gcd(N, k * c_i), where k is the
-commutator denominator and c_i the coroot norms, and cuts the cocharacter
-lattice down to Y_{Q,N} = {y in Y : k * (y, y') in N*Z for every y' in Y},
-read off the Gram matrix of the invariant form on Y.  Since X is dual to Y,
-these are the cocharacters whose image under k * iota is divisible by N in
-the character lattice.  That sublattice becomes the character lattice of a
-new root datum on the opposite side.  The new Cartan matrix is recognized
-and the resulting group named, so the output is a root datum in standard
-coordinates plus the bookkeeping of how it was reached.  Y_{Q,N} is (N/g) times
-the source record's kernel K_g of k * G_Y modulo g = gcd(N, det(k * G_Y)), and with
-e_i = gcd(N, k * c_i) = N / delta_i the dual depends on N only through the class
-(g, e): its Cartan matrix is e_j * a_ji / e_i, and in its own coordinates
-x_i = y_i / delta_i its character lattice is K_g with coordinate i scaled by e_i / g.
-The dual's cocharacter lattice is the dual of Y_{Q,N} = Y & (N/k) * iota^-1(X), the sum
-X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), with coordinate sigma(i) =
-delta_i * x_i; it depends on N only through the class too, as k * c_i * delta_i / N =
-k * c_i / e_i, and it is built so for every dual, X = P and X = Q included.  So the
-record keeps one dual per class, built on a miss, where the relabeling, the rescaled coroots
-(delta_i * coroot_i is in Y_{Q,N} exactly when (g / e_i) * coroot_i is in K_g), and
-the orders of the dual record's center and pi1, [X : Q] * [Y : Q^v] from its Hermite
-pivots (the record is fetched from root_datum, which proves its Y by the perfect
-pairing), against the Cartan determinant are checked; each check reads only the
-class, so it holds for one N of a class exactly when it holds for all.
+Given a root datum and an order N, the construction rescales each coroot by a local
+denominator delta_i = N / gcd(N, k * c_i), k the commutator denominator and c_i the coroot
+norms, and cuts Y down to Y_{Q,N} = {y in Y : k * (y, Y) in N*Z}, the y with (k/N) * iota(y)
+in X.  That is the character lattice X' of a new root datum, in the coordinates x_sigma(i) =
+y_i / delta_i of the rescaled coroots, sigma the relabeling onto the recognized standard form
+of the Cartan matrix e_j * a_ji / e_i, e_i = N / delta_i.  Its cocharacters Y', the dual of
+Y_{Q,N}, are X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), with coordinate
+sigma(i) = delta_i * x_i: Z^r, the dual's coroots, plus rows (lattice.standard_plus).  X' is
+Z^r plus the elements of P'/Q' that pair integrally with the rows kept for Y'
+(root_data.annihilator_plus, which gives every record its second lattice).  The dual depends
+on N only through the class (g, e), g = gcd(N, det(k * G_Y)); the record keeps one dual per
+class, built on a miss and checked: the relabeling; each rescaled coroot in Y_{Q,N} and
+each generator of X'/Z^r in Y_{Q,N} by the definition, so X' <= Y_{Q,N}; each rescaled
+root root_i / delta_i in X + (k/N) * iota(Y), so Y_{Q,N} pairs integrally with Y' and the
+perfect pairing X' = Y'^v of root_datum gives X' >= Y_{Q,N}; and the orders of the dual's
+center and pi1 against det A'.  Each check reads only the class, so it holds for one N of
+a class exactly when it holds for all.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .central_ext import commutator_denominator
 from .dynkin import group_name, recognize_cartan_matrix
-from .lattice import Lattice, numerators_member, standard_plus
+from .lattice import Lattice, numerators_member, standard_plus, vector_text
 from .root_data import (
     RootDatum,
+    annihilator_plus,
     cartan_determinant,
     cartan_matrix,
     coroot_norms,
@@ -80,13 +75,11 @@ def dual_cartan_matrix(d: RootDatum, delta) -> tuple[tuple[int, ...], ...]:
 
 def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
     """Y_{Q,N} = {y in Y : k * (y, Y) in N*Z}, the dual's character lattice in the
-    source's coordinates: (N/g) * K_g for K_g = RootDatum.kernel(g), g = gcd(N, det B),
-    B = k * G_Y, as each invariant factor of B divides det B."""
-    if order < 1:
-        raise ValueError(f"twisting order must be positive, got {order}")
-    g = gcd(order, d.level_gram[0])
-    kernel = d.kernel(g)
-    return Lattice.from_int_rows(kernel.den, ([order // g * x for x in row] for row in kernel.rows))
+    source's coordinates: the X of twisted_dual's dual record, mapped back by
+    y_i = delta_i * x_sigma(i)."""
+    out = twisted_dual(d, order)
+    x, pairs = out.dual.X, list(zip(out.local_denominators, out.relabeling))
+    return Lattice.from_int_rows(x.den, ([di * row[s] for di, s in pairs] for row in x.rows))
 
 
 class TwistedDualData(namedtuple("TwistedDualData", "source order denominator local_denominators "
@@ -115,25 +108,25 @@ def _class_dual(d: RootDatum, order: int, delta) -> tuple:
     order, built from order and checked."""
     aprime = dual_cartan_matrix(d, delta)
     dual_type, sigma = recognize_cartan_matrix(aprime)
-    std = cartan_matrix(dual_type)
-    r = d.rank
+    std, r = cartan_matrix(dual_type), d.rank
     if any(aprime[i][j] != std[sigma[i]][sigma[j]] for i in range(r) for j in range(r)):
         raise ArithmeticError("relabeling does not carry the rescaled "
                               "Cartan matrix to the standard one")
-    ylat = dual_character_lattice(d, order)
-    for i, di in enumerate(delta):
-        scaled_coroot = [0] * r  # delta_i * e_i, over denominator 1
-        scaled_coroot[i] = di
-        if not numerators_member(scaled_coroot, 1, ylat):
-            raise ArithmeticError(
-                f"rescaled coroot {tuple(scaled_coroot)} escaped the dual character lattice")
-    # coordinate i of Y_{Q,N} over delta_i, in the standard numbering; the roots
-    # are in it, as the rescaled coroots are in Y_{Q,N}
-    source = sorted(range(r), key=sigma.__getitem__)  # the inverse of sigma
-    big = lcm(*delta)
-    xlat = Lattice.from_int_rows(ylat.den * big, [[row[i] * (big // delta[i]) for i in source]
-                                                 for row in ylat.rows])
-    dual = root_datum(dual_type, xlat, _dual_cocharacters(d, order, delta, source))
+    k, cs = d.k, coroot_norms(d.cartan_type)
+    for i, (c, di) in enumerate(zip(cs, delta)):  # N | k * c_i * delta_i: delta_i * coroot_i is
+        # in Y_{Q,N}; delta_i * gcd(N, k * c_i) | N: root_i / delta_i is in X + (k/N) * iota(Y)
+        if k * c * di % order or order % (di * gcd(order, k * c)):
+            raise ArithmeticError(f"rescaled coroot {i} is not in Y_Q,N or rescaled root {i} "
+                                  "is not in X + (k/N) * iota(Y)")
+    ylat, ygens = _dual_cocharacters(d, order, delta, sorted(range(r), key=sigma.__getitem__))
+    xlat, xgens = annihilator_plus(dual_type, ylat.den, ygens, cocharacters=False)
+    for v in xgens:  # in the source's coordinates, y in Y and (k/N) * iota(y) in X
+        y = [di * v[s] for di, s in zip(delta, sigma)]
+        if not (numerators_member(y, xlat.den, d.Y) and numerators_member(
+                [k * c * x for c, x in zip(cs, y)], xlat.den * order, d.X)):
+            raise ArithmeticError(f"generator {vector_text(Fraction(x, xlat.den) for x in v)} "
+                                  "of the dual character lattice is not in Y_Q,N")
+    dual = root_datum(dual_type, xlat, ylat)
     # [X:Q] * [Y:Q^v] == [P:Q] holds exactly when Y is the dual of X
     if prod(dual.center) * prod(dual.pi1) != cartan_determinant(dual_type):
         raise ArithmeticError("center times fundamental group does not match "
@@ -141,13 +134,13 @@ def _class_dual(d: RootDatum, order: int, delta) -> tuple:
     return aprime, sigma, dual, group_name(dual)
 
 
-def _dual_cocharacters(d: RootDatum, order: int, delta, source) -> Lattice:
+def _dual_cocharacters(d: RootDatum, order: int, delta, source) -> tuple[Lattice, list]:
     """The dual of Y_{Q,N} = Y & (N/k) * iota^-1(X), the sum of the duals X + (k/N) * iota(Y),
     with coordinate sigma(i) = delta_i * x_i: from a row of X, delta_i times its entry, and
     from a row y of Y, k * c_i * delta_i / N = k * c_i / e_i times y_i.  It holds the dual's
     coroots Z^r, with [Y' : Z^r] = |pi1| dividing the dual's Cartan determinant, so one
     Hermite form of Z^r and the 2r rows over their common denominator does it
-    (lattice.standard_plus); source is the inverse of sigma."""
+    (lattice.standard_plus, whose kept rows come back too); source is the inverse of sigma."""
     x, y, k, cs = d.X, d.Y, d.k, coroot_norms(d.cartan_type)
     den = lcm(x.den, y.den)
     from_x = [delta[i] * (den // x.den) for i in source]

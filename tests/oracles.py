@@ -45,7 +45,7 @@ from itertools import combinations, count, product
 from math import factorial, gcd, lcm, prod
 
 from loopdual.central_ext import commutator_value
-from loopdual.lattice import Lattice, det_int, kernel_mod, lattice_member, mat_mul, transpose
+from loopdual.lattice import Lattice, det_int, hermite_mod, lattice_member, mat_mul, transpose
 from loopdual.loop_symbols import Series
 from loopdual.rep_check import WeightSystem
 from loopdual.root_data import (CartanType, RootDatum, canonical_form, cartan_matrix,
@@ -608,15 +608,26 @@ def modular_dual_lattice(lat: Lattice, pairing, den: int) -> Lattice:
     """Dual lattice {y : x^T P y integer for every x in lat} under an invertible
     rational P (ValueError otherwise), given den, a multiple of the least d with
     d * dual inside Z^n.  With P = p / pden cleared, y = z / den is in it when
-    (lat.rows @ p) z = 0 mod lat.den * pden * den: a congruence kernel of the
-    package's kernel_mod, so comparing it with dual_lattice_by_smith checks
-    kernel_mod under rational pairings and wide moduli.  No record's Y comes from
-    it: the package builds each Y from how its X was built."""
+    (lat.rows @ p) z = 0 mod lat.den * pden * den: a congruence kernel of kernel_mod
+    below, so comparing it with dual_lattice_by_smith checks kernel_mod, and with it
+    the package's hermite_mod, under rational pairings and wide moduli.  No record's
+    Y comes from it: the package builds each Y from how its X was built."""
     pden = lcm(1, *(Fraction(x).denominator for row in pairing for x in row))
     p = [[int(Fraction(x) * pden) for x in row] for row in pairing]
     if det_int(p) == 0:
         raise ValueError("pairing is degenerate")
     return Lattice.from_int_rows(den, kernel_mod(mat_mul(lat.rows, p), lat.den * pden * den))
+
+
+def kernel_mod(mat, m: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite rows of {x in Z^n : mat @ x = 0 mod m}, for mat with n columns: the
+    rows of the package's modular Hermite form of span((column j of mat, e_j)) +
+    m * Z^(r+n), of determinant m^r for r = len(mat), whose pivots lie past column r,
+    cut there."""
+    r, n = len(mat), len(mat[0])
+    gens = [list(col) + [int(i == j) for i in range(n)] for j, col in enumerate(zip(*mat))]
+    return tuple(row[r:] for row in hermite_mod(gens, m, m ** r)[r:])
+
 
 def congruence_kernel(mat, modulus: int) -> Lattice:
     """The full-rank lattice {x in Z^n : mat @ x ≡ 0 mod modulus}, from the

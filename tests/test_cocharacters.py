@@ -96,8 +96,8 @@ def test_a_doubled_cocharacter_lattice_is_refused_by_the_cli(monkeypatch, constr
                             lambda t, gens: (lambda x, y: (x, _doubled(y)))(*real(t, gens)))
         argv = ["dual", "--type", "A3", "--isogeny", json.dumps([["1/2", "0", "1/2"]]), "--N", "1"]
     else:
-        real = td._dual_cocharacters
-        monkeypatch.setattr(td, "_dual_cocharacters", lambda *args: _doubled(real(*args)))
+        real = td.root_datum  # the dual's X is built from the true Y, then Y is doubled
+        monkeypatch.setattr(td, "root_datum", lambda t, x, y: real(t, x, _doubled(y)))
         root_data.root_datum.cache_clear()  # so the source record has no dual yet
         argv = ["dual", "--type", "A3", "--N", "2"]  # SL4/mu2: its X is neither P nor Q
     err = io.StringIO()

@@ -10,8 +10,8 @@ import pytest
 import oracles
 from oracles import (basis_coordinate_matrix, basis_coordinates, congruence_kernel,
                      dense_det_int, dense_mat_mul, dual_lattice_by_smith,
-                     invariant_factors_by_minors, lattice_index_by_gauss, modular_dual_lattice,
-                     smith_normal_form)
+                     invariant_factors_by_minors, kernel_mod, lattice_index_by_gauss,
+                     modular_dual_lattice, smith_normal_form)
 from loopdual import lattice, root_data
 from loopdual.cli import run
 from loopdual.lattice import (
@@ -20,7 +20,6 @@ from loopdual.lattice import (
     hermite_mod,
     hermite_rows,
     identity_matrix,
-    kernel_mod,
     lattice_coordinates,
     lattice_member,
     mat_inv,
@@ -528,6 +527,8 @@ def test_hermite_mod_matches_hermite_rows_with_the_modulus_rows():
 
 
 def test_kernel_mod_matches_the_smith_oracle():
+    """The oracle's congruence kernel from hermite_mod against the one from a Smith
+    form with transforms."""
     rng = random.Random(2024)
     for trial in range(300):
         rows, n = rng.randint(1, 6), rng.randint(1, 6)
@@ -539,16 +540,23 @@ def test_kernel_mod_matches_the_smith_oracle():
 
 def test_standard_plus_matches_the_fraction_constructor():
     """Z^n + span(rows) / den, kept rows or not, is the lattice the Fraction
-    generators give, also when a row repeats or is a multiple of den.  It lists
-    L / Z^n, of order up to den^n, so den^n stays small here, as |det A| bounds
-    it for the package's callers."""
+    generators give, also when a row repeats or is a multiple of den, and so is
+    Z^n + span(gens) / L.den for the rows it keeps.  span_mod lists L / Z^n, of
+    order up to den^n, as residues mod den, so den^n stays small here, as |det A|
+    bounds it for the package's callers."""
     rng = random.Random(2028)
     for _ in range(300):
         n, den = rng.randint(1, 4), rng.choice([1, 2, 3, 4, 6])
         rows = _rand_int_matrix(rng, rng.randint(1, 6), n, -2 * den, 2 * den)
         rows += rng.sample(rows, 1) + [[den * rng.randint(-2, 2) for _ in range(n)]]
         want = Lattice(identity_matrix(n) + [[Fraction(x, den) for x in row] for row in rows])
-        assert standard_plus(den, rows) == want, (den, rows)
+        lat, gens = standard_plus(den, rows)
+        assert lat == want, (den, rows)
+        assert Lattice(identity_matrix(n) + [[Fraction(x, lat.den) for x in v] for v in gens]) \
+            == want and len(gens) <= len(rows), (den, rows)
+        group, _ = lattice.span_mod(den, rows)
+        assert len(group) == lattice_index_by_gauss(want, Lattice.standard(n))
+        assert all(lattice_member([Fraction(x, den) for x in w], want) for w in group)
 
 
 def test_smith_diagonal_matches_the_transform_oracle():
@@ -571,40 +579,20 @@ def test_smith_diagonal_matches_the_transform_oracle():
             assert tuple(f for f in lattice.smith_normal_form(mat) if f > 1) == expected
 
 
-def _fresh_kernels(type_name):
-    """The record of type_name, with the kernels and the duals it has cached
-    dropped, so that the next dual builds its kernel again."""
-    d = build_datum(type_name)
-    d._kernels.clear()
-    d._duals.clear()
-    return d
-
-
 def test_hermite_mod_generator_proof_fires(monkeypatch):
-    _fresh_kernels("A3")  # built before the fault, so only the kernel sees it
     # a Bezout step that loses the second row of its pair: the form spans too little
     real = lattice._bezout_rows
     monkeypatch.setattr(lattice, "_bezout_rows",
                         lambda a, b, x, y: (real(a, b, x, y)[0], [0] * len(y)))
     with pytest.raises(ArithmeticError, match="a generator escaped the modular Hermite form"):
         hermite_mod([[2, 1], [1, 2]], 6, 3)
-    err = io.StringIO()
-    assert run(["dual", "--type", "A3", "--N", "4"], out=io.StringIO(), err=err) == 3
-    assert "internal check failed: a generator escaped the modular Hermite form" in err.getvalue()
 
 
-def test_hermite_mod_determinant_proof_fires(monkeypatch):
+def test_hermite_mod_determinant_proof_fires():
     # a determinant that the true form does not have
     with pytest.raises(ArithmeticError, match="modular Hermite form has the wrong determinant"):
         hermite_mod([[2, 1], [1, 2]], 6, 6)
     assert hermite_mod([[2, 1], [1, 2]], 6, 3) == ((1, 2), (0, 3))
-    _fresh_kernels("A3")
-    real = lattice.hermite_mod
-    monkeypatch.setattr(lattice, "hermite_mod", lambda gens, m, det: real(gens, m, 2 * det))
-    err = io.StringIO()
-    assert run(["dual", "--type", "A3", "--N", "4"], out=io.StringIO(), err=err) == 3
-    assert "internal check failed: modular Hermite form has the wrong determinant" \
-        in err.getvalue()
 
 
 def test_invariant_factor_product_check_fires(monkeypatch):

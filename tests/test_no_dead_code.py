@@ -17,6 +17,9 @@ ALLOWED = {
     "cli.main": "the console-script entry point; the replay calls cli.run",
     "lattice.mat_vec": "BENCHMARK.json names lattice.mat_vec.calls",
     "lattice.smith_normal_form": "BENCHMARK.json names lattice.smith_normal_form.calls",
+    "lattice.hermite_mod": "smith_normal_form's elimination; the test oracles use it too",
+    "twisted_dual.dual_character_lattice":
+        "BENCHMARK.json names twisted_dual.dual_character_lattice.total_s",
     "lattice.Lattice.__init__": "the constructor from rational rows, for scripts and tests",
     "rep_check.weyl_dim": "BENCHMARK.json names rep_check.weyl_dim.calls",
     "rep_check.WeightSystem.weyl_dimension": "the body of weyl_dim",

@@ -535,7 +535,7 @@ def test_closed_form_cocharacters_match_the_dual_lattice(t):
 
 
 def test_sc_and_adjoint_records_take_no_dual_lattice(monkeypatch):
-    monkeypatch.setattr(root_data, "kernel_mod", None)  # any congruence kernel would fail
+    monkeypatch.setattr(root_data, "annihilator_plus", None)  # any annihilator would fail
     for cache in (root_data.root_datum, root_data._coweight_lattice, root_data._inverse_cartan):
         cache.cache_clear()
     for t in (CartanType("D", 9), CartanType("E", 7)):

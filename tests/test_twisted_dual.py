@@ -223,20 +223,22 @@ def _fresh_record(name, isogeny):
     return RootDatum(d.cartan_type, d.X, d.Y)
 
 
-def test_one_kernel_per_record_and_gcd(monkeypatch):
-    """det(k * G_Y) once per record, and one modular kernel per record and distinct
-    g = gcd(N, det): the twelve orders of C4 adjoint, det 4, reach three kernels."""
-    kernels, dets = [], []
-    real_kernel, real_det = root_data.kernel_mod, root_data.det_int
-    monkeypatch.setattr(root_data, "kernel_mod",
-                        lambda mat, m: kernels.append(m) or real_kernel(mat, m))
+def test_one_level_determinant_per_record_and_one_annihilator_per_class(monkeypatch):
+    """det(k * G_Y) once per record, and one annihilator, the dual's X, per class (g, e)
+    of g = gcd(N, det) and e_i = gcd(N, k * c_i): the twelve orders of C4 adjoint,
+    det 4, fall in three classes, and each gives the oracle's Y_{Q,N}."""
+    built, dets = [], []
+    real_annihilator, real_det = td.annihilator_plus, root_data.det_int
+    monkeypatch.setattr(td, "annihilator_plus",
+                        lambda *a, **kw: built.append(a[0]) or real_annihilator(*a, **kw))
     monkeypatch.setattr(root_data, "det_int", lambda mat: dets.append(mat) or real_det(mat))
     d = _fresh_record("C4", "adjoint")
     lattices = [dual_character_lattice(d, order) for order in range(1, 13)]
     det, b = d.level_gram
     assert dets.count(b) == 1 and det == 4
-    assert kernels == [1, 2, 4] == sorted({gcd(order, det) for order in range(1, 13)})
-    assert sorted(d._kernels) == kernels
+    cs = coroot_norms(d.cartan_type)
+    classes = {(gcd(order, det), tuple(gcd(order, d.k * c) for c in cs)) for order in range(1, 13)}
+    assert len(built) == len(d._duals) == len(classes) == 3 and set(d._duals) == classes
     assert lattices == [dual_character_lattice_by_kernel(d, order) for order in range(1, 13)]
 
 
@@ -258,7 +260,7 @@ def test_one_dual_per_class_equals_a_fresh_build(t):
 
 def test_an_order_in_a_built_class_does_no_lattice_work(monkeypatch):
     """N = 5 falls in the class of N = 3 on C4 adjoint (g = 1, e = (1, 1, 1, 1)):
-    it reads the dual that N = 3 built, with no kernel, Hermite form, recognition
+    it reads the dual that N = 3 built, with no annihilator, Hermite form, recognition
     or membership test, and keeps its own local denominators."""
     d = _fresh_record("C4", "adjoint")
     first = twisted_dual(d, 3)
@@ -266,9 +268,9 @@ def test_an_order_in_a_built_class_does_no_lattice_work(monkeypatch):
 
     def count(module, name):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
 
-    for module, name in [(root_data, "kernel_mod"), (lattice, "hermite_rows"),
+    for module, name in [(td, "annihilator_plus"), (lattice, "span_mod"), (lattice, "hermite_rows"),
                          (dynkin, "_recognize"), (lattice, "numerators_member"),
                          (root_data, "mat_mul"), (td, "numerators_member"),
                          (td, "standard_plus")]:
@@ -314,16 +316,67 @@ def test_wrong_relabeling_is_caught_on_a_warm_cache(monkeypatch):
         twisted_dual(d, 4)
 
 
-def test_corrupted_dual_lattice_is_caught_on_a_warm_record():
-    """N = 1 and N = 2 of B3 adjoint are two classes, e = (1, 1, 1) and (1, 1, 2),
-    that read one kernel, g = 1: the miss for N = 2 reads the corrupted one."""
-    d = _fresh_record("B3", "adjoint")
+def _dual_argv_of_a_fresh_class(name, order):
+    """argv of `dual` on the sc record of name, with its duals dropped, so the call builds one."""
+    build_datum(name, "sc")._duals.clear()
+    return ["dual", "--type", name, "--N", str(order)]
+
+
+def _exit_3(argv, message):
+    err = io.StringIO()
+    assert run(argv, out=io.StringIO(), err=err) == 3
+    assert f"internal check failed: {message}" in err.getvalue()
+
+
+def test_corrupted_dual_lattice_is_caught_on_a_warm_record(monkeypatch):
+    """An annihilator that drops the generators of Y' / Z^r keeps every coset of P' / Q':
+    at N = 2 the dual of SL4 is SL4/mu2, so a generator of that P' is not in Y_{Q,N}, and
+    the definitional check (y in Y, (k/N) * iota(y) in X) refuses it, also in the CLI.  The
+    record is warm: its class of N = 1 is built, and N = 2 is a new class."""
+    d = _fresh_record("A3", "sc")
     twisted_dual(d, 1)
-    (g, kernel), = d._kernels.items()
-    d._kernels[g] = Lattice.from_int_rows(kernel.den, [[2 * x for x in row] for row in kernel.rows])
-    with pytest.raises(ArithmeticError, match="escaped the dual character lattice"):
+    real = root_data.annihilator_plus
+    monkeypatch.setattr(td, "annihilator_plus",
+                        lambda t, den, gens, cocharacters: real(t, den, [], cocharacters))
+    with pytest.raises(ArithmeticError, match="of the dual character lattice is not in Y_Q,N"):
         twisted_dual(d, 2)
-    assert list(d._kernels) == [g]
+    assert len(d._duals) == 1
+    _exit_3(_dual_argv_of_a_fresh_class("A3", 2), "generator 3/4,1/2,1/4 of the dual "
+            "character lattice is not in Y_Q,N")
+
+
+def test_a_dual_character_lattice_too_small_is_refused_by_the_perfect_pairing(monkeypatch):
+    """An annihilator that keeps only the zero coset gives X' = Q', which pairs integrally
+    with Y' and passes the definitional check (it has no generators over Z^r), but SL4/mu2
+    at N = 2 has X' > Q': root_datum's perfect-pairing check refuses it, in the CLI too."""
+    monkeypatch.setattr(td, "annihilator_plus", lambda t, den, gens, cocharacters:
+                        (root_lattice(t), []))
+    _exit_3(_dual_argv_of_a_fresh_class("A3", 2),
+            "pairing of the character and cocharacter lattices is not perfect")
+
+
+@pytest.mark.parametrize("name, order, delta, node", [("A1", 2, (1,), 0), ("B2", 2, (2, 2), 1)],
+                         ids=["too-small", "too-large"])
+def test_a_wrong_local_denominator_is_caught(monkeypatch, name, order, delta, node):
+    """delta = 1 for SL2 at N = 2 (it is 2) would put coroot_1 in Y_{Q,N}, but k * c_1 * 1
+    = 1 is not a multiple of 2; delta = (2, 2) for Spin5 at N = 2 (it is (2, 1)) would put
+    root_2 / 2 in X + (k/N) * iota(Y), but 2 * gcd(2, k * c_2) = 4 does not divide 2.  The
+    rescaled-coroot check refuses both in the CLI."""
+    monkeypatch.setattr(td, "local_denominators", lambda d, n: delta)
+    _exit_3(_dual_argv_of_a_fresh_class(name, order), f"rescaled coroot {node} is not in Y_Q,N "
+            f"or rescaled root {node} is not in X + (k/N) * iota(Y)")
+
+
+@pytest.mark.parametrize("series", ["B", "C"])
+def test_b_and_c_duals_follow_the_spin_and_sp_rules_at_every_rank(series):
+    """The dual of Spin(2r+1) (B_r sc) and of Sp(2r) (C_r sc) is named as
+    expected_dual_name says, for r = 2..24, 127 and 128 and N in {1, 2, 3, 4, 6}."""
+    for r in [*range(2, 25), 127, 128]:
+        d = build_datum(f"{series}{r}", "sc")
+        family = f"Spin{2 * r + 1}" if series == "B" else f"Sp{2 * r}"
+        for order in (1, 2, 3, 4, 6):
+            name, want = twisted_dual(d, order).name, expected_dual_name(family, order)
+            assert same_group(name, want), (series, r, order, name, want)
 
 
 def test_wrong_level_determinant_is_caught_on_a_record_miss(monkeypatch):
@@ -336,7 +389,6 @@ def test_wrong_level_determinant_is_caught_on_a_record_miss(monkeypatch):
     with pytest.raises(ArithmeticError, match="disagrees with the Cartan determinant"):
         dual_character_lattice(_fresh_record("C4", "adjoint"), 4)
     d.__dict__.pop("level_gram")
-    d._kernels.clear()
     err = io.StringIO()
     assert run(["dual", "--type", "C4", "--isogeny", "adjoint", "--N", "4"],
                out=io.StringIO(), err=err) == 3
