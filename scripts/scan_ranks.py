@@ -10,7 +10,10 @@ call shows omega_1 to be a character of it, in its lattice X.  The center that
 `dual` prints for SL(n) (A_(n-1) sc) must be Z/gcd(n, N), and for PGL(n)
 (A_(n-1) adjoint) Z/(n/gcd(n, N)); the name it prints for Spin(2r+1) (B_r sc) and
 Sp(2r) (C_r sc) must be the group that twisted_dual.expected_dual_name gives (up to
-twisted_dual.same_group); a call that prints another fails.  Every call
+twisted_dual.same_group); a call that prints another fails.  The dual depends on N only
+through gcd(N, L), L the datum's period, read in this process (RootDatum.period): the
+`dual` calls of a datum whose orders share gcd(N, L) must print the same dual type,
+dual lattice, relabeling, center, pi1 and name, or the later one fails.  Every call
 is a new Python process, so nothing is cached between calls, and is killed after
 BOUND_S seconds.  Calls run one at a time, so none slows another.  The wall time
 includes interpreter start and import.  It prints the SLOWEST (10) slowest calls
@@ -33,10 +36,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from loopdual.lattice import Lattice, lattice_member  # noqa: E402
-from loopdual.root_data import MAX_RANK, CartanType, fundamental_weight  # noqa: E402
+from loopdual.root_data import MAX_RANK, CartanType, build_datum, fundamental_weight  # noqa: E402
 from loopdual.twisted_dual import expected_dual_name, same_group  # noqa: E402
 
 ORDERS = (1, 2, 3, 4, 6)
+# what a dual depends on, so what the orders of one class gcd(N, L) must share
+CLASS_FIELDS = ("dual_type", "dual_lattice", "relabeling", "center", "pi1", "name")
 BOUND_S = 3.0
 SLOWEST = 10
 LOWEST = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -98,15 +103,27 @@ def mismatch(t: str, isogeny: str, order: int, result: dict) -> str | None:
     return None
 
 
+def class_mismatch(first: tuple[int, dict], result: dict) -> str | None:
+    """The fields in which result differs from the first (order, result) of its class, or None."""
+    n, seen = first
+    fields = [f for f in CLASS_FIELDS if result[f] != seen[f]]
+    return f"{', '.join(fields)} differ from N = {n} of the class" if fields else None
+
+
 def scan():
     """(wall seconds, exit code, None if killed or a message if the output is wrong,
     argv) of every call, in order."""
     for t, isogeny in data():
+        period = build_datum(t, json.loads(isogeny) if isogeny[0] == "[" else isogeny).period
+        classes = {}
         for n in ORDERS:
             seconds, code, argv, out = timed(["dual", "--type", t, "--isogeny", isogeny,
                                               "--N", str(n)])
-            if code == 0 and (wrong := mismatch(t, isogeny, n, json.loads(out)["result"])):
-                code = wrong
+            if code == 0:
+                result = json.loads(out)["result"]
+                first = classes.setdefault(gcd(n, period), (n, result))
+                code = mismatch(t, isogeny, n, result) or \
+                    class_mismatch(first, result) or 0
             yield seconds, code, argv
             if n == 1 and code == 0 and (omega := dual_omega1(out)):
                 yield timed(["mult", "--type", t, "--isogeny", isogeny, "--N", "1",

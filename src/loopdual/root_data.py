@@ -25,11 +25,11 @@ Conventions used across the package:
   the other Z^r plus the elements of P/Q (P^v/Q^v) that pair integrally with them
   (annihilator_plus): Y from X for explicit rows and D-odd "so" (_quotient_lattices), X
   from Y = X + (k/N) * iota(Y) of the source for a dual (twisted_dual).  As Y is fixed by
-  X there is one record per (type, X); it caches G_Y, k, B = k * G_Y and det B, center
-  and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two invariant factors
-  at most), and twisted_dual's duals by class.  How the caller named X (an isogeny label)
-  is not part of it, so B3 "so" and "adjoint" share one record; explicit generator rows
-  are keyed to their (X, Y).  P and P^v are Z^r plus rows over a denominator too.
+  X there is one record per (type, X); it caches G_Y, k, the period L (twisted_dual's class
+  key), center and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two
+  invariant factors at most), and twisted_dual's duals by class.  How the caller named X (an
+  isogeny label) is not part of it, so B3 "so" and "adjoint" share one record; explicit
+  generator rows are keyed to their (X, Y).  P and P^v are Z^r plus rows over a denominator too.
 * cartan_symmetrizer and the root pass take a bare integer Cartan matrix, for
   dynkin and rep_check too.  Positive roots grow by height under simple reflections
   and stream past, a few layers at a time, with nothing cached: reflection_sum sums
@@ -49,6 +49,7 @@ from .lattice import (
     det_int,
     mat_inv,
     mat_mul,
+    numerators_member,
     span_mod,
     standard_plus,
     transpose,
@@ -296,23 +297,28 @@ class RootDatum:
     @cached_property
     def k(self) -> int:
         """The commutator denominator: the lcm of the denominators of G_Y."""
-        s, gram = self.gram
-        return lcm(*(s // gcd(s, x) for row in gram for x in row))
+        return _denominator_lcm(*self.gram)
 
     @cached_property
-    def level_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(det B, B) for B = k * G_Y, the Gram matrix of level k on Y, integral; det B
-        (Bareiss) must equal k^r det(Y.basis)^2 det(A) prod(cs), as G_Y is Y.basis @
-        (A^T diag(cs)) @ Y.basis^T, so twisted_dual's gcd(N, det B) is not misread."""
-        (s, gram), k, t = self.gram, self.k, self.cartan_type
-        if any(k * x % s for row in gram for x in row):
+    def period(self) -> int:
+        """L = lcm(s, k * c_1, ..., k * c_r), s the exponent of X / k * iota(Y), on which
+        twisted_dual's dual depends through gcd(N, L): the least integer clearing each
+        1 / (k * c_i) and G_X / k, G_X[a][b] = <iota^-1(x_a), x_b> on the rows of X (k * c_i
+        clears it on Z^r).  Checked: k clears G_Y, each k * c_i divides L, and L * x is in
+        k * iota(Y) for each row x outside Z^r, so L is a multiple of the true period."""
+        (s, gram), k, t, x = self.gram, self.k, self.cartan_type, self.X
+        if any(k * v % s for row in gram for v in row):
             raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
-        b = tuple(tuple(k * x // s for x in row) for row in gram)
-        det = det_int(b)
-        if det * s ** self.rank != (k ** self.rank * _pivots(self.Y) ** 2 * cartan_determinant(t)
-                                    * prod(coroot_norms(t))):
-            raise ArithmeticError("det(k * G_Y) disagrees with the Cartan determinant")
-        return det, b
+        cs, outside = coroot_norms(t), [row for row in x.rows if any(v % x.den for v in row)]
+        c, den = lcm(*cs), k * lcm(*cs) * x.den ** 2  # G_X / k = rows @ form @ rows^T / den
+        form = [[a * (c // cj) for a, cj in zip(row, cs)] for row in cartan_matrix(t)]
+        period = _denominator_lcm(den, [*mat_mul(mat_mul(outside, form), transpose(x.rows)),
+                                        [den // (k * ci) for ci in cs]])
+        if any(period % (k * ci) for ci in cs) or not all(numerators_member(
+                [period // k * (c // cj) * v for v, cj in zip(row, cs)], c * x.den, self.Y)
+                for row in outside):
+            raise ArithmeticError(f"period {period} does not carry X into k * iota(Y)")
+        return period
 
     @cached_property
     def center(self) -> tuple[int, ...]:  # invariant factors of X/Q
@@ -321,6 +327,11 @@ class RootDatum:
     @cached_property
     def pi1(self) -> tuple[int, ...]:  # invariant factors of Y/Q^v
         return _invariants_over_z(self.Y, self.cartan_type)
+
+
+def _denominator_lcm(den: int, rows) -> int:
+    """The lcm of the denominators of the entries of rows / den, integers over den."""
+    return lcm(*(den // gcd(den, v) for row in rows for v in row))
 
 
 def _pivots(lat: Lattice) -> int:

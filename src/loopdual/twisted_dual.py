@@ -10,13 +10,13 @@ Y_{Q,N}, are X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), with co
 sigma(i) = delta_i * x_i: Z^r, the dual's coroots, plus rows (lattice.standard_plus).  X' is
 Z^r plus the elements of P'/Q' that pair integrally with the rows kept for Y'
 (root_data.annihilator_plus, which gives every record its second lattice).  The dual depends
-on N only through the class (g, e), g = gcd(N, det(k * G_Y)); the record keeps one dual per
-class, built on a miss and checked: the relabeling; each rescaled coroot in Y_{Q,N} and
-each generator of X'/Z^r in Y_{Q,N} by the definition, so X' <= Y_{Q,N}; each rescaled
-root root_i / delta_i in X + (k/N) * iota(Y), so Y_{Q,N} pairs integrally with Y' and the
-perfect pairing X' = Y'^v of root_datum gives X' >= Y_{Q,N}; and the orders of the dual's
-center and pi1 against det A'.  Each check reads only the class, so it holds for one N of
-a class exactly when it holds for all.
+on N only through the class gcd(N, L), L the record's period, which each k * c_i divides.
+Every call checks its delta: each rescaled coroot in Y_{Q,N}, each rescaled root root_i /
+delta_i in X + (k/N) * iota(Y), so Y_{Q,N} pairs integrally with Y'.  The record keeps one
+dual per class, built on a miss and checked: the relabeling; each generator of X'/Z^r in
+Y_{Q,N} by the definition, so X' <= Y_{Q,N}, and the perfect pairing X' = Y'^v of
+root_datum gives X' >= Y_{Q,N}; and the orders of the dual's center and pi1 against det A'.
+Each reads only the class, so it holds for one N of a class exactly when it holds for all.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .central_ext import commutator_denominator
 from .dynkin import group_name, recognize_cartan_matrix
 from .lattice import Lattice, numerators_member, standard_plus, vector_text
 from .root_data import (
@@ -46,8 +45,7 @@ def local_denominators(d: RootDatum, order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise ValueError(f"twisting order must be positive, got {order}")
-    k = commutator_denominator(d)
-    return tuple(order // gcd(order, k * c) for c in coroot_norms(d.cartan_type))
+    return tuple(order // gcd(order, d.k * c) for c in coroot_norms(d.cartan_type))
 
 
 def dual_cartan_matrix(d: RootDatum, delta) -> tuple[tuple[int, ...], ...]:
@@ -58,19 +56,11 @@ def dual_cartan_matrix(d: RootDatum, delta) -> tuple[tuple[int, ...], ...]:
     integrality of the result is forced by how the deltas vary along the
     Dynkin diagram, and is checked.
     """
-    a = cartan_matrix(d.cartan_type)
-    r = d.rank
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            num = delta[i] * a[j][i]
-            if num % delta[j]:
-                raise ArithmeticError(
-                    f"rescaled Cartan entry {num}/{delta[j]} is not an integer")
-            row.append(num // delta[j])
-        out.append(tuple(row))
-    return tuple(out)
+    a, r = cartan_matrix(d.cartan_type), d.rank
+    nums = [[delta[i] * a[j][i] for j in range(r)] for i in range(r)]
+    if bad := next(((x, delta[j]) for row in nums for j, x in enumerate(row) if x % delta[j]), ()):
+        raise ArithmeticError(f"rescaled Cartan entry {bad[0]}/{bad[1]} is not an integer")
+    return tuple(tuple(x // delta[j] for j, x in enumerate(row)) for row in nums)
 
 
 def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
@@ -96,11 +86,15 @@ class TwistedDualData(namedtuple("TwistedDualData", "source order denominator lo
 
 def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     """Compute the dual root datum of the order-N twisted setting."""
-    delta = local_denominators(d, order)
-    key = gcd(order, d.level_gram[0]), tuple(order // x for x in delta)  # the class (g, e)
-    if key not in d._duals:
+    delta, k, cs = local_denominators(d, order), d.k, coroot_norms(d.cartan_type)
+    for i, (c, di) in enumerate(zip(cs, delta)):  # N | k * c_i * delta_i: delta_i * coroot_i is
+        # in Y_{Q,N}; delta_i * gcd(N, k * c_i) | N: root_i / delta_i is in X + (k/N) * iota(Y)
+        if k * c * di % order or order % (di * gcd(order, k * c)):
+            raise ArithmeticError(f"rescaled coroot {i} is not in Y_Q,N or rescaled root {i} "
+                                  "is not in X + (k/N) * iota(Y)")
+    if (key := gcd(order, d.period)) not in d._duals:  # the class
         d._duals[key] = _class_dual(d, order, delta)
-    return TwistedDualData(d, order, commutator_denominator(d), delta, *d._duals[key])
+    return TwistedDualData(d, order, k, delta, *d._duals[key])
 
 
 def _class_dual(d: RootDatum, order: int, delta) -> tuple:
@@ -113,11 +107,6 @@ def _class_dual(d: RootDatum, order: int, delta) -> tuple:
         raise ArithmeticError("relabeling does not carry the rescaled "
                               "Cartan matrix to the standard one")
     k, cs = d.k, coroot_norms(d.cartan_type)
-    for i, (c, di) in enumerate(zip(cs, delta)):  # N | k * c_i * delta_i: delta_i * coroot_i is
-        # in Y_{Q,N}; delta_i * gcd(N, k * c_i) | N: root_i / delta_i is in X + (k/N) * iota(Y)
-        if k * c * di % order or order % (di * gcd(order, k * c)):
-            raise ArithmeticError(f"rescaled coroot {i} is not in Y_Q,N or rescaled root {i} "
-                                  "is not in X + (k/N) * iota(Y)")
     ylat, ygens = _dual_cocharacters(d, order, delta, sorted(range(r), key=sigma.__getitem__))
     xlat, xgens = annihilator_plus(dual_type, ylat.den, ygens, cocharacters=False)
     for v in xgens:  # in the source's coordinates, y in Y and (k/N) * iota(y) in X

@@ -8,8 +8,9 @@ none with the Brauer-Klimyk reflection in the package.  The dual character latti
 is recomputed by enumerating cosets of Y/NY and testing (k/N) * iota(y) for
 membership in X, without the Gram matrix of Y that the package reads, and
 again as the congruence kernel of k * G_Y modulo N from a Smith form with
-both transforms per order, where the package keeps one modular Hermite
-kernel per record and gcd(N, det(k * G_Y)).  That Smith form, with its
+both transforms per order, where the package builds one dual per class gcd(N, L).
+The period L is recomputed from the largest invariant factor of k * G_Y, where the
+package reads it off the inverse form on X with no elimination.  That Smith form, with its
 U M V == D and unimodularity checks, is the oracle for the package's modular
 Hermite forms: congruence kernels, dual lattices, invariant factors and, by
 the inverse read off it, mat_inv.  The pairing <y, x> is recomputed as
@@ -642,15 +643,28 @@ def congruence_kernel(mat, modulus: int) -> Lattice:
     return Lattice.from_int_rows(1, ([s * x for x in col] for s, col in zip(scales, zip(*v))))
 
 
-def dual_character_lattice_by_kernel(datum: RootDatum, order: int) -> Lattice:
-    """Y_{Q,N} as the congruence kernel of k * G_Y modulo N, in the coordinates
-    of Y's basis, with G_Y and k recomputed by dense products."""
+def level_gram(datum: RootDatum) -> tuple[int, list[list[int]]]:
+    """(k, k * G_Y), with G_Y and k recomputed by dense products."""
     y = datum.Y
     gram = dense_mat_mul(dense_mat_mul(y.rows, canonical_form(datum).gram), transpose(y.rows))
     s = y.den ** 2
     k = lcm(*(s // gcd(s, x) for row in gram for x in row))
-    kernel = congruence_kernel([[k * x // s for x in row] for row in gram], order)
-    return Lattice.from_int_rows(y.den, dense_mat_mul(kernel.rows, y.rows))
+    return k, [[k * x // s for x in row] for row in gram]
+
+
+def dual_character_lattice_by_kernel(datum: RootDatum, order: int) -> Lattice:
+    """Y_{Q,N} as the congruence kernel of k * G_Y modulo N, in the coordinates
+    of Y's basis."""
+    kernel = congruence_kernel(level_gram(datum)[1], order)
+    return Lattice.from_int_rows(datum.Y.den, dense_mat_mul(kernel.rows, datum.Y.rows))
+
+
+def period_by_smith(datum: RootDatum) -> int:
+    """L = lcm(s, k * c_i), s the largest invariant factor of k * G_Y: the exponent of
+    its cokernel Y^*/(k * G_Y) Y, which the pairing identifies with X / k * iota(Y)."""
+    k, b = level_gram(datum)
+    _, d, _ = smith_normal_form(b)
+    return lcm(d[-1][-1], *(k * c for c in coroot_norms(datum.cartan_type)))
 
 
 def pairing_numerator(a, ynums, xnums) -> int:

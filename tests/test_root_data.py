@@ -31,7 +31,7 @@ from loopdual.root_data import (
 from loopdual.twisted_dual import twisted_dual
 from oracles import (all_isogenies, basis_coordinate_matrix, dense_det_int, dual_lattice_by_smith,
                      iota, lattice_index_by_gauss, mat_inv, modular_dual_lattice,
-                     pairing_numerator, root_closure, smith_normal_form, two_rho)
+                     pairing_numerator, period_by_smith, root_closure, smith_normal_form, two_rho)
 from oracles import reflection_sum as dense_reflection_sum
 
 ALL_TYPES = (
@@ -315,6 +315,27 @@ def test_dual_centers_follow_the_closed_forms():
             assert twisted_dual(pgl, order).dual.center == \
                 ((n // g,) if n > g else ()), (n, order)
     assert build_datum("D128", "sc").center == (2, 2)  # Spin256
+
+
+def test_period_matches_the_smith_oracle():
+    """L off the inverse form on X equals lcm(s, k * c_i), s the largest invariant factor of
+    k * G_Y by a Smith form with transforms, on every datum of rank <= 11 (all_isogenies)."""
+    types = ([CartanType(s, n) for s, lo in zip("ABCD", (1, 2, 2, 3)) for n in range(lo, 12)]
+             + [CartanType("E", n) for n in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)])
+    data = [build_datum(t, gens) for t in types for _, gens in all_isogenies(t)]
+    assert len(data) == 116
+    periods = [d.period for d in data]
+    assert periods == [period_by_smith(d) for d in data]
+    assert set(periods) == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+
+
+def test_period_of_sl_and_pgl_is_n():
+    """SL_n has k = 1 and coker A = Z/n; PGL_n has k = n and Q / nP of exponent n: both
+    have L = n, at n <= 37 and the last three below the rank bound."""
+    for n in [*range(2, 38), 127, 128, 129]:
+        for isogeny, k in (("sc", 1), ("adjoint", n)):
+            d = build_datum(f"A{n - 1}", isogeny)
+            assert (d.k, d.period) == (k, n), (n, isogeny)
 
 
 def test_all_isogenies_enumeration():

@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-from oracles import (all_isogenies, dual_character_lattice_by_kernel, dual_lattice_by_cosets,
-                     lattice_index_by_gauss, pairing_numerator)
+from oracles import (all_isogenies, dense_det_int, dual_character_lattice_by_kernel,
+                     dual_lattice_by_cosets, lattice_index_by_gauss, level_gram, pairing_numerator,
+                     period_by_smith)
 
 from loopdual import dynkin, lattice, root_data
 from loopdual import twisted_dual as td
@@ -207,7 +209,7 @@ RANK_8_TYPES = ([CartanType("A", r) for r in range(1, 9)] + [CartanType("B", r) 
 
 @pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
 def test_dual_character_lattice_matches_the_congruence_kernel(t):
-    """Y_{Q,N} from the record's modular kernels, one per gcd(N, det), equals the
+    """Y_{Q,N} from the record's dual, one per class gcd(N, L), equals the
     oracle's congruence kernel of k * G_Y modulo N from a Smith form with
     transforms, for N = 1..12."""
     for isogeny in _isogenies(t):
@@ -223,43 +225,45 @@ def _fresh_record(name, isogeny):
     return RootDatum(d.cartan_type, d.X, d.Y)
 
 
-def test_one_level_determinant_per_record_and_one_annihilator_per_class(monkeypatch):
-    """det(k * G_Y) once per record, and one annihilator, the dual's X, per class (g, e)
-    of g = gcd(N, det) and e_i = gcd(N, k * c_i): the twelve orders of C4 adjoint,
-    det 4, fall in three classes, and each gives the oracle's Y_{Q,N}."""
-    built, dets = [], []
-    real_annihilator, real_det = td.annihilator_plus, root_data.det_int
+def test_one_period_per_record_and_one_annihilator_per_class(monkeypatch):
+    """The period L once per record, with no determinant of k * G_Y, and one annihilator,
+    the dual's X, per class gcd(N, L): the twelve orders of C4 adjoint, L = 2 though
+    det(k * G_Y) = 4, fall in two classes, and each gives the oracle's Y_{Q,N}."""
+    built, dets, periods = [], [], []
+    real_annihilator, real_det, real_period = td.annihilator_plus, root_data.det_int, \
+        RootDatum.period.func
     monkeypatch.setattr(td, "annihilator_plus",
                         lambda *a, **kw: built.append(a[0]) or real_annihilator(*a, **kw))
     monkeypatch.setattr(root_data, "det_int", lambda mat: dets.append(mat) or real_det(mat))
+    counted = cached_property(lambda self: periods.append(self) or real_period(self))
+    counted.__set_name__(RootDatum, "period")
+    monkeypatch.setattr(RootDatum, "period", counted)
     d = _fresh_record("C4", "adjoint")
     lattices = [dual_character_lattice(d, order) for order in range(1, 13)]
-    det, b = d.level_gram
-    assert dets.count(b) == 1 and det == 4
-    cs = coroot_norms(d.cartan_type)
-    classes = {(gcd(order, det), tuple(gcd(order, d.k * c) for c in cs)) for order in range(1, 13)}
-    assert len(built) == len(d._duals) == len(classes) == 3 and set(d._duals) == classes
+    _, b = level_gram(d)
+    assert periods == [d] and d.period == period_by_smith(d) == 2 and dense_det_int(b) == 4
+    assert b not in [[list(row) for row in m] for m in dets]
+    classes = {gcd(order, d.period) for order in range(1, 13)}
+    assert len(built) == len(d._duals) == len(classes) == 2 and set(d._duals) == classes
     assert lattices == [dual_character_lattice_by_kernel(d, order) for order in range(1, 13)]
 
 
 @pytest.mark.parametrize("t", RANK_8_TYPES, ids=str)
 def test_one_dual_per_class_equals_a_fresh_build(t):
     """A record's dual for N is the one a record with nothing cached builds, on
-    every isogeny at N = 1..36, and the record keeps one per class (g, e):
-    g = gcd(N, det(k * G_Y)) and e_i = gcd(N, k * c_i)."""
+    every isogeny at N = 1..36, and the record keeps one per class gcd(N, L)."""
     for label, gens in all_isogenies(t):
         d = _fresh_record(t, gens)
         classes = set()
         for order in range(1, 37):
             fresh = RootDatum(d.cartan_type, d.X, d.Y)
             assert twisted_dual(d, order) == twisted_dual(fresh, order), (t, label, order)
-            classes.add((gcd(order, d.level_gram[0]),
-                         tuple(gcd(order, d.k * c) for c in coroot_norms(t))))
+            classes.add(gcd(order, d.period))
         assert set(d._duals) == classes, (t, label)
 
 
 def test_an_order_in_a_built_class_does_no_lattice_work(monkeypatch):
-    """N = 5 falls in the class of N = 3 on C4 adjoint (g = 1, e = (1, 1, 1, 1)):
+    """N = 5 falls in the class of N = 3 on C4 adjoint (gcd(N, L) = 1 for L = 2):
     it reads the dual that N = 3 built, with no annihilator, Hermite form, recognition
     or membership test, and keeps its own local denominators."""
     d = _fresh_record("C4", "adjoint")
@@ -304,12 +308,12 @@ def test_recognition_searches_once_per_distinct_dual_matrix(monkeypatch):
 
 
 def test_wrong_relabeling_is_caught_on_a_warm_cache(monkeypatch):
-    """N = 4 is a new class (g = 4, not 2) of B3 sc with the dual Cartan matrix
-    of N = 2, so its miss reads the recognition that N = 2 left warm."""
+    """N = 4 is a new class (gcd(N, L) = 4, not 2, for L = 4) of B3 sc with the dual
+    Cartan matrix of N = 2, so its miss reads the recognition that N = 2 left warm."""
     d = _fresh_record("B3", "sc")
     out = twisted_dual(d, 2)  # warm: the record and the recognition
     assert dual_cartan_matrix(d, local_denominators(d, 4)) == out.dual_cartan and \
-        4 not in {g for g, _ in d._duals}
+        d.period == 4 and 4 not in d._duals
     wrong = (out.relabeling[2], out.relabeling[1], out.relabeling[0])
     monkeypatch.setattr(dynkin, "_recognize", lambda mat: (out.dual.cartan_type, wrong))
     with pytest.raises(ArithmeticError, match="relabeling does not carry"):
@@ -379,20 +383,34 @@ def test_b_and_c_duals_follow_the_spin_and_sp_rules_at_every_rank(series):
             assert same_group(name, want), (series, r, order, name, want)
 
 
-def test_wrong_level_determinant_is_caught_on_a_record_miss(monkeypatch):
-    """A det(k * G_Y) missing a prime factor would make gcd(N, det) and so Y_{Q,N}
-    too small; the check against the Cartan determinant stops it, also in the CLI."""
-    d = build_datum("C4", "adjoint")  # det(k * G_Y) = 4, so N = 4 needs all of it
-    _, b = d.level_gram
-    real = root_data.det_int
-    monkeypatch.setattr(root_data, "det_int", lambda mat: real(mat) // 2 if mat == b else real(mat))
-    with pytest.raises(ArithmeticError, match="disagrees with the Cartan determinant"):
-        dual_character_lattice(_fresh_record("C4", "adjoint"), 4)
-    d.__dict__.pop("level_gram")
-    err = io.StringIO()
-    assert run(["dual", "--type", "C4", "--isogeny", "adjoint", "--N", "4"],
-               out=io.StringIO(), err=err) == 3
-    assert "internal check failed: det(k * G_Y) disagrees" in err.getvalue()
+def test_wrong_period_is_caught_on_a_record_miss(monkeypatch):
+    """An L missing a prime factor would put N = 4 in the class of N = 1; C4 adjoint has
+    L = k * c_1 = 2, so L = 1 leaves k * c_1 | L false, and the period check stops it, also
+    in the CLI.  k is built first, so the fault reaches L alone."""
+    d, fresh = build_datum("C4", "adjoint"), _fresh_record("C4", "adjoint")
+    assert (d.k, fresh.k, d.period) == (1, 1, 2)
+    real = root_data._denominator_lcm
+    monkeypatch.setattr(root_data, "_denominator_lcm", lambda den, rows: real(den, rows) // 2)
+    with pytest.raises(ArithmeticError, match="period 1 does not carry X into k"):
+        dual_character_lattice(fresh, 4)
+    d.__dict__.pop("period")
+    d._duals.clear()
+    _exit_3(["dual", "--type", "C4", "--isogeny", "adjoint", "--N", "4"],
+            "period 1 does not carry X into k * iota(Y)")
+
+
+def test_wrong_local_denominator_is_caught_on_a_warm_class(monkeypatch):
+    """delta_i = N / gcd(N, k), c_i dropped, gives B2 adjoint delta = (2, 2) at N = 2, whose
+    e = N / delta is the e of N = 1: a key read before delta is checked would answer N = 1's
+    Spin5 for SO5.  With both classes of L = 2 built, the rescaled-coroot check refuses it
+    in the CLI."""
+    argv = ["dual", "--type", "B2", "--isogeny", "adjoint", "--N"]
+    for order in (1, 2):
+        assert run([*argv, str(order)], out=io.StringIO(), err=io.StringIO()) == 0
+    assert set(build_datum("B2", "adjoint")._duals) == {1, 2}
+    monkeypatch.setattr(td, "local_denominators", lambda d, n: (n // gcd(n, d.k),) * d.rank)
+    _exit_3([*argv, "2"], "rescaled coroot 1 is not in Y_Q,N or rescaled root 1 is not in "
+            "X + (k/N) * iota(Y)")
 
 
 def test_uncleared_gram_matrix_is_caught_on_a_record_miss():
