@@ -17,11 +17,10 @@ from .lattice import lattice_member
 from .root_data import (
     CartanType,
     RootDatum,
+    cartan_determinant,
     cartan_matrix,
     cartan_symmetrizer,
     fundamental_weight,
-    root_lattice,
-    weight_lattice,
 )
 
 
@@ -48,24 +47,27 @@ def validate_cartan_matrix(mat) -> int:
     return rank
 
 
-def _profile(mat, i):
-    """Sorted nonzero off-diagonal entries of row i and of column i."""
-    return tuple(sorted(x for j, x in enumerate(line) if j != i and x != 0)
-                 for line in (mat[i], [row[i] for row in mat]))
+def _diagram(mat):
+    """(neighbours, profiles) of the nodes of a Cartan matrix, whose zeros are
+    symmetric: the other nodes j with mat[i][j] != 0, and the sorted nonzero
+    off-diagonal entries of row i and of column i."""
+    near = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(mat)]
+    return near, [(tuple(sorted(mat[i][j] for j in js)), tuple(sorted(mat[j][i] for j in js)))
+                  for i, js in enumerate(near)]
 
 
-def _find_relabeling(mat, std):
-    """Lexicographically smallest sigma with mat[i][j] == std[sigma_i][sigma_j].
+def _find_relabeling(mat, diagram, std):
+    """Lexicographically smallest sigma with mat[i][j] == std[sigma_i][sigma_j],
+    for diagram = _diagram(mat).
 
     Nodes are placed in breadth-first order of mat's diagram, each beside the image
     of its placed parent, so after the first node each has at most three targets;
     every sigma found (one per automorphism of the diagram, at most 6) is compared.
     """
-    rank = len(mat)
-    near = [[j for j in range(rank) if j != i and mat[i][j]] for i in range(rank)]
-    std_near = [[j for j in range(rank) if j != i and std[i][j]] for i in range(rank)]
-    profiles = [_profile(mat, i) for i in range(rank)]
-    std_profiles = [_profile(std, i) for i in range(rank)]
+    rank, (near, profiles) = len(mat), diagram
+    std_near, std_profiles = _diagram(std)
+    if sorted(profiles) != sorted(std_profiles):
+        return None  # sigma carries each node's profile to its image's
     order, parent = [0], {0: None}
     for i in order:
         for j in near[i]:
@@ -108,13 +110,13 @@ def recognize_cartan_matrix(mat):
 
 @lru_cache(maxsize=256)
 def _recognize(mat):
-    rank = validate_cartan_matrix(mat)
+    rank, diagram = validate_cartan_matrix(mat), _diagram(mat)
     for series in "ABCDEFG":
         try:
             t = CartanType(series, rank)
         except ValueError:
             continue
-        sigma = _find_relabeling(mat, cartan_matrix(t))
+        sigma = _find_relabeling(mat, diagram, cartan_matrix(t))
         if sigma is not None:
             return t, sigma
     raise ValueError("not the Cartan matrix of an irreducible finite type")
@@ -124,10 +126,11 @@ def group_name(d: RootDatum) -> str:
     """Conventional name of the group of a validated root datum.
 
     Q <= X <= P holds for every record (root_data._validate_datum), so only
-    where X sits is read: whether it is P or Q, for type A the index
-    [P:X] = (r + 1) / |X/Q| from the cached center, and for type D which
-    fundamental weight it holds.  Half-spin forms of even orthogonal groups
-    are named HSpin<2n>+ / HSpin<2n>- by which spin weight they contain.
+    where X sits is read, off the cached center X/Q: X is P when its order is
+    det A = [P:Q] and Q when it is trivial, for type A the index is
+    [P:X] = (r + 1) / |X/Q|, and for type D which fundamental weight X holds.
+    Half-spin forms of even orthogonal groups are named HSpin<2n>+ / HSpin<2n>-
+    by which spin weight they contain.
     """
     t, x = d.cartan_type, d.X
     r = t.rank
@@ -139,7 +142,7 @@ def group_name(d: RootDatum) -> str:
             # traditional rank-one name; PGL2 stays available as an alias
             return "PSL2" if r == 1 else f"PGL{r + 1}"
         return f"SL{r + 1}/mu{quotient}"
-    top = x == weight_lattice(t)
+    top = prod(d.center) == cartan_determinant(t)
     if t.series == "B":
         return f"Spin{2 * r + 1}" if top else f"SO{2 * r + 1}"
     if t.series == "C":
@@ -147,7 +150,7 @@ def group_name(d: RootDatum) -> str:
     if t.series == "D":
         if top:
             return f"Spin{2 * r}"
-        if x == root_lattice(t):
+        if not d.center:
             return f"PSO{2 * r}"
         if lattice_member(fundamental_weight(t, 0), x):
             return f"SO{2 * r}"

@@ -1,14 +1,15 @@
 """Weight multiplicities and tensor decompositions on integer Dynkin labels.
 
-One engine per integer Cartan matrix (lru_cache) works on Dynkin labels.  With
-depths lam - mu = sum_j c_j alpha_j and the symmetrizer scaled to integers D_j,
-(x, beta) = sum_j b_j D_j x_j, so Freudenthal's recursion (denominator
+One engine per Cartan type (lru_cache) works on Dynkin labels.  Its pairings
+are the transposed Cartan matrix and its norms D_j = lcm(c) / c_j come from the
+coroot norms c, so with depths lam - mu = sum_j c_j alpha_j,
+(x, beta) = sum_j b_j D_j x_j, and Freudenthal's recursion (denominator
 sum_j c_j D_j (lam_j + mu_j + 2)), the Weyl dimension and Brauer-Klimyk tensor
 products (Humphreys, Intro. to Lie Algebras, section 24) build no Fraction.
-A WeightSystem is the adapter in ambient coordinates, one per Cartan type for
-a datum.  Its simple roots are delta_i * e_i (integers delta_i > 0), so the
-weight at depth c below lam is lam - delta * c, and WeightSystem.weights hands
-out integer numerators over the lcm of lam's denominators: no Fraction per weight.
+A WeightSystem is the adapter in simple-root coordinates, one per Cartan type:
+a weight lam is read as integer numerators over the lcm of its denominators,
+its labels are one product by A, and the weight at depth c below lam is lam - c.
+The rank-one line of mv-rank1 is the A1 engine at label 2a/delta, stepped by delta.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from operator import add, mul, sub
 
 from .central_ext import monodromy_modulus
 from .dynkin import group_name, recognize_cartan_matrix
-from .lattice import identity_matrix, numerators_member, transpose, vector_text
-from .root_data import (RootDatum, _positive_roots, cartan_matrix, cartan_symmetrizer,
-                        coroot_norms, dual_coxeter)
+from .lattice import numerators_member, transpose, vector_text
+from .root_data import (CartanType, RootDatum, _positive_roots, cartan_matrix, coroot_norms,
+                        dual_coxeter)
 from .twisted_dual import local_denominators
 
 # Most dominant weights a highest weight may have before the weight work on
@@ -45,13 +46,13 @@ def _weyl_group_order(t) -> int:
 
 
 class _Engine:
-    """Label data of one Cartan matrix, pairings[i][j] = F_i(root_j)."""
+    """Label data of one Cartan type, pairings[i][j] = <coroot_i, root_j>."""
 
-    def __init__(self, pairings):
-        self.pairings, self.orders = pairings, {}
-        r = len(pairings)
-        norms = cartan_symmetrizer(pairings)  # not None: recognize_cartan_matrix passed
-        d = self.norms = tuple(int(x * lcm(*(y.denominator for y in norms))) for x in norms)
+    def __init__(self, t: CartanType):
+        a, c, r = cartan_matrix(t), coroot_norms(t), t.rank
+        self.pairings = pairings = transpose(a)
+        self.orders = {}
+        d = self.norms = tuple(lcm(*c) // x for x in c)
         if any(d[j] * pairings[j][i] != d[i] * pairings[i][j]
                for i in range(r) for j in range(r)):
             raise ArithmeticError("invariant form is not symmetric")
@@ -59,7 +60,7 @@ class _Engine:
         # root pass that root_data.reflection_sum streams too; _engine keeps the list
         self.roots = [(b, tuple(labels.get(j, 0) for j in range(r)),
                        tuple(x * dj for x, dj in zip(b, d)))
-                      for b, _, labels in _positive_roots(tuple(zip(*pairings)))]
+                      for b, _, labels in _positive_roots(a)]
         if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
             raise ArithmeticError("half-sum of positive roots is off")
         self.columns = [[(j, row[i]) for j, row in enumerate(pairings) if row[i]]
@@ -201,95 +202,52 @@ class _Engine:
 _engine = lru_cache(maxsize=64)(_Engine)
 
 
-def _exact(num: int, den: int):
-    """num / den, an int where it is an integer and a Fraction otherwise."""
-    return num // den if num % den == 0 else Fraction(num, den)
-
-
 class WeightSystem:
-    """A root system acting on an ambient rational weight space, with simple
-    roots delta_i * e_i for positive integers delta_i.  It keeps integers only:
-    delta, the coroot functionals as integer rows over one scale, and the
-    engine of its Cartan matrix."""
+    """The weights of one Cartan type in simple-root coordinates, read into
+    integer numerators and Dynkin labels for the type's engine."""
 
-    def __init__(self, simple_roots, coroot_functionals):
-        roots = tuple(tuple(Fraction(x) for x in root) for root in simple_roots)
-        functionals = tuple(tuple(Fraction(x) for x in f) for f in coroot_functionals)
-        self.rank = r = len(roots)
-        if r == 0 or r != len(functionals) or len(roots[0]) != r:
-            raise ValueError("need as many independent simple roots as functionals")
-        self.delta = tuple(int(sum(root)) for root in roots)
-        if min(self.delta) <= 0 or roots != tuple(
-                tuple(d * (i == j) for j in range(r)) for i, d in enumerate(self.delta)):
-            raise ValueError("simple roots must be delta_i * e_i with integers delta_i > 0")
-        # the functionals as integer rows over one scale; F_i(delta_j * e_j) from them
-        self._scale = lcm(*(x.denominator for f in functionals for x in f))
-        self._rows = tuple(tuple(int(x * self._scale) for x in f) for f in functionals)
-        pairings = tuple(tuple(_exact(x * d, self._scale) for x, d in zip(row, self.delta))
-                         for row in self._rows)
-        recognize_cartan_matrix(pairings)  # refuses affine and indefinite ones up front
-        self._engine = _engine(pairings)
-
-    def _below(self, top, depth):
-        """top - delta * depth entry by entry."""
-        return tuple(x - d * c for x, d, c in zip(top, self.delta, depth))
-
-    def _labels(self, vec):
-        """(den, numerators, Dynkin labels) of a weight: den is the lcm of its
-        denominators, and a label is an int where it is an integer."""
-        den = lcm(*(x.denominator for x in vec))
-        top = tuple(x.numerator * (den // x.denominator) for x in vec)
-        scale = self._scale * den
-        return den, top, tuple(_exact(sum(map(mul, row, top)), scale) for row in self._rows)
+    def __init__(self, t: CartanType):
+        self.cartan_type, self.rank, self._engine = t, t.rank, _engine(t)
 
     def _read(self, lam):
-        """_labels of a dominant integral weight, read with no Fraction."""
+        """(den, numerators, Dynkin labels) of a dominant integral weight: den is
+        the lcm of its denominators, and the labels are lam times A, in integers."""
         if len(lam) != self.rank:
             raise ValueError(f"highest weight has length {len(lam)}, expected {self.rank}")
-        den, top, labels = self._labels(lam)
-        if any(type(x) is not int or x < 0 for x in labels):
+        den = lcm(*(x.denominator for x in lam))
+        top = tuple(x.numerator * (den // x.denominator) for x in lam)
+        labels = [sum(map(mul, row, top)) for row in self._engine.pairings]
+        if any(x % den or x < 0 for x in labels):
             raise ValueError(f"{vector_text(lam)} is not a dominant integral weight")
-        return den, top, labels
+        return den, top, tuple(x // den for x in labels)
 
     def dominant_weights(self, lam) -> list[tuple[Fraction, ...]]:
         """Dominant weights below lam, sorted by increasing distance from it."""
         vec, labels = tuple(Fraction(x) for x in lam), self._read(lam)[2]
-        return [mu for _, mu in sorted((size, self._below(vec, depth))
+        return [mu for _, mu in sorted((size, tuple(map(sub, vec, depth)))
                                        for size, depth, _ in self._engine.dominant_weights(labels))]
 
     def weyl_dimension(self, lam) -> int:
         return self._engine.dimension(self._read(lam)[2])
 
-    def weights(self, lam) -> tuple[int, dict[tuple[int, ...], int]]:
-        """Full weight multiset of L(lam) as (den, {numerators: multiplicity}):
-        each weight is its integer numerators over den, the lcm of lam's
-        denominators, which is common and positive, so they sort as the weights do."""
-        den, top, labels = self._read(lam)
-        return den, self._weights(den, top, self._engine.dominant_weights(labels))
-
     def _weights(self, den, top, dominant):
-        """weights(lam)[1] from lam's numerators over den and its dominant weights."""
+        """The weights of L(lam), {numerators over den: multiplicity}, from lam's
+        numerators over den and its dominant weights."""
         return dict(self._engine.character(self._engine.table(dominant), top,
-                                           tuple(-den * d for d in self.delta)).values())
+                                           (-den,) * self.rank).values())
 
     def tensor_decompose(self, lam1, lam2) -> dict[tuple[Fraction, ...], int]:
         """Decompose L(lam1) (x) L(lam2) into highest weights; the result is
         checked to be nonnegative and to preserve dimension."""
         top = tuple(Fraction(a) + b for a, b in zip(lam1, lam2))
-        return {self._below(top, depth): mult for depth, mult in
+        return {tuple(map(sub, top, depth)): mult for depth, mult in
                 self._engine.tensor(self._read(lam1)[2], self._read(lam2)[2]).values()}
 
 
 def datum_weight_system(datum: RootDatum) -> WeightSystem:
-    """The character-side weight system of a root datum: simple roots are
-    the coordinate vectors and the functionals are the simple coroots.  It
-    depends on the Cartan type alone, so there is one per type."""
-    return _type_weight_system(datum.cartan_type)
-
-
-@lru_cache(maxsize=64)
-def _type_weight_system(t) -> WeightSystem:
-    return WeightSystem(identity_matrix(t.rank), transpose(cartan_matrix(t)))
+    """The character-side weight system of a root datum, in its simple-root
+    coordinates.  It depends on the Cartan type alone."""
+    return WeightSystem(datum.cartan_type)
 
 
 def weyl_dim(datum: RootDatum, lam) -> int:
@@ -300,9 +258,10 @@ def weyl_dim(datum: RootDatum, lam) -> int:
 
 def freudenthal_multiplicities(datum: RootDatum, lam) -> tuple[int, dict]:
     """Full weight multiset of the irreducible with highest weight lam, as
-    (den, {numerators: multiplicity}) (WeightSystem.weights).  lam must be a
-    character of the group, in datum.X, or a ValueError names its character
-    lattice.  One read of lam and one search of its dominant weights serve the
+    (den, {numerators: multiplicity}): each weight is its integer numerators
+    over den, the lcm of lam's denominators, so they sort as the weights do.
+    lam must be a character of the group, in datum.X, or a ValueError names its
+    character lattice.  One read of lam and one search of its dominant weights serve the
     orbit count (a ValueError before any multiplicity when it passes MAX_WEIGHTS),
     the table and the Weyl dimension, which the multiplicities must add up to."""
     ws = datum_weight_system(datum)
@@ -372,21 +331,14 @@ def rank_one_delta(datum: RootDatum, order: int, node: int, a: int) -> int:
     return delta
 
 
-def rank_one_line_system(datum: RootDatum, order: int, node: int) -> WeightSystem:
-    """The rank-one weight system spanned by the rescaled coroot at one
-    node, living on the line of multiples of that coroot."""
-    return _line_system(local_denominators(datum, order)[node])
-
-
-@lru_cache(maxsize=64)  # it depends on the local denominator alone
-def _line_system(delta: int) -> WeightSystem:
-    return WeightSystem([(delta,)], [(Fraction(2, delta),)])
-
-
 def mv_vs_character_check(datum: RootDatum, order: int, node: int, a: int, mults) -> bool:
     """Compare the rank-one fixed-point count against character theory: the
     geometric multiplicities mults, rank_one_mv_multiplicities(datum, order,
-    node, a), must be the Freudenthal multiplicities of rank_one_line_system
-    at highest weight a."""
-    _, character = rank_one_line_system(datum, order, node).weights((a,))
+    node, a), must be the Freudenthal multiplicities of the line spanned by the
+    rescaled coroot delta * coroot_node, the A1 engine at label 2a/delta with
+    each step down by delta."""
+    delta = rank_one_delta(datum, order, node, a)
+    engine = _engine(CartanType("A", 1))
+    table = engine.table(engine.dominant_weights((2 * a // delta,)))
+    character = dict(engine.character(table, (a,), (-delta,)).values())
     return all(character.get((b,), 0) == mult for b, mult in mults.items())

@@ -31,10 +31,10 @@ Conventions used across the package:
   isogeny label) is not part of it, so B3 "so" and "adjoint" share one record; explicit
   generator rows are keyed to their (X, Y).  P and P^v are Z^r plus rows over a denominator too.
 * cartan_symmetrizer and the root pass take a bare integer Cartan matrix, for
-  dynkin and rep_check too.  Positive roots grow by height under simple reflections
-  and stream past, a few layers at a time, with nothing cached: reflection_sum sums
-  them as they go, and rep_check's engine, which its own cache keeps, lists them;
-  the negative ones are their negations.
+  dynkin's validation and rep_check's engine.  Positive roots grow by height under
+  simple reflections and stream past, a few layers at a time, with nothing cached:
+  reflection_sum sums them as they go, and rep_check's engine, which its own cache
+  keeps, lists them; the negative ones are their negations.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from math import gcd, lcm, prod
 
 from .lattice import (
     Lattice,
-    det_int,
     mat_inv,
     mat_mul,
     numerators_member,
@@ -127,9 +126,9 @@ def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-@lru_cache(maxsize=256)
 def cartan_determinant(t: CartanType) -> int:
-    return det_int(cartan_matrix(t))
+    """det A > 0, read off the elimination that inverts A (_inverse_cartan)."""
+    return _inverse_cartan(t)[0]
 
 
 def cartan_symmetrizer(a) -> tuple[Fraction, ...] | None:

@@ -25,17 +25,16 @@ coordinates are solved by Fraction Gauss-Jordan on the basis, and invariant
 factors read off gcds of minors, where the package runs an integer
 triangular solve and alternating modular Hermite forms.  A weight below a
 highest weight is recomputed as top - sum_j depth_j * root_j over every
-simple root in Fractions, where the package subtracts delta * depth from
-integer numerators.  Laurent series live only here, as windows of coefficients
+simple root in Fractions, where the package subtracts depth from integer
+numerators.  Laurent series live only here, as windows of coefficients
 with their own text parser and arithmetic: the constant term of
 (-1)**(a*b) * g**a / f**b rechecks the tame symbol, which the package reads off
 valuations and leading coefficients alone.  Reflections, root coordinates, iota and
 dominant conjugates are recomputed from simple roots and pairings.  A weight
 system's simple roots, positive roots, rho and coroot pairings are rebuilt from
-its delta and functionals, the roots by root_closure of its Cartan matrix, so
-Kostant's partition function shares no root list with the package's engine.
-The helpers that enumerate weight classes and isogenies (and 2-rho), and the
-rescaled coroot system of a datum, serve only tests.
+the Cartan matrix of its type, the roots by root_closure, so Kostant's partition
+function shares no root list with the package's engine.  The helpers that
+enumerate weight classes and isogenies (and 2-rho) serve only tests.
 """
 
 import re
@@ -48,10 +47,8 @@ from math import factorial, gcd, lcm, prod
 from loopdual.central_ext import commutator_value
 from loopdual.lattice import Lattice, det_int, hermite_mod, lattice_member, mat_mul, transpose
 from loopdual.loop_symbols import Series
-from loopdual.rep_check import WeightSystem
 from loopdual.root_data import (CartanType, RootDatum, canonical_form, cartan_matrix,
                                 coroot_norms, weight_lattice)
-from loopdual.twisted_dual import local_denominators
 
 
 def element(p: int, x):
@@ -152,9 +149,9 @@ def iota(t: CartanType, yvec) -> tuple[Fraction, ...]:
 
 
 class RootSystem(namedtuple("RootSystem", "simple_roots functionals positive_roots rho")):
-    """The roots of a WeightSystem rebuilt from its definition alone: simple roots
-    delta_i * e_i and the coroot functionals in Fraction, the positive roots from
-    root_closure of its Cartan matrix scaled by delta, and rho their half-sum."""
+    """The roots of a WeightSystem rebuilt from its Cartan type alone: simple roots
+    e_i and the coroot functionals, the columns of the type's Cartan matrix, in
+    Fraction, the positive roots from root_closure of that matrix, and rho their half-sum."""
 
     __slots__ = ()
 
@@ -163,20 +160,18 @@ class RootSystem(namedtuple("RootSystem", "simple_roots functionals positive_roo
         return sum(f * Fraction(x) for f, x in zip(self.functionals[i], vec))
 
 
-@lru_cache(maxsize=None)
 def root_system(ws) -> RootSystem:
-    """The RootSystem of a WeightSystem, from its delta and its functional rows
-    over their common scale, never from the engine's root list."""
-    r = ws.rank
-    functionals = tuple(tuple(Fraction(x, ws._scale) for x in row) for row in ws._rows)
-    simple = tuple(tuple(Fraction(d * (i == j)) for j in range(r)) for i, d in enumerate(ws.delta))
-    # a[i][j] = <coroot_j, root_i>, as root_closure reads a Cartan matrix
-    a = [[sum(f * x for f, x in zip(functionals[j], simple[i])) for j in range(r)]
-         for i in range(r)]
-    if any(x.denominator != 1 for row in a for x in row):
-        raise ArithmeticError("the functionals do not pair integrally with the simple roots")
-    a = tuple(tuple(int(x) for x in row) for row in a)
-    positive = tuple(sorted(tuple(Fraction(d * b) for d, b in zip(ws.delta, root))
+    """The RootSystem of a WeightSystem, from the Cartan matrix of its type,
+    never from the engine's root list."""
+    return _root_system(ws.cartan_type)
+
+
+@lru_cache(maxsize=None)
+def _root_system(t: CartanType) -> RootSystem:
+    a, r = cartan_matrix(t), t.rank  # a[i][j] = <coroot_j, root_i>
+    functionals = tuple(tuple(Fraction(a[j][i]) for j in range(r)) for i in range(r))
+    simple = tuple(tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r))
+    positive = tuple(sorted(tuple(map(Fraction, root))
                             for root, _ in root_closure(a) if min(root) >= 0))
     rho = tuple(sum(col) / 2 for col in zip(*positive))
     return RootSystem(simple, functionals, positive, rho)
@@ -190,7 +185,7 @@ def reflect(ws, i: int, vec) -> tuple[Fraction, ...]:
 
 
 def root_coordinates(ws, vec) -> tuple[Fraction, ...]:
-    """vec in the basis of the simple roots delta_i * e_i of a WeightSystem."""
+    """vec in the basis of the simple roots e_i of a WeightSystem."""
     return tuple(Fraction(x) / root[i]
                  for i, (x, root) in enumerate(zip(vec, root_system(ws).simple_roots)))
 
@@ -265,18 +260,6 @@ def reflection_sum(t: CartanType, yvec) -> tuple:
         for i in range(r):
             total[i] += val * root[i]
     return tuple(total)
-
-
-def rescaled_coroot_system(datum: RootDatum, order: int) -> WeightSystem:
-    """The dual-side weight system in source coordinates: simple roots are
-    the rescaled coroots delta_i * coroot_i acting on the cocharacter
-    space, with functionals scaled down accordingly."""
-    a = cartan_matrix(datum.cartan_type)
-    delta = local_denominators(datum, order)
-    r = datum.rank
-    roots = [[delta[i] * int(i == j) for j in range(r)] for i in range(r)]
-    functionals = [[Fraction(a[i][j], delta[i]) for j in range(r)] for i in range(r)]
-    return WeightSystem(roots, functionals)
 
 
 def below(ws, top, depth) -> tuple[Fraction, ...]:

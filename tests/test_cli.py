@@ -655,10 +655,10 @@ def test_one_parser_carries_no_state_between_runs():
     assert code == 0 and payload(out)["checks"] == []
 
 
-def _workloads():
-    """perfbench/workloads.py, loaded from its path."""
+def _perfbench(name):
+    """perfbench/<name>.py, loaded from its path."""
     spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        name, Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -682,7 +682,7 @@ def test_direct_dispatch_matches_the_full_parser(monkeypatch, capsys):
     """run hands argv[1:] straight to the subparser that argv[0] names; every
     argv gives the same exit code, stdout and stderr as through the top-level
     parser, which run still uses for any other argv and which is the oracle here."""
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     argvs = [list(argv) for argv in workloads.USAGE_ERRORS]
     argvs += [list(argv) for argv, _ in workloads.KNOWN_CRASHES]
     argvs += cases(2024, 500)
@@ -789,6 +789,25 @@ def test_weight_goldens_replay():
     engine keeps stdout and MAX_WEIGHTS admits every query."""
     checked, mismatched = _replay("weights", lambda argv: argv[0] in ("mult", "mv-rank1"))
     assert checked > 200
+    assert mismatched == []
+
+
+def test_tensor_goldens_replay():
+    """The tensor goldens of every workload, the only queries that reach
+    tensor_decompose and the Fraction dominant_weights, replayed through the
+    benchmark's own worker.execute: each [exit code, stdout sha256 prefix] holds."""
+    worker, workloads = _perfbench("worker"), _perfbench("workloads")
+    checked, mismatched = 0, []
+    for path in sorted(GOLDENS.glob("*.json")):
+        for key, expected in json.loads(path.read_text()).items():
+            if (argv := json.loads(key))[0] != "tensor":
+                continue
+            code, exc, stdout, _ = worker.execute(argv, cli, rep_check, workloads)
+            checked += 1
+            if exc is not None or [code, hashlib.sha256(stdout.encode()).hexdigest()[:24]] \
+                    != expected:
+                mismatched.append(key)
+    assert checked == 16
     assert mismatched == []
 
 

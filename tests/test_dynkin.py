@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from loopdual import lattice
+from loopdual import dynkin, lattice
 from loopdual.dynkin import group_name, recognize_cartan_matrix
 from loopdual.lattice import Lattice, identity_matrix
 from loopdual.root_data import (
@@ -87,6 +91,21 @@ def test_large_relabelings_come_back_quickly_as_the_smallest_sigma():
     assert time.perf_counter() - start < 2
 
 
+def test_recognition_reads_the_input_diagram_once(monkeypatch):
+    """Each candidate series is checked against one set of neighbour lists and
+    profiles of the input; only the standard matrices get their own."""
+    seen, real = [], dynkin._diagram
+    monkeypatch.setattr(dynkin, "_diagram", lambda mat: seen.append(mat) or real(mat))
+    dynkin._recognize.cache_clear()
+    std = cartan_matrix(CartanType("C", 40))
+    perm = list(range(40))
+    random.Random("diagram-once").shuffle(perm)
+    mat = tuple(tuple(std[perm[i]][perm[j]] for j in range(40)) for i in range(40))
+    got, sigma = recognize_cartan_matrix(mat)
+    assert got == CartanType("C", 40) and sigma == tuple(perm)
+    assert seen == [mat] + [cartan_matrix(CartanType(s, 40)) for s in "ABC"]
+
+
 def test_diagram_coincidences_are_canonicalized():
     # a symplectic-shaped rank-two matrix names the same diagram as B2
     got, sigma = recognize_cartan_matrix([[2, -1], [-2, 2]])
@@ -115,6 +134,23 @@ def test_diagram_coincidences_are_canonicalized():
 def test_recognize_rejects_non_cartan(bad):
     with pytest.raises(ValueError):
         recognize_cartan_matrix(bad)
+
+
+@pytest.mark.parametrize("mat", [[[2, -2], [-2, 2]], [[2, -3], [-3, 2]]],
+                         ids=["affine", "hyperbolic"])
+def test_refuses_an_infinite_root_system_up_front(mat):
+    """These pass validate_cartan_matrix, but their root systems are infinite;
+    a fresh process with a time bound, so that a hang fails rather than stalls."""
+    code = ("from loopdual.dynkin import recognize_cartan_matrix\n"
+            "try:\n"
+            f"    recognize_cartan_matrix({mat!r})\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "not the Cartan matrix of an irreducible finite type\n"
 
 
 def test_group_names_classical():

@@ -7,24 +7,20 @@ Freudenthal's, and character peeling on Kostant characters, which recomputes
 tensor products without the Brauer-Klimyk reflection.
 """
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, count, product
 from math import lcm
-from pathlib import Path
 
 import pytest
 
 from loopdual.lattice import lattice_member
 from loopdual.rep_check import (
     _Engine,
+    _engine,
     freudenthal_multiplicities,
     WeightSystem,
     datum_weight_system,
     mv_vs_character_check,
-    rank_one_line_system,
     rank_one_mv_multiplicities,
     tensor_multiplicity,
     weyl_dim,
@@ -33,8 +29,10 @@ from loopdual.root_data import CartanType, build_datum, cartan_matrix, fundament
 from loopdual.twisted_dual import local_denominators, twisted_dual
 
 from oracles import (below, character_by_kostant, dominant_conjugate, kostant_multiplicity,
-                     rescaled_coroot_system, root_closure, root_coordinates, root_system,
-                     tensor_by_peeling, weyl_group_with_signs, weyl_order_by_highest_root)
+                     root_closure, root_coordinates, root_system, tensor_by_peeling,
+                     weyl_group_with_signs, weyl_order_by_highest_root)
+
+A1 = CartanType("A", 1)
 
 
 def source_system(name):
@@ -51,51 +49,20 @@ def add(x, y):
 
 def multiplicity(ws, lam, mu) -> int:
     """The multiplicity of mu in L(lam), read off the weights `mult` prints."""
-    den, weights = ws.weights(lam)
+    den, top, labels = ws._read(lam)
+    weights = ws._weights(den, top, ws._engine.dominant_weights(labels))
     nums = [Fraction(x) * den for x in mu]
     return weights.get(tuple(map(int, nums)), 0) if all(x.denominator == 1 for x in nums) else 0
 
 
 class TestWeightSystemBasics:
-    def test_rejects_non_cartan_data(self):
-        with pytest.raises(ValueError):
-            WeightSystem([(1,)], [(1,)])  # functional on own root is 1
-        with pytest.raises(ValueError):
-            WeightSystem([(1, 0), (0, 1)], [(2, 1), (1, 2)])  # positive off-diag
-        with pytest.raises(ValueError):
-            WeightSystem([(1, 0), (0, 1)], [(2, 0), (0, 2)])  # reducible
-
-    @pytest.mark.parametrize("functionals", [[(2, -2), (-2, 2)], [(2, -3), (-3, 2)]],
-                             ids=["affine", "hyperbolic"])
-    def test_refuses_an_infinite_root_system_up_front(self, functionals):
-        """These pass validate_cartan_matrix, but their root systems are infinite;
-        a fresh process with a time bound, so that a hang fails rather than stalls."""
-        code = ("from loopdual.rep_check import WeightSystem\n"
-                "try:\n"
-                f"    WeightSystem([(1, 0), (0, 1)], {functionals!r})\n"
-                "except ValueError as exc:\n"
-                "    print(exc)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=20, env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "not the Cartan matrix of an irreducible finite type\n"
-
-    def test_rejects_simple_roots_off_the_coordinate_axes(self):
-        for roots in ([(1, 1), (0, 1)],  # not diagonal
-                      [(Fraction(1, 2), 0), (0, 1)],  # delta_i not an integer
-                      [(-1, 0), (0, 1)],  # delta_i not positive
-                      [(1, 0), (1,)]):  # ragged
-            with pytest.raises(ValueError, match="delta_i"):
-                WeightSystem(roots, [(2, -1), (-1, 2)])
-
     def test_rank_one_weights(self):
-        ws = WeightSystem([(2,)], [(1,)])
-        assert root_system(ws).positive_roots == ((Fraction(2),),)
-        assert root_system(ws).rho == (Fraction(1),)
+        ws = WeightSystem(A1)
+        assert root_system(ws).positive_roots == ((Fraction(1),),)
+        assert root_system(ws).rho == (Fraction(1, 2),)
         assert ws._engine.roots == [((1,), (2,), (1,))]  # root, label, coefficient
-        assert ws.weyl_dimension((4,)) == 5
-        assert [multiplicity(ws, (4,), (b,)) for b in range(4, -5, -1)] == [
+        assert ws.weyl_dimension((2,)) == 5
+        assert [multiplicity(ws, (2,), (Fraction(b, 2),)) for b in range(4, -5, -1)] == [
             1, 0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_positive_root_counts(self):
@@ -123,7 +90,7 @@ class TestDimensionsAndMultiplicities:
         for m in range(6):
             lam = tuple(m * x for x in fw("A1", 0))
             assert ws.weyl_dimension(lam) == m + 1
-            assert sum(ws.weights(lam)[1].values()) == m + 1
+            assert sum(freudenthal_multiplicities(build_datum("A1", "sc"), lam)[1].values()) == m + 1
 
     def test_classical_dimensions(self):
         cases = [
@@ -141,7 +108,7 @@ class TestDimensionsAndMultiplicities:
         for name, lam, dim in cases:
             ws = source_system(name)
             assert ws.weyl_dimension(lam) == dim
-            assert sum(ws.weights(lam)[1].values()) == dim
+            assert sum(freudenthal_multiplicities(build_datum(name, "sc"), lam)[1].values()) == dim
 
     def test_zero_weight_multiplicities(self):
         cases = [
@@ -230,26 +197,36 @@ class TestTensorProducts:
 
 
 class TestRescaledCorootSystems:
+    """The rescaled coroots delta_i * coroot_i are the simple roots of the dual,
+    whose weight system lives on the dual's own type."""
+
     def test_sl2_order_two(self):
-        ws = rescaled_coroot_system(build_datum("A1", "sc"), 2)
-        assert ws.delta == (2,) and root_system(ws).simple_roots == ((Fraction(2),),)
-        assert ws.weyl_dimension((2,)) == 3  # the string 2, 0, -2
-        assert multiplicity(ws, (2,), (0,)) == 1
-        assert multiplicity(ws, (2,), (1,)) == 0
+        d = build_datum("A1", "sc")
+        ws = datum_weight_system(twisted_dual(d, 2).dual)
+        assert local_denominators(d, 2) == (2,) and ws.cartan_type == A1
+        assert ws.weyl_dimension((1,)) == 3  # the string 2, 0, -2 of the rescaled coroot
+        assert multiplicity(ws, (1,), (0,)) == 1
+        assert multiplicity(ws, (1,), (Fraction(1, 2),)) == 0
 
     def test_sp4_order_two(self):
-        ws = rescaled_coroot_system(build_datum("C2", "sc"), 2)
+        out = twisted_dual(build_datum("C2", "sc"), 2)
+        ws = datum_weight_system(out.dual)
+        assert out.local_denominators == (1, 2)
+        assert str(ws.cartan_type) == "B2" and out.relabeling == (1, 0)
+        std = cartan_matrix(ws.cartan_type)
+        assert all(out.dual_cartan[i][j] == std[out.relabeling[i]][out.relabeling[j]]
+                   for i in range(2) for j in range(2))
         system = root_system(ws)
-        assert ws.delta == (1, 2)
-        assert system.simple_roots == ((Fraction(1), Fraction(0)),
-                                       (Fraction(0), Fraction(2)))
         for i, root in enumerate(system.simple_roots):
             assert system.pairing(i, root) == 2
 
     def test_weyl_dimension_counts_rescaled_string(self):
-        ws = rescaled_coroot_system(build_datum("A1", "adjoint"), 3)
-        # delta = 3: highest weight 3 gives the string 3, 0, -3
-        assert ws.weyl_dimension((3,)) == 3
+        d = build_datum("A1", "adjoint")
+        # delta = 3: the orbit of 3 * coroot is the string 3, 0, -3, the dual's roots
+        assert local_denominators(d, 3) == (3,)
+        string = rank_one_mv_multiplicities(d, 3, 0, 3)
+        assert [b for b, m in string.items() if m] == [3, 0, -3]
+        assert datum_weight_system(twisted_dual(d, 3).dual).weyl_dimension((1,)) == 3
 
 
 class TestRankOneMultiplicities:
@@ -294,9 +271,9 @@ class TestRankOneMultiplicities:
             delta = local_denominators(d, order)[node]
             a = delta * steps
             out = rank_one_mv_multiplicities(d, order, node, a)
-            line = WeightSystem([(delta,)], [(Fraction(2, delta),)])
+            line = WeightSystem(A1)  # b on the line is b / delta on the A1 weights
             for b in range(a, -a - 1, -1):
-                assert out[b] == multiplicity(line, (a,), (b,)), (
+                assert out[b] == multiplicity(line, (Fraction(a, delta),), (Fraction(b, delta),)), (
                     name, isogeny, order, node, b)
             assert sum(out.values()) == 2 * a // delta + 1
             assert mv_vs_character_check(d, order, node, a, out)
@@ -330,10 +307,11 @@ class TestOperationWrappers:
     ("A2", "adjoint", 3), ("B3", "sc", 2), ("C3", "sc", 2), ("G2", "sc", 3),
     ("F4", "sc", 2)])
 def test_rescaled_system_has_dual_root_count(name, isogeny, order):
-    datum = build_datum(name, isogeny)
-    dual_type = twisted_dual(datum, order).dual.cartan_type
-    ws = rescaled_coroot_system(datum, order)
-    count = len(root_closure(cartan_matrix(dual_type)))
+    """The engine of the dual type has as many roots as the dense closure of the
+    rescaled coroots' Cartan matrix, in the source numbering."""
+    out = twisted_dual(build_datum(name, isogeny), order)
+    ws = datum_weight_system(out.dual)
+    count = len(root_closure(out.dual_cartan))
     assert 2 * len(root_system(ws).positive_roots) == 2 * len(ws._engine.roots) == count
 
 
@@ -361,7 +339,7 @@ def test_freudenthal_matches_kostant_in_rank_three(name, coeffs):
 def test_freudenthal_matches_kostant_on_rescaled_systems(name, isogeny, order):
     datum = build_datum(name, isogeny)
     assert max(local_denominators(datum, order)) > 1
-    ws = rescaled_coroot_system(datum, order)
+    ws = datum_weight_system(twisted_dual(datum, order).dual)
     system = root_system(ws)
     highest_root = max(system.positive_roots, key=lambda v: sum(root_coordinates(ws, v)))
     for lam in (system.rho, highest_root, add(system.rho, highest_root)):
@@ -370,26 +348,32 @@ def test_freudenthal_matches_kostant_on_rescaled_systems(name, isogeny, order):
 
 @pytest.mark.parametrize("name,order,node", [("A1", 2, 0), ("C2", 2, 1), ("G2", 3, 1)])
 def test_freudenthal_matches_kostant_on_rank_one_lines(name, order, node):
-    line = rank_one_line_system(build_datum(name, "sc"), order, node)
-    delta = int(root_system(line).simple_roots[0][0])
+    """mv_vs_character_check reads the line of delta * coroot_node off the A1
+    engine: it accepts Kostant's multiplicities of the A1 weights below a / delta,
+    placed at b = delta * weight, and refuses them with any one entry moved."""
+    datum = build_datum(name, "sc")
+    delta = local_denominators(datum, order)[node]
     assert delta > 1
     for a in (delta, 2 * delta, 5 * delta):
-        for b in range(a, -a - 1, -1):
-            assert multiplicity(line, (a,), (b,)) == \
-                kostant_multiplicity(line, (a,), (b,)), (a, b)
+        mults = {b: kostant_multiplicity(WeightSystem(A1), (Fraction(a, delta),),
+                                         (Fraction(b, delta),)) for b in range(a, -a - 1, -1)}
+        assert mv_vs_character_check(datum, order, node, a, mults), a
+        for b, m in mults.items():
+            assert not mv_vs_character_check(datum, order, node, a, {**mults, b: m + 1}), (a, b)
 
 
-def test_one_line_system_per_local_denominator():
-    """rank_one_line_system depends on delta alone, so data and nodes with one
-    delta share one WeightSystem; each query's character is still computed."""
+def test_one_a1_engine_serves_every_rank_one_line(monkeypatch):
+    """mv_vs_character_check reads every line, whatever its delta, off the one
+    cached A1 engine; each query's character is still computed."""
     c2, a1 = build_datum("C2", "sc"), build_datum("A1", "sc")
-    line = rank_one_line_system(c2, 2, 1)  # delta = 2
-    assert rank_one_line_system(a1, 2, 0) is line
-    assert rank_one_line_system(c2, 4, 0) is line
-    assert rank_one_line_system(c2, 2, 0) is not line  # delta = 1
-    assert rank_one_line_system(c2, 2, 0).delta == (1,) and line.delta == (2,)
-    assert line.weights((4,)) == (1, {(4,): 1, (2,): 1, (0,): 1, (-2,): 1, (-4,): 1})
-    assert line.weights((4,)) is not line.weights((4,))
+    engine, tables, table = _engine(A1), [], _Engine.table
+    monkeypatch.setattr(_Engine, "table",
+                        lambda self, dominant: tables.append(self) or table(self, dominant))
+    assert rank_one_mv_multiplicities(c2, 2, 1, 4) == {4: 1, 3: 0, 2: 1, 1: 0, 0: 1, -1: 0,
+                                                      -2: 1, -3: 0, -4: 1}
+    for d, order, node in ((c2, 2, 1), (a1, 2, 0), (c2, 4, 0), (c2, 2, 0)):  # delta 2, 2, 2, 1
+        assert mv_vs_character_check(d, order, node, 4, rank_one_mv_multiplicities(d, order, node, 4))
+    assert tables == [engine] * 4
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
@@ -492,8 +476,8 @@ def test_stabilizer_weyl_orders_match_the_highest_root_formula():
     for series, lo, hi in (("A", 1, 8), ("B", 2, 8), ("C", 2, 8), ("D", 3, 8),
                            ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)):
         for rank in range(lo, hi + 1):
-            a = cartan_matrix(CartanType(series, rank))
-            engine = _Engine(tuple(zip(*a)))  # pairings[i][j] = <coroot_i, root_j>
+            t = CartanType(series, rank)
+            a, engine = cartan_matrix(t), _Engine(t)
             for size in range(rank + 1):
                 for nodes in combinations(range(rank), size):
                     assert engine.weyl_order(nodes) == weyl_order_by_highest_root(a, nodes), \

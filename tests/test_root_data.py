@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopdual import root_data
+from loopdual import lattice, root_data
 from loopdual.central_ext import commutator_denominator
 from loopdual.lattice import Lattice, lattice_member, transpose
 from loopdual.root_data import (
@@ -129,7 +129,7 @@ def test_root_system_matches_the_dense_closure(t):
 
 
 def test_positive_roots_of_small_matrices_match_the_dense_closure():
-    # rep_check feeds transposed Cartan matrices, in any numbering of the nodes
+    # the pass takes any integer Cartan matrix, transposed or in any numbering of the nodes
     for t in (t for t in ORACLE_TYPES if t.rank <= 3):
         a = cartan_matrix(t)
         for order in permutations(range(t.rank)):
@@ -613,9 +613,20 @@ def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatc
     assert tests == []
 
 
+def test_one_determinant_per_type(monkeypatch):
+    """A type's determinant is the one mat_inv computes for its inverse: a cold
+    type takes one Bareiss determinant, for P, P^v and det A together."""
+    dets, real = [], lattice.det_int
+    monkeypatch.setattr(lattice, "det_int", lambda mat: dets.append(mat) or real(mat))
+    root_data._inverse_cartan.cache_clear()
+    t = CartanType("D", 40)
+    assert cartan_determinant(t) == 4 and weight_lattice(t).den == 2
+    assert cartan_determinant(t) == 4 and dets == [cartan_matrix(t)]
+
+
 def test_cartan_determinant_of_every_admitted_type():
-    """det A against its closed form for every type build_datum admits: det_int on
-    tridiagonal matrices up to MAX_RANK, which the level Gram check relies on."""
+    """det A against its closed form for every type build_datum admits: the |det| that
+    mat_inv's Bareiss determinant gives each type's inverse, up to MAX_RANK."""
     closed = {"A": lambda r: r + 1, "B": lambda r: 2, "C": lambda r: 2, "D": lambda r: 4,
               "E": lambda r: 9 - r, "F": lambda r: 1, "G": lambda r: 1}
     for series, (low, high) in root_data._RANK_BOUNDS.items():

@@ -230,11 +230,11 @@ def test_one_period_per_record_and_one_annihilator_per_class(monkeypatch):
     the dual's X, per class gcd(N, L): the twelve orders of C4 adjoint, L = 2 though
     det(k * G_Y) = 4, fall in two classes, and each gives the oracle's Y_{Q,N}."""
     built, dets, periods = [], [], []
-    real_annihilator, real_det, real_period = td.annihilator_plus, root_data.det_int, \
+    real_annihilator, real_det, real_period = td.annihilator_plus, lattice.det_int, \
         RootDatum.period.func
     monkeypatch.setattr(td, "annihilator_plus",
                         lambda *a, **kw: built.append(a[0]) or real_annihilator(*a, **kw))
-    monkeypatch.setattr(root_data, "det_int", lambda mat: dets.append(mat) or real_det(mat))
+    monkeypatch.setattr(lattice, "det_int", lambda mat: dets.append(mat) or real_det(mat))
     counted = cached_property(lambda self: periods.append(self) or real_period(self))
     counted.__set_name__(RootDatum, "period")
     monkeypatch.setattr(RootDatum, "period", counted)
@@ -290,7 +290,7 @@ def test_recognition_searches_once_per_distinct_dual_matrix(monkeypatch):
     searched = []
     real = dynkin._find_relabeling
     monkeypatch.setattr(dynkin, "_find_relabeling",
-                        lambda mat, std: searched.append(mat) or real(mat, std))
+                        lambda mat, diagram, std: searched.append(mat) or real(mat, diagram, std))
     dynkin._recognize.cache_clear()
     data = [_fresh_record(name, isogeny) for name in ("B3", "C4", "F4", "G2")
             for isogeny in ("sc", "adjoint")]
