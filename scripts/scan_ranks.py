@@ -10,7 +10,11 @@ call shows omega_1 to be a character of it, in its lattice X.  The center that
 `dual` prints for SL(n) (A_(n-1) sc) must be Z/gcd(n, N), and for PGL(n)
 (A_(n-1) adjoint) Z/(n/gcd(n, N)); the name it prints for Spin(2r+1) (B_r sc) and
 Sp(2r) (C_r sc) must be the group that twisted_dual.expected_dual_name gives (up to
-twisted_dual.same_group); a call that prints another fails.  The dual depends on N only
+twisted_dual.same_group); a call that prints another fails.  `dual` reads the dual's type
+and relabeling off a rule; for every `dual` call the scan rebuilds the rescaled Cartan
+matrix A'[i][j] = delta_i * A[j][i] / delta_j from the source matrix and the printed
+delta, runs dynkin.recognize_cartan_matrix on it, and fails the call if the type or the
+relabeling it finds differs from the printed one.  The dual depends on N only
 through gcd(N, L), L the datum's period, read in this process (RootDatum.period): the
 `dual` calls of a datum whose orders share gcd(N, L) must print the same dual type,
 dual lattice, relabeling, center, pi1 and name, or the later one fails.  Every call
@@ -29,14 +33,17 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
+from loopdual.dynkin import recognize_cartan_matrix  # noqa: E402
 from loopdual.lattice import Lattice, lattice_member  # noqa: E402
-from loopdual.root_data import MAX_RANK, CartanType, build_datum, fundamental_weight  # noqa: E402
+from loopdual.root_data import (MAX_RANK, CartanType, build_datum, cartan_matrix,  # noqa: E402
+                                fundamental_weight)
 from loopdual.twisted_dual import expected_dual_name, same_group  # noqa: E402
 
 ORDERS = (1, 2, 3, 4, 6)
@@ -103,6 +110,21 @@ def mismatch(t: str, isogeny: str, order: int, result: dict) -> str | None:
     return None
 
 
+def relabeling_mismatch(t: str, result: dict) -> str | None:
+    """How recognize_cartan_matrix, on A' rebuilt from the source matrix and the printed
+    delta, disagrees with the printed dual type and relabeling, or None."""
+    a, delta = cartan_matrix(CartanType.parse(t)), result["delta"]
+    aprime = [[Fraction(di * a[j][i], dj) for j, dj in enumerate(delta)]
+              for i, di in enumerate(delta)]
+    try:
+        found, sigma = recognize_cartan_matrix(aprime)
+    except ValueError as exc:
+        return f"rebuilt dual Cartan matrix: {exc}"
+    if [str(found), list(sigma)] != [result["dual_type"], result["relabeling"]]:
+        return f"recognized {found} by {list(sigma)}, printed {result['dual_type']}"
+    return None
+
+
 def class_mismatch(first: tuple[int, dict], result: dict) -> str | None:
     """The fields in which result differs from the first (order, result) of its class, or None."""
     n, seen = first
@@ -122,7 +144,7 @@ def scan():
             if code == 0:
                 result = json.loads(out)["result"]
                 first = classes.setdefault(gcd(n, period), (n, result))
-                code = mismatch(t, isogeny, n, result) or \
+                code = mismatch(t, isogeny, n, result) or relabeling_mismatch(t, result) or \
                     class_mismatch(first, result) or 0
             yield seconds, code, argv
             if n == 1 and code == 0 and (omega := dual_omega1(out)):

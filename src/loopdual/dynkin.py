@@ -1,16 +1,17 @@
 """Recognition of Cartan matrices and naming of isogeny classes.
 
-recognize_cartan_matrix identifies an integer matrix as the Cartan matrix
-of an irreducible finite type up to simultaneous row/column permutation.
-Types with coinciding diagrams are canonicalized by trying series in the
-order A, B, C, D, E, F, G: a rank-two matrix of symplectic shape comes
-back as B2, and the rank-three fork comes back as A3.  group_name names
-a validated root-datum record, so it proves no containment again.
+recognize_cartan_matrix identifies an integer matrix as the Cartan matrix of an irreducible
+finite type up to simultaneous row/column permutation, for rep_check's stabilizer orders.
+Types with coinciding diagrams are canonicalized by trying series in the order A, B, C, D,
+E, F, G: a rank-two matrix of symplectic shape comes back as B2, and the rank-three fork as
+A3, as twisted_dual's rule names them too.  group_name names a validated root-datum record,
+so it proves no containment again.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import prod
 
 from .lattice import lattice_member
@@ -19,7 +20,6 @@ from .root_data import (
     RootDatum,
     cartan_determinant,
     cartan_matrix,
-    cartan_symmetrizer,
     fundamental_weight,
 )
 
@@ -42,7 +42,10 @@ def validate_cartan_matrix(mat) -> int:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if (mat[i][j] == 0) != (mat[j][i] == 0):
                     raise ValueError("Cartan zeros must be symmetric")
-    if cartan_symmetrizer([[int(x) for x in row] for row in mat]) is None:
+    reached = [0]  # the nodes of the Dynkin graph connected to node 0
+    for i in reached:
+        reached += [j for j in compress(range(rank), mat[i]) if j not in reached]
+    if len(reached) != rank:
         raise ValueError("Cartan matrix is not irreducible")
     return rank
 

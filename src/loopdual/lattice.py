@@ -16,7 +16,7 @@ the second lattice of a record from the rows standard_plus kept for the first.  
 is built from integer rows over a denominator (Lattice.from_int_rows), or from a proven
 modular form as it is; one integer triangular solve on numerators serves membership,
 coordinates and those proofs, checked by its residual ending at zero.  Most entries are
-0, so mat_mul, det_int, mat_inv and the solve skip zeros.
+0, so mat_mul, det_int, mat_inv and the solve skip zeros; no command runs mat_inv now.
 """
 
 from __future__ import annotations

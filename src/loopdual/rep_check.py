@@ -75,12 +75,17 @@ class _Engine:
 
     def conjugate(self, x):
         """(the dominant W-conjugate of labels x, the root coordinates it lies
-        above x by, the sign of the Weyl element taking x there)."""
-        rise, sign = [0] * len(x), 1
-        while (i := next((i for i, xi in enumerate(x) if xi < 0), -1)) >= 0:
-            rise[i] -= x[i]
-            x, sign = self.reflect(x, i), -sign
-        return x, rise, sign
+        above x by, the sign of the Weyl element taking x there), none of which depends on the
+        path: reflect at negative labels, and after s_i only i's neighbours join the stack."""
+        rise, sign, x = [0] * len(x), 1, list(x)
+        stack = [i for i, xi in enumerate(x) if xi < 0]
+        while stack:
+            if (c := x[i := stack.pop()]) < 0:
+                rise[i], sign = rise[i] - c, -sign
+                for j, p in self.columns[i]:
+                    x[j] -= c * p
+                stack += [j for j, _ in self.columns[i] if x[j] < 0]
+        return tuple(x), rise, sign
 
     def dominant_weights(self, lam):
         """(depth sum, depth, labels) of the dominant weights of L(lam), sorted,

@@ -29,9 +29,11 @@ Conventions used across the package:
   key), center and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two
   invariant factors at most), and twisted_dual's duals by class.  How the caller named X (an
   isogeny label) is not part of it, so B3 "so" and "adjoint" share one record; explicit
-  generator rows are keyed to their (X, Y).  P and P^v are Z^r plus rows over a denominator too.
-* cartan_symmetrizer and the root pass take a bare integer Cartan matrix, for
-  dynkin's validation and rep_check's engine.  Positive roots grow by height under
+  generator rows are keyed to their (X, Y).  P and P^v are Z^r plus the at most two
+  minuscule fundamental (co)weights over a denominator.
+* A type's coroot norms and minuscule nodes come from tables by series, and det A and each
+  fundamental (co)weight, in O(r) integers, from a leaf-first elimination on its Dynkin tree.
+* The root pass takes a bare integer Cartan matrix.  Positive roots grow by height under
   simple reflections and stream past, a few layers at a time, with nothing cached:
   reflection_sum sums them as they go, and rep_check's engine, which its own cache
   keeps, lists them; the negative ones are their negations.
@@ -42,11 +44,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import gcd, lcm, prod
 
 from .lattice import (
     Lattice,
-    mat_inv,
     mat_mul,
     numerators_member,
     span_mod,
@@ -93,7 +95,7 @@ class CartanType(namedtuple("CartanType", "series rank")):
 def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix in the convention A[i][j] = <coroot_j, root_i>."""
     r = t.rank
-    a = [[2 * int(i == j) for j in range(r)] for i in range(r)]
+    a = [[0] * i + [2] + [0] * (r - 1 - i) for i in range(r)]
 
     def edge(i, j, aij=-1, aji=-1):
         a[i][j] = aij
@@ -126,40 +128,61 @@ def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
+@lru_cache(maxsize=256)
 def cartan_determinant(t: CartanType) -> int:
-    """det A > 0, read off the elimination that inverts A (_inverse_cartan)."""
-    return _inverse_cartan(t)[0]
+    """det A > 0, the determinant of the whole tree in _tree_column's elimination."""
+    return _tree_column(t, 0, weight=True)[0]
 
 
-def cartan_symmetrizer(a) -> tuple[Fraction, ...] | None:
-    """Ratios d with d_i * a[i][j] == d_j * a[j][i] and d_0 == 1, forced along
-    a walk of the Dynkin graph of the integer matrix a from node 0 (callers
-    check the other edges); None when the graph is not connected."""
-    r = len(a)
-    ratios: list[Fraction | None] = [None] * r
-    ratios[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(r):
-            if j != i and a[j][i] != 0 and ratios[j] is None:
-                ratios[j] = ratios[i] * Fraction(a[i][j], a[j][i])
-                stack.append(j)
-    return None if None in ratios else tuple(ratios)
+@lru_cache(maxsize=256)
+def _neighbours(t: CartanType) -> list[list[int]]:
+    """The neighbours of each node of A's Dynkin graph: r - 1 edges, so a tree if connected."""
+    a, r = cartan_matrix(t), t.rank
+    near = [[j for j in compress(range(r), row) if j != i] for i, row in enumerate(a)]
+    if sum(map(len, near)) != 2 * r - 2:
+        raise ArithmeticError("Dynkin graph is not a tree")
+    return near
+
+
+def _tree_column(t: CartanType, i: int, weight: bool) -> tuple[int, list[int]]:
+    """(det A, y): y / det A is row i of A^-1 (the fundamental weight, A^T w = e_i) if weight,
+    else column i (the coweight, A x = e_i), in O(r) integers.  Eliminating A leaf first on its
+    Dynkin tree rooted at i has no fill-in, and node j's pivot 2 - sum A[j][c] * A[c][j] / pivot(c)
+    over its children c is s_j / p_j, s_j the determinant of j's subtree and p_j the product of
+    its children's: det A = s_i, y_i = p_i, and down each edge y_c = -M[c][j] * y_j * p_c / s_c."""
+    a, near, r = cartan_matrix(t), _neighbours(t), t.rank
+    order, parent = [i], {i: None}
+    for j in order:
+        kids = [c for c in near[j] if c not in parent]
+        parent.update(dict.fromkeys(kids, j))
+        order += kids
+    if len(order) != r:
+        raise ArithmeticError("Dynkin graph is not connected")
+    s, p, y = [2] * r, [1] * r, [0] * r
+    for c in reversed(order[1:]):
+        j = parent[c]
+        s[j], p[j] = s[j] * s[c] - a[j][c] * a[c][j] * p[c] * p[j], p[j] * s[c]
+    if s[i] <= 0:
+        raise ArithmeticError(f"Cartan determinant {s[i]} is not positive")
+    y[i] = p[i]
+    for c in order[1:]:
+        j = parent[c]
+        y[c], rest = divmod(-(a[j][c] if weight else a[c][j]) * y[j] * p[c], s[c])
+        if rest:
+            raise ArithmeticError("the adjugate of the Cartan matrix is not integral")
+    return s[i], y
 
 
 @lru_cache(maxsize=256)
 def coroot_norms(t: CartanType) -> tuple[int, ...]:
-    """c_i = (coroot_i, coroot_i)/2, normalized so the minimum is 1."""
-    # symmetry of the form forces c_i * A[i][j] == c_j * A[j][i]
-    ratios = cartan_symmetrizer(cartan_matrix(t))
-    if ratios is None:
-        raise ArithmeticError("Dynkin graph is not connected")
-    low = min(ratios)
-    cs = tuple(x / low for x in ratios)
-    if any(x.denominator != 1 or int(x) not in (1, 2, 3) for x in cs):
-        raise ArithmeticError("coroot norms must be 1, 2 or 3")
-    return tuple(int(x) for x in cs)
+    """c_i = (coroot_i, coroot_i)/2, normalized so the minimum is 1, by series (Bourbaki, Lie VI,
+    plates), checked on each nonzero entry, the tree's edges: c_i * A[i][j] == c_j * A[j][i]."""
+    r, a = t.rank, cartan_matrix(t)
+    cs = {"B": (1,) * (r - 1) + (2,), "C": (2,) * (r - 1) + (1,), "F": (1, 1, 2, 2),
+          "G": (3, 1)}.get(t.series, (1,) * r)
+    if any(cs[i] * a[i][j] != cs[j] * a[j][i] for i, js in enumerate(_neighbours(t)) for j in js):
+        raise ArithmeticError("invariant form is not symmetric")
+    return cs
 
 
 # Images under a simple reflection sit at most 3 heights below a root: c = <coroot_i, g>
@@ -217,33 +240,26 @@ def root_lattice(t: CartanType) -> Lattice:
 
 
 @lru_cache(maxsize=256)
-def weight_lattice(t: CartanType) -> Lattice:
-    """Character-side weight lattice, generated by the fundamental weights.
-
-    The stored basis is in Hermite form, so use fundamental_weight to get an
-    actual fundamental weight rather than reading basis rows.
-    """
-    return standard_plus(*_inverse_cartan(t))[0]
+def weight_lattice(t: CartanType, cocharacters: bool = False) -> Lattice:
+    """P, Z^r plus the minuscule fundamental weights (P^v and coweights if cocharacters)."""
+    return standard_plus(*_minuscule(t, cocharacters))[0]
 
 
 @lru_cache(maxsize=256)
-def _inverse_cartan(t: CartanType) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, rows) with D = |det A| and rows / D = A^-1, in integers (lattice.mat_inv)."""
-    d, rows = mat_inv(cartan_matrix(t))
-    return d, tuple(map(tuple, rows))
-
-
-@lru_cache(maxsize=256)
-def _coweight_lattice(t: CartanType) -> Lattice:
-    """P^v in simple-coroot coordinates, spanned by the columns of A^-1."""
-    d, rows = _inverse_cartan(t)
-    return standard_plus(d, transpose(rows))[0]
+def _minuscule(t: CartanType, cocharacters: bool) -> tuple[int, tuple]:
+    """(det A, rows): the minuscule fundamental weights of t (coweights if cocharacters), which
+    generate P/Q (P^v/Q^v; Bourbaki, Lie VIII, 7.3), as integer rows over det A, or a zero row."""
+    r, swap = t.rank, {"B": "C", "C": "B"} if cocharacters else {}  # P^v of B_r is P of C_r
+    nodes = {"A": [0], "B": [r - 1], "C": [0], "D": [r - 2, r - 1],
+             "E": {6: [0], 7: [6]}.get(r, [])}.get(swap.get(t.series, t.series), [])
+    rows = tuple(tuple(_tree_column(t, i, weight=not cocharacters)[1]) for i in nodes)
+    return cartan_determinant(t), rows or ((0,) * r,)
 
 
 def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
     """The weight pairing to 1 with coroot i and to 0 with the others."""
-    d, rows = _inverse_cartan(t)
-    return tuple(Fraction(x, d) for x in rows[i])
+    d, y = _tree_column(t, i, weight=True)
+    return tuple(Fraction(v, d) for v in y)
 
 
 class CanonicalForm(namedtuple("CanonicalForm", "gram")):
@@ -366,7 +382,7 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
     elif isogeny == "sc":
         x, y = weight_lattice(t), root_lattice(t)  # Q^v = Z^r, as Q is
     elif isogeny == "adjoint" or (isogeny == "so" and t.series == "B"):
-        x, y = root_lattice(t), _coweight_lattice(t)
+        x, y = root_lattice(t), weight_lattice(t, cocharacters=True)
     elif isogeny == "so" and t.series == "D" and t.rank % 2 == 1:
         x, y = _quotient_lattices(t, (fundamental_weight(t, 0),))  # the vector representation
     elif isogeny == "so" and t.series == "D":
@@ -396,14 +412,14 @@ def _quotient_lattices(t: CartanType, gens: tuple) -> tuple[Lattice, Lattice]:
 def annihilator_plus(t: CartanType, den: int, gens, cocharacters: bool) -> tuple[Lattice, list]:
     """standard_plus of Z^r and the elements of P/Q (P^v/Q^v if cocharacters) of type t that
     pair integrally with each row v / den of gens: the dual of Z^r + span(gens) / den, a
-    lattice between the coroots and the coweights (roots and weights).  With a = A (A^T),
-    P is Z^r plus the rows w / D of D * a^-1, D = |det A|, so it has at most D cosets,
-    and the pairing of w / D with v / den is w . (a v) / (D * den)."""
-    cartan, (d, inv) = cartan_matrix(t), _inverse_cartan(t)
+    lattice between the coroots and the coweights (roots and weights).  P/Q is listed from the
+    at most two minuscule rows w / m of _minuscule, so it has at most det A cosets, and with
+    a = A (A^T) the pairing of w / m with v / den is w . (a v) / (m * den)."""
+    cartan, (m, minuscule) = cartan_matrix(t), _minuscule(t, cocharacters)
     images = mat_mul(gens, cartan if cocharacters else transpose(cartan))  # row i is a v_i
-    group, _ = span_mod(d, transpose(inv) if cocharacters else inv)
-    return standard_plus(d, [w for w in group if all(
-        sum(x * y for x, y in zip(w, u)) % (d * den) == 0 for u in images)])
+    group, _ = span_mod(m, minuscule)
+    return standard_plus(m, [w for w in group if all(
+        sum(x * y for x, y in zip(w, u)) % (m * den) == 0 for u in images)])
 
 
 @lru_cache(maxsize=256)  # the sweep benchmark, 79 data of rank <= 8 and their duals, makes 150

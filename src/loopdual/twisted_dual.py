@@ -4,8 +4,9 @@ Given a root datum and an order N, the construction rescales each coroot by a lo
 denominator delta_i = N / gcd(N, k * c_i), k the commutator denominator and c_i the coroot
 norms, and cuts Y down to Y_{Q,N} = {y in Y : k * (y, Y) in N*Z}, the y with (k/N) * iota(y)
 in X.  That is the character lattice X' of a new root datum, in the coordinates x_sigma(i) =
-y_i / delta_i of the rescaled coroots, sigma the relabeling onto the recognized standard form
-of the Cartan matrix e_j * a_ji / e_i, e_i = N / delta_i.  Its cocharacters Y', the dual of
+y_i / delta_i of the rescaled coroots, sigma the relabeling onto the standard form of the
+Cartan matrix e_j * a_ji / e_i, e_i = N / delta_i, whose type and sigma a rule gives (the
+Langlands dual type when e is constant, the source's otherwise).  Its cocharacters Y', the dual of
 Y_{Q,N}, are X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), with coordinate
 sigma(i) = delta_i * x_i: Z^r, the dual's coroots, plus rows (lattice.standard_plus).  X' is
 Z^r plus the elements of P'/Q' that pair integrally with the rows kept for Y'
@@ -13,7 +14,7 @@ Z^r plus the elements of P'/Q' that pair integrally with the rows kept for Y'
 on N only through the class gcd(N, L), L the record's period, which each k * c_i divides.
 Every call checks its delta: each rescaled coroot in Y_{Q,N}, each rescaled root root_i /
 delta_i in X + (k/N) * iota(Y), so Y_{Q,N} pairs integrally with Y'.  The record keeps one
-dual per class, built on a miss and checked: the relabeling; each generator of X'/Z^r in
+dual per class, built on a miss and checked: the rule's relabeling; each generator of X'/Z^r in
 Y_{Q,N} by the definition, so X' <= Y_{Q,N}, and the perfect pairing X' = Y'^v of
 root_datum gives X' >= Y_{Q,N}; and the orders of the dual's center and pi1 against det A'.
 Each reads only the class, so it holds for one N of a class exactly when it holds for all.
@@ -25,9 +26,10 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .dynkin import group_name, recognize_cartan_matrix
+from .dynkin import group_name
 from .lattice import Lattice, numerators_member, standard_plus, vector_text
 from .root_data import (
+    CartanType,
     RootDatum,
     annihilator_plus,
     cartan_determinant,
@@ -76,7 +78,7 @@ class TwistedDualData(namedtuple("TwistedDualData", "source order denominator lo
                                  "dual_cartan relabeling dual name")):
     """The dual datum plus the bookkeeping of the construction.
 
-    relabeling maps source node i to the node of the recognized standard
+    relabeling maps source node i to the node of the dual type's standard
     numbering that the rescaled coroot delta_i * coroot_i became; the
     dual's center and pi1 are cached on its record.
     """
@@ -97,11 +99,25 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     return TwistedDualData(d, order, k, delta, *d._duals[key])
 
 
+def _dual_type(t: CartanType, delta) -> tuple[CartanType, tuple[int, ...]]:
+    """The type of A' = diag(e)^-1 * A^T * diag(e), e = N / delta, and the relabeling sigma onto
+    its standard matrix: A' = A^T, of the Langlands dual type, if e is constant, else A' = A.
+    C2 and D3 are B2 and A3 by the least sigma, as dynkin.recognize_cartan_matrix names them."""
+    series, sigma = t.series, list(range(t.rank))
+    if len(set(delta)) == 1:
+        series = {"B": "C", "C": "B"}.get(series, series)
+        if series in "FG":  # their numbering reverses
+            sigma.reverse()
+    if (series, t.rank) in (("C", 2), ("D", 3)):  # C2 -> B2 by (1, 0), D3 -> A3 by (1, 0, 2)
+        series, sigma = "BA"[t.rank - 2], [(1, 0, 2)[s] for s in sigma]
+    return CartanType(series, t.rank), tuple(sigma)
+
+
 def _class_dual(d: RootDatum, order: int, delta) -> tuple:
     """(dual Cartan matrix, relabeling, dual record, its name) for the class of
     order, built from order and checked."""
     aprime = dual_cartan_matrix(d, delta)
-    dual_type, sigma = recognize_cartan_matrix(aprime)
+    dual_type, sigma = _dual_type(d.cartan_type, delta)
     std, r = cartan_matrix(dual_type), d.rank
     if any(aprime[i][j] != std[sigma[i]][sigma[j]] for i in range(r) for j in range(r)):
         raise ArithmeticError("relabeling does not carry the rescaled "

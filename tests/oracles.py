@@ -41,8 +41,9 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, product
+from itertools import combinations, compress, count, product
 from math import factorial, gcd, lcm, prod
+from operator import mul
 
 from loopdual.central_ext import commutator_value
 from loopdual.lattice import Lattice, det_int, hermite_mod, lattice_member, mat_mul, transpose
@@ -268,6 +269,24 @@ def below(ws, top, depth) -> tuple[Fraction, ...]:
     simple = root_system(ws).simple_roots
     return tuple(Fraction(x) - sum(c * r[a] for c, r in zip(depth, simple) if c)
                  for a, x in enumerate(top))
+
+
+def cartan_symmetrizer(a) -> tuple[Fraction, ...] | None:
+    """Ratios d with d_i * a[i][j] == d_j * a[j][i] and d_0 == 1, forced along
+    a walk of the Dynkin graph of the integer matrix a from node 0 (callers
+    check the other edges); None when the graph is not connected.  Scaled to
+    minimum 1, they are the coroot norms c_i that root_data reads off a table."""
+    r, columns = len(a), list(zip(*a))
+    ratios: list[Fraction | None] = [None] * r
+    ratios[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in compress(range(r), columns[i]):  # the j with a[j][i] != 0
+            if j != i and ratios[j] is None:
+                ratios[j] = ratios[i] * Fraction(a[i][j], a[j][i])
+                stack.append(j)
+    return None if None in ratios else tuple(ratios)
 
 
 def weyl_order_by_highest_root(a, nodes) -> int:
@@ -660,7 +679,7 @@ def pairing_numerator(a, ynums, xnums) -> int:
 def dense_mat_mul(a, b):
     """Exact matrix product; entries may be ints or Fractions."""
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def dense_det_int(mat) -> int:
@@ -678,10 +697,11 @@ def dense_det_int(mat) -> int:
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+        p, pivot = m[k][k], m[k][k + 1:]
+        for i in range(k + 1, n):  # every entry right of the pivot column, zeros included
+            c = m[i][k]
+            m[i][k + 1:] = [(x * p - c * y) // prev for x, y in zip(m[i][k + 1:], pivot)]
+        prev = p
     return sign * m[n - 1][n - 1]
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from loopdual import cli, rep_check, root_data
+from loopdual import cli, dynkin, lattice, rep_check, root_data
 from loopdual.cli import run
 from loopdual.lattice import Lattice
 from loopdual.root_data import build_datum
@@ -817,6 +817,29 @@ def test_large_rank_goldens_replay():
     checked, mismatched = _replay("large-rank", lambda argv: argv[0] != "tensor")
     assert checked > 150
     assert mismatched == []
+
+
+def test_large_rank_goldens_invert_no_matrix_and_recognize_no_dual():
+    """Replayed on cold caches, no large-rank golden runs lattice.mat_inv, and only
+    rep_check's stabilizer orders reach recognize_cartan_matrix: twisted_dual reads the
+    dual's type off the rule, and P, P^v and det A come from the Dynkin tree."""
+    watched = {lattice.mat_inv.__code__, dynkin.recognize_cartan_matrix.__code__}
+    callers = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            callers.append((frame.f_code.co_name, frame.f_back.f_code.co_qualname))
+
+    for cache in (root_data.root_datum, root_data.cartan_determinant, root_data._neighbours,
+                  root_data._minuscule, root_data.weight_lattice, dynkin._recognize):
+        cache.cache_clear()
+    sys.setprofile(spy)
+    try:
+        checked, mismatched = _replay("large-rank", lambda argv: argv[0] != "tensor")
+    finally:
+        sys.setprofile(None)
+    assert checked > 150 and mismatched == []
+    assert set(callers) <= {("recognize_cartan_matrix", "_Engine.weyl_order")}
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -627,9 +627,20 @@ def test_mat_inv_exactness_check_fires(monkeypatch):
     monkeypatch.setattr(lattice, "det_int", lambda mat: abs(real(mat)) + 1)
     with pytest.raises(ArithmeticError, match="times the inverse is not integral"):
         mat_inv([[2, 1], [1, 2]])
-    for cache in (root_data.root_datum, root_data.weight_lattice, root_data._coweight_lattice,
-                  root_data._inverse_cartan):  # so that the query inverts A3 afresh
+
+
+def test_tree_connectivity_check_fires(monkeypatch):
+    # a Dynkin tree that lost an edge: node 2 of A3 is no longer reached from node 0, and a
+    # query that eliminates A3 afresh exits 3
+    monkeypatch.setattr(root_data, "_neighbours", lambda t: [[1], [0], [1]])
+    for cache in (root_data.root_datum, root_data.weight_lattice, root_data.cartan_determinant,
+                  root_data._minuscule):  # so that the query eliminates A3 afresh
         cache.cache_clear()
     err = io.StringIO()
-    assert run(["dual", "--type", "A3", "--N", "2"], out=io.StringIO(), err=err) == 3
-    assert "internal check failed: |det| times the inverse is not integral" in err.getvalue()
+    try:
+        assert run(["dual", "--type", "A3", "--N", "2"], out=io.StringIO(), err=err) == 3
+    finally:
+        for cache in (root_data.weight_lattice, root_data.cartan_determinant,
+                      root_data._minuscule):
+            cache.cache_clear()
+    assert "internal check failed: Dynkin graph is not connected" in err.getvalue()

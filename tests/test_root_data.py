@@ -29,9 +29,10 @@ from loopdual.root_data import (
     weight_lattice,
 )
 from loopdual.twisted_dual import twisted_dual
-from oracles import (all_isogenies, basis_coordinate_matrix, dense_det_int, dual_lattice_by_smith,
-                     iota, lattice_index_by_gauss, mat_inv, modular_dual_lattice,
-                     pairing_numerator, period_by_smith, root_closure, smith_normal_form, two_rho)
+from oracles import (all_isogenies, basis_coordinate_matrix, cartan_symmetrizer, dense_det_int,
+                     dual_lattice_by_smith, iota, lattice_index_by_gauss, mat_inv,
+                     modular_dual_lattice, pairing_numerator, period_by_smith, root_closure,
+                     smith_normal_form, two_rho)
 from oracles import reflection_sum as dense_reflection_sum
 
 ALL_TYPES = (
@@ -161,6 +162,30 @@ def test_coroot_norms_examples():
         cs = coroot_norms(t)
         assert min(cs) == 1
         assert set(cs) <= {1, 2, 3}
+
+
+def test_coroot_norm_table_matches_the_symmetrizer_on_every_admitted_type():
+    """The table by series against the norms that the oracles' cartan_symmetrizer forces along
+    the Dynkin graph, scaled to minimum 1, for every type build_datum admits, up to MAX_RANK."""
+    for series, (low, high) in root_data._RANK_BOUNDS.items():
+        for rank in range(low, high + 1):
+            t = CartanType(series, rank)
+            ratios = cartan_symmetrizer(cartan_matrix(t))
+            low = min(ratios)
+            assert coroot_norms(t) == tuple(x / low for x in ratios), t
+
+
+def test_a_wrong_coroot_norm_table_is_refused(monkeypatch):
+    """Norms that do not symmetrize A, C2's for B2, are refused; so is a matrix off a tree."""
+    bad = {"B2": ((2, -1), (-2, 2)), "A3": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))}
+    monkeypatch.setattr(root_data, "cartan_matrix", lambda t: bad[str(t)])
+    try:
+        with pytest.raises(ArithmeticError, match="invariant form is not symmetric"):
+            coroot_norms.__wrapped__(CartanType("B", 2))
+        with pytest.raises(ArithmeticError, match="Dynkin graph is not a tree"):
+            root_data._neighbours.__wrapped__(CartanType("A", 3))
+    finally:
+        root_data._neighbours.cache_clear()
 
 
 def _reflect_cochar(a, i, y):
@@ -557,7 +582,8 @@ def test_closed_form_cocharacters_match_the_dual_lattice(t):
 
 def test_sc_and_adjoint_records_take_no_dual_lattice(monkeypatch):
     monkeypatch.setattr(root_data, "annihilator_plus", None)  # any annihilator would fail
-    for cache in (root_data.root_datum, root_data._coweight_lattice, root_data._inverse_cartan):
+    for cache in (root_data.root_datum, root_data.weight_lattice, root_data.cartan_determinant,
+                  root_data._neighbours, root_data._minuscule):
         cache.cache_clear()
     for t in (CartanType("D", 9), CartanType("E", 7)):
         for isogeny in ("sc", "adjoint"):  # a fresh record, validated on the way
@@ -589,14 +615,35 @@ def test_a_character_lattice_without_the_roots_is_refused_before_dualising():
 @pytest.mark.parametrize("t", ALL_TYPES + [CartanType(s, r) for s in "ABCD" for r in (20, 40)],
                          ids=str)
 def test_inverse_cartan_matches_the_smith_oracle(t):
+    """The rows of A^-1 are the fundamental weights, its columns the fundamental coweights,
+    P and P^v the lattices they span, and |det A| the product of the tree pivots."""
     a = cartan_matrix(t)
-    d, rows = root_data._inverse_cartan(t)
-    inv = [[Fraction(x, d) for x in row] for row in rows]
-    assert d == abs(dense_det_int(a))
-    assert inv == mat_inv(a)
+    inv = mat_inv(a)
+    assert cartan_determinant(t) == abs(dense_det_int(a))
     assert [list(fundamental_weight(t, i)) for i in range(t.rank)] == inv
     assert weight_lattice(t) == Lattice(inv)
-    assert root_data._coweight_lattice(t) == Lattice(transpose(inv))
+    assert weight_lattice(t, cocharacters=True) == Lattice(transpose(inv))
+
+
+TREE_TYPES = [CartanType(s, r) for s, (low, high) in root_data._RANK_BOUNDS.items()
+              for r in range(low, min(high, 12) + 1)] + \
+    [CartanType(s, r) for s in "ABCD" for r in (127, 128)]
+
+
+@pytest.mark.parametrize("t", TREE_TYPES, ids=str)
+def test_tree_columns_and_pivots_match_the_smith_oracle(t):
+    """The rows and columns of A^-1 that the leaf-first elimination on the Dynkin tree solves,
+    and det A as the product of its pivots, against the oracle's Smith-form inverse and dense
+    determinant: every row and column up to rank 12, and at ranks 127 and 128 of A-D those of
+    the nodes 0, r - 2 and r - 1 (from 0), which group_name, build_datum and the minuscule
+    lists read."""
+    a, r = cartan_matrix(t), t.rank
+    inv = mat_inv(a)
+    for i in range(r) if r <= 12 else (0, r - 2, r - 1):
+        for weight, want in ((True, inv[i]), (False, [row[i] for row in inv])):
+            det, y = root_data._tree_column(t, i, weight)
+            assert [Fraction(v, det) for v in y] == want, (i, weight)
+    assert cartan_determinant(t) == abs(dense_det_int(a))
 
 
 def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatch):
@@ -614,19 +661,23 @@ def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatc
 
 
 def test_one_determinant_per_type(monkeypatch):
-    """A type's determinant is the one mat_inv computes for its inverse: a cold
-    type takes one Bareiss determinant, for P, P^v and det A together."""
-    dets, real = [], lattice.det_int
-    monkeypatch.setattr(lattice, "det_int", lambda mat: dets.append(mat) or real(mat))
-    root_data._inverse_cartan.cache_clear()
+    """A type's determinant is the product of the pivots of its tree elimination: a cold
+    type takes no Bareiss determinant and no inverse, for P, P^v and det A together."""
+    calls, real = [], (lattice.det_int, lattice.mat_inv)
+    monkeypatch.setattr(lattice, "det_int", lambda mat: calls.append(mat) or real[0](mat))
+    monkeypatch.setattr(lattice, "mat_inv", lambda mat: calls.append(mat) or real[1](mat))
+    for cache in (root_data.cartan_determinant, root_data._neighbours, root_data._minuscule,
+                  root_data.weight_lattice):
+        cache.cache_clear()
     t = CartanType("D", 40)
     assert cartan_determinant(t) == 4 and weight_lattice(t).den == 2
-    assert cartan_determinant(t) == 4 and dets == [cartan_matrix(t)]
+    assert weight_lattice(t, cocharacters=True).den == 2 and calls == []
+    assert root_data._neighbours.cache_info().misses == 1
 
 
 def test_cartan_determinant_of_every_admitted_type():
-    """det A against its closed form for every type build_datum admits: the |det| that
-    mat_inv's Bareiss determinant gives each type's inverse, up to MAX_RANK."""
+    """det A against its closed form for every type build_datum admits: the product of the
+    pivots of each type's elimination on its Dynkin tree, up to MAX_RANK."""
     closed = {"A": lambda r: r + 1, "B": lambda r: 2, "C": lambda r: 2, "D": lambda r: 4,
               "E": lambda r: 9 - r, "F": lambda r: 1, "G": lambda r: 1}
     for series, (low, high) in root_data._RANK_BOUNDS.items():

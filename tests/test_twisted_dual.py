@@ -286,7 +286,10 @@ def test_an_order_in_a_built_class_does_no_lattice_work(monkeypatch):
     assert second == twisted_dual(_fresh_record("C4", "adjoint"), 5)
 
 
-def test_recognition_searches_once_per_distinct_dual_matrix(monkeypatch):
+def test_twisted_dual_searches_for_no_dual_type(monkeypatch):
+    """The dual's type and relabeling come from the rule of _dual_type, so twisted_dual runs
+    no relabeling search; the recognizer, which rep_check still runs, searches once per
+    distinct matrix when asked for the same duals' matrices twice."""
     searched = []
     real = dynkin._find_relabeling
     monkeypatch.setattr(dynkin, "_find_relabeling",
@@ -300,24 +303,47 @@ def test_recognition_searches_once_per_distinct_dual_matrix(monkeypatch):
         for d in data:
             for order in range(1, 13):
                 twisted_dual(d, order)
-    assert set(searched) == matrices
+    assert searched == [] and dynkin._recognize.cache_info().misses == 0
+    for _ in range(2):
+        for mat in matrices:
+            dynkin.recognize_cartan_matrix(mat)
     # one search per matrix: the series tried for a matrix come in one run
     runs = [m for i, m in enumerate(searched) if i == 0 or searched[i - 1] != m]
-    assert len(runs) == len(matrices)
+    assert set(searched) == matrices and len(runs) == len(matrices)
     assert dynkin._recognize.cache_info().misses == len(matrices)
+
+
+def test_the_dual_type_rule_matches_the_recognizer():
+    """The rule's type and relabeling against recognize_cartan_matrix on the rescaled Cartan
+    matrix of 2,352 duals: A1-A12, B2-B12, C2-C12, D3-D12, E6-E8, F4 and G2, sc and adjoint,
+    N = 1..24.  At B2/C2, D3, F4 and G2 the recognizer's least sigma is not the identity."""
+    checked = 0
+    for series, (low, high) in root_data._RANK_BOUNDS.items():
+        for rank in range(low, min(high, 12) + 1):
+            for isogeny in ("sc", "adjoint"):
+                d = build_datum(CartanType(series, rank), isogeny)
+                for order in range(1, 25):
+                    delta = local_denominators(d, order)
+                    assert td._dual_type(d.cartan_type, delta) == dynkin.recognize_cartan_matrix(
+                        dual_cartan_matrix(d, delta)), (d, order)
+                    checked += 1
+    assert checked == 2352
 
 
 def test_wrong_relabeling_is_caught_on_a_warm_cache(monkeypatch):
     """N = 4 is a new class (gcd(N, L) = 4, not 2, for L = 4) of B3 sc with the dual
-    Cartan matrix of N = 2, so its miss reads the recognition that N = 2 left warm."""
+    Cartan matrix of N = 2, so its miss checks the rule's relabeling afresh on a warm
+    record; a rule that reverses it is refused, also in the CLI."""
     d = _fresh_record("B3", "sc")
-    out = twisted_dual(d, 2)  # warm: the record and the recognition
+    out = twisted_dual(d, 2)  # warm: the record and its class of N = 2
     assert dual_cartan_matrix(d, local_denominators(d, 4)) == out.dual_cartan and \
         d.period == 4 and 4 not in d._duals
     wrong = (out.relabeling[2], out.relabeling[1], out.relabeling[0])
-    monkeypatch.setattr(dynkin, "_recognize", lambda mat: (out.dual.cartan_type, wrong))
+    monkeypatch.setattr(td, "_dual_type", lambda t, delta: (out.dual.cartan_type, wrong))
     with pytest.raises(ArithmeticError, match="relabeling does not carry"):
         twisted_dual(d, 4)
+    _exit_3(_dual_argv_of_a_fresh_class("B3", 4), "relabeling does not carry the rescaled "
+            "Cartan matrix to the standard one")
 
 
 def _dual_argv_of_a_fresh_class(name, order):
