@@ -1,7 +1,7 @@
 """Recognition of Cartan matrices and naming of isogeny classes.
 
 recognize_cartan_matrix identifies an integer matrix as the Cartan matrix of an irreducible
-finite type up to simultaneous row/column permutation, for rep_check's stabilizer orders.
+finite type up to simultaneous row/column permutation; only the tests and scripts call it.
 Types with coinciding diagrams are canonicalized by trying series in the order A, B, C, D,
 E, F, G: a rank-two matrix of symplectic shape comes back as B2, and the rank-three fork as
 A3, as twisted_dual's rule names them too.  group_name names a validated root-datum record,

@@ -1,11 +1,11 @@
 """Weight multiplicities and tensor decompositions on integer Dynkin labels.
 
-One engine per Cartan type (lru_cache) works on Dynkin labels.  Its pairings
-are the transposed Cartan matrix and its norms D_j = lcm(c) / c_j come from the
-coroot norms c, so with depths lam - mu = sum_j c_j alpha_j,
-(x, beta) = sum_j b_j D_j x_j, and Freudenthal's recursion (denominator
-sum_j c_j D_j (lam_j + mu_j + 2)), the Weyl dimension and Brauer-Klimyk tensor
-products (Humphreys, Intro. to Lie Algebras, section 24) build no Fraction.
+One engine per Cartan type (lru_cache) works on Dynkin labels.  Its pairings are the
+transposed Cartan matrix and its norms D_j = lcm(c) / c_j come from the coroot norms c, so
+with depths lam - mu = sum_j c_j alpha_j, (x, beta) = sum_j b_j D_j x_j, and Freudenthal's
+recursion (denominator sum_j c_j D_j (lam_j + mu_j + 2)), the Weyl dimension and
+Brauer-Klimyk tensor products (Humphreys, Intro. to Lie Algebras, section 24) build no
+Fraction; a stabilizer's |W_J| is Macdonald's, over the heights of the roots supported in J.
 A WeightSystem is the adapter in simple-root coordinates, one per Cartan type:
 a weight lam is read as integer numerators over the lcm of its denominators,
 its labels are one product by A, and the weight at depth c below lam is lam - c.
@@ -14,13 +14,14 @@ The rank-one line of mv-rank1 is the A1 engine at label 2a/delta, stepped by del
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import lcm, prod
 from operator import add, mul, sub
 
 from .central_ext import monodromy_modulus
-from .dynkin import group_name, recognize_cartan_matrix
+from .dynkin import group_name
 from .lattice import numerators_member, transpose, vector_text
 from .root_data import (CartanType, RootDatum, _positive_roots, cartan_matrix, coroot_norms,
                         dual_coxeter)
@@ -31,18 +32,6 @@ from .twisted_dual import local_denominators
 # coroot multiple of a rank-one orbit; every weight query of the benchmark
 # stays under a tenth.
 MAX_WEIGHTS = 10_000
-
-
-def _weyl_group_order(t) -> int:
-    """|W| of an irreducible Cartan type (Bourbaki, Lie VI, section 4, tables)."""
-    n = t.rank
-    if t.series == "A":
-        return factorial(n + 1)
-    if t.series in "BC":
-        return 2 ** n * factorial(n)
-    if t.series == "D":
-        return 2 ** (n - 1) * factorial(n)
-    return {"E6": 51_840, "E7": 2_903_040, "E8": 696_729_600, "F4": 1_152, "G2": 12}[str(t)]
 
 
 class _Engine:
@@ -63,6 +52,7 @@ class _Engine:
                       for b, _, labels in _positive_roots(a)]
         if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
             raise ArithmeticError("half-sum of positive roots is off")
+        self.heights = [sum(b) for b, _, _ in self.roots]
         self.columns = [[(j, row[i]) for j, row in enumerate(pairings) if row[i]]
                         for i in range(r)]
 
@@ -106,20 +96,18 @@ class _Engine:
         return sorted((sum(depth), depth, mu) for mu, depth in found.items())
 
     def weyl_order(self, nodes) -> int:
-        """|W_J| for the nodes J: the product of |W| over the components of J,
-        each of the type that recognize_cartan_matrix gives it."""
+        """|W_J| for the nodes J by Macdonald's formula (Math. Ann. 199, 1972): the product of
+        (ht beta + 1) / ht beta over the positive roots beta with no support outside J, taken
+        as m ** (n_(m-1) - n_m) per height m, n_h the number of those roots of height h."""
         if nodes not in self.orders:
-            order, left = 1, set(nodes)
-            while left:
-                comp, stack = [], [left.pop()]
-                while stack:
-                    comp.append(i := stack.pop())
-                    near = {j for j, _ in self.columns[i]} & left
-                    left -= near
-                    stack.extend(near)
-                comp.sort()  # the relabeling search is quick on nodes in standard order
-                order *= _weyl_group_order(recognize_cartan_matrix(
-                    [[self.pairings[i][j] for j in comp] for i in comp])[0])
+            outside = set(range(len(self.pairings))).difference(nodes)
+            count = Counter(h for h, (b, _, _) in zip(self.heights, self.roots)
+                            if not any(b[j] for j in outside))
+            powers = [(m, count[m - 1] - count[m]) for m in range(2, max(count, default=0) + 2)]
+            order, rest = divmod(prod(m ** e for m, e in powers if e > 0),
+                                 prod(m ** -e for m, e in powers if e < 0))
+            if rest:
+                raise ArithmeticError(f"Weyl group order of the nodes {nodes} is not an integer")
             self.orders[nodes] = order
         return self.orders[nodes]
 

@@ -4,18 +4,18 @@ Given a root datum and an order N, the construction rescales each coroot by a lo
 denominator delta_i = N / gcd(N, k * c_i), k the commutator denominator and c_i the coroot
 norms, and cuts Y down to Y_{Q,N} = {y in Y : k * (y, Y) in N*Z}, the y with (k/N) * iota(y)
 in X.  That is the character lattice X' of a new root datum, in the coordinates x_sigma(i) =
-y_i / delta_i of the rescaled coroots, sigma the relabeling onto the standard form of the
-Cartan matrix e_j * a_ji / e_i, e_i = N / delta_i, whose type and sigma a rule gives (the
-Langlands dual type when e is constant, the source's otherwise).  Its cocharacters Y', the dual of
-Y_{Q,N}, are X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), with coordinate
-sigma(i) = delta_i * x_i: Z^r, the dual's coroots, plus rows (lattice.standard_plus).  X' is
-Z^r plus the elements of P'/Q' that pair integrally with the rows kept for Y'
-(root_data.annihilator_plus, which gives every record its second lattice).  The dual depends
-on N only through the class gcd(N, L), L the record's period, which each k * c_i divides.
-Every call checks its delta: each rescaled coroot in Y_{Q,N}, each rescaled root root_i /
-delta_i in X + (k/N) * iota(Y), so Y_{Q,N} pairs integrally with Y'.  The record keeps one
-dual per class, built on a miss and checked: the rule's relabeling; each generator of X'/Z^r in
-Y_{Q,N} by the definition, so X' <= Y_{Q,N}, and the perfect pairing X' = Y'^v of
+y_i / delta_i of the rescaled coroots, sigma the relabeling onto the standard matrix of the
+type of their Cartan matrix A' = diag(delta) * A^T * diag(delta)^-1, which a rule gives (the
+Langlands dual type when delta is constant, the source's otherwise).  Its cocharacters Y', the
+dual of Y_{Q,N}, are X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), with
+coordinate sigma(i) = delta_i * x_i: Z^r, the dual's coroots, plus rows (lattice.standard_plus).
+X' is Z^r plus the elements of P'/Q' that pair integrally with the rows kept for Y'
+(root_data.annihilator_plus).  The dual depends on N only through the class gcd(N, L), L the
+record's period, which each k * c_i divides.  Every call checks its delta: each rescaled
+coroot in Y_{Q,N}, each rescaled root root_i / delta_i in X + (k/N) * iota(Y), so Y_{Q,N}
+pairs integrally with Y'.  The record keeps one dual per class, built on a miss and checked:
+sigma, on the edges of the source's Dynkin tree, with no A' built; each generator of X'/Z^r
+in Y_{Q,N} by the definition, so X' <= Y_{Q,N}, and the perfect pairing X' = Y'^v of
 root_datum gives X' >= Y_{Q,N}; and the orders of the dual's center and pi1 against det A'.
 Each reads only the class, so it holds for one N of a class exactly when it holds for all.
 """
@@ -28,15 +28,8 @@ from math import gcd, lcm, prod
 
 from .dynkin import group_name
 from .lattice import Lattice, numerators_member, standard_plus, vector_text
-from .root_data import (
-    CartanType,
-    RootDatum,
-    annihilator_plus,
-    cartan_determinant,
-    cartan_matrix,
-    coroot_norms,
-    root_datum,
-)
+from .root_data import (CartanType, RootDatum, _neighbours, annihilator_plus, cartan_determinant,
+                        cartan_matrix, coroot_norms, root_datum)
 
 
 def local_denominators(d: RootDatum, order: int) -> tuple[int, ...]:
@@ -50,21 +43,6 @@ def local_denominators(d: RootDatum, order: int) -> tuple[int, ...]:
     return tuple(order // gcd(order, d.k * c) for c in coroot_norms(d.cartan_type))
 
 
-def dual_cartan_matrix(d: RootDatum, delta) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of the rescaled coroots, in the source numbering, for
-    delta = local_denominators(d, order).
-
-    Entry (i, j) is delta_i / delta_j times the transposed source entry;
-    integrality of the result is forced by how the deltas vary along the
-    Dynkin diagram, and is checked.
-    """
-    a, r = cartan_matrix(d.cartan_type), d.rank
-    nums = [[delta[i] * a[j][i] for j in range(r)] for i in range(r)]
-    if bad := next(((x, delta[j]) for row in nums for j, x in enumerate(row) if x % delta[j]), ()):
-        raise ArithmeticError(f"rescaled Cartan entry {bad[0]}/{bad[1]} is not an integer")
-    return tuple(tuple(x // delta[j] for j, x in enumerate(row)) for row in nums)
-
-
 def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
     """Y_{Q,N} = {y in Y : k * (y, Y) in N*Z}, the dual's character lattice in the
     source's coordinates: the X of twisted_dual's dual record, mapped back by
@@ -75,7 +53,7 @@ def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
 
 
 class TwistedDualData(namedtuple("TwistedDualData", "source order denominator local_denominators "
-                                 "dual_cartan relabeling dual name")):
+                                 "relabeling dual name")):
     """The dual datum plus the bookkeeping of the construction.
 
     relabeling maps source node i to the node of the dual type's standard
@@ -100,8 +78,8 @@ def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
 
 
 def _dual_type(t: CartanType, delta) -> tuple[CartanType, tuple[int, ...]]:
-    """The type of A' = diag(e)^-1 * A^T * diag(e), e = N / delta, and the relabeling sigma onto
-    its standard matrix: A' = A^T, of the Langlands dual type, if e is constant, else A' = A.
+    """The type of A' = diag(delta) * A^T * diag(delta)^-1, and the relabeling sigma onto
+    its standard matrix: A' = A^T, of the Langlands dual type, if delta is constant, else A' = A.
     C2 and D3 are B2 and A3 by the least sigma, as dynkin.recognize_cartan_matrix names them."""
     series, sigma = t.series, list(range(t.rank))
     if len(set(delta)) == 1:
@@ -114,12 +92,15 @@ def _dual_type(t: CartanType, delta) -> tuple[CartanType, tuple[int, ...]]:
 
 
 def _class_dual(d: RootDatum, order: int, delta) -> tuple:
-    """(dual Cartan matrix, relabeling, dual record, its name) for the class of
-    order, built from order and checked."""
-    aprime = dual_cartan_matrix(d, delta)
+    """(relabeling, dual record, its name) for the class of order, built and checked: A' is 2 on
+    its diagonal and 0 off the source tree's r - 1 edges, and std's tree has r - 1 (_neighbours),
+    so a permutation sigma that takes each edge, both ways, to an equal entry takes A' to std."""
     dual_type, sigma = _dual_type(d.cartan_type, delta)
-    std, r = cartan_matrix(dual_type), d.rank
-    if any(aprime[i][j] != std[sigma[i]][sigma[j]] for i in range(r) for j in range(r)):
+    a, std, r = cartan_matrix(d.cartan_type), cartan_matrix(dual_type), d.rank
+    _neighbours(dual_type)  # raises unless the standard graph has r - 1 edges
+    if sorted(sigma) != list(range(r)) or any(
+            delta[i] * a[j][i] != std[sigma[i]][sigma[j]] * delta[j]
+            for i, js in enumerate(_neighbours(d.cartan_type)) for j in js):
         raise ArithmeticError("relabeling does not carry the rescaled "
                               "Cartan matrix to the standard one")
     k, cs = d.k, coroot_norms(d.cartan_type)
@@ -136,7 +117,7 @@ def _class_dual(d: RootDatum, order: int, delta) -> tuple:
     if prod(dual.center) * prod(dual.pi1) != cartan_determinant(dual_type):
         raise ArithmeticError("center times fundamental group does not match "
                               "the Cartan determinant")
-    return aprime, sigma, dual, group_name(dual)
+    return sigma, dual, group_name(dual)
 
 
 def _dual_cocharacters(d: RootDatum, order: int, delta, source) -> tuple[Lattice, list]:

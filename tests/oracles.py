@@ -23,7 +23,10 @@ sums run over that dense closure, one vector at a time, where the package
 sums every simple coroot in one pass over the positive roots.  Lattice
 coordinates are solved by Fraction Gauss-Jordan on the basis, and invariant
 factors read off gcds of minors, where the package runs an integer
-triangular solve and alternating modular Hermite forms.  A weight below a
+triangular solve and alternating modular Hermite forms.  The rescaled Cartan
+matrix A' of a dual is built entry by entry, where the package checks its rule on the edges
+of the Dynkin tree; |W| is read off Bourbaki's table and |W_J| off the highest root of each
+component, where the package multiplies Macdonald's height factors.  A weight below a
 highest weight is recomputed as top - sum_j depth_j * root_j over every
 simple root in Fractions, where the package subtracts depth from integer
 numerators.  Laurent series live only here, as windows of coefficients
@@ -305,6 +308,28 @@ def weyl_order_by_highest_root(a, nodes) -> int:
         top = max((root for root, _ in root_closure(sub)), key=sum)
         order *= factorial(len(comp)) * prod(top) * dense_det_int(sub)
     return order
+
+
+def weyl_group_order(t: CartanType) -> int:
+    """|W| of an irreducible Cartan type (Bourbaki, Lie VI, section 4, tables)."""
+    n = t.rank
+    if t.series == "A":
+        return factorial(n + 1)
+    if t.series in "BC":
+        return 2 ** n * factorial(n)
+    if t.series == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return {"E6": 51_840, "E7": 2_903_040, "E8": 696_729_600, "F4": 1_152, "G2": 12}[str(t)]
+
+
+def dual_cartan_matrix(d: RootDatum, delta) -> tuple[tuple[int, ...], ...]:
+    """A' = diag(delta) * A^T * diag(delta)^-1, the Cartan matrix of the rescaled coroots
+    delta_i * coroot_i in the source numbering, entry by entry in Fractions; every entry
+    must be an integer."""
+    a, r = cartan_matrix(d.cartan_type), d.rank
+    out = [[Fraction(delta[i] * a[j][i], delta[j]) for j in range(r)] for i in range(r)]
+    assert all(x.denominator == 1 for row in out for x in row), out
+    return tuple(tuple(int(x) for x in row) for row in out)
 
 
 def weyl_group_with_signs(ws):

@@ -27,6 +27,11 @@ ALLOWED = {
     "twisted_dual.dual_character_lattice":
         "BENCHMARK.json names twisted_dual.dual_character_lattice.total_s",
     "lattice.Lattice.__init__": "the constructor from rational rows, for scripts and tests",
+    **dict.fromkeys(["dynkin.recognize_cartan_matrix", "dynkin._recognize",
+                     "dynkin.validate_cartan_matrix", "dynkin._diagram",
+                     "dynkin._find_relabeling", "dynkin._find_relabeling.<locals>.place"],
+                    "BENCHMARK.json names dynkin.recognize_cartan_matrix.calls; the recognizer "
+                    "leaves src/ with that metric (ROADMAP items 16 and 17)"),
     "rep_check.weyl_dim": "BENCHMARK.json names rep_check.weyl_dim.calls",
     "rep_check.WeightSystem.weyl_dimension": "the body of weyl_dim",
     "lattice.Lattice.basis": "Lattice.__repr__ reads it",

@@ -28,9 +28,10 @@ from loopdual.rep_check import (
 from loopdual.root_data import CartanType, build_datum, cartan_matrix, fundamental_weight
 from loopdual.twisted_dual import local_denominators, twisted_dual
 
-from oracles import (below, character_by_kostant, dominant_conjugate, kostant_multiplicity,
-                     root_closure, root_coordinates, root_system, tensor_by_peeling,
-                     weyl_group_with_signs, weyl_order_by_highest_root)
+from oracles import (below, character_by_kostant, dominant_conjugate, dual_cartan_matrix,
+                     kostant_multiplicity, root_closure, root_coordinates, root_system,
+                     tensor_by_peeling, weyl_group_order, weyl_group_with_signs,
+                     weyl_order_by_highest_root)
 
 A1 = CartanType("A", 1)
 
@@ -214,7 +215,8 @@ class TestRescaledCorootSystems:
         assert out.local_denominators == (1, 2)
         assert str(ws.cartan_type) == "B2" and out.relabeling == (1, 0)
         std = cartan_matrix(ws.cartan_type)
-        assert all(out.dual_cartan[i][j] == std[out.relabeling[i]][out.relabeling[j]]
+        aprime = dual_cartan_matrix(out.source, out.local_denominators)
+        assert all(aprime[i][j] == std[out.relabeling[i]][out.relabeling[j]]
                    for i in range(2) for j in range(2))
         system = root_system(ws)
         for i, root in enumerate(system.simple_roots):
@@ -311,7 +313,7 @@ def test_rescaled_system_has_dual_root_count(name, isogeny, order):
     rescaled coroots' Cartan matrix, in the source numbering."""
     out = twisted_dual(build_datum(name, isogeny), order)
     ws = datum_weight_system(out.dual)
-    count = len(root_closure(out.dual_cartan))
+    count = len(root_closure(dual_cartan_matrix(out.source, out.local_denominators)))
     assert 2 * len(root_system(ws).positive_roots) == 2 * len(ws._engine.roots) == count
 
 
@@ -469,9 +471,9 @@ def test_tensor_candidates_share_one_decomposition():
 
 
 def test_stabilizer_weyl_orders_match_the_highest_root_formula():
-    """_Engine.weyl_order reads |W_J| off the type of each component of J; the
-    oracle multiplies r!, the highest root's coefficients and det per component,
-    on every node subset of every type of rank at most 8 (2,498 subsets)."""
+    """_Engine.weyl_order multiplies Macdonald's (ht beta + 1) / ht beta over the roots
+    supported in J; the oracle multiplies r!, the highest root's coefficients and det per
+    component, on every node subset of every type of rank at most 8 (2,498 subsets)."""
     subsets = 0
     for series, lo, hi in (("A", 1, 8), ("B", 2, 8), ("C", 2, 8), ("D", 3, 8),
                            ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)):
@@ -484,3 +486,15 @@ def test_stabilizer_weyl_orders_match_the_highest_root_formula():
                         (series, rank, nodes)
                     subsets += 1
     assert subsets == 2498
+
+
+def test_weyl_orders_match_the_table():
+    """|W| and |W_J|, J every node but node 0, by Macdonald's formula against Bourbaki's table:
+    A-D at ranks 20 and 40, E6-E8, F4 and G2.  Without node 0, E is D, F4 is C3 and G2 is A1."""
+    rest = {"E": "D", "F": "C", "G": "A"}
+    for t in [CartanType(s, r) for s in "ABCD" for r in (20, 40)] + [
+            CartanType("E", r) for r in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)]:
+        engine, r = _Engine(t), t.rank
+        assert engine.weyl_order(tuple(range(r))) == weyl_group_order(t), t
+        assert engine.weyl_order(tuple(range(1, r))) == weyl_group_order(
+            CartanType(rest.get(t.series, t.series), r - 1)), t

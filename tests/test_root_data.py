@@ -30,7 +30,7 @@ from loopdual.root_data import (
 )
 from loopdual.twisted_dual import twisted_dual
 from oracles import (all_isogenies, basis_coordinate_matrix, cartan_symmetrizer, dense_det_int,
-                     dual_lattice_by_smith, iota, lattice_index_by_gauss, mat_inv,
+                     dense_mat_mul, dual_lattice_by_smith, iota, lattice_index_by_gauss, mat_inv,
                      modular_dual_lattice, pairing_numerator, period_by_smith, root_closure,
                      smith_normal_form, two_rho)
 from oracles import reflection_sum as dense_reflection_sum
@@ -633,13 +633,22 @@ TREE_TYPES = [CartanType(s, r) for s, (low, high) in root_data._RANK_BOUNDS.item
 @pytest.mark.parametrize("t", TREE_TYPES, ids=str)
 def test_tree_columns_and_pivots_match_the_smith_oracle(t):
     """The rows and columns of A^-1 that the leaf-first elimination on the Dynkin tree solves,
-    and det A as the product of its pivots, against the oracle's Smith-form inverse and dense
-    determinant: every row and column up to rank 12, and at ranks 127 and 128 of A-D those of
-    the nodes 0, r - 2 and r - 1 (from 0), which group_name, build_datum and the minuscule
-    lists read."""
+    and det A as the product of its pivots: up to rank 12 every row and column against the
+    oracle's Smith-form inverse and det A against the dense determinant; at ranks 127 and 128
+    of A-D those of the nodes 0, r - 2 and r - 1 (from 0), which group_name, build_datum and
+    the minuscule lists read, by their definition, a dense A^T w = det * e_i for a weight and
+    A x = det * e_i for a coweight (test_cartan_determinant_of_every_admitted_type checks det
+    against the closed forms)."""
     a, r = cartan_matrix(t), t.rank
+    if r > 12:
+        for i in (0, r - 2, r - 1):
+            for weight, mat in ((True, list(zip(*a))), (False, a)):
+                det, y = root_data._tree_column(t, i, weight)
+                assert det == cartan_determinant(t) and dense_mat_mul(mat, [[v] for v in y]) == \
+                    [[det * (j == i)] for j in range(r)], (i, weight)
+        return
     inv = mat_inv(a)
-    for i in range(r) if r <= 12 else (0, r - 2, r - 1):
+    for i in range(r):
         for weight, want in ((True, inv[i]), (False, [row[i] for row in inv])):
             det, y = root_data._tree_column(t, i, weight)
             assert [Fraction(v, det) for v in y] == want, (i, weight)

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (all_isogenies, dense_det_int, dual_character_lattice_by_kernel,
-                     dual_lattice_by_cosets, lattice_index_by_gauss, level_gram, pairing_numerator,
-                     period_by_smith)
+from oracles import (all_isogenies, dense_det_int, dual_cartan_matrix,
+                     dual_character_lattice_by_kernel, dual_lattice_by_cosets,
+                     lattice_index_by_gauss, level_gram, pairing_numerator, period_by_smith)
 
 from loopdual import dynkin, lattice, root_data
 from loopdual import twisted_dual as td
@@ -31,7 +31,6 @@ from loopdual.root_data import (
 from loopdual.twisted_dual import (
     REFERENCE_FAMILIES,
     canonical_group_name,
-    dual_cartan_matrix,
     dual_character_lattice,
     expected_dual_name,
     local_denominators,
@@ -121,8 +120,10 @@ def test_twisted_dual_sp4_bookkeeping():
     assert out.name == "Spin5"
     assert str(out.dual.cartan_type) == "B2"
     assert out.local_denominators == (1, 2)
-    assert out.dual_cartan == ((2, -1), (-2, 2))
     assert out.relabeling == (1, 0)
+    std = cartan_matrix(out.dual.cartan_type)  # sigma carries A' to the dual's standard matrix
+    assert tuple(tuple(std[s][t] for t in out.relabeling) for s in out.relabeling) == \
+        dual_cartan_matrix(sp4, out.local_denominators) == ((2, -1), (-2, 2))
     assert out.dual.X == weight_lattice(CartanType.parse("B2"))
     # classical duality at order one
     assert twisted_dual(sp4, 1).name == "SO5"
@@ -315,8 +316,10 @@ def test_twisted_dual_searches_for_no_dual_type(monkeypatch):
 
 def test_the_dual_type_rule_matches_the_recognizer():
     """The rule's type and relabeling against recognize_cartan_matrix on the rescaled Cartan
-    matrix of 2,352 duals: A1-A12, B2-B12, C2-C12, D3-D12, E6-E8, F4 and G2, sc and adjoint,
-    N = 1..24.  At B2/C2, D3, F4 and G2 the recognizer's least sigma is not the identity."""
+    matrix A' of 2,352 duals: A1-A12, B2-B12, C2-C12, D3-D12, E6-E8, F4 and G2, sc and adjoint,
+    N = 1..24, and A'[i][j] == std[sigma_i][sigma_j] entry by entry, with A' the oracle's
+    dense definition.  At B2/C2, D3, F4 and G2 the recognizer's least sigma is not the
+    identity."""
     checked = 0
     for series, (low, high) in root_data._RANK_BOUNDS.items():
         for rank in range(low, min(high, 12) + 1):
@@ -324,8 +327,12 @@ def test_the_dual_type_rule_matches_the_recognizer():
                 d = build_datum(CartanType(series, rank), isogeny)
                 for order in range(1, 25):
                     delta = local_denominators(d, order)
-                    assert td._dual_type(d.cartan_type, delta) == dynkin.recognize_cartan_matrix(
-                        dual_cartan_matrix(d, delta)), (d, order)
+                    aprime = dual_cartan_matrix(d, delta)
+                    t, sigma = td._dual_type(d.cartan_type, delta)
+                    assert (t, sigma) == dynkin.recognize_cartan_matrix(aprime), (d, order)
+                    std = cartan_matrix(t)
+                    assert all(aprime[i][j] == std[sigma[i]][sigma[j]]
+                               for i in range(rank) for j in range(rank)), (d, order)
                     checked += 1
     assert checked == 2352
 
@@ -336,13 +343,21 @@ def test_wrong_relabeling_is_caught_on_a_warm_cache(monkeypatch):
     record; a rule that reverses it is refused, also in the CLI."""
     d = _fresh_record("B3", "sc")
     out = twisted_dual(d, 2)  # warm: the record and its class of N = 2
-    assert dual_cartan_matrix(d, local_denominators(d, 4)) == out.dual_cartan and \
-        d.period == 4 and 4 not in d._duals
+    assert dual_cartan_matrix(d, local_denominators(d, 4)) == dual_cartan_matrix(
+        d, out.local_denominators) and d.period == 4 and 4 not in d._duals
     wrong = (out.relabeling[2], out.relabeling[1], out.relabeling[0])
     monkeypatch.setattr(td, "_dual_type", lambda t, delta: (out.dual.cartan_type, wrong))
     with pytest.raises(ArithmeticError, match="relabeling does not carry"):
         twisted_dual(d, 4)
     _exit_3(_dual_argv_of_a_fresh_class("B3", 4), "relabeling does not carry the rescaled "
+            "Cartan matrix to the standard one")
+
+
+def test_a_relabeling_that_folds_two_nodes_is_caught(monkeypatch):
+    """sigma = (0, 1, 0) takes both edges of A3 to the edge (0, 1) of the standard matrix, with
+    equal entries, so only the test that sigma permutes the nodes refuses it, in the CLI."""
+    monkeypatch.setattr(td, "_dual_type", lambda t, delta: (t, (0, 1, 0)))
+    _exit_3(_dual_argv_of_a_fresh_class("A3", 2), "relabeling does not carry the rescaled "
             "Cartan matrix to the standard one")
 
 
