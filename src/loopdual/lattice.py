@@ -6,17 +6,17 @@ rational vector space and is stored as integer Hermite-normal-form rows over
 one common denominator, so two Lattice objects compare equal exactly when
 they contain the same vectors, and membership is an integer triangular solve.
 
-Routines: hermite_rows, and hermite_mod, the one elimination with a known modulus m,
-which only smith_normal_form calls (the invariant factors with no transforms, which no
-answer needs: root_data reads a record's center and pi1 off its Hermite pivots; the test
-oracles use both); both share one 2x2 Bezout row transform.  There is no general dual
-lattice and no congruence kernel: each record's lattices are Z^n plus rows over a
-denominator (standard_plus), whose group L / Z^n span_mod lists, and root_data builds
-the second lattice of a record from the rows standard_plus kept for the first.  Lattice
-is built from integer rows over a denominator (Lattice.from_int_rows), or from a proven
-modular form as it is; one integer triangular solve on numerators serves membership,
-coordinates and those proofs, checked by its residual ending at zero.  Most entries are
-0, so mat_mul, det_int, mat_inv and the solve skip zeros; no command runs mat_inv now.
+Routines: hermite_rows, and hermite_mod, the one elimination with a known modulus m, which only
+smith_normal_form calls (the invariant factors with no transforms, which no answer needs:
+root_data reads a record's center and pi1 off its Hermite pivots; the test oracles use both);
+both share one 2x2 Bezout row transform.  There is no general dual lattice and no congruence
+kernel: each record's lattices are Z^n plus rows over a denominator, one Hermite form of den *
+Z^n and the kept rows, inserted into den * I (standard_plus); span_mod lists L / Z^n, and
+root_data builds the second lattice of a record from the rows kept for the first.  Lattice is
+built from integer rows over a denominator (Lattice.from_int_rows), or from a proven modular
+form as it is; one integer triangular solve on numerators serves membership, coordinates and
+those proofs, checked by its residual ending at zero.  Most entries are 0, so matrix products
+(mat_mul) skip zero entries, as det_int, mat_inv and the solve do; no command runs mat_inv now.
 """
 
 from __future__ import annotations
@@ -40,15 +40,14 @@ def transpose(mat):
 
 
 def mat_mul(a, b):
-    """Exact matrix product; entries may be ints or Fractions.  Row by row over
-    the nonzero (j, y) of each row of b, indexed once, skipping every zero of a."""
-    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    """Exact matrix product; entries may be ints or Fractions.  Row by row over the nonzero
+    (j, y) of each row of b, indexed once, skipping every zero of a, at C speed (compress)."""
+    nonzero = [list(compress(enumerate(row), row)) for row in b]
     out = [[0] * len(b[0]) if b else [] for _ in a]
     for row, acc in zip(a, out):
-        for x, pairs in zip(row, nonzero):
-            if x:
-                for j, y in pairs:
-                    acc[j] += x * y
+        for x, pairs in compress(zip(row, nonzero), row):
+            for j, y in pairs:
+                acc[j] += x * y
     return out
 
 
@@ -252,13 +251,32 @@ def span_mod(den: int, rows) -> tuple[set, list]:
 
 
 def standard_plus(den: int, rows) -> tuple[Lattice, list]:
-    """(L, gens) for L = Z^n + span(rows) / den, integer rows of length n: one Hermite form
-    of den * Z^n and the rows span_mod keeps, which come back as gens, over L.den, so
-    L = Z^n + span(gens) / L.den and gens generate L / Z^n."""
+    """(L, gens) for L = Z^n + span(rows) / den, integer rows of length n: one Hermite form of
+    den * Z^n and the rows span_mod keeps, which come back as gens, over L.den, so L = Z^n +
+    span(gens) / L.den.  Each kept row goes into den * I column by column: at a pivot den * e_c,
+    kept implicit, it loses a multiple of den, or a Bezout step makes the pivot row explicit.
+    Reducing the explicit rows above the later pivots gives hermite_rows' unique form."""
     _, kept = span_mod(den, rows)
-    scaled = [[den * x for x in row] for row in identity_matrix(len(rows[0]))]
-    lat = Lattice.from_int_rows(den, scaled + kept)
-    g = den // lat.den  # divides every kept row, as lat.den * L lies in Z^n
+    n, h = len(rows[0]), {}  # column: its explicit pivot row
+    for v in map(list, kept):
+        for c in range(n):
+            if (p := h.get(c)) is None and v[c] % den == 0:
+                v[c] = 0
+            elif b := v[c]:  # a Bezout step: the gcd lands in the pivot row, zero in v
+                p = p or [den * (j == c) for j in range(n)]  # den * e_c, made explicit
+                h[c], v = _bezout_rows(p[c], b, p, v)
+    for c in range(n):  # pivots are gcds, so positive; reduce explicit rows above into [0, pivot)
+        for i, row in h.items():
+            if i < c and (q := row[c] // (h[c][c] if c in h else den)):
+                if c in h:
+                    h[i] = [x - q * y for x, y in zip(row, h[c])]
+                else:
+                    row[c] -= q * den
+    g = gcd(den, *(x for row in h.values() for x in row))  # as Lattice._set, so den is least
+    lat = Lattice.__new__(Lattice)
+    lat.ambient_dim, lat.den = n, den // g
+    lat.rows = tuple(tuple(x // g for x in h[c]) if c in h else
+                     (0,) * c + (lat.den,) + (0,) * (n - c - 1) for c in range(n))
     return lat, [tuple(x // g for x in v) for v in kept]
 
 

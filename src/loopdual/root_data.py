@@ -18,25 +18,26 @@ Conventions used across the package:
   iota(Y) lands in X, the dual of Y.  Invariants of a Cartan type, this
   form and the dual Coxeter number among them, are built once and cached, 256
   types at most, like the records.
-* A RootDatum is immutable, the triple (type, X, Y), made by root_datum from an
-  X and a Y built together by its caller, and validated then by a perfect-pairing
-  check, which proves Y == X^v; no lattice is ever dualised.  Y is Q^v for "sc" and P^v
-  for "adjoint".  Otherwise one lattice is Z^r plus the rows standard_plus keeps, and
-  the other Z^r plus the elements of P/Q (P^v/Q^v) that pair integrally with them
-  (annihilator_plus): Y from X for explicit rows and D-odd "so" (_quotient_lattices), X
-  from Y = X + (k/N) * iota(Y) of the source for a dual (twisted_dual).  As Y is fixed by
-  X there is one record per (type, X); it caches G_Y, k, the period L (twisted_dual's class
-  key), center and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two
-  invariant factors at most), and twisted_dual's duals by class.  How the caller named X (an
-  isogeny label) is not part of it, so B3 "so" and "adjoint" share one record; explicit
-  generator rows are keyed to their (X, Y).  P and P^v are Z^r plus the at most two
-  minuscule fundamental (co)weights over a denominator.
+* A RootDatum is immutable, the triple (type, X, Y), made by root_datum from an X and a Y
+  built together by its caller, and validated then by a perfect-pairing check on their special
+  Hermite rows, not den * e_i, which proves Y == X^v; no lattice is ever dualised.  Y is Q^v
+  for "sc" and P^v for "adjoint".  Otherwise one lattice is Z^r plus the rows standard_plus
+  keeps, and the other Z^r plus the elements of P/Q (P^v/Q^v) that pair integrally with them
+  (annihilator_plus): Y from X for explicit rows and D-odd "so" (_quotient_lattices), X from Y
+  = X + (k/N) * iota(Y) of the source for a dual (twisted_dual).  As Y is fixed by X there is
+  one record per (type, X); it caches G_Y, k, the period L (twisted_dual's class key), center
+  and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two invariant factors at
+  most), and twisted_dual's duals by class.  How the caller named X (an isogeny label) is not
+  part of it, so B3 "so" and "adjoint" share one record; explicit generator rows are keyed to
+  their (X, Y).  P and P^v are Z^r plus the at most two minuscule fundamental (co)weights over
+  a denominator.
 * A type's coroot norms and minuscule nodes come from tables by series, and det A and each
   fundamental (co)weight, in O(r) integers, from a leaf-first elimination on its Dynkin tree.
 * The root pass takes a bare integer Cartan matrix.  Positive roots grow by height under
   simple reflections and stream past, a few layers at a time, with nothing cached:
-  reflection_sum sums them as they go, and rep_check's engine, which its own cache
-  keeps, lists them; the negative ones are their negations.
+  reflection_sum sums them as they go for one simple coroot per length, which checks the dual
+  Coxeter number on all of Y, and rep_check's engine, which its own cache keeps, lists them;
+  the negative ones are their negations.
 """
 
 from __future__ import annotations
@@ -384,7 +385,7 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
     elif isogeny == "adjoint" or (isogeny == "so" and t.series == "B"):
         x, y = root_lattice(t), weight_lattice(t, cocharacters=True)
     elif isogeny == "so" and t.series == "D" and t.rank % 2 == 1:
-        x, y = _quotient_lattices(t, (fundamental_weight(t, 0),))  # the vector representation
+        x, y = _vector_lattices(t)  # Q and the weight of the vector representation
     elif isogeny == "so" and t.series == "D":
         raise ValueError("series D of even rank has three index-two forms; "
                          "pass explicit generators instead of 'so'")
@@ -393,6 +394,11 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
     else:
         raise ValueError(f"unknown isogeny {isogeny!r}")
     return root_datum(t, x, y)
+
+
+@lru_cache(maxsize=256)
+def _vector_lattices(t: CartanType) -> tuple[Lattice, Lattice]:  # D-odd "so", once per type
+    return _quotient_lattices(t, (fundamental_weight(t, 0),))
 
 
 @lru_cache(maxsize=256)
@@ -431,17 +437,26 @@ def root_datum(t: CartanType, x: Lattice, y: Lattice) -> RootDatum:
     return datum
 
 
+def _special_rows(lat: Lattice) -> list[tuple[int, ...]]:
+    """The Hermite rows of lat other than lat.den * e_i: few for a lattice between Z^r and P
+    or P^v, as the product of lat.den / pivot over them is [lat : Z^r], at most det A."""
+    return [row for i, row in enumerate(lat.rows) if row[i] != lat.den or any(row[i + 1:])]
+
+
 def _validate_datum(d: RootDatum) -> None:
     """Q <= X <= P and Y == X^v, from X <= P, Y <= P^v and a perfect pairing: the pairing
-    matrix is integral, and its determinant, read off the Hermite pivots, is +-1."""
+    matrix is integral, and its determinant, read off the Hermite pivots, is +-1.  Only the
+    special rows of X and Y are read, with the verdict of all: a row den * e_i passes the first
+    two checks, den * A[i] = 0 mod den, and its pairings with rows v of Y (u of X), x.den *
+    (v @ A^T)_i (y.den * (u @ A)_j), are 0 mod x.den * y.den when the second (first) holds."""
     a = cartan_matrix(d.cartan_type)
-    x, y = d.X, d.Y
-    xa = mat_mul(x.rows, a)
+    x, y, ys = d.X, d.Y, _special_rows(d.Y)
+    xa = mat_mul(_special_rows(x), a)
     if any(v % x.den for row in xa for v in row):
         raise ArithmeticError("character lattice not inside the weight lattice")
-    if any(v % y.den for row in mat_mul(y.rows, transpose(a)) for v in row):
+    if any(v % y.den for row in mat_mul(ys, transpose(a)) for v in row):
         raise ArithmeticError("cocharacter lattice not inside the coweight lattice")
-    pairs = mat_mul(xa, transpose(y.rows))  # X.rows @ A @ Y.rows^T, of |det| below
+    pairs = mat_mul(xa, transpose(ys))  # the special rows' X.rows @ A @ Y.rows^T
     den = x.den * y.den
     if any(v % den for row in pairs for v in row) or \
             _pivots(x) * _pivots(y) * cartan_determinant(d.cartan_type) != den ** d.rank:
@@ -468,26 +483,28 @@ def _canonical_form(t: CartanType) -> CanonicalForm:
     return CanonicalForm(tuple(tuple(row) for row in gram))
 
 
-def reflection_sum(t: CartanType) -> tuple[tuple[int, ...], ...]:
-    """Row j: the integer sum over all roots b of <coroot_j, b> * b, summed as the
-    positive roots b stream past with the nonzero labels <coroot_j, b>; no root is kept."""
-    total = [[0] * t.rank for _ in range(t.rank)]
+def reflection_sum(t: CartanType, nodes) -> tuple[tuple[int, ...], ...]:
+    """Row j for each node j: the integer sum over all roots b of <coroot_j, b> * b, summed as
+    the positive roots b, all checked, stream past with their labels; no root is kept."""
+    total = [[0] * t.rank for _ in nodes]
     for root, _, labels in _positive_roots(cartan_matrix(t)):
-        support = [(i, 2 * b) for i, b in enumerate(root) if b]
-        for j, c in labels.items():
-            row = total[j]
-            for i, b in support:
-                row[i] += c * b
+        for j, row in zip(nodes, total):
+            if c := labels.get(j):
+                for i in compress(range(t.rank), root):
+                    row[i] += 2 * c * root[i]
     return tuple(map(tuple, total))
 
 
 @lru_cache(maxsize=256)
 def _dual_coxeter_value(t: CartanType) -> int:
-    # sum_roots <y, root> * root == 2h * iota(y) is linear in y: coroots suffice
+    """h, solved and checked on one simple coroot per length: the root pass checks that each s_i
+    permutes the roots, so y -> sum_roots <y, root> * root - 2h * iota(y) is W-equivariant, and
+    in an irreducible system the coroots of one length are W-conjugate (Humphreys, 10.4 C)."""
     cs = coroot_norms(t)
-    sums = reflection_sum(t)
-    h = Fraction(sums[0][0], 2 * cs[0])  # solved on coroot 0
-    for j, total in enumerate(sums):
+    nodes = [cs.index(c) for c in sorted(set(cs))]
+    sums = reflection_sum(t, nodes)
+    h = Fraction(sums[0][nodes[0]], 2 * cs[nodes[0]])  # solved on the first of them
+    for j, total in zip(nodes, sums):
         if any(x != (2 * h * cs[j] if i == j else 0) for i, x in enumerate(total)):
             raise ArithmeticError("reflection-sum identity failed on coroots")
     if h.denominator != 1 or h <= 0:
@@ -497,6 +514,6 @@ def _dual_coxeter_value(t: CartanType) -> int:
 
 def dual_coxeter(d: RootDatum) -> int:
     """Dual Coxeter number, solved once per Cartan type from the identity
-    sum_roots <y, root> * root == 2 * h * iota(y), checked on every simple
-    coroot and hence on all of Y."""
+    sum_roots <y, root> * root == 2 * h * iota(y), checked on one simple
+    coroot of each length and hence on all of Y."""
     return _dual_coxeter_value(d.cartan_type)

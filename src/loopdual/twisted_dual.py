@@ -1,23 +1,24 @@
 """The dual root datum attached to a root datum and a twisting order.
 
-Given a root datum and an order N, the construction rescales each coroot by a local
-denominator delta_i = N / gcd(N, k * c_i), k the commutator denominator and c_i the coroot
-norms, and cuts Y down to Y_{Q,N} = {y in Y : k * (y, Y) in N*Z}, the y with (k/N) * iota(y)
-in X.  That is the character lattice X' of a new root datum, in the coordinates x_sigma(i) =
-y_i / delta_i of the rescaled coroots, sigma the relabeling onto the standard matrix of the
-type of their Cartan matrix A' = diag(delta) * A^T * diag(delta)^-1, which a rule gives (the
-Langlands dual type when delta is constant, the source's otherwise).  Its cocharacters Y', the
-dual of Y_{Q,N}, are X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), with
-coordinate sigma(i) = delta_i * x_i: Z^r, the dual's coroots, plus rows (lattice.standard_plus).
-X' is Z^r plus the elements of P'/Q' that pair integrally with the rows kept for Y'
-(root_data.annihilator_plus).  The dual depends on N only through the class gcd(N, L), L the
-record's period, which each k * c_i divides.  Every call checks its delta: each rescaled
-coroot in Y_{Q,N}, each rescaled root root_i / delta_i in X + (k/N) * iota(Y), so Y_{Q,N}
-pairs integrally with Y'.  The record keeps one dual per class, built on a miss and checked:
-sigma, on the edges of the source's Dynkin tree, with no A' built; each generator of X'/Z^r
-in Y_{Q,N} by the definition, so X' <= Y_{Q,N}, and the perfect pairing X' = Y'^v of
-root_datum gives X' >= Y_{Q,N}; and the orders of the dual's center and pi1 against det A'.
-Each reads only the class, so it holds for one N of a class exactly when it holds for all.
+Given a root datum and an order N, the construction rescales each coroot by a local denominator
+delta_i = N / gcd(N, k * c_i), k the commutator denominator and c_i the coroot norms, and cuts
+Y down to Y_{Q,N} = {y in Y : k * (y, Y) in N*Z}, the y with (k/N) * iota(y) in X.  That is the
+character lattice X' of a new root datum, in the coordinates x_sigma(i) = y_i / delta_i of the
+rescaled coroots, sigma the relabeling onto the standard matrix of the type of their Cartan
+matrix A' = diag(delta) * A^T * diag(delta)^-1, which a rule gives (the Langlands dual type
+when delta is constant, the source's otherwise).  Its cocharacters Y', the dual of Y_{Q,N}, are
+X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), coordinate sigma(i) = delta_i *
+x_i: Z^r, the dual's coroots, plus the 2r rows of X and Y, of which only the special Hermite
+rows, not den * e_i, count mod den (lattice.standard_plus).  X' is Z^r plus the elements of
+P'/Q' that pair integrally with the rows kept for Y' (root_data.annihilator_plus).  The dual
+depends on N only through the class gcd(N, L), L the record's period, which each k * c_i
+divides.  Every call checks its delta: each rescaled coroot in Y_{Q,N}, each rescaled root
+root_i / delta_i in X + (k/N) * iota(Y), so Y_{Q,N} pairs integrally with Y'.  The record keeps
+one dual per class, built on a miss and checked: sigma, on the edges of the source's Dynkin
+tree, with no A' built; each generator of X'/Z^r in Y_{Q,N} by the definition, so X' <=
+Y_{Q,N}, and the perfect pairing X' = Y'^v of root_datum gives X' >= Y_{Q,N}; and the orders of
+the dual's center and pi1 against det A'.  Each reads only the class, so it holds for one N of
+a class exactly when it holds for all.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from math import gcd, lcm, prod
 
 from .dynkin import group_name
 from .lattice import Lattice, numerators_member, standard_plus, vector_text
-from .root_data import (CartanType, RootDatum, _neighbours, annihilator_plus, cartan_determinant,
-                        cartan_matrix, coroot_norms, root_datum)
+from .root_data import (CartanType, RootDatum, _neighbours, _special_rows, annihilator_plus,
+                        cartan_determinant, cartan_matrix, coroot_norms, root_datum)
 
 
 def local_denominators(d: RootDatum, order: int) -> tuple[int, ...]:
@@ -124,15 +125,18 @@ def _dual_cocharacters(d: RootDatum, order: int, delta, source) -> tuple[Lattice
     """The dual of Y_{Q,N} = Y & (N/k) * iota^-1(X), the sum of the duals X + (k/N) * iota(Y),
     with coordinate sigma(i) = delta_i * x_i: from a row of X, delta_i times its entry, and
     from a row y of Y, k * c_i * delta_i / N = k * c_i / e_i times y_i.  It holds the dual's
-    coroots Z^r, with [Y' : Z^r] = |pi1| dividing the dual's Cartan determinant, so one
-    Hermite form of Z^r and the 2r rows over their common denominator does it
-    (lattice.standard_plus, whose kept rows come back too); source is the inverse of sigma."""
+    coroots Z^r, with [Y' : Z^r] = |pi1| dividing the dual's Cartan determinant, so one Hermite
+    form of Z^r and the special rows of X and Y over their common denominator does it (lattice.
+    standard_plus, whose kept rows come back too); source is the inverse of sigma.  A row x.den *
+    e_i (y.den * e_i) left out is delta_i (k * c_i * delta_i / N, an integer, as twisted_dual
+    checks) times den * e_sigma(i), so 0 mod den."""
     x, y, k, cs = d.X, d.Y, d.k, coroot_norms(d.cartan_type)
     den = lcm(x.den, y.den)
     from_x = [delta[i] * (den // x.den) for i in source]
     from_y = [k * cs[i] // (order // delta[i]) * (den // y.den) for i in source]
-    return standard_plus(den, [[row[i] * s for i, s in zip(source, scales)]
-                               for lat, scales in ((x, from_x), (y, from_y)) for row in lat.rows])
+    rows = [[row[i] * s for i, s in zip(source, scales)]
+            for lat, scales in ((x, from_x), (y, from_y)) for row in _special_rows(lat)]
+    return standard_plus(den, rows or [[0] * d.rank])
 
 
 # Known duals for the standard families, used by the verification table.

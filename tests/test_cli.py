@@ -819,6 +819,43 @@ def test_large_rank_goldens_replay():
     assert mismatched == []
 
 
+RANK_120_128_PINS = [  # (type, isogeny, N, stdout sha256), N None for `extensions`, recorded
+    # before P, P^v and the duals' cocharacters were built by insertion into den * I
+    ("A127", "mu2", 1, "3e579850ac0ac80a05c0e3917ce7f94ded674b190941db02c627bdfce2d7a678"),
+    ("A127", "mu2", 4, "7597f43b65960beae12f1fb4cbb61eb16ce8c2c55a6e00798ae78aa3957634e3"),
+    ("A127", "mu2", 6, "a53130f06a4ef4f1d50bc83987e3f2c305d145aafa78eee508eb9b7144121e1e"),
+    ("C127", "adjoint", 1, "efa48e27ac646964516d3c354f96564b544352180f4e83797a277024a7df2e83"),
+    ("C127", "adjoint", 4, "735a2a75e542f503276718979cfa2cbd0be2b733f2d19e550a8f5e6e9821e22c"),
+    ("C127", "adjoint", 6, "cf32859eae91c20524061c0530829945f1767251b305a5acbbc2990d9c7ef7a3"),
+    ("D128", "sc", 1, "5c0c4cee428e0691a06962beb45539e181bcd87d5057f5cd27d71c34423b05a8"),
+    ("D128", "sc", 4, "4d04771e8037f2b0e4ae9bb3177858429c527ac58aea1d1a3f6b12fb1f5faae6"),
+    ("D128", "sc", 6, "8a8e571d962f30a9187b2571d52ef00e39194b01115602285ab473a4c25c3194"),
+    ("D127", "so", 1, "80ecf2c5734141b42c97f1e31169cd8e3d415f39fb3110fa5322f63f1b5cc4c8"),
+    ("D127", "so", 4, "38c3ce7b1ba00612d9b915acafcd1924f1e353fa4466a4b0deba702f9aa7b29a"),
+    ("D127", "so", 6, "ddb4d4d34a8796a558a9d3e6976d577573bde0b4a3368d69e9470c200b132f99"),
+    ("C126", "adjoint", None, "f0ee18e846a891c02fdedbb4cad287b5d479e2334e9c7d14ea85684fe556fb98"),
+]
+
+
+def test_rank_120_to_128_outputs_are_pinned():
+    """The benchmark's goldens stop at rank 11: these calls above it, on cold records, with
+    A127's mu2 quotient by the row 1/2, 0, 1/2, ..., and a cold root pass for `extensions`,
+    print what they printed before, in 1.5 s at most."""
+    mu2 = json.dumps([["1/2" if i % 2 == 0 else "0" for i in range(127)]])
+    for cache in (root_data.root_datum, root_data._quotient_lattices,
+                  root_data._vector_lattices, root_data._dual_coxeter_value):
+        cache.cache_clear()
+    start, moved = time.perf_counter(), []
+    for type_name, isogeny, order, digest in RANK_120_128_PINS:
+        argv = ["dual" if order else "extensions", "--type", type_name,
+                "--isogeny", mu2 if isogeny == "mu2" else isogeny]
+        code, out, err = invoke(*argv, *(["--N", str(order)] if order else []))
+        if (code, hashlib.sha256(out.encode()).hexdigest()) != (0, digest):
+            moved.append((type_name, isogeny, order, code, err[-200:]))
+    assert moved == []
+    assert time.perf_counter() - start < 1.5
+
+
 def test_large_rank_goldens_invert_no_matrix_and_recognize_no_dual():
     """Replayed on cold caches, no large-rank golden runs lattice.mat_inv or reaches
     recognize_cartan_matrix: twisted_dual reads the dual's type off the rule, rep_check's

@@ -10,13 +10,14 @@ Smith form with transforms takes minutes, with a closed form worked out by hand.
 import io
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from loopdual import root_data
 from loopdual import twisted_dual as td
 from loopdual.cli import run
-from loopdual.lattice import Lattice, identity_matrix
+from loopdual.lattice import Lattice, identity_matrix, standard_plus
 from loopdual.root_data import CartanType, build_datum, cartan_matrix
 from oracles import all_isogenies, dual_lattice_by_smith
 
@@ -46,6 +47,31 @@ def test_every_record_of_rank_at_most_8_has_the_smith_dual_of_its_characters():
                     smith[key] = dual_lattice_by_smith(d.X, cartan_matrix(d.cartan_type))
                 assert d.Y == smith[key], (str(t), str(d.cartan_type), d.X)
     assert len(smith) > 80  # the sources and their duals reach this many (type, X)
+
+
+def test_the_dual_cocharacters_from_the_special_rows_are_those_from_all_rows():
+    """_dual_cocharacters passes standard_plus only the special Hermite rows of X and Y; the
+    rows den * e_i it leaves out scale to multiples of den, so every record of rank <= 11
+    gets the lattice and kept rows that all 2r rows give, at N = 1..12."""
+    types = [CartanType(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+             for n in range(lo, 12)] + [CartanType("E", n) for n in (6, 7, 8)] + \
+        [CartanType("F", 4), CartanType("G", 2)]
+    count = 0
+    for t in types:
+        for d in _sources(t):
+            x, y, k, cs = d.X, d.Y, d.k, root_data.coroot_norms(t)
+            den = lcm(x.den, y.den)
+            for order in range(1, 13):
+                delta = td.local_denominators(d, order)
+                source = sorted(range(t.rank), key=td._dual_type(t, delta)[1].__getitem__)
+                scales = ([delta[i] * (den // x.den) for i in source],
+                          [k * cs[i] * delta[i] // order * (den // y.den) for i in source])
+                rows = [[row[i] * s for i, s in zip(source, scale)]
+                        for lat, scale in zip((x, y), scales) for row in lat.rows]
+                assert td._dual_cocharacters(d, order, delta, source) == \
+                    standard_plus(den, rows), (str(t), d.X, order)
+                count += 1
+    assert count > 2000
 
 
 def test_each_of_two_generators_imposes_its_congruence():

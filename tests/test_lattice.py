@@ -540,18 +540,30 @@ def test_kernel_mod_matches_the_smith_oracle():
 
 def test_standard_plus_matches_the_fraction_constructor():
     """Z^n + span(rows) / den, kept rows or not, is the lattice the Fraction
-    generators give, also when a row repeats or is a multiple of den, and so is
-    Z^n + span(gens) / L.den for the rows it keeps.  span_mod lists L / Z^n, of
-    order up to den^n, as residues mod den, so den^n stays small here, as |det A|
-    bounds it for the package's callers."""
+    generators give, also when a row repeats, is zero or is a multiple of den, and so is
+    Z^n + span(gens) / L.den for the rows it keeps.  span_mod lists L / Z^n as residues
+    mod den, so each draw keeps [L : Z^n] <= 129, as |det A| bounds it for the package's
+    callers: its m rows are multiples of den / d, with d^m <= 129.  The fixed cases insert
+    a second kept row into the pivot row the first one made explicit, at column 0 and at
+    a later column."""
     rng = random.Random(2028)
-    for _ in range(300):
-        n, den = rng.randint(1, 4), rng.choice([1, 2, 3, 4, 6])
-        rows = _rand_int_matrix(rng, rng.randint(1, 6), n, -2 * den, 2 * den)
-        rows += rng.sample(rows, 1) + [[den * rng.randint(-2, 2) for _ in range(n)]]
+    fixed = [(4, [[2, 1], [1, 0]]), (6, [[0, 3, 3, 0], [0, 2, -2, 4]]),
+             (12, [[0] * 5 + [6, 4, 0, 9, 0, 3, 1], [0] * 5 + [4, 0, 6, 0, 8, 0, 2]])]
+    for case in range(200):
+        if case < len(fixed):
+            den, rows = fixed[case]
+            n = len(rows[0])
+        else:
+            n, den, m = rng.randint(1, 12), rng.randint(1, 129), rng.randint(1, 3)
+            d = rng.choice([d for d in range(1, den + 1) if den % d == 0 and d ** m <= 129])
+            rows = [[den // d * rng.randint(-2 * d, 2 * d) * (rng.random() < 0.6)
+                     for _ in range(n)] for _ in range(m)]
+            rows += rng.sample(rows, 1) + [[0] * n, [den * rng.randint(-2, 2) for _ in range(n)]]
         want = Lattice(identity_matrix(n) + [[Fraction(x, den) for x in row] for row in rows])
         lat, gens = standard_plus(den, rows)
-        assert lat == want, (den, rows)
+        assert lat == want and lat.ambient_dim == n, (den, rows)
+        assert lat == Lattice.from_int_rows(den, [[den * (i == j) for j in range(n)]
+                                                  for i in range(n)] + rows), (den, rows)
         assert Lattice(identity_matrix(n) + [[Fraction(x, lat.den) for x in v] for v in gens]) \
             == want and len(gens) <= len(rows), (den, rows)
         group, _ = lattice.span_mod(den, rows)

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from loopdual import lattice, root_data
+from loopdual.cli import run
 from loopdual.central_ext import commutator_denominator
 from loopdual.lattice import Lattice, lattice_member, transpose
 from loopdual.root_data import (
@@ -401,6 +403,27 @@ def test_validate_datum_rejects_a_pairing_that_is_not_perfect():
         _validate_datum(bad)
 
 
+@pytest.mark.parametrize("name, node", [("A3", None), ("D6", 1)])
+def test_a_pairing_off_in_the_special_rows_alone_is_not_perfect(name, node):
+    """X and Y inside P and P^v, each with one special Hermite row, whose pairing is the one
+    entry not integral: P and P^v of A3, (1, 2, 3) over 4 each, pair to 12/16 = 3/4; Q plus
+    the half-spin weight omega_6 of D6 and Q^v plus its coweight pair to 6/4 = 3/2.  In D6
+    the pivots pass the determinant test, [X : Q] * [Y : Q^v] = 2 * 2 = det A, so only
+    the special-by-special block of the pairing matrix refuses it."""
+    t = CartanType.parse(name)
+    if node is None:
+        x, y = weight_lattice(t), weight_lattice(t, True)
+    else:
+        x, y = (lattice.standard_plus(det, [rows[node]])[0] for det, rows in
+                (root_data._minuscule(t, False), root_data._minuscule(t, True)))
+        assert root_data._pivots(x) * root_data._pivots(y) * cartan_determinant(t) == \
+            (x.den * y.den) ** t.rank
+    assert len(root_data._special_rows(x)) == len(root_data._special_rows(y)) == 1
+    with pytest.raises(ArithmeticError, match="pairing of the character and cocharacter "
+                                              "lattices is not perfect"):
+        root_data.root_datum(t, x, y)
+
+
 def test_root_datum_is_immutable():
     d = build_datum("A2", "adjoint")
     with pytest.raises(AttributeError):
@@ -443,27 +466,59 @@ def test_canonical_form_is_an_immutable_value():
 
 
 def test_dual_coxeter_sums_roots_once_per_type(monkeypatch):
-    # one pass over the positive roots serves every simple coroot
+    # one pass over the positive roots serves the checked coroots, one of each length
     calls = []
     real = root_data.reflection_sum
-    monkeypatch.setattr(root_data, "reflection_sum", lambda t: calls.append(t) or real(t))
+    monkeypatch.setattr(root_data, "reflection_sum",
+                        lambda t, nodes: calls.append((t, list(nodes))) or real(t, nodes))
     root_data._dual_coxeter_value.cache_clear()
     for isogeny in ("sc", "adjoint", "sc"):
         assert dual_coxeter(build_datum("C5", isogeny)) == 6
-    assert calls == [CartanType("C", 5)]
+    assert calls == [(CartanType("C", 5), [4, 0])]  # the short coroot 4 first, then long 0
 
 
 def test_reflection_sum_of_a_coroot_is_integral():
     # the once-per-type Coxeter check sums integers, not Fractions
     t = CartanType("B", 4)
-    for total in reflection_sum(t):
+    for total in reflection_sum(t, range(t.rank)):
         assert all(type(x) is int for x in total), total
 
 
 @pytest.mark.parametrize("t", ALL_TYPES, ids=str)
 def test_one_pass_reflection_sums_match_the_dense_closure(t):
     unit = [tuple(int(i == j) for j in range(t.rank)) for i in range(t.rank)]
-    assert reflection_sum(t) == tuple(dense_reflection_sum(t, y) for y in unit)
+    assert reflection_sum(t, range(t.rank)) == tuple(dense_reflection_sum(t, y) for y in unit)
+    assert reflection_sum(t, [t.rank - 1, 0]) == tuple(dense_reflection_sum(t, unit[j])
+                                                       for j in (t.rank - 1, 0))
+
+
+@pytest.mark.parametrize("name, row, step, message", [
+    ("A5", 0, 1, "reflection-sum identity failed on coroots"),
+    ("B4", 0, 1, "reflection-sum identity failed on coroots"),
+    ("B4", 1, 1, "reflection-sum identity failed on coroots"),
+    ("A5", 0, 0, "invalid dual Coxeter number 13/2"),  # h solved on the shifted row
+])
+def test_a_shifted_reflection_sum_is_caught(monkeypatch, name, row, step, message):
+    """One checked row, off by one simple root (the node's own if step is 0, the next one's
+    if 1): the identity, checked on node 0 of A5 and on nodes 0 and 3 of B4 (one coroot of
+    each length), fails, and `extensions` exits 3."""
+    t, real = CartanType.parse(name), root_data.reflection_sum
+
+    def shifted(t, nodes):
+        sums = [list(total) for total in real(t, nodes)]
+        sums[row][(nodes[row] + step) % t.rank] += 1
+        return tuple(map(tuple, sums))
+
+    monkeypatch.setattr(root_data, "reflection_sum", shifted)
+    root_data._dual_coxeter_value.cache_clear()
+    err = io.StringIO()
+    try:
+        with pytest.raises(ArithmeticError, match=message):
+            root_data._dual_coxeter_value(t)
+        assert run(["extensions", "--type", name], out=io.StringIO(), err=err) == 3
+    finally:
+        root_data._dual_coxeter_value.cache_clear()
+    assert f"internal check failed: {message}" in err.getvalue()
 
 
 @pytest.mark.parametrize("t", [CartanType("B", 4), CartanType("E", 6), CartanType("G", 2)])
@@ -653,6 +708,21 @@ def test_tree_columns_and_pivots_match_the_smith_oracle(t):
             det, y = root_data._tree_column(t, i, weight)
             assert [Fraction(v, det) for v in y] == want, (i, weight)
     assert cartan_determinant(t) == abs(dense_det_int(a))
+
+
+@pytest.mark.parametrize("cocharacters", [False, True])
+def test_weight_lattices_match_the_general_hermite_form(cocharacters):
+    """P and P^v by insertion into det A * I (standard_plus) are the Hermite form that
+    hermite_rows gives the same rows, for every type of rank <= 12 and at rank 127-128."""
+    types = [CartanType(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+             for n in range(lo, 13)] + [CartanType("E", n) for n in (6, 7, 8)] + \
+        [CartanType("F", 4), CartanType("G", 2)] + \
+        [CartanType("A", 127), CartanType("B", 128), CartanType("C", 127), CartanType("D", 128)]
+    for t in types:
+        det, rows = root_data._minuscule(t, cocharacters)
+        scaled = [[det * (i == j) for j in range(t.rank)] for i in range(t.rank)]
+        assert weight_lattice(t, cocharacters) == \
+            Lattice.from_int_rows(det, scaled + list(rows)), str(t)
 
 
 def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatch):

@@ -361,6 +361,15 @@ def test_a_relabeling_that_folds_two_nodes_is_caught(monkeypatch):
             "Cartan matrix to the standard one")
 
 
+def test_center_times_pi1_against_the_dual_determinant_is_checked(monkeypatch):
+    """[X' : Q'] * [Y' : Q'^v] must be det A'; against twice det A' a fresh class of B3 sc
+    is refused, in the CLI too."""
+    real = td.cartan_determinant
+    monkeypatch.setattr(td, "cartan_determinant", lambda t: 2 * real(t))
+    _exit_3(_dual_argv_of_a_fresh_class("B3", 4), "center times fundamental group does not "
+            "match the Cartan determinant")
+
+
 def _dual_argv_of_a_fresh_class(name, order):
     """argv of `dual` on the sc record of name, with its duals dropped, so the call builds one."""
     build_datum(name, "sc")._duals.clear()
