@@ -42,8 +42,7 @@ sys.path.insert(0, str(SRC))
 
 from loopdual.dynkin import recognize_cartan_matrix  # noqa: E402
 from loopdual.lattice import Lattice, lattice_member  # noqa: E402
-from loopdual.root_data import (MAX_RANK, CartanType, build_datum, cartan_matrix,  # noqa: E402
-                                fundamental_weight)
+from loopdual.root_data import MAX_RANK, CartanType, build_datum, fundamental_weight  # noqa: E402
 from loopdual.twisted_dual import expected_dual_name, same_group  # noqa: E402
 
 ORDERS = (1, 2, 3, 4, 6)
@@ -113,7 +112,7 @@ def mismatch(t: str, isogeny: str, order: int, result: dict) -> str | None:
 def relabeling_mismatch(t: str, result: dict) -> str | None:
     """How recognize_cartan_matrix, on A' rebuilt from the source matrix and the printed
     delta, disagrees with the printed dual type and relabeling, or None."""
-    a, delta = cartan_matrix(CartanType.parse(t)), result["delta"]
+    a, delta = CartanType.parse(t).cartan, result["delta"]
     aprime = [[Fraction(di * a[j][i], dj) for j, dj in enumerate(delta)]
               for i, di in enumerate(delta)]
     try:

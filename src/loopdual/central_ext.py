@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .root_data import RootDatum, canonical_form, dual_coxeter
+from .root_data import RootDatum, dual_coxeter
 
 
 def commutator_denominator(d: RootDatum) -> int:
@@ -30,7 +30,7 @@ def commutator_denominator(d: RootDatum) -> int:
 
 def commutator_value(d: RootDatum, level: int, y1, y2) -> Fraction:
     """level * (y1, y2) under the invariant form."""
-    return level * canonical_form(d).value(y1, y2)
+    return level * d.cartan_type.form.value(y1, y2)
 
 
 def classify_extensions(d: RootDatum) -> dict:

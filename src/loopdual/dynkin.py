@@ -15,13 +15,7 @@ from itertools import compress
 from math import prod
 
 from .lattice import lattice_member
-from .root_data import (
-    CartanType,
-    RootDatum,
-    cartan_determinant,
-    cartan_matrix,
-    fundamental_weight,
-)
+from .root_data import CartanType, RootDatum, fundamental_weight
 
 
 def validate_cartan_matrix(mat) -> int:
@@ -119,7 +113,7 @@ def _recognize(mat):
             t = CartanType(series, rank)
         except ValueError:
             continue
-        sigma = _find_relabeling(mat, diagram, cartan_matrix(t))
+        sigma = _find_relabeling(mat, diagram, t.cartan)
         if sigma is not None:
             return t, sigma
     raise ValueError("not the Cartan matrix of an irreducible finite type")
@@ -145,7 +139,7 @@ def group_name(d: RootDatum) -> str:
             # traditional rank-one name; PGL2 stays available as an alias
             return "PSL2" if r == 1 else f"PGL{r + 1}"
         return f"SL{r + 1}/mu{quotient}"
-    top = prod(d.center) == cartan_determinant(t)
+    top = prod(d.center) == t.det
     if t.series == "B":
         return f"Spin{2 * r + 1}" if top else f"SO{2 * r + 1}"
     if t.series == "C":

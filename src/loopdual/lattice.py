@@ -187,7 +187,7 @@ class Lattice:
     Hermite basis of den * L; that pair sees through the choice of generators.
     """
 
-    __slots__ = ("ambient_dim", "den", "rows")
+    __slots__ = ("ambient_dim", "den", "rows", "_hash")
 
     def __init__(self, generators):
         rows = [[Fraction(x) for x in row] for row in generators]
@@ -210,7 +210,7 @@ class Lattice:
         if len(h) != ambient_dim:
             raise ValueError("generators do not span a full-rank lattice")
         g = gcd(den, *(x for row in h for x in row))  # so den is the least one
-        self.ambient_dim = ambient_dim
+        self.ambient_dim, self._hash = ambient_dim, None
         self.den = den // g
         self.rows = tuple(tuple(x // g for x in row) for row in h) if g > 1 else tuple(h)
 
@@ -226,7 +226,9 @@ class Lattice:
         return isinstance(other, Lattice) and (self.den, self.rows) == (other.den, other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.den, self.rows))
+        if self._hash is None:  # filled on first use: root_datum's key hashes r x r rows
+            self._hash = hash((self.den, self.rows))
+        return self._hash
 
     def __repr__(self) -> str:
         rows = ", ".join("(" + ", ".join(str(x) for x in row) + ")" for row in self.basis)
@@ -274,7 +276,7 @@ def standard_plus(den: int, rows) -> tuple[Lattice, list]:
                     row[c] -= q * den
     g = gcd(den, *(x for row in h.values() for x in row))  # as Lattice._set, so den is least
     lat = Lattice.__new__(Lattice)
-    lat.ambient_dim, lat.den = n, den // g
+    lat.ambient_dim, lat.den, lat._hash = n, den // g, None
     lat.rows = tuple(tuple(x // g for x in h[c]) if c in h else
                      (0,) * c + (lat.den,) + (0,) * (n - c - 1) for c in range(n))
     return lat, [tuple(x // g for x in v) for v in kept]
@@ -357,7 +359,7 @@ def hermite_mod(gens, m: int, det: int) -> tuple[tuple[int, ...], ...]:
                     row[k] = (row[k] - q * y) % m
         nonzero[i] = [(k, y) for k, y in enumerate(row) if y]
     lat = Lattice.__new__(Lattice)  # h is already a Hermite form over denominator 1
-    lat.ambient_dim, lat.den, lat.rows = w, 1, tuple(map(tuple, h))
+    lat.ambient_dim, lat.den, lat.rows, lat._hash = w, 1, tuple(map(tuple, h)), None
     # m * e_i = (m / p_i) * row_i - tail_i with tail_i zero up to column i, so by
     # induction from the last row m * Z^w lies in lat, and with it each generator,
     # when every p_i divides m and each generator mod m and each tail solves into

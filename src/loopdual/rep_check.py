@@ -1,7 +1,7 @@
 """Weight multiplicities and tensor decompositions on integer Dynkin labels.
 
-One engine per Cartan type (lru_cache) works on Dynkin labels.  Its pairings are the
-transposed Cartan matrix and its norms D_j = lcm(c) / c_j come from the coroot norms c, so
+One engine per Cartan type (lru_cache) works on Dynkin labels.  It reads the Cartan matrix
+and the scaled norms D_j = lcm(c) / c_j, c the coroot norms, off the type (CartanType), so
 with depths lam - mu = sum_j c_j alpha_j, (x, beta) = sum_j b_j D_j x_j, and Freudenthal's
 recursion (denominator sum_j c_j D_j (lam_j + mu_j + 2)), the Weyl dimension and
 Brauer-Klimyk tensor products (Humphreys, Intro. to Lie Algebras, section 24) build no
@@ -23,8 +23,7 @@ from operator import add, mul, sub
 from .central_ext import monodromy_modulus
 from .dynkin import group_name
 from .lattice import numerators_member, transpose, vector_text
-from .root_data import (CartanType, RootDatum, _positive_roots, cartan_matrix, coroot_norms,
-                        dual_coxeter)
+from .root_data import CartanType, RootDatum, _positive_roots, dual_coxeter
 from .twisted_dual import local_denominators
 
 # Most dominant weights a highest weight may have before the weight work on
@@ -38,13 +37,8 @@ class _Engine:
     """Label data of one Cartan type, pairings[i][j] = <coroot_i, root_j>."""
 
     def __init__(self, t: CartanType):
-        a, c, r = cartan_matrix(t), coroot_norms(t), t.rank
-        self.pairings = pairings = transpose(a)
-        self.orders = {}
-        d = self.norms = tuple(lcm(*c) // x for x in c)
-        if any(d[j] * pairings[j][i] != d[i] * pairings[i][j]
-               for i in range(r) for j in range(r)):
-            raise ArithmeticError("invariant form is not symmetric")
+        a, d, r = t.cartan, t.scaled_norms, t.rank
+        self.pairings, self.norms, self.orders = transpose(a), d, {}
         # (root coordinates b, labels, coef with (x, beta) = sum_j coef_j x_j), from the
         # root pass that root_data.reflection_sum streams too; _engine keeps the list
         self.roots = [(b, tuple(labels.get(j, 0) for j in range(r)),
@@ -53,8 +47,7 @@ class _Engine:
         if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
             raise ArithmeticError("half-sum of positive roots is off")
         self.heights = [sum(b) for b, _, _ in self.roots]
-        self.columns = [[(j, row[i]) for j, row in enumerate(pairings) if row[i]]
-                        for i in range(r)]
+        self.columns = [[(j, x) for j, x in enumerate(row) if x] for row in a]
 
     def reflect(self, x, i):
         """s_i(x) = x - x_i * alpha_i on labels."""
@@ -294,7 +287,7 @@ def rank_one_mv_multiplicities(datum: RootDatum, order: int, node: int,
     too, and 0 otherwise."""
     delta = rank_one_delta(datum, order, node, a)
     h = dual_coxeter(datum)
-    c = coroot_norms(datum.cartan_type)[node]
+    c = datum.cartan_type.norms[node]
     modulus = monodromy_modulus(datum, order)
     out = {}
     for b in range(a, -a - 1, -1):

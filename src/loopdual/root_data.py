@@ -15,9 +15,7 @@ Conventions used across the package:
   takes values in {1, 2, 3} and the embedding iota of cocharacters into
   characters is iota(coroot_i) = c_i * root_i, i.e. coordinatewise scaling.
   So <y, iota(y')> == (y, y'): the Gram matrix of ( , ) on Y says where
-  iota(Y) lands in X, the dual of Y.  Invariants of a Cartan type, this
-  form and the dual Coxeter number among them, are built once and cached, 256
-  types at most, like the records.
+  iota(Y) lands in X, the dual of Y.
 * A RootDatum is immutable, the triple (type, X, Y), made by root_datum from an X and a Y
   built together by its caller, and validated then by a perfect-pairing check on their special
   Hermite rows, not den * e_i, which proves Y == X^v; no lattice is ever dualised.  Y is Q^v
@@ -31,8 +29,12 @@ Conventions used across the package:
   part of it, so B3 "so" and "adjoint" share one record; explicit generator rows are keyed to
   their (X, Y).  P and P^v are Z^r plus the at most two minuscule fundamental (co)weights over
   a denominator.
-* A type's coroot norms and minuscule nodes come from tables by series, and det A and each
-  fundamental (co)weight, in O(r) integers, from a leaf-first elimination on its Dynkin tree.
+* A CartanType is the one home of its type's invariants: equal types are one object (_cartan_type
+  keeps 256), and A, its Dynkin tree, det A, the coroot norms c and lcm(c) / c_j, the form, the
+  minuscule weight and coweight rows, Q, P, P^v, D-odd "so"'s lattices and the dual Coxeter
+  number are its attributes, each built on first use and checked there.  The norms and the
+  minuscule nodes come from tables by series, and det A and each fundamental (co)weight, in
+  O(r) integers, from a leaf-first elimination on the Dynkin tree (CartanType.column).
 * The root pass takes a bare integer Cartan matrix.  Positive roots grow by height under
   simple reflections and stream past, a few layers at a time, with nothing cached:
   reflection_sum sums them as they go for one simple coroot per length, which checks the dual
@@ -64,21 +66,28 @@ _RANK_BOUNDS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK),
                 "D": (3, MAX_RANK), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-class CartanType(namedtuple("CartanType", "series rank")):
-    """An irreducible finite Cartan type such as A1, C3 or E8."""
+@lru_cache(maxsize=256)  # one object per type, so each invariant on it is built once per type
+def _cartan_type(series: str, rank: int) -> CartanType:
+    return tuple.__new__(CartanType, (series, rank))
 
-    __slots__ = ()
+
+class CartanType(namedtuple("CartanType", "series rank")):
+    """An irreducible finite Cartan type such as A1, C3 or E8, and the home of its invariants:
+    equal types are one object (_cartan_type, after validation), and each invariant is an
+    attribute built on first use, checked there, and kept on the type."""
 
     def __new__(cls, series: str, rank: int):
         lo_hi = _RANK_BOUNDS.get(series)
         if lo_hi is None:
             raise ValueError(f"unknown series {series!r}")
+        if type(rank) is not int:  # 1.0 == True == 1 would be the A1 object
+            raise ValueError(f"rank {rank!r} is not an integer")
         lo, hi = lo_hi
         if rank > hi == MAX_RANK:
             raise ValueError(f"rank {rank} is over the bound {hi} (root_data.MAX_RANK)")
         if not lo <= rank <= hi:
             raise ValueError(f"rank {rank} out of range for series {series}")
-        return super().__new__(cls, series, rank)
+        return _cartan_type(series, rank)
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
@@ -91,99 +100,160 @@ class CartanType(namedtuple("CartanType", "series rank")):
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
 
+    @cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix A, in the convention A[i][j] = <coroot_j, root_i>."""
+        r = self.rank
+        a = [[0] * i + [2] + [0] * (r - 1 - i) for i in range(r)]
 
-@lru_cache(maxsize=256)
-def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix in the convention A[i][j] = <coroot_j, root_i>."""
-    r = t.rank
-    a = [[0] * i + [2] + [0] * (r - 1 - i) for i in range(r)]
+        def edge(i, j, aij=-1, aji=-1):
+            a[i][j] = aij
+            a[j][i] = aji
 
-    def edge(i, j, aij=-1, aji=-1):
-        a[i][j] = aij
-        a[j][i] = aji
+        if self.series in ("A", "B", "C"):
+            for i in range(r - 1):
+                edge(i, i + 1)
+            if self.series == "B":
+                edge(r - 2, r - 1, -2, -1)
+            elif self.series == "C":
+                edge(r - 2, r - 1, -1, -2)
+        elif self.series == "D":
+            for i in range(r - 3):
+                edge(i, i + 1)
+            edge(r - 3, r - 2)
+            edge(r - 3, r - 1)
+        elif self.series == "E":
+            # Bourbaki: chain 1-3-4-5-..., node 2 hangs off node 4.
+            chain = [0] + list(range(2, r))
+            for i, j in zip(chain, chain[1:]):
+                edge(i, j)
+            edge(1, 3)
+        elif self.series == "F":
+            edge(0, 1)
+            edge(1, 2, -2, -1)
+            edge(2, 3)
+        elif self.series == "G":
+            edge(0, 1, -1, -3)
+        return tuple(tuple(row) for row in a)
 
-    if t.series in ("A", "B", "C"):
-        for i in range(r - 1):
-            edge(i, i + 1)
-        if t.series == "B":
-            edge(r - 2, r - 1, -2, -1)
-        elif t.series == "C":
-            edge(r - 2, r - 1, -1, -2)
-    elif t.series == "D":
-        for i in range(r - 3):
-            edge(i, i + 1)
-        edge(r - 3, r - 2)
-        edge(r - 3, r - 1)
-    elif t.series == "E":
-        # Bourbaki: chain 1-3-4-5-..., node 2 hangs off node 4.
-        chain = [0] + list(range(2, r))
-        for i, j in zip(chain, chain[1:]):
-            edge(i, j)
-        edge(1, 3)
-    elif t.series == "F":
-        edge(0, 1)
-        edge(1, 2, -2, -1)
-        edge(2, 3)
-    elif t.series == "G":
-        edge(0, 1, -1, -3)
-    return tuple(tuple(row) for row in a)
+    @cached_property
+    def neighbours(self) -> list[list[int]]:
+        """The neighbours of each node of A's Dynkin graph: r - 1 edges, so a tree if connected."""
+        r = self.rank
+        near = [[j for j in compress(range(r), row) if j != i] for i, row in enumerate(self.cartan)]
+        if sum(map(len, near)) != 2 * r - 2:
+            raise ArithmeticError("Dynkin graph is not a tree")
+        return near
 
+    def column(self, i: int, weight: bool) -> tuple[int, list[int]]:
+        """(det A, y): y / det A is row i of A^-1 (the fundamental weight, A^T w = e_i) if weight,
+        else column i (the coweight, A x = e_i), in O(r) integers.  Eliminating A leaf first on its
+        tree rooted at i has no fill-in, and node j's pivot 2 - sum A[j][c] * A[c][j] / pivot(c)
+        over its children c is s_j / p_j, s_j the determinant of j's subtree and p_j the product of
+        its children's: det A = s_i, y_i = p_i, and down each edge y_c = -M[c][j] y_j p_c / s_c."""
+        a, near, r = self.cartan, self.neighbours, self.rank
+        order, parent = [i], {i: None}
+        for j in order:
+            kids = [c for c in near[j] if c not in parent]
+            parent.update(dict.fromkeys(kids, j))
+            order += kids
+        if len(order) != r:
+            raise ArithmeticError("Dynkin graph is not connected")
+        s, p, y = [2] * r, [1] * r, [0] * r
+        for c in reversed(order[1:]):
+            j = parent[c]
+            s[j], p[j] = s[j] * s[c] - a[j][c] * a[c][j] * p[c] * p[j], p[j] * s[c]
+        if s[i] <= 0:
+            raise ArithmeticError(f"Cartan determinant {s[i]} is not positive")
+        y[i] = p[i]
+        for c in order[1:]:
+            j = parent[c]
+            y[c], rest = divmod(-(a[j][c] if weight else a[c][j]) * y[j] * p[c], s[c])
+            if rest:
+                raise ArithmeticError("the adjugate of the Cartan matrix is not integral")
+        return s[i], y
 
-@lru_cache(maxsize=256)
-def cartan_determinant(t: CartanType) -> int:
-    """det A > 0, the determinant of the whole tree in _tree_column's elimination."""
-    return _tree_column(t, 0, weight=True)[0]
+    @cached_property
+    def det(self) -> int:  # det A > 0, the determinant of the whole tree in column's elimination
+        return self.column(0, weight=True)[0]
 
+    @cached_property
+    def norms(self) -> tuple[int, ...]:
+        """c_i = (coroot_i, coroot_i)/2, normalized so the minimum is 1, by series (Bourbaki, Lie
+        VI, plates), checked on each nonzero entry, the tree's edges: c_i * A[i][j] == c_j *
+        A[j][i].  Both sides vanish off the edges, so this is the symmetry of the invariant form."""
+        r, a = self.rank, self.cartan
+        cs = {"B": (1,) * (r - 1) + (2,), "C": (2,) * (r - 1) + (1,), "F": (1, 1, 2, 2),
+              "G": (3, 1)}.get(self.series, (1,) * r)
+        if any(cs[i] * a[i][j] != cs[j] * a[j][i] for i, js in enumerate(self.neighbours)
+               for j in js):
+            raise ArithmeticError("invariant form is not symmetric")
+        return cs
 
-@lru_cache(maxsize=256)
-def _neighbours(t: CartanType) -> list[list[int]]:
-    """The neighbours of each node of A's Dynkin graph: r - 1 edges, so a tree if connected."""
-    a, r = cartan_matrix(t), t.rank
-    near = [[j for j in compress(range(r), row) if j != i] for i, row in enumerate(a)]
-    if sum(map(len, near)) != 2 * r - 2:
-        raise ArithmeticError("Dynkin graph is not a tree")
-    return near
+    @cached_property
+    def scaled_norms(self) -> tuple[int, ...]:
+        """D_j = lcm(c) / c_j: A * diag(D) is lcm(c) times the invariant form on the simple roots,
+        (root_i, root_j) = A[i][j] / c_j, symmetric as the norms are checked to be."""
+        return tuple(lcm(*self.norms) // x for x in self.norms)
 
+    @cached_property
+    def form(self) -> CanonicalForm:
+        """The invariant form with short coroots of squared length 2, (coroot_i, coroot_j) =
+        c_j * A[j][i], symmetric as the norms are checked to be."""
+        a, cs = self.cartan, self.norms
+        gram = tuple(tuple(c * row[i] for c, row in zip(cs, a)) for i in range(self.rank))
+        if any(gram[i][i] != 2 * c for i, c in enumerate(cs)):
+            raise ArithmeticError("diagonal of the invariant form is off")
+        return CanonicalForm(gram)
 
-def _tree_column(t: CartanType, i: int, weight: bool) -> tuple[int, list[int]]:
-    """(det A, y): y / det A is row i of A^-1 (the fundamental weight, A^T w = e_i) if weight,
-    else column i (the coweight, A x = e_i), in O(r) integers.  Eliminating A leaf first on its
-    Dynkin tree rooted at i has no fill-in, and node j's pivot 2 - sum A[j][c] * A[c][j] / pivot(c)
-    over its children c is s_j / p_j, s_j the determinant of j's subtree and p_j the product of
-    its children's: det A = s_i, y_i = p_i, and down each edge y_c = -M[c][j] * y_j * p_c / s_c."""
-    a, near, r = cartan_matrix(t), _neighbours(t), t.rank
-    order, parent = [i], {i: None}
-    for j in order:
-        kids = [c for c in near[j] if c not in parent]
-        parent.update(dict.fromkeys(kids, j))
-        order += kids
-    if len(order) != r:
-        raise ArithmeticError("Dynkin graph is not connected")
-    s, p, y = [2] * r, [1] * r, [0] * r
-    for c in reversed(order[1:]):
-        j = parent[c]
-        s[j], p[j] = s[j] * s[c] - a[j][c] * a[c][j] * p[c] * p[j], p[j] * s[c]
-    if s[i] <= 0:
-        raise ArithmeticError(f"Cartan determinant {s[i]} is not positive")
-    y[i] = p[i]
-    for c in order[1:]:
-        j = parent[c]
-        y[c], rest = divmod(-(a[j][c] if weight else a[c][j]) * y[j] * p[c], s[c])
-        if rest:
-            raise ArithmeticError("the adjugate of the Cartan matrix is not integral")
-    return s[i], y
+    @cached_property
+    def weight_rows(self) -> tuple[int, tuple]:  # the minuscule rows that span P over Z^r
+        return self._minuscule(weight=True)
 
+    @cached_property
+    def coweight_rows(self) -> tuple[int, tuple]:  # those that span P^v
+        return self._minuscule(weight=False)
 
-@lru_cache(maxsize=256)
-def coroot_norms(t: CartanType) -> tuple[int, ...]:
-    """c_i = (coroot_i, coroot_i)/2, normalized so the minimum is 1, by series (Bourbaki, Lie VI,
-    plates), checked on each nonzero entry, the tree's edges: c_i * A[i][j] == c_j * A[j][i]."""
-    r, a = t.rank, cartan_matrix(t)
-    cs = {"B": (1,) * (r - 1) + (2,), "C": (2,) * (r - 1) + (1,), "F": (1, 1, 2, 2),
-          "G": (3, 1)}.get(t.series, (1,) * r)
-    if any(cs[i] * a[i][j] != cs[j] * a[j][i] for i, js in enumerate(_neighbours(t)) for j in js):
-        raise ArithmeticError("invariant form is not symmetric")
-    return cs
+    def _minuscule(self, weight: bool) -> tuple[int, tuple]:
+        """(det A, rows): the minuscule fundamental weights (coweights unless weight), integer rows
+        over det A that generate P/Q (P^v/Q^v; Bourbaki, Lie VIII, 7.3), or a zero row."""
+        r, swap = self.rank, {} if weight else {"B": "C", "C": "B"}  # P^v of B_r is P of C_r
+        nodes = {"A": [0], "B": [r - 1], "C": [0], "D": [r - 2, r - 1],
+                 "E": {6: [0], 7: [6]}.get(r, [])}.get(swap.get(self.series, self.series), [])
+        rows = tuple(tuple(self.column(i, weight)[1]) for i in nodes)
+        return self.det, rows or ((0,) * r,)
+
+    @cached_property
+    def root_lattice(self) -> Lattice:  # Q, and Q^v: Z^r
+        return Lattice.standard(self.rank)
+
+    @cached_property
+    def weight_lattice(self) -> Lattice:  # P, Z^r plus the minuscule fundamental weights
+        return standard_plus(*self.weight_rows)[0]
+
+    @cached_property
+    def coweight_lattice(self) -> Lattice:  # P^v, Z^r plus the minuscule coweights
+        return standard_plus(*self.coweight_rows)[0]
+
+    @cached_property
+    def so_lattices(self) -> tuple[Lattice, Lattice]:  # D-odd "so": Q + the vector weight
+        return _quotient_lattices(self, (fundamental_weight(self, 0),))
+
+    @cached_property
+    def dual_coxeter(self) -> int:
+        """h, solved and checked on one simple coroot per length: the root pass checks that each s_i
+        permutes the roots, so y -> sum_roots <y, root> * root - 2h * iota(y) is W-equivariant, and
+        in an irreducible system the coroots of one length are W-conjugate (Humphreys, 10.4 C)."""
+        cs = self.norms
+        nodes = [cs.index(c) for c in sorted(set(cs))]
+        sums = reflection_sum(self, nodes)
+        h = Fraction(sums[0][nodes[0]], 2 * cs[nodes[0]])  # solved on the first of them
+        for j, total in zip(nodes, sums):
+            if any(x != (2 * h * cs[j] if i == j else 0) for i, x in enumerate(total)):
+                raise ArithmeticError("reflection-sum identity failed on coroots")
+        if h.denominator != 1 or h <= 0:
+            raise ArithmeticError(f"invalid dual Coxeter number {h}")
+        return int(h)
 
 
 # Images under a simple reflection sit at most 3 heights below a root: c = <coroot_i, g>
@@ -235,31 +305,9 @@ def _positive_roots(a):
             yield root, coroot, labels
 
 
-@lru_cache(maxsize=256)
-def root_lattice(t: CartanType) -> Lattice:
-    return Lattice.standard(t.rank)
-
-
-@lru_cache(maxsize=256)
-def weight_lattice(t: CartanType, cocharacters: bool = False) -> Lattice:
-    """P, Z^r plus the minuscule fundamental weights (P^v and coweights if cocharacters)."""
-    return standard_plus(*_minuscule(t, cocharacters))[0]
-
-
-@lru_cache(maxsize=256)
-def _minuscule(t: CartanType, cocharacters: bool) -> tuple[int, tuple]:
-    """(det A, rows): the minuscule fundamental weights of t (coweights if cocharacters), which
-    generate P/Q (P^v/Q^v; Bourbaki, Lie VIII, 7.3), as integer rows over det A, or a zero row."""
-    r, swap = t.rank, {"B": "C", "C": "B"} if cocharacters else {}  # P^v of B_r is P of C_r
-    nodes = {"A": [0], "B": [r - 1], "C": [0], "D": [r - 2, r - 1],
-             "E": {6: [0], 7: [6]}.get(r, [])}.get(swap.get(t.series, t.series), [])
-    rows = tuple(tuple(_tree_column(t, i, weight=not cocharacters)[1]) for i in nodes)
-    return cartan_determinant(t), rows or ((0,) * r,)
-
-
 def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
     """The weight pairing to 1 with coroot i and to 0 with the others."""
-    d, y = _tree_column(t, i, weight=True)
+    d, y = t.column(i, weight=True)
     return tuple(Fraction(v, d) for v in y)
 
 
@@ -307,7 +355,7 @@ class RootDatum:
         """G_Y, the Gram matrix of the invariant form on the canonical basis of
         Y, as (s, rows) with (Y.basis[a], Y.basis[b]) == rows[a][b] / s and
         s == Y.den ** 2; built on first use, once per datum."""
-        rows = mat_mul(mat_mul(self.Y.rows, canonical_form(self).gram), transpose(self.Y.rows))
+        rows = mat_mul(mat_mul(self.Y.rows, self.cartan_type.form.gram), transpose(self.Y.rows))
         return self.Y.den ** 2, tuple(map(tuple, rows))
 
     @cached_property
@@ -325,13 +373,13 @@ class RootDatum:
         (s, gram), k, t, x = self.gram, self.k, self.cartan_type, self.X
         if any(k * v % s for row in gram for v in row):
             raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
-        cs, outside = coroot_norms(t), [row for row in x.rows if any(v % x.den for v in row)]
+        cs, outside = t.norms, [row for row in x.rows if any(v % x.den for v in row)]
         c, den = lcm(*cs), k * lcm(*cs) * x.den ** 2  # G_X / k = rows @ form @ rows^T / den
-        form = [[a * (c // cj) for a, cj in zip(row, cs)] for row in cartan_matrix(t)]
+        form = [[a * dj for a, dj in zip(row, t.scaled_norms)] for row in t.cartan]
         period = _denominator_lcm(den, [*mat_mul(mat_mul(outside, form), transpose(x.rows)),
                                         [den // (k * ci) for ci in cs]])
         if any(period % (k * ci) for ci in cs) or not all(numerators_member(
-                [period // k * (c // cj) * v for v, cj in zip(row, cs)], c * x.den, self.Y)
+                [period // k * dj * v for v, dj in zip(row, t.scaled_norms)], c * x.den, self.Y)
                 for row in outside):
             raise ArithmeticError(f"period {period} does not carry X into k * iota(Y)")
         return period
@@ -363,7 +411,7 @@ def _invariants_over_z(lat: Lattice, t: CartanType) -> tuple[int, ...]:
     m, rest = divmod(den ** t.rank, _pivots(lat))
     if rest or m % den or den % (m // den):
         raise ArithmeticError("Hermite pivots give no quotient of two invariant factors")
-    if cartan_determinant(t) % m:
+    if t.det % m:
         raise ArithmeticError("index over the roots does not divide the Cartan determinant")
     return tuple(f for f in (m // den, den) if f > 1)
 
@@ -381,11 +429,11 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
     if not isinstance(isogeny, str):
         x, y = _quotient_lattices(t, tuple(tuple(Fraction(v) for v in g) for g in isogeny))
     elif isogeny == "sc":
-        x, y = weight_lattice(t), root_lattice(t)  # Q^v = Z^r, as Q is
+        x, y = t.weight_lattice, t.root_lattice  # Q^v = Z^r, as Q is
     elif isogeny == "adjoint" or (isogeny == "so" and t.series == "B"):
-        x, y = root_lattice(t), weight_lattice(t, cocharacters=True)
+        x, y = t.root_lattice, t.coweight_lattice
     elif isogeny == "so" and t.series == "D" and t.rank % 2 == 1:
-        x, y = _vector_lattices(t)  # Q and the weight of the vector representation
+        x, y = t.so_lattices
     elif isogeny == "so" and t.series == "D":
         raise ValueError("series D of even rank has three index-two forms; "
                          "pass explicit generators instead of 'so'")
@@ -397,15 +445,10 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
 
 
 @lru_cache(maxsize=256)
-def _vector_lattices(t: CartanType) -> tuple[Lattice, Lattice]:  # D-odd "so", once per type
-    return _quotient_lattices(t, (fundamental_weight(t, 0),))
-
-
-@lru_cache(maxsize=256)
 def _quotient_lattices(t: CartanType, gens: tuple) -> tuple[Lattice, Lattice]:
     """(X, Y) for X = Q + span(gens), weight-lattice rows gens, built once per (type, rows);
     Y is the annihilator of the generators of X / Q that standard_plus keeps."""
-    a, r = cartan_matrix(t), t.rank
+    a, r = t.cartan, t.rank
     e = lcm(1, *(v.denominator for g in gens for v in g))
     rows = [[int(v * e) for v in g] for g in gens]  # e * G
     for g, row in zip(gens, rows):  # a weight: each <coroot_j, g> = (g @ A)[j] is an integer
@@ -419,9 +462,9 @@ def annihilator_plus(t: CartanType, den: int, gens, cocharacters: bool) -> tuple
     """standard_plus of Z^r and the elements of P/Q (P^v/Q^v if cocharacters) of type t that
     pair integrally with each row v / den of gens: the dual of Z^r + span(gens) / den, a
     lattice between the coroots and the coweights (roots and weights).  P/Q is listed from the
-    at most two minuscule rows w / m of _minuscule, so it has at most det A cosets, and with
-    a = A (A^T) the pairing of w / m with v / den is w . (a v) / (m * den)."""
-    cartan, (m, minuscule) = cartan_matrix(t), _minuscule(t, cocharacters)
+    at most two minuscule rows w / m of t.weight_rows (coweight_rows), so it has at most det A
+    cosets, and with a = A (A^T) the pairing of w / m with v / den is w . (a v) / (m * den)."""
+    cartan, (m, minuscule) = t.cartan, t.coweight_rows if cocharacters else t.weight_rows
     images = mat_mul(gens, cartan if cocharacters else transpose(cartan))  # row i is a v_i
     group, _ = span_mod(m, minuscule)
     return standard_plus(m, [w for w in group if all(
@@ -449,7 +492,7 @@ def _validate_datum(d: RootDatum) -> None:
     special rows of X and Y are read, with the verdict of all: a row den * e_i passes the first
     two checks, den * A[i] = 0 mod den, and its pairings with rows v of Y (u of X), x.den *
     (v @ A^T)_i (y.den * (u @ A)_j), are 0 mod x.den * y.den when the second (first) holds."""
-    a = cartan_matrix(d.cartan_type)
+    a = d.cartan_type.cartan
     x, y, ys = d.X, d.Y, _special_rows(d.Y)
     xa = mat_mul(_special_rows(x), a)
     if any(v % x.den for row in xa for v in row):
@@ -459,35 +502,15 @@ def _validate_datum(d: RootDatum) -> None:
     pairs = mat_mul(xa, transpose(ys))  # the special rows' X.rows @ A @ Y.rows^T
     den = x.den * y.den
     if any(v % den for row in pairs for v in row) or \
-            _pivots(x) * _pivots(y) * cartan_determinant(d.cartan_type) != den ** d.rank:
+            _pivots(x) * _pivots(y) * d.cartan_type.det != den ** d.rank:
         raise ArithmeticError("pairing of the character and cocharacter lattices is not perfect")
-
-
-def canonical_form(d: RootDatum | CartanType) -> CanonicalForm:
-    """The invariant form with short coroots of squared length 2."""
-    return _canonical_form(d if isinstance(d, CartanType) else d.cartan_type)
-
-
-@lru_cache(maxsize=256)
-def _canonical_form(t: CartanType) -> CanonicalForm:
-    a = cartan_matrix(t)
-    cs = coroot_norms(t)
-    r = t.rank
-    gram = [[cs[j] * a[j][i] for j in range(r)] for i in range(r)]
-    for i in range(r):
-        for j in range(r):
-            if gram[i][j] != gram[j][i]:
-                raise ArithmeticError("invariant form is not symmetric")
-        if gram[i][i] != 2 * cs[i]:
-            raise ArithmeticError("diagonal of the invariant form is off")
-    return CanonicalForm(tuple(tuple(row) for row in gram))
 
 
 def reflection_sum(t: CartanType, nodes) -> tuple[tuple[int, ...], ...]:
     """Row j for each node j: the integer sum over all roots b of <coroot_j, b> * b, summed as
     the positive roots b, all checked, stream past with their labels; no root is kept."""
     total = [[0] * t.rank for _ in nodes]
-    for root, _, labels in _positive_roots(cartan_matrix(t)):
+    for root, _, labels in _positive_roots(t.cartan):
         for j, row in zip(nodes, total):
             if c := labels.get(j):
                 for i in compress(range(t.rank), root):
@@ -495,25 +518,6 @@ def reflection_sum(t: CartanType, nodes) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, total))
 
 
-@lru_cache(maxsize=256)
-def _dual_coxeter_value(t: CartanType) -> int:
-    """h, solved and checked on one simple coroot per length: the root pass checks that each s_i
-    permutes the roots, so y -> sum_roots <y, root> * root - 2h * iota(y) is W-equivariant, and
-    in an irreducible system the coroots of one length are W-conjugate (Humphreys, 10.4 C)."""
-    cs = coroot_norms(t)
-    nodes = [cs.index(c) for c in sorted(set(cs))]
-    sums = reflection_sum(t, nodes)
-    h = Fraction(sums[0][nodes[0]], 2 * cs[nodes[0]])  # solved on the first of them
-    for j, total in zip(nodes, sums):
-        if any(x != (2 * h * cs[j] if i == j else 0) for i, x in enumerate(total)):
-            raise ArithmeticError("reflection-sum identity failed on coroots")
-    if h.denominator != 1 or h <= 0:
-        raise ArithmeticError(f"invalid dual Coxeter number {h}")
-    return int(h)
-
-
 def dual_coxeter(d: RootDatum) -> int:
-    """Dual Coxeter number, solved once per Cartan type from the identity
-    sum_roots <y, root> * root == 2 * h * iota(y), checked on one simple
-    coroot of each length and hence on all of Y."""
-    return _dual_coxeter_value(d.cartan_type)
+    """Dual Coxeter number, solved once per Cartan type (CartanType.dual_coxeter)."""
+    return d.cartan_type.dual_coxeter

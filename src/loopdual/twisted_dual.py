@@ -29,8 +29,7 @@ from math import gcd, lcm, prod
 
 from .dynkin import group_name
 from .lattice import Lattice, numerators_member, standard_plus, vector_text
-from .root_data import (CartanType, RootDatum, _neighbours, _special_rows, annihilator_plus,
-                        cartan_determinant, cartan_matrix, coroot_norms, root_datum)
+from .root_data import CartanType, RootDatum, _special_rows, annihilator_plus, root_datum
 
 
 def local_denominators(d: RootDatum, order: int) -> tuple[int, ...]:
@@ -41,7 +40,7 @@ def local_denominators(d: RootDatum, order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise ValueError(f"twisting order must be positive, got {order}")
-    return tuple(order // gcd(order, d.k * c) for c in coroot_norms(d.cartan_type))
+    return tuple(order // gcd(order, d.k * c) for c in d.cartan_type.norms)
 
 
 def dual_character_lattice(d: RootDatum, order: int) -> Lattice:
@@ -67,7 +66,7 @@ class TwistedDualData(namedtuple("TwistedDualData", "source order denominator lo
 
 def twisted_dual(d: RootDatum, order: int) -> TwistedDualData:
     """Compute the dual root datum of the order-N twisted setting."""
-    delta, k, cs = local_denominators(d, order), d.k, coroot_norms(d.cartan_type)
+    delta, k, cs = local_denominators(d, order), d.k, d.cartan_type.norms
     for i, (c, di) in enumerate(zip(cs, delta)):  # N | k * c_i * delta_i: delta_i * coroot_i is
         # in Y_{Q,N}; delta_i * gcd(N, k * c_i) | N: root_i / delta_i is in X + (k/N) * iota(Y)
         if k * c * di % order or order % (di * gcd(order, k * c)):
@@ -94,17 +93,17 @@ def _dual_type(t: CartanType, delta) -> tuple[CartanType, tuple[int, ...]]:
 
 def _class_dual(d: RootDatum, order: int, delta) -> tuple:
     """(relabeling, dual record, its name) for the class of order, built and checked: A' is 2 on
-    its diagonal and 0 off the source tree's r - 1 edges, and std's tree has r - 1 (_neighbours),
+    its diagonal and 0 off the source tree's r - 1 edges, and std's tree has r - 1 (neighbours),
     so a permutation sigma that takes each edge, both ways, to an equal entry takes A' to std."""
     dual_type, sigma = _dual_type(d.cartan_type, delta)
-    a, std, r = cartan_matrix(d.cartan_type), cartan_matrix(dual_type), d.rank
-    _neighbours(dual_type)  # raises unless the standard graph has r - 1 edges
+    t, a, std, r = d.cartan_type, d.cartan_type.cartan, dual_type.cartan, d.rank
+    dual_type.neighbours  # raises unless the standard graph has r - 1 edges
     if sorted(sigma) != list(range(r)) or any(
             delta[i] * a[j][i] != std[sigma[i]][sigma[j]] * delta[j]
-            for i, js in enumerate(_neighbours(d.cartan_type)) for j in js):
+            for i, js in enumerate(t.neighbours) for j in js):
         raise ArithmeticError("relabeling does not carry the rescaled "
                               "Cartan matrix to the standard one")
-    k, cs = d.k, coroot_norms(d.cartan_type)
+    k, cs = d.k, t.norms
     ylat, ygens = _dual_cocharacters(d, order, delta, sorted(range(r), key=sigma.__getitem__))
     xlat, xgens = annihilator_plus(dual_type, ylat.den, ygens, cocharacters=False)
     for v in xgens:  # in the source's coordinates, y in Y and (k/N) * iota(y) in X
@@ -115,7 +114,7 @@ def _class_dual(d: RootDatum, order: int, delta) -> tuple:
                                   "of the dual character lattice is not in Y_Q,N")
     dual = root_datum(dual_type, xlat, ylat)
     # [X:Q] * [Y:Q^v] == [P:Q] holds exactly when Y is the dual of X
-    if prod(dual.center) * prod(dual.pi1) != cartan_determinant(dual_type):
+    if prod(dual.center) * prod(dual.pi1) != dual_type.det:
         raise ArithmeticError("center times fundamental group does not match "
                               "the Cartan determinant")
     return sigma, dual, group_name(dual)
@@ -130,7 +129,7 @@ def _dual_cocharacters(d: RootDatum, order: int, delta, source) -> tuple[Lattice
     standard_plus, whose kept rows come back too); source is the inverse of sigma.  A row x.den *
     e_i (y.den * e_i) left out is delta_i (k * c_i * delta_i / N, an integer, as twisted_dual
     checks) times den * e_sigma(i), so 0 mod den."""
-    x, y, k, cs = d.X, d.Y, d.k, coroot_norms(d.cartan_type)
+    x, y, k, cs = d.X, d.Y, d.k, d.cartan_type.norms
     den = lcm(x.den, y.den)
     from_x = [delta[i] * (den // x.den) for i in source]
     from_y = [k * cs[i] // (order // delta[i]) * (den // y.den) for i in source]

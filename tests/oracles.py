@@ -51,8 +51,7 @@ from operator import mul
 from loopdual.central_ext import commutator_value
 from loopdual.lattice import Lattice, det_int, hermite_mod, lattice_member, mat_mul, transpose
 from loopdual.loop_symbols import Series
-from loopdual.root_data import (CartanType, RootDatum, canonical_form, cartan_matrix,
-                                coroot_norms, weight_lattice)
+from loopdual.root_data import CartanType, RootDatum
 
 
 def element(p: int, x):
@@ -149,7 +148,7 @@ def series_sub(f, g) -> Window:
 
 def iota(t: CartanType, yvec) -> tuple[Fraction, ...]:
     """The invariant-form embedding of cocharacters into characters, c_i * y_i."""
-    return tuple(Fraction(c * y) for c, y in zip(coroot_norms(t), yvec))
+    return tuple(Fraction(c * y) for c, y in zip(t.norms, yvec))
 
 
 class RootSystem(namedtuple("RootSystem", "simple_roots functionals positive_roots rho")):
@@ -172,7 +171,7 @@ def root_system(ws) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def _root_system(t: CartanType) -> RootSystem:
-    a, r = cartan_matrix(t), t.rank  # a[i][j] = <coroot_j, root_i>
+    a, r = t.cartan, t.rank  # a[i][j] = <coroot_j, root_i>
     functionals = tuple(tuple(Fraction(a[j][i]) for j in range(r)) for i in range(r))
     simple = tuple(tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r))
     positive = tuple(sorted(tuple(map(Fraction, root))
@@ -255,7 +254,7 @@ def root_closure(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 def reflection_sum(t: CartanType, yvec) -> tuple:
     """sum over all roots of <y, root> * root, on the character side, over
     the dense closure of the simple roots."""
-    a = cartan_matrix(t)
+    a = t.cartan
     r = t.rank
     ay = [sum(a[i][j] * yvec[j] for j in range(r)) for i in range(r)]
     total = [0] * r
@@ -326,7 +325,7 @@ def dual_cartan_matrix(d: RootDatum, delta) -> tuple[tuple[int, ...], ...]:
     """A' = diag(delta) * A^T * diag(delta)^-1, the Cartan matrix of the rescaled coroots
     delta_i * coroot_i in the source numbering, entry by entry in Fractions; every entry
     must be an integer."""
-    a, r = cartan_matrix(d.cartan_type), d.rank
+    a, r = d.cartan_type.cartan, d.rank
     out = [[Fraction(delta[i] * a[j][i], delta[j]) for j in range(r)] for i in range(r)]
     assert all(x.denominator == 1 for row in out for x in row), out
     return tuple(tuple(int(x) for x in row) for row in out)
@@ -673,7 +672,7 @@ def congruence_kernel(mat, modulus: int) -> Lattice:
 def level_gram(datum: RootDatum) -> tuple[int, list[list[int]]]:
     """(k, k * G_Y), with G_Y and k recomputed by dense products."""
     y = datum.Y
-    gram = dense_mat_mul(dense_mat_mul(y.rows, canonical_form(datum).gram), transpose(y.rows))
+    gram = dense_mat_mul(dense_mat_mul(y.rows, datum.cartan_type.form.gram), transpose(y.rows))
     s = y.den ** 2
     k = lcm(*(s // gcd(s, x) for row in gram for x in row))
     return k, [[k * x // s for x in row] for row in gram]
@@ -691,7 +690,7 @@ def period_by_smith(datum: RootDatum) -> int:
     its cokernel Y^*/(k * G_Y) Y, which the pairing identifies with X / k * iota(Y)."""
     k, b = level_gram(datum)
     _, d, _ = smith_normal_form(b)
-    return lcm(d[-1][-1], *(k * c for c in coroot_norms(datum.cartan_type)))
+    return lcm(d[-1][-1], *(k * c for c in datum.cartan_type.norms))
 
 
 def pairing_numerator(a, ynums, xnums) -> int:
@@ -768,7 +767,7 @@ def invariant_factors_by_minors(mat) -> tuple[int, ...]:
 
 def two_rho(d: RootDatum) -> tuple[int, ...]:
     """Sum of the positive roots; pairs to 2 against every simple coroot."""
-    a = cartan_matrix(d.cartan_type)
+    a = d.cartan_type.cartan
     out = tuple(map(sum, zip(*(root for root, _ in root_closure(a) if min(root) >= 0))))
     for i in range(d.rank):
         if pairing_numerator(a, [int(i == j) for j in range(d.rank)], out) != 2:
@@ -797,7 +796,7 @@ def _span_mod1(zero, gens) -> frozenset:
 
 def weight_classes(t: CartanType) -> list[tuple[Fraction, ...]]:
     """Coset representatives (in [0,1) coordinates) for weights mod roots."""
-    gens = [_mod1(row) for row in weight_lattice(t).basis]
+    gens = [_mod1(row) for row in t.weight_lattice.basis]
     return sorted(_span_mod1((Fraction(0),) * t.rank, gens))
 
 

@@ -30,12 +30,7 @@ from loopdual.rep_check import (
     tensor_multiplicity,
     weyl_dim,
 )
-from loopdual.root_data import (
-    build_datum,
-    cartan_matrix,
-    dual_coxeter,
-    fundamental_weight,
-)
+from loopdual.root_data import build_datum, dual_coxeter, fundamental_weight
 from loopdual.twisted_dual import (
     REFERENCE_FAMILIES,
     dual_character_lattice,
@@ -288,7 +283,7 @@ def test_criterion_09_structural_invariants():
     for name in all_types(8):
         for isogeny in ("sc", "adjoint"):
             datum = build_datum(name, isogeny)
-            a = cartan_matrix(datum.cartan_type)
+            a = datum.cartan_type.cartan
             r = datum.rank
             for order in range(1, 9):
                 delta = local_denominators(datum, order)

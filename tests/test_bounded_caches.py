@@ -1,5 +1,7 @@
 """No cache in the package grows for the life of the process: every functools.lru_cache
-wrapper of the eight modules, at module level or on a class, has a finite maxsize."""
+wrapper of the eight modules, at module level or on a class, has a finite maxsize.  A Cartan
+type keeps its invariants as attributes, so root_data has one per-type cache, the factory of
+types, besides the records and the explicit quotients."""
 
 import importlib
 
@@ -25,6 +27,8 @@ def _lru_caches():
 def test_every_lru_cache_has_a_finite_bound():
     caches = dict(_lru_caches())
     assert {"root_data.root_datum", "rep_check._engine", "rep_check._Engine.tensor"} <= set(caches)
+    assert {name for name in caches if name.startswith("root_data.")} == \
+        {"root_data._cartan_type", "root_data.root_datum", "root_data._quotient_lattices"}
     unbounded = sorted(name for name, fn in caches.items()
                        if fn.cache_parameters()["maxsize"] is None)
     assert unbounded == []

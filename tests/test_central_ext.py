@@ -13,7 +13,7 @@ from loopdual.central_ext import (
     is_prime,
     monodromy_modulus,
 )
-from loopdual.root_data import RootDatum, build_datum, canonical_form, dual_coxeter
+from loopdual.root_data import RootDatum, build_datum, dual_coxeter
 from loopdual.twisted_dual import twisted_dual
 from oracles import nonintegral_pair
 
@@ -103,7 +103,7 @@ def test_classify_extensions():
 def test_quadratic_form_polarization_and_parity():
     for name in ["A3", "B3", "C3", "D4", "F4", "G2"]:
         d = build_datum(name, "sc")
-        form = canonical_form(d)
+        form = d.cartan_type.form
         rows = [tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank)]
         for y1 in rows:
             for y2 in rows:

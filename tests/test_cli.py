@@ -837,14 +837,11 @@ RANK_120_128_PINS = [  # (type, isogeny, N, stdout sha256), N None for `extensio
 ]
 
 
-def test_rank_120_to_128_outputs_are_pinned():
+def test_rank_120_to_128_outputs_are_pinned(cold_types):
     """The benchmark's goldens stop at rank 11: these calls above it, on cold records, with
     A127's mu2 quotient by the row 1/2, 0, 1/2, ..., and a cold root pass for `extensions`,
     print what they printed before, in 1.5 s at most."""
     mu2 = json.dumps([["1/2" if i % 2 == 0 else "0" for i in range(127)]])
-    for cache in (root_data.root_datum, root_data._quotient_lattices,
-                  root_data._vector_lattices, root_data._dual_coxeter_value):
-        cache.cache_clear()
     start, moved = time.perf_counter(), []
     for type_name, isogeny, order, digest in RANK_120_128_PINS:
         argv = ["dual" if order else "extensions", "--type", type_name,
@@ -856,7 +853,7 @@ def test_rank_120_to_128_outputs_are_pinned():
     assert time.perf_counter() - start < 1.5
 
 
-def test_large_rank_goldens_invert_no_matrix_and_recognize_no_dual():
+def test_large_rank_goldens_invert_no_matrix_and_recognize_no_dual(cold_types):
     """Replayed on cold caches, no large-rank golden runs lattice.mat_inv or reaches
     recognize_cartan_matrix: twisted_dual reads the dual's type off the rule, rep_check's
     stabilizer orders come from root heights, and P, P^v and det A from the Dynkin tree."""
@@ -867,9 +864,7 @@ def test_large_rank_goldens_invert_no_matrix_and_recognize_no_dual():
         if event == "call" and frame.f_code in watched:
             callers.append((frame.f_code.co_name, frame.f_back.f_code.co_qualname))
 
-    for cache in (root_data.root_datum, root_data.cartan_determinant, root_data._neighbours,
-                  root_data._minuscule, root_data.weight_lattice, dynkin._recognize):
-        cache.cache_clear()
+    dynkin._recognize.cache_clear()
     sys.setprofile(spy)
     try:
         checked, mismatched = _replay("large-rank", lambda argv: argv[0] != "tensor")

@@ -18,7 +18,7 @@ from loopdual import root_data
 from loopdual import twisted_dual as td
 from loopdual.cli import run
 from loopdual.lattice import Lattice, identity_matrix, standard_plus
-from loopdual.root_data import CartanType, build_datum, cartan_matrix
+from loopdual.root_data import CartanType, build_datum
 from oracles import all_isogenies, dual_lattice_by_smith
 
 ALL_TYPES = (
@@ -44,7 +44,7 @@ def test_every_record_of_rank_at_most_8_has_the_smith_dual_of_its_characters():
             for d in [source] + [td.twisted_dual(source, order).dual for order in range(1, 13)]:
                 key = d.cartan_type, d.X
                 if key not in smith:
-                    smith[key] = dual_lattice_by_smith(d.X, cartan_matrix(d.cartan_type))
+                    smith[key] = dual_lattice_by_smith(d.X, d.cartan_type.cartan)
                 assert d.Y == smith[key], (str(t), str(d.cartan_type), d.X)
     assert len(smith) > 80  # the sources and their duals reach this many (type, X)
 
@@ -59,7 +59,7 @@ def test_the_dual_cocharacters_from_the_special_rows_are_those_from_all_rows():
     count = 0
     for t in types:
         for d in _sources(t):
-            x, y, k, cs = d.X, d.Y, d.k, root_data.coroot_norms(t)
+            x, y, k, cs = d.X, d.Y, d.k, t.norms
             den = lcm(x.den, y.den)
             for order in range(1, 13):
                 delta = td.local_denominators(d, order)
@@ -84,7 +84,7 @@ def test_each_of_two_generators_imposes_its_congruence():
             for j in range(i + 1, t.rank):
                 d = build_datum(t, [weights[i], weights[j]])
                 if (t, d.X) not in smith:
-                    smith[t, d.X] = dual_lattice_by_smith(d.X, cartan_matrix(t))
+                    smith[t, d.X] = dual_lattice_by_smith(d.X, t.cartan)
                 assert d.Y == smith[t, d.X], (str(t), i, j)
 
 

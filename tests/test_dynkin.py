@@ -11,21 +11,13 @@ import pytest
 from loopdual import dynkin, lattice
 from loopdual.dynkin import group_name, recognize_cartan_matrix
 from loopdual.lattice import Lattice, identity_matrix
-from loopdual.root_data import (
-    CartanType,
-    build_datum,
-    cartan_matrix,
-    fundamental_weight,
-    root_datum,
-    root_lattice,
-    weight_lattice,
-)
+from loopdual.root_data import CartanType, build_datum, fundamental_weight, root_datum
 from oracles import dual_lattice_by_smith
 
 
 def _record(t, x):
     """The record of type t with character lattice x, its Y the oracle's Smith-form dual."""
-    return root_datum(t, x, dual_lattice_by_smith(x, cartan_matrix(t)))
+    return root_datum(t, x, dual_lattice_by_smith(x, t.cartan))
 
 
 # C2 and D3 are left out: their matrices are relabelings of B2 and A3 and
@@ -39,14 +31,14 @@ ALL_TYPES = (
 
 @pytest.mark.parametrize("t", ALL_TYPES, ids=str)
 def test_recognize_standard_matrices(t):
-    got, sigma = recognize_cartan_matrix([list(r) for r in cartan_matrix(t)])
+    got, sigma = recognize_cartan_matrix([list(r) for r in t.cartan])
     assert got == t
     assert sigma == tuple(range(t.rank))
 
 
 @pytest.mark.parametrize("t", ALL_TYPES, ids=str)
 def test_recognize_under_relabeling(t):
-    std = cartan_matrix(t)
+    std = t.cartan
     rng = random.Random(f"relabel-{t}")
     for _ in range(6):
         perm = list(range(t.rank))
@@ -78,7 +70,7 @@ def test_large_relabelings_come_back_quickly_as_the_smallest_sigma():
         CartanType("E", n) for n in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)]
     start = time.perf_counter()
     for t in types:
-        std = cartan_matrix(t)
+        std = t.cartan
         autos = _automorphisms(t)
         assert all(std[g[i]][g[j]] == std[i][j] for g in autos
                    for i in range(t.rank) for j in range(t.rank))
@@ -97,13 +89,13 @@ def test_recognition_reads_the_input_diagram_once(monkeypatch):
     seen, real = [], dynkin._diagram
     monkeypatch.setattr(dynkin, "_diagram", lambda mat: seen.append(mat) or real(mat))
     dynkin._recognize.cache_clear()
-    std = cartan_matrix(CartanType("C", 40))
+    std = CartanType("C", 40).cartan
     perm = list(range(40))
     random.Random("diagram-once").shuffle(perm)
     mat = tuple(tuple(std[perm[i]][perm[j]] for j in range(40)) for i in range(40))
     got, sigma = recognize_cartan_matrix(mat)
     assert got == CartanType("C", 40) and sigma == tuple(perm)
-    assert seen == [mat] + [cartan_matrix(CartanType(s, 40)) for s in "ABC"]
+    assert seen == [mat] + [CartanType(s, 40).cartan for s in "ABC"]
 
 
 def test_diagram_coincidences_are_canonicalized():
@@ -117,7 +109,7 @@ def test_diagram_coincidences_are_canonicalized():
     got, sigma = recognize_cartan_matrix([[2, -3], [-1, 2]])
     assert str(got) == "G2" and sigma == (1, 0)
     # rank three distinguishes the two-to-one directions
-    got, _ = recognize_cartan_matrix([list(r) for r in cartan_matrix(CartanType("C", 3))])
+    got, _ = recognize_cartan_matrix([list(r) for r in CartanType("C", 3).cartan])
     assert str(got) == "C3"
 
 
@@ -155,30 +147,30 @@ def test_refuses_an_infinite_root_system_up_front(mat):
 
 def test_group_names_classical():
     a1 = CartanType("A", 1)
-    assert group_name(_record(a1, weight_lattice(a1))) == "SL2"
-    assert group_name(_record(a1, root_lattice(a1))) == "PSL2"
+    assert group_name(_record(a1, a1.weight_lattice)) == "SL2"
+    assert group_name(_record(a1, a1.root_lattice)) == "PSL2"
     a3 = CartanType("A", 3)
     middle = Lattice(identity_matrix(3) + [list(fundamental_weight(a3, 1))])
     assert group_name(_record(a3, middle)) == "SL4/mu2"
-    assert group_name(_record(a3, root_lattice(a3))) == "PGL4"
+    assert group_name(_record(a3, a3.root_lattice)) == "PGL4"
     b3 = CartanType("B", 3)
-    assert group_name(_record(b3, weight_lattice(b3))) == "Spin7"
-    assert group_name(_record(b3, root_lattice(b3))) == "SO7"
+    assert group_name(_record(b3, b3.weight_lattice)) == "Spin7"
+    assert group_name(_record(b3, b3.root_lattice)) == "SO7"
     c2 = CartanType("C", 2)
-    assert group_name(_record(c2, weight_lattice(c2))) == "Sp4"
-    assert group_name(_record(c2, root_lattice(c2))) == "PSp4"
+    assert group_name(_record(c2, c2.weight_lattice)) == "Sp4"
+    assert group_name(_record(c2, c2.root_lattice)) == "PSp4"
     for name in ("E8", "F4", "G2"):
         t = CartanType.parse(name)
-        assert group_name(_record(t, weight_lattice(t))) == name
+        assert group_name(_record(t, t.weight_lattice)) == name
     e6 = CartanType("E", 6)
-    assert group_name(_record(e6, weight_lattice(e6))) == "E6_sc"
-    assert group_name(_record(e6, root_lattice(e6))) == "E6_ad"
+    assert group_name(_record(e6, e6.weight_lattice)) == "E6_sc"
+    assert group_name(_record(e6, e6.root_lattice)) == "E6_ad"
 
 
 def test_group_names_orthogonal_forms():
     d4 = CartanType("D", 4)
-    assert group_name(_record(d4, weight_lattice(d4))) == "Spin8"
-    assert group_name(_record(d4, root_lattice(d4))) == "PSO8"
+    assert group_name(_record(d4, d4.weight_lattice)) == "Spin8"
+    assert group_name(_record(d4, d4.root_lattice)) == "PSO8"
 
     def with_class(t, idx):
         return Lattice(identity_matrix(t.rank) + [list(fundamental_weight(t, idx))])

@@ -28,7 +28,7 @@ from loopdual.lattice import (
     standard_plus,
     transpose,
 )
-from loopdual.root_data import build_datum
+from loopdual.root_data import CartanType, build_datum
 
 
 def _rand_int_matrix(rng, m, n, lo=-50, hi=50):
@@ -591,6 +591,21 @@ def test_smith_diagonal_matches_the_transform_oracle():
             assert tuple(f for f in lattice.smith_normal_form(mat) if f > 1) == expected
 
 
+def test_equal_lattices_from_every_constructor_compare_and_hash_equal():
+    """P of A3, Z^3 + Z (1, 2, 3) / 4, from rational rows, from integer rows over 4, by
+    standard_plus, and from hermite_mod's rows of 4P = span((1, 2, 3)) + 4 Z^3, of index 16:
+    one value, one hash, and the hash is kept on the lattice once asked for."""
+    lattices = [Lattice(identity_matrix(3) + [[Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]]),
+                Lattice.from_int_rows(4, [[4, 0, 0], [0, 4, 0], [0, 0, 4], [1, 2, 3]]),
+                standard_plus(4, [[1, 2, 3]])[0],
+                Lattice.from_int_rows(4, hermite_mod([[1, 2, 3]], 4, 16))]
+    assert all(lat == lattices[0] for lat in lattices)
+    assert {hash(lat) for lat in lattices} == {hash((4, lattices[0].rows))}
+    assert all(lat._hash == hash(lat) for lat in lattices)
+    assert lattices[0] != Lattice.standard(3)
+    assert hash(Lattice.standard(3)) == hash((1, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+
+
 def test_hermite_mod_generator_proof_fires(monkeypatch):
     # a Bezout step that loses the second row of its pair: the form spans too little
     real = lattice._bezout_rows
@@ -620,13 +635,14 @@ def test_invariant_factor_product_check_fires(monkeypatch):
     ("prod", lambda real: lambda rows: 2 * real(rows),
      "Hermite pivots give no quotient of two invariant factors"),
     # a Cartan determinant of 5 for A3, which the true index 4 does not divide
-    ("cartan_determinant", lambda real: lambda t: real(t) + 1,
+    ("cartan_determinant", lambda real: real + 1,
      "index over the roots does not divide the Cartan determinant"),
 ])
-def test_center_and_pi1_index_checks_fire(monkeypatch, name, fault, message):
+def test_center_and_pi1_index_checks_fire(monkeypatch, cold_types, name, fault, message):
     d = build_datum("A3", "adjoint")  # pi1 = P^v / Q^v = Z/4, built afresh below
-    d.__dict__.pop("pi1", None)
-    monkeypatch.setattr(root_data, name, fault(getattr(root_data, name)))
+    # det A is an attribute of the fresh type, the pivot product a module function's
+    target, attr = (d.cartan_type, "det") if name == "cartan_determinant" else (root_data, name)
+    monkeypatch.setattr(target, attr, fault(getattr(target, attr)))
     err = io.StringIO()
     assert run(["extensions", "--type", "A3", "--isogeny", "adjoint"],
                out=io.StringIO(), err=err) == 3
@@ -641,18 +657,10 @@ def test_mat_inv_exactness_check_fires(monkeypatch):
         mat_inv([[2, 1], [1, 2]])
 
 
-def test_tree_connectivity_check_fires(monkeypatch):
+def test_tree_connectivity_check_fires(cold_types):
     # a Dynkin tree that lost an edge: node 2 of A3 is no longer reached from node 0, and a
-    # query that eliminates A3 afresh exits 3
-    monkeypatch.setattr(root_data, "_neighbours", lambda t: [[1], [0], [1]])
-    for cache in (root_data.root_datum, root_data.weight_lattice, root_data.cartan_determinant,
-                  root_data._minuscule):  # so that the query eliminates A3 afresh
-        cache.cache_clear()
+    # query on the fresh type exits 3
+    CartanType("A", 3).neighbours = [[1], [0], [1]]
     err = io.StringIO()
-    try:
-        assert run(["dual", "--type", "A3", "--N", "2"], out=io.StringIO(), err=err) == 3
-    finally:
-        for cache in (root_data.weight_lattice, root_data.cartan_determinant,
-                      root_data._minuscule):
-            cache.cache_clear()
+    assert run(["dual", "--type", "A3", "--N", "2"], out=io.StringIO(), err=err) == 3
     assert "internal check failed: Dynkin graph is not connected" in err.getvalue()

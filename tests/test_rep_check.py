@@ -25,7 +25,7 @@ from loopdual.rep_check import (
     tensor_multiplicity,
     weyl_dim,
 )
-from loopdual.root_data import CartanType, build_datum, cartan_matrix, fundamental_weight
+from loopdual.root_data import CartanType, build_datum, fundamental_weight
 from loopdual.twisted_dual import local_denominators, twisted_dual
 
 from oracles import (below, character_by_kostant, dominant_conjugate, dual_cartan_matrix,
@@ -214,7 +214,7 @@ class TestRescaledCorootSystems:
         ws = datum_weight_system(out.dual)
         assert out.local_denominators == (1, 2)
         assert str(ws.cartan_type) == "B2" and out.relabeling == (1, 0)
-        std = cartan_matrix(ws.cartan_type)
+        std = ws.cartan_type.cartan
         aprime = dual_cartan_matrix(out.source, out.local_denominators)
         assert all(aprime[i][j] == std[out.relabeling[i]][out.relabeling[j]]
                    for i in range(2) for j in range(2))
@@ -479,7 +479,7 @@ def test_stabilizer_weyl_orders_match_the_highest_root_formula():
                            ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)):
         for rank in range(lo, hi + 1):
             t = CartanType(series, rank)
-            a, engine = cartan_matrix(t), _Engine(t)
+            a, engine = t.cartan, _Engine(t)
             for size in range(rank + 1):
                 for nodes in combinations(range(rank), size):
                     assert engine.weyl_order(nodes) == weyl_order_by_highest_root(a, nodes), \

@@ -20,15 +20,9 @@ from loopdual.root_data import (
     _positive_roots,
     _validate_datum,
     build_datum,
-    canonical_form,
-    cartan_determinant,
-    cartan_matrix,
-    coroot_norms,
     dual_coxeter,
     fundamental_weight,
     reflection_sum,
-    root_lattice,
-    weight_lattice,
 )
 from loopdual.twisted_dual import twisted_dual
 from oracles import (all_isogenies, basis_coordinate_matrix, cartan_symmetrizer, dense_det_int,
@@ -78,20 +72,20 @@ def test_cartan_type_parsing():
 
 
 def test_cartan_matrix_spot_checks():
-    assert cartan_matrix(CartanType("A", 1)) == ((2,),)
-    assert cartan_matrix(CartanType("B", 2)) == ((2, -2), (-1, 2))
-    assert cartan_matrix(CartanType("C", 2)) == ((2, -1), (-2, 2))
-    assert cartan_matrix(CartanType("G", 2)) == ((2, -1), (-3, 2))
-    b3 = cartan_matrix(CartanType("B", 3))
-    c3 = cartan_matrix(CartanType("C", 3))
+    assert CartanType("A", 1).cartan == ((2,),)
+    assert CartanType("B", 2).cartan == ((2, -2), (-1, 2))
+    assert CartanType("C", 2).cartan == ((2, -1), (-2, 2))
+    assert CartanType("G", 2).cartan == ((2, -1), (-3, 2))
+    b3 = CartanType("B", 3).cartan
+    c3 = CartanType("C", 3).cartan
     assert [list(r) for r in transpose(b3)] == [list(r) for r in c3]
-    f4 = cartan_matrix(CartanType("F", 4))
+    f4 = CartanType("F", 4).cartan
     assert f4[1][2] == -2 and f4[2][1] == -1
-    d4 = cartan_matrix(CartanType("D", 4))
+    d4 = CartanType("D", 4).cartan
     # the triple node is the second one; nodes 3 and 4 are not adjacent
     assert d4[1][0] == d4[1][2] == d4[1][3] == -1
     assert d4[2][3] == 0
-    e6 = cartan_matrix(CartanType("E", 6))
+    e6 = CartanType("E", 6).cartan
     assert e6[1][3] == -1 and e6[1][0] == 0 and e6[0][2] == -1
 
 
@@ -107,15 +101,15 @@ def _with_negatives(pairs):
 
 @pytest.mark.parametrize("t", ALL_TYPES, ids=str)
 def test_root_system_counts_and_pairing(t):
-    pairs = _with_negatives(positive_pairs(cartan_matrix(t)))
+    pairs = _with_negatives(positive_pairs(t.cartan))
     assert len(pairs) == ROOT_COUNT[t.series](t.rank)
     roots = [r for r, _ in pairs]
     assert len(set(roots)) == len(roots)
     for root, coroot in pairs:
-        assert pairing_numerator(cartan_matrix(t), coroot, root) == 2
+        assert pairing_numerator(t.cartan, coroot, root) == 2
         neg = (tuple(-x for x in root), tuple(-x for x in coroot))
         assert neg in pairs
-    assert len(positive_pairs(cartan_matrix(t))) * 2 == len(pairs)
+    assert len(positive_pairs(t.cartan)) * 2 == len(pairs)
 
 
 ORACLE_TYPES = (
@@ -128,13 +122,13 @@ ORACLE_TYPES = (
 
 @pytest.mark.parametrize("t", ORACLE_TYPES, ids=str)
 def test_root_system_matches_the_dense_closure(t):
-    assert _with_negatives(positive_pairs(cartan_matrix(t))) == root_closure(cartan_matrix(t))
+    assert _with_negatives(positive_pairs(t.cartan)) == root_closure(t.cartan)
 
 
 def test_positive_roots_of_small_matrices_match_the_dense_closure():
     # the pass takes any integer Cartan matrix, transposed or in any numbering of the nodes
     for t in (t for t in ORACLE_TYPES if t.rank <= 3):
-        a = cartan_matrix(t)
+        a = t.cartan
         for order in permutations(range(t.rank)):
             for m in (a, tuple(zip(*a))):
                 m = tuple(tuple(m[i][j] for j in order) for i in order)
@@ -143,8 +137,8 @@ def test_positive_roots_of_small_matrices_match_the_dense_closure():
 
 def test_positive_root_counts_at_rank_forty():
     # too slow for the dense closure: |Phi+| = n(n+1)/2 for A_n, n(n-1) for D_n
-    assert len(positive_pairs(cartan_matrix(CartanType("A", 40)))) == 40 * 41 // 2
-    assert len(positive_pairs(cartan_matrix(CartanType("D", 40)))) == 40 * 39
+    assert len(positive_pairs(CartanType("A", 40).cartan)) == 40 * 41 // 2
+    assert len(positive_pairs(CartanType("D", 40).cartan)) == 40 * 39
 
 
 def test_positive_root_generation_rejects_a_non_cartan_matrix():
@@ -154,14 +148,14 @@ def test_positive_root_generation_rejects_a_non_cartan_matrix():
 
 
 def test_coroot_norms_examples():
-    assert coroot_norms(CartanType("A", 3)) == (1, 1, 1)
-    assert coroot_norms(CartanType("D", 4)) == (1, 1, 1, 1)
-    assert coroot_norms(CartanType("B", 3)) == (1, 1, 2)
-    assert coroot_norms(CartanType("C", 3)) == (2, 2, 1)
-    assert coroot_norms(CartanType("G", 2)) == (3, 1)
-    assert coroot_norms(CartanType("F", 4)) == (1, 1, 2, 2)
+    assert CartanType("A", 3).norms == (1, 1, 1)
+    assert CartanType("D", 4).norms == (1, 1, 1, 1)
+    assert CartanType("B", 3).norms == (1, 1, 2)
+    assert CartanType("C", 3).norms == (2, 2, 1)
+    assert CartanType("G", 2).norms == (3, 1)
+    assert CartanType("F", 4).norms == (1, 1, 2, 2)
     for t in ALL_TYPES:
-        cs = coroot_norms(t)
+        cs = t.norms
         assert min(cs) == 1
         assert set(cs) <= {1, 2, 3}
 
@@ -172,22 +166,37 @@ def test_coroot_norm_table_matches_the_symmetrizer_on_every_admitted_type():
     for series, (low, high) in root_data._RANK_BOUNDS.items():
         for rank in range(low, high + 1):
             t = CartanType(series, rank)
-            ratios = cartan_symmetrizer(cartan_matrix(t))
+            ratios = cartan_symmetrizer(t.cartan)
             low = min(ratios)
-            assert coroot_norms(t) == tuple(x / low for x in ratios), t
+            assert t.norms == tuple(x / low for x in ratios), t
 
 
-def test_a_wrong_coroot_norm_table_is_refused(monkeypatch):
+def test_a_wrong_coroot_norm_table_is_refused(cold_types):
     """Norms that do not symmetrize A, C2's for B2, are refused; so is a matrix off a tree."""
-    bad = {"B2": ((2, -1), (-2, 2)), "A3": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))}
-    monkeypatch.setattr(root_data, "cartan_matrix", lambda t: bad[str(t)])
-    try:
-        with pytest.raises(ArithmeticError, match="invariant form is not symmetric"):
-            coroot_norms.__wrapped__(CartanType("B", 2))
-        with pytest.raises(ArithmeticError, match="Dynkin graph is not a tree"):
-            root_data._neighbours.__wrapped__(CartanType("A", 3))
-    finally:
-        root_data._neighbours.cache_clear()
+    b2, a3 = CartanType("B", 2), CartanType("A", 3)
+    b2.cartan, a3.cartan = ((2, -1), (-2, 2)), ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    with pytest.raises(ArithmeticError, match="invariant form is not symmetric"):
+        b2.norms
+    with pytest.raises(ArithmeticError, match="Dynkin graph is not a tree"):
+        a3.neighbours
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    # the affine matrix of A1~ on the tree of A2: its determinant is 4 - 4 = 0
+    ("A2", ((2, -2), (-2, 2)), "Cartan determinant 0 is not positive"),
+    # a diagonal entry 4 passes every check that reads only the off-diagonal entries
+    ("A1", ((4,),), "diagonal of the invariant form is off"),
+    # the elimination's y is a column of the adjugate of the integer matrix on the tree's edges,
+    # integral for any integer entries, so only a non-integer one fires: y_1 = 1/2 here
+    ("A2", ((2, Fraction(-1, 2)), (-1, 2)), "the adjugate of the Cartan matrix is not integral"),
+])
+def test_a_bad_cartan_matrix_of_a_fresh_type_is_caught(cold_types, name, bad, message):
+    """A matrix injected into a fresh type fails the check run where its invariant is built,
+    and a query on the type exits 3 with that message."""
+    CartanType.parse(name).cartan = bad
+    err = io.StringIO()
+    assert run(["dual", "--type", name, "--N", "1"], out=io.StringIO(), err=err) == 3
+    assert err.getvalue() == f"error: internal check failed: {message}\n"
 
 
 def _reflect_cochar(a, i, y):
@@ -200,8 +209,8 @@ def _reflect_cochar(a, i, y):
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
 def test_canonical_form_reflection_invariant(name):
     t = CartanType.parse(name)
-    form = canonical_form(t)
-    a = cartan_matrix(t)
+    form = t.form
+    a = t.cartan
     gram = form.gram
     assert all(gram[i][j] == gram[j][i] for i in range(t.rank) for j in range(t.rank))
     rng = random.Random(f"form-{name}")
@@ -219,8 +228,8 @@ def test_canonical_form_reflection_invariant(name):
 def test_short_coroots_have_square_length_two():
     for name in ["A2", "B3", "C3", "G2", "F4"]:
         t = CartanType.parse(name)
-        form = canonical_form(t)
-        norms = {form.value(c, c) for _, c in positive_pairs(cartan_matrix(t))}
+        form = t.form
+        norms = {form.value(c, c) for _, c in positive_pairs(t.cartan)}
         assert min(norms) == 2
 
 
@@ -244,7 +253,7 @@ def test_weight_root_index():
                 "E6": 3, "E7": 2, "E8": 1, "F4": 1, "G2": 1}
     for name, idx in expected.items():
         t = CartanType.parse(name)
-        assert lattice_index_by_gauss(weight_lattice(t), root_lattice(t)) == idx
+        assert lattice_index_by_gauss(t.weight_lattice, t.root_lattice) == idx
 
 
 def test_build_datum_named_isogenies():
@@ -264,7 +273,7 @@ def test_build_datum_named_isogenies():
     so10 = build_datum("D5", "so")
     assert so10.center == (2,)
     assert so10.pi1 == (2,)
-    assert lattice_index_by_gauss(weight_lattice(so10.cartan_type), so10.X) == 2
+    assert lattice_index_by_gauss(so10.cartan_type.weight_lattice, so10.X) == 2
 
 
 def test_build_datum_rejects_bad_isogenies():
@@ -293,8 +302,8 @@ def test_build_datum_explicit_generators():
 ])
 def test_datum_duality_round_trip(name, isogeny):
     d = build_datum(name, isogeny)
-    a = [list(row) for row in cartan_matrix(d.cartan_type)]
-    det = cartan_determinant(d.cartan_type)  # X and Y contain Q and Q^v
+    a = [list(row) for row in d.cartan_type.cartan]
+    det = d.cartan_type.det  # X and Y contain Q and Q^v
     assert modular_dual_lattice(d.Y, transpose(a), det) == d.X == \
         dual_lattice_by_smith(d.Y, transpose(a))
     assert modular_dual_lattice(d.X, a, det) == d.Y == dual_lattice_by_smith(d.X, a)
@@ -412,11 +421,11 @@ def test_a_pairing_off_in_the_special_rows_alone_is_not_perfect(name, node):
     the special-by-special block of the pairing matrix refuses it."""
     t = CartanType.parse(name)
     if node is None:
-        x, y = weight_lattice(t), weight_lattice(t, True)
+        x, y = t.weight_lattice, t.coweight_lattice
     else:
         x, y = (lattice.standard_plus(det, [rows[node]])[0] for det, rows in
-                (root_data._minuscule(t, False), root_data._minuscule(t, True)))
-        assert root_data._pivots(x) * root_data._pivots(y) * cartan_determinant(t) == \
+                (t.weight_rows, t.coweight_rows))
+        assert root_data._pivots(x) * root_data._pivots(y) * t.det == \
             (x.den * y.den) ** t.rank
     assert len(root_data._special_rows(x)) == len(root_data._special_rows(y)) == 1
     with pytest.raises(ArithmeticError, match="pairing of the character and cocharacter "
@@ -427,8 +436,8 @@ def test_a_pairing_off_in_the_special_rows_alone_is_not_perfect(name, node):
 def test_root_datum_is_immutable():
     d = build_datum("A2", "adjoint")
     with pytest.raises(AttributeError):
-        d.X = weight_lattice(d.cartan_type)
-    assert d.X == root_lattice(d.cartan_type)
+        d.X = d.cartan_type.weight_lattice
+    assert d.X == d.cartan_type.root_lattice
     with pytest.raises(AttributeError):
         del d.Y
 
@@ -438,7 +447,7 @@ def test_root_datum_equality_reads_type_and_character_lattice_only():
     d = RootDatum(t, Lattice([[1]]), Lattice([[2]]))
     twin = RootDatum(CartanType("A", 1), Lattice([[1]]), Lattice([[Fraction(1, 2)]]))
     assert d == twin and hash(d) == hash(twin)  # Y is fixed by X, so not compared
-    assert d != RootDatum(t, weight_lattice(t), Lattice([[2]]))
+    assert d != RootDatum(t, t.weight_lattice, Lattice([[2]]))
     assert d != (t, Lattice([[1]]))
     assert repr(d) == "RootDatum(cartan_type=CartanType(series='A', rank=1))"
 
@@ -455,23 +464,35 @@ def test_cartan_type_is_an_immutable_value():
             CartanType(series, rank)
 
 
+def test_equal_cartan_types_are_one_object(cold_types):
+    t = CartanType("D", 7)  # a record keeps its type, so the records are cleared too
+    assert CartanType.parse(" D7 ") is t and build_datum("D7", "sc").cartan_type is t
+    assert t.weight_lattice is CartanType("D", 7).weight_lattice
+
+
+@pytest.mark.parametrize("rank", [1.5, 1.0, True, "3"], ids=repr)
+def test_a_rank_that_is_not_an_int_is_refused(rank):
+    """1.0 == True == 1, so without the test such a rank would be the A1 object."""
+    with pytest.raises(ValueError, match=f"rank {rank!r} is not an integer"):
+        CartanType("A", rank)
+
+
 def test_canonical_form_is_an_immutable_value():
-    form = canonical_form(CartanType("B", 2))
+    form = CartanType("B", 2).form
     with pytest.raises(AttributeError):
         form.gram = ((2,),)
     twin = type(form)(tuple(map(tuple, form.gram)))
     assert form == twin and hash(form) == hash(twin)
-    assert form == canonical_form(build_datum("B2", "adjoint"))
+    assert form == build_datum("B2", "adjoint").cartan_type.form
     assert form.value((1, 0), (0, 1)) == form.gram[0][1]
 
 
-def test_dual_coxeter_sums_roots_once_per_type(monkeypatch):
+def test_dual_coxeter_sums_roots_once_per_type(monkeypatch, cold_types):
     # one pass over the positive roots serves the checked coroots, one of each length
     calls = []
     real = root_data.reflection_sum
     monkeypatch.setattr(root_data, "reflection_sum",
                         lambda t, nodes: calls.append((t, list(nodes))) or real(t, nodes))
-    root_data._dual_coxeter_value.cache_clear()
     for isogeny in ("sc", "adjoint", "sc"):
         assert dual_coxeter(build_datum("C5", isogeny)) == 6
     assert calls == [(CartanType("C", 5), [4, 0])]  # the short coroot 4 first, then long 0
@@ -498,7 +519,7 @@ def test_one_pass_reflection_sums_match_the_dense_closure(t):
     ("B4", 1, 1, "reflection-sum identity failed on coroots"),
     ("A5", 0, 0, "invalid dual Coxeter number 13/2"),  # h solved on the shifted row
 ])
-def test_a_shifted_reflection_sum_is_caught(monkeypatch, name, row, step, message):
+def test_a_shifted_reflection_sum_is_caught(monkeypatch, cold_types, name, row, step, message):
     """One checked row, off by one simple root (the node's own if step is 0, the next one's
     if 1): the identity, checked on node 0 of A5 and on nodes 0 and 3 of B4 (one coroot of
     each length), fails, and `extensions` exits 3."""
@@ -510,20 +531,16 @@ def test_a_shifted_reflection_sum_is_caught(monkeypatch, name, row, step, messag
         return tuple(map(tuple, sums))
 
     monkeypatch.setattr(root_data, "reflection_sum", shifted)
-    root_data._dual_coxeter_value.cache_clear()
     err = io.StringIO()
-    try:
-        with pytest.raises(ArithmeticError, match=message):
-            root_data._dual_coxeter_value(t)
-        assert run(["extensions", "--type", name], out=io.StringIO(), err=err) == 3
-    finally:
-        root_data._dual_coxeter_value.cache_clear()
+    with pytest.raises(ArithmeticError, match=message):
+        t.dual_coxeter
+    assert run(["extensions", "--type", name], out=io.StringIO(), err=err) == 3
     assert f"internal check failed: {message}" in err.getvalue()
 
 
 @pytest.mark.parametrize("t", [CartanType("B", 4), CartanType("E", 6), CartanType("G", 2)])
 def test_positive_root_labels_are_the_pairings_with_the_simple_coroots(t):
-    a = cartan_matrix(t)
+    a = t.cartan
     assert positive_pairs(a) == tuple(pair for pair in root_closure(a) if min(pair[0]) >= 0)
     for root, _, labels in _positive_roots(a):
         pairings = {j: sum(b * a[i][j] for i, b in enumerate(root)) for j in range(t.rank)}
@@ -540,7 +557,7 @@ SMALL_TYPES = (
 
 @pytest.mark.parametrize("t", SMALL_TYPES, ids=str)
 def test_streamed_root_pass_matches_the_root_closure(t):
-    a = cartan_matrix(t)
+    a = t.cartan
     streamed = list(_positive_roots(a))
     heights = [sum(root) for root, _, _ in streamed]
     assert heights == sorted(heights)
@@ -552,7 +569,7 @@ def test_streamed_root_pass_matches_the_root_closure(t):
 
 def test_the_root_pass_keeps_three_layers_below_and_no_fewer(monkeypatch):
     # in G2 an image sits three heights below its root, so a window of two loses it
-    a = cartan_matrix(CartanType("G", 2))
+    a = CartanType("G", 2).cartan
     assert len(list(_positive_roots(a))) == 6
     monkeypatch.setattr(root_data, "_LAYERS_BELOW", 2)
     with pytest.raises(ArithmeticError, match="simple reflections do not preserve the "
@@ -606,7 +623,7 @@ def test_ranks_over_the_bound_are_refused():
 def test_a_refused_datum_leaves_no_cache_entry():
     t = CartanType("A", 1)
     x = Lattice([[Fraction(1, 4)]])  # not inside the weight lattice (1/2)Z
-    y = dual_lattice_by_smith(x, cartan_matrix(t))
+    y = dual_lattice_by_smith(x, t.cartan)
     before = root_data.root_datum.cache_info().currsize
     with pytest.raises(ArithmeticError, match="not inside the weight lattice"):
         root_data.root_datum(t, x, y)
@@ -628,22 +645,19 @@ def test_record_invariants_are_cached_on_the_record():
 def test_closed_form_cocharacters_match_the_dual_lattice(t):
     """Y is Q^v = Z^r for sc and P^v for adjoint, as the Smith-form dual of the
     oracle and the modular dual under the bound det A both say."""
-    a, det = cartan_matrix(t), cartan_determinant(t)
-    assert build_datum(t, "sc").Y == dual_lattice_by_smith(weight_lattice(t), a) == \
-        modular_dual_lattice(weight_lattice(t), a, det) == Lattice.standard(t.rank)
-    assert build_datum(t, "adjoint").Y == dual_lattice_by_smith(root_lattice(t), a) == \
-        modular_dual_lattice(root_lattice(t), a, det)
+    a, det = t.cartan, t.det
+    assert build_datum(t, "sc").Y == dual_lattice_by_smith(t.weight_lattice, a) == \
+        modular_dual_lattice(t.weight_lattice, a, det) == Lattice.standard(t.rank)
+    assert build_datum(t, "adjoint").Y == dual_lattice_by_smith(t.root_lattice, a) == \
+        modular_dual_lattice(t.root_lattice, a, det)
 
 
-def test_sc_and_adjoint_records_take_no_dual_lattice(monkeypatch):
+def test_sc_and_adjoint_records_take_no_dual_lattice(monkeypatch, cold_types):
     monkeypatch.setattr(root_data, "annihilator_plus", None)  # any annihilator would fail
-    for cache in (root_data.root_datum, root_data.weight_lattice, root_data.cartan_determinant,
-                  root_data._neighbours, root_data._minuscule):
-        cache.cache_clear()
     for t in (CartanType("D", 9), CartanType("E", 7)):
         for isogeny in ("sc", "adjoint"):  # a fresh record, validated on the way
             d = build_datum(t, isogeny)
-            assert d.Y == dual_lattice_by_smith(d.X, cartan_matrix(t))
+            assert d.Y == dual_lattice_by_smith(d.X, t.cartan)
 
 
 @pytest.mark.parametrize("name", ["A1", "A3", "A5", "A7", "B2", "B4", "C3", "C4", "D4", "D5",
@@ -652,7 +666,7 @@ def test_every_isogeny_takes_the_smith_dual_under_the_bound_det_a(name):
     """X contains Q, so its dual lies in (1/det A) Z^r: the modular dual with that
     bound equals the Smith-form dual of the oracle on every isogeny class."""
     t = CartanType.parse(name)
-    a, det = cartan_matrix(t), cartan_determinant(t)
+    a, det = t.cartan, t.det
     for label, generators in all_isogenies(t):
         d = build_datum(t, label if label in ("sc", "adjoint") else generators)
         assert modular_dual_lattice(d.X, a, det) == dual_lattice_by_smith(d.X, a) == d.Y, \
@@ -663,8 +677,8 @@ def test_a_character_lattice_without_the_roots_is_refused_before_dualising():
     b2 = CartanType("B", 2)  # (2Z + Z) misses root 0; its dual has denominator 4 > det A
     x = Lattice([[2, 0], [0, 1]])
     with pytest.raises(ArithmeticError, match="cocharacter lattice not inside the coweight"):
-        root_data.root_datum(b2, x, dual_lattice_by_smith(x, cartan_matrix(b2)))
-    assert dual_lattice_by_smith(x, cartan_matrix(b2)).den == 4
+        root_data.root_datum(b2, x, dual_lattice_by_smith(x, b2.cartan))
+    assert dual_lattice_by_smith(x, b2.cartan).den == 4
 
 
 @pytest.mark.parametrize("t", ALL_TYPES + [CartanType(s, r) for s in "ABCD" for r in (20, 40)],
@@ -672,12 +686,12 @@ def test_a_character_lattice_without_the_roots_is_refused_before_dualising():
 def test_inverse_cartan_matches_the_smith_oracle(t):
     """The rows of A^-1 are the fundamental weights, its columns the fundamental coweights,
     P and P^v the lattices they span, and |det A| the product of the tree pivots."""
-    a = cartan_matrix(t)
+    a = t.cartan
     inv = mat_inv(a)
-    assert cartan_determinant(t) == abs(dense_det_int(a))
+    assert t.det == abs(dense_det_int(a))
     assert [list(fundamental_weight(t, i)) for i in range(t.rank)] == inv
-    assert weight_lattice(t) == Lattice(inv)
-    assert weight_lattice(t, cocharacters=True) == Lattice(transpose(inv))
+    assert t.weight_lattice == Lattice(inv)
+    assert t.coweight_lattice == Lattice(transpose(inv))
 
 
 TREE_TYPES = [CartanType(s, r) for s, (low, high) in root_data._RANK_BOUNDS.items()
@@ -694,20 +708,20 @@ def test_tree_columns_and_pivots_match_the_smith_oracle(t):
     the minuscule lists read, by their definition, a dense A^T w = det * e_i for a weight and
     A x = det * e_i for a coweight (test_cartan_determinant_of_every_admitted_type checks det
     against the closed forms)."""
-    a, r = cartan_matrix(t), t.rank
+    a, r = t.cartan, t.rank
     if r > 12:
         for i in (0, r - 2, r - 1):
             for weight, mat in ((True, list(zip(*a))), (False, a)):
-                det, y = root_data._tree_column(t, i, weight)
-                assert det == cartan_determinant(t) and dense_mat_mul(mat, [[v] for v in y]) == \
+                det, y = t.column(i, weight)
+                assert det == t.det and dense_mat_mul(mat, [[v] for v in y]) == \
                     [[det * (j == i)] for j in range(r)], (i, weight)
         return
     inv = mat_inv(a)
     for i in range(r):
         for weight, want in ((True, inv[i]), (False, [row[i] for row in inv])):
-            det, y = root_data._tree_column(t, i, weight)
+            det, y = t.column(i, weight)
             assert [Fraction(v, det) for v in y] == want, (i, weight)
-    assert cartan_determinant(t) == abs(dense_det_int(a))
+    assert t.det == abs(dense_det_int(a))
 
 
 @pytest.mark.parametrize("cocharacters", [False, True])
@@ -719,9 +733,9 @@ def test_weight_lattices_match_the_general_hermite_form(cocharacters):
         [CartanType("F", 4), CartanType("G", 2)] + \
         [CartanType("A", 127), CartanType("B", 128), CartanType("C", 127), CartanType("D", 128)]
     for t in types:
-        det, rows = root_data._minuscule(t, cocharacters)
+        det, rows = t.coweight_rows if cocharacters else t.weight_rows
         scaled = [[det * (i == j) for j in range(t.rank)] for i in range(t.rank)]
-        assert weight_lattice(t, cocharacters) == \
+        assert (t.coweight_lattice if cocharacters else t.weight_lattice) == \
             Lattice.from_int_rows(det, scaled + list(rows)), str(t)
 
 
@@ -739,19 +753,18 @@ def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatc
     assert tests == []
 
 
-def test_one_determinant_per_type(monkeypatch):
+def test_one_determinant_per_type(monkeypatch, cold_types):
     """A type's determinant is the product of the pivots of its tree elimination: a cold
-    type takes no Bareiss determinant and no inverse, for P, P^v and det A together."""
+    type takes no Bareiss determinant and no inverse, for P, P^v and det A together, and
+    keeps what it built."""
     calls, real = [], (lattice.det_int, lattice.mat_inv)
     monkeypatch.setattr(lattice, "det_int", lambda mat: calls.append(mat) or real[0](mat))
     monkeypatch.setattr(lattice, "mat_inv", lambda mat: calls.append(mat) or real[1](mat))
-    for cache in (root_data.cartan_determinant, root_data._neighbours, root_data._minuscule,
-                  root_data.weight_lattice):
-        cache.cache_clear()
     t = CartanType("D", 40)
-    assert cartan_determinant(t) == 4 and weight_lattice(t).den == 2
-    assert weight_lattice(t, cocharacters=True).den == 2 and calls == []
-    assert root_data._neighbours.cache_info().misses == 1
+    assert t.det == 4 and t.weight_lattice.den == 2
+    assert t.coweight_lattice.den == 2 and calls == []
+    assert {"cartan", "neighbours", "det", "weight_rows", "coweight_rows"} <= vars(t).keys()
+    assert CartanType.parse("D40") is t
 
 
 def test_cartan_determinant_of_every_admitted_type():
@@ -761,4 +774,4 @@ def test_cartan_determinant_of_every_admitted_type():
               "E": lambda r: 9 - r, "F": lambda r: 1, "G": lambda r: 1}
     for series, (low, high) in root_data._RANK_BOUNDS.items():
         for rank in range(low, high + 1):
-            assert cartan_determinant(CartanType(series, rank)) == closed[series](rank)
+            assert CartanType(series, rank).det == closed[series](rank)

@@ -19,15 +19,7 @@ from loopdual import twisted_dual as td
 from loopdual.central_ext import commutator_denominator
 from loopdual.cli import run
 from loopdual.lattice import Lattice, lattice_member
-from loopdual.root_data import (
-    CartanType,
-    RootDatum,
-    build_datum,
-    cartan_matrix,
-    coroot_norms,
-    root_lattice,
-    weight_lattice,
-)
+from loopdual.root_data import CartanType, RootDatum, build_datum
 from loopdual.twisted_dual import (
     REFERENCE_FAMILIES,
     canonical_group_name,
@@ -61,8 +53,7 @@ def test_local_denominators_match_fraction_denominators():
                           ("D5", "adjoint"), ("G2", "sc")]:
         d = build_datum(name, isogeny)
         k = commutator_denominator(d)
-        from loopdual.root_data import coroot_norms
-        cs = coroot_norms(d.cartan_type)
+        cs = d.cartan_type.norms
         for n in range(1, 9):
             assert local_denominators(d, n) \
                 == tuple(Fraction(k * c, n).denominator for c in cs)
@@ -83,14 +74,14 @@ def test_dual_cartan_matrix_rescaling():
     assert dual_cartan_matrix(sp4, local_denominators(sp4, 1)) == ((2, -2), (-1, 2))
     spin7 = build_datum("B3", "sc")
     assert dual_cartan_matrix(spin7, local_denominators(spin7, 2)) == \
-        cartan_matrix(CartanType.parse("B3"))
+        CartanType.parse("B3").cartan
 
 
 def test_twisted_dual_rank_one_names():
     sl2 = build_datum("A1", "sc")
     out = twisted_dual(sl2, 2)
     assert out.name == "SL2"
-    assert out.dual.X == weight_lattice(CartanType.parse("A1"))
+    assert out.dual.X == CartanType.parse("A1").weight_lattice
     out = twisted_dual(sl2, 3)
     assert out.name == "PSL2"
     assert out.dual.X == Lattice.standard(1)
@@ -121,10 +112,10 @@ def test_twisted_dual_sp4_bookkeeping():
     assert str(out.dual.cartan_type) == "B2"
     assert out.local_denominators == (1, 2)
     assert out.relabeling == (1, 0)
-    std = cartan_matrix(out.dual.cartan_type)  # sigma carries A' to the dual's standard matrix
+    std = out.dual.cartan_type.cartan  # sigma carries A' to the dual's standard matrix
     assert tuple(tuple(std[s][t] for t in out.relabeling) for s in out.relabeling) == \
         dual_cartan_matrix(sp4, out.local_denominators) == ((2, -1), (-2, 2))
-    assert out.dual.X == weight_lattice(CartanType.parse("B2"))
+    assert out.dual.X == CartanType.parse("B2").weight_lattice
     # classical duality at order one
     assert twisted_dual(sp4, 1).name == "SO5"
 
@@ -152,9 +143,9 @@ def test_twisted_dual_structural_invariants():
                 image[out.relabeling[i]] = Fraction(1)
                 scaled = tuple(out.local_denominators[i] * int(i == j) for j in range(src.rank))
                 assert lattice_member(scaled, dual_character_lattice(src, n))
-                assert pairing_numerator(cartan_matrix(t2), image, image) == 2
-            assert lattice_index_by_gauss(weight_lattice(t2), out.dual.X) * \
-                lattice_index_by_gauss(out.dual.X, root_lattice(t2)) > 0
+                assert pairing_numerator(t2.cartan, image, image) == 2
+            assert lattice_index_by_gauss(t2.weight_lattice, out.dual.X) * \
+                lattice_index_by_gauss(out.dual.X, t2.root_lattice) > 0
 
 
 def test_expected_dual_name_rules():
@@ -330,7 +321,7 @@ def test_the_dual_type_rule_matches_the_recognizer():
                     aprime = dual_cartan_matrix(d, delta)
                     t, sigma = td._dual_type(d.cartan_type, delta)
                     assert (t, sigma) == dynkin.recognize_cartan_matrix(aprime), (d, order)
-                    std = cartan_matrix(t)
+                    std = t.cartan
                     assert all(aprime[i][j] == std[sigma[i]][sigma[j]]
                                for i in range(rank) for j in range(rank)), (d, order)
                     checked += 1
@@ -361,13 +352,13 @@ def test_a_relabeling_that_folds_two_nodes_is_caught(monkeypatch):
             "Cartan matrix to the standard one")
 
 
-def test_center_times_pi1_against_the_dual_determinant_is_checked(monkeypatch):
+def test_center_times_pi1_against_the_dual_determinant_is_checked(cold_types):
     """[X' : Q'] * [Y' : Q'^v] must be det A'; against twice det A' a fresh class of B3 sc
-    is refused, in the CLI too."""
-    real = td.cartan_determinant
-    monkeypatch.setattr(td, "cartan_determinant", lambda t: 2 * real(t))
-    _exit_3(_dual_argv_of_a_fresh_class("B3", 4), "center times fundamental group does not "
-            "match the Cartan determinant")
+    is refused, in the CLI too.  The dual of Spin7 at N = 4 is Spin7, so the source record
+    is built before det A' is doubled on the fresh type."""
+    argv, b3 = _dual_argv_of_a_fresh_class("B3", 4), CartanType("B", 3)
+    b3.det *= 2
+    _exit_3(argv, "center times fundamental group does not match the Cartan determinant")
 
 
 def _dual_argv_of_a_fresh_class(name, order):
@@ -404,7 +395,7 @@ def test_a_dual_character_lattice_too_small_is_refused_by_the_perfect_pairing(mo
     with Y' and passes the definitional check (it has no generators over Z^r), but SL4/mu2
     at N = 2 has X' > Q': root_datum's perfect-pairing check refuses it, in the CLI too."""
     monkeypatch.setattr(td, "annihilator_plus", lambda t, den, gens, cocharacters:
-                        (root_lattice(t), []))
+                        (t.root_lattice, []))
     _exit_3(_dual_argv_of_a_fresh_class("A3", 2),
             "pairing of the character and cocharacter lattices is not perfect")
 
