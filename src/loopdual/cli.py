@@ -47,7 +47,7 @@ from .twisted_dual import (
 # Largest --Nmax of `table`; an order whose class twisted_dual has built costs about
 # 5 us per reference family (--Nmax 256: 0.04 s in-process on a cold cache, 2-vCPU machine).
 MAX_TABLE_ORDER = 256
-# How _rows writes str and int items; a bool is a KeyError there, as json writes it apart.
+# How _json and _rows write str and int items, by exact type; a bool is a KeyError in _rows.
 _SCALARS = {str: encode_basestring, int: int.__repr__}
 
 
@@ -215,23 +215,23 @@ def _json(value, pad="\n") -> str:
     writes it, for the str, int, bool, list and str-keyed dict results are built
     from, with strings escaped by json's C escaper; a Lattice is written as its
     rows of _rationals over its denominator, through _lattice_json."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, int):
-        return ("true" if value else "false") if isinstance(value, bool) else int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, list):
+    kind, inner = type(value), pad + "  "
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is list:
         try:
             ends, items = "[]", _rows(value, inner)
         except KeyError:  # an item of another shape
             ends, items = "[]", [_json(x, inner) for x in value]
-    elif isinstance(value, dict):
+    elif kind is dict:
         ends, items = "{}", [f"{encode_basestring(k)}: {_json(value[k], inner)}"
                              for k in sorted(value)]
-    elif isinstance(value, Lattice):  # above rank 16 a text is large and seldom asked twice
+    elif kind is Lattice:  # above rank 16 a text is large and seldom asked twice
         return (_lattice_json if len(value.rows) <= 16 else _lattice_json.__wrapped__)(value, pad)
     else:
-        raise TypeError(f"{type(value).__name__} is not a JSON result type")
+        raise TypeError(f"{kind.__name__} is not a JSON result type")
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
 

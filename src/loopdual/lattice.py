@@ -15,8 +15,9 @@ Z^n and the kept rows, inserted into den * I (standard_plus); span_mod lists L /
 root_data builds the second lattice of a record from the rows kept for the first.  Lattice is
 built from integer rows over a denominator (Lattice.from_int_rows), or from a proven modular
 form as it is; one integer triangular solve on numerators serves membership, coordinates and
-those proofs, checked by its residual ending at zero.  Most entries are 0, so matrix products
-(mat_mul) skip zero entries, as det_int, mat_inv and the solve do; no command runs mat_inv now.
+those proofs, checked by its residual ending at zero.  There is no matrix product: root_data
+multiplies through each Cartan type's sparse rows; det_int, mat_inv and the solve skip zero
+entries, and no command runs mat_inv now.
 """
 
 from __future__ import annotations
@@ -37,18 +38,6 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 def transpose(mat):
     return [list(col) for col in zip(*mat)]
-
-
-def mat_mul(a, b):
-    """Exact matrix product; entries may be ints or Fractions.  Row by row over the nonzero
-    (j, y) of each row of b, indexed once, skipping every zero of a, at C speed (compress)."""
-    nonzero = [list(compress(enumerate(row), row)) for row in b]
-    out = [[0] * len(b[0]) if b else [] for _ in a]
-    for row, acc in zip(a, out):
-        for x, pairs in compress(zip(row, nonzero), row):
-            for j, y in pairs:
-                acc[j] += x * y
-    return out
 
 
 def mat_vec(mat, vec):

@@ -23,7 +23,7 @@ from operator import add, mul, sub
 from .central_ext import monodromy_modulus
 from .dynkin import group_name
 from .lattice import numerators_member, transpose, vector_text
-from .root_data import CartanType, RootDatum, _positive_roots, dual_coxeter
+from .root_data import _ROOT_BITS, CartanType, RootDatum, _packed_roots, _unpack, dual_coxeter
 from .twisted_dual import local_denominators
 
 # Most dominant weights a highest weight may have before the weight work on
@@ -40,10 +40,12 @@ class _Engine:
         a, d, r = t.cartan, t.scaled_norms, t.rank
         self.pairings, self.norms, self.orders = transpose(a), d, {}
         # (root coordinates b, labels, coef with (x, beta) = sum_j coef_j x_j), from the
-        # root pass that root_data.reflection_sum streams too; _engine keeps the list
-        self.roots = [(b, tuple(labels.get(j, 0) for j in range(r)),
-                       tuple(x * dj for x, dj in zip(b, d)))
-                      for b, _, labels in _positive_roots(a)]
+        # root pass that root_data.reflection_sum streams too, each root unpacked once;
+        # _engine keeps the list
+        nodes, zeros = range(r), (0,) * r
+        self.roots = [(b, tuple(map(labels.get, nodes, zeros)), tuple(map(mul, b, d)))
+                      for b, labels in ((_unpack(root, r, _ROOT_BITS), labels)
+                                        for _, root, _, labels in _packed_roots(a))]
         if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
             raise ArithmeticError("half-sum of positive roots is off")
         self.heights = [sum(b) for b, _, _ in self.roots]

@@ -25,40 +25,37 @@ Conventions used across the package:
   = X + (k/N) * iota(Y) of the source for a dual (twisted_dual).  As Y is fixed by X there is
   one record per (type, X); it caches G_Y, k, the period L (twisted_dual's class key), center
   and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two invariant factors at
-  most), and twisted_dual's duals by class.  How the caller named X (an isogeny label) is not
-  part of it, so B3 "so" and "adjoint" share one record; explicit generator rows are keyed to
-  their (X, Y).  P and P^v are Z^r plus the at most two minuscule fundamental (co)weights over
-  a denominator.
+  most), and twisted_dual's duals by class; G_Y, k and L read only the special rows.  How the
+  caller named X is not part of it, so B3 "so" and "adjoint" share one record; explicit
+  generator rows are keyed to their (X, Y).  P and P^v are Z^r plus the at most two minuscule
+  fundamental (co)weights over a denominator.
 * A CartanType is the one home of its type's invariants: equal types are one object (_cartan_type
-  keeps 256), and A, its Dynkin tree, det A, the coroot norms c and lcm(c) / c_j, the form, the
-  minuscule weight and coweight rows, Q, P, P^v, D-odd "so"'s lattices and the dual Coxeter
-  number are its attributes, each built on first use and checked there.  The norms and the
-  minuscule nodes come from tables by series, and det A and each fundamental (co)weight, in
-  O(r) integers, from a leaf-first elimination on the Dynkin tree (CartanType.column).
+  keeps 256), and A, its Dynkin tree, A's nonzero entries by row and by column, det A, the
+  coroot norms c and D_j = lcm(c) / c_j, A * diag(D) by row, the form, the minuscule weight and
+  coweight rows, the elements of P/Q and P^v/Q^v, Q, P, P^v, D-odd "so"'s lattices and the dual
+  Coxeter number are its attributes, each built on first use and checked there.  Every product
+  by A, A^T or A * diag(D) goes through those sparse rows (_times).  The norms and the minuscule
+  nodes come from tables by series, and det A and each fundamental (co)weight, in O(r)
+  integers, from a leaf-first elimination on the Dynkin tree (CartanType.column).
 * The root pass takes a bare integer Cartan matrix.  Positive roots grow by height under
-  simple reflections and stream past, a few layers at a time, with nothing cached:
-  reflection_sum sums them as they go for one simple coroot per length, which checks the dual
-  Coxeter number on all of Y, and rep_check's engine, which its own cache keeps, lists them;
-  the negative ones are their negations.
+  simple reflections and stream past, a few layers at a time, with nothing cached, each root
+  and coroot one int of 8-bit fields, so that s_i is one subtraction: reflection_sum adds
+  them whole for one simple coroot per length, which checks the dual Coxeter number on all of
+  Y, and rep_check's engine, which its own cache keeps, unpacks and lists them; the negative
+  ones are their negations.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd, lcm, prod
+from operator import mul, sub
 
-from .lattice import (
-    Lattice,
-    mat_mul,
-    numerators_member,
-    span_mod,
-    standard_plus,
-    transpose,
-    vector_text,
-)
+from .lattice import Lattice, numerators_member, span_mod, standard_plus, vector_text
 
 # Largest rank of series A-D; scripts/scan_ranks.py times every A-D datum up to it.
 MAX_RANK = 128
@@ -145,6 +142,26 @@ class CartanType(namedtuple("CartanType", "series rank")):
             raise ArithmeticError("Dynkin graph is not a tree")
         return near
 
+    @cached_property
+    def by_row(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """A's nonzero entries (j, A[i][j]) by row i: the tree's edges and the diagonal, checked to
+        be 2, so that the form's diagonal c_i * A[i][i] is 2 c_i."""
+        a = self.cartan
+        if any(a[i][i] != 2 for i in range(self.rank)):
+            raise ArithmeticError("diagonal of the invariant form is off")
+        return tuple(tuple((j, a[i][j]) for j in sorted([i, *near]))
+                     for i, near in enumerate(self.neighbours))
+
+    @cached_property
+    def by_column(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """A's nonzero entries (i, A[i][j]) by column j, on by_row's support (A[i][j] and A[j][i]
+        vanish together), once by_row is checked to be A's 3r - 2 nonzero entries."""
+        a, rows = self.cartan, self.by_row
+        if sum(map(len, rows)) != 3 * self.rank - 2 or any(
+                a[i][j] != x or not x for i, row in enumerate(rows) for j, x in row):
+            raise ArithmeticError("sparse index of the Cartan matrix disagrees with A")
+        return tuple(tuple((i, a[i][j]) for i, _ in rows[j]) for j in range(self.rank))
+
     def column(self, i: int, weight: bool) -> tuple[int, list[int]]:
         """(det A, y): y / det A is row i of A^-1 (the fundamental weight, A^T w = e_i) if weight,
         else column i (the coweight, A x = e_i), in O(r) integers.  Eliminating A leaf first on its
@@ -197,14 +214,18 @@ class CartanType(namedtuple("CartanType", "series rank")):
         return tuple(lcm(*self.norms) // x for x in self.norms)
 
     @cached_property
+    def form_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """A * diag(D) by row, (j, A[i][j] * D_j): symmetric as the norms are checked to be, so it
+        is its own index by column."""
+        return tuple(tuple((j, x * self.scaled_norms[j]) for j, x in row) for row in self.by_row)
+
+    @cached_property
     def form(self) -> CanonicalForm:
         """The invariant form with short coroots of squared length 2, (coroot_i, coroot_j) =
         c_j * A[j][i], symmetric as the norms are checked to be."""
-        a, cs = self.cartan, self.norms
-        gram = tuple(tuple(c * row[i] for c, row in zip(cs, a)) for i in range(self.rank))
-        if any(gram[i][i] != 2 * c for i, c in enumerate(cs)):
-            raise ArithmeticError("diagonal of the invariant form is off")
-        return CanonicalForm(gram)
+        a, cs, _ = self.cartan, self.norms, self.by_row  # by_row checks the diagonal
+        return CanonicalForm(tuple(tuple(c * row[i] for c, row in zip(cs, a))
+                                   for i in range(self.rank)))
 
     @cached_property
     def weight_rows(self) -> tuple[int, tuple]:  # the minuscule rows that span P over Z^r
@@ -213,6 +234,22 @@ class CartanType(namedtuple("CartanType", "series rank")):
     @cached_property
     def coweight_rows(self) -> tuple[int, tuple]:  # those that span P^v
         return self._minuscule(weight=False)
+
+    @cached_property
+    def weight_classes(self) -> tuple[int, tuple[tuple[int, ...], ...]]:  # (m, P/Q mod m)
+        return self._classes(*self.weight_rows)
+
+    @cached_property
+    def coweight_classes(self) -> tuple[int, tuple[tuple[int, ...], ...]]:  # (m, P^v/Q^v)
+        return self._classes(*self.coweight_rows)
+
+    def _classes(self, m: int, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(m, each element of Z^r + span(rows) / m as its residue mod m), checked to be det A of
+        them for the minuscule rows over m = det A."""
+        group = tuple(span_mod(m, rows)[0])
+        if len(group) != self.det:
+            raise ArithmeticError(f"{len(group)} classes listed mod the roots, det A is {self.det}")
+        return m, group
 
     def _minuscule(self, weight: bool) -> tuple[int, tuple]:
         """(det A, rows): the minuscule fundamental weights (coweights unless weight), integer rows
@@ -259,50 +296,65 @@ class CartanType(namedtuple("CartanType", "series rank")):
 # Images under a simple reflection sit at most 3 heights below a root: c = <coroot_i, g>
 # has |c| <= 3.  The root pass keeps these layers below the one it reflects.
 _LAYERS_BELOW = 3
+# Vectors of nonnegative integers are packed into one int, coordinate j in bits [j * bits,
+# (j + 1) * bits): roots and coroots in _ROOT_BITS (a finite type's coefficients are at most 6;
+# the root pass checks each field it raises), reflection_sum's sums in _SUM_BITS (checked).
+_ROOT_BITS, _SUM_BITS = 8, 32
+_FORMATS = {8: "B", 16: "H", 32: "I"}  # struct's unsigned field of each width
 
 
-def _positive_roots(a):
-    """Yield (root, coroot, labels) for each positive root of a, by height, with labels
-    the nonzero <coroot_j, root> by j.  From the simple pairs, each g with
-    c = <coroot_i, g> < 0 gives s_i(g) = g - c * root_i, a root higher by -c, with
-    coroot s_i(g^v) = g^v - <g^v, root_i> * coroot_i; every positive root arises so
-    (Humphreys, Intro. to Lie Algebras, 10.2).  Roots only grow, so each has one sign;
-    each s_i must map the other pairs of a layer to lower positive pairs, so that with
-    their negations they are closed under reflections.  Only the layers that check can
-    still read are kept: _LAYERS_BELOW under the current height, and those above it."""
+def _unpack(packed: int, r: int, bits: int) -> tuple[int, ...]:
+    return struct.unpack(f"<{r}{_FORMATS[bits]}", packed.to_bytes(r * bits // 8, "little"))
+
+
+def _packed_roots(a):
+    """Yield (height, root, coroot, labels) for each positive root of a, by height, with root
+    and coroot packed (_ROOT_BITS) and labels the nonzero <coroot_j, root> by j.  From the
+    simple pairs, each g with c = <coroot_i, g> < 0 gives s_i(g) = g - c * root_i, a root higher
+    by -c, with coroot s_i(g^v) = g^v - <g^v, root_i> * coroot_i; every positive root arises so
+    (Humphreys, Intro. to Lie Algebras, 10.2).  Roots only grow, so each has one sign; each s_i
+    must map the other pairs of a layer to lower positive pairs, so that with their negations
+    they are closed under reflections.  Only the layers that check can still read are kept:
+    _LAYERS_BELOW under the current height, and those above it.  Packed, s_i is a subtraction,
+    and <g^v, root_i> is read off g's colabels, its nonzero <g^v, root_j> by j."""
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]  # nonzero <coroot_j, root_i>
-    simple = [tuple(int(i == k) for k in range(len(a))) for i in range(len(a))]
-    # height: {root: (coroot, labels)}
-    layers = {1: {root: (root, dict(rows[i])) for i, root in enumerate(simple)}}
+    cols = [[(j, x) for j, x in enumerate(col) if x] for col in zip(*a)]  # <coroot_i, root_j>
+    w, mask = _ROOT_BITS, (1 << _ROOT_BITS) - 1
+    unit = [1 << (w * i) for i in range(len(a))]
+    # height: {root: (coroot, labels, colabels)}
+    layers = {1: {u: (u, dict(rows[i]), dict(cols[i])) for i, u in enumerate(unit)}}
     height, top = 0, 1
     while height < top:
         height += 1
         layers.pop(height - _LAYERS_BELOW - 1, None)
-        for root, (coroot, labels) in layers.get(height, {}).items():
+        for root, (coroot, labels, colabels) in layers.get(height, {}).items():
             for i, c in labels.items():
                 if c > 0 and height == 1:
                     continue  # s_i(root_i) = -root_i
-                ci = 0
-                for j, x in rows[i]:
-                    ci += x * coroot[j]
-                b, bv = list(root), list(coroot)
-                b[i] -= c
-                bv[i] -= ci
-                image = tuple(b), tuple(bv)
+                ci = colabels.get(i, 0)
+                image, coimage = root - c * unit[i], coroot - ci * unit[i]
                 found = layers.setdefault(height - c, {})
-                if c < 0 and image[0] not in found:
-                    new = labels.copy()  # labels - c * (row i of a), at its nonzero entries
-                    for j, x in rows[i]:
-                        if y := new.get(j, 0) - c * x:
-                            new[j] = y
-                        else:
-                            del new[j]
-                    found[image[0]] = (image[1], new)
+                if c < 0 and image not in found:  # field i grew by -c (-ci), so less wrapped
+                    if (image >> w * i & mask) < -c or (coimage >> w * i & mask) < -ci:
+                        raise ArithmeticError(f"a root or coroot outgrew its {w}-bit fields")
+                    found[image] = (coimage, _minus(labels, c, rows[i]),
+                                    _minus(colabels, ci, cols[i]))
                     top = max(top, height - c)
-                elif found.get(image[0], (None,))[0] != image[1]:
+                elif found.get(image, (None,))[0] != coimage:
                     raise ArithmeticError("simple reflections do not preserve the "
                                           "positive (root, coroot) pairs")
-            yield root, coroot, labels
+            yield height, root, coroot, labels
+
+
+def _minus(labels: dict, c: int, entries) -> dict:
+    """labels - c * the vector with these nonzero entries, zeros dropped."""
+    new = labels.copy()
+    for j, x in entries:
+        if y := new.get(j, 0) - c * x:
+            new[j] = y
+        else:
+            del new[j]
+    return new
 
 
 def fundamental_weight(t: CartanType, i: int) -> tuple[Fraction, ...]:
@@ -352,11 +404,12 @@ class RootDatum:
 
     @cached_property
     def gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """G_Y, the Gram matrix of the invariant form on the canonical basis of
-        Y, as (s, rows) with (Y.basis[a], Y.basis[b]) == rows[a][b] / s and
-        s == Y.den ** 2; built on first use, once per datum."""
-        rows = mat_mul(mat_mul(self.Y.rows, self.cartan_type.form.gram), transpose(self.Y.rows))
-        return self.Y.den ** 2, tuple(map(tuple, rows))
+        """G_Y, the Gram matrix of the invariant form on the canonical basis of Y, at its special
+        rows u, as (s, rows) with (u, Y.rows[b]) / s == row[b] and s == Y.den ** 2, once per datum:
+        the rest, den^2 * (coroot_a, coroot_b) = den^2 * c_b * A[b][a], is integral over s."""
+        y, t = self.Y, self.cartan_type
+        au = _times(_special_rows(y).values(), t.by_row)
+        return y.den ** 2, tuple(map(tuple, _against(y, [list(map(mul, t.norms, v)) for v in au])))
 
     @cached_property
     def k(self) -> int:
@@ -371,12 +424,12 @@ class RootDatum:
         clears it on Z^r).  Checked: k clears G_Y, each k * c_i divides L, and L * x is in
         k * iota(Y) for each row x outside Z^r, so L is a multiple of the true period."""
         (s, gram), k, t, x = self.gram, self.k, self.cartan_type, self.X
-        if any(k * v % s for row in gram for v in row):
+        if any(k * v % s for row in gram for v in row):  # the rest of G_Y is integral over s
             raise ArithmeticError("commutator denominator failed to clear the Gram matrix of Y")
-        cs, outside = t.norms, [row for row in x.rows if any(v % x.den for v in row)]
-        c, den = lcm(*cs), k * lcm(*cs) * x.den ** 2  # G_X / k = rows @ form @ rows^T / den
-        form = [[a * dj for a, dj in zip(row, t.scaled_norms)] for row in t.cartan]
-        period = _denominator_lcm(den, [*mat_mul(mat_mul(outside, form), transpose(x.rows)),
+        cs = t.norms
+        outside = [row for row in _special_rows(x).values() if any(v % x.den for v in row)]
+        c, den = lcm(*cs), k * lcm(*cs) * x.den ** 2  # G_X / k = rows @ A diag(D) @ rows^T / den
+        period = _denominator_lcm(den, [*_against(x, _times(outside, t.form_rows)),
                                         [den // (k * ci) for ci in cs]])
         if any(period % (k * ci) for ci in cs) or not all(numerators_member(
                 [period // k * dj * v for v, dj in zip(row, t.scaled_norms)], c * x.den, self.Y)
@@ -448,27 +501,26 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
 def _quotient_lattices(t: CartanType, gens: tuple) -> tuple[Lattice, Lattice]:
     """(X, Y) for X = Q + span(gens), weight-lattice rows gens, built once per (type, rows);
     Y is the annihilator of the generators of X / Q that standard_plus keeps."""
-    a, r = t.cartan, t.rank
     e = lcm(1, *(v.denominator for g in gens for v in g))
     rows = [[int(v * e) for v in g] for g in gens]  # e * G
     for g, row in zip(gens, rows):  # a weight: each <coroot_j, g> = (g @ A)[j] is an integer
-        if len(row) != r or any(x % e for x in mat_mul([row], a)[0]):
+        if len(row) != t.rank or any(x % e for x in _times([row], t.by_column)[0]):
             raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
-    x, kept = standard_plus(e, rows or [[0] * r])  # Q for no rows
+    x, kept = standard_plus(e, rows or [[0] * t.rank])  # Q for no rows
     return x, annihilator_plus(t, x.den, kept, cocharacters=True)[0]
 
 
 def annihilator_plus(t: CartanType, den: int, gens, cocharacters: bool) -> tuple[Lattice, list]:
     """standard_plus of Z^r and the elements of P/Q (P^v/Q^v if cocharacters) of type t that
     pair integrally with each row v / den of gens: the dual of Z^r + span(gens) / den, a
-    lattice between the coroots and the coweights (roots and weights).  P/Q is listed from the
-    at most two minuscule rows w / m of t.weight_rows (coweight_rows), so it has at most det A
-    cosets, and with a = A (A^T) the pairing of w / m with v / den is w . (a v) / (m * den)."""
-    cartan, (m, minuscule) = t.cartan, t.coweight_rows if cocharacters else t.weight_rows
-    images = mat_mul(gens, cartan if cocharacters else transpose(cartan))  # row i is a v_i
-    group, _ = span_mod(m, minuscule)
+    lattice between the coroots and the coweights (roots and weights).  P/Q is the type's list
+    of det A residues w mod m (CartanType.weight_classes, coweight_classes), and with a = A^T
+    (A) the pairing of w / m with v / den is w . (a v) / (m * den)."""
+    (m, group), index = ((t.coweight_classes, t.by_column) if cocharacters else
+                         (t.weight_classes, t.by_row))  # v @ A, or v @ A^T
+    images = _times(gens, index)
     return standard_plus(m, [w for w in group if all(
-        sum(x * y for x, y in zip(w, u)) % (m * den) == 0 for u in images)])
+        sum(map(mul, w, u)) % (m * den) == 0 for u in images)])
 
 
 @lru_cache(maxsize=256)  # the sweep benchmark, 79 data of rank <= 8 and their duals, makes 150
@@ -480,10 +532,23 @@ def root_datum(t: CartanType, x: Lattice, y: Lattice) -> RootDatum:
     return datum
 
 
-def _special_rows(lat: Lattice) -> list[tuple[int, ...]]:
-    """The Hermite rows of lat other than lat.den * e_i: few for a lattice between Z^r and P
-    or P^v, as the product of lat.den / pivot over them is [lat : Z^r], at most det A."""
-    return [row for i, row in enumerate(lat.rows) if row[i] != lat.den or any(row[i + 1:])]
+def _special_rows(lat: Lattice) -> dict[int, tuple[int, ...]]:
+    """The Hermite rows of lat other than lat.den * e_i, by index i: few between Z^r and P or
+    P^v, as the product of lat.den / pivot over them is [lat : Z^r], at most det A."""
+    return {i: row for i, row in enumerate(lat.rows) if row[i] != lat.den or any(row[i + 1:])}
+
+
+def _times(rows, index) -> list[list[int]]:
+    """rows @ M from the nonzero (i, M[i][j]) of each column j of M: CartanType.by_column for A,
+    by_row for A^T, and form_rows for A * diag(D), which is symmetric."""
+    return [[sum([row[i] * x for i, x in entries]) for entries in index] for row in rows]
+
+
+def _against(lat: Lattice, images) -> list[list[int]]:
+    """Each p of images dotted with each Hermite row of lat, lat.den * p[b] at a row den * e_b."""
+    special = _special_rows(lat)
+    return [[sum(map(mul, p, special[b])) if b in special else lat.den * v
+             for b, v in enumerate(p)] for p in images]
 
 
 def _validate_datum(d: RootDatum) -> None:
@@ -492,30 +557,39 @@ def _validate_datum(d: RootDatum) -> None:
     special rows of X and Y are read, with the verdict of all: a row den * e_i passes the first
     two checks, den * A[i] = 0 mod den, and its pairings with rows v of Y (u of X), x.den *
     (v @ A^T)_i (y.den * (u @ A)_j), are 0 mod x.den * y.den when the second (first) holds."""
-    a = d.cartan_type.cartan
-    x, y, ys = d.X, d.Y, _special_rows(d.Y)
-    xa = mat_mul(_special_rows(x), a)
+    t, x, y = d.cartan_type, d.X, d.Y
+    xa, ys = _times(_special_rows(x).values(), t.by_column), _special_rows(y).values()
     if any(v % x.den for row in xa for v in row):
         raise ArithmeticError("character lattice not inside the weight lattice")
-    if any(v % y.den for row in mat_mul(ys, transpose(a)) for v in row):
+    if any(v % y.den for row in _times(ys, t.by_row) for v in row):
         raise ArithmeticError("cocharacter lattice not inside the coweight lattice")
-    pairs = mat_mul(xa, transpose(ys))  # the special rows' X.rows @ A @ Y.rows^T
+    pairs = [[sum(map(mul, u, v)) for v in ys] for u in xa]  # special X.rows @ A @ Y.rows^T
     den = x.den * y.den
     if any(v % den for row in pairs for v in row) or \
-            _pivots(x) * _pivots(y) * d.cartan_type.det != den ** d.rank:
+            _pivots(x) * _pivots(y) * t.det != den ** d.rank:
         raise ArithmeticError("pairing of the character and cocharacter lattices is not perfect")
 
 
 def reflection_sum(t: CartanType, nodes) -> tuple[tuple[int, ...], ...]:
     """Row j for each node j: the integer sum over all roots b of <coroot_j, b> * b, summed as
-    the positive roots b, all checked, stream past with their labels; no root is kept."""
-    total = [[0] * t.rank for _ in nodes]
-    for root, _, labels in _positive_roots(t.cartan):
-        for j, row in zip(nodes, total):
+    the positive roots b, all checked, stream past; no root is kept.  Each b with c != 0 goes
+    whole, in _SUM_BITS fields, into a sum of the terms with c > 0 or of those with c < 0, each
+    unpacked once, with no carry, as the sum of 2 |c| * height over the terms bounds a field."""
+    r, plus, minus, bound = t.rank, [0] * len(nodes), [0] * len(nodes), 0
+    wide = struct.Struct(f"<{r}{_FORMATS[_SUM_BITS]}").pack
+    for height, root, _, labels in _packed_roots(t.cartan):
+        for n, j in enumerate(nodes):
             if c := labels.get(j):
-                for i in compress(range(t.rank), root):
-                    row[i] += 2 * c * root[i]
-    return tuple(map(tuple, total))
+                bound += 2 * abs(c) * height
+                b = int.from_bytes(wide(*_unpack(root, r, _ROOT_BITS)), "little")
+                if c > 0:
+                    plus[n] += 2 * c * b
+                else:
+                    minus[n] -= 2 * c * b
+    if bound >> _SUM_BITS:
+        raise ArithmeticError(f"reflection sums overflow their {_SUM_BITS}-bit fields")
+    return tuple(tuple(map(sub, _unpack(p, r, _SUM_BITS), _unpack(m, r, _SUM_BITS)))
+                 for p, m in zip(plus, minus))
 
 
 def dual_coxeter(d: RootDatum) -> int:

@@ -134,7 +134,7 @@ def _dual_cocharacters(d: RootDatum, order: int, delta, source) -> tuple[Lattice
     from_x = [delta[i] * (den // x.den) for i in source]
     from_y = [k * cs[i] // (order // delta[i]) * (den // y.den) for i in source]
     rows = [[row[i] * s for i, s in zip(source, scales)]
-            for lat, scales in ((x, from_x), (y, from_y)) for row in _special_rows(lat)]
+            for lat, scales in ((x, from_x), (y, from_y)) for row in _special_rows(lat).values()]
     return standard_plus(den, rows or [[0] * d.rank])
 
 

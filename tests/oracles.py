@@ -49,7 +49,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from loopdual.central_ext import commutator_value
-from loopdual.lattice import Lattice, det_int, hermite_mod, lattice_member, mat_mul, transpose
+from loopdual.lattice import Lattice, det_int, hermite_mod, lattice_member, transpose
 from loopdual.loop_symbols import Series
 from loopdual.root_data import CartanType, RootDatum
 
@@ -249,6 +249,62 @@ def root_closure(a) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     if 2 * positives != len(seen):
         raise ArithmeticError("root closure is not symmetric")
     return tuple(sorted(seen))
+
+
+def classical_positive_roots(series: str, r: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (root, coroot) pairs of the positive roots of A_r, B_r, C_r or D_r in closed form
+    (Bourbaki, Lie VI, plates I-IV), in simple-root and simple-coroot coordinates.  A_r's
+    roots and coroots are the intervals root_i + ... + root_j.  B, C and D's roots are
+    e_i - e_j and e_i + e_j (i < j), with e_i (B) or 2 e_i (C), their coroots 2 beta /
+    (beta, beta) in the orthonormal e, and both are solved for simple coordinates from
+    the simple roots e_i - e_(i+1) and e_(r-1) (B), 2 e_(r-1) (C) or e_(r-2) + e_(r-1) (D),
+    or for the coroot side from the simple coroots, the simple roots of the dual type.  An
+    e-vector is its few nonzero (k, x), by increasing k."""
+    if series == "A":
+        return {(v, v) for i in range(r) for j in range(i, r)
+                for v in [(0,) * i + (1,) * (j - i + 1) + (0,) * (r - 1 - j)]}
+
+    def halves(*sums):
+        if any(x % 2 for x in sums):
+            raise ArithmeticError(f"{sums} has no simple coordinates in {series}{r}")
+        return tuple(x // 2 for x in sums)
+
+    def simple_coordinates(vec, last):  # last: the series whose simple roots span vec
+        prefix, total, at = (), 0, 0  # the sums of vec's first k + 1 entries
+        for k, x in vec:
+            prefix, total, at = prefix + (total,) * (k - at), total + x, k
+        prefix += (total,) * (r - at)
+        if last == "B":  # root_(r-1) = e_(r-1)
+            return prefix
+        if last == "C":  # root_(r-1) = 2 e_(r-1)
+            return prefix[:-1] + halves(prefix[-1])
+        end = dict(vec).get(r - 1, 0)  # D: root_(r-2) - root_(r-1) = -2 e_(r-1)
+        return prefix[:-2] + halves(prefix[-2] - end, prefix[-1])
+
+    roots = [[(i, 1), (j, s)] for s in (-1, 1) for i in range(r) for j in range(i + 1, r)]
+    roots += {"B": [[(i, 1)] for i in range(r)], "C": [[(i, 2)] for i in range(r)],
+              "D": []}[series]
+    dual = {"B": "C", "C": "B", "D": "D"}[series]
+    out = set()
+    for beta in roots:
+        norm = sum(x * x for _, x in beta)  # 1, 2 or 4, and 2 * beta / norm is integral
+        pair = (simple_coordinates(beta, series),
+                simple_coordinates([(k, 2 * x // norm) for k, x in beta], dual))
+        if any(2 * x % norm for _, x in beta) or min(pair[0] + pair[1]) < 0:
+            raise ArithmeticError(f"{beta} is not a positive root of {series}{r}")
+        out.add(pair)
+    return out
+
+
+# The number of positive roots and the highest root, in simple-root coordinates, of each
+# exceptional type (Bourbaki, Lie VI, plates V-IX).
+EXCEPTIONAL_ROOTS = {
+    "E6": (36, (1, 2, 2, 3, 2, 1)),
+    "E7": (63, (2, 2, 3, 4, 3, 2, 1)),
+    "E8": (120, (2, 3, 4, 6, 5, 4, 3, 2)),
+    "F4": (24, (2, 3, 4, 2)),
+    "G2": (6, (3, 2)),
+}
 
 
 def reflection_sum(t: CartanType, yvec) -> tuple:
@@ -643,7 +699,7 @@ def modular_dual_lattice(lat: Lattice, pairing, den: int) -> Lattice:
     p = [[int(Fraction(x) * pden) for x in row] for row in pairing]
     if det_int(p) == 0:
         raise ValueError("pairing is degenerate")
-    return Lattice.from_int_rows(den, kernel_mod(mat_mul(lat.rows, p), lat.den * pden * den))
+    return Lattice.from_int_rows(den, kernel_mod(dense_mat_mul(lat.rows, p), lat.den * pden * den))
 
 
 def kernel_mod(mat, m: int) -> tuple[tuple[int, ...], ...]:

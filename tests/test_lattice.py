@@ -23,7 +23,6 @@ from loopdual.lattice import (
     lattice_coordinates,
     lattice_member,
     mat_inv,
-    mat_mul,
     numerators_member,
     standard_plus,
     transpose,
@@ -37,7 +36,7 @@ def _rand_int_matrix(rng, m, n, lo=-50, hi=50):
 
 def _assert_snf_exact(mat):
     u, d, v = smith_normal_form(mat)
-    assert mat_mul(mat_mul(u, mat), v) == d
+    assert dense_mat_mul(dense_mat_mul(u, mat), v) == d
     assert abs(det_int(u)) == 1
     assert abs(det_int(v)) == 1
     k = min(len(mat), len(mat[0]))
@@ -144,7 +143,7 @@ def _dual(lat, pairing):
     the pairing P = p / pden cleared to integers."""
     pden = lcm(1, *(Fraction(x).denominator for row in pairing for x in row))
     p = [[int(Fraction(x) * pden) for x in row] for row in pairing]
-    return modular_dual_lattice(lat, pairing, abs(det_int(mat_mul(lat.rows, p))))
+    return modular_dual_lattice(lat, pairing, abs(det_int(dense_mat_mul(lat.rows, p))))
 
 
 def test_dual_standard_pairing():
@@ -260,7 +259,7 @@ def test_mat_inv_roundtrip():
         assert d == abs(dense_det_int(rows))
         assert all(type(x) is int for row in inv for x in row)
         scaled = [[d * int(i == j) for j in range(n)] for i in range(n)]
-        assert mat_mul(rows, inv) == mat_mul(inv, rows) == scaled
+        assert dense_mat_mul(rows, inv) == dense_mat_mul(inv, rows) == scaled
         assert [[Fraction(x, d) for x in row] for row in inv] == oracles.mat_inv(rows)
     with pytest.raises(ValueError, match="singular"):
         mat_inv([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
@@ -310,6 +309,12 @@ def _zero_row_and_column(rng, mat):
 
 @pytest.mark.parametrize("zero_frac", [0.0, 0.3, 0.6, 0.9])
 def test_mat_mul_matches_the_dense_product(zero_frac):
+    """The one matrix product of the package, root_data._times, over a sparse index of b by
+    column as a Cartan type keeps it (by_column, by_row, form_rows), is the dense product, on
+    ints and Fractions and with zero rows and columns."""
+    def by_column(b):
+        return [[(i, row[j]) for i, row in enumerate(b) if row[j]] for j in range(len(b[0]))]
+
     rng = random.Random(int(zero_frac * 10))
     for trial in range(60):
         m, k, n = (rng.randint(1, 7) for _ in range(3))
@@ -318,9 +323,9 @@ def test_mat_mul_matches_the_dense_product(zero_frac):
         if trial % 4 == 0:
             _zero_row_and_column(rng, a)
             _zero_row_and_column(rng, b)
-        assert mat_mul(a, b) == dense_mat_mul(a, b)
-    assert mat_mul([[], []], []) == dense_mat_mul([[], []], []) == [[], []]
-    assert mat_mul([], [[1, 2]]) == dense_mat_mul([], [[1, 2]]) == []
+        assert root_data._times(a, by_column(b)) == dense_mat_mul(a, b)
+    assert root_data._times([[], []], []) == dense_mat_mul([[], []], []) == [[], []]
+    assert root_data._times([], by_column([[1, 2]])) == dense_mat_mul([], [[1, 2]]) == []
 
 
 @pytest.mark.parametrize("zero_frac", [0.0, 0.3, 0.6, 0.9])
@@ -481,7 +486,7 @@ def _nested_pairs(seed, count):
         mix = _rand_int_matrix(rng, n, n, -4, 4)
         if det_int(mix) == 0:
             continue
-        small = Lattice(mat_mul(mix, big.basis))
+        small = Lattice(dense_mat_mul(mix, big.basis))
         if big.den > 1 and small.den > 1:
             out.append((big, small))
     return out
@@ -604,6 +609,18 @@ def test_equal_lattices_from_every_constructor_compare_and_hash_equal():
     assert all(lat._hash == hash(lat) for lat in lattices)
     assert lattices[0] != Lattice.standard(3)
     assert hash(Lattice.standard(3)) == hash((1, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+
+
+def test_standard_lattices_built_three_ways_are_one_value():
+    """Z^n as Lattice.standard(n), as the Hermite form of the identity and of 2 * I over 2,
+    and by insertion into den * I (standard_plus), compares and hashes equal, n = 1..128."""
+    for n in range(1, 129):
+        std = Lattice.standard(n)
+        twins = [Lattice.from_int_rows(1, identity_matrix(n)), standard_plus(1, [[0] * n])[0],
+                 Lattice.from_int_rows(2, [[2 * x for x in row] for row in identity_matrix(n)])]
+        assert (std.den, std.ambient_dim) == (1, n) and std.rows == tuple(map(tuple,
+                                                                               identity_matrix(n)))
+        assert all(twin == std and hash(twin) == hash(std) for twin in twins), n
 
 
 def test_hermite_mod_generator_proof_fires(monkeypatch):

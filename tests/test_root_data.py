@@ -17,7 +17,8 @@ from loopdual.lattice import Lattice, lattice_member, transpose
 from loopdual.root_data import (
     CartanType,
     RootDatum,
-    _positive_roots,
+    _packed_roots,
+    _unpack,
     _validate_datum,
     build_datum,
     dual_coxeter,
@@ -25,7 +26,8 @@ from loopdual.root_data import (
     reflection_sum,
 )
 from loopdual.twisted_dual import twisted_dual
-from oracles import (all_isogenies, basis_coordinate_matrix, cartan_symmetrizer, dense_det_int,
+from oracles import (EXCEPTIONAL_ROOTS, all_isogenies, basis_coordinate_matrix, cartan_symmetrizer,
+                     classical_positive_roots, dense_det_int,
                      dense_mat_mul, dual_lattice_by_smith, iota, lattice_index_by_gauss, mat_inv,
                      modular_dual_lattice, pairing_numerator, period_by_smith, root_closure,
                      smith_normal_form, two_rho)
@@ -89,9 +91,17 @@ def test_cartan_matrix_spot_checks():
     assert e6[1][3] == -1 and e6[1][0] == 0 and e6[0][2] == -1
 
 
+def unpacked_roots(a):
+    """(root, coroot, labels) of each positive root of the root pass over a, root and coroot
+    unpacked into r-tuples."""
+    for _, root, coroot, labels in _packed_roots(a):
+        yield _unpack(root, len(a), root_data._ROOT_BITS), \
+            _unpack(coroot, len(a), root_data._ROOT_BITS), labels
+
+
 def positive_pairs(a):
     """The positive (root, coroot) pairs of the root pass over a, sorted."""
-    return tuple(sorted((root, coroot) for root, coroot, _ in _positive_roots(a)))
+    return tuple(sorted((root, coroot) for root, coroot, _ in unpacked_roots(a)))
 
 
 def _with_negatives(pairs):
@@ -542,7 +552,7 @@ def test_a_shifted_reflection_sum_is_caught(monkeypatch, cold_types, name, row, 
 def test_positive_root_labels_are_the_pairings_with_the_simple_coroots(t):
     a = t.cartan
     assert positive_pairs(a) == tuple(pair for pair in root_closure(a) if min(pair[0]) >= 0)
-    for root, _, labels in _positive_roots(a):
+    for root, _, labels in unpacked_roots(a):
         pairings = {j: sum(b * a[i][j] for i, b in enumerate(root)) for j in range(t.rank)}
         assert labels == {j: x for j, x in pairings.items() if x}
 
@@ -558,7 +568,7 @@ SMALL_TYPES = (
 @pytest.mark.parametrize("t", SMALL_TYPES, ids=str)
 def test_streamed_root_pass_matches_the_root_closure(t):
     a = t.cartan
-    streamed = list(_positive_roots(a))
+    streamed = list(unpacked_roots(a))
     heights = [sum(root) for root, _, _ in streamed]
     assert heights == sorted(heights)
     expected = [(root, coroot, {j: x for j in range(t.rank)
@@ -570,11 +580,11 @@ def test_streamed_root_pass_matches_the_root_closure(t):
 def test_the_root_pass_keeps_three_layers_below_and_no_fewer(monkeypatch):
     # in G2 an image sits three heights below its root, so a window of two loses it
     a = CartanType("G", 2).cartan
-    assert len(list(_positive_roots(a))) == 6
+    assert len(list(unpacked_roots(a))) == 6
     monkeypatch.setattr(root_data, "_LAYERS_BELOW", 2)
     with pytest.raises(ArithmeticError, match="simple reflections do not preserve the "
                                               "positive \\(root, coroot\\) pairs"):
-        list(_positive_roots(a))
+        list(unpacked_roots(a))
 
 
 def test_a_cold_large_extensions_call_retains_little(tmp_path):
@@ -727,25 +737,35 @@ def test_tree_columns_and_pivots_match_the_smith_oracle(t):
 @pytest.mark.parametrize("cocharacters", [False, True])
 def test_weight_lattices_match_the_general_hermite_form(cocharacters):
     """P and P^v by insertion into det A * I (standard_plus) are the Hermite form that
-    hermite_rows gives the same rows, for every type of rank <= 12 and at rank 127-128."""
+    hermite_rows gives the same rows, and the rows of the type's list of P/Q (P^v/Q^v), for
+    every type of rank <= 12 and at rank 127-128, equal and with equal hashes."""
     types = [CartanType(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
              for n in range(lo, 13)] + [CartanType("E", n) for n in (6, 7, 8)] + \
         [CartanType("F", 4), CartanType("G", 2)] + \
         [CartanType("A", 127), CartanType("B", 128), CartanType("C", 127), CartanType("D", 128)]
     for t in types:
         det, rows = t.coweight_rows if cocharacters else t.weight_rows
+        m, classes = t.coweight_classes if cocharacters else t.weight_classes
         scaled = [[det * (i == j) for j in range(t.rank)] for i in range(t.rank)]
-        assert (t.coweight_lattice if cocharacters else t.weight_lattice) == \
-            Lattice.from_int_rows(det, scaled + list(rows)), str(t)
+        lat = t.coweight_lattice if cocharacters else t.weight_lattice
+        assert lat == Lattice.from_int_rows(det, scaled + list(rows)), str(t)
+        # and from the type's list of P/Q (P^v/Q^v), every class of it, det A of them
+        by_classes = Lattice.from_int_rows(m, scaled + list(classes))
+        assert m == det == len(classes) and lat == by_classes and hash(lat) == hash(by_classes)
 
 
-def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatch):
+def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatch, cold_types):
+    """A second build of the same rows, as tuples or as lists, returns the record: no weight
+    test of a generator, annihilator or validation runs, each of which multiplies through the
+    type's sparse index (_times), as a cold build is seen to."""
     t = CartanType("A", 5)
     rows = [(Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2))]
+    tests, real = [], root_data._times
+    monkeypatch.setattr(root_data, "_times", lambda rows, index: tests.append(rows) or
+                        real(rows, index))
     d = build_datum(t, rows)
-    tests = []  # the weight test of each generator, and Y's adjugate map, multiply matrices
-    real = root_data.mat_mul
-    monkeypatch.setattr(root_data, "mat_mul", lambda a, b: tests.append(a) or real(a, b))
+    assert len(tests) >= 3  # the weight test, Y's annihilator and the validation
+    tests.clear()
     monkeypatch.setattr(root_data, "Lattice", None)  # a rebuild of X would fail
     monkeypatch.setattr(root_data, "standard_plus", None)  # and one of Y
     assert build_datum(t, rows) is d
@@ -775,3 +795,137 @@ def test_cartan_determinant_of_every_admitted_type():
     for series, (low, high) in root_data._RANK_BOUNDS.items():
         for rank in range(low, high + 1):
             assert CartanType(series, rank).det == closed[series](rank)
+
+
+# The root store against its closed forms: every classical type of rank 2-12, and ranks
+# 120-128 with the series taken in turn (each pass there takes about 0.3 s).
+STORE_TYPES = [CartanType(s, r) for s in "ABCD" for r in range(max(2, "ABCD".index(s)), 13)] + \
+    [CartanType("ABCD"[r % 4], r) for r in range(120, 129)]
+
+
+@pytest.mark.parametrize("t", STORE_TYPES, ids=str)
+def test_the_packed_root_store_matches_the_closed_forms(t):
+    """The store's positive roots and coroots, unpacked, are the closed forms of the oracle:
+    A_r's intervals, and B, C and D from their e-coordinates, with coroots 2 beta / (beta,
+    beta); the labels are each root's pairings with the simple coroots."""
+    a, store = t.cartan, set()
+    for root, coroot, labels in unpacked_roots(a):  # the highest root comes last, by height
+        store.add((root, coroot))
+    assert store == classical_positive_roots(t.series, t.rank)
+    assert len(store) == ROOT_COUNT[t.series](t.rank) // 2
+    assert labels == {j: x for j in range(t.rank)
+                      if (x := sum(b * a[i][j] for i, b in enumerate(root)))}
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL_ROOTS))
+def test_exceptional_root_counts_and_highest_roots(name):
+    t, (count, highest) = CartanType.parse(name), EXCEPTIONAL_ROOTS[name]
+    store = list(root_data._packed_roots(t.cartan))
+    assert len(store) == count and max(height for height, _, _, _ in store) == sum(highest)
+    assert root_data._unpack(store[-1][1], t.rank, root_data._ROOT_BITS) == highest
+
+
+def test_a_field_too_narrow_for_the_reflection_sums_is_refused(monkeypatch, cold_types):
+    """Packed sums carry into the next field once one passes 2^_SUM_BITS: the sum of
+    2 |c| * height over C12's terms is 1,350, so 8-bit sums are refused and `extensions`
+    exits 3, while 16-bit sums, packed and unpacked as such, are the 32-bit ones."""
+    wide = reflection_sum(CartanType("C", 12), (0, 11))
+    monkeypatch.setattr(root_data, "_SUM_BITS", 16)
+    assert reflection_sum(CartanType("C", 12), (0, 11)) == wide
+    monkeypatch.setattr(root_data, "_SUM_BITS", 8)
+    with pytest.raises(ArithmeticError, match="reflection sums overflow their 8-bit fields"):
+        reflection_sum(CartanType("C", 12), (0, 11))
+    err = io.StringIO()
+    assert run(["extensions", "--type", "C12", "--isogeny", "adjoint"], io.StringIO(), err) == 3
+    assert err.getvalue() == "error: internal check failed: reflection sums overflow their " \
+                             "8-bit fields\n"
+
+
+@pytest.mark.parametrize("bits, name, fits", [(2, "G2", True), (2, "F4", False),
+                                             (2, "E8", False), (3, "E8", True)])
+def test_a_field_too_narrow_for_a_root_is_refused(monkeypatch, bits, name, fits):
+    """The root pass checks each field it raises: G2's coefficients (at most 3, and 3 for its
+    coroots) fit in 2 bits, F4's 4 and E8's 6 do not, and E8's fit in 3."""
+    monkeypatch.setattr(root_data, "_ROOT_BITS", bits)
+    a = CartanType.parse(name).cartan
+    if fits:
+        assert len(list(root_data._packed_roots(a))) == EXCEPTIONAL_ROOTS[name][0]
+    else:
+        with pytest.raises(ArithmeticError, match=f"a root or coroot outgrew its {bits}-bit "
+                                                  "fields"):
+            list(root_data._packed_roots(a))
+
+
+def _double_the_second_simple_root(real):
+    """_packed_roots with root_1 summed twice: it pairs to -1 with coroot_0 (A5), so the sum
+    for node 0 gains -2 * root_1 off its diagonal."""
+    def stream(a):
+        for height, root, coroot, labels in real(a):
+            yield height, 2 * root if root == 1 << root_data._ROOT_BITS else root, coroot, labels
+    return stream
+
+
+def _assign(name, attribute, fault):
+    """Set attribute of the fresh type name to fault(its true value, the type)."""
+    def inject(monkeypatch):
+        t = CartanType.parse(name)
+        setattr(t, attribute, fault(getattr(t, attribute), t))
+    return inject
+
+
+def _patch(attribute, fault):
+    def inject(monkeypatch):
+        monkeypatch.setattr(root_data, attribute, fault(getattr(root_data, attribute)))
+    return inject
+
+
+@pytest.mark.parametrize("argv, inject, code, message", [
+    # the root pass: a window of two layers loses G2's images three heights below
+    (["extensions", "--type", "G2"], _patch("_LAYERS_BELOW", lambda _: 2), 3,
+     "simple reflections do not preserve the positive (root, coroot) pairs"),
+    (["extensions", "--type", "A5"], _patch("_packed_roots", _double_the_second_simple_root), 3,
+     "reflection-sum identity failed on coroots"),
+    # _validate_datum, through the type's sparse index: 1/4 is in neither P nor P^v of A1,
+    # and Z^3 is Q^v but not the dual of Q in A3
+    (["dual", "--type", "A1", "--N", "1"],
+     _assign("A1", "weight_lattice", lambda *_: Lattice([[Fraction(1, 4)]])), 3,
+     "character lattice not inside the weight lattice"),
+    (["dual", "--type", "A1", "--isogeny", "adjoint", "--N", "1"],
+     _assign("A1", "coweight_lattice", lambda *_: Lattice([[Fraction(1, 4)]])), 3,
+     "cocharacter lattice not inside the coweight lattice"),
+    (["dual", "--type", "A3", "--isogeny", "adjoint", "--N", "1"],
+     _assign("A3", "coweight_lattice", lambda _, t: t.root_lattice), 3,
+     "pairing of the character and cocharacter lattices is not perfect"),
+    # period: k = 1 leaves G_Y of PGL2 (1/2) uncleared; A * diag(D) doubled halves SL2's
+    # period to 1, which does not carry omega_1 = 1/2 into k * iota(Y) = Z
+    (["dual", "--type", "A1", "--isogeny", "adjoint", "--N", "1"],
+     lambda monkeypatch: monkeypatch.setattr(RootDatum, "k", property(lambda d: 1)), 3,
+     "commutator denominator failed to clear the Gram matrix of Y"),
+    (["dual", "--type", "A1", "--N", "1"],
+     _assign("A1", "form_rows", lambda rows, _: tuple(tuple((j, 2 * x) for j, x in row)
+                                                       for row in rows)), 3,
+     "period 1 does not carry X into k * iota(Y)"),
+    # the type's new attributes: a wrong entry of the index by row, and twice the minuscule
+    # weight of A3, which lists 2 classes of P/Q, not det A = 4 (the source PGL4 reads no
+    # weight row; its dual's character lattice reads P/Q)
+    (["dual", "--type", "A3", "--N", "1"],
+     _assign("A3", "by_row", lambda rows, _: (((0, 2), (1, -2)),) + rows[1:]), 3,
+     "sparse index of the Cartan matrix disagrees with A"),
+    (["dual", "--type", "A3", "--isogeny", "adjoint", "--N", "1"],
+     _assign("A3", "weight_rows", lambda rows, _: (rows[0], tuple(tuple(2 * x for x in row)
+                                                                   for row in rows[1]))), 3,
+     "2 classes listed mod the roots, det A is 4"),
+    # the refusal of a generator row outside P, read through the index by column
+    (["dual", "--type", "A3", "--isogeny", '[["1/4", 0, 0]]', "--N", "1"], lambda _: None, 1,
+     "--type/--isogeny: generator 1/4,0,0 is not in the weight lattice"),
+])
+def test_each_moved_self_check_fires_through_the_cli(monkeypatch, cold_types, argv, inject,
+                                                     code, message):
+    """A fault injected into a fresh type, or into the step a check guards, makes the query
+    exit 3 (1 for the refusal) naming the check's message, on the sparse-index, special-row
+    and packed-root paths."""
+    inject(monkeypatch)
+    err = io.StringIO()
+    assert run(argv, out=io.StringIO(), err=err) == code
+    prefix = "internal check failed: " if code == 3 else ""
+    assert err.getvalue() == f"error: {prefix}{message}\n"

@@ -268,7 +268,7 @@ def test_an_order_in_a_built_class_does_no_lattice_work(monkeypatch):
 
     for module, name in [(td, "annihilator_plus"), (lattice, "span_mod"), (lattice, "hermite_rows"),
                          (dynkin, "_recognize"), (lattice, "numerators_member"),
-                         (root_data, "mat_mul"), (td, "numerators_member"),
+                         (root_data, "_times"), (td, "numerators_member"),
                          (td, "standard_plus")]:
         count(module, name)
     second = twisted_dual(d, 5)
@@ -355,8 +355,10 @@ def test_a_relabeling_that_folds_two_nodes_is_caught(monkeypatch):
 def test_center_times_pi1_against_the_dual_determinant_is_checked(cold_types):
     """[X' : Q'] * [Y' : Q'^v] must be det A'; against twice det A' a fresh class of B3 sc
     is refused, in the CLI too.  The dual of Spin7 at N = 4 is Spin7, so the source record
-    is built before det A' is doubled on the fresh type."""
+    is built before det A' is doubled on the fresh type, and so are its lists of P/Q and
+    P^v/Q^v, which are checked against det A when they are built."""
     argv, b3 = _dual_argv_of_a_fresh_class("B3", 4), CartanType("B", 3)
+    b3.weight_classes, b3.coweight_classes
     b3.det *= 2
     _exit_3(argv, "center times fundamental group does not match the Cartan determinant")
 
