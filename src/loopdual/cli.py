@@ -9,8 +9,8 @@ Weights and lattice rows come as integer numerators over one denominator, and
 one formatter (_rationals) writes them; a result holds a lattice as its Lattice
 value, whose text the one JSON writer keeps per (lattice, indent).
 
-Exit codes: 0 success, 1 usage error, 2 a requested check failed, 3 an
-internal self-check failed.
+Exit codes: 0 success, 1 usage error, 2 a requested check failed, 3 a self-check failed
+(a plain ArithmeticError) or another ArithmeticError escaped (an internal error).
 
 Vectors are comma-separated rationals.  Cocharacters are given in the
 simple-coroot basis of the source group; highest weights for `mult` in
@@ -461,8 +461,10 @@ def run(argv, out=None, err=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=err)
         return 1
-    except ArithmeticError as exc:  # a library self-check, not the input
-        print(f"error: internal check failed: {exc}", file=err)
+    except ArithmeticError as exc:  # a self-check; a stray ZeroDivisionError is a fault instead
+        what = "internal check failed" if type(exc) is ArithmeticError else \
+            f"internal error ({type(exc).__name__})"
+        print(f"error: {what}: {exc}", file=err)
         return 3
 
 

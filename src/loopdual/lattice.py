@@ -10,9 +10,9 @@ Routines: hermite_rows, and hermite_mod, the one elimination with a known modulu
 smith_normal_form calls (the invariant factors with no transforms, which no answer needs:
 root_data reads a record's center and pi1 off its Hermite pivots; the test oracles use both);
 both share one 2x2 Bezout row transform.  There is no general dual lattice and no congruence
-kernel: each record's lattices are Z^n plus rows over a denominator, one Hermite form of den *
-Z^n and the kept rows, inserted into den * I (standard_plus); span_mod lists L / Z^n, and
-root_data builds the second lattice of a record from the rows kept for the first.  Lattice is
+kernel: each record's lattices are Z^n plus a few rows over a denominator, one Hermite form of
+den * Z^n and those rows, inserted into den * I (standard_plus); its rows other than den * e_i
+generate it over Z^n, and root_data builds a record's second lattice from them.  Lattice is
 built from integer rows over a denominator (Lattice.from_int_rows), or from a proven modular
 form as it is; one integer triangular solve on numerators serves membership, coordinates and
 those proofs, checked by its residual ending at zero.  There is no matrix product: root_data
@@ -224,32 +224,14 @@ class Lattice:
         return f"Lattice[{rows}]"
 
 
-def span_mod(den: int, rows) -> tuple[set, list]:
-    """(group, kept): group is L / Z^n, L = Z^n + span(rows) / den for integer rows of length
-    n, as residues mod den listed as it grows, and kept are the rows that enlarged it, which
-    generate it.  The cost follows [L : Z^n], not the number of rows: root_data keeps it a
-    divisor of the determinant of a Cartan matrix, at most MAX_RANK + 1."""
-    group, kept = {(0,) * len(rows[0])}, []
-    for row in rows:
-        if (v := tuple(x % den for x in row)) not in group:
-            kept.append(v)
-            cosets, step = set(group), v
-            while step not in group:  # group + c * v for c = 1, 2, ... up to v's order
-                cosets.update(tuple((x + y) % den for x, y in zip(w, step)) for w in group)
-                step = tuple((x + y) % den for x, y in zip(step, v))
-            group = cosets
-    return group, kept
-
-
-def standard_plus(den: int, rows) -> tuple[Lattice, list]:
-    """(L, gens) for L = Z^n + span(rows) / den, integer rows of length n: one Hermite form of
-    den * Z^n and the rows span_mod keeps, which come back as gens, over L.den, so L = Z^n +
-    span(gens) / L.den.  Each kept row goes into den * I column by column: at a pivot den * e_c,
-    kept implicit, it loses a multiple of den, or a Bezout step makes the pivot row explicit.
-    Reducing the explicit rows above the later pivots gives hermite_rows' unique form."""
-    _, kept = span_mod(den, rows)
+def standard_plus(den: int, rows) -> Lattice:
+    """Z^n + span(rows) / den for integer rows of length n: one Hermite form of den * Z^n and the
+    rows, each reduced mod den and inserted into den * I column by column.  At a pivot den * e_c,
+    kept implicit, a row loses a multiple of den, or a Bezout step makes the pivot row explicit;
+    a row already in the lattice ends at zero.  Reducing the explicit rows above the later pivots
+    gives hermite_rows' unique form."""
     n, h = len(rows[0]), {}  # column: its explicit pivot row
-    for v in map(list, kept):
+    for v in ([x % den for x in row] for row in rows):
         for c in range(n):
             if (p := h.get(c)) is None and v[c] % den == 0:
                 v[c] = 0
@@ -268,7 +250,7 @@ def standard_plus(den: int, rows) -> tuple[Lattice, list]:
     lat.ambient_dim, lat.den, lat._hash = n, den // g, None
     lat.rows = tuple(tuple(x // g for x in h[c]) if c in h else
                      (0,) * c + (lat.den,) + (0,) * (n - c - 1) for c in range(n))
-    return lat, [tuple(x // g for x in v) for v in kept]
+    return lat
 
 
 def _solve(nums, den: int, lat: Lattice) -> tuple[int, ...] | None:

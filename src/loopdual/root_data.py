@@ -19,24 +19,25 @@ Conventions used across the package:
 * A RootDatum is immutable, the triple (type, X, Y), made by root_datum from an X and a Y
   built together by its caller, and validated then by a perfect-pairing check on their special
   Hermite rows, not den * e_i, which proves Y == X^v; no lattice is ever dualised.  Y is Q^v
-  for "sc" and P^v for "adjoint".  Otherwise one lattice is Z^r plus the rows standard_plus
-  keeps, and the other Z^r plus the elements of P/Q (P^v/Q^v) that pair integrally with them
-  (annihilator_plus): Y from X for explicit rows and D-odd "so" (_quotient_lattices), X from Y
+  for "sc" and P^v for "adjoint".  Otherwise one lattice is Z^r plus given rows (standard_plus),
+  and the other Z^r plus the subgroup of P/Q (P^v/Q^v) pairing integrally with its special rows
+  (annihilator_plus): Y from X for explicit rows and D-odd "so" (_quotient_lattices), X from Y'
   = X + (k/N) * iota(Y) of the source for a dual (twisted_dual).  As Y is fixed by X there is
   one record per (type, X); it caches G_Y, k, the period L (twisted_dual's class key), center
   and pi1 (X/Q and Y/Q^v, read off the Hermite pivots, as each has two invariant factors at
   most), and twisted_dual's duals by class; G_Y, k and L read only the special rows.  How the
   caller named X is not part of it, so B3 "so" and "adjoint" share one record; explicit
   generator rows are keyed to their (X, Y).  P and P^v are Z^r plus the at most two minuscule
-  fundamental (co)weights over a denominator.
+  fundamental (co)weights over a denominator, which are the one description of P/Q (P^v/Q^v).
 * A CartanType is the one home of its type's invariants: equal types are one object (_cartan_type
   keeps 256), and A, its Dynkin tree, A's nonzero entries by row and by column, det A, the
   coroot norms c and D_j = lcm(c) / c_j, A * diag(D) by row, the form, the minuscule weight and
-  coweight rows, the elements of P/Q and P^v/Q^v, Q, P, P^v, D-odd "so"'s lattices and the dual
-  Coxeter number are its attributes, each built on first use and checked there.  Every product
-  by A, A^T or A * diag(D) goes through those sparse rows (_times).  The norms and the minuscule
-  nodes come from tables by series, and det A and each fundamental (co)weight, in O(r)
-  integers, from a leaf-first elimination on the Dynkin tree (CartanType.column).
+  coweight rows, Q, P and P^v (each of the last two checked to hold det A classes over Z^r),
+  D-odd "so"'s lattices and the dual Coxeter number are its attributes, each built on first use
+  and checked there.  Every product by A, A^T or A * diag(D) goes through those sparse rows
+  (_times).  The norms and the minuscule nodes come from tables by series, and det A and each
+  fundamental (co)weight, in O(r) integers, from a leaf-first elimination on the Dynkin tree
+  (CartanType.column).
 * The root pass takes a bare integer Cartan matrix.  Positive roots grow by height under
   simple reflections and stream past, a few layers at a time, with nothing cached, each root
   and coroot one int of 8-bit fields, so that s_i is one subtraction: reflection_sum adds
@@ -51,11 +52,11 @@ import struct
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, product
 from math import gcd, lcm, prod
 from operator import mul, sub
 
-from .lattice import Lattice, numerators_member, span_mod, standard_plus, vector_text
+from .lattice import Lattice, numerators_member, standard_plus, vector_text
 
 # Largest rank of series A-D; scripts/scan_ranks.py times every A-D datum up to it.
 MAX_RANK = 128
@@ -235,27 +236,11 @@ class CartanType(namedtuple("CartanType", "series rank")):
     def coweight_rows(self) -> tuple[int, tuple]:  # those that span P^v
         return self._minuscule(weight=False)
 
-    @cached_property
-    def weight_classes(self) -> tuple[int, tuple[tuple[int, ...], ...]]:  # (m, P/Q mod m)
-        return self._classes(*self.weight_rows)
-
-    @cached_property
-    def coweight_classes(self) -> tuple[int, tuple[tuple[int, ...], ...]]:  # (m, P^v/Q^v)
-        return self._classes(*self.coweight_rows)
-
-    def _classes(self, m: int, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(m, each element of Z^r + span(rows) / m as its residue mod m), checked to be det A of
-        them for the minuscule rows over m = det A."""
-        group = tuple(span_mod(m, rows)[0])
-        if len(group) != self.det:
-            raise ArithmeticError(f"{len(group)} classes listed mod the roots, det A is {self.det}")
-        return m, group
-
     def _minuscule(self, weight: bool) -> tuple[int, tuple]:
-        """(det A, rows): the minuscule fundamental weights (coweights unless weight), integer rows
-        over det A that generate P/Q (P^v/Q^v; Bourbaki, Lie VIII, 7.3), or a zero row."""
+        """(det A, rows): the minuscule fundamental weights (coweights unless weight) over det A,
+        one per cyclic factor of P/Q (P^v/Q^v; Bourbaki, Lie VIII, 7.3), or a zero row."""
         r, swap = self.rank, {} if weight else {"B": "C", "C": "B"}  # P^v of B_r is P of C_r
-        nodes = {"A": [0], "B": [r - 1], "C": [0], "D": [r - 2, r - 1],
+        nodes = {"A": [0], "B": [r - 1], "C": [0], "D": [r - 2, r - 1][r % 2:],
                  "E": {6: [0], 7: [6]}.get(r, [])}.get(swap.get(self.series, self.series), [])
         rows = tuple(tuple(self.column(i, weight)[1]) for i in nodes)
         return self.det, rows or ((0,) * r,)
@@ -266,11 +251,18 @@ class CartanType(namedtuple("CartanType", "series rank")):
 
     @cached_property
     def weight_lattice(self) -> Lattice:  # P, Z^r plus the minuscule fundamental weights
-        return standard_plus(*self.weight_rows)[0]
+        return self._spanned(*self.weight_rows)
 
     @cached_property
     def coweight_lattice(self) -> Lattice:  # P^v, Z^r plus the minuscule coweights
-        return standard_plus(*self.coweight_rows)[0]
+        return self._spanned(*self.coweight_rows)
+
+    def _spanned(self, m: int, rows) -> Lattice:
+        """Z^r + span(rows) / m, its index over Z^r, from its pivots, checked to be det A."""
+        lat = standard_plus(m, rows)
+        if (n := lat.den ** self.rank // _pivots(lat)) != self.det:
+            raise ArithmeticError(f"{n} classes listed mod the roots, det A is {self.det}")
+        return lat
 
     @cached_property
     def so_lattices(self) -> tuple[Lattice, Lattice]:  # D-odd "so": Q + the vector weight
@@ -500,27 +492,31 @@ def build_datum(cartan_type: CartanType | str, isogeny="sc") -> RootDatum:
 @lru_cache(maxsize=256)
 def _quotient_lattices(t: CartanType, gens: tuple) -> tuple[Lattice, Lattice]:
     """(X, Y) for X = Q + span(gens), weight-lattice rows gens, built once per (type, rows);
-    Y is the annihilator of the generators of X / Q that standard_plus keeps."""
+    Y is the annihilator of the special rows of X, which generate X / Q."""
     e = lcm(1, *(v.denominator for g in gens for v in g))
     rows = [[int(v * e) for v in g] for g in gens]  # e * G
     for g, row in zip(gens, rows):  # a weight: each <coroot_j, g> = (g @ A)[j] is an integer
         if len(row) != t.rank or any(x % e for x in _times([row], t.by_column)[0]):
             raise ValueError(f"generator {vector_text(g)} is not in the weight lattice")
-    x, kept = standard_plus(e, rows or [[0] * t.rank])  # Q for no rows
-    return x, annihilator_plus(t, x.den, kept, cocharacters=True)[0]
+    x = standard_plus(e, rows or [[0] * t.rank])  # Q for no rows
+    return x, annihilator_plus(t, x.den, _special_rows(x).values(), cocharacters=True)
 
 
-def annihilator_plus(t: CartanType, den: int, gens, cocharacters: bool) -> tuple[Lattice, list]:
-    """standard_plus of Z^r and the elements of P/Q (P^v/Q^v if cocharacters) of type t that
-    pair integrally with each row v / den of gens: the dual of Z^r + span(gens) / den, a
-    lattice between the coroots and the coweights (roots and weights).  P/Q is the type's list
-    of det A residues w mod m (CartanType.weight_classes, coweight_classes), and with a = A^T
-    (A) the pairing of w / m with v / den is w . (a v) / (m * den)."""
-    (m, group), index = ((t.coweight_classes, t.by_column) if cocharacters else
-                         (t.weight_classes, t.by_row))  # v @ A, or v @ A^T
-    images = _times(gens, index)
-    return standard_plus(m, [w for w in group if all(
-        sum(map(mul, w, u)) % (m * den) == 0 for u in images)])
+def annihilator_plus(t: CartanType, den: int, gens, cocharacters: bool) -> Lattice:
+    """Z^r plus the subgroup of P/Q (P^v/Q^v if cocharacters) of type t that pairs integrally
+    with each row v / den of gens: the dual of Z^r + span(gens) / den.  P/Q is generated by the
+    minuscule rows w_j / m of order o_j (P is built first, which checks that they give det A
+    classes), and with a = A^T (A), sum_j e_j w_j / m, 0 <= e_j < o_j, pairs with v / den to
+    sum_j e_j (w_j . (a v)) / (m * den): a congruence per element, at most det A of them, and
+    row.  A subgroup of a cyclic P/Q is generated by its least nonzero element, and one of
+    (Z/2)^2 by its at most three."""
+    _, (m, rows), index = ((t.coweight_lattice, t.coweight_rows, t.by_column) if cocharacters
+                           else (t.weight_lattice, t.weight_rows, t.by_row))  # v @ A, or v @ A^T
+    pairs = [[sum(map(mul, w, u)) for w in rows] for u in _times(gens, index)]
+    members = [e for e in product(*(range(m // gcd(m, *w)) for w in rows)) if any(e) and all(
+        sum(map(mul, e, p)) % (m * den) == 0 for p in pairs)]
+    return standard_plus(m, [[sum(map(mul, e, col)) for col in zip(*rows)] for e in
+                             (members[:1] if len(rows) == 1 else members)] or [[0] * t.rank])
 
 
 @lru_cache(maxsize=256)  # the sweep benchmark, 79 data of rank <= 8 and their duals, makes 150

@@ -9,16 +9,16 @@ matrix A' = diag(delta) * A^T * diag(delta)^-1, which a rule gives (the Langland
 when delta is constant, the source's otherwise).  Its cocharacters Y', the dual of Y_{Q,N}, are
 X + (k/N) * iota(Y) (Weissman's X_{Q,n}, arXiv:1507.01042), coordinate sigma(i) = delta_i *
 x_i: Z^r, the dual's coroots, plus the 2r rows of X and Y, of which only the special Hermite
-rows, not den * e_i, count mod den (lattice.standard_plus).  X' is Z^r plus the elements of
-P'/Q' that pair integrally with the rows kept for Y' (root_data.annihilator_plus).  The dual
+rows, not den * e_i, count mod den (lattice.standard_plus).  X' is Z^r plus the subgroup of
+P'/Q' that pairs integrally with the special rows of Y' (root_data.annihilator_plus).  The dual
 depends on N only through the class gcd(N, L), L the record's period, which each k * c_i
 divides.  Every call checks its delta: each rescaled coroot in Y_{Q,N}, each rescaled root
 root_i / delta_i in X + (k/N) * iota(Y), so Y_{Q,N} pairs integrally with Y'.  The record keeps
 one dual per class, built on a miss and checked: sigma, on the edges of the source's Dynkin
-tree, with no A' built; each generator of X'/Z^r in Y_{Q,N} by the definition, so X' <=
-Y_{Q,N}, and the perfect pairing X' = Y'^v of root_datum gives X' >= Y_{Q,N}; and the orders of
-the dual's center and pi1 against det A'.  Each reads only the class, so it holds for one N of
-a class exactly when it holds for all.
+tree, with no A' built; each special row of X', which generate X'/Z^r, in Y_{Q,N} by the
+definition, so X' <= Y_{Q,N}, and the perfect pairing X' = Y'^v of root_datum gives X' >=
+Y_{Q,N}; and the orders of the dual's center and pi1 against det A'.  Each reads only the
+class, so it holds for one N of a class exactly when it holds for all.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def _class_dual(d: RootDatum, order: int, delta) -> tuple:
         raise ArithmeticError("relabeling does not carry the rescaled "
                               "Cartan matrix to the standard one")
     k, cs = d.k, t.norms
-    ylat, ygens = _dual_cocharacters(d, order, delta, sorted(range(r), key=sigma.__getitem__))
-    xlat, xgens = annihilator_plus(dual_type, ylat.den, ygens, cocharacters=False)
-    for v in xgens:  # in the source's coordinates, y in Y and (k/N) * iota(y) in X
+    ylat = _dual_cocharacters(d, order, delta, sorted(range(r), key=sigma.__getitem__))
+    xlat = annihilator_plus(dual_type, ylat.den, _special_rows(ylat).values(), cocharacters=False)
+    for v in _special_rows(xlat).values():  # X'/Z^r's generators: y in Y, (k/N) * iota(y) in X
         y = [di * v[s] for di, s in zip(delta, sigma)]
         if not (numerators_member(y, xlat.den, d.Y) and numerators_member(
                 [k * c * x for c, x in zip(cs, y)], xlat.den * order, d.X)):
@@ -120,15 +120,15 @@ def _class_dual(d: RootDatum, order: int, delta) -> tuple:
     return sigma, dual, group_name(dual)
 
 
-def _dual_cocharacters(d: RootDatum, order: int, delta, source) -> tuple[Lattice, list]:
+def _dual_cocharacters(d: RootDatum, order: int, delta, source) -> Lattice:
     """The dual of Y_{Q,N} = Y & (N/k) * iota^-1(X), the sum of the duals X + (k/N) * iota(Y),
     with coordinate sigma(i) = delta_i * x_i: from a row of X, delta_i times its entry, and
     from a row y of Y, k * c_i * delta_i / N = k * c_i / e_i times y_i.  It holds the dual's
     coroots Z^r, with [Y' : Z^r] = |pi1| dividing the dual's Cartan determinant, so one Hermite
     form of Z^r and the special rows of X and Y over their common denominator does it (lattice.
-    standard_plus, whose kept rows come back too); source is the inverse of sigma.  A row x.den *
-    e_i (y.den * e_i) left out is delta_i (k * c_i * delta_i / N, an integer, as twisted_dual
-    checks) times den * e_sigma(i), so 0 mod den."""
+    standard_plus); source is the inverse of sigma.  A row x.den * e_i (y.den * e_i) left out is
+    delta_i (k * c_i * delta_i / N, an integer, as twisted_dual checks) times den * e_sigma(i),
+    so 0 mod den."""
     x, y, k, cs = d.X, d.Y, d.k, d.cartan_type.norms
     den = lcm(x.den, y.den)
     from_x = [delta[i] * (den // x.den) for i in source]

@@ -836,7 +836,7 @@ def _mod1(vec) -> tuple[Fraction, ...]:
                  for x in (Fraction(v) for v in vec))
 
 
-def _span_mod1(zero, gens) -> frozenset:
+def span_mod1(zero, gens) -> frozenset:
     """The subgroup of (Q/Z)^r generated by gens, in [0,1) coordinates."""
     seen = {zero}
     frontier = [zero]
@@ -853,7 +853,7 @@ def _span_mod1(zero, gens) -> frozenset:
 def weight_classes(t: CartanType) -> list[tuple[Fraction, ...]]:
     """Coset representatives (in [0,1) coordinates) for weights mod roots."""
     gens = [_mod1(row) for row in t.weight_lattice.basis]
-    return sorted(_span_mod1((Fraction(0),) * t.rank, gens))
+    return sorted(span_mod1((Fraction(0),) * t.rank, gens))
 
 
 def all_isogenies(t: CartanType) -> list[tuple[str, list[tuple[Fraction, ...]]]]:
@@ -868,7 +868,7 @@ def all_isogenies(t: CartanType) -> list[tuple[str, list[tuple[Fraction, ...]]]]
     subgroups = {frozenset({zero})}
     for e in elements[1:]:
         for existing in list(subgroups):
-            subgroups.add(_span_mod1(zero, existing | {e}))
+            subgroups.add(span_mod1(zero, existing | {e}))
     out = []
     counters: dict[int, int] = {}
     for group in sorted(subgroups, key=lambda g: (len(g), sorted(g))):

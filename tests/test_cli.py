@@ -19,6 +19,7 @@ import pytest
 
 import oracles
 from loopdual import cli, dynkin, lattice, rep_check, root_data
+from loopdual import twisted_dual as twisted_dual_module
 from loopdual.cli import run
 from loopdual.lattice import Lattice
 from loopdual.root_data import build_datum
@@ -732,6 +733,25 @@ def test_failed_self_check_is_exit_code_3(monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("error: internal check failed: monodromy vanishing disagrees with "
                    "the local denominator divisibility\n")
+
+
+def _a_named_check_fails(d, order):
+    raise ArithmeticError("a check")
+
+
+@pytest.mark.parametrize("fault, text", [
+    (lambda d, order: order // 0,
+     "internal error (ZeroDivisionError): integer division or modulo by zero"),
+    (lambda d, order: math.exp(1000), "internal error (OverflowError): math range error"),
+    (_a_named_check_fails, "internal check failed: a check")],
+    ids=["zero-division", "overflow", "self-check"])
+def test_a_stray_arithmetic_error_is_an_internal_error_not_a_named_check(monkeypatch, fault,
+                                                                         text):
+    """A ZeroDivisionError or OverflowError out of a command is a fault, not a self-check:
+    it exits 3 naming its class, and only a plain ArithmeticError reads "internal check
+    failed"."""
+    monkeypatch.setattr(twisted_dual_module, "local_denominators", fault)
+    assert invoke("dual", "--type", "A1", "--N", "2") == (3, "", f"error: {text}\n")
 
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"

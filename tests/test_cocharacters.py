@@ -10,7 +10,7 @@ Smith form with transforms takes minutes, with a closed form worked out by hand.
 import io
 import json
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -52,7 +52,7 @@ def test_every_record_of_rank_at_most_8_has_the_smith_dual_of_its_characters():
 def test_the_dual_cocharacters_from_the_special_rows_are_those_from_all_rows():
     """_dual_cocharacters passes standard_plus only the special Hermite rows of X and Y; the
     rows den * e_i it leaves out scale to multiples of den, so every record of rank <= 11
-    gets the lattice and kept rows that all 2r rows give, at N = 1..12."""
+    gets the lattice that all 2r rows give, at N = 1..12."""
     types = [CartanType(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
              for n in range(lo, 12)] + [CartanType("E", n) for n in (6, 7, 8)] + \
         [CartanType("F", 4), CartanType("G", 2)]
@@ -95,17 +95,32 @@ def _coroots_plus(generator):
 
 def test_rank_127_and_128_cocharacters_match_closed_forms():
     """For A_(n-1), P^v / Q^v is cyclic of order n on omega_1^v = ((n - i) / n)_i, so the
-    Y with [Y : Q^v] = n / m is Q^v + Z * m * omega_1^v.  For D_r of odd rank it is cyclic
-    of order 4, and its subgroup of order 2 is spanned by omega_1^v = (1, ..., 1, 1/2, 1/2)."""
+    Y with [Y : Q^v] = n / m is Q^v + Z * m * omega_1^v: at A127 the X = Q + Z * (128 / m) *
+    omega_1 of each m dividing 128, from Q (m = 1) to P (m = 128), has it as its Y.  For D_r of
+    odd rank P^v / Q^v is cyclic of order 4, and its subgroup of order 2 is spanned by
+    omega_1^v = (1, ..., 1, 1/2, 1/2).  For D128 it is (Z/2)^2, and as (omega_1, omega_1) = 1,
+    (omega_127, omega_127) = 128 / 4 and the other pairings of omega_1, omega_127 and omega_128
+    are 1/2 and 126 / 4, each index-two X = Q + Z * omega has Y = Q^v + Z * omega^v, in the same
+    coordinates as A is symmetric."""
+    for m in (2 ** e for e in range(8)):
+        row = [Fraction(128 // m * (128 - i), 128) for i in range(1, 128)]
+        source = build_datum("A127", [row])  # row has order m in P / Q: [X : Q] = m
+        assert source.Y == _coroots_plus([Fraction(m * (128 - i), 128) for i in range(1, 128)])
+        assert prod(source.center) == m, m
     mu2 = [[Fraction(1, 2) if i % 2 == 0 else 0 for i in range(127)]]
-    source = build_datum("A127", mu2)  # the generator has order 2 in P / Q: [X : Q] = 2
-    assert source.Y == _coroots_plus([Fraction(2 * (128 - i), 128) for i in range(1, 128)])
+    assert build_datum("A127", mu2).Y == _coroots_plus([Fraction(2 * (128 - i), 128)
+                                                        for i in range(1, 128)])
     # the dual of SL129 at N = 6 is SL129 / mu43: its center is Z / gcd(129, 6)
     dual = td.twisted_dual(build_datum("A128", "sc"), 6).dual
     assert (str(dual.cartan_type), dual.center) == ("A128", (3,))
     assert dual.Y == _coroots_plus([Fraction(3 * (129 - i), 129) for i in range(1, 129)])
     so = build_datum("D127", "so")  # X = Q + Z * omega_1, so [Y : Q^v] = 4 / 2
     assert so.Y == _coroots_plus([1] * 125 + [Fraction(1, 2)] * 2)
+    half = [Fraction(j, 2) for j in range(1, 127)]
+    for omega in ([1] * 126 + [Fraction(1, 2)] * 2, half + [32, Fraction(63, 2)],
+                  half + [Fraction(63, 2), 32]):
+        index_two = build_datum("D128", [omega])
+        assert index_two.Y == _coroots_plus(omega) and index_two.center == (2,), omega[-2:]
 
 
 def _doubled(lat):

@@ -544,13 +544,13 @@ def test_kernel_mod_matches_the_smith_oracle():
 
 
 def test_standard_plus_matches_the_fraction_constructor():
-    """Z^n + span(rows) / den, kept rows or not, is the lattice the Fraction
-    generators give, also when a row repeats, is zero or is a multiple of den, and so is
-    Z^n + span(gens) / L.den for the rows it keeps.  span_mod lists L / Z^n as residues
-    mod den, so each draw keeps [L : Z^n] <= 129, as |det A| bounds it for the package's
-    callers: its m rows are multiples of den / d, with d^m <= 129.  The fixed cases insert
-    a second kept row into the pivot row the first one made explicit, at column 0 and at
-    a later column."""
+    """Z^n + span(rows) / den is the lattice the Fraction generators give, also when a row
+    repeats, is zero, is a multiple of den or has entries outside [0, den), and so is Z^n plus
+    its special Hermite rows, those other than L.den * e_i, over L.den, whose pivots give
+    [L : Z^n] as the oracle's Gauss elimination does.  Each draw keeps [L : Z^n] <= 129, as
+    |det A| bounds it for the package's callers: its m rows are multiples of den / d, with
+    d^m <= 129.  The fixed cases insert a second row into the pivot row the first one made
+    explicit, at column 0 and at a later column."""
     rng = random.Random(2028)
     fixed = [(4, [[2, 1], [1, 0]]), (6, [[0, 3, 3, 0], [0, 2, -2, 4]]),
              (12, [[0] * 5 + [6, 4, 0, 9, 0, 3, 1], [0] * 5 + [4, 0, 6, 0, 8, 0, 2]])]
@@ -565,15 +565,15 @@ def test_standard_plus_matches_the_fraction_constructor():
                      for _ in range(n)] for _ in range(m)]
             rows += rng.sample(rows, 1) + [[0] * n, [den * rng.randint(-2, 2) for _ in range(n)]]
         want = Lattice(identity_matrix(n) + [[Fraction(x, den) for x in row] for row in rows])
-        lat, gens = standard_plus(den, rows)
+        lat = standard_plus(den, rows)
         assert lat == want and lat.ambient_dim == n, (den, rows)
         assert lat == Lattice.from_int_rows(den, [[den * (i == j) for j in range(n)]
                                                   for i in range(n)] + rows), (den, rows)
-        assert Lattice(identity_matrix(n) + [[Fraction(x, lat.den) for x in v] for v in gens]) \
-            == want and len(gens) <= len(rows), (den, rows)
-        group, _ = lattice.span_mod(den, rows)
-        assert len(group) == lattice_index_by_gauss(want, Lattice.standard(n))
-        assert all(lattice_member([Fraction(x, den) for x in w], want) for w in group)
+        special = root_data._special_rows(lat).values()
+        assert Lattice(identity_matrix(n) + [[Fraction(x, lat.den) for x in v]
+                                             for v in special]) == want, (den, rows)
+        assert prod(lat.den // row[i] for i, row in enumerate(lat.rows)) == \
+            lattice_index_by_gauss(want, Lattice.standard(n)), (den, rows)
 
 
 def test_smith_diagonal_matches_the_transform_oracle():
@@ -602,7 +602,7 @@ def test_equal_lattices_from_every_constructor_compare_and_hash_equal():
     one value, one hash, and the hash is kept on the lattice once asked for."""
     lattices = [Lattice(identity_matrix(3) + [[Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]]),
                 Lattice.from_int_rows(4, [[4, 0, 0], [0, 4, 0], [0, 0, 4], [1, 2, 3]]),
-                standard_plus(4, [[1, 2, 3]])[0],
+                standard_plus(4, [[1, 2, 3]]),
                 Lattice.from_int_rows(4, hermite_mod([[1, 2, 3]], 4, 16))]
     assert all(lat == lattices[0] for lat in lattices)
     assert {hash(lat) for lat in lattices} == {hash((4, lattices[0].rows))}
@@ -616,7 +616,7 @@ def test_standard_lattices_built_three_ways_are_one_value():
     and by insertion into den * I (standard_plus), compares and hashes equal, n = 1..128."""
     for n in range(1, 129):
         std = Lattice.standard(n)
-        twins = [Lattice.from_int_rows(1, identity_matrix(n)), standard_plus(1, [[0] * n])[0],
+        twins = [Lattice.from_int_rows(1, identity_matrix(n)), standard_plus(1, [[0] * n]),
                  Lattice.from_int_rows(2, [[2 * x for x in row] for row in identity_matrix(n)])]
         assert (std.den, std.ambient_dim) == (1, n) and std.rows == tuple(map(tuple,
                                                                                identity_matrix(n)))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loopdual import lattice, root_data
+from loopdual import dynkin, lattice, rep_check, root_data
 from loopdual.cli import run
 from loopdual.central_ext import commutator_denominator
 from loopdual.lattice import Lattice, lattice_member, transpose
@@ -30,7 +30,7 @@ from oracles import (EXCEPTIONAL_ROOTS, all_isogenies, basis_coordinate_matrix, 
                      classical_positive_roots, dense_det_int,
                      dense_mat_mul, dual_lattice_by_smith, iota, lattice_index_by_gauss, mat_inv,
                      modular_dual_lattice, pairing_numerator, period_by_smith, root_closure,
-                     smith_normal_form, two_rho)
+                     smith_normal_form, span_mod1, two_rho)
 from oracles import reflection_sum as dense_reflection_sum
 
 ALL_TYPES = (
@@ -433,7 +433,7 @@ def test_a_pairing_off_in_the_special_rows_alone_is_not_perfect(name, node):
     if node is None:
         x, y = t.weight_lattice, t.coweight_lattice
     else:
-        x, y = (lattice.standard_plus(det, [rows[node]])[0] for det, rows in
+        x, y = (lattice.standard_plus(det, [rows[node]]) for det, rows in
                 (t.weight_rows, t.coweight_rows))
         assert root_data._pivots(x) * root_data._pivots(y) * t.det == \
             (x.den * y.den) ** t.rank
@@ -737,21 +737,24 @@ def test_tree_columns_and_pivots_match_the_smith_oracle(t):
 @pytest.mark.parametrize("cocharacters", [False, True])
 def test_weight_lattices_match_the_general_hermite_form(cocharacters):
     """P and P^v by insertion into det A * I (standard_plus) are the Hermite form that
-    hermite_rows gives the same rows, and the rows of the type's list of P/Q (P^v/Q^v), for
-    every type of rank <= 12 and at rank 127-128, equal and with equal hashes."""
+    hermite_rows gives the same rows, and the one that the oracle's list of P/Q (P^v/Q^v)
+    spanned by those rows gives, det A classes, for every type of rank <= 12 and at rank
+    127-128, equal and with equal hashes; their pivots give [P : Q] = det A."""
     types = [CartanType(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
              for n in range(lo, 13)] + [CartanType("E", n) for n in (6, 7, 8)] + \
         [CartanType("F", 4), CartanType("G", 2)] + \
         [CartanType("A", 127), CartanType("B", 128), CartanType("C", 127), CartanType("D", 128)]
     for t in types:
         det, rows = t.coweight_rows if cocharacters else t.weight_rows
-        m, classes = t.coweight_classes if cocharacters else t.weight_classes
         scaled = [[det * (i == j) for j in range(t.rank)] for i in range(t.rank)]
         lat = t.coweight_lattice if cocharacters else t.weight_lattice
         assert lat == Lattice.from_int_rows(det, scaled + list(rows)), str(t)
-        # and from the type's list of P/Q (P^v/Q^v), every class of it, det A of them
-        by_classes = Lattice.from_int_rows(m, scaled + list(classes))
-        assert m == det == len(classes) and lat == by_classes and hash(lat) == hash(by_classes)
+        assert lat.den ** t.rank // root_data._pivots(lat) == det, str(t)
+        # and from the oracle's list of P/Q (P^v/Q^v), every class of it, det A of them
+        classes = span_mod1((Fraction(0),) * t.rank, [[Fraction(x, det) for x in row]
+                                                      for row in rows])
+        by_classes = Lattice.from_int_rows(det, scaled + [[x * det for x in w] for w in classes])
+        assert len(classes) == det and lat == by_classes and hash(lat) == hash(by_classes)
 
 
 def test_explicit_generator_rows_are_keyed_to_their_character_lattice(monkeypatch, cold_types):
@@ -906,8 +909,8 @@ def _patch(attribute, fault):
                                                        for row in rows)), 3,
      "period 1 does not carry X into k * iota(Y)"),
     # the type's new attributes: a wrong entry of the index by row, and twice the minuscule
-    # weight of A3, which lists 2 classes of P/Q, not det A = 4 (the source PGL4 reads no
-    # weight row; its dual's character lattice reads P/Q)
+    # weight of A3, whose P then has 2 classes over Q by its Hermite pivots, not det A = 4 (the
+    # source PGL4 builds no P; the annihilator that gives its dual's character lattice does)
     (["dual", "--type", "A3", "--N", "1"],
      _assign("A3", "by_row", lambda rows, _: (((0, 2), (1, -2)),) + rows[1:]), 3,
      "sparse index of the Cartan matrix disagrees with A"),
@@ -929,3 +932,72 @@ def test_each_moved_self_check_fires_through_the_cli(monkeypatch, cold_types, ar
     assert run(argv, out=io.StringIO(), err=err) == code
     prefix = "internal check failed: " if code == 3 else ""
     assert err.getvalue() == f"error: {prefix}{message}\n"
+
+
+def _drop_the_highest_root_of_a2(real):
+    """rep_check's root pass for A2 without alpha_1 + alpha_2, so the labels of the positive
+    roots add up to (1, 1), not to 2 * rho's (2, 2)."""
+    def stream(a):
+        yield from (root for root in real(a) if root[0] == 1)
+    return stream
+
+
+def _heights_of_a2_off(monkeypatch):
+    """A cold A2 engine told that its roots have heights 1, 2 and 2: Macdonald's product is then
+    3^2 / 2, not |W| = 6."""
+    rep_check._engine.cache_clear()
+    monkeypatch.setattr(rep_check._engine(CartanType("A", 2)), "heights", [1, 2, 2])
+
+
+@pytest.mark.parametrize("argv, inject, message", [
+    # h = 1 on a fresh A2, whose adjoint record has k = 3, which does not divide 2
+    (["extensions", "--type", "A2", "--isogeny", "adjoint"],
+     _assign("A2", "dual_coxeter", lambda *_: 1),
+     "commutator denominator must divide twice the dual Coxeter number"),
+    (["check-assumption", "--type", "A2", "--isogeny", "adjoint", "--N", "1", "--p", "5"],
+     _assign("A2", "dual_coxeter", lambda *_: 1), "commutator denominator 3 does not divide 2h*N"),
+    # a cold engine for the dual A2, built from a root pass that loses the highest root
+    (["mult", "--type", "A2", "--N", "1", "--highest", "1,1"],
+     lambda monkeypatch: rep_check._engine.cache_clear() or monkeypatch.setattr(
+         rep_check, "_packed_roots", _drop_the_highest_root_of_a2(rep_check._packed_roots)),
+     "half-sum of positive roots is off"),
+    (["mult", "--type", "A2", "--N", "1", "--highest", "1,1"], _heights_of_a2_off,
+     "Weyl group order of the nodes (0, 1) is not an integer"),
+    # the dual of SO8 at N = 1 is SO8, which then holds none of omega_1, omega_3 and omega_4
+    (["dual", "--type", "D4", "--isogeny", '[[1, 1, "1/2", "1/2"]]', "--N", "1"],
+     lambda monkeypatch: monkeypatch.setattr(dynkin, "lattice_member", lambda v, lat: False),
+     "unrecognized intermediate orthogonal form"),
+])
+def test_each_unnamed_self_check_fires_through_the_cli(monkeypatch, cold_types, argv, inject,
+                                                       message):
+    """The checks that no other test names: a fault in a fresh type, a cold engine or the step
+    a check guards makes the query exit 3 with the check's message as the whole stderr."""
+    inject(monkeypatch)
+    err = io.StringIO()
+    assert run(argv, out=io.StringIO(), err=err) == 3
+    assert err.getvalue() == f"error: internal check failed: {message}\n"
+
+
+def _flip_signs(real):
+    return lambda self, x: (lambda top, rise, sign: (top, rise, -sign))(*real(self, x))
+
+
+def _first_weight_only(real):
+    return lambda self, table, top, step: dict(list(real(self, table, top, step).items())[:1])
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    ("conjugate", _flip_signs, "Brauer-Klimyk decomposition has a negative multiplicity"),
+    ("character", _first_weight_only, "tensor decomposition does not preserve dimension")])
+def test_each_tensor_self_check_fires_through_tensor_multiplicity(monkeypatch, name, fault,
+                                                                  message):
+    """No command decomposes a tensor product, so its two checks fire through
+    tensor_multiplicity, on L(omega) (x) L(omega) = L(2 omega) + L(0) of SL2: with every Weyl
+    sign flipped both terms come out -1, and with the smaller factor's character cut to its
+    highest weight only L(2 omega) is left, of dimension 3, not 2 * 2."""
+    rep_check._Engine.tensor.cache_clear()
+    monkeypatch.setattr(rep_check._Engine, name, fault(getattr(rep_check._Engine, name)))
+    half = (Fraction(1, 2),)
+    with pytest.raises(ArithmeticError) as caught:
+        rep_check.tensor_multiplicity(build_datum("A1", "sc"), half, half, (1,))
+    assert type(caught.value) is ArithmeticError and str(caught.value) == message

@@ -266,7 +266,7 @@ def test_an_order_in_a_built_class_does_no_lattice_work(monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
 
-    for module, name in [(td, "annihilator_plus"), (lattice, "span_mod"), (lattice, "hermite_rows"),
+    for module, name in [(td, "annihilator_plus"), (lattice, "hermite_rows"),
                          (dynkin, "_recognize"), (lattice, "numerators_member"),
                          (root_data, "_times"), (td, "numerators_member"),
                          (td, "standard_plus")]:
@@ -355,10 +355,10 @@ def test_a_relabeling_that_folds_two_nodes_is_caught(monkeypatch):
 def test_center_times_pi1_against_the_dual_determinant_is_checked(cold_types):
     """[X' : Q'] * [Y' : Q'^v] must be det A'; against twice det A' a fresh class of B3 sc
     is refused, in the CLI too.  The dual of Spin7 at N = 4 is Spin7, so the source record
-    is built before det A' is doubled on the fresh type, and so are its lists of P/Q and
-    P^v/Q^v, which are checked against det A when they are built."""
+    is built before det A' is doubled on the fresh type, and so are its P and P^v, whose
+    indices over the roots are checked against det A when they are built."""
     argv, b3 = _dual_argv_of_a_fresh_class("B3", 4), CartanType("B", 3)
-    b3.weight_classes, b3.coweight_classes
+    b3.weight_lattice, b3.coweight_lattice
     b3.det *= 2
     _exit_3(argv, "center times fundamental group does not match the Cartan determinant")
 
@@ -376,7 +376,7 @@ def _exit_3(argv, message):
 
 
 def test_corrupted_dual_lattice_is_caught_on_a_warm_record(monkeypatch):
-    """An annihilator that drops the generators of Y' / Z^r keeps every coset of P' / Q':
+    """An annihilator that drops the generators of Y' / Z^r keeps all of P' / Q':
     at N = 2 the dual of SL4 is SL4/mu2, so a generator of that P' is not in Y_{Q,N}, and
     the definitional check (y in Y, (k/N) * iota(y) in X) refuses it, also in the CLI.  The
     record is warm: its class of N = 1 is built, and N = 2 is a new class."""
@@ -388,7 +388,7 @@ def test_corrupted_dual_lattice_is_caught_on_a_warm_record(monkeypatch):
     with pytest.raises(ArithmeticError, match="of the dual character lattice is not in Y_Q,N"):
         twisted_dual(d, 2)
     assert len(d._duals) == 1
-    _exit_3(_dual_argv_of_a_fresh_class("A3", 2), "generator 3/4,1/2,1/4 of the dual "
+    _exit_3(_dual_argv_of_a_fresh_class("A3", 2), "generator 1/4,1/2,3/4 of the dual "
             "character lattice is not in Y_Q,N")
 
 
@@ -397,7 +397,7 @@ def test_a_dual_character_lattice_too_small_is_refused_by_the_perfect_pairing(mo
     with Y' and passes the definitional check (it has no generators over Z^r), but SL4/mu2
     at N = 2 has X' > Q': root_datum's perfect-pairing check refuses it, in the CLI too."""
     monkeypatch.setattr(td, "annihilator_plus", lambda t, den, gens, cocharacters:
-                        (t.root_lattice, []))
+                        t.root_lattice)
     _exit_3(_dual_argv_of_a_fresh_class("A3", 2),
             "pairing of the character and cocharacter lattices is not perfect")
 
