@@ -735,23 +735,17 @@ def test_failed_self_check_is_exit_code_3(monkeypatch):
                    "the local denominator divisibility\n")
 
 
-def _a_named_check_fails(d, order):
-    raise ArithmeticError("a check")
-
-
 @pytest.mark.parametrize("fault, text", [
-    (lambda d, order: order // 0,
-     "internal error (ZeroDivisionError): integer division or modulo by zero"),
-    (lambda d, order: math.exp(1000), "internal error (OverflowError): math range error"),
-    (_a_named_check_fails, "internal check failed: a check")],
-    ids=["zero-division", "overflow", "self-check"])
+    (lambda d, order: order // 0, "ZeroDivisionError): integer division or modulo by zero"),
+    (lambda d, order: math.exp(1000), "OverflowError): math range error")],
+    ids=["zero-division", "overflow"])
 def test_a_stray_arithmetic_error_is_an_internal_error_not_a_named_check(monkeypatch, fault,
                                                                          text):
-    """A ZeroDivisionError or OverflowError out of a command is a fault, not a self-check:
-    it exits 3 naming its class, and only a plain ArithmeticError reads "internal check
-    failed"."""
+    """A ZeroDivisionError or OverflowError out of a command is a fault, not a self-check: it
+    exits 3 naming its class, where a plain ArithmeticError reads "internal check failed"
+    (test_failed_self_check_is_exit_code_3)."""
     monkeypatch.setattr(twisted_dual_module, "local_denominators", fault)
-    assert invoke("dual", "--type", "A1", "--N", "2") == (3, "", f"error: {text}\n")
+    assert invoke("dual", "--type", "A1", "--N", "2") == (3, "", f"error: internal error ({text}\n")
 
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"

@@ -882,6 +882,21 @@ def _patch(attribute, fault):
     return inject
 
 
+def _drop_the_highest_root_of_a2(real):
+    """rep_check's root pass for A2 without alpha_1 + alpha_2, so the labels of the positive
+    roots add up to (1, 1), not to 2 * rho's (2, 2)."""
+    def stream(a):
+        yield from (root for root in real(a) if root[0] == 1)
+    return stream
+
+
+def _heights_of_a2_off(monkeypatch):
+    """A cold A2 engine told that its roots have heights 1, 2 and 2: Macdonald's product is then
+    3^2 / 2, not |W| = 6."""
+    rep_check._engine.cache_clear()
+    monkeypatch.setattr(rep_check._engine(CartanType("A", 2)), "heights", [1, 2, 2])
+
+
 @pytest.mark.parametrize("argv, inject, code, message", [
     # the root pass: a window of two layers loses G2's images three heights below
     (["extensions", "--type", "G2"], _patch("_LAYERS_BELOW", lambda _: 2), 3,
@@ -921,61 +936,36 @@ def _patch(attribute, fault):
     # the refusal of a generator row outside P, read through the index by column
     (["dual", "--type", "A3", "--isogeny", '[["1/4", 0, 0]]', "--N", "1"], lambda _: None, 1,
      "--type/--isogeny: generator 1/4,0,0 is not in the weight lattice"),
+    # h = 1 on a fresh A2, whose adjoint record has k = 3, which does not divide 2
+    (["extensions", "--type", "A2", "--isogeny", "adjoint"],
+     _assign("A2", "dual_coxeter", lambda *_: 1), 3,
+     "commutator denominator must divide twice the dual Coxeter number"),
+    (["check-assumption", "--type", "A2", "--isogeny", "adjoint", "--N", "1", "--p", "5"],
+     _assign("A2", "dual_coxeter", lambda *_: 1), 3,
+     "commutator denominator 3 does not divide 2h*N"),
+    # a cold engine for the dual A2, built from a root pass that loses the highest root
+    (["mult", "--type", "A2", "--N", "1", "--highest", "1,1"],
+     lambda monkeypatch: rep_check._engine.cache_clear() or monkeypatch.setattr(
+         rep_check, "_packed_roots", _drop_the_highest_root_of_a2(rep_check._packed_roots)), 3,
+     "half-sum of positive roots is off"),
+    (["mult", "--type", "A2", "--N", "1", "--highest", "1,1"], _heights_of_a2_off, 3,
+     "Weyl group order of the nodes (0, 1) is not an integer"),
+    # the dual of SO8 at N = 1 is SO8, which then holds none of omega_1, omega_3 and omega_4
+    (["dual", "--type", "D4", "--isogeny", '[[1, 1, "1/2", "1/2"]]', "--N", "1"],
+     lambda monkeypatch: monkeypatch.setattr(dynkin, "lattice_member", lambda v, lat: False), 3,
+     "unrecognized intermediate orthogonal form"),
 ])
 def test_each_moved_self_check_fires_through_the_cli(monkeypatch, cold_types, argv, inject,
                                                      code, message):
-    """A fault injected into a fresh type, or into the step a check guards, makes the query
-    exit 3 (1 for the refusal) naming the check's message, on the sparse-index, special-row
-    and packed-root paths."""
+    """A fault injected into a fresh type, a cold engine or the step a check guards makes the
+    query exit 3 (1 for the refusal) with the check's message as the whole stderr: the checks
+    on the sparse-index, special-row and packed-root paths, the h^v divisibility checks, the
+    engine's half-sum and Weyl-order checks, and group_name's orthogonal-form check."""
     inject(monkeypatch)
     err = io.StringIO()
     assert run(argv, out=io.StringIO(), err=err) == code
     prefix = "internal check failed: " if code == 3 else ""
     assert err.getvalue() == f"error: {prefix}{message}\n"
-
-
-def _drop_the_highest_root_of_a2(real):
-    """rep_check's root pass for A2 without alpha_1 + alpha_2, so the labels of the positive
-    roots add up to (1, 1), not to 2 * rho's (2, 2)."""
-    def stream(a):
-        yield from (root for root in real(a) if root[0] == 1)
-    return stream
-
-
-def _heights_of_a2_off(monkeypatch):
-    """A cold A2 engine told that its roots have heights 1, 2 and 2: Macdonald's product is then
-    3^2 / 2, not |W| = 6."""
-    rep_check._engine.cache_clear()
-    monkeypatch.setattr(rep_check._engine(CartanType("A", 2)), "heights", [1, 2, 2])
-
-
-@pytest.mark.parametrize("argv, inject, message", [
-    # h = 1 on a fresh A2, whose adjoint record has k = 3, which does not divide 2
-    (["extensions", "--type", "A2", "--isogeny", "adjoint"],
-     _assign("A2", "dual_coxeter", lambda *_: 1),
-     "commutator denominator must divide twice the dual Coxeter number"),
-    (["check-assumption", "--type", "A2", "--isogeny", "adjoint", "--N", "1", "--p", "5"],
-     _assign("A2", "dual_coxeter", lambda *_: 1), "commutator denominator 3 does not divide 2h*N"),
-    # a cold engine for the dual A2, built from a root pass that loses the highest root
-    (["mult", "--type", "A2", "--N", "1", "--highest", "1,1"],
-     lambda monkeypatch: rep_check._engine.cache_clear() or monkeypatch.setattr(
-         rep_check, "_packed_roots", _drop_the_highest_root_of_a2(rep_check._packed_roots)),
-     "half-sum of positive roots is off"),
-    (["mult", "--type", "A2", "--N", "1", "--highest", "1,1"], _heights_of_a2_off,
-     "Weyl group order of the nodes (0, 1) is not an integer"),
-    # the dual of SO8 at N = 1 is SO8, which then holds none of omega_1, omega_3 and omega_4
-    (["dual", "--type", "D4", "--isogeny", '[[1, 1, "1/2", "1/2"]]', "--N", "1"],
-     lambda monkeypatch: monkeypatch.setattr(dynkin, "lattice_member", lambda v, lat: False),
-     "unrecognized intermediate orthogonal form"),
-])
-def test_each_unnamed_self_check_fires_through_the_cli(monkeypatch, cold_types, argv, inject,
-                                                       message):
-    """The checks that no other test names: a fault in a fresh type, a cold engine or the step
-    a check guards makes the query exit 3 with the check's message as the whole stderr."""
-    inject(monkeypatch)
-    err = io.StringIO()
-    assert run(argv, out=io.StringIO(), err=err) == 3
-    assert err.getvalue() == f"error: internal check failed: {message}\n"
 
 
 def _flip_signs(real):
