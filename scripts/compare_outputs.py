@@ -1,14 +1,13 @@
 """Run one fixed list of loopdual argv in two checkouts and compare every answer.
 
-    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR [--stride K]
+    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 PARENT_DIR and CHANGE_DIR are the roots of two loopdual checkouts.  For each of
 them one fresh process, with the checkout's `src` first on sys.path, runs every
 argv of ARGV through `loopdual.cli.run` and hashes (argv, exit code, stdout,
 stderr) with sha256; an exception that escapes `cli.run` is hashed by its type
-and message.  --stride K runs every K-th argv only.  The script prints the number
-of argv compared and, if any hash differs, the first argv that differs, and exits
-1 on a difference.
+and message.  The script prints the number of argv compared and, if any hash
+differs, the first argv that differs, and exits 1 on a difference.
 
 ARGV is, for each of the isogenies `sc`, `adjoint` and `so` (a usage error where
 `so` is not defined):
@@ -94,12 +93,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
-    parser.add_argument("--stride", type=int, default=1, help="run every K-th argv only")
     args = parser.parse_args(argv)
-    argvs = ARGV[::args.stride]
-    parent, change = hashes(args.parent, argvs), hashes(args.change, argvs)
-    print(f"{len(argvs)} argv compared")
-    differ = [a for a, p, c in zip(argvs, parent, change) if p != c]
+    parent, change = hashes(args.parent, ARGV), hashes(args.change, ARGV)
+    print(f"{len(ARGV)} argv compared")
+    differ = [a for a, p, c in zip(ARGV, parent, change) if p != c]
     if differ or len(parent) != len(change):
         print(f"first argv that differs: {json.dumps(differ[0] if differ else None)}")
         return 1

@@ -32,12 +32,11 @@ Conventions used across the package:
 * A CartanType is the one home of its type's invariants: equal types are one object (_cartan_type
   keeps 256), and A, its Dynkin tree, A's nonzero entries by row and by column, det A, the
   coroot norms c and D_j = lcm(c) / c_j, A * diag(D) by row, the form, the minuscule weight and
-  coweight rows, Q, P and P^v (each of the last two checked to hold det A classes over Z^r),
-  D-odd "so"'s lattices and the dual Coxeter number are its attributes, each built on first use
-  and checked there.  Every product by A, A^T or A * diag(D) goes through those sparse rows
-  (_times).  The norms and the minuscule nodes come from tables by series, and det A and each
-  fundamental (co)weight, in O(r) integers, from a leaf-first elimination on the Dynkin tree
-  (CartanType.column).
+  coweight rows (each checked to span det A classes over Z^r), Q, P, P^v, D-odd "so"'s lattices
+  and the dual Coxeter number are its attributes, each built on first use and checked there.
+  Every product by A, A^T or A * diag(D) goes through those sparse rows (_times).  The norms and
+  the minuscule nodes come from tables by series, and det A and each fundamental (co)weight, in
+  O(r) integers, from a leaf-first elimination on the Dynkin tree (CartanType.column).
 * The root pass takes a bare integer Cartan matrix.  Positive roots grow by height under
   simple reflections and stream past, a few layers at a time, with nothing cached, each root
   and coroot one int of 8-bit fields, so that s_i is one subtraction: reflection_sum adds
@@ -251,18 +250,21 @@ class CartanType(namedtuple("CartanType", "series rank")):
 
     @cached_property
     def weight_lattice(self) -> Lattice:  # P, Z^r plus the minuscule fundamental weights
-        return self._spanned(*self.weight_rows)
+        return standard_plus(*self.checked_rows[0])
 
     @cached_property
     def coweight_lattice(self) -> Lattice:  # P^v, Z^r plus the minuscule coweights
-        return self._spanned(*self.coweight_rows)
+        return standard_plus(*self.checked_rows[1])
 
-    def _spanned(self, m: int, rows) -> Lattice:
-        """Z^r + span(rows) / m, its index over Z^r, from its pivots, checked to be det A."""
-        lat = standard_plus(m, rows)
-        if (n := lat.den ** self.rank // _pivots(lat)) != self.det:
-            raise ArithmeticError(f"{n} classes listed mod the roots, det A is {self.det}")
-        return lat
+    @cached_property
+    def checked_rows(self) -> tuple[tuple[int, tuple], tuple[int, tuple]]:
+        """(weight_rows, coweight_rows), each checked to span det A classes over Z^r: the rows
+        distinct mod m, independent generators, span the product of their orders m / gcd(m, w)."""
+        for m, rows in (pair := (self.weight_rows, self.coweight_rows)):
+            distinct = {tuple(x % m for x in w) for w in rows}  # D even's two rows span (Z/2)^2
+            if (n := prod(m // gcd(m, *w) for w in distinct)) != self.det:
+                raise ArithmeticError(f"{n} classes listed mod the roots, det A is {self.det}")
+        return pair
 
     @cached_property
     def so_lattices(self) -> tuple[Lattice, Lattice]:  # D-odd "so": Q + the vector weight
@@ -505,13 +507,11 @@ def _quotient_lattices(t: CartanType, gens: tuple) -> tuple[Lattice, Lattice]:
 def annihilator_plus(t: CartanType, den: int, gens, cocharacters: bool) -> Lattice:
     """Z^r plus the subgroup of P/Q (P^v/Q^v if cocharacters) of type t that pairs integrally
     with each row v / den of gens: the dual of Z^r + span(gens) / den.  P/Q is generated by the
-    minuscule rows w_j / m of order o_j (P is built first, which checks that they give det A
-    classes), and with a = A^T (A), sum_j e_j w_j / m, 0 <= e_j < o_j, pairs with v / den to
-    sum_j e_j (w_j . (a v)) / (m * den): a congruence per element, at most det A of them, and
-    row.  A subgroup of a cyclic P/Q is generated by its least nonzero element, and one of
-    (Z/2)^2 by its at most three."""
-    _, (m, rows), index = ((t.coweight_lattice, t.coweight_rows, t.by_column) if cocharacters
-                           else (t.weight_lattice, t.weight_rows, t.by_row))  # v @ A, or v @ A^T
+    minuscule rows w_j / m of order o_j (checked to give det A classes), and with a = A^T (A),
+    sum_j e_j w_j / m, 0 <= e_j < o_j, pairs with v / den to sum_j e_j (w_j . (a v)) / (m * den):
+    a congruence per element, at most det A of them, and row.  A subgroup of a cyclic P/Q is
+    generated by its least nonzero element, and one of (Z/2)^2 by its at most three."""
+    (m, rows), index = t.checked_rows[cocharacters], t.by_column if cocharacters else t.by_row
     pairs = [[sum(map(mul, w, u)) for w in rows] for u in _times(gens, index)]
     members = [e for e in product(*(range(m // gcd(m, *w)) for w in rows)) if any(e) and all(
         sum(map(mul, e, p)) % (m * den) == 0 for p in pairs)]

@@ -924,8 +924,8 @@ def _heights_of_a2_off(monkeypatch):
                                                        for row in rows)), 3,
      "period 1 does not carry X into k * iota(Y)"),
     # the type's new attributes: a wrong entry of the index by row, and twice the minuscule
-    # weight of A3, whose P then has 2 classes over Q by its Hermite pivots, not det A = 4 (the
-    # source PGL4 builds no P; the annihilator that gives its dual's character lattice does)
+    # weight of A3, of order 2, which spans 2 classes over Q, not det A = 4 (the source PGL4
+    # builds no P, but its P^v reads the checked weight and coweight rows)
     (["dual", "--type", "A3", "--N", "1"],
      _assign("A3", "by_row", lambda rows, _: (((0, 2), (1, -2)),) + rows[1:]), 3,
      "sparse index of the Cartan matrix disagrees with A"),

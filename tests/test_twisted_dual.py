@@ -356,7 +356,7 @@ def test_center_times_pi1_against_the_dual_determinant_is_checked(cold_types):
     """[X' : Q'] * [Y' : Q'^v] must be det A'; against twice det A' a fresh class of B3 sc
     is refused, in the CLI too.  The dual of Spin7 at N = 4 is Spin7, so the source record
     is built before det A' is doubled on the fresh type, and so are its P and P^v, whose
-    indices over the roots are checked against det A when they are built."""
+    minuscule rows are checked to span det A classes when they are built."""
     argv, b3 = _dual_argv_of_a_fresh_class("B3", 4), CartanType("B", 3)
     b3.weight_lattice, b3.coweight_lattice
     b3.det *= 2
