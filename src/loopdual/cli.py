@@ -5,9 +5,9 @@ environment, no network.  JSON output wraps results in a fixed envelope
 (schema_version, command, input_echo, result, checks) with sorted keys,
 rationals rendered as exact "p/q" strings, and lattices in Hermite
 normal form, so identical invocations produce byte-identical output.
-Weights and lattice rows come as integer numerators over one denominator, and
-one formatter (_rationals) writes them; a result holds a lattice as its Lattice
-value, whose text the one JSON writer keeps per (lattice, indent).
+Weights and lattice rows come as integer numerators over one denominator, and one
+row writer (_row_format) writes each as one format of its joined _rationals texts, from
+a Lattice, whose text _json keeps per (lattice, indent), or from mult's _Weights value.
 
 Exit codes: 0 success, 1 usage error, 2 a requested check failed, 3 a self-check failed
 (a plain ArithmeticError) or another ArithmeticError escaped (an internal error).
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring
@@ -49,6 +50,8 @@ from .twisted_dual import (
 MAX_TABLE_ORDER = 256
 # How _json and _rows write str and int items, by exact type; a bool is a KeyError in _rows.
 _SCALARS = {str: encode_basestring, int: int.__repr__}
+# mult's weights as _json takes them: den and the sorted (numerators, multiplicity) pairs.
+_Weights = namedtuple("_Weights", "den pairs")
 
 
 class UsageError(Exception):
@@ -213,8 +216,8 @@ def _emit(command: str, echo: dict, result: dict, checks: list) -> str:
 def _json(value, pad="\n") -> str:
     """value as json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
     writes it, for the str, int, bool, list and str-keyed dict results are built
-    from, with strings escaped by json's C escaper; a Lattice is written as its
-    rows of _rationals over its denominator, through _lattice_json."""
+    from, with strings escaped by json's C escaper; a Lattice (through _lattice_json)
+    and _Weights are written as rows of _rationals over their denominator."""
     kind, inner = type(value), pad + "  "
     if kind in _SCALARS:
         return _SCALARS[kind](value)
@@ -228,11 +231,23 @@ def _json(value, pad="\n") -> str:
     elif kind is dict:
         ends, items = "{}", [f"{encode_basestring(k)}: {_json(value[k], inner)}"
                              for k in sorted(value)]
+    elif kind is _Weights:  # one format per [numerators, multiplicity] row
+        sep, form = _row_format(deep := inner + "  ")
+        form, den = f"[{deep}{form},{deep}%d{inner}]", value.den
+        ends, items = "[]", [form % (sep.join(_rationals(vec, den)), mult)
+                             for vec, mult in value.pairs]
     elif kind is Lattice:  # above rank 16 a text is large and seldom asked twice
         return (_lattice_json if len(value.rows) <= 16 else _lattice_json.__wrapped__)(value, pad)
     else:
         raise TypeError(f"{kind.__name__} is not a JSON result type")
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+
+
+def _row_format(pad: str) -> tuple[str, str]:
+    """The one row format for integer numerators over a denominator: the list of a
+    row's _rationals texts, as _json writes it at pad, is form % sep.join(texts)."""
+    deep = pad + "  "
+    return f'",{deep}"', f'[{deep}"%s"{pad}]'
 
 
 @lru_cache(maxsize=256)  # root_datum's bound; the sweep plan writes 88 (lattice, pad) pairs
@@ -242,23 +257,24 @@ def _lattice_json(lat: Lattice, pad: str) -> str:
     so a fresh record with an equal lattice reads the same text.  _json keeps only
     lattices of rank <= 16, whose `dual` texts measure at most 4.3 KB on A-D, so the cache
     holds about 1.1 MB at most; a rank-128 text is about 230 KB."""
-    return _json([_rationals(row, lat.den) for row in lat.rows], pad)
+    sep, form = _row_format(inner := pad + "  ")
+    rows = [form % sep.join(_rationals(row, lat.den)) for row in lat.rows]
+    return f"[{inner}" + f",{inner}".join(rows) + f"{pad}]" if rows else "[]"
 
 
 def _rows(rows, pad) -> list[str]:
-    """The items of a list as _json writes them at pad, with no recursion,
-    when each is a str or int or a list of those and of lists of those, as
-    weight rows, [b, m] pairs and lattice rows are; a KeyError otherwise."""
-    deep, deeper = pad + "  ", pad + "    "
-    out, step, sub = [], "," + deep, "," + deeper
+    """The items of a list as _json writes them at pad, with no recursion, when each
+    is a str or int or an [int, int] pair, as flat results and mv-rank1's [b, m]
+    pairs are, a pair in one format; a KeyError otherwise."""
+    deep = pad + "  "
+    out, pair = [], f"[{deep}%d,{deep}%d{pad}]"
     for row in rows:
         if type(row) is not list:
             out.append(_SCALARS[type(row)](row))
-            continue
-        items = [_SCALARS[type(x)](x) if type(x) is not list else
-                 f"[{deeper}{sub.join([_SCALARS[type(y)](y) for y in x])}{deep}]" if x else "[]"
-                 for x in row]
-        out.append(f"[{deep}{step.join(items)}{pad}]" if items else "[]")
+        elif len(row) == 2 and type(row[0]) is type(row[1]) is int:
+            out.append(pair % (row[0], row[1]))
+        else:
+            raise KeyError(row)
     return out
 
 
@@ -379,8 +395,7 @@ def _cmd_mult(args, out) -> int:
         "dual_type": str(dual.cartan_type),
         "highest": [str(x) for x in highest],
         "dim": sum(weights.values()),  # checked against the Weyl dimension
-        "weights": [[_rationals(vec, den), mult]
-                    for vec, mult in sorted(weights.items(), reverse=True)],
+        "weights": _Weights(den, sorted(weights.items(), reverse=True)),
     }
     print(_emit("mult", {"type": args.type, "isogeny": args.isogeny,
                          "N": args.N, "highest": args.highest}, result, []),

@@ -30,7 +30,7 @@ Conventions used across the package:
   generator rows are keyed to their (X, Y).  P and P^v are Z^r plus the at most two minuscule
   fundamental (co)weights over a denominator, which are the one description of P/Q (P^v/Q^v).
 * A CartanType is the one home of its type's invariants: equal types are one object (_cartan_type
-  keeps 256), and A, its Dynkin tree, A's nonzero entries by row and by column, det A, the
+  keeps all 513), and A, its Dynkin tree, A's nonzero entries by row and by column, det A, the
   coroot norms c and D_j = lcm(c) / c_j, A * diag(D) by row, the form, the minuscule weight and
   coweight rows (each checked to span det A classes over Z^r), Q, P, P^v, D-odd "so"'s lattices
   and the dual Coxeter number are its attributes, each built on first use and checked there.
@@ -63,7 +63,9 @@ _RANK_BOUNDS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK),
                 "D": (3, MAX_RANK), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-@lru_cache(maxsize=256)  # one object per type, so each invariant on it is built once per type
+# One object per admitted type (513), so none is evicted while a record holds it, and each
+# invariant on it is built once per type.
+@lru_cache(maxsize=sum(hi - lo + 1 for lo, hi in _RANK_BOUNDS.values()))
 def _cartan_type(series: str, rank: int) -> CartanType:
     return tuple.__new__(CartanType, (series, rank))
 

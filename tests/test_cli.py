@@ -975,27 +975,47 @@ def test_result_writer_matches_json_dumps():
             writer([10 ** 4999])
     with pytest.raises(TypeError):
         cli._json([Fraction(1, 2)])
-    # the shapes the row writer takes: weight rows of rank 1-8 (empty ones and
-    # negative and p/q entries too), [b, m] pairs, lattices, and near misses
+    # the list shapes results are built from: weight rows of rank 1-8 as plain lists (empty
+    # ones and negative and p/q entries too), [b, m] pairs, lattice rows, and near misses;
+    # _rows takes only flat lists and [int, int] pairs, and refuses every other shape
     for _ in range(300):
         rank = rng.randint(1, 8)
         weights = [[[_rational_text(rng) for _ in range(rng.choice([0, rank, rank]))],
                     rng.randint(1, 40)] for _ in range(rng.randrange(6))]
         pairs = [[rng.randint(-160, 160), rng.randint(0, 1)] for _ in range(rng.randrange(5))]
         lattice = [[_rational_text(rng) for _ in range(rank)] for _ in range(rng.randrange(4))]
+        flat = [rng.choice([_rational_text(rng), rng.randint(-99, 99)]) for _ in range(rank)]
         rows = [weights, pairs, lattice]
         misses = [_near_miss(rng, value) for value in rows if value]
-        rows += [_ragged(rng, value) for value in rows if value]
-        for value in rows + misses + [{"weights": weights, "multiplicities": pairs}]:
+        ragged = [_ragged(rng, value) for value in rows if value]
+        for value in rows + ragged + misses + [flat, {"weights": weights, "multiplicities": pairs}]:
             assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2,
                                                   ensure_ascii=False), value
-        for value in rows:  # written by the row writer itself
-            cli._rows(value, "\n  ")
-        for value in misses:
+        for value in (pairs, flat):  # written by the row writer itself, item by item
+            assert cli._rows(value, "\n  ") == [json.dumps(x, indent=2).replace("\n", "\n  ")
+                                               for x in value]
+        for value in misses + ragged + [x for x in (weights, lattice) if x]:
             with pytest.raises(KeyError):
                 cli._rows(value, "\n  ")
-    # a Lattice at depth 1-3 is written as its rows of str(Fraction(x, den)), and a
-    # cache hit (the second write) as a miss (the first)
+    # a bool in a [b, m] row is no int: it is written by the general writer, as true or false
+    for value in ([[True, 1]], [[3, False], [2, 1]], [[0, 1], [1, True, 2]]):
+        assert cli._json(value) == json.dumps(value, indent=2), value
+    # mult's weights, one _Weights value: den 1 and den > 1, negative and p/q numerators,
+    # ranks 1-8 and an empty weight list, at depth 1-3, as json.dumps writes their rationals
+    for _ in range(300):
+        rank, den = rng.randint(1, 8), rng.choice([1, 1, 2, 3, 4, 7, 12])
+        vecs = {tuple(rng.randint(-60, 60) for _ in range(rank)) for _ in range(rng.randrange(6))}
+        value = cli._Weights(den, [(vec, rng.randint(1, 40)) for vec in sorted(vecs, reverse=True)])
+        twin = [[[str(Fraction(x, den)) for x in vec], mult] for vec, mult in value.pairs]
+        for _ in range(rng.randint(1, 3)):
+            key = _random_text(rng)
+            value, twin = ({key: value}, {key: twin}) if rng.random() < 0.5 else \
+                ([7, value], [7, twin])
+        assert cli._json(value) == json.dumps(twin, sort_keys=True, indent=2,
+                                              ensure_ascii=False), twin
+    assert cli._json(cli._Weights(2, [])) == "[]"
+    # a Lattice of rank 1-8 at depth 1-3 is written as its rows of str(Fraction(x, den)),
+    # and a cache hit (the second write) as a miss (the first)
     cli._lattice_json.cache_clear()
     for _ in range(200):
         lat = _random_lattice(rng)
@@ -1026,8 +1046,8 @@ def test_the_lattice_text_cache_is_bounded():
 
 
 def _random_lattice(rng):
-    """A full-rank lattice of rank 1-6 over a random denominator, negative entries too."""
-    rank = rng.randint(1, 6)
+    """A full-rank lattice of rank 1-8 over a random denominator, negative entries too."""
+    rank = rng.randint(1, 8)
     while True:
         rows = [[rng.randint(-9, 9) for _ in range(rank)] for _ in range(rank)]
         if oracles.dense_det_int(rows):
@@ -1054,7 +1074,7 @@ def _near_miss(rng, rows):
 
 
 def _ragged(rng, rows):
-    """rows with one row made longer or shorter, which the row writer takes."""
+    """rows with one row made longer or shorter."""
     rows = [list(row) for row in rows]
     row = rng.choice(rows)
     if row and rng.random() < 0.5:

@@ -480,6 +480,17 @@ def test_equal_cartan_types_are_one_object(cold_types):
     assert t.weight_lattice is CartanType("D", 7).weight_lattice
 
 
+def test_no_type_is_evicted_while_a_record_holds_it(cold_types):
+    """The type factory keeps every admitted type, so a record built before all of them
+    still holds the one object of its type."""
+    datum = build_datum("D7", "sc")
+    admitted = [CartanType(series, rank) for series, (lo, hi) in root_data._RANK_BOUNDS.items()
+                for rank in range(lo, hi + 1)]
+    assert datum.cartan_type is build_datum("D7", "sc").cartan_type is CartanType("D", 7)
+    assert len(admitted) == 513 == root_data._cartan_type.cache_info().currsize
+    assert root_data._cartan_type.cache_info().maxsize == 513
+
+
 @pytest.mark.parametrize("rank", [1.5, 1.0, True, "3"], ids=repr)
 def test_a_rank_that_is_not_an_int_is_refused(rank):
     """1.0 == True == 1, so without the test such a rank would be the A1 object."""
