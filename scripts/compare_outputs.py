@@ -15,7 +15,11 @@ ARGV is, for each of the isogenies `sc`, `adjoint` and `so` (a usage error where
     E6-E8, F4 and G2;
   * `dual` at N = 1..6 with explicit rows: the mu_d quotient rows (r+1)/d * omega_1
     of A_r, r <= 24, and each fundamental weight of D_r, r <= 12;
-  * `dual` on A-D at ranks 100, 119, 120, 127 and 128, N in {1, 2, 3, 4, 6}.
+  * `dual` on A-D at ranks 100, 119, 120, 127 and 128, N in {1, 2, 3, 4, 6}, and
+    `extensions` on those types;
+  * `check-assumption` at N in {1, 2, 3, 4, 6} and p in {0, 2, 3, 5, 7} on every type
+    of the two lists above, whose answers, like those of `extensions`, read the dual
+    Coxeter number.
 
 After those come, for `sc` and `adjoint`:
   * `mult` at N = 1, 2, 3 on every type of rank <= 4, with each fundamental weight
@@ -39,6 +43,7 @@ ISOGENIES = ("sc", "adjoint", "so")
 SMALL_TYPES = ([f"A{r}" for r in range(1, 25)] + [f"{s}{r}" for s in "BC" for r in range(2, 20)]
                + [f"D{r}" for r in range(3, 20)] + ["E6", "E7", "E8", "F4", "G2"])
 LARGE_RANKS = (100, 119, 120, 127, 128)
+LARGE_TYPES = [f"{s}{r}" for s in "ABCD" for r in LARGE_RANKS]
 WEIGHT_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "F4", "G2")
 MV_TYPES = ("A1", "B2", "C2", "G2")
 
@@ -98,8 +103,13 @@ def _argv_list() -> list[list[str]]:
     explicit += [(f"D{r}", _rows(w)) for r in range(3, 13) for w in _inverse(_cartan(f"D{r}"))]
     out += [["dual", "--type", name, "--isogeny", rows, "--N", str(n)]
             for name, rows in explicit for n in range(1, 7)]
-    out += [["dual", "--type", f"{s}{r}", "--isogeny", isogeny, "--N", str(n)]
-            for s in "ABCD" for r in LARGE_RANKS for isogeny in ISOGENIES for n in (1, 2, 3, 4, 6)]
+    out += [["dual", "--type", name, "--isogeny", isogeny, "--N", str(n)]
+            for name in LARGE_TYPES for isogeny in ISOGENIES for n in (1, 2, 3, 4, 6)]
+    out += [["extensions", "--type", name, "--isogeny", isogeny]
+            for name in LARGE_TYPES for isogeny in ISOGENIES]
+    out += [["check-assumption", "--type", name, "--isogeny", isogeny, "--N", str(n), "--p", str(p)]
+            for name in SMALL_TYPES + LARGE_TYPES for isogeny in ISOGENIES for n in (1, 2, 3, 4, 6)
+            for p in (0, 2, 3, 5, 7)]
     out += [["mult", "--type", name, "--isogeny", isogeny, "--N", str(n), "--highest", w]
             for name in WEIGHT_TYPES for isogeny in ISOGENIES[:2] for n in (1, 2, 3)
             for w in _weights(name)]

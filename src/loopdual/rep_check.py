@@ -23,7 +23,8 @@ from operator import add, mul, sub
 from .central_ext import monodromy_modulus
 from .dynkin import group_name
 from .lattice import numerators_member, transpose, vector_text
-from .root_data import _ROOT_BITS, CartanType, RootDatum, _packed_roots, _unpack, dual_coxeter
+from .root_data import (_ROOT_BITS, CartanType, RootDatum, _packed_roots, _unpack, dual_coxeter,
+                        reflection_sum)
 from .twisted_dual import local_denominators
 
 # Most dominant weights a highest weight may have before the weight work on
@@ -34,20 +35,23 @@ MAX_WEIGHTS = 10_000
 
 
 class _Engine:
-    """Label data of one Cartan type, pairings[i][j] = <coroot_i, root_j>."""
+    """Label data of one Cartan type, pairings[i][j] = <coroot_i, root_j>, from one root pass, on
+    which it checks the half-sum of the positive roots and then h^v (root_data.reflection_sum)."""
 
     def __init__(self, t: CartanType):
-        a, d, r = t.cartan, t.scaled_norms, t.rank
+        a, d, r, cs = t.cartan, t.scaled_norms, t.rank, t.norms
         self.pairings, self.norms, self.orders = transpose(a), d, {}
-        # (root coordinates b, labels, coef with (x, beta) = sum_j coef_j x_j), from the
-        # root pass that root_data.reflection_sum streams too, each root unpacked once;
-        # _engine keeps the list
-        nodes, zeros = range(r), (0,) * r
+        # (b, labels, coef with (x, beta) = sum_j coef_j x_j) per root; _engine keeps the list
+        stream, nodes, zeros = list(_packed_roots(a)), range(r), (0,) * r
         self.roots = [(b, tuple(map(labels.get, nodes, zeros)), tuple(map(mul, b, d)))
                       for b, labels in ((_unpack(root, r, _ROOT_BITS), labels)
-                                        for _, root, _, labels in _packed_roots(a))]
+                                        for _, root, _, labels in stream)]
         if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
             raise ArithmeticError("half-sum of positive roots is off")
+        checked = [cs.index(c) for c in sorted(set(cs))]  # one coroot per length
+        for j, total in zip(checked, reflection_sum(t, checked, stream)):
+            if any(x != (2 * t.dual_coxeter * cs[j] if i == j else 0) for i, x in enumerate(total)):
+                raise ArithmeticError("reflection-sum identity failed on coroots")
         self.heights = [sum(b) for b, _, _ in self.roots]
         self.columns = [[(j, x) for j, x in enumerate(row) if x] for row in a]
 

@@ -37,12 +37,11 @@ Conventions used across the package:
   Every product by A, A^T or A * diag(D) goes through those sparse rows (_times).  The norms and
   the minuscule nodes come from tables by series, and det A and each fundamental (co)weight, in
   O(r) integers, from a leaf-first elimination on the Dynkin tree (CartanType.column).
-* The root pass takes a bare integer Cartan matrix.  Positive roots grow by height under
-  simple reflections and stream past, a few layers at a time, with nothing cached, each root
-  and coroot one int of 8-bit fields, so that s_i is one subtraction: reflection_sum adds
-  them whole for one simple coroot per length, which checks the dual Coxeter number on all of
-  Y, and rep_check's engine, which its own cache keeps, unpacks and lists them; the negative
-  ones are their negations.
+* The root pass takes a bare integer Cartan matrix.  Positive roots grow by height under simple
+  reflections (_reflect, as in the walk of CartanType.dual_coxeter up to the highest root) and
+  stream past, a few layers at a time, with nothing cached, each root and coroot one int of 8-bit
+  fields, so that s_i is one subtraction.  rep_check's engine, which its own cache keeps, lists
+  them and checks h^v on all of Y by reflection_sum; the negative ones are their negations.
 """
 
 from __future__ import annotations
@@ -274,24 +273,29 @@ class CartanType(namedtuple("CartanType", "series rank")):
 
     @cached_property
     def dual_coxeter(self) -> int:
-        """h, solved and checked on one simple coroot per length: the root pass checks that each s_i
-        permutes the roots, so y -> sum_roots <y, root> * root - 2h * iota(y) is W-equivariant, and
-        in an irreducible system the coroots of one length are W-conjugate (Humphreys, 10.4 C)."""
-        cs = self.norms
-        nodes = [cs.index(c) for c in sorted(set(cs))]
-        sums = reflection_sum(self, nodes)
-        h = Fraction(sums[0][nodes[0]], 2 * cs[nodes[0]])  # solved on the first of them
-        for j, total in zip(nodes, sums):
-            if any(x != (2 * h * cs[j] if i == j else 0) for i, x in enumerate(total)):
-                raise ArithmeticError("reflection-sum identity failed on coroots")
-        if h.denominator != 1 or h <= 0:
-            raise ArithmeticError(f"invalid dual Coxeter number {h}")
-        return int(h)
+        """h = 1 + ht(theta^v), theta the one dominant long root (Kac 6.1, Humphreys 10.4 Lemma A):
+        from a long simple root (c_j = 1), s_i where a label <coroot_i, beta> is below 0 raises beta
+        to it, checked to pair to 2 with its coroot.  rep_check's engine checks h on all roots."""
+        rows, cols, j = self.by_row, self.by_column, self.norms.index(1)
+        root = coroot = 1 << _ROOT_BITS * j
+        labels, colabels = dict(rows[j]), dict(cols[j])
+        for _ in range(_WALK_STEPS):
+            if (i := next((i for i, c in labels.items() if c < 0), None)) is None:
+                break
+            root -= labels[i] << _ROOT_BITS * i
+            coroot, labels, colabels = _reflect(root, coroot, labels, colabels, i, rows, cols)
+        else:
+            raise ArithmeticError(f"no dominant root within {_WALK_STEPS} simple reflections")
+        theta_v = _unpack(coroot, self.rank, _ROOT_BITS)
+        if sum(theta_v[k] * x for k, x in labels.items()) != 2:
+            raise ArithmeticError("the dominant root does not pair to 2 with its coroot")
+        return 1 + sum(theta_v)
 
 
 # Images under a simple reflection sit at most 3 heights below a root: c = <coroot_i, g>
 # has |c| <= 3.  The root pass keeps these layers below the one it reflects.
 _LAYERS_BELOW = 3
+_WALK_STEPS = 2 * MAX_RANK  # over ht(theta) = h - 1, h <= 2r the Coxeter number of rank r
 # Vectors of nonnegative integers are packed into one int, coordinate j in bits [j * bits,
 # (j + 1) * bits): roots and coroots in _ROOT_BITS (a finite type's coefficients are at most 6;
 # the root pass checks each field it raises), reflection_sum's sums in _SUM_BITS (checked).
@@ -306,17 +310,14 @@ def _unpack(packed: int, r: int, bits: int) -> tuple[int, ...]:
 def _packed_roots(a):
     """Yield (height, root, coroot, labels) for each positive root of a, by height, with root
     and coroot packed (_ROOT_BITS) and labels the nonzero <coroot_j, root> by j.  From the
-    simple pairs, each g with c = <coroot_i, g> < 0 gives s_i(g) = g - c * root_i, a root higher
-    by -c, with coroot s_i(g^v) = g^v - <g^v, root_i> * coroot_i; every positive root arises so
-    (Humphreys, Intro. to Lie Algebras, 10.2).  Roots only grow, so each has one sign; each s_i
-    must map the other pairs of a layer to lower positive pairs, so that with their negations
-    they are closed under reflections.  Only the layers that check can still read are kept:
-    _LAYERS_BELOW under the current height, and those above it.  Packed, s_i is a subtraction,
-    and <g^v, root_i> is read off g's colabels, its nonzero <g^v, root_j> by j."""
+    simple pairs, each g with c = <coroot_i, g> < 0 gives a root s_i(g) higher by -c (_reflect);
+    every positive root arises so (Humphreys, Intro. to Lie Algebras, 10.2).  Roots only grow,
+    so each has one sign; each s_i must map the other pairs of a layer to lower positive pairs,
+    so that with their negations they are closed under reflections.  Only the layers that check
+    can still read are kept: _LAYERS_BELOW under the current height, and those above it."""
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]  # nonzero <coroot_j, root_i>
     cols = [[(j, x) for j, x in enumerate(col) if x] for col in zip(*a)]  # <coroot_i, root_j>
-    w, mask = _ROOT_BITS, (1 << _ROOT_BITS) - 1
-    unit = [1 << (w * i) for i in range(len(a))]
+    unit = [1 << (_ROOT_BITS * i) for i in range(len(a))]
     # height: {root: (coroot, labels, colabels)}
     layers = {1: {u: (u, dict(rows[i]), dict(cols[i])) for i, u in enumerate(unit)}}
     height, top = 0, 1
@@ -327,19 +328,25 @@ def _packed_roots(a):
             for i, c in labels.items():
                 if c > 0 and height == 1:
                     continue  # s_i(root_i) = -root_i
-                ci = colabels.get(i, 0)
-                image, coimage = root - c * unit[i], coroot - ci * unit[i]
+                image = root - c * unit[i]
                 found = layers.setdefault(height - c, {})
-                if c < 0 and image not in found:  # field i grew by -c (-ci), so less wrapped
-                    if (image >> w * i & mask) < -c or (coimage >> w * i & mask) < -ci:
-                        raise ArithmeticError(f"a root or coroot outgrew its {w}-bit fields")
-                    found[image] = (coimage, _minus(labels, c, rows[i]),
-                                    _minus(colabels, ci, cols[i]))
+                if c < 0 and image not in found:
+                    found[image] = _reflect(image, coroot, labels, colabels, i, rows, cols)
                     top = max(top, height - c)
-                elif found.get(image, (None,))[0] != coimage:
+                elif found.get(image, (None,))[0] != coroot - colabels.get(i, 0) * unit[i]:
                     raise ArithmeticError("simple reflections do not preserve the "
                                           "positive (root, coroot) pairs")
             yield height, root, coroot, labels
+
+
+def _reflect(image, coroot, labels, colabels, i, rows, cols):
+    """(s_i(g^v), its labels, its colabels) for image = s_i(g), c = <coroot_i, g> < 0: g^v loses
+    ci * coroot_i, ci = <g^v, root_i> off g's colabels; field i, up by -c (-ci), must not wrap."""
+    c, ci, shift, mask = labels[i], colabels.get(i, 0), _ROOT_BITS * i, (1 << _ROOT_BITS) - 1
+    coimage = coroot - (ci << shift)
+    if (image >> shift & mask) < -c or (coimage >> shift & mask) < -ci:
+        raise ArithmeticError(f"a root or coroot outgrew its {_ROOT_BITS}-bit fields")
+    return coimage, _minus(labels, c, rows[i]), _minus(colabels, ci, cols[i])
 
 
 def _minus(labels: dict, c: int, entries) -> dict:
@@ -568,14 +575,15 @@ def _validate_datum(d: RootDatum) -> None:
         raise ArithmeticError("pairing of the character and cocharacter lattices is not perfect")
 
 
-def reflection_sum(t: CartanType, nodes) -> tuple[tuple[int, ...], ...]:
-    """Row j for each node j: the integer sum over all roots b of <coroot_j, b> * b, summed as
-    the positive roots b, all checked, stream past; no root is kept.  Each b with c != 0 goes
-    whole, in _SUM_BITS fields, into a sum of the terms with c > 0 or of those with c < 0, each
-    unpacked once, with no carry, as the sum of 2 |c| * height over the terms bounds a field."""
+def reflection_sum(t: CartanType, nodes, roots) -> tuple[tuple[int, ...], ...]:
+    """Row j for each node j: the integer sum over all roots b of <coroot_j, b> * b, from roots, t's
+    positive roots as _packed_roots streams them: 2h * c_j * e_j, and so 2h * iota on all of Y, as
+    the pass checks that each s_i permutes the roots and the coroots of one length are W-conjugate
+    (Humphreys, 10.4 C).  Each b with c != 0 goes whole, in _SUM_BITS fields, into the sum of the
+    terms with c > 0 or c < 0, with no carry, as the sum of 2 |c| * height bounds a field."""
     r, plus, minus, bound = t.rank, [0] * len(nodes), [0] * len(nodes), 0
     wide = struct.Struct(f"<{r}{_FORMATS[_SUM_BITS]}").pack
-    for height, root, _, labels in _packed_roots(t.cartan):
+    for height, root, _, labels in roots:
         for n, j in enumerate(nodes):
             if c := labels.get(j):
                 bound += 2 * abs(c) * height
@@ -591,5 +599,5 @@ def reflection_sum(t: CartanType, nodes) -> tuple[tuple[int, ...], ...]:
 
 
 def dual_coxeter(d: RootDatum) -> int:
-    """Dual Coxeter number, solved once per Cartan type (CartanType.dual_coxeter)."""
+    """Dual Coxeter number, found once per Cartan type (CartanType.dual_coxeter)."""
     return d.cartan_type.dual_coxeter

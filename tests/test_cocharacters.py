@@ -21,11 +21,8 @@ from loopdual.lattice import Lattice, identity_matrix, standard_plus
 from loopdual.root_data import CartanType, build_datum
 from oracles import all_isogenies, dual_lattice_by_smith
 
-ALL_TYPES = (
-    [CartanType("A", n) for n in range(1, 9)] + [CartanType("B", n) for n in range(2, 9)]
-    + [CartanType("C", n) for n in range(2, 9)] + [CartanType("D", n) for n in range(3, 9)]
-    + [CartanType("E", n) for n in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)]
-)
+ALL_TYPES = [f"{s}{n}" for s, lo in zip("ABCD", (1, 2, 2, 3)) for n in range(lo, 9)] + \
+    ["E6", "E7", "E8", "F4", "G2"]  # names: each test builds its types
 
 
 def _sources(t):
@@ -39,7 +36,7 @@ def _sources(t):
 
 def test_every_record_of_rank_at_most_8_has_the_smith_dual_of_its_characters():
     smith = {}
-    for t in ALL_TYPES:
+    for t in map(CartanType.parse, ALL_TYPES):
         for source in _sources(t):
             for d in [source] + [td.twisted_dual(source, order).dual for order in range(1, 13)]:
                 key = d.cartan_type, d.X
@@ -78,7 +75,7 @@ def test_each_of_two_generators_imposes_its_congruence():
     """The isogeny enumeration lists every member of a subgroup, so dropping one
     generator seldom changes its span; two fundamental weights often need both."""
     smith = {}
-    for t in ALL_TYPES:
+    for t in map(CartanType.parse, ALL_TYPES):
         weights = [root_data.fundamental_weight(t, i) for i in range(t.rank)]
         for i in range(t.rank):
             for j in range(i + 1, t.rank):

@@ -33,16 +33,13 @@ from oracles import (EXCEPTIONAL_ROOTS, all_isogenies, basis_coordinate_matrix, 
                      smith_normal_form, span_mod1, two_rho)
 from oracles import reflection_sum as dense_reflection_sum
 
-ALL_TYPES = (
-    [CartanType("A", n) for n in range(1, 9)]
-    + [CartanType("B", n) for n in range(2, 9)]
-    + [CartanType("C", n) for n in range(2, 9)]
-    + [CartanType("D", n) for n in range(3, 9)]
-    + [CartanType("E", n) for n in (6, 7, 8)]
-    + [CartanType("F", 4), CartanType("G", 2)]
-)
+# Type names, not CartanType objects: each test builds its types, so a fixture that clears the
+# type factory (cold_types) leaves no stale type object in a list built at collection time.
+EXCEPTIONAL = ["E6", "E7", "E8", "F4", "G2"]
+ALL_TYPES = [f"{s}{n}" for s, lo in zip("ABCD", (1, 2, 2, 3)) for n in range(lo, 9)] + EXCEPTIONAL
+ADMITTED = [f"{s}{n}" for s, (lo, hi) in root_data._RANK_BOUNDS.items() for n in range(lo, hi + 1)]
 
-# Classical values, used as an independent check on the solver below.
+# Classical values, used as an independent check on the walk below.
 DUAL_COXETER_TABLE = {
     "A": lambda n: n + 1,
     "B": lambda n: 2 * n - 1,
@@ -109,8 +106,9 @@ def _with_negatives(pairs):
                                       for r, c in pairs)))
 
 
-@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
-def test_root_system_counts_and_pairing(t):
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_root_system_counts_and_pairing(name):
+    t = CartanType.parse(name)
     pairs = _with_negatives(positive_pairs(t.cartan))
     assert len(pairs) == ROOT_COUNT[t.series](t.rank)
     roots = [r for r, _ in pairs]
@@ -122,22 +120,19 @@ def test_root_system_counts_and_pairing(t):
     assert len(positive_pairs(t.cartan)) * 2 == len(pairs)
 
 
-ORACLE_TYPES = (
-    [CartanType(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-     for n in range(lo, 13)]
-    + [CartanType("E", n) for n in (6, 7, 8)]
-    + [CartanType("F", 4), CartanType("G", 2)]
-)
+ORACLE_TYPES = [f"{s}{n}" for s, lo in zip("ABCD", (1, 2, 2, 3)) for n in range(lo, 13)] + \
+    EXCEPTIONAL
 
 
-@pytest.mark.parametrize("t", ORACLE_TYPES, ids=str)
-def test_root_system_matches_the_dense_closure(t):
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_root_system_matches_the_dense_closure(name):
+    t = CartanType.parse(name)
     assert _with_negatives(positive_pairs(t.cartan)) == root_closure(t.cartan)
 
 
 def test_positive_roots_of_small_matrices_match_the_dense_closure():
     # the pass takes any integer Cartan matrix, transposed or in any numbering of the nodes
-    for t in (t for t in ORACLE_TYPES if t.rank <= 3):
+    for t in (t for t in map(CartanType.parse, ORACLE_TYPES) if t.rank <= 3):
         a = t.cartan
         for order in permutations(range(t.rank)):
             for m in (a, tuple(zip(*a))):
@@ -164,7 +159,7 @@ def test_coroot_norms_examples():
     assert CartanType("C", 3).norms == (2, 2, 1)
     assert CartanType("G", 2).norms == (3, 1)
     assert CartanType("F", 4).norms == (1, 1, 2, 2)
-    for t in ALL_TYPES:
+    for t in map(CartanType.parse, ALL_TYPES):
         cs = t.norms
         assert min(cs) == 1
         assert set(cs) <= {1, 2, 3}
@@ -243,11 +238,16 @@ def test_short_coroots_have_square_length_two():
         assert min(norms) == 2
 
 
-@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
-def test_dual_coxeter_matches_classical_table(t):
+@pytest.mark.parametrize("name", ADMITTED)
+def test_dual_coxeter_matches_classical_table(name):
+    """h^v from the walk up to the highest root on every admitted type, and through the records
+    of the types of rank <= 8 (P and P^v of all 513 would cost about 3 s)."""
+    t = CartanType.parse(name)
     expected = DUAL_COXETER_TABLE[t.series](t.rank)
-    assert dual_coxeter(build_datum(t, "sc")) == expected
-    assert dual_coxeter(build_datum(t, "adjoint")) == expected
+    assert t.dual_coxeter == expected
+    if t.rank <= 8:
+        assert dual_coxeter(build_datum(t, "sc")) == expected
+        assert dual_coxeter(build_datum(t, "adjoint")) == expected
 
 
 def test_two_rho_examples():
@@ -509,58 +509,73 @@ def test_canonical_form_is_an_immutable_value():
 
 
 def test_dual_coxeter_sums_roots_once_per_type(monkeypatch, cold_types):
-    # one pass over the positive roots serves the checked coroots, one of each length
+    # the engine's one pass over the positive roots serves the checked coroots, one of each
+    # length, and the engine is built once per type
     calls = []
-    real = root_data.reflection_sum
-    monkeypatch.setattr(root_data, "reflection_sum",
-                        lambda t, nodes: calls.append((t, list(nodes))) or real(t, nodes))
+    real = rep_check.reflection_sum
+    monkeypatch.setattr(rep_check, "reflection_sum", lambda t, nodes, roots:
+                        calls.append((t, list(nodes))) or real(t, nodes, roots))
+    rep_check._engine.cache_clear()
     for isogeny in ("sc", "adjoint", "sc"):
-        assert dual_coxeter(build_datum("C5", isogeny)) == 6
+        d = build_datum("C5", isogeny)
+        assert dual_coxeter(d) == 6
+        rep_check.datum_weight_system(d)
     assert calls == [(CartanType("C", 5), [4, 0])]  # the short coroot 4 first, then long 0
 
 
 def test_reflection_sum_of_a_coroot_is_integral():
     # the once-per-type Coxeter check sums integers, not Fractions
     t = CartanType("B", 4)
-    for total in reflection_sum(t, range(t.rank)):
+    for total in reflection_sum(t, range(t.rank), _packed_roots(t.cartan)):
         assert all(type(x) is int for x in total), total
 
 
-@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
-def test_one_pass_reflection_sums_match_the_dense_closure(t):
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_one_pass_reflection_sums_match_the_dense_closure(name):
+    t = CartanType.parse(name)
     unit = [tuple(int(i == j) for j in range(t.rank)) for i in range(t.rank)]
-    assert reflection_sum(t, range(t.rank)) == tuple(dense_reflection_sum(t, y) for y in unit)
-    assert reflection_sum(t, [t.rank - 1, 0]) == tuple(dense_reflection_sum(t, unit[j])
-                                                       for j in (t.rank - 1, 0))
+    assert reflection_sum(t, range(t.rank), _packed_roots(t.cartan)) == \
+        tuple(dense_reflection_sum(t, y) for y in unit)
+    assert reflection_sum(t, [t.rank - 1, 0], _packed_roots(t.cartan)) == \
+        tuple(dense_reflection_sum(t, unit[j]) for j in (t.rank - 1, 0))
+
+
+def _mult_of_a_dual(name, highest):
+    """A `mult` argv whose dual, at N = 1 the Langlands dual, has the type name."""
+    return ["mult", "--type", {"B": "C", "C": "B"}.get(name[0], name[0]) + name[1:], "--N", "1",
+            "--highest", highest]
 
 
 @pytest.mark.parametrize("name, row, step, message", [
     ("A5", 0, 1, "reflection-sum identity failed on coroots"),
     ("B4", 0, 1, "reflection-sum identity failed on coroots"),
     ("B4", 1, 1, "reflection-sum identity failed on coroots"),
-    ("A5", 0, 0, "invalid dual Coxeter number 13/2"),  # h solved on the shifted row
+    # the node's own entry, against the walk's h; h was once solved from this row
+    ("A5", 0, 0, "reflection-sum identity failed on coroots"),
 ])
 def test_a_shifted_reflection_sum_is_caught(monkeypatch, cold_types, name, row, step, message):
     """One checked row, off by one simple root (the node's own if step is 0, the next one's
-    if 1): the identity, checked on node 0 of A5 and on nodes 0 and 3 of B4 (one coroot of
-    each length), fails, and `extensions` exits 3."""
-    t, real = CartanType.parse(name), root_data.reflection_sum
+    if 1): the identity, checked by a cold engine on node 0 of A5 and on nodes 0 and 3 of B4
+    (one coroot of each length), fails, and a `mult` whose dual has the type exits 3."""
+    t, real = CartanType.parse(name), rep_check.reflection_sum
 
-    def shifted(t, nodes):
-        sums = [list(total) for total in real(t, nodes)]
+    def shifted(t, nodes, roots):
+        sums = [list(total) for total in real(t, nodes, roots)]
         sums[row][(nodes[row] + step) % t.rank] += 1
         return tuple(map(tuple, sums))
 
-    monkeypatch.setattr(root_data, "reflection_sum", shifted)
+    monkeypatch.setattr(rep_check, "reflection_sum", shifted)
+    rep_check._engine.cache_clear()
     err = io.StringIO()
     with pytest.raises(ArithmeticError, match=message):
-        t.dual_coxeter
-    assert run(["extensions", "--type", name], out=io.StringIO(), err=err) == 3
+        rep_check._engine(t)
+    assert run(_mult_of_a_dual(name, ",".join("1" * t.rank)), out=io.StringIO(), err=err) == 3
     assert f"internal check failed: {message}" in err.getvalue()
 
 
-@pytest.mark.parametrize("t", [CartanType("B", 4), CartanType("E", 6), CartanType("G", 2)])
+@pytest.mark.parametrize("t", [("B", 4), ("E", 6), ("G", 2)])
 def test_positive_root_labels_are_the_pairings_with_the_simple_coroots(t):
+    t = CartanType(*t)
     a = t.cartan
     assert positive_pairs(a) == tuple(pair for pair in root_closure(a) if min(pair[0]) >= 0)
     for root, _, labels in unpacked_roots(a):
@@ -568,16 +583,9 @@ def test_positive_root_labels_are_the_pairings_with_the_simple_coroots(t):
         assert labels == {j: x for j, x in pairings.items() if x}
 
 
-SMALL_TYPES = (
-    [CartanType("A", n) for n in range(1, 13)]
-    + [CartanType(series, n) for series in "BC" for n in range(2, 13)]
-    + [CartanType("D", n) for n in range(3, 13)]
-    + [CartanType("E", n) for n in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)]
-)
-
-
-@pytest.mark.parametrize("t", SMALL_TYPES, ids=str)
-def test_streamed_root_pass_matches_the_root_closure(t):
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_streamed_root_pass_matches_the_root_closure(name):
+    t = CartanType.parse(name)
     a = t.cartan
     streamed = list(unpacked_roots(a))
     heights = [sum(root) for root, _, _ in streamed]
@@ -599,8 +607,8 @@ def test_the_root_pass_keeps_three_layers_below_and_no_fewer(monkeypatch):
 
 
 def test_a_cold_large_extensions_call_retains_little(tmp_path):
-    """The root pass streams its layers and keeps no cache: what a cold C32 call leaves
-    behind is its per-type invariants and its record, not its 1,024 positive roots.
+    """h^v comes from one walk up to the highest root, which keeps no root: what a cold C32
+    call leaves behind is its per-type invariants and its record, not its 1,024 positive roots.
     An A1 call first builds the parser and the lazy imports, which are not C32's."""
     code = ("import gc, io, tracemalloc\n"
             "from loopdual import cli\n"
@@ -661,11 +669,11 @@ def test_record_invariants_are_cached_on_the_record():
     assert {"k", "center", "pi1"} <= vars(d).keys()
 
 
-@pytest.mark.parametrize("t", ALL_TYPES + [CartanType(s, r) for s in "ABCD" for r in (20, 40)],
-                         ids=str)
-def test_closed_form_cocharacters_match_the_dual_lattice(t):
+@pytest.mark.parametrize("name", ALL_TYPES + [f"{s}{r}" for s in "ABCD" for r in (20, 40)])
+def test_closed_form_cocharacters_match_the_dual_lattice(name):
     """Y is Q^v = Z^r for sc and P^v for adjoint, as the Smith-form dual of the
     oracle and the modular dual under the bound det A both say."""
+    t = CartanType.parse(name)
     a, det = t.cartan, t.det
     assert build_datum(t, "sc").Y == dual_lattice_by_smith(t.weight_lattice, a) == \
         modular_dual_lattice(t.weight_lattice, a, det) == Lattice.standard(t.rank)
@@ -702,11 +710,11 @@ def test_a_character_lattice_without_the_roots_is_refused_before_dualising():
     assert dual_lattice_by_smith(x, b2.cartan).den == 4
 
 
-@pytest.mark.parametrize("t", ALL_TYPES + [CartanType(s, r) for s in "ABCD" for r in (20, 40)],
-                         ids=str)
-def test_inverse_cartan_matches_the_smith_oracle(t):
+@pytest.mark.parametrize("name", ALL_TYPES + [f"{s}{r}" for s in "ABCD" for r in (20, 40)])
+def test_inverse_cartan_matches_the_smith_oracle(name):
     """The rows of A^-1 are the fundamental weights, its columns the fundamental coweights,
     P and P^v the lattices they span, and |det A| the product of the tree pivots."""
+    t = CartanType.parse(name)
     a = t.cartan
     inv = mat_inv(a)
     assert t.det == abs(dense_det_int(a))
@@ -715,13 +723,13 @@ def test_inverse_cartan_matches_the_smith_oracle(t):
     assert t.coweight_lattice == Lattice(transpose(inv))
 
 
-TREE_TYPES = [CartanType(s, r) for s, (low, high) in root_data._RANK_BOUNDS.items()
+TREE_TYPES = [f"{s}{r}" for s, (low, high) in root_data._RANK_BOUNDS.items()
               for r in range(low, min(high, 12) + 1)] + \
-    [CartanType(s, r) for s in "ABCD" for r in (127, 128)]
+    [f"{s}{r}" for s in "ABCD" for r in (127, 128)]
 
 
-@pytest.mark.parametrize("t", TREE_TYPES, ids=str)
-def test_tree_columns_and_pivots_match_the_smith_oracle(t):
+@pytest.mark.parametrize("name", TREE_TYPES)
+def test_tree_columns_and_pivots_match_the_smith_oracle(name):
     """The rows and columns of A^-1 that the leaf-first elimination on the Dynkin tree solves,
     and det A as the product of its pivots: up to rank 12 every row and column against the
     oracle's Smith-form inverse and det A against the dense determinant; at ranks 127 and 128
@@ -729,6 +737,7 @@ def test_tree_columns_and_pivots_match_the_smith_oracle(t):
     the minuscule lists read, by their definition, a dense A^T w = det * e_i for a weight and
     A x = det * e_i for a coweight (test_cartan_determinant_of_every_admitted_type checks det
     against the closed forms)."""
+    t = CartanType.parse(name)
     a, r = t.cartan, t.rank
     if r > 12:
         for i in (0, r - 2, r - 1):
@@ -813,15 +822,16 @@ def test_cartan_determinant_of_every_admitted_type():
 
 # The root store against its closed forms: every classical type of rank 2-12, and ranks
 # 120-128 with the series taken in turn (each pass there takes about 0.3 s).
-STORE_TYPES = [CartanType(s, r) for s in "ABCD" for r in range(max(2, "ABCD".index(s)), 13)] + \
-    [CartanType("ABCD"[r % 4], r) for r in range(120, 129)]
+STORE_TYPES = [f"{s}{r}" for s in "ABCD" for r in range(max(2, "ABCD".index(s)), 13)] + \
+    [f"{'ABCD'[r % 4]}{r}" for r in range(120, 129)]
 
 
-@pytest.mark.parametrize("t", STORE_TYPES, ids=str)
-def test_the_packed_root_store_matches_the_closed_forms(t):
+@pytest.mark.parametrize("name", STORE_TYPES)
+def test_the_packed_root_store_matches_the_closed_forms(name):
     """The store's positive roots and coroots, unpacked, are the closed forms of the oracle:
     A_r's intervals, and B, C and D from their e-coordinates, with coroots 2 beta / (beta,
     beta); the labels are each root's pairings with the simple coroots."""
+    t = CartanType.parse(name)
     a, store = t.cartan, set()
     for root, coroot, labels in unpacked_roots(a):  # the highest root comes last, by height
         store.add((root, coroot))
@@ -841,16 +851,19 @@ def test_exceptional_root_counts_and_highest_roots(name):
 
 def test_a_field_too_narrow_for_the_reflection_sums_is_refused(monkeypatch, cold_types):
     """Packed sums carry into the next field once one passes 2^_SUM_BITS: the sum of
-    2 |c| * height over C12's terms is 1,350, so 8-bit sums are refused and `extensions`
-    exits 3, while 16-bit sums, packed and unpacked as such, are the 32-bit ones."""
-    wide = reflection_sum(CartanType("C", 12), (0, 11))
+    2 |c| * height over C12's terms is 1,350, so 8-bit sums are refused and a `mult` whose
+    dual is C12 exits 3 from its cold engine, while 16-bit sums, packed and unpacked as such,
+    are the 32-bit ones."""
+    t = CartanType("C", 12)
+    wide = reflection_sum(t, (0, 11), _packed_roots(t.cartan))
     monkeypatch.setattr(root_data, "_SUM_BITS", 16)
-    assert reflection_sum(CartanType("C", 12), (0, 11)) == wide
+    assert reflection_sum(t, (0, 11), _packed_roots(t.cartan)) == wide
     monkeypatch.setattr(root_data, "_SUM_BITS", 8)
     with pytest.raises(ArithmeticError, match="reflection sums overflow their 8-bit fields"):
-        reflection_sum(CartanType("C", 12), (0, 11))
+        reflection_sum(t, (0, 11), _packed_roots(t.cartan))
+    rep_check._engine.cache_clear()
     err = io.StringIO()
-    assert run(["extensions", "--type", "C12", "--isogeny", "adjoint"], io.StringIO(), err) == 3
+    assert run(_mult_of_a_dual("C12", ",".join("1" * 12)), io.StringIO(), err) == 3
     assert err.getvalue() == "error: internal check failed: reflection sums overflow their " \
                              "8-bit fields\n"
 
@@ -887,10 +900,18 @@ def _assign(name, attribute, fault):
     return inject
 
 
-def _patch(attribute, fault):
+def _patch(attribute, fault, module=root_data):
+    """Set module.attribute to fault(its value), with no engine kept from before."""
     def inject(monkeypatch):
-        monkeypatch.setattr(root_data, attribute, fault(getattr(root_data, attribute)))
+        rep_check._engine.cache_clear()
+        monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
     return inject
+
+
+def _double_the_coroot_columns(columns, _):
+    """A's index by column with every entry doubled, so each coroot that the walk up to the
+    highest root reflects loses twice <g^v, root_i> * coroot_i."""
+    return tuple(tuple((i, 2 * x) for i, x in column) for column in columns)
 
 
 def _drop_the_highest_root_of_a2(real):
@@ -909,10 +930,12 @@ def _heights_of_a2_off(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, inject, code, message", [
-    # the root pass: a window of two layers loses G2's images three heights below
-    (["extensions", "--type", "G2"], _patch("_LAYERS_BELOW", lambda _: 2), 3,
+    # the root pass of a cold engine: a window of two layers loses G2's images three heights
+    # below, and A5's alpha_2 summed twice breaks the reflection-sum identity
+    (_mult_of_a_dual("G2", "3,2"), _patch("_LAYERS_BELOW", lambda _: 2), 3,
      "simple reflections do not preserve the positive (root, coroot) pairs"),
-    (["extensions", "--type", "A5"], _patch("_packed_roots", _double_the_second_simple_root), 3,
+    (_mult_of_a_dual("A5", "1,1,1,1,1"),
+     _patch("_packed_roots", _double_the_second_simple_root, rep_check), 3,
      "reflection-sum identity failed on coroots"),
     # _validate_datum, through the type's sparse index: 1/4 is in neither P nor P^v of A1,
     # and Z^3 is Q^v but not the dual of Q in A3
@@ -965,13 +988,23 @@ def _heights_of_a2_off(monkeypatch):
     (["dual", "--type", "D4", "--isogeny", '[[1, 1, "1/2", "1/2"]]', "--N", "1"],
      lambda monkeypatch: monkeypatch.setattr(dynkin, "lattice_member", lambda v, lat: False), 3,
      "unrecognized intermediate orthogonal form"),
+    # the walk up to the highest root: A5's takes 4 reflections from alpha_1, E8's theta has a
+    # coefficient 6, over 2 bits, and with doubled coroot steps A2's theta^v is (1, 2)
+    (["extensions", "--type", "A5"], _patch("_WALK_STEPS", lambda _: 3), 3,
+     "no dominant root within 3 simple reflections"),
+    (["extensions", "--type", "E8"], _patch("_ROOT_BITS", lambda _: 2), 3,
+     "a root or coroot outgrew its 2-bit fields"),
+    (["extensions", "--type", "A2", "--isogeny", "adjoint"],
+     _assign("A2", "by_column", _double_the_coroot_columns), 3,
+     "the dominant root does not pair to 2 with its coroot"),
 ])
 def test_each_moved_self_check_fires_through_the_cli(monkeypatch, cold_types, argv, inject,
                                                      code, message):
     """A fault injected into a fresh type, a cold engine or the step a check guards makes the
     query exit 3 (1 for the refusal) with the check's message as the whole stderr: the checks
     on the sparse-index, special-row and packed-root paths, the h^v divisibility checks, the
-    engine's half-sum and Weyl-order checks, and group_name's orthogonal-form check."""
+    engine's half-sum, reflection-sum and Weyl-order checks, group_name's orthogonal-form check,
+    and the step bound, field and pairing checks of the walk that gives h^v."""
     inject(monkeypatch)
     err = io.StringIO()
     assert run(argv, out=io.StringIO(), err=err) == code
