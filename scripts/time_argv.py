@@ -4,8 +4,10 @@
 
 PARENT_DIR and CHANGE_DIR are the roots of two loopdual checkouts.  Each run is a
 new `python3 -m loopdual ARGV...` with PYTHONPATH set to the checkout's `src`, so
-it includes the interpreter start and the import.  Each tree first runs once
-untimed, so that its bytecode is written; then pair p (of --runs) runs the parent
+it includes the interpreter start and the import.  Children run without
+PYTHONDONTWRITEBYTECODE and with PYTHONPYCACHEPREFIX set to a temporary directory
+of their tree, removed at exit, so each tree reads the bytecode of its own untimed
+first run, the standard library's included; then pair p (of --runs) runs the parent
 first when p is even and the change first when p is odd, one process at a time.
 For every run it records the wall time and the child's CPU time (user + system,
 from resource.getrusage(RUSAGE_CHILDREN) around the run), and it hashes stdout.
@@ -26,13 +28,22 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 
-def run_once(root: Path, argv: list[str]) -> tuple[float, float, int, str]:
-    """(wall s, child CPU s, exit code, stdout sha256) of one fresh process in root."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+def child_env(root: Path, cache: str) -> dict[str, str]:
+    """This environment, bytecode written (no PYTHONDONTWRITEBYTECODE) under cache and
+    read from there, with PYTHONPATH at root's src."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    return {**env, "PYTHONPATH": str(root / "src"), "PYTHONPYCACHEPREFIX": cache}
+
+
+def run_once(root: Path, argv: list[str], cache: str) -> tuple[float, float, int, str]:
+    """(wall s, child CPU s, exit code, stdout sha256) of one fresh process in root, whose
+    bytecode goes under cache."""
+    env = child_env(root, cache)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "loopdual", *argv], cwd=root, env=env,
@@ -58,11 +69,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
-    for side, root in sides.items():  # untimed: writes the bytecode
-        runs[side].append(run_once(root, args.command))
-    for pair in range(args.runs):
-        for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
-            runs[side].append(run_once(sides[side], args.command))
+    with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
+        caches = {"parent": parent, "change": change}
+        for side, root in sides.items():  # untimed: writes the bytecode
+            runs[side].append(run_once(root, args.command, caches[side]))
+        for pair in range(args.runs):
+            for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
+                runs[side].append(run_once(sides[side], args.command, caches[side]))
     out = {"argv": args.command, "runs_per_tree": args.runs}
     for side, results in runs.items():
         timed = results[1:]

@@ -63,67 +63,78 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_GROUP = (("--type", True, None, "Cartan type, e.g. A1, C3, E6"),
+          ("--isogeny", False, "sc", "sc, adjoint, so, or a JSON list of character "
+                                     "lattice generators in simple-root coordinates"))
+_N = ("--N", True, None, "twisting order")
+# command -> (help, its flags as (flag, required, default, help)); a default False is a
+# store_true flag.  _build_parser's subparsers and _plain_args both read this table.
+_FLAGS = {
+    "dual": ("twisted dual group of (G, N)",
+             (*_GROUP, ("--N", True, None, "twisting order, a positive integer"))),
+    "extensions": ("central extension classification", _GROUP),
+    "table": ("reference table of twisted duals (TSV)", (
+        ("--Nmax", True, None, "largest twisting order"),
+        ("--paper-check", False, False,
+         "exit nonzero unless every row matches its expected dual"))),
+    "symbol": ("tame symbol of two Laurent series", (
+        ("--field", False, "Q", "Q or Fp for prime p, e.g. F7"),
+        ("--f", True, None, "first series, e.g. 't^2*(1 + t)'"),
+        ("--g", True, None, "second series"))),
+    "commutator": ("torus commutator pairing", (
+        *_GROUP, ("--m", True, None, "level, an integer"),
+        ("--field", False, "Q", "Q or Fp for prime p"),
+        ("--points", True, None, "JSON [points1, points2], each a list of "
+                                 "[cocharacter, series] pairs"))),
+    "mult": ("weight multiplicities of a dual irreducible", (
+        *_GROUP, _N, ("--highest", True, None, "highest weight of the dual group, "
+                      "comma-separated rationals in its simple-root basis"))),
+    "mv-rank1": ("rank-one fixed-point multiplicities", (
+        *_GROUP, _N, ("--i", True, None, "simple index, 0-based"),
+        ("--a", True, None, "coroot multiple of the orbit"),
+        ("--check", False, False, "also compare against the rank-one character oracle"))),
+    "check-assumption": (
+        "test the characteristic assumption p does not divide the monodromy modulus",
+        (*_GROUP, _N, ("--p", True, None, "field characteristic, 0 or a prime"))),
+}
+
+
 @lru_cache(maxsize=1)  # parse_args keeps no state, so one parser serves every run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="loopdual", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def group_flags(p):
-        p.add_argument("--type", required=True,
-                       help="Cartan type, e.g. A1, C3, E6")
-        p.add_argument("--isogeny", default="sc",
-                       help="sc, adjoint, so, or a JSON list of character "
-                            "lattice generators in simple-root coordinates")
-
-    p = sub.add_parser("dual", help="twisted dual group of (G, N)")
-    group_flags(p)
-    p.add_argument("--N", required=True, help="twisting order, a positive integer")
-
-    p = sub.add_parser("extensions", help="central extension classification")
-    group_flags(p)
-
-    p = sub.add_parser("table", help="reference table of twisted duals (TSV)")
-    p.add_argument("--Nmax", required=True, help="largest twisting order")
-    p.add_argument("--paper-check", action="store_true",
-                   help="exit nonzero unless every row matches its expected dual")
-
-    p = sub.add_parser("symbol", help="tame symbol of two Laurent series")
-    p.add_argument("--field", default="Q", help="Q or Fp for prime p, e.g. F7")
-    p.add_argument("--f", required=True, help="first series, e.g. 't^2*(1 + t)'")
-    p.add_argument("--g", required=True, help="second series")
-
-    p = sub.add_parser("commutator", help="torus commutator pairing")
-    group_flags(p)
-    p.add_argument("--m", required=True, help="level, an integer")
-    p.add_argument("--field", default="Q", help="Q or Fp for prime p")
-    p.add_argument("--points", required=True,
-                   help="JSON [points1, points2], each a list of "
-                        "[cocharacter, series] pairs")
-
-    p = sub.add_parser("mult", help="weight multiplicities of a dual irreducible")
-    group_flags(p)
-    p.add_argument("--N", required=True, help="twisting order")
-    p.add_argument("--highest", required=True,
-                   help="highest weight of the dual group, comma-separated "
-                        "rationals in its simple-root basis")
-
-    p = sub.add_parser("mv-rank1", help="rank-one fixed-point multiplicities")
-    group_flags(p)
-    p.add_argument("--N", required=True, help="twisting order")
-    p.add_argument("--i", required=True, help="simple index, 0-based")
-    p.add_argument("--a", required=True, help="coroot multiple of the orbit")
-    p.add_argument("--check", action="store_true",
-                   help="also compare against the rank-one character oracle")
-
-    p = sub.add_parser("check-assumption",
-                       help="test the characteristic assumption p does not "
-                            "divide the monodromy modulus")
-    group_flags(p)
-    p.add_argument("--N", required=True, help="twisting order")
-    p.add_argument("--p", required=True, help="field characteristic, 0 or a prime")
+    for command, (about, flags) in _FLAGS.items():
+        p = sub.add_parser(command, help=about)
+        for flag, required, default, text in flags:
+            if default is False:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, required=required, default=default, help=text)
     parser.commands = sub.choices  # name -> subparser, for run to call directly
     return parser
+
+
+def _plain_args(argv):
+    """The Namespace that argparse returns for argv, when each token after the command is
+    one of its flags spelled in full, each value a str not starting with "-", the last
+    one wins and no required flag is missing; None for any other argv, which argparse reads."""
+    if not argv or type(argv[0]) is not str or argv[0] not in _FLAGS:
+        return None
+    flags = _FLAGS[argv[0]][1]
+    rows = {flag: default for flag, _, default, _ in flags}
+    values, tokens = dict(rows), iter(argv[1:])
+    for flag in tokens:
+        if type(flag) is not str or flag not in rows:
+            return None
+        value = True if rows[flag] is False else next(tokens, None)
+        if value is not True and (type(value) is not str or value[:1] == "-"):
+            return None
+        values[flag] = value
+    if any(required and values[flag] is None for flag, required, _, _ in flags):
+        return None
+    return argparse.Namespace(command=argv[0], **{flag[2:].replace("-", "_"): value
+                                                  for flag, value in values.items()})
 
 
 def _int_flag(text: str, flag: str) -> int:
@@ -463,12 +474,14 @@ _COMMANDS = {
 def run(argv, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
     try:
-        if argv and argv[0] in parser.commands:  # straight to its subparser, as parser would go
-            args = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-        else:
-            args = parser.parse_args(argv)
+        if (args := _plain_args(argv)) is None:  # any other argv: argparse, built only here
+            parser = _build_parser()
+            if argv and argv[0] in parser.commands:  # straight to its subparser, as parser would
+                args = parser.commands[argv[0]].parse_args(argv[1:],
+                                                           argparse.Namespace(command=argv[0]))
+            else:
+                args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required "
                              f"(one of: {', '.join(_COMMANDS)})")

@@ -41,15 +41,18 @@ class _Engine:
     def __init__(self, t: CartanType):
         a, d, r, cs = t.cartan, t.scaled_norms, t.rank, t.norms
         self.pairings, self.norms, self.orders = transpose(a), d, {}
-        # (b, labels, coef with (x, beta) = sum_j coef_j x_j) per root; _engine keeps the list
-        stream, nodes, zeros = list(_packed_roots(a)), range(r), (0,) * r
-        self.roots = [(b, tuple(map(labels.get, nodes, zeros)), tuple(map(mul, b, d)))
-                      for b, labels in ((_unpack(root, r, _ROOT_BITS), labels)
-                                        for _, root, _, labels in stream)]
+        # (b, labels, coef with (x, beta) = sum_j coef_j x_j) per root; _engine keeps the list,
+        # and reflection_sum gets only the roots with a nonzero label at a checked node
+        nodes, zeros, self.roots, kept = range(r), (0,) * r, [], []
+        checked = [cs.index(c) for c in sorted(set(cs))]  # one coroot per length
+        for entry in _packed_roots(a):
+            b, labels = _unpack(entry[1], r, _ROOT_BITS), entry[3]
+            self.roots.append((b, tuple(map(labels.get, nodes, zeros)), tuple(map(mul, b, d))))
+            if any(map(labels.__contains__, checked)):
+                kept.append(entry)
         if any(sum(col) != 2 for col in zip(*(lab for _, lab, _ in self.roots))):
             raise ArithmeticError("half-sum of positive roots is off")
-        checked = [cs.index(c) for c in sorted(set(cs))]  # one coroot per length
-        for j, total in zip(checked, reflection_sum(t, checked, stream)):
+        for j, total in zip(checked, reflection_sum(t, checked, kept)):
             if any(x != (2 * t.dual_coxeter * cs[j] if i == j else 0) for i, x in enumerate(total)):
                 raise ArithmeticError("reflection-sum identity failed on coroots")
         self.heights = [sum(b) for b, _, _ in self.roots]

@@ -656,6 +656,32 @@ def test_one_parser_carries_no_state_between_runs():
     assert code == 0 and payload(out)["checks"] == []
 
 
+WELL_FORMED = """
+import io, json, sys
+from pathlib import Path
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "src")]
+from loopdual import cli
+keys = [k for p in sorted((root / "perfbench" / "goldens").glob("*.json"))
+        for k in json.loads(p.read_text())]
+argvs = [a for a in map(json.loads, keys) if cli._plain_args(a) is not None]
+argvs += [["dual", "--type", "A1", "--N", "0"], ["extensions", "--type", "Z3"]]  # exit 1
+codes = {cli.run(a, io.StringIO(), io.StringIO()) for a in argvs}
+print(json.dumps([sorted({a[0] for a in argvs}), sorted(codes),
+                  cli._build_parser.cache_info().misses]))
+"""
+
+
+def test_well_formed_argv_never_build_the_parser():
+    """A fresh process that runs only argv that _plain_args reads, the golden argv of every
+    command and two usage errors that argparse lets through, never calls _build_parser."""
+    proc = subprocess.run([sys.executable, "-c", WELL_FORMED, str(GOLDENS.parents[1])],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    commands, codes, misses = json.loads(proc.stdout)
+    assert (commands, codes, misses) == (sorted(cli._COMMANDS), [0, 1], 0)
+
+
 def _perfbench(name):
     """perfbench/<name>.py, loaded from its path."""
     spec = importlib.util.spec_from_file_location(
@@ -680,9 +706,11 @@ def _outcome(argv, capsys):
 
 
 def test_direct_dispatch_matches_the_full_parser(monkeypatch, capsys):
-    """run hands argv[1:] straight to the subparser that argv[0] names; every
-    argv gives the same exit code, stdout and stderr as through the top-level
-    parser, which run still uses for any other argv and which is the oracle here."""
+    """run reads a well-formed argv off cli._FLAGS (_plain_args), building no parser, and
+    hands any other argv that argv[0] names a command of straight to its subparser; every
+    argv gives the same exit code, stdout and stderr as through the top-level parser, which
+    run still uses for any other argv and which is the oracle here, and wherever _plain_args
+    returns a Namespace, argparse returns an equal one."""
     workloads = _perfbench("workloads")
     argvs = [list(argv) for argv in workloads.USAGE_ERRORS]
     argvs += [list(argv) for argv, _ in workloads.KNOWN_CRASHES]
@@ -692,13 +720,32 @@ def test_direct_dispatch_matches_the_full_parser(monkeypatch, capsys):
               ["dual", "--type", "A1", "--N", "2", "--", "x"], ["dual", "--ty", "C2", "--N=2"],
               ["mv-rank1", "--type", "A1", "--N", "2", "--i", "0", "--a", "2", "--ch"],
               ["table", "--Nmax", "1", "--paper-check", "--paper-check"], ["DUAL"], ["dua"]]
+    plain_argvs = [["commutator", "--type", "A1", "--m", "-1", "--points", "[[], []]"],
+                   ["symbol", "--f", "-t + 1", "--g", "t"], ["symbol", "--f", "t", "--g", ""],
+                   ["extensions", "--type", "A1", "--type", "B2"],
+                   ["mv-rank1", "--type", "A1", "--N", "2", "--i", "0", "--a", "2", "--check",
+                    "--check"], ["dual", "--type", "A1", "--N", 2], ["dual", "--type", "A1"],
+                   ["dual", "--type", "A1", "--N"], ["dual", "--type", "A1", "--Nmax", "2"]]
+    argvs += plain_argvs
     parser = cli._build_parser()
     top, real = [], parser.parse_known_args
     monkeypatch.setattr(parser, "parse_known_args", lambda *a: top.append(a) or real(*a))
+    subs = []
+    for sub in parser.commands.values():
+        monkeypatch.setattr(sub, "parse_args", lambda *a, real=sub.parse_args:
+                            subs.append(a) or real(*a))
     direct = [_outcome(argv, capsys) for argv in argvs]
+    plain = [argv for argv in argvs if cli._plain_args(argv) is not None]
+    assert len(top) == sum(not argv or argv[0] not in cli._COMMANDS for argv in argvs) > 5
+    commands = sum(bool(argv) and argv[0] in cli._COMMANDS for argv in argvs)
+    assert len(subs) == commands - len(plain) > 100 and len(plain) > 400
+    assert [argv in plain for argv in plain_argvs] == \
+        [False, False, True, True, True, False, False, False, False]
+    for argv in plain:  # the top-level parser's Namespace, with nothing left over
+        assert (vars(cli._plain_args(argv)), []) == (vars((ns := real(argv))[0]), ns[1]), argv
     through_top = len(top)
-    assert through_top == sum(not argv or argv[0] not in cli._COMMANDS for argv in argvs) > 5
     monkeypatch.setattr(parser, "commands", {})  # every argv through the top-level parser
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
     full = [_outcome(argv, capsys) for argv in argvs]
     assert len(top) == through_top + len(argvs)
     mismatched = [(argv, a, b) for argv, a, b in zip(argvs, direct, full) if a != b]

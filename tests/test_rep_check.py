@@ -33,9 +33,6 @@ from oracles import (below, character_by_kostant, dominant_conjugate, dual_carta
                      tensor_by_peeling, weyl_group_order, weyl_group_with_signs,
                      weyl_order_by_highest_root)
 
-A1 = CartanType("A", 1)
-
-
 def source_system(name):
     return datum_weight_system(build_datum(name, "sc"))
 
@@ -58,7 +55,7 @@ def multiplicity(ws, lam, mu) -> int:
 
 class TestWeightSystemBasics:
     def test_rank_one_weights(self):
-        ws = WeightSystem(A1)
+        ws = WeightSystem(CartanType("A", 1))
         assert root_system(ws).positive_roots == ((Fraction(1),),)
         assert root_system(ws).rho == (Fraction(1, 2),)
         assert ws._engine.roots == [((1,), (2,), (1,))]  # root, label, coefficient
@@ -204,7 +201,7 @@ class TestRescaledCorootSystems:
     def test_sl2_order_two(self):
         d = build_datum("A1", "sc")
         ws = datum_weight_system(twisted_dual(d, 2).dual)
-        assert local_denominators(d, 2) == (2,) and ws.cartan_type == A1
+        assert local_denominators(d, 2) == (2,) and ws.cartan_type == CartanType("A", 1)
         assert ws.weyl_dimension((1,)) == 3  # the string 2, 0, -2 of the rescaled coroot
         assert multiplicity(ws, (1,), (0,)) == 1
         assert multiplicity(ws, (1,), (Fraction(1, 2),)) == 0
@@ -273,7 +270,7 @@ class TestRankOneMultiplicities:
             delta = local_denominators(d, order)[node]
             a = delta * steps
             out = rank_one_mv_multiplicities(d, order, node, a)
-            line = WeightSystem(A1)  # b on the line is b / delta on the A1 weights
+            line = WeightSystem(CartanType("A", 1))  # b on the line is b / delta on the A1 weights
             for b in range(a, -a - 1, -1):
                 assert out[b] == multiplicity(line, (Fraction(a, delta),), (Fraction(b, delta),)), (
                     name, isogeny, order, node, b)
@@ -353,11 +350,11 @@ def test_freudenthal_matches_kostant_on_rank_one_lines(name, order, node):
     """mv_vs_character_check reads the line of delta * coroot_node off the A1
     engine: it accepts Kostant's multiplicities of the A1 weights below a / delta,
     placed at b = delta * weight, and refuses them with any one entry moved."""
-    datum = build_datum(name, "sc")
+    datum, a1 = build_datum(name, "sc"), CartanType("A", 1)
     delta = local_denominators(datum, order)[node]
     assert delta > 1
     for a in (delta, 2 * delta, 5 * delta):
-        mults = {b: kostant_multiplicity(WeightSystem(A1), (Fraction(a, delta),),
+        mults = {b: kostant_multiplicity(WeightSystem(a1), (Fraction(a, delta),),
                                          (Fraction(b, delta),)) for b in range(a, -a - 1, -1)}
         assert mv_vs_character_check(datum, order, node, a, mults), a
         for b, m in mults.items():
@@ -368,7 +365,7 @@ def test_one_a1_engine_serves_every_rank_one_line(monkeypatch):
     """mv_vs_character_check reads every line, whatever its delta, off the one
     cached A1 engine; each query's character is still computed."""
     c2, a1 = build_datum("C2", "sc"), build_datum("A1", "sc")
-    engine, tables, table = _engine(A1), [], _Engine.table
+    engine, tables, table = _engine(CartanType("A", 1)), [], _Engine.table
     monkeypatch.setattr(_Engine, "table",
                         lambda self, dominant: tables.append(self) or table(self, dominant))
     assert rank_one_mv_multiplicities(c2, 2, 1, 4) == {4: 1, 3: 0, 2: 1, 1: 0, 0: 1, -1: 0,
