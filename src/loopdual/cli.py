@@ -107,34 +107,39 @@ def _build_parser() -> _Parser:
     for command, (about, flags) in _FLAGS.items():
         p = sub.add_parser(command, help=about)
         for flag, required, default, text in flags:
-            if default is False:
-                p.add_argument(flag, action="store_true", help=text)
-            else:
-                p.add_argument(flag, required=required, default=default, help=text)
+            p.add_argument(flag, action="store_true" if default is False else "store",
+                           required=required, default=default, help=text)
     parser.commands = sub.choices  # name -> subparser, for run to call directly
     return parser
+
+
+# _FLAGS as _plain_args reads it, by command: ({flag: (argparse's dest, store_true)}, the
+# command and the defaults of the flags that are not required, by dest)
+_PLAIN = {command: ({flag: (flag[2:].replace("-", "_"), default is False)
+                     for flag, _, default, _ in flags},
+                    {"command": command, **{flag[2:].replace("-", "_"): default
+                     for flag, required, default, _ in flags if not required}})
+          for command, (_, flags) in _FLAGS.items()}
 
 
 def _plain_args(argv):
     """The Namespace that argparse returns for argv, when each token after the command is
     one of its flags spelled in full, each value a str not starting with "-", the last
     one wins and no required flag is missing; None for any other argv, which argparse reads."""
-    if not argv or type(argv[0]) is not str or argv[0] not in _FLAGS:
+    if not argv or type(argv[0]) is not str or argv[0] not in _PLAIN:
         return None
-    flags = _FLAGS[argv[0]][1]
-    rows = {flag: default for flag, _, default, _ in flags}
-    values, tokens = dict(rows), iter(argv[1:])
+    dests, values = _PLAIN[argv[0]]
+    values, tokens = values.copy(), iter(argv[1:])
     for flag in tokens:
-        if type(flag) is not str or flag not in rows:
+        if type(flag) is not str or flag not in dests:
             return None
-        value = True if rows[flag] is False else next(tokens, None)
+        dest, switch = dests[flag]
+        value = True if switch else next(tokens, None)
         if value is not True and (type(value) is not str or value[:1] == "-"):
             return None
-        values[flag] = value
-    if any(required and values[flag] is None for flag, required, _, _ in flags):
-        return None
-    return argparse.Namespace(command=argv[0], **{flag[2:].replace("-", "_"): value
-                                                  for flag, value in values.items()})
+        values[dest] = value
+    vars(args := argparse.Namespace()).update(values)
+    return args if len(values) > len(dests) else None  # else a required flag is missing
 
 
 def _int_flag(text: str, flag: str) -> int:
@@ -476,12 +481,10 @@ def run(argv, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     try:
         if (args := _plain_args(argv)) is None:  # any other argv: argparse, built only here
-            parser = _build_parser()
-            if argv and argv[0] in parser.commands:  # straight to its subparser, as parser would
-                args = parser.commands[argv[0]].parse_args(argv[1:],
-                                                           argparse.Namespace(command=argv[0]))
+            if argv and argv[0] in (commands := _build_parser().commands):  # as parser would go
+                args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
             else:
-                args = parser.parse_args(argv)
+                args = _build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required "
                              f"(one of: {', '.join(_COMMANDS)})")
