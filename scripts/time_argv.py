@@ -33,17 +33,12 @@ import time
 from pathlib import Path
 
 
-def child_env(root: Path, cache: str) -> dict[str, str]:
-    """This environment, bytecode written (no PYTHONDONTWRITEBYTECODE) under cache and
-    read from there, with PYTHONPATH at root's src."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
-    return {**env, "PYTHONPATH": str(root / "src"), "PYTHONPYCACHEPREFIX": cache}
-
-
 def run_once(root: Path, argv: list[str], cache: str) -> tuple[float, float, int, str]:
-    """(wall s, child CPU s, exit code, stdout sha256) of one fresh process in root, whose
-    bytecode goes under cache."""
-    env = child_env(root, cache)
+    """(wall s, child CPU s, exit code, stdout sha256) of one fresh process in root, in this
+    environment without PYTHONDONTWRITEBYTECODE, with PYTHONPATH at root's src and its
+    bytecode written and read under cache (PYTHONPYCACHEPREFIX)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=cache)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "loopdual", *argv], cwd=root, env=env,

@@ -720,13 +720,15 @@ def test_direct_dispatch_matches_the_full_parser(monkeypatch, capsys):
               ["dual", "--type", "A1", "--N", "2", "--", "x"], ["dual", "--ty", "C2", "--N=2"],
               ["mv-rank1", "--type", "A1", "--N", "2", "--i", "0", "--a", "2", "--ch"],
               ["table", "--Nmax", "1", "--paper-check", "--paper-check"], ["DUAL"], ["dua"]]
-    plain_argvs = [["commutator", "--type", "A1", "--m", "-1", "--points", "[[], []]"],
-                   ["symbol", "--f", "-t + 1", "--g", "t"], ["symbol", "--f", "t", "--g", ""],
-                   ["extensions", "--type", "A1", "--type", "B2"],
-                   ["mv-rank1", "--type", "A1", "--N", "2", "--i", "0", "--a", "2", "--check",
-                    "--check"], ["dual", "--type", "A1", "--N", 2], ["dual", "--type", "A1"],
-                   ["dual", "--type", "A1", "--N"], ["dual", "--type", "A1", "--Nmax", "2"]]
-    argvs += plain_argvs
+    # values that start with "-", an empty value, a repeated flag, a non-str token and a
+    # missing or foreign flag; _plain_args reads only the third to the fifth
+    edges = [["commutator", "--type", "A1", "--m", "-1", "--points", "[[], []]"],
+             ["symbol", "--f", "-t + 1", "--g", "t"], ["symbol", "--f", "t", "--g", ""],
+             ["extensions", "--type", "A1", "--type", "B2"],
+             ["mv-rank1", "--type", "A1", "--N", "2", "--i", "0", "--a", "2", "--check",
+              "--check"], ["dual", "--type", "A1", "--N", 2], ["dual", "--type", "A1"],
+             ["dual", "--type", "A1", "--N"], ["dual", "--type", "A1", "--Nmax", "2"]]
+    argvs += edges
     parser = cli._build_parser()
     top, real = [], parser.parse_known_args
     monkeypatch.setattr(parser, "parse_known_args", lambda *a: top.append(a) or real(*a))
@@ -739,7 +741,7 @@ def test_direct_dispatch_matches_the_full_parser(monkeypatch, capsys):
     assert len(top) == sum(not argv or argv[0] not in cli._COMMANDS for argv in argvs) > 5
     commands = sum(bool(argv) and argv[0] in cli._COMMANDS for argv in argvs)
     assert len(subs) == commands - len(plain) > 100 and len(plain) > 400
-    assert [argv in plain for argv in plain_argvs] == \
+    assert [argv in plain for argv in edges] == \
         [False, False, True, True, True, False, False, False, False]
     for argv in plain:  # the top-level parser's Namespace, with nothing left over
         assert (vars(cli._plain_args(argv)), []) == (vars((ns := real(argv))[0]), ns[1]), argv
