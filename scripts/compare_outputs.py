@@ -27,7 +27,11 @@ After those come, for `sc` and `adjoint`:
     in simple-root coordinates (a usage error where that is not a character);
   * `mult` on A1 at N = 1 with highest weight h, h = 1..160;
   * `mv-rank1 --check` at every node of A1, B2, C2 and G2, N = 1..6 and a = 0..160 (a
-    usage error where a is not a multiple of the local denominator).
+    usage error where a is not a multiple of the local denominator);
+  * `mult` at N = 1 on omega_1 of the dual of C120, C127 and C128, the type B_r, where
+    omega_1 = e_1 is 1, ..., 1 in simple-root coordinates (a usage error is hashed like any
+    answer).  These are the slowest calls of the list, about 1 s each, so they come last,
+    past the every-13th and every-97th argv that tests/test_compare_outputs.py runs.
 """
 
 from __future__ import annotations
@@ -119,6 +123,8 @@ def _argv_list() -> list[list[str]]:
              "--a", str(a), "--check"]
             for name in MV_TYPES for isogeny in ISOGENIES[:2] for n in range(1, 7)
             for i in range(int(name[1:])) for a in range(161)]
+    out += [["mult", "--type", f"C{r}", "--isogeny", isogeny, "--N", "1", "--highest",
+             ",".join("1" * r)] for r in (120, 127, 128) for isogeny in ISOGENIES[:2]]
     return out
 
 

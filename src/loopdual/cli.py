@@ -6,8 +6,9 @@ environment, no network.  JSON output wraps results in a fixed envelope
 rationals rendered as exact "p/q" strings, and lattices in Hermite
 normal form, so identical invocations produce byte-identical output.
 Weights and lattice rows come as integer numerators over one denominator, and one
-row writer (_row_format) writes each as one format of its joined _rationals texts, from
-a Lattice, whose text _json keeps per (lattice, indent), or from mult's _Weights value.
+row writer (_row_format) writes each as one format: a Lattice row of its joined _rationals
+texts, kept by _json per (lattice, indent), and a weight of mult's _Weights value with one
+%s slot per coordinate, filled by _rationals, or by the numerators themselves over den 1.
 
 Exit codes: 0 success, 1 usage error, 2 a requested check failed, 3 a self-check failed
 (a plain ArithmeticError) or another ArithmeticError escaped (an internal error).
@@ -19,7 +20,6 @@ the simple-root basis of the dual group.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import namedtuple
@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring
 from math import gcd
+from types import SimpleNamespace
 
 from .central_ext import (
     char_assumption_ok,
@@ -56,11 +57,6 @@ _Weights = namedtuple("_Weights", "den pairs")
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 _GROUP = (("--type", True, None, "Cartan type, e.g. A1, C3, E6"),
@@ -100,7 +96,15 @@ _FLAGS = {
 
 
 @lru_cache(maxsize=1)  # parse_args keeps no state, so one parser serves every run
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The argparse parser of _FLAGS, whose errors raise UsageError; argparse is imported
+    only here, so a run that _plain_args reads never loads it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _Parser(prog="loopdual", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -123,9 +127,9 @@ _PLAIN = {command: ({flag: (flag[2:].replace("-", "_"), default is False)
 
 
 def _plain_args(argv):
-    """The Namespace that argparse returns for argv, when each token after the command is
-    one of its flags spelled in full, each value a str not starting with "-", the last
-    one wins and no required flag is missing; None for any other argv, which argparse reads."""
+    """A namespace like argparse's for argv, when each token after the command is one of its
+    flags spelled in full, each value a str not starting with "-", the last one wins and no
+    required flag is missing; None for any other argv, which argparse reads."""
     if not argv or type(argv[0]) is not str or argv[0] not in _PLAIN:
         return None
     dests, values = _PLAIN[argv[0]]
@@ -138,8 +142,7 @@ def _plain_args(argv):
         if value is not True and (type(value) is not str or value[:1] == "-"):
             return None
         values[dest] = value
-    vars(args := argparse.Namespace()).update(values)
-    return args if len(values) > len(dests) else None  # else a required flag is missing
+    return SimpleNamespace(**values) if len(values) > len(dests) else None  # else one is missing
 
 
 def _int_flag(text: str, flag: str) -> int:
@@ -247,10 +250,11 @@ def _json(value, pad="\n") -> str:
     elif kind is dict:
         ends, items = "{}", [f"{encode_basestring(k)}: {_json(value[k], inner)}"
                              for k in sorted(value)]
-    elif kind is _Weights:  # one format per [numerators, multiplicity] row
+    elif kind is _Weights:  # a %s writes an int as str(Fraction) does over den 1
         sep, form = _row_format(deep := inner + "  ")
-        form, den = f"[{deep}{form},{deep}%d{inner}]", value.den
-        ends, items = "[]", [form % (sep.join(_rationals(vec, den)), mult)
+        rank, den = len(value.pairs[0][0]) if value.pairs else 0, value.den
+        form = f"[{deep}{form % sep.join(('%s',) * rank)},{deep}%d{inner}]"
+        ends, items = "[]", [form % (*(vec if den == 1 else _rationals(vec, den)), mult)
                              for vec, mult in value.pairs]
     elif kind is Lattice:  # above rank 16 a text is large and seldom asked twice
         return (_lattice_json if len(value.rows) <= 16 else _lattice_json.__wrapped__)(value, pad)
@@ -482,7 +486,7 @@ def run(argv, out=None, err=None) -> int:
     try:
         if (args := _plain_args(argv)) is None:  # any other argv: argparse, built only here
             if argv and argv[0] in (commands := _build_parser().commands):  # as parser would go
-                args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+                args = commands[argv[0]].parse_args(argv[1:], SimpleNamespace(command=argv[0]))
             else:
                 args = _build_parser().parse_args(argv)
         if args.command is None:

@@ -56,14 +56,8 @@ class _Engine:
             if any(x != (2 * t.dual_coxeter * cs[j] if i == j else 0) for i, x in enumerate(total)):
                 raise ArithmeticError("reflection-sum identity failed on coroots")
         self.heights = [sum(b) for b, _, _ in self.roots]
+        self.rho = [sum(coef) for _, _, coef in self.roots]  # (rho, beta) per root
         self.columns = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-
-    def reflect(self, x, i):
-        """s_i(x) = x - x_i * alpha_i on labels."""
-        y = list(x)
-        for j, p in self.columns[i]:
-            y[j] -= x[i] * p
-        return tuple(y)
 
     def conjugate(self, x):
         """(the dominant W-conjugate of labels x, the root coordinates it lies
@@ -120,54 +114,56 @@ class _Engine:
         return sum(whole // self.weyl_order(tuple(i for i, x in enumerate(mu) if x == 0))
                    for _, _, mu in dominant)
 
-    def table(self, dominant):
-        """Freudenthal multiplicities of dominant_weights(lam): labels -> (depth, multiplicity)."""
-        _, depth, lam = dominant[0]
-        out, mults, tails = {lam: (depth, 1)}, {}, {}
-        for _, depth, mu in dominant[1:]:
-            total = 0
-            for index, (b, lab, coef) in enumerate(self.roots):
-                # tails[index, nu]: sum over k >= 0 of m(nu + k beta) (nu + k beta, beta)
-                tail, chain, nu = 0, [], mu
-                for _ in range(min(c // x for c, x in zip(depth, b) if x)):
-                    nu = tuple(map(add, nu, lab))
-                    if (index, nu) in tails:
-                        tail = tails[index, nu]
-                        break
-                    chain.append(nu)
-                for nu in reversed(chain):
-                    if nu not in mults:
-                        mults[nu] = out.get(self.conjugate(nu)[0], (None, 0))[1]
-                    tail += mults[nu] * sum(map(mul, coef, nu))
-                    tails[index, nu] = tail
-                total += tail
-            denom = sum(c * d * (a + m + 2) for c, d, a, m in zip(depth, self.norms, lam, mu))
-            if denom <= 0:
-                raise ArithmeticError("Freudenthal denominator is not positive")
-            mult, rest = divmod(2 * total, denom)
-            if rest or mult <= 0:
-                raise ArithmeticError(f"multiplicity {2 * total}/{denom} of the weight with "
-                                      f"labels {vector_text(mu)} is not a positive integer")
-            out[mu] = (depth, mult)
-        return out
-
-    def character(self, table, top, step):
-        """Every weight of a Freudenthal table: labels -> (top + step * depth,
-        multiplicity).  Lowering by s_i where x_i > 0 reaches all of x's orbit."""
-        out = {}
-        for mu, (depth, mult) in table.items():
+    def character(self, dominant, top, step):
+        """Every weight of L(lam) from dominant_weights(lam), in one pass in depth order:
+        labels -> (top + step * depth, multiplicity).  At each dominant mu Freudenthal's sum
+        reads m(mu + k beta) off the weights already listed, as the dominant conjugate of
+        mu + k beta (beta > 0, k >= 1) lies strictly above mu, and stops each beta-string at
+        its first non-weight, weight strings being unbroken; then mu's orbit is listed,
+        lowering by s_i where x_i > 0."""
+        lam, out, tails = dominant[0][2], {}, [{} for _ in self.roots]
+        for _, depth, mu in dominant:
+            mult = 1  # at lam, listed first
+            if out:
+                total = 0
+                for (_, lab, coef), memo in zip(self.roots, tails):
+                    # memo[nu]: sum over k >= 0 of m(nu + k beta) (nu + k beta, beta)
+                    chain, nu = [], tuple(map(add, mu, lab))
+                    while nu in out and nu not in memo:
+                        chain.append(nu)
+                        nu = tuple(map(add, nu, lab))
+                    tail = memo.get(nu, 0)
+                    for nu in reversed(chain):
+                        tail += out[nu][1] * sum(map(mul, coef, nu))
+                        memo[nu] = tail
+                    total += tail
+                denom = sum(c * d * (a + m + 2) for c, d, a, m in zip(depth, self.norms, lam, mu))
+                if denom <= 0:
+                    raise ArithmeticError("Freudenthal denominator is not positive")
+                mult, rest = divmod(2 * total, denom)
+                if rest or mult <= 0:
+                    raise ArithmeticError(f"multiplicity {2 * total}/{denom} of the weight with "
+                                          f"labels {vector_text(mu)} is not a positive integer")
             out[mu], queue = (tuple(t + s * c for t, s, c in zip(top, step, depth)), mult), [mu]
             while queue:
                 vec = out[x := queue.pop()][0]
                 for i, xi in enumerate(x):  # s_i moves coordinate i by xi * step[i]
-                    if xi > 0 and (y := self.reflect(x, i)) not in out:
-                        out[y] = (vec[:i] + (vec[i] + xi * step[i],) + vec[i + 1:], mult)
-                        queue.append(y)
+                    if xi > 0:
+                        y = list(x)
+                        for j, p in self.columns[i]:
+                            y[j] -= xi * p
+                        if (y := tuple(y)) not in out:
+                            out[y] = (vec[:i] + (vec[i] + xi * step[i],) + vec[i + 1:], mult)
+                            queue.append(y)
         return out
 
     def dimension(self, lam) -> int:
-        num = prod(sum(c * (x + 1) for c, x in zip(coef, lam)) for _, _, coef in self.roots)
-        den = prod(sum(coef) for _, _, coef in self.roots)
+        """Weyl's product of (lam + rho, beta) / (rho, beta) over the roots beta with
+        (lam, beta) != 0, lam read at its nonzero labels; every other factor is 1."""
+        support = [(j, x) for j, x in enumerate(lam) if x]
+        pairs = [(r, r + t) for r, (_, _, coef) in zip(self.rho, self.roots)
+                 if (t := sum(coef[j] * x for j, x in support))]
+        num, den = prod(n for _, n in pairs), prod(r for r, _ in pairs)
         if num % den or num < den:
             raise ArithmeticError(f"Weyl dimension {num}/{den} is not a positive integer")
         return num // den
@@ -178,7 +174,7 @@ class _Engine:
         below lam + mu, multiplicity)."""
         small, big = sorted((lam, mu), key=self.dimension)
         coeffs: dict[tuple, list] = {}
-        for nu, (depth, mult) in self.character(self.table(self.dominant_weights(small)),
+        for nu, (depth, mult) in self.character(self.dominant_weights(small),
                                                 (0,) * len(lam), (1,) * len(lam)).items():
             top, rise, sign = self.conjugate(tuple(a + b + 1 for a, b in zip(big, nu)))
             if min(top) > 0:  # a weight on a wall cancels in the alternating sum
@@ -228,8 +224,7 @@ class WeightSystem:
     def _weights(self, den, top, dominant):
         """The weights of L(lam), {numerators over den: multiplicity}, from lam's
         numerators over den and its dominant weights."""
-        return dict(self._engine.character(self._engine.table(dominant), top,
-                                           (-den,) * self.rank).values())
+        return dict(self._engine.character(dominant, top, (-den,) * self.rank).values())
 
     def tensor_decompose(self, lam1, lam2) -> dict[tuple[Fraction, ...], int]:
         """Decompose L(lam1) (x) L(lam2) into highest weights; the result is
@@ -258,7 +253,8 @@ def freudenthal_multiplicities(datum: RootDatum, lam) -> tuple[int, dict]:
     lam must be a character of the group, in datum.X, or a ValueError names its
     character lattice.  One read of lam and one search of its dominant weights serve the
     orbit count (a ValueError before any multiplicity when it passes MAX_WEIGHTS),
-    the table and the Weyl dimension, which the multiplicities must add up to."""
+    the one pass over multiplicities and orbits, and the Weyl dimension, which the
+    multiplicities must add up to."""
     ws = datum_weight_system(datum)
     den, top, labels = ws._read(lam)
     if not numerators_member(top, den, datum.X):
@@ -334,6 +330,6 @@ def mv_vs_character_check(datum: RootDatum, order: int, node: int, a: int, mults
     each step down by delta."""
     delta = rank_one_delta(datum, order, node, a)
     engine = _engine(CartanType("A", 1))
-    table = engine.table(engine.dominant_weights((2 * a // delta,)))
-    character = dict(engine.character(table, (a,), (-delta,)).values())
+    character = dict(engine.character(engine.dominant_weights((2 * a // delta,)), (a,),
+                                      (-delta,)).values())
     return all(character.get((b,), 0) == mult for b, mult in mults.items())

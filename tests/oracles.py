@@ -33,7 +33,9 @@ numerators.  Laurent series live only here, as windows of coefficients
 with their own text parser and arithmetic: the constant term of
 (-1)**(a*b) * g**a / f**b rechecks the tame symbol, which the package reads off
 valuations and leading coefficients alone.  Reflections, root coordinates, iota and
-dominant conjugates are recomputed from simple roots and pairings.  A weight
+dominant conjugates are recomputed from simple roots and pairings, and W-orbits by
+simple reflections on the nonzero entries of the Cartan matrix, where the package's
+engine lowers Dynkin labels.  A weight
 system's simple roots, positive roots, rho and coroot pairings are rebuilt from
 the Cartan matrix of its type, the roots by root_closure, so Kostant's partition
 function shares no root list with the package's engine.  The helpers that
@@ -200,6 +202,34 @@ def dominant_conjugate(ws, vec) -> tuple[Fraction, ...]:
     while (i := next((i for i in range(ws.rank) if pairing(i, vec) < 0), None)) is not None:
         vec = reflect(ws, i, vec)
     return vec
+
+
+@lru_cache(maxsize=None)
+def coroot_columns(t: CartanType) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """<coroot_i, e_j> = a[j][i] of the type's Cartan matrix, kept per i as its nonzero
+    (j, entry) pairs, so that a pairing or a reflection costs a few entries at rank 128."""
+    a = t.cartan
+    return tuple(tuple((j, a[j][i]) for j in range(t.rank) if a[j][i]) for i in range(t.rank))
+
+
+def coroot_pairings(t: CartanType, vec) -> tuple:
+    """<coroot_i, vec> for every node i, vec in simple-root coordinates."""
+    return tuple(sum(x * vec[j] for j, x in column) for column in coroot_columns(t))
+
+
+def weyl_orbit(t: CartanType, vec) -> set[tuple]:
+    """The W-orbit of vec (simple-root coordinates, ints or Fractions), closed under every
+    simple reflection s_i(vec) = vec - <coroot_i, vec> e_i, which moves coordinate i only."""
+    columns, vec = coroot_columns(t), tuple(vec)
+    orbit, queue = {vec}, [vec]
+    while queue:
+        v = queue.pop()
+        for i, column in enumerate(columns):
+            if c := sum(x * v[j] for j, x in column):
+                if (w := v[:i] + (v[i] - c,) + v[i + 1:]) not in orbit:
+                    orbit.add(w)
+                    queue.append(w)
+    return orbit
 
 
 def nonintegral_pair(d: RootDatum, level: int):

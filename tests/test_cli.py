@@ -609,6 +609,20 @@ def test_mult_self_checks_are_exit_code_3(monkeypatch, fault, message):
     assert invoke(*argv) == (3, "", f"error: internal check failed: {message}\n")
 
 
+def test_mult_out_of_depth_order_is_a_named_check(monkeypatch):
+    """The one pass reads m(mu + k beta) off the orbits it has listed, so it needs the
+    dominant weights in depth order.  Given lam first and the rest reversed, A2's L(3 omega_1)
+    (--highest 2,1, labels 3,0) reaches the zero weight before 1,1, finds no weight above
+    it, and mult stops with exit code 3 on the multiplicity check."""
+    argv = ("mult", "--type", "A2", "--N", "1", "--highest", "2,1")
+    assert invoke(*argv)[0] == 0
+    dominant_weights = rep_check._Engine.dominant_weights
+    monkeypatch.setattr(rep_check._Engine, "dominant_weights", lambda self, lam: (
+        (found := dominant_weights(self, lam))[:1] + found[:0:-1]))
+    assert invoke(*argv) == (3, "", "error: internal check failed: multiplicity 0/12 of the "
+                             "weight with labels 0,0 is not a positive integer\n")
+
+
 def test_mult_weight_count_matches_every_golden():
     """Orbit sizes |W| / |W_J| summed over the dominant weights predict the
     number of weights that mult prints, on every mult golden."""
@@ -668,18 +682,19 @@ argvs = [a for a in map(json.loads, keys) if cli._plain_args(a) is not None]
 argvs += [["dual", "--type", "A1", "--N", "0"], ["extensions", "--type", "Z3"]]  # exit 1
 codes = {cli.run(a, io.StringIO(), io.StringIO()) for a in argvs}
 print(json.dumps([sorted({a[0] for a in argvs}), sorted(codes),
-                  cli._build_parser.cache_info().misses]))
+                  cli._build_parser.cache_info().misses, "argparse" in sys.modules]))
 """
 
 
 def test_well_formed_argv_never_build_the_parser():
     """A fresh process that runs only argv that _plain_args reads, the golden argv of every
-    command and two usage errors that argparse lets through, never calls _build_parser."""
+    command and two usage errors that argparse lets through, never calls _build_parser and
+    never imports argparse."""
     proc = subprocess.run([sys.executable, "-c", WELL_FORMED, str(GOLDENS.parents[1])],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    commands, codes, misses = json.loads(proc.stdout)
-    assert (commands, codes, misses) == (sorted(cli._COMMANDS), [0, 1], 0)
+    commands, codes, misses, loaded = json.loads(proc.stdout)
+    assert (commands, codes, misses, loaded) == (sorted(cli._COMMANDS), [0, 1], 0, False)
 
 
 def _perfbench(name):

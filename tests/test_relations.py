@@ -6,7 +6,9 @@ of types up to rank 128: equal questions get equal answers, and no oracle is nee
   (X = Q) for adjoint and for so of series B, the minuscule fundamental weights (X = P) for sc,
   and omega_1 for so of series D of odd rank;
 - classes: `dual --N n` and `--N n + L`, L the datum's period (RootDatum.period), agree on
-  scripts/scan_ranks.py's CLASS_FIELDS, which are all that a dual depends on.
+  scripts/scan_ranks.py's CLASS_FIELDS, which are all that a dual depends on;
+- mult: weights in one W-orbit have one multiplicity, and the printed weights are exactly
+  the W-orbits of the printed dominant weights, each orbit taken by oracles.weyl_orbit.
 
 Each call runs on fresh records, so that none reads an answer that another one cached; the
 classes relation also reads the n + L dual off the record that built it.
@@ -17,10 +19,13 @@ import io
 import json
 import random
 import time
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
+import oracles
 from loopdual import root_data
 from loopdual.cli import run
 from loopdual.root_data import MAX_RANK, CartanType, build_datum, fundamental_weight
@@ -115,3 +120,46 @@ def test_orders_of_one_class_give_one_dual(cases):
             assert [first[f] for f in scan_ranks.CLASS_FIELDS] == \
                 [again[f] for f in scan_ranks.CLASS_FIELDS], (name, isogeny, n, period)
     assert time.perf_counter() - start < 1.5
+
+
+def mult_cases() -> list[tuple[str, list[int]]]:
+    """(source type, Dynkin labels of the highest weight of its dual) for `mult --isogeny
+    adjoint --N 1`, whose dual is simply connected, so that every dominant integral weight is
+    a character: omega_1 of a seeded A-D type of rank 100 to MAX_RANK; a 27-dimensional,
+    the 133- and the 248-dimensional adjoint representation of E6, E7 and E8, whose zero weights
+    have multiplicity 7 and 8; and ten seeded A-D, F4 and G2 of rank at most 4 with labels
+    0 to 2 at one or two nodes."""
+    rng = random.Random(SEED + 2)
+    large = f"{rng.choice('ABCD')}{rng.randint(100, MAX_RANK)}"
+    out = [(large, [1] + [0] * (CartanType.parse(large).rank - 1))]
+    out += [(name, [int(i == node) for i in range(int(name[1]))])
+            for name, node in (("E6", 0), ("E7", 0), ("E8", 7))]
+    for name in rng.choices(["A2", "A3", "A4", "B2", "B3", "C3", "C4", "D4", "F4", "G2"], k=10):
+        labels = [0] * int(name[1])
+        for node in rng.sample(range(len(labels)), rng.randint(1, 2)):
+            labels[node] = rng.randint(1, 2 if name != "F4" else 1)
+        out.append((name, labels))
+    return out
+
+
+def test_mult_weights_are_the_orbits_of_their_dominant_weights():
+    start, ranks = time.perf_counter(), set()
+    for name, labels in mult_cases():
+        dual = CartanType.parse(result("dual", "--type", name, "--isogeny", "adjoint",
+                                       "--N", "1")["dual_type"])
+        omegas = [(x, fundamental_weight(dual, i)) for i, x in enumerate(labels) if x]
+        highest = [sum(x * w[j] for x, w in omegas) for j in range(dual.rank)]
+        res = result("mult", "--type", name, "--isogeny", "adjoint", "--N", "1",
+                     "--highest", ",".join(map(str, highest)))
+        weights = {tuple(map(Fraction, w)): m for w, m in res["weights"]}
+        den = lcm(*(x.denominator for w in weights for x in w))
+        mults = {tuple(int(x * den) for x in w): m for w, m in weights.items()}
+        dominant = [w for w in mults if min(oracles.coroot_pairings(dual, w)) >= 0]
+        orbits = [oracles.weyl_orbit(dual, w) for w in dominant]
+        for mu, orbit in zip(dominant, orbits):
+            assert {mults.get(w) for w in orbit} == {mults[mu]}, (name, labels, mu)
+        assert set().union(*orbits) == set(mults) and sum(map(len, orbits)) == len(mults), \
+            (name, labels)
+        ranks.add(dual.rank)
+    assert max(ranks) >= 100 and {6, 7, 8} <= ranks
+    assert time.perf_counter() - start < 3

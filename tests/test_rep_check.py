@@ -365,9 +365,9 @@ def test_one_a1_engine_serves_every_rank_one_line(monkeypatch):
     """mv_vs_character_check reads every line, whatever its delta, off the one
     cached A1 engine; each query's character is still computed."""
     c2, a1 = build_datum("C2", "sc"), build_datum("A1", "sc")
-    engine, tables, table = _engine(CartanType("A", 1)), [], _Engine.table
-    monkeypatch.setattr(_Engine, "table",
-                        lambda self, dominant: tables.append(self) or table(self, dominant))
+    engine, tables, character = _engine(CartanType("A", 1)), [], _Engine.character
+    monkeypatch.setattr(_Engine, "character", lambda self, dominant, top, step:
+                        tables.append(self) or character(self, dominant, top, step))
     assert rank_one_mv_multiplicities(c2, 2, 1, 4) == {4: 1, 3: 0, 2: 1, 1: 0, 0: 1, -1: 0,
                                                       -2: 1, -3: 0, -4: 1}
     for d, order, node in ((c2, 2, 1), (a1, 2, 0), (c2, 4, 0), (c2, 2, 0)):  # delta 2, 2, 2, 1
@@ -435,9 +435,9 @@ def test_integer_weights_match_the_fraction_oracle(name):
                 got = {tuple(Fraction(x, den) for x in mu): m for mu, m in weights.items()}
                 # the engine's (labels -> depth, multiplicity), read past the adapter
                 engine, labels = ws._engine, ws._read(lam)[2]
-                table = engine.table(engine.dominant_weights(labels))
                 expected = {}
-                for key, (depth, mult) in engine.character(table, (0,) * ws.rank,
+                for key, (depth, mult) in engine.character(engine.dominant_weights(labels),
+                                                           (0,) * ws.rank,
                                                            (1,) * ws.rank).items():
                     mu = below(ws, lam, depth)
                     assert tuple(root_system(ws).pairing(i, mu) for i in range(ws.rank)) == key
